@@ -3,9 +3,9 @@ and translation-surface return dynamics."""
 
 from .cf import ContinuedFraction, Convergent, compare, convergents, floor_part
 from .exactnum import QuadNum, format_exact, parse_exact
-from .words import (BlockWord, blocks_to_letters, cusp_exotic_word,
-                    exotic_word, inadmissible_segment, inadmissible_word,
-                    letters_to_blocks, simple_word)
+from .words import (BlockWord, cusp_exotic_word, exotic_word,
+                    inadmissible_segment, inadmissible_word, letters_to_blocks,
+                    simple_word)
 from .flat import (FlatPath, FlatPoint, cutting_sequence, homotopy_clearance,
                    linear_growth_probe, prescribed_growth_path,
                    three_distance_points, transverse_measure)

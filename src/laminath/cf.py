@@ -75,6 +75,10 @@ class ContinuedFraction:
         else:
             raise InvalidSlope("no coefficient source given")
         self._value_cache: Optional[Exact] = None
+        # convergent table: p_k = self._p[k + 2], q_k = self._q[k + 2], led
+        # by (p_{-2}, p_{-1}) = (0, 1) and (q_{-2}, q_{-1}) = (1, 0)
+        self._p = [0, 1]
+        self._q = [1, 0]
 
     # -- constructors --------------------------------------------------------
 
@@ -183,10 +187,7 @@ class ContinuedFraction:
         if self._value_cache is not None:
             return self._value_cache
         if self._finite is not None:
-            v: Exact = Fraction(0)
-            for c in reversed(self._finite):
-                v = c + (Fraction(1) / v if v else Fraction(0))
-            val = Fraction(v)
+            val: Exact = self.convergent(len(self._finite) - 1).value
         elif self._per is not None:
             val = self._periodic_value()
         else:
@@ -198,50 +199,44 @@ class ContinuedFraction:
         # purely periodic tail y = [per; per, ...] satisfies
         # y = (p y + p') / (q y + q') with (p, q), (p', q') the last two
         # convergents of one period block
-        p, pp = 1, 0   # p_{-1}, p_{-2}
-        q, qp = 0, 1
-        for c in self._per:
-            p, pp = c * p + pp, p
-            q, qp = c * q + qp, q
+        ps, qs = [0, 1], [1, 0]
+        _recur(ps, qs, self._per)
+        p, pp, q, qp = ps[-1], ps[-2], qs[-1], qs[-2]
         # q y^2 + (q' - p) y - p' = 0, take the positive root
         disc = (qp - p) * (qp - p) + 4 * q * pp
         y = QuadNum(Fraction(p - qp, 2 * q), Fraction(1, 2 * q), disc)
-        # apply the preperiod Moebius transform
-        P, PP = 1, 0
-        Q, QP = 0, 1
-        for c in self._pre:
-            P, PP = c * P + PP, P
-            Q, QP = c * Q + QP, Q
-        num = P * y + PP
-        den = Q * y + QP
+        # apply the preperiod Moebius transform, read off the table
+        n = len(self._pre)
+        self._grow(n - 1)
+        num = self._p[n + 1] * y + self._p[n]
+        den = self._q[n + 1] * y + self._q[n]
         return num / den
 
     # -- convergents -----------------------------------------------------------
+
+    def _grow(self, k: int) -> None:
+        """Extend the convergent table through index k."""
+        while len(self._p) < k + 3:
+            _recur(self._p, self._q, (self.coefficient(len(self._p) - 2),))
+
+    def convergent(self, k: int) -> Convergent:
+        """The k-th convergent p_k/q_k, from the cached table."""
+        self._grow(k)
+        return Convergent(k, self._p[k + 2], self._q[k + 2])
 
     def convergents(self, k_max: int, verify: bool = True) -> list[Convergent]:
         """Convergents p_0/q_0 ... p_{k_max}/q_{k_max} by the standard
         recurrence, each checked against the approximation inequality
         |q_k theta - p_k| < 1/q_{k+1} (exactly in the quadratic field when
         available, by the determinant identity otherwise)."""
-        out = []
-        p, pp = 1, 0
-        q, qp = 0, 1
-        for k in range(k_max + 1):
-            c = self.coefficient(k)
-            p, pp = c * p + pp, p
-            q, qp = c * q + qp, q
-            out.append(Convergent(k, p, q))
+        out = [self.convergent(k) for k in range(k_max + 1)]
         if verify:
             theta = self.value()
-            for i, cv in enumerate(out):
-                if i + 1 < len(out):
-                    nxt = out[i + 1]
-                elif self.is_finite and cv.k == self.length - 1:
-                    continue  # theta == p_k/q_k exactly; nothing to bound
-                else:
-                    nxt = self._extend_one(cv.k + 1)
-                    if nxt is None:
-                        continue
+            for cv in out:
+                try:
+                    nxt = self.convergent(cv.k + 1)
+                except PrecisionExhausted:
+                    continue  # the source ends: theta == p_k/q_k or unknown
                 det = cv.p * nxt.q - nxt.p * cv.q
                 if abs(det) != 1:
                     raise AssertionError("convergent determinant broken")
@@ -252,26 +247,10 @@ class ContinuedFraction:
                             f"approximation inequality failed at k={cv.k}")
         return out
 
-    def _extend_one(self, k: int) -> Optional[Convergent]:
-        try:
-            self.coefficient(k)
-        except PrecisionExhausted:
-            return None
-        p, pp = 1, 0
-        q, qp = 0, 1
-        for i in range(k + 1):
-            ci = self.coefficient(i)
-            p, pp = ci * p + pp, p
-            q, qp = ci * q + qp, q
-        return Convergent(k, p, q)
-
-    def convergent(self, k: int) -> Convergent:
-        return self.convergents(k, verify=False)[-1]
-
     # -- predicates --------------------------------------------------------------
 
     def floor_part(self) -> int:
-        return self.coefficient(0)
+        return self.convergent(0).p
 
     def compare(self, r) -> int:
         """-1, 0, or +1 as theta <, ==, > the rational r.  Decided exactly for
@@ -282,30 +261,30 @@ class ContinuedFraction:
             if isinstance(v, QuadNum):
                 return v._cmp(r)
             return (v > r) - (v < r)
-        # refine the enclosure; theta from an opaque source is treated as
-        # irrational, so equality never holds
-        p, pp = 1, 0
-        q, qp = 0, 1
+        # refine the enclosure p_{2k}/q_{2k} < theta < p_{2k+1}/q_{2k+1};
+        # theta from an opaque source is treated as irrational, so equality
+        # never holds
+        a, b = r.numerator, r.denominator
         k = 0
-        lo = None
-        hi = None
         while True:
-            c = self.coefficient(k)  # raises PrecisionExhausted at the end
-            p, pp = c * p + pp, p
-            q, qp = c * q + qp, q
-            val = Fraction(p, q)
+            cv = self.convergent(k)  # raises PrecisionExhausted at the end
             if k % 2 == 0:
-                lo = val
-            else:
-                hi = val
-            if lo is not None and r <= lo:
-                return 1
-            if hi is not None and r >= hi:
+                if a * cv.q <= cv.p * b:
+                    return 1
+            elif a * cv.q >= cv.p * b:
                 return -1
             k += 1
 
     def __repr__(self):
         return f"ContinuedFraction({self.to_text()!r})"
+
+
+def _recur(p: list, q: list, coeffs) -> None:
+    """Append p_k = c_k p_{k-1} + p_{k-2} and q_k = c_k q_{k-1} + q_{k-2}
+    to the two lists for each coefficient c_k in turn."""
+    for c in coeffs:
+        p.append(c * p[-1] + p[-2])
+        q.append(c * q[-1] + q[-2])
 
 
 def q_error(theta_value: Exact, cv: Convergent) -> Exact:

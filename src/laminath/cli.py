@@ -74,10 +74,6 @@ def _theta(cfg: RunConfig) -> ContinuedFraction:
     return ContinuedFraction.from_text(cfg.require("theta"))
 
 
-def _exact_str(x) -> str:
-    return format_exact(x)
-
-
 def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
     doc = {"alphabet": "abAB"}
     if block_word is not None:
@@ -88,7 +84,7 @@ def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
     if letters is not None:
         doc["letters"] = letters
     if measure is not None:
-        doc["measure"] = _exact_str(measure)
+        doc["measure"] = format_exact(measure)
         doc["measure_float"] = float(measure)
     if extra:
         doc.update(extra)
@@ -140,7 +136,7 @@ def cmd_segment(cfg: RunConfig):
         "theta": theta.to_text(), "k": cfg.k,
         "letter_count": cert.word.letter_count,
         "letter_bound": 2 * (cert.convergent.p + cert.convergent.q),
-        "bound": _exact_str(cert.bound),
+        "bound": format_exact(cert.bound),
         "path": _tagged_path(cert.path, cfg),
     })
 
@@ -153,10 +149,10 @@ def cmd_exotic(cfg: RunConfig):
         stages.append({
             "index": st.index,
             "blocks": len(st.certificate.word.blocks),
-            "measure": _exact_str(st.certificate.measure),
-            "connector": _exact_str(st.connector),
-            "partial_measure": _exact_str(st.partial_measure),
-            "partial_bound": _exact_str(st.partial_bound),
+            "measure": format_exact(st.certificate.measure),
+            "connector": format_exact(st.connector),
+            "partial_measure": format_exact(st.partial_measure),
+            "partial_bound": format_exact(st.partial_bound),
         })
     blocks = ew.blocks()
     letters = ew.letters()
@@ -166,7 +162,7 @@ def cmd_exotic(cfg: RunConfig):
     return {"alphabet": "abAB", "theta": theta.to_text(),
             "kept": ew.kept_indices, "skipped": ew.skipped_indices,
             "stages": stages, "blocks": list(blocks), "letters": letters,
-            "measure": _exact_str(ew.total_measure),
+            "measure": format_exact(ew.total_measure),
             "measure_float": float(ew.total_measure)}
 
 
@@ -177,7 +173,7 @@ def cmd_cusp_exotic(cfg: RunConfig):
             "letters": words.cusp_word_letters(stages),
             "stages": [{"k": st.k, "word": st.word.serialize(),
                         "loops": st.loop_count,
-                        "partial_measure": _exact_str(st.partial_measure)}
+                        "partial_measure": format_exact(st.partial_measure)}
                        for st in stages]}
 
 
@@ -185,7 +181,7 @@ def cmd_cut(cfg: RunConfig):
     theta = _theta(cfg)
     s = parse_exact(cfg.require("s"))
     letters = flat.cutting_sequence(s, theta, cfg.letters)
-    return {"alphabet": "ab", "start": _exact_str(s),
+    return {"alphabet": "ab", "start": format_exact(s),
             "theta": theta.to_text(), "letters": letters}
 
 
@@ -194,7 +190,7 @@ def cmd_measure(cfg: RunConfig):
     with open(cfg.require("path")) as fh:
         path = flat.FlatPath.from_json(json.load(fh))
     value = flat.transverse_measure(path, theta.value())
-    return {"measure": _exact_str(value), "measure_float": float(value),
+    return {"measure": format_exact(value), "measure_float": float(value),
             "normalized_float": flat.transverse_measure(path, theta.value(),
                                                         normalized=True)}
 
@@ -235,7 +231,7 @@ def cmd_growth(cfg: RunConfig):
     if cfg.mode == "linear":
         direction = "vertical" if cfg.direction == "vertical" else parse_exact(cfg.direction)
         rows = flat.linear_growth_probe(theta, direction, t_max, cfg.samples)
-        table = [{"t": _exact_str(r.t), "I": _exact_str(r.measure)} for r in rows]
+        table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
         return {"mode": "linear", "direction": cfg.direction,
                 "table": table, "csv": csv}
@@ -245,7 +241,7 @@ def cmd_growth(cfg: RunConfig):
     f = fns[cfg.f_name]
     path, rows = flat.prescribed_growth_path(theta, f, cfg.segments,
                                              t_cap=t_max if t_max > 16 else None)
-    table = [{"t": _exact_str(r.t), "I": _exact_str(r.measure),
+    table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
               "f": repr(r.target)} for r in rows]
     csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
     return {"mode": "prescribed", "f": cfg.f_name, "table": table, "csv": csv,
@@ -268,15 +264,15 @@ def cmd_ts_return_map(cfg: RunConfig):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     doc = {"edge": cfg.edge,
-           "intervals": [{"lo": _exact_str(iv.lo), "hi": _exact_str(iv.hi),
-                          "shift": _exact_str(iv.shift),
+           "intervals": [{"lo": format_exact(iv.lo), "hi": format_exact(iv.hi),
+                          "shift": format_exact(iv.shift),
                           "word": S.word_labels(iv.word)}
                          for iv in trans.return_map().intervals]}
     if cfg.tau is not None:
         tau = parse_exact(cfg.tau)
         t2, w = tsurface.first_return(trans, tau, cfg.n)
-        doc["orbit"] = {"tau": _exact_str(tau), "n": cfg.n,
-                        "image": _exact_str(t2), "word": S.word_labels(w)}
+        doc["orbit"] = {"tau": format_exact(tau), "n": cfg.n,
+                        "image": format_exact(t2), "word": S.word_labels(w)}
     return doc
 
 
@@ -284,9 +280,9 @@ def cmd_ts_partition(cfg: RunConfig):
     S = _surface_from(cfg)
     part = tsurface.return_partition(S, cfg.edge, cfg.n)
     return {"edge": cfg.edge, "depth": part.depth,
-            "max_length": _exact_str(part.max_length),
+            "max_length": format_exact(part.max_length),
             "max_length_float": float(part.max_length),
-            "intervals": [{"lo": _exact_str(iv.lo), "hi": _exact_str(iv.hi),
+            "intervals": [{"lo": format_exact(iv.lo), "hi": format_exact(iv.hi),
                            "word": S.word_labels(iv.word)}
                           for iv in part.intervals]}
 
@@ -299,17 +295,17 @@ def cmd_ts_loop(cfg: RunConfig):
     return {"level": cert.level, "depth": cert.depth,
             "word": S.word_labels(cert.word),
             "factor": S.word_labels(cert.factor),
-            "measure": _exact_str(cert.measure),
+            "measure": format_exact(cert.measure),
             "measure_float": float(cert.measure),
-            "measure_constant": _exact_str(cert.measure_constant),
-            "tau_P": _exact_str(cert.tau_P), "tau_Q": _exact_str(cert.tau_Q),
+            "measure_constant": format_exact(cert.measure_constant),
+            "tau_P": format_exact(cert.tau_P), "tau_Q": format_exact(cert.tau_Q),
             "word_I": S.word_labels(cert.word_I),
             "word_I2": S.word_labels(cert.word_I2),
-            "max_gap": _exact_str(cert.max_gap),
-            "gap_bound": _exact_str(cert.gap_bound),
+            "max_gap": format_exact(cert.max_gap),
+            "gap_bound": format_exact(cert.gap_bound),
             "path": [[kind,
-                      {"poly": p0.poly, "x": _exact_str(p0.x), "y": _exact_str(p0.y)},
-                      {"poly": p1.poly, "x": _exact_str(p1.x), "y": _exact_str(p1.y)},
+                      {"poly": p0.poly, "x": format_exact(p0.x), "y": format_exact(p0.y)},
+                      {"poly": p1.poly, "x": format_exact(p1.x), "y": format_exact(p1.y)},
                       extra]
                      for kind, p0, p1, extra in cert.path_events]}
 
@@ -325,10 +321,10 @@ def cmd_ts_exotic(cfg: RunConfig):
     for st in stages:
         out.append({"level": st.level,
                     "word": S.word_labels(st.certificate.word),
-                    "measure": _exact_str(st.certificate.measure),
-                    "connector": _exact_str(st.connector),
-                    "partial_measure": _exact_str(st.partial_measure),
-                    "partial_bound": _exact_str(st.partial_bound)})
+                    "measure": format_exact(st.certificate.measure),
+                    "connector": format_exact(st.connector),
+                    "partial_measure": format_exact(st.partial_measure),
+                    "partial_bound": format_exact(st.partial_bound)})
     return {"edge": cfg.edge, "stages": out}
 
 

@@ -105,14 +105,6 @@ def _is_integer(x: Number) -> bool:
     return Fraction(x).denominator == 1
 
 
-def _between(lo, x, hi, include_hi=False) -> bool:
-    if lo > hi:
-        lo, hi = hi, lo
-    if include_hi:
-        return lo < x <= hi
-    return lo < x < hi
-
-
 def _segment_lattice_hit(p: FlatPoint, q: FlatPoint):
     """A lattice point strictly interior to the segment (p, q), or None."""
     dx = q.x - p.x
@@ -159,6 +151,148 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 
 
 # -- cutting sequences ---------------------------------------------------------
+#
+# One kernel reads every Sturmian word in the package: the mechanical word
+# with blocks floor((j+1) theta + s) - floor(j theta + s) (Morse-Hedlund
+# 1940; Lothaire, Algebraic Combinatorics on Words, ch. 2).  Block j counts
+# the horizontal grid lines the line y = theta x + s crosses for x in
+# (j, j+1); its letters are b^block a.
+
+# from about this many blocks on, numpy's per-call overhead pays for itself
+_VECTOR_MIN_BLOCKS = 256
+_FLOAT_EXACT_LIMIT = 2 ** 52
+
+
+def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
+    """Integers (E, F, S, G, d, C), C > 0, with
+    j theta + s = (E j + S + (F j + G) sqrt(d)) / C."""
+    th, sh = QuadNum(0) + theta_val, QuadNum(0) + s
+    parts = (th.a, th.b, sh.a, sh.b)
+    C = math.lcm(*(x.denominator for x in parts))
+    E, F, S, G = (int(x * C) for x in parts)
+    return E, F, S, G, (th + sh).d, C  # the sum raises on mixed fields
+
+
+def floor_blocks(E: int, F: int, S: int, G: int, d: int, C: int, J: int) -> list[int]:
+    """Blocks floor(x_{j+1}) - floor(x_j), j = 0..J-1, of
+    x_j = (E j + S + (F j + G) sqrt(d)) / C, with square-free d and C > 0.
+
+    Long runs whose terms fit float and int64 arithmetic are vectorised;
+    numpy is imported on the first such run."""
+    b_hi = max(abs(G), abs(F * J + G))
+    if (J >= _VECTOR_MIN_BLOCKS and b_hi * b_hi * d < _FLOAT_EXACT_LIMIT
+            and max(abs(S), abs(E * J + S), C) < 2 ** 62):
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover
+            pass
+        else:
+            return _blocks_numpy(numpy, E, F, S, G, d, C, J)
+    return _blocks_python(E, F, S, G, d, C, J)
+
+
+def _blocks_numpy(np, E, F, S, G, d, C, J) -> list[int]:
+    j = np.arange(J + 1, dtype=np.int64)
+    A = E * j + S
+    B = F * j + G
+    t = B * B * d
+    root = np.floor(np.sqrt(t.astype(np.float64))).astype(np.int64)
+    # repair floating error exactly
+    for _ in range(2):
+        root = np.where((root + 1) * (root + 1) <= t, root + 1, root)
+        root = np.where(root * root > t, root - 1, root)
+    if not bool(((root * root <= t) & ((root + 1) * (root + 1) > t)).all()):
+        raise AssertionError("integer square root repair failed")
+    # floor(B sqrt(d)) for B < 0 is -ceil(|B| sqrt(d))
+    root = np.where(B < 0, -root - (root * root != t), root)
+    return np.diff((A + root) // C).tolist()
+
+
+def _blocks_python(E, F, S, G, d, C, J) -> list[int]:
+    floors = []
+    for j in range(J + 1):
+        B = F * j + G
+        t = B * B * d
+        root = math.isqrt(t)
+        if B < 0:
+            root = -root - (root * root != t)
+        floors.append((E * j + S + root) // C)
+    return [y - x for x, y in zip(floors, floors[1:])]
+
+
+def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
+    """Smallest lattice point (i, n), 1 <= i <= J, with i theta + s = n for
+    a positive slope, or None."""
+    if F:
+        # an irrational slope meets at most one lattice point, where F i + G = 0
+        i = -G // F if G % F == 0 else 0
+    elif G or not E:
+        return None  # s irrational over a rational slope, or theta = 0
+    else:
+        # E i + S = 0 (mod C), solvable when gcd(E, C) divides S
+        g = math.gcd(E, C)
+        m = C // g
+        i = (-S // g) * pow(E // g, -1, m) % m or m if S % g == 0 else 0
+    if 1 <= i <= J and (E * i + S) % C == 0:
+        return i, (E * i + S) // C
+    return None
+
+
+def _enclosure_blocks(theta: ContinuedFraction, s, J: int) -> list[int]:
+    """Blocks of an opaque slope by one enclosure comparison each.
+
+    With c0 < theta < c0 + 1 and n = floor(j theta + s), block j is c0 + 1
+    when (j+1) theta + s exceeds n + c0 + 1 and c0 otherwise; an opaque
+    slope compares as irrational, so the two never meet."""
+    c0 = theta.floor_part()
+    n = exact_floor(s)
+    blocks = []
+    for j in range(J):
+        block = c0 + (theta.compare(Fraction(n + c0 + 1 - s, j + 1)) > 0)
+        blocks.append(block)
+        n += block
+    return blocks
+
+
+def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
+    """(blocks, hit): the first ``num_blocks`` blocks of the line
+    y = theta x + s leaving (0, s), and the first lattice point (m, n) the
+    line meets at an abscissa 1 <= m <= num_blocks, or None.
+
+    Slopes with an exact value use exact integer floors of j theta + s;
+    ``s`` is rational or lies in theta's quadratic field.  Opaque coefficient
+    sources use enclosure comparisons and a rational ``s``.
+    """
+    theta_val = theta.value()
+    if theta_val is None:
+        return _enclosure_blocks(theta, s, num_blocks), None
+    E, F, S, G, d, C = _integer_form(theta_val, s)
+    return (floor_blocks(E, F, S, G, d, C, num_blocks),
+            _first_hit(E, F, S, G, C, num_blocks))
+
+
+def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
+    """(letters, hit): the first ``num_letters`` letters of the line from
+    (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
+    lattice point (m, n) the line meets within them, or None."""
+    lo = theta.value()
+    if lo is None:
+        lo = theta.floor_part()  # an opaque slope exceeds c0
+    # J blocks hold J + floor(J theta + s) - floor(s) > J (1 + theta) - 1
+    # letters, so J > num_letters / (1 + theta) blocks suffice
+    J = max(0, exact_floor(Fraction(num_letters) / (1 + lo)) + 1)
+    blocks, hit = sturmian_blocks(theta, s, J)
+    # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
+    if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
+        hit = None
+    return "".join(["b" * n + "a" for n in blocks])[:num_letters], hit
+
+
+def _singular(hit) -> SingularHit:
+    m, n = hit
+    return SingularHit(f"line hits lattice point ({m}, {n})",
+                       point=FlatPoint(Fraction(m), Fraction(n)))
+
 
 def cutting_sequence(s, theta: ContinuedFraction, num_letters: int) -> str:
     """Crossing word of the line y = theta x + s leaving (0, s) rightward:
@@ -171,48 +305,17 @@ def cutting_sequence(s, theta: ContinuedFraction, num_letters: int) -> str:
     theta_val = theta.value()
     if theta_val is not None and not theta_val > 0:
         raise ValueError("theta must be positive")
-    word = []
-    m, n = 1, exact_floor(s) + 1
-    while len(word) < num_letters:
-        if theta_val is not None:
-            crit = theta_val * m + s
-            cmp = 1 if crit > n else (-1 if crit < n else 0)
-        else:
-            cmp = theta.compare(Fraction(n - s, m))
-        if cmp == 0:
-            raise SingularHit(f"line hits lattice point ({m}, {n})",
-                              point=FlatPoint(Fraction(m), Fraction(n)))
-        if cmp > 0:
-            word.append("b")
-            n += 1
-        else:
-            word.append("a")
-            m += 1
-    return "".join(word)
+    letters, hit = sturmian_letters(theta, s, num_letters)
+    if hit is not None:
+        raise _singular(hit)
+    return letters
 
 
 def cutting_blocks(s, theta: ContinuedFraction, num_blocks: int) -> tuple[int, ...]:
     """First ``num_blocks`` block sizes of the cutting sequence from height s."""
-    blocks = []
-    count = 0
-    theta_val = theta.value()
-    m, n = 1, exact_floor(s) + 1
-    while len(blocks) < num_blocks:
-        if theta_val is not None:
-            crit = theta_val * m + s
-            cmp = 1 if crit > n else (-1 if crit < n else 0)
-        else:
-            cmp = theta.compare(Fraction(n - s, m))
-        if cmp == 0:
-            raise SingularHit(f"line hits lattice point ({m}, {n})",
-                              point=FlatPoint(Fraction(m), Fraction(n)))
-        if cmp > 0:
-            count += 1
-            n += 1
-        else:
-            blocks.append(count)
-            count = 0
-            m += 1
+    blocks, hit = sturmian_blocks(theta, s, num_blocks)
+    if hit is not None:
+        raise _singular(hit)
     return tuple(blocks)
 
 

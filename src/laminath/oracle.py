@@ -16,23 +16,15 @@ fast enough for 10^5-letter prefixes from 100 start heights.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import flat
 from .cf import ContinuedFraction
 from .errors import DepthInsufficient
-from .exactnum import QuadNum
 from .words import BlockWord, simple_word
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-_FLOAT_EXACT_LIMIT = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -52,21 +44,20 @@ def rational_block_rotations(r) -> list[BlockWord]:
     return [base.rotate(j) for j in range(len(base.blocks))]
 
 
+def _periodic_haystack(r, m: int) -> tuple[str, int]:
+    """(haystack, period length): enough copies of the slope-r convergent word
+    that every length-m factor of its bi-infinite periodic word occurs in the
+    haystack at an offset below the period length."""
+    period = simple_word(Fraction(r), 1).letters()
+    return period * (m // len(period) + 2), len(period)
+
+
 def rational_factors(r, m: int) -> FactorSet:
     """Length-m factors of the bi-infinite periodic word with period the
     slope-r convergent word, from all cyclic rotations."""
     r = Fraction(r)
-    period = simple_word(r, 1).letters()
-    reps = max(2, (m + 2 * len(period) - 1) // len(period) + 1)
-    hay = period * reps
-    factors = frozenset(hay[i:i + m] for i in range(len(period)))
-    return FactorSet(r, m, factors)
-
-
-def _periodic_haystack(r, needle_len: int) -> str:
-    period = simple_word(Fraction(r), 1).letters()
-    reps = max(2, needle_len // len(period) + 2)
-    return period * reps, len(period)
+    hay, plen = _periodic_haystack(r, m)
+    return FactorSet(r, m, frozenset(hay[i:i + m] for i in range(plen)))
 
 
 @dataclass(frozen=True)
@@ -171,91 +162,21 @@ def factor_count(theta: ContinuedFraction, m: int, k_max: int = 24) -> int:
     """Number of distinct admissible length-m letter factors."""
     if m == 0:
         return 1
-    l = _window_level(theta, m + 2, k_max)
-    cv = theta.convergent(l)
-    period = simple_word(Fraction(cv.p, cv.q), 1).letters()
-    reps = max(2, m // len(period) + 2)
-    hay = period * reps
-    return len({hay[i:i + m] for i in range(len(period))})
+    cv = theta.convergent(_window_level(theta, m + 2, k_max))
+    return len(rational_factors(Fraction(cv.p, cv.q), m).factors)
 
 
 # -- exact leaf-word streams -----------------------------------------------------
 
-def _theta_integer_form(theta: ContinuedFraction, s: Fraction):
-    """Integers (E, F, d, C) with j*theta + s = (E*j + S + F*j*sqrt(d)) / C."""
-    val = theta.value()
-    if val is None:
-        raise ValueError("stream generation needs an exact slope value")
-    if isinstance(val, QuadNum) and val.b != 0:
-        a, b, d = val.a, val.b, val.d
-    else:
-        a = Fraction(val)
-        b = Fraction(0)
-        d = 2
-    g = math.lcm(a.denominator, b.denominator)
-    r = s.denominator
-    C = g * r
-    E = a.numerator * (g // a.denominator) * r
-    F = b.numerator * (g // b.denominator) * r
-    S = s.numerator * g
-    return E, F, S, d, C
-
-
 def leaf_letter_stream(theta: ContinuedFraction, s: Fraction, num_letters: int) -> str:
     """First ``num_letters`` letters of the cutting sequence from (0, s),
-    computed by exact integer floors of j*theta + s."""
-    val = theta.value()
-    fval = float(val)
-    slack = 1.1
-    while True:
-        J = int(num_letters / (1.0 + fval) * slack) + 16
-        blocks = leaf_block_stream(theta, s, J)
-        out = []
-        total = 0
-        for n in blocks:
-            out.append("b" * n + "a")
-            total += n + 1
-            if total >= num_letters:
-                return "".join(out)[:num_letters]
-        slack *= 2  # block estimate fell short; enlarge and regenerate
+    read off the block kernel; lattice hits are not reported."""
+    return flat.sturmian_letters(theta, s, num_letters)[0]
 
 
 def leaf_block_stream(theta: ContinuedFraction, s: Fraction, num_blocks: int):
     """Block sizes floor((j+1)theta + s) - floor(j theta + s), j = 0..n-1."""
-    E, F, S, d, C = _theta_integer_form(theta, s)
-    J = num_blocks
-    if _np is not None and F >= 0:
-        b_hi = F * J
-        if b_hi * b_hi * d < _FLOAT_EXACT_LIMIT and (E * J + abs(S)) < 2 ** 62:
-            return _block_stream_numpy(E, F, S, d, C, J)
-    return _block_stream_python(E, F, S, d, C, J)
-
-
-def _block_stream_numpy(E, F, S, d, C, J):
-    j = _np.arange(J + 1, dtype=_np.int64)
-    A = E * j + S
-    B = F * j
-    t = B * B * d
-    root = _np.floor(_np.sqrt(t.astype(_np.float64))).astype(_np.int64)
-    # repair floating error exactly
-    for _ in range(2):
-        root = _np.where((root + 1) * (root + 1) <= t, root + 1, root)
-        root = _np.where(root * root > t, root - 1, root)
-    assert bool(((root * root <= t) & ((root + 1) * (root + 1) > t)).all())
-    floors = (A + root) // C
-    return _np.diff(floors).tolist()
-
-
-def _block_stream_python(E, F, S, d, C, J):
-    floors = []
-    for j in range(J + 1):
-        B = F * j
-        t = B * B * d
-        root = math.isqrt(t)
-        if B < 0:
-            root = -root - 1 if t != root * root else -root
-        floors.append((E * j + S + root) // C)
-    return [floors[j + 1] - floors[j] for j in range(J)]
+    return flat.sturmian_blocks(theta, s, num_blocks)[0]
 
 
 @dataclass(frozen=True)

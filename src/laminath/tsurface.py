@@ -940,10 +940,6 @@ class LoopCertificate:
     gap_bound: Number            # the required bound a = |PQ|/3
     path_events: tuple
 
-    @property
-    def path(self):
-        return self.path_events
-
 
 def build_inadmissible_loop(surface, trans, k: int,
                             return_budget: Optional[int] = None) -> LoopCertificate:
@@ -1013,11 +1009,14 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     if n is None:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}")
     tau_n = fast.value(state)
-    assert min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a
+    if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
+        raise AssertionError("return point lies within |PQ|/3 of its interval's ends")
 
     ivR = iet.locate(R)
-    assert ivR.lo == I2.lo and ivR.hi == I2.hi
-    assert ivR.word != I.word
+    if not (ivR.lo == I2.lo and ivR.hi == I2.hi):
+        raise AssertionError("R does not lie in the neighboring interval")
+    if ivR.word == I.word:
+        raise AssertionError("the neighboring interval repeats the word of I")
 
     qlo_pair, qhi_pair = fast.encode(q_lo), fast.encode(q_hi)
     qlo_f, qhi_f = float(q_lo), float(q_hi)
@@ -1039,8 +1038,10 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     piece2 = "".join(words[i] + e for i in tail_idx)
     word = piece1 + piece2
     factor = piece1[len(words[word_idx[0]]):] + words[tail_idx[0]] + e
-    assert words[tail_idx[0]] == ivR.word
-    assert factor in word
+    if words[tail_idx[0]] != ivR.word:
+        raise AssertionError("closing flight does not start in R's interval")
+    if factor not in word:
+        raise AssertionError("inadmissible factor missing from the loop word")
 
     ey = trans.height
     measure = (abs(tau_n - R) + abs(tau_s - Q)) * ey

@@ -78,12 +78,8 @@ class BlockWord:
         return self.serialize()
 
 
-def blocks_to_letters(word: BlockWord) -> LetterWord:
-    return word.letters()
-
-
 def letters_to_blocks(word: LetterWord) -> BlockWord:
-    """Inverse of :func:`blocks_to_letters` on block-shaped positive words."""
+    """Inverse of :meth:`BlockWord.letters` on block-shaped positive words."""
     if not word:
         raise NotBlockShaped("empty word")
     if set(word) <= {"b", "a"} and word[0] == "b" and word[-1] == "a":
@@ -130,47 +126,33 @@ def _slope_data(r: Fraction) -> tuple[int, int, int, int, int]:
 def simple_word(r, l1: int = 1) -> BlockWord:
     """Block word of the simple closed curve of slope r = p/q > 1.
 
-    Block j of the output is read off a cyclic schedule of q = s + t start
-    positions, t carrying n+1 and s carrying n; l1 picks the start position,
-    so different l1 give cyclic rotations of one word.
+    The q blocks are floor(((j+1) p + q - l1) / q) - floor((j p + q - l1) / q),
+    the cutting sequence of slope r from height 1 - l1/q; t of them carry
+    n+1 and s carry n, and l1 picks the start, so different l1 give cyclic
+    rotations of one word.
     """
     p, q, n, s, t = _slope_data(Fraction(r))
     if not 1 <= l1 <= s + t:
         raise InvalidSlope(f"start index must be in 1..{s + t}")
-
-    def sp(l: int) -> int:
-        return n + 1 if l <= t else n
-
-    blocks = []
-    l = l1
-    while True:
-        blocks.append(sp(l))
-        l = s + l if l <= t else l - t
-        if l == l1:
-            break
-    word = BlockWord(n, tuple(blocks))
-    assert len(blocks) == s + t == q
-    assert sum(blocks) == p and len(blocks) == q
-    return word
+    blocks = flat.floor_blocks(p, 0, q - l1, 0, 2, q, q)
+    if len(blocks) != q or sum(blocks) != p:
+        raise AssertionError("simple word breaks the block counts")
+    return BlockWord(n, tuple(blocks))
 
 
 def partial_simple_word(r, l1: int, stop: int) -> tuple[int, ...]:
-    """Run the schedule from l1 and stop on reaching index ``stop``.
+    """Prefix of ``simple_word(r, l1)`` ending just before start index
+    ``stop``.
 
-    As in the full cycle, the stop test follows each append, so the block at
-    the starting index is always emitted and the block at the stopping index
-    never is."""
+    Block i of the word belongs to start index l1 - i t (mod q), so the
+    prefix has the m blocks with m = (l1 - stop) / t (mod q), 1 <= m <= q:
+    the block at the starting index is always emitted and the block at the
+    stopping index never is."""
     p, q, n, s, t = _slope_data(Fraction(r))
-    blocks = []
-    l = l1
-    while True:
-        blocks.append(n + 1 if l <= t else n)
-        l = s + l if l <= t else l - t
-        if l == stop:
-            break
-        if len(blocks) > q:
-            raise AssertionError("schedule failed to reach the stop index")
-    return tuple(blocks)
+    if not 1 <= stop <= q:
+        raise InvalidSlope(f"stop index must be in 1..{q}")
+    m = (l1 - stop) * pow(t, -1, q) % q or q
+    return simple_word(r, l1).blocks[:m]
 
 
 # -- inadmissible words ----------------------------------------------------------
@@ -182,8 +164,8 @@ def _flip(block: int, n: int) -> int:
 def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     """Single-cycle theta-inadmissible word on q_k blocks.
 
-    Runs the simple-word schedule for the k-th convergent from the extreme
-    start position (lowest for even k, highest for odd k) and flips the final
+    Reads the simple word of the k-th convergent from the extreme start
+    height (lowest for even k, highest for odd k) and flips the final
     block between n and n+1.  Reverting the flip recovers a p_k/q_k word.
     """
     if k < 2:
@@ -195,7 +177,8 @@ def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     blocks = w.blocks[:-1] + (_flip(w.blocks[-1], w.base),)
     out = BlockWord(w.base, blocks)
     edge = w.base if k % 2 == 0 else w.base + 1
-    assert out.blocks[0] == edge and out.blocks[-1] == edge
+    if not out.blocks[0] == edge == out.blocks[-1]:
+        raise AssertionError("flipped word does not start and end on the edge block")
     return out
 
 
@@ -256,7 +239,8 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     p, q = cv.p, cv.q
     r = Fraction(p, q)
     B = len(word.blocks)
-    assert word.letter_count <= 2 * (p + q)
+    if not word.letter_count <= 2 * (p + q):
+        raise AssertionError("segment word exceeds 2(p_k + q_k) letters")
 
     even = k % 2 == 0
     h0 = Fraction(1, 2 * q) if even else 1 - Fraction(1, 2 * q)
@@ -268,7 +252,8 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     v3 = flat.FlatPoint(v2.x + dx, v2.y + dx * r)
     path = flat.FlatPath([v0, v1, v2, v3], ["start", "leaf", "hop", "leaf"])
     # closes up on the torus: total rise is an integer over B cells
-    assert (v3.y - h0).denominator == 1
+    if (v3.y - h0).denominator != 1:
+        raise AssertionError("segment representative does not close up")
 
     theta_val = theta.value()
     measure = flat.transverse_measure(path, theta_val)

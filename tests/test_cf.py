@@ -63,6 +63,28 @@ def test_precision_exhausted():
         convergents(short, 5)
 
 
+def test_convergent_table_requests_each_index_once():
+    calls = []
+
+    def source(i):
+        calls.append(i)
+        return [1, 2, 2, 2, 2][i]   # sqrt2's coefficients, ending after c4
+
+    theta = ContinuedFraction(source=source)
+    cvs = [theta.convergent(k) for k in range(5)]
+    assert [(c.p, c.q) for c in cvs] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
+    assert calls == [0, 1, 2, 3, 4]
+    # later reads come from the table
+    assert theta.convergents(4, verify=False) == cvs
+    assert theta.compare(Fraction(7, 5)) == 1 and theta.floor_part() == 1
+    assert calls == [0, 1, 2, 3, 4]
+    with pytest.raises(PrecisionExhausted):
+        theta.convergent(5)
+    assert theta.convergent(3) == cvs[3]
+    with pytest.raises(PrecisionExhausted):
+        theta.convergent(5)
+
+
 def test_canonical_form():
     assert ContinuedFraction([2, 1])._finite == (3,)
     assert ContinuedFraction([1, 2, 1])._finite == (1, 3)

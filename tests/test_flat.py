@@ -1,13 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laminath import flat, words
+from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
 from laminath.errors import ClearanceViolated, InvalidGrowthFunction, SingularHit
-from laminath.exactnum import QuadNum
+from laminath.exactnum import QuadNum, exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
 R53 = ContinuedFraction.from_rational(Fraction(5, 3))
@@ -49,6 +50,134 @@ def test_cutting_sequence_opaque_source():
     lazy = ContinuedFraction(source=lambda i: 1 if i == 0 else 2)
     exact = flat.cutting_sequence(Fraction(1, 4), SQRT2, 64)
     assert flat.cutting_sequence(Fraction(1, 4), lazy, 64) == exact
+
+
+# -- the Sturmian kernel against slow references ---------------------------------
+
+def _reference_walk(s, theta):
+    """The exact step-by-step crossing walk: compares theta m + s with the
+    next horizontal line n before every letter; raises SingularHit where the
+    line meets a lattice point."""
+    theta_val = theta.value()
+    m, n = 1, exact_floor(s) + 1
+    while True:
+        if theta_val is not None:
+            crit = theta_val * m + s
+            cmp = 1 if crit > n else (-1 if crit < n else 0)
+        else:
+            cmp = theta.compare(Fraction(n - s, m))
+        if cmp == 0:
+            raise SingularHit(f"line hits lattice point ({m}, {n})",
+                              point=flat.FlatPoint(Fraction(m), Fraction(n)))
+        if cmp > 0:
+            yield "b"
+            n += 1
+        else:
+            yield "a"
+            m += 1
+
+
+def _walk_letters(s, theta, num_letters):
+    return "".join(itertools.islice(_reference_walk(s, theta), num_letters))
+
+
+def _walk_blocks(s, theta, num_blocks):
+    walk = _reference_walk(s, theta)
+    blocks, count = [], 0
+    while len(blocks) < num_blocks:
+        if next(walk) == "b":
+            count += 1
+        else:
+            blocks.append(count)
+            count = 0
+    return tuple(blocks)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SingularHit as exc:
+        return "hit", tuple(exc.point)
+
+
+@st.composite
+def _slopes(draw):
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=30))
+        p = draw(st.integers(min_value=1, max_value=5 * q))
+        return ContinuedFraction.from_rational(Fraction(p, q))
+    c0 = draw(st.integers(min_value=0, max_value=3))
+    pre = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=2))
+    per = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    return ContinuedFraction.periodic([c0] + pre, per)
+
+
+def _rational_heights(theta):
+    # heights over the slope's denominator meet the lattice
+    q = theta.value().denominator if theta.is_finite else 7
+    return st.one_of(
+        st.fractions(min_value=-2, max_value=3, max_denominator=60),
+        st.integers(min_value=-2 * q, max_value=3 * q).map(lambda k: Fraction(k, q)))
+
+
+def _heights(theta):
+    # quadratic heights a + b theta lie in theta's field; integer a and b
+    # put a lattice point on the line at abscissa -b
+    val = theta.value()
+    unit = QuadNum(0, 1, 2) if theta.is_finite else val
+    quadratic = st.builds(lambda a, b: a + b * unit,
+                          st.one_of(st.integers(min_value=-2, max_value=3),
+                                    st.fractions(min_value=-2, max_value=3,
+                                                 max_denominator=4)),
+                          st.integers(min_value=-6, max_value=2))
+    return st.one_of(_rational_heights(theta), quadratic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slopes(), st.data())
+def test_cutting_matches_reference_walk(theta, data):
+    s = data.draw(_heights(theta))
+    n = data.draw(st.integers(min_value=0, max_value=250))
+    assert (_outcome(flat.cutting_sequence, s, theta, n)
+            == _outcome(_walk_letters, s, theta, n))
+    assert (_outcome(flat.cutting_blocks, s, theta, n // 2)
+            == _outcome(_walk_blocks, s, theta, n // 2))
+    if not theta.is_finite and not isinstance(s, QuadNum):
+        lazy = ContinuedFraction(source=theta.coefficient)
+        assert _outcome(flat.cutting_sequence, s, lazy, n) == _outcome(_walk_letters, s, theta, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_slopes(), st.data())
+def test_oracle_streams_are_floor_differences(theta, data):
+    # the streams read floor differences straight through lattice hits
+    s = data.draw(_rational_heights(theta))
+    num_blocks = data.draw(st.integers(min_value=0, max_value=200))
+    val = theta.value()
+    floors = [exact_floor(j * val + s) for j in range(num_blocks + 1)]
+    ref = [y - x for x, y in zip(floors, floors[1:])]
+    assert oracle.leaf_block_stream(theta, s, num_blocks) == ref
+    letters = "".join("b" * n + "a" for n in ref)
+    n = data.draw(st.integers(min_value=0, max_value=len(letters)))
+    assert oracle.leaf_letter_stream(theta, s, n) == letters[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=-900, max_value=900), st.integers(min_value=-900, max_value=900),
+       st.sampled_from([2, 3, 5, 7, 13]), st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=300))
+def test_vectorised_blocks_match_python(E, F, S, G, d, C, J):
+    np = pytest.importorskip("numpy")
+    assert (flat._blocks_numpy(np, E, F, S, G, d, C, J)
+            == flat._blocks_python(E, F, S, G, d, C, J))
+
+
+def test_long_stream_takes_the_vectorised_path():
+    num_blocks = 2 * flat._VECTOR_MIN_BLOCKS
+    E, F, S, G, d, C = flat._integer_form(SQRT2.value(), Fraction(1, 4))
+    assert (flat.sturmian_blocks(SQRT2, Fraction(1, 4), num_blocks)[0]
+            == flat._blocks_python(E, F, S, G, d, C, num_blocks))
 
 
 # -- transverse measure -----------------------------------------------------------

@@ -170,11 +170,20 @@ def test_stream_matches_cutting_sequence():
 
 
 def test_stream_python_fallback_agrees():
-    E, F, S_, d, C = oracle._theta_integer_form(SQRT2, Fraction(1, 4))
-    a = oracle._block_stream_python(E, F, S_, d, C, 200)
-    if oracle._np is not None:
-        b = oracle._block_stream_numpy(E, F, S_, d, C, 200)
-        assert a == list(b)
+    E, F, S_, G, d, C = flat._integer_form(SQRT2.value(), Fraction(1, 4))
+    a = flat._blocks_python(E, F, S_, G, d, C, 200)
+    np = pytest.importorskip("numpy")
+    b = flat._blocks_numpy(np, E, F, S_, G, d, C, 200)
+    assert a == list(b)
+
+
+def test_opaque_source_streams_and_verdicts():
+    # sqrt2 as a bare coefficient callable: streams and verdicts go through
+    # enclosure comparisons and agree with the exact slope
+    lazy = ContinuedFraction(source=lambda i: 1 if i == 0 else 2)
+    assert (oracle.leaf_letter_stream(lazy, Fraction(1, 4), 10)
+            == oracle.leaf_letter_stream(SQRT2, Fraction(1, 4), 10))
+    assert oracle.is_admissible("ab", lazy) == oracle.is_admissible("ab", SQRT2)
 
 
 def test_sampling_cross_check():

@@ -1,0 +1,25 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import laminath
+
+PACKAGE = pathlib.Path(laminath.__file__).resolve().parent
+
+
+def test_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, laminath; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_no_bare_asserts():
+    # certificate checks must survive python -O
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: bare assert at lines {lines}"

@@ -57,10 +57,59 @@ def test_simple_word_start_is_rotation(r, data):
     assert any(base.rotate(j).blocks == other.blocks for j in range(q))
 
 
+def _schedule_word(r, l1):
+    """Reference: the cyclic schedule of q start positions, t carrying n+1
+    and s carrying n, read from l1 until it returns to l1."""
+    _, _, n, s, t = words._slope_data(r)
+    blocks = []
+    l = l1
+    while True:
+        blocks.append(n + 1 if l <= t else n)
+        l = s + l if l <= t else l - t
+        if l == l1:
+            return tuple(blocks)
+
+
+def _schedule_partial(r, l1, stop):
+    """Reference: the schedule from l1, stopped on reaching ``stop``."""
+    _, _, n, s, t = words._slope_data(r)
+    blocks = []
+    l = l1
+    while True:
+        blocks.append(n + 1 if l <= t else n)
+        l = s + l if l <= t else l - t
+        if l == stop:
+            return tuple(blocks)
+
+
+def _check_against_schedule(r):
+    q = r.denominator
+    for l1 in range(1, q + 1):
+        assert words.simple_word(r, l1).blocks == _schedule_word(r, l1)
+        for stop in range(1, q + 1):
+            assert words.partial_simple_word(r, l1, stop) == _schedule_partial(r, l1, stop)
+
+
+def test_simple_words_match_schedule_small_slopes():
+    from math import gcd
+    for q in range(1, 13):
+        for p in range(q + 1, 4 * q + 3):
+            if gcd(p, q) == 1:
+                _check_against_schedule(Fraction(p, q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=13, max_value=60), st.data())
+def test_simple_words_match_schedule(q, data):
+    p = data.draw(st.integers(min_value=q + 1, max_value=6 * q).filter(
+        lambda p: Fraction(p, q).denominator == q))
+    _check_against_schedule(Fraction(p, q))
+
+
 # -- blocks <-> letters --------------------------------------------------------
 
 def test_blocks_letters_examples():
-    assert words.blocks_to_letters(words.BlockWord(1, (2, 2, 1))) == "bbabbaba"
+    assert words.BlockWord(1, (2, 2, 1)).letters() == "bbabbaba"
     assert words.letters_to_blocks("baba").blocks == (1, 1)
     with pytest.raises(NotBlockShaped):
         words.letters_to_blocks("aBa")
@@ -68,7 +117,7 @@ def test_blocks_letters_examples():
         words.letters_to_blocks("bbab")  # ends mid-block
     flipped = words.letters_to_blocks("aab ab".replace(" ", ""))
     assert flipped.orientation == "ab" and flipped.blocks == (2, 1)
-    assert words.blocks_to_letters(flipped) == "aabab"
+    assert flipped.letters() == "aabab"
 
 
 def test_exotic_max_stages():
@@ -87,7 +136,7 @@ def test_exotic_max_stages():
 def test_blocks_letters_round_trip(n, bits):
     blocks = tuple(n + b for b in bits)
     w = words.BlockWord(min(blocks), blocks)
-    assert words.letters_to_blocks(words.blocks_to_letters(w)).blocks == blocks
+    assert words.letters_to_blocks(w.letters()).blocks == blocks
 
 
 # -- Algorithm 2 -----------------------------------------------------------------
