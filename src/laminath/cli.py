@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import flat, oracle, tsurface, words
 from .cf import ContinuedFraction
-from .errors import (EXHAUSTION_ERRORS, PRECONDITION_ERRORS, LaminathError)
+from .errors import EXHAUSTION_ERRORS, LaminathError
 from .exactnum import format_exact, parse_exact
 
 
@@ -70,8 +70,24 @@ class RunConfig:
         return v
 
 
+def _parse(flag: str, parse, text: str):
+    """``parse(text)`` for option --flag; malformed text names the option."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"--{flag}: cannot parse {text!r} ({exc})") from None
+
+
+def _at_least(cfg: RunConfig, name: str, low: int):
+    """The integer option ``name``, which must be unset or at least ``low``."""
+    value = getattr(cfg, name)
+    if value is not None and value < low:
+        raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    return value
+
+
 def _theta(cfg: RunConfig) -> ContinuedFraction:
-    return ContinuedFraction.from_text(cfg.require("theta"))
+    return _parse("theta", ContinuedFraction.from_text, cfg.require("theta"))
 
 
 def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
@@ -103,13 +119,13 @@ def _surface_from(cfg: RunConfig) -> tsurface.TranslationSurface:
 
 def cmd_convergents(cfg: RunConfig):
     theta = _theta(cfg)
-    cvs = theta.convergents(cfg.k)
+    cvs = theta.convergents(_at_least(cfg, "k", 0))
     return {"theta": theta.to_text(),
             "convergents": [{"k": c.k, "p": c.p, "q": c.q} for c in cvs]}
 
 
 def cmd_simple_word(cfg: RunConfig):
-    r = Fraction(cfg.require("slope"))
+    r = _parse("slope", Fraction, cfg.require("slope"))
     w = words.simple_word(r, cfg.start)
     return _word_doc(w, extra={"slope": str(r), "start": cfg.start,
                                "serialized": w.serialize()})
@@ -143,6 +159,7 @@ def cmd_segment(cfg: RunConfig):
 
 def cmd_exotic(cfg: RunConfig):
     theta = _theta(cfg)
+    prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
     ew = words.exotic_word(theta, cfg.indices, thin=cfg.thin)
     stages = []
     for st in ew.stages:
@@ -156,8 +173,8 @@ def cmd_exotic(cfg: RunConfig):
         })
     blocks = ew.blocks()
     letters = ew.letters()
-    if cfg.prefix_blocks is not None:
-        blocks = blocks[:cfg.prefix_blocks]
+    if prefix_blocks is not None:
+        blocks = blocks[:prefix_blocks]
         letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
     return {"alphabet": "abAB", "theta": theta.to_text(),
             "kept": ew.kept_indices, "skipped": ew.skipped_indices,
@@ -179,7 +196,7 @@ def cmd_cusp_exotic(cfg: RunConfig):
 
 def cmd_cut(cfg: RunConfig):
     theta = _theta(cfg)
-    s = parse_exact(cfg.require("s"))
+    s = _parse("start", parse_exact, cfg.require("s"))
     letters = flat.cutting_sequence(s, theta, cfg.letters)
     return {"alphabet": "ab", "start": format_exact(s),
             "theta": theta.to_text(), "letters": letters}
@@ -216,8 +233,9 @@ def cmd_admissible(cfg: RunConfig):
 
 
 def cmd_factors(cfg: RunConfig):
+    _at_least(cfg, "m", 0)
     if cfg.slope:
-        fs = oracle.rational_factors(Fraction(cfg.slope), cfg.m)
+        fs = oracle.rational_factors(_parse("slope", Fraction, cfg.slope), cfg.m)
         return {"slope": str(fs.slope), "length": fs.length,
                 "count": len(fs.factors), "factors": sorted(fs.factors)}
     theta = _theta(cfg)
@@ -227,9 +245,10 @@ def cmd_factors(cfg: RunConfig):
 
 def cmd_growth(cfg: RunConfig):
     theta = _theta(cfg)
-    t_max = Fraction(cfg.t_max)
+    t_max = _parse("t-max", Fraction, cfg.t_max)
     if cfg.mode == "linear":
-        direction = "vertical" if cfg.direction == "vertical" else parse_exact(cfg.direction)
+        direction = ("vertical" if cfg.direction == "vertical"
+                     else _parse("direction", parse_exact, cfg.direction))
         rows = flat.linear_growth_probe(theta, direction, t_max, cfg.samples)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
@@ -269,7 +288,7 @@ def cmd_ts_return_map(cfg: RunConfig):
                           "word": S.word_labels(iv.word)}
                          for iv in trans.return_map().intervals]}
     if cfg.tau is not None:
-        tau = parse_exact(cfg.tau)
+        tau = _parse("tau", parse_exact, cfg.tau)
         t2, w = tsurface.first_return(trans, tau, cfg.n)
         doc["orbit"] = {"tau": format_exact(tau), "n": cfg.n,
                         "image": format_exact(t2), "word": S.word_labels(w)}
@@ -441,23 +460,11 @@ def run(config: RunConfig) -> int:
     handler = HANDLERS[config.subcommand]
     try:
         doc = handler(config)
-    except PRECONDITION_ERRORS as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "detail": str(exc)},
+    except (LaminathError, ValueError, IndexError, KeyError, OSError) as exc:
+        code = exc.code if isinstance(exc, LaminathError) else "invalid-input"
+        sys.stderr.write(json.dumps({"error": code, "detail": str(exc)},
                                     sort_keys=True) + "\n")
-        return 2
-    except EXHAUSTION_ERRORS as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 3
-    except LaminathError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 2
-    except (ValueError, IndexError, KeyError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": "invalid-input",
-                                     "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 2
+        return 3 if isinstance(exc, EXHAUSTION_ERRORS) else 2
     if config.emit == "csv" and "csv" in doc:
         text = doc["csv"]
     elif config.emit == "json":

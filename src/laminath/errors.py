@@ -60,9 +60,6 @@ class BudgetExhausted(LaminathError):
     code = "budget-exhausted"
 
 
-# exit-status classes for the CLI
-PRECONDITION_ERRORS = (InvalidSlope, ParityMismatch, NotBlockShaped,
-                       ClearanceViolated, InvalidGrowthFunction,
-                       InvalidSurface, SingularHit)
+# errors that make the CLI exit 3; every other error exits 2
 EXHAUSTION_ERRORS = (PrecisionExhausted, DepthInsufficient, BudgetExhausted,
                      CylinderDecomposition)

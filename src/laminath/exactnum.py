@@ -242,23 +242,8 @@ def exact_floor(x: Exact) -> int:
     return x.numerator // x.denominator
 
 
-def exact_sign(x: Exact) -> int:
-    if isinstance(x, QuadNum):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def frac_part(x: Exact) -> Exact:
     return x - exact_floor(x)
-
-
-def rational_value(x: Exact) -> Fraction:
-    """The value of x as a Fraction; raises if x is irrational."""
-    if isinstance(x, QuadNum):
-        if x.b != 0:
-            raise ValueError("not a rational element")
-        return x.a
-    return Fraction(x)
 
 
 # -- serialization ----------------------------------------------------------

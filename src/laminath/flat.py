@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from .cf import ContinuedFraction
@@ -106,27 +107,22 @@ def _is_integer(x: Number) -> bool:
 
 
 def _segment_lattice_hit(p: FlatPoint, q: FlatPoint):
-    """A lattice point strictly interior to the segment (p, q), or None."""
-    dx = q.x - p.x
-    dy = q.y - p.y
-    if dx == 0:
-        if not _is_integer(p.x):
-            return None
+    """The lattice point strictly interior to the segment (p, q) with the
+    smallest abscissa (then ordinate), or None; decided in O(1) by the
+    block kernel's first-hit test."""
+    if p.x == q.x:
         lo, hi = (p.y, q.y) if p.y < q.y else (q.y, p.y)
         n = exact_floor(lo) + 1
-        while n < hi:
-            if n > lo:
-                return FlatPoint(p.x, Fraction(n))
-            n += 1
-        return None
+        return FlatPoint(p.x, Fraction(n)) if _is_integer(p.x) and n < hi else None
     x_lo, x_hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
-    m = exact_floor(x_lo) + 1  # first integer strictly above x_lo
-    while m < x_hi:
-        y = p.y + (m - p.x) * dy / dx
-        if _is_integer(y):
-            return FlatPoint(Fraction(m), y)
-        m += 1
-    return None
+    m0 = exact_floor(x_lo)
+    J = -exact_floor(-x_hi) - m0 - 1  # integers strictly inside (x_lo, x_hi)
+    if J < 1:
+        return None
+    slope = (q.y - p.y) / (q.x - p.x)
+    E, F, S, G, _, C = _integer_form(slope, p.y + (m0 - p.x) * slope)
+    hit = _first_hit(E, F, S, G, C, J)
+    return None if hit is None else FlatPoint(Fraction(m0 + hit[0]), Fraction(hit[1]))
 
 
 # -- transverse measure ------------------------------------------------------
@@ -221,15 +217,16 @@ def _blocks_python(E, F, S, G, d, C, J) -> list[int]:
 
 
 def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
-    """Smallest lattice point (i, n), 1 <= i <= J, with i theta + s = n for
-    a positive slope, or None."""
+    """Smallest lattice point (i, n), 1 <= i <= J, with
+    (E i + S + (F i + G) sqrt(d)) / C = n, or None."""
     if F:
         # an irrational slope meets at most one lattice point, where F i + G = 0
         i = -G // F if G % F == 0 else 0
-    elif G or not E:
-        return None  # s irrational over a rational slope, or theta = 0
+    elif G:
+        return None  # s irrational over a rational slope
     else:
-        # E i + S = 0 (mod C), solvable when gcd(E, C) divides S
+        # E i + S = 0 (mod C), solvable when gcd(E, C) divides S; a
+        # horizontal line (E = 0, so m = 1) meets every abscissa or none
         g = math.gcd(E, C)
         m = C // g
         i = (-S // g) * pow(E // g, -1, m) % m or m if S % g == 0 else 0
@@ -354,11 +351,11 @@ def path_crossing_word(path: FlatPath) -> str:
 # -- rotation orbit structure ---------------------------------------------------
 
 def three_distance_points(s, r) -> list:
-    """Heights s + r*l mod 1 for l = 0..q-1, sorted; consecutive gaps are 1/q."""
-    r = Fraction(r)
-    q = r.denominator
-    heights = sorted(frac_part(s + r * l) for l in range(q))
-    return heights
+    """Heights s + r*l mod 1 for l = 0..q-1, sorted: with r = p/q in lowest
+    terms they are (frac(q s) + j)/q for j = 0..q-1, 1/q apart."""
+    q = Fraction(r).denominator
+    low = frac_part(s * q)
+    return [(low + j) * Fraction(1, q) for j in range(q)]
 
 
 @dataclass(frozen=True)
@@ -381,26 +378,26 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     part of theta l + s and (p_k/q_k) l + s.
     """
     cv = theta.convergent(k)
-    r = Fraction(cv.p, cv.q)
+    q = cv.q
     eps = (1 - s) if k % 2 == 0 else s
-    if not Fraction(1, cv.q) < eps:
+    if not Fraction(1, q) < eps:
         raise ClearanceViolated(
             f"need 1/q_k < {'1-s' if k % 2 == 0 else 's'} at k={k}")
-    heights = [frac_part(s + r * l) for l in range(cv.q)]
-    if k % 2 == 0:
-        l0 = max(range(cv.q), key=lambda l: heights[l])
-    else:
-        l0 = min(range(cv.q), key=lambda l: heights[l])
-    theta_val = theta.value()
-    agreements = []
-    for l in range(cv.q):
-        if l == l0:
-            continue
-        f_theta = exact_floor(theta_val * l + s)
-        f_rat = exact_floor(r * l + s)
-        if f_theta != f_rat:
+    # floor(l p_k/q_k + s) and floor(l theta + s) for l = 0..q-1, as floor(s)
+    # plus prefix sums of blocks from the one Sturmian kernel
+    E, F, S, G, d, C = _integer_form(Fraction(cv.p, q), s)
+    f_rat = list(accumulate(floor_blocks(E, F, S, G, d, C, q - 1), initial=exact_floor(s)))
+    f_theta = list(accumulate(sturmian_blocks(theta, s, q - 1)[0], initial=exact_floor(s)))
+    # height l is (num_l + G sqrt(d)) / C, so integer numerators order them
+    nums = [E * l + S - C * f for l, f in enumerate(f_rat)]
+    l0 = (max if k % 2 == 0 else min)(range(q), key=nums.__getitem__)
+    heights = [Fraction(n, C) for n in nums]
+    if isinstance(s, QuadNum):
+        heights = [h + QuadNum(0, s.b, s.d) for h in heights]
+    for l, (f, g) in enumerate(zip(f_theta, f_rat)):
+        if f != g and l != l0:
             raise AssertionError(f"integer parts split at l={l}")
-        agreements.append((l, f_theta))
+    agreements = [(l, f) for l, f in enumerate(f_theta) if l != l0]
     return ClearanceCertificate(k, l0, tuple(heights), tuple(agreements))
 
 

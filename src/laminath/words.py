@@ -234,7 +234,11 @@ def _segment_blocks(theta: ContinuedFraction, k: int) -> tuple[BlockWord, Conver
 def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate:
     """Inadmissible word of letter count <= 2(p_k + q_k) with an exact
     representative: two leaf-direction pieces of slope p_k/q_k joined by one
-    vertical hop of height 1/q_k, closing up on the torus."""
+    vertical hop of height 1/q_k, closing up on the torus.  The measure needs
+    theta's exact value, so opaque coefficient sources raise InvalidSlope."""
+    theta_val = theta.value()
+    if theta_val is None:
+        raise InvalidSlope("a measured segment needs an exact slope value")
     word, cv = _segment_blocks(theta, k)
     p, q = cv.p, cv.q
     r = Fraction(p, q)
@@ -255,7 +259,6 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     if (v3.y - h0).denominator != 1:
         raise AssertionError("segment representative does not close up")
 
-    theta_val = theta.value()
     measure = flat.transverse_measure(path, theta_val)
     bound = 3 * abs(q_error(theta_val, cv)) + Fraction(2, q)
     return SegmentCertificate(k, cv, word, path, measure, bound)

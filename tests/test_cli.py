@@ -106,6 +106,21 @@ def test_bad_numeric_arguments_exit_2():
     assert code2 == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["growth", "--theta", "cf:[1;2]p", "--direction", "1/0"], "--direction"),
+    (["exotic", "--theta", "cf:[1;2]p", "--indices", "2,4", "--prefix-blocks", "-1"],
+     "--prefix-blocks"),
+    (["convergents", "--theta", "cf:[1;2]p", "--k", "-3"], "--k"),
+    (["factors", "--theta", "cf:[1;2]p", "--m", "-1"], "--m"),
+])
+def test_bad_option_is_named(argv, option):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "invalid-input"
+    assert doc["detail"].startswith(option + " ") or doc["detail"].startswith(option + ":")
+
+
 def test_ts_loop_budget_exit_3():
     code, _, err = run_cli(["ts", "loop", "--surface", "slit-tori",
                             "--k", "40", "--budget", "500"])

@@ -242,6 +242,96 @@ def test_path_validation():
                   ["cusp", "cusp"])
 
 
+def _scan_lattice_hit(p, q):
+    """The O(q) reference: every integer abscissa inside the segment in
+    exact field arithmetic."""
+    dx, dy = q.x - p.x, q.y - p.y
+    if dx == 0:
+        if not flat._is_integer(p.x):
+            return None
+        lo, hi = (p.y, q.y) if p.y < q.y else (q.y, p.y)
+        n = exact_floor(lo) + 1
+        while n < hi:
+            if n > lo:
+                return flat.FlatPoint(p.x, Fraction(n))
+            n += 1
+        return None
+    x_lo, x_hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
+    m = exact_floor(x_lo) + 1
+    while m < x_hi:
+        y = p.y + (m - p.x) * dy / dx
+        if flat._is_integer(y):
+            return flat.FlatPoint(Fraction(m), y)
+        m += 1
+    return None
+
+
+@st.composite
+def _segments(draw):
+    # coordinates in Q or Q(sqrt d); directions general, horizontal or
+    # vertical; some lines are forced through a lattice point
+    d = draw(st.sampled_from([None, 2, 3, 5]))
+    small = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+
+    def number(bound=12):
+        a = draw(st.fractions(min_value=-bound, max_value=bound, max_denominator=12))
+        if d is None or draw(st.booleans()):
+            return a
+        return QuadNum(a, draw(st.fractions(min_value=-3, max_value=3,
+                                            max_denominator=6)), d)
+
+    kind = draw(st.sampled_from(["free", "horizontal", "vertical", "through"]))
+    if kind == "through":
+        m, n = (draw(st.integers(min_value=-8, max_value=8)) for _ in range(2))
+        ux, uy = number(3), number(3)
+        if ux == 0 and uy == 0:
+            ux = Fraction(1)
+        t0, t1 = (draw(st.fractions(min_value=Fraction(1, 8), max_value=4,
+                                    max_denominator=8)) for _ in range(2))
+        return (flat.FlatPoint(m - t0 * ux, n - t0 * uy),
+                flat.FlatPoint(m + t1 * ux, n + t1 * uy))
+    p = flat.FlatPoint(number(), number())
+    if kind == "horizontal":
+        y = draw(st.one_of(st.integers(min_value=-8, max_value=8).map(Fraction), small))
+        return flat.FlatPoint(p.x, y), flat.FlatPoint(number(), y)
+    if kind == "vertical":
+        x = draw(st.one_of(st.integers(min_value=-8, max_value=8).map(Fraction), small))
+        return flat.FlatPoint(x, p.y), flat.FlatPoint(x, number())
+    return p, flat.FlatPoint(number(), number())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_segments())
+def test_segment_lattice_hit_matches_scan(seg):
+    p, q = seg
+    if p == q:
+        return
+    fast = flat._segment_lattice_hit(p, q)
+    ref = _scan_lattice_hit(p, q)
+    assert (None if fast is None else tuple(fast)) == (None if ref is None else tuple(ref))
+    assert flat._segment_lattice_hit(q, p) == fast
+
+
+def test_lattice_test_is_independent_of_length():
+    # the cost does not grow with the ~10^12 abscissas a scan would visit
+    big = 10 ** 12
+    clear = [flat.FlatPoint(Fraction(1, 3), Fraction(1, 7)),
+             flat.FlatPoint(big + Fraction(1, 3), Fraction(1, 7) + Fraction(big, 2))]
+    flat.FlatPath(clear)
+    # slope 1/(2 big) meets the lattice only at (m, 0), near the far end
+    m, slope = big - 5, Fraction(1, 2 * big)
+    xs = (Fraction(1, 3), big + Fraction(1, 2))
+    with pytest.raises(SingularHit) as exc:
+        flat.FlatPath([flat.FlatPoint(x, (x - m) * slope) for x in xs])
+    assert tuple(exc.value.point) == (m, 0)
+    # an irrational slope through one far lattice point
+    val = SQRT2.value()
+    xs = (Fraction(1, 3), big + Fraction(1, 3))
+    with pytest.raises(SingularHit) as exc:
+        flat.FlatPath([flat.FlatPoint(x, 7 + (x - m) * val) for x in xs])
+    assert tuple(exc.value.point) == (m, 7)
+
+
 def test_path_concat():
     a = flat.FlatPath([flat.FlatPoint(Fraction(1, 7), Fraction(1, 7)),
                        flat.FlatPoint(Fraction(1, 7), Fraction(6, 7))],
@@ -280,9 +370,19 @@ def test_three_distance_trivial():
     assert flat.three_distance_points(Fraction(1, 3), Fraction(1, 1)) == [Fraction(1, 3)]
 
 
+def _sorted_heights(s, r):
+    """The reference: every height s + r l mod 1, sorted."""
+    r = Fraction(r)
+    return sorted(flat.frac_part(s + r * l) for l in range(r.denominator))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
-                    max_denominator=60),
+@given(st.one_of(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
+                              max_denominator=60),
+                 st.builds(QuadNum, st.fractions(min_value=-2, max_value=2,
+                                                 max_denominator=9),
+                           st.integers(min_value=-3, max_value=3), st.just(2)),
+                 st.integers(min_value=-3, max_value=3)),
        st.fractions(min_value=1, max_value=8, max_denominator=12))
 def test_three_distance_gaps(s, r):
     pts = flat.three_distance_points(s, r)
@@ -290,6 +390,58 @@ def test_three_distance_gaps(s, r):
     assert len(pts) == q
     gaps = [b - a for a, b in zip(pts, pts[1:])]
     assert all(g == Fraction(1, q) for g in gaps)
+    ref = _sorted_heights(s, r)
+    assert pts == ref and [type(x) for x in pts] == [type(x) for x in ref]
+
+
+def _clearance_reference(s, theta, k):
+    """The Fraction loop: every height and both integer parts per l."""
+    cv = theta.convergent(k)
+    r = Fraction(cv.p, cv.q)
+    eps = (1 - s) if k % 2 == 0 else s
+    if not Fraction(1, cv.q) < eps:
+        raise ClearanceViolated(f"need 1/q_k < eps at k={k}")
+    heights = [flat.frac_part(s + r * l) for l in range(cv.q)]
+    pick = max if k % 2 == 0 else min
+    l0 = pick(range(cv.q), key=lambda l: heights[l])
+    theta_val = theta.value()
+    agreements = []
+    for l in range(cv.q):
+        if l == l0:
+            continue
+        f_theta = exact_floor(theta_val * l + s)
+        if f_theta != exact_floor(r * l + s):
+            raise AssertionError(f"integer parts split at l={l}")
+        agreements.append((l, f_theta))
+    return flat.ClearanceCertificate(k, l0, tuple(heights), tuple(agreements))
+
+
+def _clearance_outcome(fn, *args):
+    try:
+        cert = fn(*args)
+    except ClearanceViolated:
+        return "violated"
+    return cert, [type(h) for h in cert.heights]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slopes(), st.data())
+def test_clearance_matches_fraction_loop(theta, data):
+    ks = [k for k in range(theta.length or 12) if theta.convergent(k).q <= 400]
+    k = data.draw(st.sampled_from(ks))
+    q = theta.convergent(k).q
+    rational = st.one_of(st.fractions(min_value=-1, max_value=2, max_denominator=50),
+                         st.integers(min_value=-q, max_value=2 * q).map(
+                             lambda n: Fraction(2 * n + 1, 2 * q)))
+    # heights in an irrational slope's field: a + b theta
+    quadratic = st.builds(lambda a, b: a + b * theta.value(), rational,
+                          st.integers(min_value=-2, max_value=2))
+    s = data.draw(rational if theta.is_finite else st.one_of(rational, quadratic))
+    ref = _clearance_outcome(_clearance_reference, s, theta, k)
+    assert _clearance_outcome(flat.homotopy_clearance, s, theta, k) == ref
+    if not theta.is_finite and not isinstance(s, QuadNum):
+        lazy = ContinuedFraction(source=theta.coefficient)
+        assert _clearance_outcome(flat.homotopy_clearance, s, lazy, k) == ref
 
 
 def test_homotopy_clearance_example():
@@ -301,6 +453,13 @@ def test_homotopy_clearance_example():
 def test_homotopy_clearance_violation():
     with pytest.raises(ClearanceViolated):
         flat.homotopy_clearance(Fraction(9, 10), SQRT2, 2)
+
+
+def test_homotopy_clearance_opaque_source():
+    # an opaque slope goes through the block kernel's enclosure path
+    lazy = ContinuedFraction(source=SQRT2.coefficient)
+    for s, k in ((Fraction(1, 4), 2), (Fraction(3, 4), 3), (Fraction(1, 3), 6)):
+        assert flat.homotopy_clearance(s, lazy, k) == flat.homotopy_clearance(s, SQRT2, k)
 
 
 def test_homotopy_clearance_odd():

@@ -198,6 +198,15 @@ def test_segment_starts_with_inadmissible_cycle():
         assert cert.word.blocks[:len(head.blocks)] == head.blocks
 
 
+def test_segment_needs_an_exact_slope():
+    # an opaque source has no exact value to measure the segment against
+    lazy = ContinuedFraction(source=SQRT2.coefficient)
+    with pytest.raises(InvalidSlope):
+        words.inadmissible_segment(lazy, 2)
+    with pytest.raises(InvalidSlope):
+        words.exotic_word(lazy, (2, 4))
+
+
 # -- exotic words ---------------------------------------------------------------------
 
 def test_exotic_empty():
