@@ -79,10 +79,11 @@ def _parse(flag: str, parse, text: str):
 
 
 def _at_least(cfg: RunConfig, name: str, low: int):
-    """The integer option ``name``, which must be unset or at least ``low``."""
+    """The integer option ``name`` (each entry of a list), unset or at least ``low``."""
     value = getattr(cfg, name)
-    if value is not None and value < low:
-        raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    for item in value if isinstance(value, tuple) else (value,):
+        if item is not None and item < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {item}")
     return value
 
 
@@ -197,7 +198,7 @@ def cmd_cusp_exotic(cfg: RunConfig):
 def cmd_cut(cfg: RunConfig):
     theta = _theta(cfg)
     s = _parse("start", parse_exact, cfg.require("s"))
-    letters = flat.cutting_sequence(s, theta, cfg.letters)
+    letters = flat.cutting_sequence(s, theta, _at_least(cfg, "letters", 0))
     return {"alphabet": "ab", "start": format_exact(s),
             "theta": theta.to_text(), "letters": letters}
 
@@ -222,7 +223,7 @@ def cmd_admissible(cfg: RunConfig):
     if cert.witness_height is not None:
         doc["witness"] = {"height": str(cert.witness_height),
                           "offset": cert.witness_offset}
-    if cfg.sample_letters:
+    if _at_least(cfg, "sample_letters", 0):
         rep = oracle.sampling_cross_check(query, theta,
                                           num_letters=cfg.sample_letters,
                                           heights=100, seed=cfg.seed)
@@ -249,7 +250,8 @@ def cmd_growth(cfg: RunConfig):
     if cfg.mode == "linear":
         direction = ("vertical" if cfg.direction == "vertical"
                      else _parse("direction", parse_exact, cfg.direction))
-        rows = flat.linear_growth_probe(theta, direction, t_max, cfg.samples)
+        rows = flat.linear_growth_probe(theta, direction, t_max,
+                                        _at_least(cfg, "samples", 0))
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
         return {"mode": "linear", "direction": cfg.direction,
@@ -258,7 +260,7 @@ def cmd_growth(cfg: RunConfig):
     fns = {"sqrt": lambda t: _math.sqrt(t),
            "log": lambda t: _math.log1p(t)}
     f = fns[cfg.f_name]
-    path, rows = flat.prescribed_growth_path(theta, f, cfg.segments,
+    path, rows = flat.prescribed_growth_path(theta, f, _at_least(cfg, "segments", 0),
                                              t_cap=t_max if t_max > 16 else None)
     table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
               "f": repr(r.target)} for r in rows]
@@ -289,7 +291,7 @@ def cmd_ts_return_map(cfg: RunConfig):
                          for iv in trans.return_map().intervals]}
     if cfg.tau is not None:
         tau = _parse("tau", parse_exact, cfg.tau)
-        t2, w = tsurface.first_return(trans, tau, cfg.n)
+        t2, w = tsurface.first_return(trans, tau, _at_least(cfg, "n", 0))
         doc["orbit"] = {"tau": format_exact(tau), "n": cfg.n,
                         "image": format_exact(t2), "word": S.word_labels(w)}
     return doc
@@ -297,7 +299,7 @@ def cmd_ts_return_map(cfg: RunConfig):
 
 def cmd_ts_partition(cfg: RunConfig):
     S = _surface_from(cfg)
-    part = tsurface.return_partition(S, cfg.edge, cfg.n)
+    part = tsurface.return_partition(S, cfg.edge, _at_least(cfg, "n", 0))
     return {"edge": cfg.edge, "depth": part.depth,
             "max_length": format_exact(part.max_length),
             "max_length_float": float(part.max_length),
@@ -309,7 +311,7 @@ def cmd_ts_partition(cfg: RunConfig):
 def cmd_ts_loop(cfg: RunConfig):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
-    cert = tsurface.build_inadmissible_loop(S, trans, cfg.k,
+    cert = tsurface.build_inadmissible_loop(S, trans, _at_least(cfg, "k", 0),
                                             return_budget=cfg.budget)
     return {"level": cert.level, "depth": cert.depth,
             "word": S.word_labels(cert.word),
@@ -332,8 +334,8 @@ def cmd_ts_loop(cfg: RunConfig):
 def cmd_ts_exotic(cfg: RunConfig):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
-    levels = cfg.levels
-    if cfg.prefix is not None:
+    levels = _at_least(cfg, "levels", 0)
+    if _at_least(cfg, "prefix", 0) is not None:
         levels = tuple(levels)[:cfg.prefix]
     stages = tsurface.synthesize_exotic(S, trans, levels, thin=cfg.thin)
     out = []

@@ -17,11 +17,12 @@ drives everything here: level-set partitions, short inadmissible loops of
 exponentially small measure, and their concatenation into finite-measure
 words no leaf word ever contains in its tail.
 
-Exactness policy: all states and certificates are exact field elements.
-Inner loops use floating-point shadows only to pre-filter branch decisions;
-any branch within 1e-9 of a boundary is re-decided exactly, and shadows are
-resynchronized from the exact state periodically, so no decision ever rests
-on floating point alone.
+Exactness policy: all states and certificates are exact field elements, and
+no branch rests on floating point.  Geometry and the per-point exchange API
+use Fraction/QuadNum arithmetic; the inner loops (leaf streams, loop
+flights, the cut table, the non-saddle search) run on one integer kernel
+whose states are pairs (u, v) standing for (u + v sqrt d)/D and whose every
+branch is an exact integer sign test.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .errors import (BudgetExhausted, CylinderDecomposition, InvalidSurface,
 from .exactnum import Exact, QuadNum, format_exact, parse_exact
 
 Number = Union[int, Fraction, QuadNum]
-
-_NEAR = 1e-9
-_RESYNC = 2048
 
 
 @dataclass(frozen=True)
@@ -386,6 +384,8 @@ class Transversal:
     def __init__(self, surface: TranslationSurface, pair_index: int):
         self.surface = surface
         self.pair_index = pair_index
+        if not 0 <= pair_index < len(surface.pairs):
+            raise InvalidSurface(f"no edge pair {pair_index} on this surface")
         sa, sb = surface.pairs[pair_index]
         va = surface._edge_vector(sa)
         if va[1] == 0:
@@ -486,112 +486,127 @@ def _den_of(v) -> int:
     return math.lcm(a.denominator, b.denominator)
 
 
-def _encode_pair(v, D):
-    a, b = _parts(v)
-    if D % a.denominator or D % b.denominator:
-        raise ValueError("denominator does not divide the table denominator")
-    return (a.numerator * (D // a.denominator),
-            b.numerator * (D // b.denominator))
+def _pair_sign(u, v, d) -> int:
+    """Sign of u + v sqrt d for integers u, v and a non-square d."""
+    if u >= 0 and v >= 0:
+        return 1 if u or v else 0
+    if u <= 0 and v <= 0:
+        return -1
+    return 1 if (u * u > d * v * v) == (u > 0) else -1
 
 
-def _pair_float(u, v, d, D):
-    return (u + v * math.sqrt(d)) / D
+def _slot(bounds, u, v, d) -> int:
+    """Index j with bounds[j] < (u, v) < bounds[j + 1], by bisection over
+    sorted integer pairs the caller knows to enclose (u, v); landing exactly
+    on a bound raises SingularHit.  The hot loop, so the sign test of
+    ``_pair_sign`` is inlined."""
+    lo, hi = 0, len(bounds) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        cu, cv = bounds[mid]
+        du = u - cu
+        dv = v - cv
+        if du >= 0 and dv >= 0:
+            if not (du or dv):
+                raise SingularHit("orbit landed on a partition cut")
+            lo = mid
+        elif du <= 0 and dv <= 0:
+            hi = mid
+        elif (du * du > d * dv * dv) == (du > 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def _pair_lt(u1, v1, u2, v2, d) -> bool:
-    """(u1 + v1 sqrt d) < (u2 + v2 sqrt d), exact integer arithmetic."""
-    du = u2 - u1
-    dv = v2 - v1
-    if dv == 0:
-        return du > 0
-    if du == 0:
-        return dv > 0
-    if du > 0 and dv > 0:
-        return True
-    if du < 0 and dv < 0:
-        return False
-    if du > 0:
-        return du * du > dv * dv * d
-    return dv * dv * d > du * du
+class _IETKernel:
+    """The one exact interval-exchange kernel.
 
-
-class _FastIter:
-    """Exact interval-exchange iteration with a certified floating filter.
-
-    State is an integer pair (u, v) for (u + v sqrt d)/D; a float shadow
-    picks the branch and every decision within 1e-9 of an interval boundary
-    is re-decided exactly.  Landing exactly on a boundary raises SingularHit.
-    D must be divisible by every denominator that will ever enter; callers
-    pass the denominators of their start points via ``extra_den``.
+    A state is an integer pair [u, v] standing for (u + v sqrt d)/D, and
+    every branch is an exact sign test on such pairs.  Each direction has
+    one table: the sorted cut pairs of the intervals (forward) or of their
+    images (backward, the inverse exchange's table); per slot, the index of
+    the interval and the pair to add; and per slot the successor cuts, those
+    strictly inside the slot's moved interval, so that after the first step
+    the bisection runs only over the cuts the last image straddles.  Landing
+    exactly on a cut raises SingularHit.  D is divisible by every
+    denominator that will ever enter; callers pass the denominators of their
+    start points to ``ReturnMapIET.fast``.
     """
 
-    def __init__(self, iet: "ReturnMapIET", extra_den: int = 1):
-        vals = []
-        for iv in iet.intervals:
-            vals.extend((iv.lo, iv.hi, iv.shift))
-        d = 2
-        for v in vals:
-            if isinstance(v, QuadNum) and v.b != 0:
-                d = v.d
-        D = extra_den
-        for v in vals:
-            a, b = _parts(v)
-            D = math.lcm(D, a.denominator, b.denominator)
-        self.d, self.D = d, D
-        self.lo = [_encode_pair(iv.lo, D) for iv in iet.intervals]
-        self.hi = [_encode_pair(iv.hi, D) for iv in iet.intervals]
-        self.shift = [_encode_pair(iv.shift, D) for iv in iet.intervals]
-        self.lo_f = [float(iv.lo) for iv in iet.intervals]
-        self.hi_f = [float(iv.hi) for iv in iet.intervals]
-        self.shift_f = [float(iv.shift) for iv in iet.intervals]
-        self.m = len(iet.intervals)
+    def __init__(self, iet: "ReturnMapIET", den: int = 1):
+        ivs = iet.intervals
+        vals = [x for iv in ivs for x in (iv.lo, iv.hi, iv.shift)]
+        surds = [x for x in vals if isinstance(x, QuadNum) and x.b != 0]
+        self.d = surds[0].d if surds else 2
+        self.D = math.lcm(den, *(_den_of(x) for x in vals))
+        one = (self.D, 0)
+        moves = [(i, *self.encode(iv.shift)) for i, iv in enumerate(ivs)]
+        order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo + ivs[i].shift)
+        images = [(self.encode(ivs[i].lo + ivs[i].shift),
+                   self.encode(ivs[i].hi + ivs[i].shift)) for i in order]
+        cuts = [lo for lo, _ in images]
+        if cuts + [one] != [(0, 0)] + [hi for _, hi in images]:
+            raise AssertionError("return-map images do not tile the edge")
+        self.forward = self._table([self.encode(iv.lo) for iv in ivs] + [one], moves)
+        self.backward = self._table(cuts + [one], [(i, -moves[i][1], -moves[i][2])
+                                                   for i in order])
 
-    def start(self, tau):
-        u, v = _encode_pair(tau, self.D)
-        return [u, v, _pair_float(u, v, self.d, self.D), 0]
+    def _table(self, bounds, moves):
+        """(bounds, moves, successors): successors[j] holds the bounds
+        strictly inside slot j's moved interval, framed by its ends, and the
+        slots those bounds separate."""
+        successors = []
+        for j, (_, du, dv) in enumerate(moves):
+            lo, hi = [(u + du, v + dv) for u, v in bounds[j:j + 2]]
+            inner = [b for b in bounds if self.inside(b, lo, hi)]
+            first = bounds.index(lo) if lo in bounds else _slot(bounds, *lo, self.d)
+            successors.append(([lo] + inner + [hi], range(first, first + len(inner) + 1)))
+        return bounds, moves, successors
+
+    def encode(self, x):
+        a, b = _parts(x)
+        if self.D % a.denominator or self.D % b.denominator:
+            raise ValueError("denominator does not divide the table denominator")
+        return (a.numerator * (self.D // a.denominator),
+                b.numerator * (self.D // b.denominator))
+
+    def start(self, x) -> list:
+        """State of the edge parameter x, which must lie inside (0, 1)."""
+        state = list(self.encode(x))
+        if not self.inside(state, (0, 0), (self.D, 0)):
+            raise SingularHit("orbit landed on a partition cut")
+        return state
 
     def value(self, state):
-        u, v, _, _ = state
+        u, v = state
         if v == 0:
             return Fraction(u, self.D)
         return QuadNum(Fraction(u, self.D), Fraction(v, self.D), self.d)
 
-    def locate(self, state) -> int:
-        u, v, shadow, _ = state
-        for i in range(self.m):
-            if self.lo_f[i] - _NEAR < shadow < self.hi_f[i] + _NEAR:
-                if shadow < self.lo_f[i] + _NEAR or shadow > self.hi_f[i] - _NEAR:
-                    lu, lv = self.lo[i]
-                    hu, hv = self.hi[i]
-                    if not (_pair_lt(lu, lv, u, v, self.d)
-                            and _pair_lt(u, v, hu, hv, self.d)):
-                        continue
-                return i
-        raise SingularHit("orbit landed on a partition cut")
+    def inside(self, state, lo, hi) -> bool:
+        """Exactly decide lo < state < hi for encoded bounds."""
+        u, v = state
+        return (_pair_sign(u - lo[0], v - lo[1], self.d) > 0
+                and _pair_sign(hi[0] - u, hi[1] - v, self.d) > 0)
 
-    def step(self, state) -> int:
-        i = self.locate(state)
-        du, dv = self.shift[i]
-        state[0] += du
-        state[1] += dv
-        state[2] += self.shift_f[i]
-        state[3] += 1
-        if state[3] % _RESYNC == 0:
-            state[2] = _pair_float(state[0], state[1], self.d, self.D)
-        return i
-
-    def near(self, state, lo_pair, hi_pair, lo_f, hi_f) -> bool:
-        """Exactly decide lo < state < hi, float-filtered."""
-        u, v, shadow, _ = state
-        if not (lo_f - _NEAR < shadow < hi_f + _NEAR):
-            return False
-        if lo_f + _NEAR < shadow < hi_f - _NEAR:
-            return True
-        return (_pair_lt(lo_pair[0], lo_pair[1], u, v, self.d)
-                and _pair_lt(u, v, hi_pair[0], hi_pair[1], self.d))
-
-    def encode(self, x):
-        return _encode_pair(x, self.D)
+    def orbit(self, state, back: bool = False):
+        """Step ``state`` through the exchange (through its inverse when
+        ``back``), updating it in place; yields the index of the interval
+        each step used."""
+        bounds, moves, successors = self.backward if back else self.forward
+        d = self.d
+        u, v = state
+        j = _slot(bounds, u, v, d)
+        while True:
+            i, du, dv = moves[j]
+            u += du
+            v += dv
+            state[0] = u
+            state[1] = v
+            yield i
+            cuts, slots = successors[j]
+            j = slots[_slot(cuts, u, v, d)] if len(slots) > 1 else slots[0]
 
 
 class ReturnMapIET:
@@ -601,13 +616,14 @@ class ReturnMapIET:
     Construction traces the backward separatrices of every singularity to the
     transversal (their first crossings are exactly the discontinuities),
     probes each interval twice to read off the translation and word, and
-    verifies that the interval images tile the edge.
+    verifies (in the kernel's backward table) that the interval images
+    tile the edge.
     """
 
     def __init__(self, trans: Transversal):
         self.trans = trans
-        cuts = backward_cut_points(trans, depth=1)
-        pts = [Fraction(0)] + sorted(set(cuts)) + [Fraction(1)]
+        cuts = {t for _, t in backward_cut_points(trans, depth=1)}
+        pts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
         intervals = []
         for lo, hi in zip(pts, pts[1:]):
             if not lo < hi:
@@ -621,25 +637,16 @@ class ReturnMapIET:
                                      "cut enumeration incomplete")
             intervals.append(ExchangeInterval(lo, hi, t1 - mid, w1))
         self.intervals = intervals
-        self._verify_tiling()
-        self._fast: Optional[_FastIter] = None
-
-    def _verify_tiling(self):
-        images = sorted(((iv.lo + iv.shift, iv.hi + iv.shift)
-                         for iv in self.intervals), key=lambda t: t[0])
-        prev_hi = Fraction(0)
-        for lo, hi in images:
-            if lo < 0 or hi > 1 or lo < prev_hi:
-                raise AssertionError("return-map images overlap or escape")
-            prev_hi = hi
+        self._fast = _IETKernel(self)
 
     @property
     def arrival_letter(self) -> str:
         return self.trans.arrival_letter
 
-    def fast(self, extra_den: int = 1) -> _FastIter:
-        if self._fast is None or self._fast.D % extra_den:
-            self._fast = _FastIter(self, extra_den * (self._fast.D if self._fast else 1))
+    def fast(self, den: int = 1) -> _IETKernel:
+        """The exact kernel, with a table denominator divisible by ``den``."""
+        if self._fast.D % den:
+            self._fast = _IETKernel(self, math.lcm(den, self._fast.D))
         return self._fast
 
     def locate(self, tau) -> ExchangeInterval:
@@ -651,12 +658,6 @@ class ReturnMapIET:
     def step(self, tau):
         iv = self.locate(tau)
         return tau + iv.shift, iv
-
-    def step_back(self, tau):
-        for iv in self.intervals:
-            if iv.lo + iv.shift < tau < iv.hi + iv.shift:
-                return tau - iv.shift, iv
-        raise SingularHit("parameter lies on an image cut")
 
     def orbit_word(self, tau, n: int):
         """(T^n(tau), word); matches the convention of first_return."""
@@ -670,14 +671,13 @@ class ReturnMapIET:
 
     def letter_stream(self, tau0, num_letters: int) -> str:
         """Leaf word (all crossings, arrivals included) read from tau0."""
-        fast = self.fast(_den_of(tau0))
+        kernel = self.fast(_den_of(tau0))
         words = [iv.word + self.arrival_letter for iv in self.intervals]
-        state = fast.start(tau0)
+        orbit = kernel.orbit(kernel.start(tau0))
         out = []
         total = 0
         while total < num_letters:
-            j = fast.step(state)
-            w = words[j]
+            w = words[next(orbit)]
             out.append(w)
             total += len(w)
         return "".join(out)[:num_letters]
@@ -689,7 +689,7 @@ def backward_cut_points(trans: Transversal, depth: int,
                         step_budget: int = 400000):
     """Transversal parameters whose forward orbit hits a vertex within
     ``depth`` returns: trace every backward separatrix leftward, recording
-    each transversal crossing.
+    each transversal crossing as a (corner, parameter) pair.
 
     Raises CylinderDecomposition when every backward separatrix terminates at
     a vertex (then all are saddle connections and the horizontal direction is
@@ -716,7 +716,7 @@ def backward_cut_points(trans: Transversal, depth: int,
                 break
             if res.pair == trans.pair_index:
                 crossings += 1
-                cuts.append(trans.param(res.point))
+                cuts.append((corner, trans.param(res.point)))
             point = res.point
         any_alive = any_alive or alive
     if not any_alive:
@@ -760,7 +760,7 @@ def return_partition(surface, trans, n: int, words: bool = True) -> ReturnPartit
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    cuts = sorted(set(backward_cut_points(trans, n)))
+    cuts = sorted({t for _, t in backward_cut_points(trans, n)})
     pts = [Fraction(0)] + cuts + [Fraction(1)]
     iet = trans.return_map() if words else None
     intervals = []
@@ -775,46 +775,64 @@ def return_partition(surface, trans, n: int, words: bool = True) -> ReturnPartit
 
 
 class _CutTable:
-    """Backward orbit of the depth-1 cuts under the inverse exchange; keeps
-    the cut set and answers max-gap queries per depth."""
+    """Backward orbits of the depth-1 cuts under the inverse exchange, as
+    kernel pairs kept sorted as they are born; answers max-gap queries per
+    depth, memoised."""
 
     def __init__(self, iet: ReturnMapIET):
-        self.iet = iet
-        base = sorted({iv.lo for iv in iet.intervals}
-                      | {iv.hi for iv in iet.intervals})
-        self.by_depth = [[t for t in base if 0 < t < 1]]
-        self.strands = [(t, True) for t in self.by_depth[0]]
-
-    @property
-    def depth(self):
-        return len(self.by_depth)
-
-    def extend_to(self, depth: int):
-        while self.depth < depth:
-            new_strands = []
-            born = []
-            for t, alive in self.strands:
-                if alive:
-                    try:
-                        t, _ = self.iet.step_back(t)
-                        born.append(t)
-                    except SingularHit:
-                        alive = False
-                new_strands.append((t, alive))
-            self.strands = new_strands
-            self.by_depth.append(born)
-
-    def cuts_to(self, depth: int):
-        self.extend_to(depth)
-        out = []
-        for level in self.by_depth[:depth]:
-            out.extend(level)
-        return out
+        self.kernel = iet.fast()
+        bounds = self.kernel.forward[0]
+        self.points = list(bounds)              # sorted, 0 and 1 included
+        self.births = [0] + [1] * (len(bounds) - 2) + [0]
+        self.strands = [(p, self.kernel.orbit(p, back=True))
+                        for p in map(list, bounds[1:-1])]
+        self.depth = 1
+        # a gap keeps the type QuadNum arithmetic on the cuts would give it
+        self.quad = any(isinstance(x, QuadNum)
+                        for iv in iet.intervals for x in (iv.lo, iv.shift))
+        self._gaps = {}
 
     def max_gap(self, depth: int):
-        pts = sorted(self.cuts_to(depth))
-        pts = [Fraction(0)] + pts + [Fraction(1)]
-        return max(hi - lo for lo, hi in zip(pts, pts[1:]))
+        """Largest gap between 0, 1 and the cuts of depth at most ``depth``
+        (at least 1)."""
+        if depth not in self._gaps:
+            self._grow(depth)
+            self._gaps[depth] = self._max_gap(depth)
+        return self._gaps[depth]
+
+    def _grow(self, depth: int):
+        d = self.kernel.d
+        while self.depth < depth:
+            self.depth += 1
+            alive = []
+            for state, orbit in self.strands:
+                try:
+                    next(orbit)
+                except SingularHit:
+                    continue
+                alive.append((state, orbit))
+                # a preimage lies inside an open interval, never on a cut, so
+                # no cut is born twice
+                j = _slot(self.points, state[0], state[1], d) + 1
+                self.points.insert(j, tuple(state))
+                self.births.insert(j, self.depth)
+            self.strands = alive
+
+    def _max_gap(self, depth: int):
+        d = self.kernel.d
+        best = prev = None
+        for (u, v), born in zip(self.points, self.births):
+            if born > depth:
+                continue
+            if prev is not None:
+                gu, gv = u - prev[0], v - prev[1]
+                if best is None or _pair_sign(gu - best[0], gv - best[1], d) > 0:
+                    best = (gu, gv)
+            prev = (u, v)
+        if self.quad:
+            D = self.kernel.D
+            return QuadNum(Fraction(best[0], D), Fraction(best[1], D), d)
+        return self.kernel.value(best)
 
 
 # -- saddle connections --------------------------------------------------------------
@@ -880,30 +898,15 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
         raise CylinderDecomposition("horizontal direction is periodic")
     saddles = tuple(sc.word for sc in saddle_connections(surface, min(budget, 512)))
     iet = trans.return_map()
-    for corner in surface.corner_germs(-1):
-        point = surface.vertex_point(corner)
-        first_cut = None
-        for _ in range(100000):
-            res = flow_step(point, surface, direction=-1)
-            if res.kind in ("singular", "boundary"):
-                break
-            if res.pair == trans.pair_index:
-                first_cut = trans.param(res.point)
-                break
-            point = res.point
-        if first_cut is None:
+    for corner, first_cut in backward_cut_points(trans, 1):
+        kernel = iet.fast(_den_of(first_cut))
+        try:
+            orbit = kernel.orbit(kernel.start(first_cut), back=True)
+            for _ in range(budget):
+                next(orbit)
+        except SingularHit:
             continue
-        tau = first_cut
-        survives = True
-        for _ in range(budget):
-            try:
-                tau, _ = iet.step_back(tau)
-            except SingularHit:
-                survives = False
-                break
-        if survives:
-            return NonSaddleCut(first_cut, surface.corner_class[corner],
-                                budget, saddles)
+        return NonSaddleCut(first_cut, surface.corner_class[corner], budget, saddles)
     raise BudgetExhausted(
         "all backward separatrices hit vertices within the budget; raise it")
 
@@ -990,25 +993,21 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     R = P - sgn * delta_r
     q_lo, q_hi = Q - two_k, Q + two_k
 
-    den = 1
-    for val in (Q, R, q_lo, q_hi, lo_w, hi_w):
-        den = math.lcm(den, _den_of(val))
-    fast = iet.fast(den)
-    lo_pair, hi_pair = fast.encode(lo_w), fast.encode(hi_w)
-    lo_f, hi_f = float(lo_w), float(hi_w)
-    state = fast.start(Q)
+    kernel = iet.fast(math.lcm(*(_den_of(val) for val in (Q, R, q_lo, q_hi))))
+    window = kernel.encode(lo_w), kernel.encode(hi_w)
+    state = kernel.start(Q)
     word_idx = []
     n = None
-    for j in range(1, return_budget + 1):
-        word_idx.append(fast.step(state))
-        if fast.near(state, lo_pair, hi_pair, lo_f, hi_f):
-            tau = fast.value(state)
+    for j, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
+        word_idx.append(i)
+        if kernel.inside(state, *window):
+            tau = kernel.value(state)
             if abs(tau - Q) < a and j >= 2 and table.max_gap(j - 1) < a:
                 n = j
                 break
     if n is None:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}")
-    tau_n = fast.value(state)
+    tau_n = kernel.value(state)
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
         raise AssertionError("return point lies within |PQ|/3 of its interval's ends")
 
@@ -1018,19 +1017,17 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     if ivR.word == I.word:
         raise AssertionError("the neighboring interval repeats the word of I")
 
-    qlo_pair, qhi_pair = fast.encode(q_lo), fast.encode(q_hi)
-    qlo_f, qhi_f = float(q_lo), float(q_hi)
-    state2 = fast.start(R)
+    window = kernel.encode(q_lo), kernel.encode(q_hi)
+    state2 = kernel.start(R)
     tail_idx = []
-    m = 0
-    while True:
-        tail_idx.append(fast.step(state2))
-        m += 1
-        if fast.near(state2, qlo_pair, qhi_pair, qlo_f, qhi_f):
+    for i in kernel.orbit(state2):
+        tail_idx.append(i)
+        if kernel.inside(state2, *window):
             break
-        if m > return_budget:
+        if len(tail_idx) > return_budget:
             raise BudgetExhausted("closing flight exceeded the return budget")
-    tau_s = fast.value(state2)
+    m = len(tail_idx)
+    tau_s = kernel.value(state2)
 
     e = iet.arrival_letter
     words = [iv.word for iv in iet.intervals]

@@ -46,7 +46,7 @@ class BlockWord:
             raise ValueError("orientation must be 'ba' or 'ab'")
         if not self.blocks:
             raise ValueError("blocks must be nonempty")
-        if any(m not in (self.base, self.base + 1) for m in self.blocks):
+        if not set(self.blocks) <= {self.base, self.base + 1}:
             raise ValueError(f"blocks must lie in {{{self.base},{self.base + 1}}}")
 
     def letters(self) -> LetterWord:

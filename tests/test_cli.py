@@ -112,6 +112,19 @@ def test_bad_numeric_arguments_exit_2():
      "--prefix-blocks"),
     (["convergents", "--theta", "cf:[1;2]p", "--k", "-3"], "--k"),
     (["factors", "--theta", "cf:[1;2]p", "--m", "-1"], "--m"),
+    (["ts", "loop", "--surface", "slit-tori", "--edge", "5", "--k", "-1"], "--k"),
+    (["ts", "exotic", "--surface", "slit-tori", "--edge", "5", "--levels", "1,-2"],
+     "--levels"),
+    (["ts", "exotic", "--surface", "slit-tori", "--edge", "5", "--prefix", "-3"],
+     "--prefix"),
+    (["ts", "return-map", "--surface", "slit-tori", "--tau", "1/3", "--n", "-5"], "--n"),
+    (["cut", "--theta", "cf:[1;2]p", "--start", "1/3", "--letters", "-3"], "--letters"),
+    (["growth", "--theta", "cf:[1;2]p", "--samples", "-2"], "--samples"),
+    (["growth", "--theta", "cf:[1;2]p", "--mode", "prescribed", "--segments", "-1"],
+     "--segments"),
+    (["ts", "partition", "--surface", "slit-tori", "--n", "-1"], "--n"),
+    (["admissible", "--theta", "cf:[1;2]p", "--word", "ab", "--sample-letters", "-5"],
+     "--sample-letters"),
 ])
 def test_bad_option_is_named(argv, option):
     code, out, err = run_cli(argv)
@@ -119,6 +132,16 @@ def test_bad_option_is_named(argv, option):
     doc = json.loads(err)
     assert doc["error"] == "invalid-input"
     assert doc["detail"].startswith(option + " ") or doc["detail"].startswith(option + ":")
+
+
+@pytest.mark.parametrize("edge", ["-1", "6"])
+def test_edge_out_of_range_exits_2(edge):
+    # a negative index once wrapped around to the last pair and then traced
+    # backward separatrices for the whole step budget
+    code, out, err = run_cli(["ts", "return-map", "--surface", "slit-tori",
+                              "--edge", edge])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid-surface"
 
 
 def test_ts_loop_budget_exit_3():

@@ -23,3 +23,13 @@ def test_no_bare_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: bare assert at lines {lines}"
+
+
+def test_surface_kernel_has_no_float():
+    # every branch in tsurface is decided in exact arithmetic
+    tree = ast.parse((PACKAGE / "tsurface.py").read_text())
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    floats = [f.lineno for f in calls if isinstance(f, ast.Name) and f.id == "float"]
+    sqrts = [f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "sqrt"
+             and isinstance(f.value, ast.Name) and f.value.id == "math"]
+    assert not floats and not sqrts, f"float at {floats}, math.sqrt at {sqrts}"

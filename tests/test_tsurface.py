@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from laminath import tsurface as ts
 from laminath.errors import (BudgetExhausted, CylinderDecomposition,
                              InvalidSurface, SingularHit)
-from laminath.exactnum import QuadNum
+from laminath.exactnum import QuadNum, format_exact, frac_part
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -416,3 +416,211 @@ def test_synthesized_thinning_dominates():
         tail = sum((later.certificate.measure for later in stages[j + 1:]),
                    Fraction(0))
         assert st_.certificate.measure > 3 * tail
+
+
+# -- the exact kernel against the QuadNum references -------------------------------------
+
+def _reference_step_back(iet, tau):
+    """The inverse exchange in QuadNum arithmetic, one interval at a time."""
+    for iv in iet.intervals:
+        if iv.lo + iv.shift < tau < iv.hi + iv.shift:
+            return tau - iv.shift, iv
+    raise SingularHit("parameter lies on an image cut")
+
+
+class _ReferenceCutTable:
+    """Backward QuadNum orbits of the depth-1 cuts; every query sorts the
+    cuts up to its depth and scans the gaps."""
+
+    def __init__(self, iet):
+        self.iet = iet
+        base = sorted({iv.lo for iv in iet.intervals} | {iv.hi for iv in iet.intervals})
+        self.by_depth = [[t for t in base if 0 < t < 1]]
+        self.strands = [(t, True) for t in self.by_depth[0]]
+
+    def max_gap(self, depth):
+        while len(self.by_depth) < depth:
+            new_strands, born = [], []
+            for t, alive in self.strands:
+                if alive:
+                    try:
+                        t, _ = _reference_step_back(self.iet, t)
+                        born.append(t)
+                    except SingularHit:
+                        alive = False
+                new_strands.append((t, alive))
+            self.strands = new_strands
+            self.by_depth.append(born)
+        pts = sorted(t for level in self.by_depth[:depth] for t in level)
+        pts = [Fraction(0)] + pts + [Fraction(1)]
+        return max(hi - lo for lo, hi in zip(pts, pts[1:]))
+
+
+_IETS = {}
+
+
+def _fixture_iet(name, gamma=None):
+    """Return map of a bundled fixture (sheared torus on edge 1, slit tori on
+    edge 5) for the shear gamma, cached."""
+    key = (name, None if gamma is None else format_exact(gamma))
+    if key not in _IETS:
+        doc, edge = ((ts.sheared_torus_doc, 1) if name == "sheared-torus"
+                     else (ts.slit_tori_doc, 5))
+        _IETS[key] = ts.Transversal(ts.load_surface(doc(gamma)), edge).return_map()
+    return _IETS[key]
+
+
+_fixtures = st.sampled_from(["sheared-torus", "slit-tori"])
+_shears = st.one_of(
+    st.none(),
+    st.builds(lambda a, b, d: frac_part(QuadNum(Fraction(a, 7), Fraction(b, 5), d)),
+              st.integers(-20, 20), st.integers(1, 9), st.sampled_from([2, 3, 5])))
+
+
+def _points_near(iet, x):
+    """Parameters around x: x itself, within 10^-12 of it, and far out in
+    Q(sqrt d) with coefficients as large as after more than 10^7 steps."""
+    d = next((v.d for iv in iet.intervals for v in (iv.lo, iv.shift)
+              if isinstance(v, QuadNum) and v.b != 0), 2)
+    eps = Fraction(1, 10 ** 12 + 39)
+    far = [frac_part(QuadNum(x if not isinstance(x, QuadNum) else x.a, b, d))
+           for b in (10 ** 7 + 19, -(3 * 10 ** 8 + 7))]
+    return [x, x - eps, x + eps] + far
+
+
+def _check_both_ways(iet, x, steps=4):
+    """A few kernel steps forward and backward from x equal the QuadNum
+    references step by step, or both raise SingularHit at the same step."""
+    kernel = iet.fast(ts._den_of(x))
+    for back in (False, True):
+        reference = _reference_step_back if back else ts.ReturnMapIET.step
+        state = kernel.start(x)
+        orbit = kernel.orbit(state, back=back)
+        ref = x
+        for _ in range(steps):
+            try:
+                ref, want_iv = reference(iet, ref)
+            except SingularHit:
+                with pytest.raises(SingularHit):
+                    next(orbit)
+                break
+            assert iet.intervals[next(orbit)] is want_iv
+            assert kernel.value(state) == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fixtures, _shears, st.data())
+def test_kernel_steps_match_quadnum_reference(name, gamma, data):
+    iet = _fixture_iet(name, gamma)
+    cuts = sorted(t for t in {iv.lo for iv in iet.intervals}
+                  | {iv.lo + iv.shift for iv in iet.intervals} if 0 < t < 1)
+    anchor = data.draw(st.one_of(
+        st.sampled_from(cuts),
+        st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1 - Fraction(1, 10 ** 6),
+                     max_denominator=10 ** 6)))
+    for x in _points_near(iet, anchor):
+        _check_both_ways(iet, x)
+
+
+def test_kernel_raises_on_cuts():
+    for name in ("sheared-torus", "slit-tori"):
+        iet = _fixture_iet(name)
+        for iv in iet.intervals:
+            for x, back in ((iv.lo, False), (iv.lo + iv.shift, True)):
+                if not 0 < x < 1:
+                    continue
+                with pytest.raises(SingularHit):
+                    (_reference_step_back if back else ts.ReturnMapIET.step)(iet, x)
+                kernel = iet.fast(ts._den_of(x))
+                with pytest.raises(SingularHit):
+                    next(kernel.orbit(kernel.start(x), back=back))
+        with pytest.raises(SingularHit):
+            iet.letter_stream(Fraction(0), 8)
+
+
+def test_kernel_long_orbit_matches_reference():
+    # 2,000 steps each way from one start, checked step by step against
+    # the QuadNum references, then back to the start exactly
+    iet = _fixture_iet("slit-tori")
+    tau = Fraction(3, 11)
+    kernel = iet.fast(ts._den_of(tau))
+    state = kernel.start(tau)
+    ref = tau
+    for _, i in zip(range(2000), kernel.orbit(state)):
+        ref, iv = iet.step(ref)
+        assert iet.intervals[i] is iv and kernel.value(state) == ref
+    for _, i in zip(range(2000), kernel.orbit(state, back=True)):
+        ref, iv = _reference_step_back(iet, ref)
+        assert iet.intervals[i] is iv and kernel.value(state) == ref
+    assert ref == tau
+
+
+@pytest.mark.parametrize("name, gamma", [
+    ("sheared-torus", None), ("slit-tori", None),
+    ("sheared-torus", QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
+    ("slit-tori", QuadNum(-1, Fraction(2, 3), 3)),
+])
+def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
+    iet = _fixture_iet(name, gamma)
+    ref = _ReferenceCutTable(iet)
+    depths = list(range(1, 41)) + list(range(60, 201, 35)) + [200]
+    want = {j: ref.max_gap(j) for j in depths}
+    # in order, and out of order from a table already grown to depth 200
+    for order in (depths, [200] + depths[::-1]):
+        table = ts._CutTable(iet)
+        for j in order:
+            got = table.max_gap(j)
+            assert got == want[j] and type(got) is type(want[j]), j
+
+
+def test_cut_table_keeps_quadnum_type_of_rational_gaps():
+    # rotation by 1/3 with QuadNum-typed rational data: QuadNum arithmetic
+    # keeps every gap a QuadNum, and so does the kernel table
+    third = QuadNum(Fraction(1, 3))
+    iet = ts.ReturnMapIET.__new__(ts.ReturnMapIET)
+    iet.intervals = [ts.ExchangeInterval(Fraction(0), 2 * third, third, ""),
+                     ts.ExchangeInterval(2 * third, Fraction(1), -2 * third, "a")]
+    iet._fast = ts._IETKernel(iet)
+    table, ref = ts._CutTable(iet), _ReferenceCutTable(iet)
+    for j in range(1, 6):
+        got, want = table.max_gap(j), ref.max_gap(j)
+        assert got == want and type(got) is type(want) is QuadNum, j
+
+
+# parent values: level k -> (depth, measure, tau_return, max_gap) as exact
+# strings, each with its type name
+_LOOP_PINS = {
+    ("sheared-torus", 2): (41, ("-59+42*sqrt2", "QuadNum"), ("-447/8+40*sqrt2", "QuadNum"),
+                           ("17-12*sqrt2", "QuadNum")),
+    ("sheared-torus", 3): (70, ("-103+73*sqrt2", "QuadNum"), ("-1551/16+69*sqrt2", "QuadNum"),
+                           ("58-41*sqrt2", "QuadNum")),
+    ("sheared-torus", 4): (239, ("-345+244*sqrt2", "QuadNum"),
+                           ("-10751/32+238*sqrt2", "QuadNum"), ("99-70*sqrt2", "QuadNum")),
+    ("sheared-torus", 5): (239, ("-362+256*sqrt2", "QuadNum"),
+                           ("-21503/64+238*sqrt2", "QuadNum"), ("99-70*sqrt2", "QuadNum")),
+    ("sheared-torus", 6): (816, ("-35615/32+787*sqrt2", "QuadNum"),
+                           ("-147455/128+815*sqrt2", "QuadNum"), ("-239+169*sqrt2", "QuadNum")),
+    ("slit-tori", 2): (35, ("-178+126*sqrt2", "QuadNum"), ("-783/2+277*sqrt2", "QuadNum"),
+                       ("-280+198*sqrt2", "QuadNum")),
+    ("slit-tori", 3): (77, ("-3167/8+280*sqrt2", "QuadNum"),
+                       ("-13935/16+616*sqrt2", "QuadNum"), ("99-70*sqrt2", "QuadNum")),
+    ("slit-tori", 4): (60, ("-403+285*sqrt2", "QuadNum"), ("-21535/32+476*sqrt2", "QuadNum"),
+                       ("99-70*sqrt2", "QuadNum")),
+    ("slit-tori", 5): (697, ("-121599/32+2687*sqrt2", "QuadNum"),
+                       ("-504127/64+5570*sqrt2", "QuadNum"), ("-2786+1970*sqrt2", "QuadNum")),
+    ("slit-tori", 6): (348, ("-117119/64+1294*sqrt2", "QuadNum"),
+                       ("-503935/128+2784*sqrt2", "QuadNum"), ("577-408*sqrt2", "QuadNum")),
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(_LOOP_PINS))
+def test_loop_certificates_pinned(name, k):
+    tr = _SHEARED_TR if name == "sheared-torus" else _SLIT_TR
+    cert = ts.build_inadmissible_loop(tr.surface, tr, k)
+    depth, *values = _LOOP_PINS[(name, k)]
+    assert cert.depth == depth
+    got = [cert.measure, cert.tau_return, cert.max_gap]
+    assert [(format_exact(v), type(v).__name__) for v in got] == values
+
+
+_SLIT_TR = ts.Transversal(_SLIT, 5)
