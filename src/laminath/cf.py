@@ -242,7 +242,10 @@ class ContinuedFraction:
                     raise AssertionError("convergent determinant broken")
                 if theta is not None:
                     err = abs(q_error(theta, cv))
-                    if not err < Fraction(1, nxt.q):
+                    bound = Fraction(1, nxt.q)
+                    # equality holds exactly when theta is the next convergent
+                    # (the last one of a finite fraction)
+                    if not (err < bound or err == bound and theta == nxt.value):
                         raise AssertionError(
                             f"approximation inequality failed at k={cv.k}")
         return out

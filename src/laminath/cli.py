@@ -161,7 +161,7 @@ def cmd_segment(cfg: RunConfig):
 def cmd_exotic(cfg: RunConfig):
     theta = _theta(cfg)
     prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
-    ew = words.exotic_word(theta, cfg.indices, thin=cfg.thin)
+    ew = words.exotic_word(theta, _at_least(cfg, "indices", 0), thin=cfg.thin)
     stages = []
     for st in ew.stages:
         stages.append({
@@ -215,17 +215,19 @@ def cmd_measure(cfg: RunConfig):
 
 def cmd_admissible(cfg: RunConfig):
     theta = _theta(cfg)
+    depth = _at_least(cfg, "depth", 0)
+    sample_letters = _at_least(cfg, "sample_letters", 0)
     raw = cfg.require("word")
     query = words.BlockWord.parse(raw) if raw.startswith("(") else raw
-    cert = oracle.is_admissible(query, theta, cfg.depth)
+    cert = oracle.is_admissible(query, theta, depth)
     doc = {"word": cert.word, "verdict": cert.verdict, "aligned": cert.aligned,
            "levels": list(cert.levels), "block_span": cert.block_span}
     if cert.witness_height is not None:
         doc["witness"] = {"height": str(cert.witness_height),
                           "offset": cert.witness_offset}
-    if _at_least(cfg, "sample_letters", 0):
+    if sample_letters:
         rep = oracle.sampling_cross_check(query, theta,
-                                          num_letters=cfg.sample_letters,
+                                          num_letters=sample_letters,
                                           heights=100, seed=cfg.seed)
         doc["sampling"] = {"absent": rep.absent,
                            "letters_per_height": rep.letters_per_height,
@@ -235,6 +237,7 @@ def cmd_admissible(cfg: RunConfig):
 
 def cmd_factors(cfg: RunConfig):
     _at_least(cfg, "m", 0)
+    _at_least(cfg, "depth", 0)
     if cfg.slope:
         fs = oracle.rational_factors(_parse("slope", Fraction, cfg.slope), cfg.m)
         return {"slope": str(fs.slope), "length": fs.length,
@@ -247,11 +250,12 @@ def cmd_factors(cfg: RunConfig):
 def cmd_growth(cfg: RunConfig):
     theta = _theta(cfg)
     t_max = _parse("t-max", Fraction, cfg.t_max)
+    samples = _at_least(cfg, "samples", 0)
+    segments = _at_least(cfg, "segments", 0)
     if cfg.mode == "linear":
         direction = ("vertical" if cfg.direction == "vertical"
                      else _parse("direction", parse_exact, cfg.direction))
-        rows = flat.linear_growth_probe(theta, direction, t_max,
-                                        _at_least(cfg, "samples", 0))
+        rows = flat.linear_growth_probe(theta, direction, t_max, samples)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
         return {"mode": "linear", "direction": cfg.direction,
@@ -260,7 +264,7 @@ def cmd_growth(cfg: RunConfig):
     fns = {"sqrt": lambda t: _math.sqrt(t),
            "log": lambda t: _math.log1p(t)}
     f = fns[cfg.f_name]
-    path, rows = flat.prescribed_growth_path(theta, f, _at_least(cfg, "segments", 0),
+    path, rows = flat.prescribed_growth_path(theta, f, segments,
                                              t_cap=t_max if t_max > 16 else None)
     table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
               "f": repr(r.target)} for r in rows]
@@ -282,6 +286,7 @@ def cmd_ts_validate(cfg: RunConfig):
 
 
 def cmd_ts_return_map(cfg: RunConfig):
+    n = _at_least(cfg, "n", 0)
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     doc = {"edge": cfg.edge,
@@ -291,8 +296,8 @@ def cmd_ts_return_map(cfg: RunConfig):
                          for iv in trans.return_map().intervals]}
     if cfg.tau is not None:
         tau = _parse("tau", parse_exact, cfg.tau)
-        t2, w = tsurface.first_return(trans, tau, _at_least(cfg, "n", 0))
-        doc["orbit"] = {"tau": format_exact(tau), "n": cfg.n,
+        t2, w = tsurface.first_return(trans, tau, n)
+        doc["orbit"] = {"tau": format_exact(tau), "n": n,
                         "image": format_exact(t2), "word": S.word_labels(w)}
     return doc
 
@@ -312,7 +317,7 @@ def cmd_ts_loop(cfg: RunConfig):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     cert = tsurface.build_inadmissible_loop(S, trans, _at_least(cfg, "k", 0),
-                                            return_budget=cfg.budget)
+                                            return_budget=_at_least(cfg, "budget", 1))
     return {"level": cert.level, "depth": cert.depth,
             "word": S.word_labels(cert.word),
             "factor": S.word_labels(cert.factor),

@@ -57,7 +57,13 @@ class CylinderDecomposition(LaminathError):
 
 
 class BudgetExhausted(LaminathError):
+    """A search ran out of budget; ``progress`` records how far it got."""
+
     code = "budget-exhausted"
+
+    def __init__(self, message, **progress):
+        super().__init__(message)
+        self.progress = progress
 
 
 # errors that make the CLI exit 3; every other error exits 2

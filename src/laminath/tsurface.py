@@ -18,11 +18,16 @@ exponentially small measure, and their concatenation into finite-measure
 words no leaf word ever contains in its tail.
 
 Exactness policy: all states and certificates are exact field elements, and
-no branch rests on floating point.  Geometry and the per-point exchange API
-use Fraction/QuadNum arithmetic; the inner loops (leaf streams, loop
-flights, the cut table, the non-saddle search) run on one integer kernel
-whose states are pairs (u, v) standing for (u + v sqrt d)/D and whose every
-branch is an exact integer sign test.
+no branch rests on floating point.  Every loop runs on one of two integer
+kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
+whose every branch is an exact integer sign test: the flow kernel behind
+first returns, backward separatrices, saddle connections and the cylinder
+check, and the exchange kernel behind leaf streams, loop flights, the cut
+table and the non-saddle search.  Only geometry validation and the
+per-point APIs (``flow_step``, ``Transversal.point``/``param``,
+``ReturnMapIET.locate``/``step``/``orbit_word``) use Fraction/QuadNum
+arithmetic, and results leaving a kernel loop are decoded to the field
+elements, of the types, that arithmetic would give.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .errors import (BudgetExhausted, CylinderDecomposition, InvalidSurface,
@@ -192,6 +198,7 @@ class TranslationSurface:
                 [(poly[k][0], poly[k][1], poly[(k + 1) % n][0],
                   poly[(k + 1) % n][1], k) for k in range(n)])
         self._vertex_classes()
+        self._flow = _FlowKernel(self)
 
     def _vertex_classes(self):
         parent = {}
@@ -276,18 +283,12 @@ class TranslationSurface:
         cached = getattr(self, "_cyl_cache", None)
         if cached is not None and cached[1] >= budget:
             return cached[0]
-        germs = self.corner_germs(+1)
         flag = True
-        for p, k in germs:
-            point = self.vertex_point((p, k))
-            terminated = False
-            for _ in range(budget):
-                res = flow_step(point, self)
-                if res.kind in ("singular", "boundary"):
-                    terminated = res.kind == "singular"
-                    break
-                point = res.point
-            if not terminated:
+        for corner in self.corner_germs(+1):
+            st = self._flow.start(self.vertex_point(corner))
+            for _ in islice(self._flow.trace(st), budget):
+                pass
+            if st.end != "singular":
                 flag = False
                 break
         self._cyl_cache = (flag, budget)
@@ -318,56 +319,241 @@ def load_surface(doc) -> TranslationSurface:
     return TranslationSurface(polygons, identify)
 
 
+# -- exact integer pairs -------------------------------------------------------
+
+def _parts(v):
+    if isinstance(v, QuadNum):
+        return v.a, v.b
+    return Fraction(v), Fraction(0)
+
+
+def _den_of(v) -> int:
+    a, b = _parts(v)
+    return math.lcm(a.denominator, b.denominator)
+
+
+def _surd(values) -> Optional[int]:
+    """The d of the values' quadratic field, or None when all are rational;
+    mixing two fields is a ValueError, as in QuadNum arithmetic."""
+    ds = {v.d for v in values if isinstance(v, QuadNum) and v.b != 0}
+    if len(ds) > 1:
+        raise ValueError("mixed fields " + " and ".join(f"sqrt{d}" for d in sorted(ds)))
+    return ds.pop() if ds else None
+
+
+def _encode(x, den: int) -> tuple:
+    """The integer pair (u, v) with x = (u + v sqrt d)/den."""
+    a, b = _parts(x)
+    if den % a.denominator or den % b.denominator:
+        raise ValueError("denominator does not divide the table denominator")
+    return (a.numerator * (den // a.denominator),
+            b.numerator * (den // b.denominator))
+
+
+def _field(pair, den: int, d: int, quad: bool):
+    """The value of an integer pair over ``den``: a QuadNum when ``quad``
+    (QuadNum arithmetic would have produced one), else a Fraction."""
+    u, v = pair
+    if quad:
+        return QuadNum(Fraction(u, den), Fraction(v, den), d)
+    return Fraction(u, den)
+
+
+def _pair_sign(u, v, d) -> int:
+    """Sign of u + v sqrt d for integers u, v and a non-square d."""
+    if u >= 0 and v >= 0:
+        return 1 if u or v else 0
+    if u <= 0 and v <= 0:
+        return -1
+    return 1 if (u * u > d * v * v) == (u > 0) else -1
+
+
 # -- horizontal flow -----------------------------------------------------------
+
+class _FlowState:
+    """A point of the flow in kernel coordinates: polygon, ordinate pair over
+    ``den``, abscissa pair over ``xden``, and whether QuadNum arithmetic would
+    give each coordinate as a QuadNum.  ``last`` is the latest step's (polygon,
+    exit edge or vertex index, hit abscissa pair, advance pair); ``end`` is
+    None while the ray flows, then "singular" or "boundary"."""
+
+    __slots__ = ("tables", "den", "xden", "d", "poly", "y", "x", "qx", "qy",
+                 "last", "end")
+
+    def point(self) -> SurfacePoint:
+        return SurfacePoint(self.poly, _field(self.x, self.xden, self.d, self.qx),
+                            _field(self.y, self.den, self.d, self.qy))
+
+
+class _FlowKernel:
+    """The one exact horizontal-flow kernel of a surface.
+
+    Ordinates are integer pairs (u, v) standing for (u + v sqrt d)/D and
+    abscissae pairs over E*D: D clears every vertex coordinate (and the start
+    point's) and E every edge's inverse slope.  A non-horizontal edge meets
+    the line at height y at x = alpha + beta*y, kept as the pairs E*D*alpha
+    and E*beta, so a step (which vertices lie on the line, which edges
+    straddle it, the nearest positive advance, the transport through the
+    gluing) is a handful of exact integer sign tests.  The tables for a start
+    point's denominator are the base tables rescaled, cached per scale.
+    """
+
+    _CACHE = 64   # rescaled tables kept before the cache starts over
+
+    def __init__(self, surface: TranslationSurface):
+        self.surface = surface
+        coords = [c for poly in surface.polygons for xy in poly for c in xy]
+        self.d = _surd(coords)
+        D = self.D = math.lcm(*map(_den_of, coords))
+        d = self.d or 2
+        betas = {}
+        for p, poly in enumerate(surface.polygons):
+            for x1, y1, x2, y2, k in surface._edge_table[p]:
+                if y1 != y2:
+                    betas[p, k] = (x2 - x1) / (y2 - y1)
+        E = self.E = math.lcm(*map(_den_of, betas.values()))
+        # per polygon: vertex ordinates, vertex abscissae, per edge its
+        # (E*D*alpha, E*beta) and its exit (letter, target polygon, translation)
+        self._base = []
+        self.edge_quad = []
+        for p, poly in enumerate(surface.polygons):
+            ys = [_encode(y, D) for _, y in poly]
+            xs = [(E * u, E * v) for u, v in (_encode(x, D) for x, _ in poly)]
+            edges, exits, quads = [], [], []
+            for x1, y1, x2, y2, k in surface._edge_table[p]:
+                quads.append(any(isinstance(c, QuadNum) for c in (x1, y1, x2, y2)))
+                beta = betas.get((p, k))
+                if beta is None:
+                    edges.append(None)
+                else:
+                    bu, bv = _encode(beta, E)
+                    yu, yv = ys[k]
+                    edges.append((xs[k][0] - bu * yu - d * bv * yv,
+                                  xs[k][1] - bu * yv - bv * yu, bu, bv))
+                info = surface.slot_info.get((p, k))
+                if info is None:
+                    exits.append(None)
+                    continue
+                idx, first, (tx, ty), partner = info
+                (tu, tv), (su, sv) = _encode(tx, D), _encode(ty, D)
+                exits.append((surface.pair_letter(idx, first), partner[0],
+                              E * tu, E * tv, su, sv,
+                              quads[-1] or isinstance(tx, QuadNum),
+                              isinstance(ty, QuadNum)))
+            self._base.append((ys, xs, edges, exits))
+            self.edge_quad.append(quads)
+        self._tables = {1: self._base}
+
+    def _scaled(self, m: int):
+        """The tables over m*D, m*E*D (the inverse slopes E*beta unchanged)."""
+        tables = self._tables.get(m)
+        if tables is None:
+            if len(self._tables) >= self._CACHE:
+                self._tables = {1: self._base}
+            tables = self._tables[m] = [
+                ([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
+                 [e and (m * e[0], m * e[1], e[2], e[3]) for e in edges],
+                 [x and (*x[:2], m * x[2], m * x[3], m * x[4], m * x[5], *x[6:])
+                  for x in exits])
+                for ys, xs, edges, exits in self._base]
+        return tables
+
+    def start(self, point: SurfacePoint) -> _FlowState:
+        x, y = point.x, point.y
+        st = _FlowState()
+        d = _surd((x, y))
+        if self.d and d and d != self.d:
+            raise ValueError(f"mixed fields sqrt{self.d} and sqrt{d}")
+        st.d = self.d or d or 2
+        den = math.lcm(self.D, _den_of(x), _den_of(y))
+        st.tables = self._scaled(den // self.D)
+        st.den, st.xden = den, den * self.E
+        st.poly = point.poly
+        st.y = _encode(y, den)
+        u, v = _encode(x, den)
+        st.x = (self.E * u, self.E * v)
+        st.qx, st.qy = isinstance(x, QuadNum), isinstance(y, QuadNum)
+        st.last = st.end = None
+        return st
+
+    def hit(self, st: _FlowState, y=None) -> SurfacePoint:
+        """Where the latest step met the polygon boundary: the vertex, or the
+        edge point at height ``y`` (default: the state's ordinate)."""
+        p, k, x, _ = st.last
+        if st.end == "singular":
+            return self.surface.vertex_point((p, k))
+        if y is None:
+            y = _field(st.y, st.den, st.d, st.qy)
+        quad = self.edge_quad[p][k] or isinstance(y, QuadNum)
+        return SurfacePoint(p, _field(x, st.xden, st.d, quad), y)
+
+    def trace(self, st: _FlowState, back: bool = False):
+        """Flow ``st`` rightward (leftward when ``back``), updating it in
+        place; yields the letter of each slot crossed, and returns when the
+        ray meets a vertex or an unglued edge (``st.end`` says which)."""
+        tables, d = st.tables, st.d
+        sgn = -1 if back else 1
+        p, (yu, yv), (xu, xv), qx, qy = st.poly, st.y, st.x, st.qx, st.qy
+        while True:
+            ys, xs, edges, exits = tables[p]
+            n = len(ys)
+            signs = [_pair_sign(cu - yu, cv - yv, d) for cu, cv in ys]
+            best = None
+            # a vertex on the line, or an edge straddling it (never both for
+            # one edge k and its end vertex, so this order breaks ties as the
+            # edge-by-edge scan of the reference does)
+            for k in range(n):
+                s = signs[k]
+                if s == 0:
+                    hu, hv = xs[k]
+                elif s + signs[k + 1 - n] == 0:
+                    au, av, bu, bv = edges[k]
+                    hu = au + bu * yu + d * bv * yv
+                    hv = av + bu * yv + bv * yu
+                else:
+                    continue
+                du, dv = (hu - xu) * sgn, (hv - xv) * sgn
+                if _pair_sign(du, dv, d) > 0 and (
+                        best is None or _pair_sign(best[4] - du, best[5] - dv, d) > 0):
+                    best = (s, k, hu, hv, du, dv)
+            if best is None:
+                raise InvalidSurface("horizontal ray escapes its polygon")
+            s, k, hu, hv, du, dv = best
+            st.last = (p, k, (hu, hv), (du, dv))
+            if s == 0:
+                st.end = "singular"
+                return
+            if exits[k] is None:
+                st.end = "boundary"
+                return
+            letter, p, tu, tv, su, sv, qt, qs = exits[k]
+            xu, xv, yu, yv = hu + tu, hv + tv, yu + su, yv + sv
+            qx, qy = qt or qy, qy or qs
+            st.poly, st.x, st.y, st.qx, st.qy = p, (xu, xv), (yu, yv), qx, qy
+            yield letter
+
 
 def flow_step(point: SurfacePoint, surface: TranslationSurface,
               direction: int = 1) -> StepResult:
-    """Exact first boundary contact of the horizontal ray from ``point``.
+    """Exact first boundary contact of the horizontal ray from ``point``:
+    one step of the surface's flow kernel.
 
     Inner-edge crossings transport through the gluing; a polygon vertex on
     the ray is a singular hit (informative, not fatal), an unglued edge a
-    boundary hit.
+    boundary hit.  ``direction`` is 1 (rightward) or -1 (leftward).
     """
-    edges = surface._edge_table[point.poly]
-    n = len(edges)
-    x0, y0 = point.x, point.y
-    best = None  # (advance, kind, payload)
-    for x1, y1, x2, y2, k in edges:
-        s1 = _sign(y1 - y0)
-        s2 = _sign(y2 - y0)
-        if s1 == 0 and s2 == 0:
-            for vk, vx in ((k, x1), ((k + 1) % n, x2)):
-                adv = (vx - x0) * direction
-                if adv > 0 and (best is None or adv < best[0]):
-                    best = (adv, "vertex", (point.poly, vk))
-            continue
-        if s1 == 0 or s2 == 0:
-            vk = k if s1 == 0 else (k + 1) % n
-            vx = x1 if s1 == 0 else x2
-            adv = (vx - x0) * direction
-            if adv > 0 and (best is None or adv < best[0]):
-                best = (adv, "vertex", (point.poly, vk))
-            continue
-        if s1 * s2 < 0:
-            xs = x1 + (y0 - y1) * (x2 - x1) / (y2 - y1)
-            adv = (xs - x0) * direction
-            if adv > 0 and (best is None or adv < best[0]):
-                best = (adv, "edge", (point.poly, k, xs))
-    if best is None:
-        raise InvalidSurface("horizontal ray escapes its polygon")
-    adv, kind, payload = best
-    if kind == "vertex":
-        return StepResult("singular", None, surface.vertex_point(payload),
-                          None, None, adv)
-    p, k, xs = payload
-    hit = SurfacePoint(p, xs, y0)
-    info = surface.slot_info.get((p, k))
-    if info is None:
-        return StepResult("boundary", None, hit, None, None, adv)
-    pair_idx, is_first, trans, partner = info
-    new = SurfacePoint(partner[0], xs + trans[0], y0 + trans[1])
-    return StepResult("crossing", new, hit,
-                      surface.pair_letter(pair_idx, is_first), pair_idx, adv)
+    if direction not in (1, -1):
+        raise ValueError("direction must be 1 or -1")
+    flow = surface._flow
+    st = flow.start(point)
+    letter = next(flow.trace(st, back=direction < 0), None)
+    hit = flow.hit(st, point.y)
+    adv = _field(st.last[3], st.xden, st.d,
+                 isinstance(hit.x, QuadNum) or isinstance(point.x, QuadNum))
+    if letter is None:
+        return StepResult(st.end, None, hit, None, None, adv)
+    pair = surface.slot_info[(hit.poly, st.last[1])][0]
+    return StepResult("crossing", st.point(), hit, letter, pair, adv)
 
 
 # -- transversal edges ------------------------------------------------------------
@@ -396,6 +582,8 @@ class Transversal:
         self.vec = surface._edge_vector(self.slot)
         up_info = surface.slot_info[self.upstream_slot]
         self.arrival_letter = surface.pair_letter(pair_index, up_info[1])
+        self.letters = {surface.pair_letter(pair_index, True),
+                        surface.pair_letter(pair_index, False)}
         self._iet: Optional[ReturnMapIET] = None
         self._non_saddle = None
 
@@ -435,30 +623,27 @@ def first_return(trans: Transversal, tau, n: int = 1):
     with the empty word."""
     if n == 0:
         return tau, ""
-    surface = trans.surface
-    point = trans.point(tau)
+    flow = trans.surface._flow
+    st = flow.start(trans.point(tau))
+    budget = 100000 * n
     letters = []
     returns = 0
-    steps = 0
-    while True:
-        res = flow_step(point, surface)
-        steps += 1
-        if res.kind == "singular":
-            raise SingularHit(f"orbit hits a vertex after {returns} returns",
-                              point=res.hit, step=returns + 1)
-        if res.kind == "boundary":
-            raise SingularHit("orbit reaches the boundary", point=res.hit,
-                              step=returns + 1)
-        if res.pair == trans.pair_index:
+    for steps, letter in enumerate(flow.trace(st), 1):
+        if letter in trans.letters:
             returns += 1
             if returns == n:
-                return trans.param(res.point), "".join(letters)
-            letters.append(res.letter)
-        else:
-            letters.append(res.letter)
-        point = res.point
-        if steps > 100000 * n:
-            raise BudgetExhausted("flow did not return within the step budget")
+                return trans.param(st.point()), "".join(letters)
+        letters.append(letter)
+        if steps > budget:
+            raise BudgetExhausted(
+                f"flow did not return within the step budget: {returns} of {n} "
+                f"returns after {steps} steps (budget {budget})",
+                returns=returns, steps=steps, budget=budget)
+    if st.end == "singular":
+        raise SingularHit(f"orbit hits a vertex after {returns} returns",
+                          point=flow.hit(st), step=returns + 1)
+    raise SingularHit("orbit reaches the boundary", point=flow.hit(st),
+                      step=returns + 1)
 
 
 # -- the return map as an interval exchange ------------------------------------------
@@ -473,26 +658,6 @@ class ExchangeInterval:
     @property
     def length(self):
         return self.hi - self.lo
-
-
-def _parts(v):
-    if isinstance(v, QuadNum):
-        return v.a, v.b
-    return Fraction(v), Fraction(0)
-
-
-def _den_of(v) -> int:
-    a, b = _parts(v)
-    return math.lcm(a.denominator, b.denominator)
-
-
-def _pair_sign(u, v, d) -> int:
-    """Sign of u + v sqrt d for integers u, v and a non-square d."""
-    if u >= 0 and v >= 0:
-        return 1 if u or v else 0
-    if u <= 0 and v <= 0:
-        return -1
-    return 1 if (u * u > d * v * v) == (u > 0) else -1
 
 
 def _slot(bounds, u, v, d) -> int:
@@ -565,11 +730,7 @@ class _IETKernel:
         return bounds, moves, successors
 
     def encode(self, x):
-        a, b = _parts(x)
-        if self.D % a.denominator or self.D % b.denominator:
-            raise ValueError("denominator does not divide the table denominator")
-        return (a.numerator * (self.D // a.denominator),
-                b.numerator * (self.D // b.denominator))
+        return _encode(x, self.D)
 
     def start(self, x) -> list:
         """State of the edge parameter x, which must lie inside (0, 1)."""
@@ -696,29 +857,30 @@ def backward_cut_points(trans: Transversal, depth: int,
     periodic).
     """
     surface = trans.surface
+    flow = surface._flow
     germs = surface.corner_germs(-1)
     if not germs:
         raise CylinderDecomposition("no interior backward separatrices")
     cuts = []
     any_alive = False
     for corner in germs:
-        point = surface.vertex_point(corner)
-        crossings = 0
-        steps = 0
-        alive = True
+        st = flow.start(surface.vertex_point(corner))
+        trace = flow.trace(st, back=True)
+        crossings = steps = 0
         while crossings < depth:
-            res = flow_step(point, surface, direction=-1)
+            letter = next(trace, None)   # None: the ray ended at a vertex or boundary
             steps += 1
             if steps > step_budget:
-                raise BudgetExhausted("backward separatrix exceeded the step budget")
-            if res.kind in ("singular", "boundary"):
-                alive = False
+                raise BudgetExhausted(
+                    f"backward separatrix from corner {corner} exceeded the step "
+                    f"budget {step_budget} after {crossings} of {depth} crossings",
+                    corner=corner, crossings=crossings, budget=step_budget)
+            if letter is None:
                 break
-            if res.pair == trans.pair_index:
+            if letter in trans.letters:
                 crossings += 1
-                cuts.append((corner, trans.param(res.point)))
-            point = res.point
-        any_alive = any_alive or alive
+                cuts.append((corner, trans.param(st.point())))
+        any_alive = any_alive or st.end is None
     if not any_alive:
         raise CylinderDecomposition(
             "every backward separatrix is a saddle connection")
@@ -856,26 +1018,15 @@ def saddle_connections(surface: TranslationSurface, max_steps: int = 4096):
         out.append(SaddleConnection("edge", surface.corner_class[(p, k)],
                                     surface.corner_class[(p, (k + 1) % n)],
                                     "", 0))
+    flow = surface._flow
     for corner in surface.corner_germs(+1):
-        point = surface.vertex_point(corner)
-        letters = []
-        for step in range(1, max_steps + 1):
-            res = flow_step(point, surface)
-            if res.kind == "singular":
-                hit = res.hit
-                end_class = None
-                poly_h = surface.polygons[hit.poly]
-                for kk in range(len(poly_h)):
-                    if poly_h[kk][0] == hit.x and poly_h[kk][1] == hit.y:
-                        end_class = surface.corner_class[(hit.poly, kk)]
-                out.append(SaddleConnection(
-                    "interior", surface.corner_class[corner], end_class,
-                    "".join(letters), step))
-                break
-            if res.kind == "boundary":
-                break
-            letters.append(res.letter)
-            point = res.point
+        st = flow.start(surface.vertex_point(corner))
+        letters = list(islice(flow.trace(st), max_steps))
+        if st.end == "singular":
+            out.append(SaddleConnection(
+                "interior", surface.corner_class[corner],
+                surface.corner_class[st.last[:2]], "".join(letters),
+                len(letters) + 1))
     return out
 
 

@@ -219,10 +219,10 @@ class SegmentCertificate:
 
 
 def _segment_blocks(theta: ContinuedFraction, k: int) -> tuple[BlockWord, Convergent]:
+    head = inadmissible_word(theta, k)
     cv = theta.convergent(k)
     r = Fraction(cv.p, cv.q)
     _, q, n, s, t = _slope_data(r)
-    head = inadmissible_word(theta, k)
     if k % 2 == 0:
         tail = partial_simple_word(r, t + 1, stop=q)
     else:

@@ -141,3 +141,15 @@ def test_determinant_identity(coeffs):
 @given(st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=200))
 def test_from_rational_round_trip(r):
     assert ContinuedFraction.from_rational(r).value() == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=8))
+def test_finite_convergents_verify(coeffs):
+    # a rational theta = p_n/q_n meets the approximation bound with equality
+    # at k = n - 1, which the verified table accepts
+    theta = ContinuedFraction(coeffs)
+    n = len(theta._finite) - 1
+    cvs = theta.convergents(n)
+    if n >= 1:
+        assert abs(q_error(theta.value(), cvs[n - 1])) == Fraction(1, cvs[n].q)

@@ -3,6 +3,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laminath import cli
 
@@ -125,6 +126,9 @@ def test_bad_numeric_arguments_exit_2():
     (["ts", "partition", "--surface", "slit-tori", "--n", "-1"], "--n"),
     (["admissible", "--theta", "cf:[1;2]p", "--word", "ab", "--sample-letters", "-5"],
      "--sample-letters"),
+    (["ts", "loop", "--surface", "slit-tori", "--edge", "5", "--budget", "-5"], "--budget"),
+    (["admissible", "--theta", "cf:[1;2]p", "--word", "abab", "--depth", "-1"], "--depth"),
+    (["factors", "--theta", "cf:[1;2]p", "--depth", "-3"], "--depth"),
 ])
 def test_bad_option_is_named(argv, option):
     code, out, err = run_cli(argv)
@@ -236,3 +240,104 @@ def test_out_file(tmp_path):
                             "convergents", "--theta", "cf:[1;1]p", "--k", "3"])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["convergents"][-1]["q"] == 3
+
+
+# -- argv fuzz ---------------------------------------------------------------------
+
+_INT = st.integers(-3, 6).map(str)
+_INTS = st.lists(st.integers(-3, 6), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+# exact values, half well-formed and half not (zero denominators, dangling
+# parts), so that a malformed value rarely hides the other options
+_EXACT = st.one_of(
+    st.sampled_from(["1/3", "5/3", "2-1*sqrt2", "1/2+1*sqrt5", "0", "1", "7", "-1", "-1/2",
+                     "-1+1*sqrt2"]),
+    st.sampled_from(["1/0", "0/0", "1/", "/2", "", "abc", "1*sqrt", "1/0*sqrt2",
+                     "1+1/0*sqrt2", "2*sqrt4", "1*sqrt0"]))
+_THETA = st.one_of(
+    st.sampled_from(["cf:[1;2]p", "cf:[1;1]p", "cf:[0;3,1]", "cf:[2;1,2]p", "5/3", "1/3"]),
+    st.sampled_from(["cf:[", "cf:[1;2", "cf:[]p", "cf:[;]p", "cf:[1;0]p", "cf:[1;2]q",
+                     "cf:[0;0,0]"]),
+    _EXACT)
+_WORD = st.one_of(
+    st.sampled_from(["abab", "babba", "(1,1,2,1,1)@ba", "(2,2)@ba", "AB", "(1,1,2,1,1)@ab"]),
+    st.sampled_from(["", "(", "ab@", "(1,2)@xy", "(0,0)@ba", "(-1)@ba"]))
+_SURFACE = st.sampled_from(["sheared-torus", "slit-tori", "no-such-surface"])
+
+
+def _options(required, optional):
+    """argv for one subcommand: every required option, each optional one or
+    not, as --flag=value so that values may start with "-"."""
+    parts = [strat.map(f"{flag}={{}}".format) for flag, strat in required]
+    parts += [st.one_of(st.just(None), strat.map(f"{flag}={{}}".format))
+              for flag, strat in optional]
+    return st.tuples(*parts).map(lambda ps: [p for p in ps if p is not None])
+
+
+# integer options that count or index something, where a negative value is
+# invalid input (exit 2)
+_COUNT_OPTIONS = {"--k", "--indices", "--prefix-blocks", "--loops", "--letters", "--depth",
+                  "--sample-letters", "--m", "--samples", "--segments", "--edge", "--n",
+                  "--budget", "--levels", "--prefix"}
+
+
+def _negative_count(argv):
+    for arg in argv:
+        flag, _, value = arg.partition("=")
+        if flag in _COUNT_OPTIONS and any(int(v) < 0 for v in value.split(",") if v):
+            return True
+    return False
+
+
+_ARGV = {
+    "convergents": _options([("--theta", _THETA)], [("--k", _INT)]),
+    "simple-word": _options([("--slope", _EXACT)], [("--start", _INT)]),
+    "inadmissible": _options([("--theta", _THETA)], [("--k", _INT)]),
+    "segment": _options([("--theta", _THETA)], [("--k", _INT)]),
+    "exotic": _options([("--theta", _THETA)], [("--indices", _INTS),
+                                                ("--prefix-blocks", _INT)]),
+    "cusp-exotic": _options([("--theta", _THETA)], [("--loops", _INTS)]),
+    "cut": _options([("--theta", _THETA), ("--start", _EXACT)], [("--letters", _INT)]),
+    "measure": _options([("--theta", _THETA),
+                         ("--path", st.sampled_from(["", "/nonexistent/p.json"]))], []),
+    "admissible": _options([("--theta", _THETA), ("--word", _WORD)],
+                           [("--depth", _INT), ("--sample-letters", _INT)]),
+    "factors": _options([], [("--theta", _THETA), ("--slope", _EXACT), ("--m", _INT),
+                             ("--depth", _INT)]),
+    "growth": _options([("--theta", _THETA)], [
+        ("--mode", st.sampled_from(["linear", "prescribed"])), ("--direction", _EXACT),
+        ("--f", st.sampled_from(["sqrt", "log"])), ("--t-max", _EXACT),
+        ("--samples", _INT), ("--segments", _INT)]),
+    "ts validate": _options([("--surface", _SURFACE)], []),
+    "ts return-map": _options([("--surface", _SURFACE)], [("--edge", _INT),
+                                                          ("--tau", _EXACT), ("--n", _INT)]),
+    "ts partition": _options([("--surface", _SURFACE)], [("--edge", _INT), ("--n", _INT)]),
+    "ts loop": _options([("--surface", _SURFACE)], [("--edge", _INT), ("--k", _INT),
+                                                    ("--budget", _INT)]),
+    "ts exotic": _options([("--surface", _SURFACE)], [("--edge", _INT), ("--levels", _INTS),
+                                                      ("--prefix", _INT)]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(command, data):
+    argv = command.split() + data.draw(_ARGV[command])
+    if data.draw(st.booleans()):
+        argv = ["--emit", "json"] + argv
+    code, out, err = run_cli(argv)
+    assert code in (0, 2, 3), argv
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1, (argv, err)
+        assert set(json.loads(lines[0])) == {"error", "detail"}, argv
+    if _negative_count(argv):
+        assert code == 2, (argv, err)
+
+
+def test_segment_level_below_two_exits_2():
+    # a negative level once read the convergent table's (1, 0) seed row and
+    # divided by zero
+    code, out, err = run_cli(["segment", "--theta", "cf:[1;2]p", "--k=-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-input", "detail": "k must be >= 2"}

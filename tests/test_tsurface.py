@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,65 @@ def test_surface_json_round_trip():
 
 # -- flow and first returns ------------------------------------------------------
 
+def _reference_flow_step(point, surface, direction=1):
+    """The horizontal flow in Fraction/QuadNum arithmetic, edge by edge: the
+    nearest positive advance to a vertex on the ray or to an edge the ray
+    straddles, then the transport through the gluing."""
+    edges = surface._edge_table[point.poly]
+    n = len(edges)
+    x0, y0 = point.x, point.y
+    best = None  # (advance, kind, payload)
+    for x1, y1, x2, y2, k in edges:
+        s1 = ts._sign(y1 - y0)
+        s2 = ts._sign(y2 - y0)
+        if s1 == 0 and s2 == 0:
+            for vk, vx in ((k, x1), ((k + 1) % n, x2)):
+                adv = (vx - x0) * direction
+                if adv > 0 and (best is None or adv < best[0]):
+                    best = (adv, "vertex", (point.poly, vk))
+            continue
+        if s1 == 0 or s2 == 0:
+            vk = k if s1 == 0 else (k + 1) % n
+            vx = x1 if s1 == 0 else x2
+            adv = (vx - x0) * direction
+            if adv > 0 and (best is None or adv < best[0]):
+                best = (adv, "vertex", (point.poly, vk))
+            continue
+        if s1 * s2 < 0:
+            xs = x1 + (y0 - y1) * (x2 - x1) / (y2 - y1)
+            adv = (xs - x0) * direction
+            if adv > 0 and (best is None or adv < best[0]):
+                best = (adv, "edge", (point.poly, k, xs))
+    if best is None:
+        raise InvalidSurface("horizontal ray escapes its polygon")
+    adv, kind, payload = best
+    if kind == "vertex":
+        return ts.StepResult("singular", None, surface.vertex_point(payload),
+                             None, None, adv)
+    p, k, xs = payload
+    hit = ts.SurfacePoint(p, xs, y0)
+    info = surface.slot_info.get((p, k))
+    if info is None:
+        return ts.StepResult("boundary", None, hit, None, None, adv)
+    pair_idx, is_first, trans, partner = info
+    new = ts.SurfacePoint(partner[0], xs + trans[0], y0 + trans[1])
+    return ts.StepResult("crossing", new, hit,
+                         surface.pair_letter(pair_idx, is_first), pair_idx, adv)
+
+
+def _typed(v):
+    """A value with its type: exact numbers as (type name, exact string),
+    points coordinate by coordinate, step results field by field."""
+    if isinstance(v, ts.StepResult):
+        return tuple(_typed(getattr(v, f)) for f in
+                     ("kind", "point", "hit", "letter", "pair", "advance"))
+    if isinstance(v, ts.SurfacePoint):
+        return (v.poly, _typed(v.x), _typed(v.y))
+    if isinstance(v, (int, Fraction, QuadNum)) and not isinstance(v, bool):
+        return (type(v).__name__, format_exact(v))
+    return v
+
+
 def test_flow_step_sheared_torus():
     S = ts.preset_surface("sheared-torus")
     # from the left edge at height y > gamma the ray exits right directly
@@ -135,11 +196,31 @@ _SHEARED = ts.preset_surface("sheared-torus")
 _SHEARED_TR = ts.Transversal(_SHEARED, 1)
 
 
+def _reference_vertex(surface, point):
+    """The vertex the reference flow from ``point`` runs into."""
+    while (res := _reference_flow_step(point, surface)).kind == "crossing":
+        point = res.point
+    return res.hit
+
+
 def test_singular_orbit_reported_with_step():
     tau = QuadNum(2, -1, 2)  # the unique depth-1 cut
     with pytest.raises(SingularHit) as exc:
         ts.first_return(_SHEARED_TR, tau, 1)
     assert exc.value.step == 1
+    want = _reference_vertex(_SHEARED, _SHEARED_TR.point(tau))
+    assert _typed(exc.value.point) == _typed(want)
+
+
+def test_singular_orbit_after_a_return():
+    # one rotation step before the cut: the second return meets the vertex
+    tau = QuadNum(3, -2, 2)
+    assert ts.first_return(_SHEARED_TR, tau, 1)[0] == QuadNum(2, -1, 2)
+    with pytest.raises(SingularHit) as exc:
+        ts.first_return(_SHEARED_TR, tau, 2)
+    assert exc.value.step == 2
+    want = _reference_vertex(_SHEARED, _SHEARED_TR.point(tau))
+    assert _typed(exc.value.point) == _typed(want)
 
 
 # -- return partition ----------------------------------------------------------------
@@ -624,3 +705,266 @@ def test_loop_certificates_pinned(name, k):
 
 
 _SLIT_TR = ts.Transversal(_SLIT, 5)
+
+
+# -- the exact flow kernel against the QuadNum reference -----------------------------
+
+def _open_square_doc():
+    doc = unit_square_doc()
+    doc["identify"] = [[[0, 0], [0, 2]]]  # vertical edges left unglued
+    return doc
+
+
+def _l_shape_doc(shear):
+    # three unit squares in an L, sheared vertically by y += shear * x: the
+    # reflex corner at (1, 1) lets a horizontal line meet four edges, so the
+    # nearest of several advances decides the step
+    pts = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)]
+    return {"field": "sqrt2",
+            "polygons": [[[format_exact(Fraction(x)), format_exact(y + shear * x)]
+                          for x, y in pts]],
+            "identify": [[[0, 0], [0, 5]], [[0, 1], [0, 3]], [[0, 2], [0, 7]],
+                         [[0, 4], [0, 6]]]}
+
+
+_FLOW_DOCS = {
+    "sheared-torus": st.just(ts.sheared_torus_doc()),
+    "slit-tori": st.just(ts.slit_tori_doc()),
+    "unit-square": st.just(unit_square_doc()),
+    "open-square": st.just(_open_square_doc()),
+    "octagon": st.sampled_from([_octagon_doc(GAMMA), _octagon_doc(Fraction(1, 3))]),
+    "rational-torus": st.just(ts.sheared_torus_doc(Fraction(1, 3))),
+    "l-shape": st.sampled_from([_l_shape_doc(GAMMA), _l_shape_doc(Fraction(1, 3)),
+                                _l_shape_doc(0)]),
+    # random shears in Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5)
+    "quadratic-shear": _shears.filter(lambda g: g is not None).flatmap(
+        lambda g: st.sampled_from([ts.sheared_torus_doc(g), ts.slit_tori_doc(g)])),
+}
+_SURFACES = {}
+
+
+def _surface(doc):
+    key = json.dumps(doc, sort_keys=True)
+    if key not in _SURFACES:
+        _SURFACES[key] = ts.load_surface(doc)
+    return _SURFACES[key]
+
+
+def _draw_point(data, S):
+    """A vertex, an edge point, a convex combination of the vertices, or an
+    edge or inner point level with a vertex, so that rays from it cross, run
+    into vertices and reach unglued edges (on the non-convex L shape a
+    combination may lie outside; the two flows must still agree)."""
+    p = data.draw(st.integers(0, len(S.polygons) - 1))
+    poly = S.polygons[p]
+    n = len(poly)
+    j = data.draw(st.integers(0, n - 1))
+    t = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
+                               max_denominator=60))
+    kind = data.draw(st.sampled_from(["vertex", "edge", "level", "inside", "inside-level"]))
+    (x1, y1), (x2, y2) = poly[j], poly[(j + 1) % n]
+    if kind == "edge":
+        return ts.SurfacePoint(p, x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+    if kind == "inside":
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        x, y = (sum((w * v[i] for w, v in zip(weights, poly)), Fraction(0)) / sum(weights)
+                for i in (0, 1))
+        return ts.SurfacePoint(p, x, y)
+    # the edges straddling vertex j's ordinate, met at that height
+    level = [(a[0] + (y1 - a[1]) * (b[0] - a[0]) / (b[1] - a[1]), y1)
+             for a, b in zip(poly, poly[1:] + poly[:1]) if (a[1] - y1) * (b[1] - y1) < 0]
+    if kind == "vertex" or not level:
+        return ts.SurfacePoint(p, x1, y1)
+    x, y = data.draw(st.sampled_from(level))
+    if kind == "inside-level":
+        x = x1 + t * (x - x1)
+    return ts.SurfacePoint(p, x, y)
+
+
+def _reference_chain(S, point, direction, steps):
+    """Up to ``steps`` reference steps from ``point``, stopping at the first
+    that is not a crossing; an escaping ray ends the chain with the error."""
+    chain = []
+    for _ in range(steps):
+        try:
+            chain.append(_reference_flow_step(point, S, direction))
+        except InvalidSurface:
+            chain.append(None)
+            break
+        if chain[-1].kind != "crossing":
+            break
+        point = chain[-1].point
+    return chain
+
+
+@pytest.mark.parametrize("name", sorted(_FLOW_DOCS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_flow_kernel_matches_reference_flow(name, data):
+    S = _surface(data.draw(_FLOW_DOCS[name]))
+    start = _draw_point(data, S)
+    for direction in (1, -1):
+        chain = _reference_chain(S, start, direction, 6)
+        # the public one-step wrapper, step by step along the reference chain
+        point = start
+        for want in chain:
+            if want is None:
+                with pytest.raises(InvalidSurface):
+                    ts.flow_step(point, S, direction)
+                break
+            assert _typed(ts.flow_step(point, S, direction)) == _typed(want)
+            point = want.point
+        # the tracer over the whole chain
+        flow = S._flow
+        state = flow.start(start)
+        trace = flow.trace(state, back=direction < 0)
+        if chain[-1] is None:
+            with pytest.raises(InvalidSurface):
+                list(islice(trace, len(chain)))
+            continue
+        letters = list(islice(trace, len(chain)))
+        assert letters == [res.letter for res in chain if res.kind == "crossing"]
+        last = chain[-1]
+        if last.kind == "crossing":
+            assert state.end is None and _typed(state.point()) == _typed(last.point)
+        else:
+            assert state.end == last.kind and _typed(flow.hit(state)) == _typed(last.hit)
+
+
+def test_flow_step_direction_is_a_sign():
+    with pytest.raises(ValueError):
+        ts.flow_step(_SHEARED_TR.point(Fraction(1, 3)), _SHEARED, 2)
+
+
+def test_flow_kernel_rescales_for_new_denominators():
+    # start points over many denominators rescale the integer tables, and
+    # each rescaled table gives the reference step: inside the slit tori,
+    # and on the octagon's chord between its two vertices at height c, whose
+    # abscissae -c and 1 + c have sqrt parts
+    octagon = ts.load_surface(_octagon_doc(0))
+    c = QuadNum(0, Fraction(1, 2), 2)
+    for q in range(101, 101 + 2 * ts._FlowKernel._CACHE):
+        points = [(_SLIT, ts.SurfacePoint(1, Fraction(1, q),
+                                          GAMMA / q + Fraction(q - 1, 2 * q))),
+                  (octagon, ts.SurfacePoint(0, 1 + c - Fraction(1, q), c))]
+        for (S, point), direction in zip(points * 2, (1, 1, -1, -1)):
+            assert (_typed(ts.flow_step(point, S, direction))
+                    == _typed(_reference_flow_step(point, S, direction)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=1 - Fraction(1, 10 ** 4),
+                    max_denominator=10 ** 4),
+       st.one_of(st.none(), st.integers(0, 20)), st.integers(1, 20))
+def test_first_return_matches_orbit_word(tau, cut, n):
+    iet = _SLIT_TR.return_map()
+    if cut is not None:  # start on an exchange cut, where the flow meets a vertex
+        tau = iet.intervals[1 + cut % (len(iet.intervals) - 1)].lo
+    try:
+        want = iet.orbit_word(tau, n)
+    except SingularHit:
+        with pytest.raises(SingularHit):
+            ts.first_return(_SLIT_TR, tau, n)
+        return
+    got = ts.first_return(_SLIT_TR, tau, n)
+    assert _typed(got[0]) == _typed(want[0]) and got[1] == want[1]
+
+
+def _thin_edge_torus():
+    # the sheared torus with both vertical sides cut at height 10^-6; the
+    # short lower pieces form edge pair 2, which a leaf crosses only after
+    # hundreds of thousands of laps
+    doc = ts.slit_tori_doc(slit=Fraction(1, 10 ** 6))
+    doc["polygons"] = doc["polygons"][:1]
+    doc["identify"] = [[[0, 0], [0, 3]], [[0, 2], [0, 4]], [[0, 1], [0, 5]]]
+    return ts.load_surface(doc)
+
+
+def test_first_return_budget_names_its_progress():
+    tr = ts.Transversal(_thin_edge_torus(), 2)
+    with pytest.raises(BudgetExhausted) as exc:
+        ts.first_return(tr, Fraction(1, 2), 1)
+    assert exc.value.progress == {"returns": 0, "steps": 100001, "budget": 100000}
+    assert str(exc.value).endswith("0 of 1 returns after 100001 steps (budget 100000)")
+
+
+def test_backward_cut_budget_names_corner_and_crossings():
+    S = _SLIT
+    corner = S.corner_germs(-1)[0]
+    point, crossings = S.vertex_point(corner), 0
+    for _ in range(5):
+        res = _reference_flow_step(point, S, -1)
+        crossings += res.pair == _SLIT_TR.pair_index
+        point = res.point
+    with pytest.raises(BudgetExhausted) as exc:
+        ts.backward_cut_points(_SLIT_TR, 100, step_budget=5)
+    assert exc.value.progress == {"corner": corner, "crossings": crossings, "budget": 5}
+    assert str(exc.value).endswith(
+        f"from corner {corner} exceeded the step budget 5 after {crossings} of 100 crossings")
+
+
+# parent values: horizontal cylinder flag (budget 512) and saddle connections
+# (budget 64) as (kind, start class, end class, word, steps)
+_SADDLE_PINS = {
+    "octagon-gamma": (_octagon_doc(GAMMA), True,
+                      [("interior", 0, 0, "", 1)] * 3),
+    "octagon-third": (_octagon_doc(Fraction(1, 3)), True,
+                      [("interior", 0, 0, "dadadbcbcbccbcbc", 17),
+                       ("interior", 0, 0, "cbcbccbcbcbdadad", 17),
+                       ("interior", 0, 0, "bcbcb", 6)]),
+    "torus-third": (ts.sheared_torus_doc(Fraction(1, 3)), True,
+                    [("interior", 0, 0, "bb", 3)]),
+    "unit-square": (unit_square_doc(), True, [("edge", 0, 0, "", 0)] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLE_PINS))
+def test_saddle_connections_pinned(name):
+    doc, cylinders, conns = _SADDLE_PINS[name]
+    S = ts.load_surface(doc)
+    assert S.horizontal_is_cylinder_decomposition(512) is cylinders
+    got = [(c.kind, c.start_class, c.end_class, c.word, c.steps)
+           for c in ts.saddle_connections(S, 64)]
+    assert got == conns
+
+
+def _pin(value):
+    return format_exact(value), type(value).__name__
+
+
+# parent values: backward_cut_points(trans, 3), find_non_saddle_point(4096)
+# and the sha256 of return_partition(n=8) (depth, cuts, and per interval its
+# ends and word), exact values as (string, type name)
+_SEPARATRIX_PINS = {
+    "sheared-torus": (
+        [((0, 1), ("2-1*sqrt2", "QuadNum")), ((0, 1), ("3-2*sqrt2", "QuadNum")),
+         ((0, 1), ("5-3*sqrt2", "QuadNum"))],
+        (("2-1*sqrt2", "QuadNum"), 0, 4096, ()),
+        (8, "9ef09aa7ee378b10784536a54a0fa470c9615f93c97d9a59d10b31f46d20c623")),
+    "slit-tori": (
+        [((0, 1), ("3-2*sqrt2", "QuadNum")), ((0, 1), ("15-10*sqrt2", "QuadNum")),
+         ((0, 1), ("23-16*sqrt2", "QuadNum")), ((0, 2), ("6-4*sqrt2", "QuadNum")),
+         ((0, 2), ("20-14*sqrt2", "QuadNum")), ((0, 2), ("32-22*sqrt2", "QuadNum")),
+         ((1, 1), ("9-6*sqrt2", "QuadNum")), ((1, 1), ("17-12*sqrt2", "QuadNum")),
+         ((1, 1), ("29-20*sqrt2", "QuadNum")), ((1, 2), ("12-8*sqrt2", "QuadNum")),
+         ((1, 2), ("26-18*sqrt2", "QuadNum")), ((1, 2), ("34-24*sqrt2", "QuadNum"))],
+        (("3-2*sqrt2", "QuadNum"), 0, 4096, ()),
+        (32, "01774241fcf2cd70641b56c4f6768bdf91a8714a3f012c4ef91ee2616326647d")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEPARATRIX_PINS))
+def test_separatrix_results_pinned(name):
+    tr = _SHEARED_TR if name == "sheared-torus" else _SLIT_TR
+    S = tr.surface
+    cuts, non_saddle, (count, digest) = _SEPARATRIX_PINS[name]
+    assert ts.saddle_connections(S, 512) == []
+    assert S.horizontal_is_cylinder_decomposition(2048) is False
+    assert [(c, _pin(t)) for c, t in ts.backward_cut_points(tr, 3)] == cuts
+    nsc = ts.find_non_saddle_point(S, tr, 4096)
+    assert (_pin(nsc.tau), nsc.vertex_class, nsc.traced_steps, nsc.saddle_words) == non_saddle
+    part = ts.return_partition(S, tr, 8)
+    rows = [(_pin(iv.lo), _pin(iv.hi), iv.word) for iv in part.intervals]
+    text = repr((part.depth, [_pin(c) for c in part.cuts], rows))
+    assert len(part.cuts) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
