@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidSlope, PrecisionExhausted
+from .errors import CertificateViolation, InvalidSlope, PrecisionExhausted
 from .exactnum import Exact, QuadNum
 
 
@@ -220,7 +220,9 @@ class ContinuedFraction:
             _recur(self._p, self._q, (self.coefficient(len(self._p) - 2),))
 
     def convergent(self, k: int) -> Convergent:
-        """The k-th convergent p_k/q_k, from the cached table."""
+        """The k-th convergent p_k/q_k, k >= 0, from the cached table."""
+        if k < 0:
+            raise ValueError(f"convergent index must be >= 0, got {k}")
         self._grow(k)
         return Convergent(k, self._p[k + 2], self._q[k + 2])
 
@@ -239,14 +241,14 @@ class ContinuedFraction:
                     continue  # the source ends: theta == p_k/q_k or unknown
                 det = cv.p * nxt.q - nxt.p * cv.q
                 if abs(det) != 1:
-                    raise AssertionError("convergent determinant broken")
+                    raise CertificateViolation("convergent determinant broken")
                 if theta is not None:
                     err = abs(q_error(theta, cv))
                     bound = Fraction(1, nxt.q)
                     # equality holds exactly when theta is the next convergent
                     # (the last one of a finite fraction)
                     if not (err < bound or err == bound and theta == nxt.value):
-                        raise AssertionError(
+                        raise CertificateViolation(
                             f"approximation inequality failed at k={cv.k}")
         return out
 

@@ -40,6 +40,10 @@ class ClearanceViolated(LaminathError):
     code = "clearance-violated"
 
 
+class CertificateViolation(LaminathError):
+    code = "certificate-violation"  # a certificate's exact self-check failed
+
+
 class InvalidGrowthFunction(LaminathError):
     code = "invalid-growth-function"
 

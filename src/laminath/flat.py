@@ -19,7 +19,8 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from .cf import ContinuedFraction
-from .errors import (ClearanceViolated, InvalidGrowthFunction, SingularHit)
+from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
+                     SingularHit)
 from .exactnum import Exact, QuadNum, exact_floor, format_exact, frac_part, parse_exact
 
 Number = Union[int, Fraction, QuadNum]
@@ -153,67 +154,128 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # 1940; Lothaire, Algebraic Combinatorics on Words, ch. 2).  Block j counts
 # the horizontal grid lines the line y = theta x + s crosses for x in
 # (j, j+1); its letters are b^block a.
-
-# from about this many blocks on, numpy's per-call overhead pays for itself
-_VECTOR_MIN_BLOCKS = 256
-_FLOAT_EXACT_LIMIT = 2 ** 52
+#
+# The kernel copies windows of q blocks, p/q the last convergent of theta
+# with q <= J + 1.  With x = m theta + s, n0 = floor(x) and
+# r = floor(q x) - q n0, floor(x + i theta) = n0 + floor((r + i p)/q) for
+# every i = 0..q but at most one: |i (q theta - p)| < q/q' <= 1 (q' the
+# next convergent denominator), so only the residue r + i p = q - 1
+# (theta > p/q) or 0 (theta < p/q) mod q can cross an integer, and it comes
+# up at exactly one i* in 1..q.  So a window is a slice of the doubled
+# period word of p/q from block j0 = r/p mod q, which is letter
+# j0 + floor(j0 p/q), and one exact floor at i* decides whether one "ab"
+# turns into "ba" (one 'b' more or less at the window's end when i* = q).
+# Three exact floors per window in all.
 
 
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     """Integers (E, F, S, G, d, C), C > 0, with
     j theta + s = (E j + S + (F j + G) sqrt(d)) / C."""
-    th, sh = QuadNum(0) + theta_val, QuadNum(0) + s
-    parts = (th.a, th.b, sh.a, sh.b)
+    th = theta_val if isinstance(theta_val, QuadNum) else QuadNum(theta_val)
+    *parts, d = th._align(s)  # raises on mixed fields
     C = math.lcm(*(x.denominator for x in parts))
-    E, F, S, G = (int(x * C) for x in parts)
-    return E, F, S, G, (th + sh).d, C  # the sum raises on mixed fields
+    E, F, S, G = (x.numerator * (C // x.denominator) for x in parts)
+    return E, F, S, G, d, C
+
+
+def _floor(A: int, B: int, d: int, C: int) -> int:
+    """floor((A + B sqrt(d)) / C), C > 0."""
+    t = B * B * d
+    root = math.isqrt(t)
+    if B < 0:
+        root = -root - (root * root != t)
+    return (A + root) // C
+
+
+def _quotients(E: int, F: int, d: int, C: int):
+    """Partial quotients of (E + F sqrt(d)) / C: Euclid's algorithm when
+    F = 0, else the endless (P + sqrt(D)) / Q recurrence, D not a square."""
+    if not F:
+        while C:
+            yield E // C
+            E, C = C, E % C
+        return
+    D = F * F * d * C * C
+    P, Q = (E * C, C * C) if F > 0 else (-E * C, -C * C)
+    root = math.isqrt(D)
+    while True:
+        a = (P + root + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def _period_word(quotients: list[int]) -> str:
+    """Letters of the blocks floor((t+1) P/Q) - floor(t P/Q), t < Q, for
+    P/Q = [c; a_1, ..., a_k] given by its partial quotients.
+
+    Q/(P+Q) = [0; c+1, a_1, ..., a_k], and its standard word (s_1 = b^c a,
+    s_0 = b, s_k = s_{k-1}^{a_k} s_{k-2}; Lothaire ch. 2) is this word up to
+    the last two letters, which are "ba"."""
+    prev, word = "b", "b" * quotients[0] + "a"
+    for a in quotients[1:]:
+        prev, word = word, word * a + prev
+    return word[:-2] + "ba" if len(quotients) > 1 else word
+
+
+def _window_word(E, F, S, G, d, C, J: int, lift: bool,
+                 q_max: Optional[int] = None) -> tuple[str, int]:
+    """(letters, c): the letters of blocks 0..J-1 of
+    x_j = (E j + S + (F j + G) sqrt(d)) / C, and c = floor((E + F sqrt(d)) / C).
+
+    Unless ``lift`` (which needs c >= 0), every block drops c b's, leaving
+    blocks 0 and 1.  ``q_max`` caps the window length (default J + 1)."""
+    limit = max(J, 0) + 1 if q_max is None else q_max
+    quotients, sign = [], 0
+    p0, q0, p, q = 0, 1, 1, 0
+    for a in _quotients(E, F, d, C):
+        if a * q + q0 > limit:
+            sign = 1 if len(quotients) % 2 else -1  # even index: below theta
+            break
+        quotients.append(a)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+    c = quotients[0]
+    shift = 0 if lift else c
+    quotients[0] -= shift
+    P = p - shift * q
+    period = _period_word(quotients) * 2
+    inv = pow(p, -1, q)
+    target = q - 1 if sign > 0 else 0
+    pieces = []
+    A, B = S, G
+    for _ in range(-(-J // q)):
+        n0 = _floor(A, B, d, C)
+        r = _floor(q * A, q * B, d, C) - q * n0
+        j0 = r * inv % q
+        start = j0 + j0 * P // q
+        end = start + P + q
+        i = (target - r) * inv % q or q
+        k = (r + i * p) // q
+        miss = sign and _floor(A + i * E, B + i * F, d, C) - n0 - k
+        if miss not in (0, sign):
+            raise CertificateViolation(f"window floor off by {miss} at j={i}")
+        e = start + i - 1 + k - shift * i  # the 'a' closing block i - 1
+        if miss > 0:
+            pieces += [period[start:e], "ba", period[e + 2:end]]
+        elif miss < 0:
+            pieces += [period[start:e - 1], "ab" if i < q else "a", period[e + 1:end]]
+        else:
+            pieces.append(period[start:end])
+        A += q * E
+        B += q * F
+    n = J + _floor(S + J * E, G + J * F, d, C) - _floor(S, G, d, C) - shift * J
+    return "".join(pieces)[:n], c
 
 
 def floor_blocks(E: int, F: int, S: int, G: int, d: int, C: int, J: int) -> list[int]:
     """Blocks floor(x_{j+1}) - floor(x_j), j = 0..J-1, of
-    x_j = (E j + S + (F j + G) sqrt(d)) / C, with square-free d and C > 0.
-
-    Long runs whose terms fit float and int64 arithmetic are vectorised;
-    numpy is imported on the first such run."""
-    b_hi = max(abs(G), abs(F * J + G))
-    if (J >= _VECTOR_MIN_BLOCKS and b_hi * b_hi * d < _FLOAT_EXACT_LIMIT
-            and max(abs(S), abs(E * J + S), C) < 2 ** 62):
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover
-            pass
-        else:
-            return _blocks_numpy(numpy, E, F, S, G, d, C, J)
-    return _blocks_python(E, F, S, G, d, C, J)
-
-
-def _blocks_numpy(np, E, F, S, G, d, C, J) -> list[int]:
-    j = np.arange(J + 1, dtype=np.int64)
-    A = E * j + S
-    B = F * j + G
-    t = B * B * d
-    root = np.floor(np.sqrt(t.astype(np.float64))).astype(np.int64)
-    # repair floating error exactly
-    for _ in range(2):
-        root = np.where((root + 1) * (root + 1) <= t, root + 1, root)
-        root = np.where(root * root > t, root - 1, root)
-    if not bool(((root * root <= t) & ((root + 1) * (root + 1) > t)).all()):
-        raise AssertionError("integer square root repair failed")
-    # floor(B sqrt(d)) for B < 0 is -ceil(|B| sqrt(d))
-    root = np.where(B < 0, -root - (root * root != t), root)
-    return np.diff((A + root) // C).tolist()
-
-
-def _blocks_python(E, F, S, G, d, C, J) -> list[int]:
-    floors = []
-    for j in range(J + 1):
-        B = F * j + G
-        t = B * B * d
-        root = math.isqrt(t)
-        if B < 0:
-            root = -root - (root * root != t)
-        floors.append((E * j + S + root) // C)
-    return [y - x for x, y in zip(floors, floors[1:])]
+    x_j = (E j + S + (F j + G) sqrt(d)) / C, with square-free d and C > 0,
+    read off the window kernel's letters one byte per block."""
+    letters, c = _window_word(E, F, S, G, d, C, J, lift=False)
+    base = c if 0 <= c < 255 else 0  # block values as bytes where they fit
+    blocks = list(letters.encode().replace(b"ba", b"\x01")
+                  .translate(bytes.maketrans(b"a\x01", bytes((base, base + 1)))))
+    return blocks if base == c else list(map(c.__add__, blocks))
 
 
 def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
@@ -272,17 +334,22 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     """(letters, hit): the first ``num_letters`` letters of the line from
     (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
     lattice point (m, n) the line meets within them, or None."""
-    lo = theta.value()
-    if lo is None:
-        lo = theta.floor_part()  # an opaque slope exceeds c0
     # J blocks hold J + floor(J theta + s) - floor(s) > J (1 + theta) - 1
     # letters, so J > num_letters / (1 + theta) blocks suffice
-    J = max(0, exact_floor(Fraction(num_letters) / (1 + lo)) + 1)
-    blocks, hit = sturmian_blocks(theta, s, J)
+    theta_val = theta.value()
+    if theta_val is None:
+        J = num_letters // (1 + theta.floor_part()) + 1  # an opaque slope exceeds c0
+        letters, hit = "".join(["b" * n + "a" for n in _enclosure_blocks(theta, s, J)]), None
+    else:
+        E, F, S, G, d, C = _integer_form(theta_val, s)
+        # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
+        A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
+        J = (_floor(A, B, d, den) if den > 0 else _floor(-A, -B, d, -den)) + 1
+        letters, hit = _window_word(E, F, S, G, d, C, J, lift=True)[0], _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
         hit = None
-    return "".join(["b" * n + "a" for n in blocks])[:num_letters], hit
+    return letters[:num_letters], hit
 
 
 def _singular(hit) -> SingularHit:
@@ -396,7 +463,7 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
         heights = [h + QuadNum(0, s.b, s.d) for h in heights]
     for l, (f, g) in enumerate(zip(f_theta, f_rat)):
         if f != g and l != l0:
-            raise AssertionError(f"integer parts split at l={l}")
+            raise CertificateViolation(f"integer parts split at l={l}")
     agreements = [(l, f) for l, f in enumerate(f_theta) if l != l0]
     return ClearanceCertificate(k, l0, tuple(heights), tuple(agreements))
 

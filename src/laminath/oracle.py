@@ -9,9 +9,10 @@ rotation of the convergent word), the other is that every convergent word
 extends to a leaf word.  Verdicts record the levels used; "depth
 insufficient" is an explicit outcome, never a verdict.
 
-An independent sampling oracle searches long leaf-word prefixes generated by
-exact integer floor arithmetic (sums floor(j*theta + s) with isqrt), which is
-fast enough for 10^5-letter prefixes from 100 start heights.
+An independent sampling oracle searches long leaf-word prefixes from many
+start heights.  The prefixes come from the window kernel in ``flat``: copies
+of a convergent's period word, each placed and corrected by a few exact
+floors, at tens of millions of letters per second.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 from . import flat
 from .cf import ContinuedFraction
-from .errors import DepthInsufficient
+from .errors import CertificateViolation, DepthInsufficient
 from .words import BlockWord, simple_word
 
 
@@ -126,7 +127,7 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
             cv1 = theta.convergent(l0 + 1)
             hay1, _ = _periodic_haystack(Fraction(cv1.p, cv1.q), len(search))
             if search in hay1:
-                raise AssertionError(
+                raise CertificateViolation(
                     "level disagreement; window threshold violated")
             levels.append(l0 + 1)
         return AdmissibilityCertificate("inadmissible", letters, tuple(levels),
@@ -155,7 +156,7 @@ def _find_witness(search: str, letters: str, aligned: bool,
             if pos >= 0:
                 return s, pos + (1 if aligned else 0)
         budget *= 2
-    raise AssertionError("admissible word not found in sampled leaf words")
+    raise CertificateViolation("admissible word not found in sampled leaf words")
 
 
 def factor_count(theta: ContinuedFraction, m: int, k_max: int = 24) -> int:

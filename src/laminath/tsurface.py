@@ -38,8 +38,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
 
-from .errors import (BudgetExhausted, CylinderDecomposition, InvalidSurface,
-                     SingularHit)
+from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
+                     InvalidSurface, SingularHit)
 from .exactnum import Exact, QuadNum, format_exact, parse_exact
 
 Number = Union[int, Fraction, QuadNum]
@@ -712,7 +712,7 @@ class _IETKernel:
                    self.encode(ivs[i].hi + ivs[i].shift)) for i in order]
         cuts = [lo for lo, _ in images]
         if cuts + [one] != [(0, 0)] + [hi for _, hi in images]:
-            raise AssertionError("return-map images do not tile the edge")
+            raise CertificateViolation("return-map images do not tile the edge")
         self.forward = self._table([self.encode(iv.lo) for iv in ivs] + [one], moves)
         self.backward = self._table(cuts + [one], [(i, -moves[i][1], -moves[i][2])
                                                    for i in order])
@@ -794,8 +794,8 @@ class ReturnMapIET:
             probe = lo + (hi - lo) * Fraction(1, 3)
             t2, w2 = first_return(trans, probe, 1)
             if w1 != w2 or t1 - mid != t2 - probe:
-                raise AssertionError("return word not constant on an interval; "
-                                     "cut enumeration incomplete")
+                raise CertificateViolation("return word not constant on an interval; "
+                                           "cut enumeration incomplete")
             intervals.append(ExchangeInterval(lo, hi, t1 - mid, w1))
         self.intervals = intervals
         self._fast = _IETKernel(self)
@@ -1160,13 +1160,13 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
         raise BudgetExhausted(f"no admissible return depth within {return_budget}")
     tau_n = kernel.value(state)
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
-        raise AssertionError("return point lies within |PQ|/3 of its interval's ends")
+        raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 
     ivR = iet.locate(R)
     if not (ivR.lo == I2.lo and ivR.hi == I2.hi):
-        raise AssertionError("R does not lie in the neighboring interval")
+        raise CertificateViolation("R does not lie in the neighboring interval")
     if ivR.word == I.word:
-        raise AssertionError("the neighboring interval repeats the word of I")
+        raise CertificateViolation("the neighboring interval repeats the word of I")
 
     window = kernel.encode(q_lo), kernel.encode(q_hi)
     state2 = kernel.start(R)
@@ -1187,15 +1187,15 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     word = piece1 + piece2
     factor = piece1[len(words[word_idx[0]]):] + words[tail_idx[0]] + e
     if words[tail_idx[0]] != ivR.word:
-        raise AssertionError("closing flight does not start in R's interval")
+        raise CertificateViolation("closing flight does not start in R's interval")
     if factor not in word:
-        raise AssertionError("inadmissible factor missing from the loop word")
+        raise CertificateViolation("inadmissible factor missing from the loop word")
 
     ey = trans.height
     measure = (abs(tau_n - R) + abs(tau_s - Q)) * ey
     constant = 3 * ey
     if not measure < constant * two_k:
-        raise AssertionError("loop measure exceeds its structural bound")
+        raise CertificateViolation("loop measure exceeds its structural bound")
 
     events = (
         ("leaf", trans.point(Q), trans.point(tau_n), n),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .cf import ContinuedFraction, Convergent, q_error
-from .errors import InvalidSlope, NotBlockShaped, ParityMismatch
+from .errors import CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch
 from .exactnum import Exact
 from . import flat
 
@@ -51,7 +51,9 @@ class BlockWord:
 
     def letters(self) -> LetterWord:
         run, mark = ("b", "a") if self.orientation == "ba" else ("a", "b")
-        return "".join(run * m + mark for m in self.blocks)
+        n = self.base
+        return "".join(map({n: run * n + mark, n + 1: run * n + run + mark}.__getitem__,
+                           self.blocks))
 
     @property
     def letter_count(self) -> int:
@@ -136,7 +138,7 @@ def simple_word(r, l1: int = 1) -> BlockWord:
         raise InvalidSlope(f"start index must be in 1..{s + t}")
     blocks = flat.floor_blocks(p, 0, q - l1, 0, 2, q, q)
     if len(blocks) != q or sum(blocks) != p:
-        raise AssertionError("simple word breaks the block counts")
+        raise CertificateViolation("simple word breaks the block counts")
     return BlockWord(n, tuple(blocks))
 
 
@@ -178,7 +180,7 @@ def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     out = BlockWord(w.base, blocks)
     edge = w.base if k % 2 == 0 else w.base + 1
     if not out.blocks[0] == edge == out.blocks[-1]:
-        raise AssertionError("flipped word does not start and end on the edge block")
+        raise CertificateViolation("flipped word does not start and end on the edge block")
     return out
 
 
@@ -206,7 +208,7 @@ class SegmentCertificate:
 
     def __post_init__(self):
         if not self.measure <= self.bound:
-            raise AssertionError("certificate bound violated")
+            raise CertificateViolation("certificate bound violated")
 
     @property
     def start_height(self) -> Fraction:
@@ -244,7 +246,7 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     r = Fraction(p, q)
     B = len(word.blocks)
     if not word.letter_count <= 2 * (p + q):
-        raise AssertionError("segment word exceeds 2(p_k + q_k) letters")
+        raise CertificateViolation("segment word exceeds 2(p_k + q_k) letters")
 
     even = k % 2 == 0
     h0 = Fraction(1, 2 * q) if even else 1 - Fraction(1, 2 * q)
@@ -257,7 +259,7 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     path = flat.FlatPath([v0, v1, v2, v3], ["start", "leaf", "hop", "leaf"])
     # closes up on the torus: total rise is an integer over B cells
     if (v3.y - h0).denominator != 1:
-        raise AssertionError("segment representative does not close up")
+        raise CertificateViolation("segment representative does not close up")
 
     measure = flat.transverse_measure(path, theta_val)
     bound = 3 * abs(q_error(theta_val, cv)) + Fraction(2, q)

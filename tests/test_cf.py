@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laminath import flat
 from laminath.cf import ContinuedFraction, compare, convergents, floor_part, q_error
 from laminath.errors import InvalidSlope, PrecisionExhausted
 from laminath.exactnum import QuadNum
@@ -153,3 +154,12 @@ def test_finite_convergents_verify(coeffs):
     cvs = theta.convergents(n)
     if n >= 1:
         assert abs(q_error(theta.value(), cvs[n - 1])) == Fraction(1, cvs[n].q)
+
+
+def test_negative_convergent_index_raises():
+    theta = ContinuedFraction.sqrt2()
+    for k in (-1, -2):
+        with pytest.raises(ValueError):
+            theta.convergent(k)
+    with pytest.raises(ValueError):
+        flat.homotopy_clearance(Fraction(1, 4), theta, -1)

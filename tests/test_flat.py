@@ -162,22 +162,74 @@ def test_oracle_streams_are_floor_differences(theta, data):
     assert oracle.leaf_letter_stream(theta, s, n) == letters[:n]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-20, max_value=20),
-       st.integers(min_value=-900, max_value=900), st.integers(min_value=-900, max_value=900),
+def _blocks_python(E, F, S, G, d, C, J):
+    """The reference block kernel: one exact isqrt floor per block."""
+    floors = []
+    for j in range(J + 1):
+        B = F * j + G
+        t = B * B * d
+        root = math.isqrt(t)
+        if B < 0:
+            root = -root - (root * root != t)
+        floors.append((E * j + S + root) // C)
+    return [y - x for x, y in zip(floors, floors[1:])]
+
+
+def _window_blocks(E, F, S, G, d, C, J, q_max):
+    """Blocks of the window kernel with its window length capped at q_max."""
+    letters, c = flat._window_word(E, F, S, G, d, C, J, lift=False, q_max=q_max)
+    return [len(run) + c for run in letters[:-1].split("a")] if J else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-60, max_value=60),
+       st.one_of(st.just(0), st.integers(min_value=-20, max_value=20)),
+       st.integers(min_value=-900, max_value=900),
+       st.one_of(st.just(0), st.integers(min_value=-900, max_value=900)),
        st.sampled_from([2, 3, 5, 7, 13]), st.integers(min_value=1, max_value=60),
-       st.integers(min_value=0, max_value=300))
-def test_vectorised_blocks_match_python(E, F, S, G, d, C, J):
-    np = pytest.importorskip("numpy")
-    assert (flat._blocks_numpy(np, E, F, S, G, d, C, J)
-            == flat._blocks_python(E, F, S, G, d, C, J))
+       st.integers(min_value=0, max_value=300),
+       st.sampled_from([None, 1, 2, 3, 5, 30]))
+def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
+    # any sign of E and F, slopes below 1, rational slopes (F = 0: no defect
+    # once q reaches the denominator), and short windows (q_max = 2: a
+    # defect in most windows)
+    ref = _blocks_python(E, F, S, G, d, C, J)
+    assert flat.floor_blocks(E, F, S, G, d, C, J) == ref
+    assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
+    if E + F * QuadNum(0, 1, d) >= 0:
+        letters = flat._window_word(E, F, S, G, d, C, J, lift=True, q_max=q_max)[0]
+        assert letters == "".join("b" * n + "a" for n in ref)
 
 
-def test_long_stream_takes_the_vectorised_path():
-    num_blocks = 2 * flat._VECTOR_MIN_BLOCKS
-    E, F, S, G, d, C = flat._integer_form(SQRT2.value(), Fraction(1, 4))
-    assert (flat.sturmian_blocks(SQRT2, Fraction(1, 4), num_blocks)[0]
-            == flat._blocks_python(E, F, S, G, d, C, num_blocks))
+def test_window_blocks_short_lengths_and_steep_slopes():
+    # blocks of 255 and more do not fit the byte-per-block read-out
+    for form in ((7, 5, 3, 2, 2, 9), (-7, 0, 3, 0, 2, 5), (0, -3, 11, 4, 5, 7),
+                 (1000, 1, 3, 2, 2, 3), (-1000, -1, 3, 2, 2, 3)):
+        for J in (0, 1, 40):
+            assert flat.floor_blocks(*form, J) == _blocks_python(*form, J)
+    assert flat.sturmian_letters(SQRT2, Fraction(1, 4), 0) == ("", None)
+    assert flat.sturmian_letters(SQRT2, Fraction(1, 4), 1)[0] == "b"
+
+
+@pytest.mark.parametrize("s, q_max, p", [
+    (Fraction(1, 10), 2, 3),    # 3/2 > sqrt2, r = 0: one 'b' dropped at i* = q
+    (Fraction(19, 20), 5, 7),   # 7/5 < sqrt2, r = q - 1: one 'b' added at i* = q
+    (Fraction(7, 10), 1, 1),    # 1/1, q = 1: every window ends on i* = q
+])
+def test_window_defect_at_the_window_end(s, q_max, p):
+    E, F, S, G, d, C = flat._integer_form(SQRT2.value(), s)
+    for J in (1, q_max, 3 * q_max + 1, 50):
+        ref = _blocks_python(E, F, S, G, d, C, J)
+        assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
+    # the first window really carries the defect: its q blocks do not sum to p
+    assert sum(_blocks_python(E, F, S, G, d, C, q_max)) != p
+
+
+def test_long_stream_matches_reference():
+    s = Fraction(267711, 1_000_003)
+    E, F, S, G, d, C = flat._integer_form(SQRT2.value(), s)
+    letters = "".join("b" * n + "a" for n in _blocks_python(E, F, S, G, d, C, 42_000))
+    assert oracle.leaf_letter_stream(SQRT2, s, 100_000) == letters[:100_000]
 
 
 # -- transverse measure -----------------------------------------------------------

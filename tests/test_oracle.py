@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
 from laminath.errors import DepthInsufficient
+from laminath.exactnum import exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
@@ -169,12 +170,12 @@ def test_stream_matches_cutting_sequence():
                     == flat.cutting_sequence(s, theta, 400))
 
 
-def test_stream_python_fallback_agrees():
-    E, F, S_, G, d, C = flat._integer_form(SQRT2.value(), Fraction(1, 4))
-    a = flat._blocks_python(E, F, S_, G, d, C, 200)
-    np = pytest.importorskip("numpy")
-    b = flat._blocks_numpy(np, E, F, S_, G, d, C, 200)
-    assert a == list(b)
+def test_block_stream_matches_exact_floors():
+    s = Fraction(267711, 1_000_003)
+    val = SQRT2.value()
+    floors = [exact_floor(j * val + s) for j in range(201)]
+    assert (oracle.leaf_block_stream(SQRT2, s, 200)
+            == [y - x for x, y in zip(floors, floors[1:])])
 
 
 def test_opaque_source_streams_and_verdicts():

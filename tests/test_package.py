@@ -5,15 +5,19 @@ import subprocess
 import sys
 
 import laminath
+from laminath.errors import EXHAUSTION_ERRORS, CertificateViolation
 
 PACKAGE = pathlib.Path(laminath.__file__).resolve().parent
 
 
 def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, laminath; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+    code = ("import sys; from fractions import Fraction; from laminath import oracle; "
+            "from laminath.cf import ContinuedFraction; "
+            "oracle.leaf_letter_stream(ContinuedFraction.sqrt2(), Fraction(1, 3), 10 ** 5); "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -23,6 +27,17 @@ def test_no_bare_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: bare assert at lines {lines}"
+
+
+def test_no_assertion_errors_raised():
+    # failed certificate checks raise CertificateViolation (CLI exit 2)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                 and "AssertionError" in ast.unparse(node.exc or ast.Constant(None))]
+        assert not lines, f"{path.name}: AssertionError raised at lines {lines}"
+    assert CertificateViolation.code == "certificate-violation"
+    assert not issubclass(CertificateViolation, EXHAUSTION_ERRORS)
 
 
 def test_surface_kernel_has_no_float():
