@@ -176,11 +176,6 @@ class ContinuedFraction:
 
     # -- exact value -----------------------------------------------------------
 
-    @property
-    def field_descriptor(self) -> Optional[int]:
-        v = self.value()
-        return v.d if isinstance(v, QuadNum) and v.b != 0 else None
-
     def value(self) -> Optional[Exact]:
         """Exact value: Fraction when finite, QuadNum when eventually periodic,
         None for opaque sources."""

@@ -17,23 +17,30 @@ drives everything here: level-set partitions, short inadmissible loops of
 exponentially small measure, and their concatenation into finite-measure
 words no leaf word ever contains in its tail.
 
+Each separatrix is flowed once.  The backward ones are flowed to their first
+transversal crossing as the exchange is built; the exchange keeps those
+pairs and owns one cut table (their backward orbits), which every level-set
+partition and loop certificate reads.  The forward ones are flowed by
+``saddle_connections``, and the cylinder check is read off its result.
+
 Exactness policy: all states and certificates are exact field elements, and
 no branch rests on floating point.  Every loop runs on one of two integer
 kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
 whose every branch is an exact integer sign test: the flow kernel behind
-first returns, backward separatrices, saddle connections and the cylinder
-check, and the exchange kernel behind leaf streams, loop flights, the cut
-table and the non-saddle search.  Only geometry validation and the
-per-point APIs (``flow_step``, ``Transversal.point``/``param``,
-``ReturnMapIET.locate``/``step``/``orbit_word``) use Fraction/QuadNum
-arithmetic, and results leaving a kernel loop are decoded to the field
-elements, of the types, that arithmetic would give.
+first returns and the separatrices, and the exchange kernel behind leaf
+streams, loop flights, the cut table and the non-saddle search.  Only
+geometry validation and the per-point APIs (``flow_step``,
+``Transversal.point``/``param``, ``ReturnMapIET.locate``/``step``/
+``orbit_word``) use Fraction/QuadNum arithmetic, and results leaving a
+kernel loop are decoded to the field elements, of the types, that
+arithmetic would give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
@@ -280,29 +287,11 @@ class TranslationSurface:
     def horizontal_is_cylinder_decomposition(self, budget: int = 2048) -> bool:
         """True when every horizontal separatrix terminates at a vertex within
         the budget; cutting along them then leaves only cylinders."""
-        cached = getattr(self, "_cyl_cache", None)
-        if cached is not None and cached[1] >= budget:
-            return cached[0]
-        flag = True
-        for corner in self.corner_germs(+1):
-            st = self._flow.start(self.vertex_point(corner))
-            for _ in islice(self._flow.trace(st), budget):
-                pass
-            if st.end != "singular":
-                flag = False
-                break
-        self._cyl_cache = (flag, budget)
-        return flag
+        return _connects_every_germ(self, saddle_connections(self, budget))
 
     def to_json(self) -> dict:
-        fieldname = None
-        for poly in self.polygons:
-            for x, y in poly:
-                for c in (x, y):
-                    if isinstance(c, QuadNum) and c.b != 0:
-                        fieldname = f"sqrt{c.d}"
         return {
-            "field": fieldname,
+            "field": self._flow.d and f"sqrt{self._flow.d}",
             "polygons": [[[format_exact(x), format_exact(y)] for x, y in poly]
                          for poly in self.polygons],
             "identify": [[list(sa), list(sb)] for sa, sb in self.pairs],
@@ -702,8 +691,7 @@ class _IETKernel:
     def __init__(self, iet: "ReturnMapIET", den: int = 1):
         ivs = iet.intervals
         vals = [x for iv in ivs for x in (iv.lo, iv.hi, iv.shift)]
-        surds = [x for x in vals if isinstance(x, QuadNum) and x.b != 0]
-        self.d = surds[0].d if surds else 2
+        self.d = _surd(vals) or 2
         self.D = math.lcm(den, *(_den_of(x) for x in vals))
         one = (self.D, 0)
         moves = [(i, *self.encode(iv.shift)) for i, iv in enumerate(ivs)]
@@ -775,20 +763,19 @@ class ReturnMapIET:
     an interval exchange with per-interval return words.
 
     Construction traces the backward separatrices of every singularity to the
-    transversal (their first crossings are exactly the discontinuities),
-    probes each interval twice to read off the translation and word, and
-    verifies (in the kernel's backward table) that the interval images
-    tile the edge.
+    transversal (their first crossings, kept as (corner, parameter) pairs in
+    ``first_cuts``, are exactly the discontinuities; ``cut_table`` holds their
+    backward orbits), probes each interval twice to read off the translation
+    and word, and verifies (in the kernel's backward table) that the
+    interval images tile the edge.
     """
 
     def __init__(self, trans: Transversal):
         self.trans = trans
-        cuts = {t for _, t in backward_cut_points(trans, depth=1)}
-        pts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+        self.first_cuts = backward_cut_points(trans, depth=1)
+        pts = [Fraction(0)] + sorted({t for _, t in self.first_cuts}) + [Fraction(1)]
         intervals = []
         for lo, hi in zip(pts, pts[1:]):
-            if not lo < hi:
-                continue
             mid = (lo + hi) / 2
             t1, w1 = first_return(trans, mid, 1)
             probe = lo + (hi - lo) * Fraction(1, 3)
@@ -803,6 +790,11 @@ class ReturnMapIET:
     @property
     def arrival_letter(self) -> str:
         return self.trans.arrival_letter
+
+    @cached_property
+    def cut_table(self) -> "_CutTable":
+        """The one cut table, read by every partition and loop on this map."""
+        return _CutTable(self)
 
     def fast(self, den: int = 1) -> _IETKernel:
         """The exact kernel, with a table denominator divisible by ``den``."""
@@ -897,10 +889,6 @@ class PartitionInterval:
     def length(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
 
 @dataclass
 class ReturnPartition:
@@ -916,30 +904,26 @@ class ReturnPartition:
 def return_partition(surface, trans, n: int, words: bool = True) -> ReturnPartition:
     """Level-set partition of the transversal for the n-step return word.
 
-    Interval endpoints are the backward vertex orbits up to depth n; each
-    open interval carries the constant word of its n-step return, read at the
-    midpoint when ``words`` is set.
+    Interval endpoints are the backward vertex orbits up to depth n, read
+    from the exchange's cut table; each open interval carries the constant
+    word of its n-step return, read at the midpoint when ``words`` is set.
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    cuts = sorted({t for _, t in backward_cut_points(trans, n)})
+    iet = trans.return_map()
+    cuts = iet.cut_table.cuts(n)
     pts = [Fraction(0)] + cuts + [Fraction(1)]
-    iet = trans.return_map() if words else None
-    intervals = []
-    for lo, hi in zip(pts, pts[1:]):
-        if not lo < hi:
-            continue
-        word = None
-        if words:
-            _, word = iet.orbit_word((lo + hi) / 2, n)
-        intervals.append(PartitionInterval(lo, hi, word))
+    intervals = [PartitionInterval(lo, hi, iet.orbit_word((lo + hi) / 2, n)[1]
+                                   if words else None)
+                 for lo, hi in zip(pts, pts[1:])]
     return ReturnPartition(n, cuts, intervals)
 
 
 class _CutTable:
-    """Backward orbits of the depth-1 cuts under the inverse exchange, as
-    kernel pairs kept sorted as they are born; answers max-gap queries per
-    depth, memoised."""
+    """Backward orbits of the depth-1 cuts under the inverse exchange (a
+    strand dies where its separatrix meets a vertex), as kernel pairs kept
+    sorted with their birth depths; answers cut and max-gap queries per
+    depth, the gaps memoised."""
 
     def __init__(self, iet: ReturnMapIET):
         self.kernel = iet.fast()
@@ -949,7 +933,7 @@ class _CutTable:
         self.strands = [(p, self.kernel.orbit(p, back=True))
                         for p in map(list, bounds[1:-1])]
         self.depth = 1
-        # a gap keeps the type QuadNum arithmetic on the cuts would give it
+        # cuts and gaps keep the type QuadNum arithmetic would give them
         self.quad = any(isinstance(x, QuadNum)
                         for iv in iet.intervals for x in (iv.lo, iv.shift))
         self._gaps = {}
@@ -961,6 +945,19 @@ class _CutTable:
             self._grow(depth)
             self._gaps[depth] = self._max_gap(depth)
         return self._gaps[depth]
+
+    def cuts(self, depth: int) -> list:
+        """The sorted cuts of depth 1..``depth``, typed as QuadNum arithmetic
+        on the exchange gives them.  No cut born at ``depth`` >= 1 means every
+        backward separatrix ended sooner: CylinderDecomposition."""
+        self._grow(depth)
+        if depth and depth not in self.births:
+            raise CylinderDecomposition("every backward separatrix is a saddle connection")
+        return [self._value(p) for p, born in zip(self.points, self.births)
+                if 0 < born <= depth]
+
+    def _value(self, pair):
+        return _field(pair, self.kernel.D, self.kernel.d, self.quad)
 
     def _grow(self, depth: int):
         d = self.kernel.d
@@ -991,10 +988,7 @@ class _CutTable:
                 if best is None or _pair_sign(gu - best[0], gv - best[1], d) > 0:
                     best = (gu, gv)
             prev = (u, v)
-        if self.quad:
-            D = self.kernel.D
-            return QuadNum(Fraction(best[0], D), Fraction(best[1], D), d)
-        return self.kernel.value(best)
+        return self._value(best)
 
 
 # -- saddle connections --------------------------------------------------------------
@@ -1011,13 +1005,9 @@ class SaddleConnection:
 def saddle_connections(surface: TranslationSurface, max_steps: int = 4096):
     """Horizontal separatrices terminating at a vertex within the budget,
     with crossing words; horizontal inner edges are edge connections."""
-    out = []
-    for slot in surface.horizontal_edges():
-        p, k = slot
-        n = len(surface.polygons[p])
-        out.append(SaddleConnection("edge", surface.corner_class[(p, k)],
-                                    surface.corner_class[(p, (k + 1) % n)],
-                                    "", 0))
+    out = [SaddleConnection("edge", surface.corner_class[p, k],
+                            surface.corner_class[p, (k + 1) % len(surface.polygons[p])], "", 0)
+           for p, k in surface.horizontal_edges()]
     flow = surface._flow
     for corner in surface.corner_germs(+1):
         st = flow.start(surface.vertex_point(corner))
@@ -1028,6 +1018,12 @@ def saddle_connections(surface: TranslationSurface, max_steps: int = 4096):
                 surface.corner_class[st.last[:2]], "".join(letters),
                 len(letters) + 1))
     return out
+
+
+def _connects_every_germ(surface, conns) -> bool:
+    """Whether ``conns`` holds an interior connection from every forward
+    germ (``saddle_connections`` finds at most one per germ)."""
+    return sum(c.kind == "interior" for c in conns) == len(surface.corner_germs(+1))
 
 
 @dataclass(frozen=True)
@@ -1042,14 +1038,17 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
     """A depth-1 cut point whose incoming leaf, traced backward, crosses the
     transversal ``budget`` more times without meeting a vertex (hence lies on
     no saddle connection of that depth).  The saddle connections found below
-    the budget are attached as a cross-check."""
+    the budget are attached as a cross-check; one forward pass decides them
+    and the cylinder check."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    if surface.horizontal_is_cylinder_decomposition(512):
+    conns = saddle_connections(surface, 512)
+    if _connects_every_germ(surface, conns):
         raise CylinderDecomposition("horizontal direction is periodic")
-    saddles = tuple(sc.word for sc in saddle_connections(surface, min(budget, 512)))
+    # a connection of s steps is found by every step budget of at least s
+    saddles = tuple(sc.word for sc in conns if sc.steps <= min(budget, 512))
     iet = trans.return_map()
-    for corner, first_cut in backward_cut_points(trans, 1):
+    for corner, first_cut in iet.first_cuts:
         kernel = iet.fast(_den_of(first_cut))
         try:
             orbit = kernel.orbit(kernel.start(first_cut), back=True)
@@ -1059,7 +1058,8 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
             continue
         return NonSaddleCut(first_cut, surface.corner_class[corner], budget, saddles)
     raise BudgetExhausted(
-        "all backward separatrices hit vertices within the budget; raise it")
+        "all backward separatrices hit vertices within the budget; raise it",
+        budget=budget, corners=len(iet.first_cuts))
 
 
 # -- inadmissible loops -----------------------------------------------------------------
@@ -1102,7 +1102,9 @@ def build_inadmissible_loop(surface, trans, k: int,
     Distances along the transversal are edge-parameter fractions; the loop's
     measure is its two slides along the edge times the edge height and stays
     below 3 |e_y| / 2^k.  If the orbit never re-enters between P and Q on the
-    first side, the two intervals swap roles and the search restarts.
+    first side, the two intervals swap roles and the search restarts.  If
+    all fail, ``progress`` holds the level, return budget, attempts and the
+    deepest return depth a failed first flight reached.
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
@@ -1110,31 +1112,31 @@ def build_inadmissible_loop(surface, trans, k: int,
     P = trans.non_saddle_cut().tau
     if return_budget is None:
         return_budget = 96 * 2 ** k + 8192
-    above = next((iv for iv in iet.intervals if iv.lo == P), None)
-    below = next((iv for iv in iet.intervals if iv.hi == P), None)
-    sides = []
-    if above is not None and below is not None:
-        sides = [(above, below, 1), (below, above, -1)]
-    if not sides:
-        raise BudgetExhausted("cut point lacks two flanking intervals")
-    table = _CutTable(iet)
-    last = None
+    # P is a depth-1 cut, so two exchange intervals meet there
+    j = next(j for j, iv in enumerate(iet.intervals) if iv.lo == P)
+    below, above = iet.intervals[j - 1:j + 1]
+    sides = [(above, below, 1), (below, above, -1)]
     # base points whose orbits land exactly on a partition cut are retried at
     # perturbed offsets; fresh prime denominators dodge algebraic coincidences
     offsets = (Fraction(1), Fraction(6, 7), Fraction(9, 11), Fraction(10, 13),
                Fraction(12, 17), Fraction(15, 19), Fraction(16, 23),
                Fraction(22, 29), Fraction(24, 31), Fraction(28, 37))
+    progress = dict(level=k, return_budget=return_budget,
+                    attempts=len(sides) * len(offsets), depth=0)
+    last = None
     for I, I2, sgn in sides:
         for off in offsets:
             try:
-                return _try_loop(trans, iet, table, k, P, I, I2, sgn,
-                                 return_budget, off)
-            except (BudgetExhausted, SingularHit) as exc:
+                return _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off)
+            except SingularHit as exc:
                 last = exc
-    raise BudgetExhausted(f"loop construction failed at level {k}: {last}")
+            except BudgetExhausted as exc:
+                last = exc
+                progress["depth"] = max(progress["depth"], exc.progress["depth"])
+    raise BudgetExhausted(f"loop construction failed at level {k}: {last}", **progress)
 
 
-def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
+def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     two_k = Fraction(1, 2 ** k)
     delta_q = min(two_k, I.length) / 2 * off
     a = delta_q / 3
@@ -1153,11 +1155,12 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
         word_idx.append(i)
         if kernel.inside(state, *window):
             tau = kernel.value(state)
-            if abs(tau - Q) < a and j >= 2 and table.max_gap(j - 1) < a:
+            if abs(tau - Q) < a and j >= 2 and iet.cut_table.max_gap(j - 1) < a:
                 n = j
                 break
     if n is None:
-        raise BudgetExhausted(f"no admissible return depth within {return_budget}")
+        raise BudgetExhausted(f"no admissible return depth within {return_budget}",
+                              depth=len(word_idx))
     tau_n = kernel.value(state)
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
@@ -1176,7 +1179,7 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
         if kernel.inside(state2, *window):
             break
         if len(tail_idx) > return_budget:
-            raise BudgetExhausted("closing flight exceeded the return budget")
+            raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
     m = len(tail_idx)
     tau_s = kernel.value(state2)
 
@@ -1205,7 +1208,7 @@ def _try_loop(trans, iet, table, k, P, I, I2, sgn, return_budget, off=Fraction(1
     )
     return LoopCertificate(k, word, factor, measure, constant, n,
                            P, Q, tau_n, R, tau_s, I.word, ivR.word,
-                           table.max_gap(n - 1), a, events)
+                           iet.cut_table.max_gap(n - 1), a, events)
 
 
 # -- exotic synthesis ----------------------------------------------------------------------
@@ -1232,25 +1235,22 @@ def synthesize_exotic(surface, trans, levels, *, thin: bool = False,
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
+    if certificates is None:
+        certificates = {}
     stages = []
     partial: Exact = Fraction(0)
     bound: Exact = Fraction(0)
     prev: Optional[LoopCertificate] = None
     c_total = 4 * trans.height   # 3|e_y| loop + |e_y| connector
     gate = None
-    skipped = []
     for k in levels:
         if thin and gate is not None:
             # later stages total below 2 c_total / 2^k
             if not 2 * c_total * Fraction(1, 2 ** k) < gate:
-                skipped.append(k)
                 continue
-        if certificates is not None and k in certificates:
-            cert = certificates[k]
-        else:
-            cert = build_inadmissible_loop(surface, trans, k)
-            if certificates is not None:
-                certificates[k] = cert
+        if k not in certificates:
+            certificates[k] = build_inadmissible_loop(surface, trans, k)
+        cert = certificates[k]
         connector: Exact = Fraction(0)
         if prev is not None:
             connector = abs(cert.tau_Q - prev.tau_Q) * trans.height

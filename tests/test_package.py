@@ -48,3 +48,21 @@ def test_surface_kernel_has_no_float():
     sqrts = [f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "sqrt"
              and isinstance(f.value, ast.Name) and f.value.id == "math"]
     assert not floats and not sqrts, f"float at {floats}, math.sqrt at {sqrts}"
+
+
+def test_one_backward_flow_pass_per_transversal(monkeypatch):
+    # the non-saddle search reads the first crossings the exchange flowed
+    # instead of flowing every backward separatrix again
+    from laminath import tsurface as ts
+    trace, calls = ts._FlowKernel.trace, []
+
+    def counting(self, st, back=False):
+        calls.append(back)
+        return trace(self, st, back)
+
+    monkeypatch.setattr(ts._FlowKernel, "trace", counting)
+    for edge in (0, 4, 5):
+        S = ts.load_surface(ts.slit_tori_doc())
+        calls.clear()
+        ts.Transversal(S, edge).non_saddle_cut()
+        assert calls.count(True) == len(S.corner_germs(-1)), edge

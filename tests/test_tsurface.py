@@ -85,10 +85,14 @@ def test_unit_square_is_horizontal_cylinder():
 
 
 def test_surface_json_round_trip():
-    S = ts.preset_surface("slit-tori")
-    doc = S.to_json()
-    S2 = ts.load_surface(json.loads(json.dumps(doc)))
-    assert S2.to_json() == doc
+    for source, field in ((ts.slit_tori_doc(), "sqrt2"), (unit_square_doc(), None),
+                          (ts.sheared_torus_doc(), "sqrt2"),
+                          (ts.sheared_torus_doc(QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
+                           "sqrt5")):
+        doc = ts.load_surface(source).to_json()
+        assert doc["field"] == field
+        S2 = ts.load_surface(json.loads(json.dumps(doc)))
+        assert S2.to_json() == doc
 
 
 # -- flow and first returns ------------------------------------------------------
@@ -396,6 +400,17 @@ def test_octagon_cone_point_and_periodicity_detection():
         ts.return_partition(S2, 2, 8)
 
 
+def test_cylinder_flag_ignores_earlier_budgets():
+    # two of the 1/3 octagon's three connections take 17 steps: a budget of
+    # 10 cannot see them, whatever budget was asked for before
+    fresh = ts.load_surface(_octagon_doc(Fraction(1, 3)))
+    assert fresh.horizontal_is_cylinder_decomposition(10) is False
+    S = ts.load_surface(_octagon_doc(Fraction(1, 3)))
+    assert S.horizontal_is_cylinder_decomposition(512) is True
+    assert S.horizontal_is_cylinder_decomposition(10) is False
+    assert S.horizontal_is_cylinder_decomposition(512) is True
+
+
 def test_saddle_connections_irrational_empty():
     assert ts.saddle_connections(_SHEARED, 128) == []
 
@@ -447,8 +462,23 @@ def test_loop_word_absent_from_samples():
 def test_loop_budget_exhausted():
     S = ts.preset_surface("slit-tori")
     tr = ts.Transversal(S, 5)
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         ts.build_inadmissible_loop(S, tr, 40, return_budget=500)
+    # two sides times ten offsets, each flown the whole budget
+    assert exc.value.progress == {"level": 40, "return_budget": 500,
+                                  "attempts": 20, "depth": 500}
+    assert str(exc.value) == ("loop construction failed at level 40: "
+                              "no admissible return depth within 500")
+
+
+def test_non_saddle_budget_names_budget_and_corners():
+    # rotation by 1/997: the one backward separatrix is a saddle connection
+    # of 997 crossings, too long for the 512-step cylinder check
+    S = ts.load_surface(ts.sheared_torus_doc(Fraction(1, 997)))
+    with pytest.raises(BudgetExhausted) as exc:
+        ts.find_non_saddle_point(S, 1, budget=2000)
+    assert exc.value.progress == {"budget": 2000, "corners": 1}
+    assert ts.find_non_saddle_point(S, 1, budget=500).tau == Fraction(996, 997)
 
 
 def test_synthesized_ledger_below_bound():
@@ -666,6 +696,54 @@ def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     for j in range(1, 6):
         got, want = table.max_gap(j), ref.max_gap(j)
         assert got == want and type(got) is type(want) is QuadNum, j
+
+
+def _fresh_transversal(name, gamma=None):
+    doc, edge = ((ts.sheared_torus_doc, 1) if name == "sheared-torus"
+                 else (ts.slit_tori_doc, 5))
+    return ts.Transversal(ts.load_surface(doc(gamma)), edge)
+
+
+@pytest.mark.parametrize("name, gamma", [
+    ("sheared-torus", None), ("slit-tori", None),
+    ("sheared-torus", QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
+    ("slit-tori", QuadNum(-1, Fraction(2, 3), 3)),
+])
+def test_partition_cuts_match_flow_reference(name, gamma):
+    # the backward separatrices flowed on the surface are the reference for
+    # the exchange's cut table, in value and type: asked for depth by depth,
+    # and after a loop has grown the table past every depth asked for
+    tr = _fresh_transversal(name, gamma)
+    want = [[_typed(t) for t in sorted({t for _, t in ts.backward_cut_points(tr, n)})]
+            for n in range(13)]
+    grown = _fresh_transversal(name, gamma)
+    ts.build_inadmissible_loop(grown.surface, grown, 3)
+    assert grown.return_map().cut_table.depth > 12
+    for trans in (tr, grown):
+        table = trans.return_map().cut_table
+        for n in range(13):
+            part = ts.return_partition(trans.surface, trans, n, words=False)
+            assert [_typed(t) for t in part.cuts] == want[n], n
+            if n:
+                assert _typed(part.max_length) == _typed(table.max_gap(n)), n
+        part = ts.return_partition(trans.surface, trans, 0)
+        assert [(iv.lo, iv.hi, iv.word) for iv in part.intervals] == [(0, 1, "")]
+
+
+def test_partition_cylinder_decided_per_depth():
+    # rotation by 1/3: the backward separatrix crosses the edge twice and
+    # then ends at the vertex, so depths 1 and 2 have cuts and deeper
+    # partitions raise, whichever depth was asked for first
+    for order in ((1, 2, 3, 6), (6, 3, 2, 1)):
+        tr = ts.Transversal(ts.load_surface(ts.sheared_torus_doc(Fraction(1, 3))), 1)
+        for n in order:
+            if n > 2:
+                with pytest.raises(CylinderDecomposition):
+                    ts.return_partition(tr.surface, tr, n)
+                continue
+            want = sorted({t for _, t in ts.backward_cut_points(tr, n)})
+            got = ts.return_partition(tr.surface, tr, n).cuts
+            assert [_typed(t) for t in got] == [_typed(t) for t in want], n
 
 
 # parent values: level k -> (depth, measure, tau_return, max_gap) as exact
