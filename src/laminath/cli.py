@@ -11,63 +11,17 @@ budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import flat, oracle, tsurface, words
 from .cf import ContinuedFraction
 from .errors import EXHAUSTION_ERRORS, LaminathError
 from .exactnum import format_exact, parse_exact
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: subcommand plus every knob it can turn."""
-
-    subcommand: str
-    theta: Optional[str] = None
-    slope: Optional[str] = None
-    start: int = 1
-    k: int = 2
-    depth: int = 24
-    word: Optional[str] = None
-    indices: tuple = ()
-    levels: tuple = ()
-    loops: tuple = ()
-    prefix_blocks: Optional[int] = None
-    prefix: Optional[int] = None
-    thin: bool = False
-    m: int = 1
-    s: Optional[str] = None
-    letters: int = 64
-    path: Optional[str] = None
-    mode: str = "linear"
-    direction: str = "vertical"
-    f_name: str = "sqrt"
-    t_max: str = "16"
-    samples: int = 8
-    segments: int = 6
-    surface: Optional[str] = None
-    edge: int = 0
-    tau: Optional[str] = None
-    n: int = 1
-    budget: int = 200000
-    emit: str = "text"
-    out: Optional[str] = None
-    seed: Optional[int] = None
-    sample_letters: int = 0
-    field_default: Optional[str] = field(
-        default_factory=lambda: os.environ.get("LAMINATH_FIELD"))
-
-    def require(self, name):
-        v = getattr(self, name)
-        if v is None:
-            raise LaminathError(f"missing required option --{name}")
-        return v
 
 
 def _parse(flag: str, parse, text: str):
@@ -78,7 +32,7 @@ def _parse(flag: str, parse, text: str):
         raise ValueError(f"--{flag}: cannot parse {text!r} ({exc})") from None
 
 
-def _at_least(cfg: RunConfig, name: str, low: int):
+def _at_least(cfg: argparse.Namespace, name: str, low: int):
     """The integer option ``name`` (each entry of a list), unset or at least ``low``."""
     value = getattr(cfg, name)
     for item in value if isinstance(value, tuple) else (value,):
@@ -87,8 +41,10 @@ def _at_least(cfg: RunConfig, name: str, low: int):
     return value
 
 
-def _theta(cfg: RunConfig) -> ContinuedFraction:
-    return _parse("theta", ContinuedFraction.from_text, cfg.require("theta"))
+def _theta(cfg: argparse.Namespace) -> ContinuedFraction:
+    if cfg.theta is None:  # only `factors` leaves --theta optional (for --slope)
+        raise LaminathError("missing required option --theta")
+    return _parse("theta", ContinuedFraction.from_text, cfg.theta)
 
 
 def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
@@ -108,45 +64,45 @@ def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
     return doc
 
 
-def _surface_from(cfg: RunConfig) -> tsurface.TranslationSurface:
-    name = cfg.require("surface")
-    if name in tsurface.SURFACE_PRESETS:
-        return tsurface.preset_surface(name)
-    with open(name) as fh:
+def _surface_from(cfg: argparse.Namespace) -> tsurface.TranslationSurface:
+    if cfg.surface in tsurface.SURFACE_PRESETS:
+        return tsurface.preset_surface(cfg.surface)
+    with open(cfg.surface) as fh:
         return tsurface.load_surface(json.load(fh))
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def cmd_convergents(cfg: RunConfig):
+def cmd_convergents(cfg: argparse.Namespace):
     theta = _theta(cfg)
     cvs = theta.convergents(_at_least(cfg, "k", 0))
     return {"theta": theta.to_text(),
             "convergents": [{"k": c.k, "p": c.p, "q": c.q} for c in cvs]}
 
 
-def cmd_simple_word(cfg: RunConfig):
-    r = _parse("slope", Fraction, cfg.require("slope"))
+def cmd_simple_word(cfg: argparse.Namespace):
+    r = _parse("slope", Fraction, cfg.slope)
     w = words.simple_word(r, cfg.start)
     return _word_doc(w, extra={"slope": str(r), "start": cfg.start,
                                "serialized": w.serialize()})
 
 
-def cmd_inadmissible(cfg: RunConfig):
+def cmd_inadmissible(cfg: argparse.Namespace):
     theta = _theta(cfg)
     w = words.inadmissible_word(theta, cfg.k)
     return _word_doc(w, extra={"theta": theta.to_text(), "k": cfg.k,
                                "serialized": w.serialize()})
 
 
-def _tagged_path(path, cfg: RunConfig) -> dict:
+def _tagged_path(path) -> dict:
+    """The path's JSON, its field defaulting to $LAMINATH_FIELD."""
     doc = path.to_json()
-    if doc.get("field") is None and cfg.field_default:
-        doc["field"] = cfg.field_default
+    if doc.get("field") is None and os.environ.get("LAMINATH_FIELD"):
+        doc["field"] = os.environ["LAMINATH_FIELD"]
     return doc
 
 
-def cmd_segment(cfg: RunConfig):
+def cmd_segment(cfg: argparse.Namespace):
     theta = _theta(cfg)
     cert = words.inadmissible_segment(theta, cfg.k)
     return _word_doc(cert.word, measure=cert.measure, extra={
@@ -154,11 +110,11 @@ def cmd_segment(cfg: RunConfig):
         "letter_count": cert.word.letter_count,
         "letter_bound": 2 * (cert.convergent.p + cert.convergent.q),
         "bound": format_exact(cert.bound),
-        "path": _tagged_path(cert.path, cfg),
+        "path": _tagged_path(cert.path),
     })
 
 
-def cmd_exotic(cfg: RunConfig):
+def cmd_exotic(cfg: argparse.Namespace):
     theta = _theta(cfg)
     prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
     ew = words.exotic_word(theta, _at_least(cfg, "indices", 0), thin=cfg.thin)
@@ -184,7 +140,7 @@ def cmd_exotic(cfg: RunConfig):
             "measure_float": float(ew.total_measure)}
 
 
-def cmd_cusp_exotic(cfg: RunConfig):
+def cmd_cusp_exotic(cfg: argparse.Namespace):
     theta = _theta(cfg)
     stages = words.cusp_exotic_word(theta, cfg.loops)
     return {"alphabet": "abAB", "theta": theta.to_text(),
@@ -195,17 +151,17 @@ def cmd_cusp_exotic(cfg: RunConfig):
                        for st in stages]}
 
 
-def cmd_cut(cfg: RunConfig):
+def cmd_cut(cfg: argparse.Namespace):
     theta = _theta(cfg)
-    s = _parse("start", parse_exact, cfg.require("s"))
+    s = _parse("start", parse_exact, cfg.s)
     letters = flat.cutting_sequence(s, theta, _at_least(cfg, "letters", 0))
     return {"alphabet": "ab", "start": format_exact(s),
             "theta": theta.to_text(), "letters": letters}
 
 
-def cmd_measure(cfg: RunConfig):
+def cmd_measure(cfg: argparse.Namespace):
     theta = _theta(cfg)
-    with open(cfg.require("path")) as fh:
+    with open(cfg.path) as fh:
         path = flat.FlatPath.from_json(json.load(fh))
     value = flat.transverse_measure(path, theta.value())
     return {"measure": format_exact(value), "measure_float": float(value),
@@ -213,12 +169,11 @@ def cmd_measure(cfg: RunConfig):
                                                         normalized=True)}
 
 
-def cmd_admissible(cfg: RunConfig):
+def cmd_admissible(cfg: argparse.Namespace):
     theta = _theta(cfg)
     depth = _at_least(cfg, "depth", 0)
     sample_letters = _at_least(cfg, "sample_letters", 0)
-    raw = cfg.require("word")
-    query = words.BlockWord.parse(raw) if raw.startswith("(") else raw
+    query = words.BlockWord.parse(cfg.word) if cfg.word.startswith("(") else cfg.word
     cert = oracle.is_admissible(query, theta, depth)
     doc = {"word": cert.word, "verdict": cert.verdict, "aligned": cert.aligned,
            "levels": list(cert.levels), "block_span": cert.block_span}
@@ -235,7 +190,7 @@ def cmd_admissible(cfg: RunConfig):
     return doc
 
 
-def cmd_factors(cfg: RunConfig):
+def cmd_factors(cfg: argparse.Namespace):
     _at_least(cfg, "m", 0)
     _at_least(cfg, "depth", 0)
     if cfg.slope:
@@ -247,7 +202,7 @@ def cmd_factors(cfg: RunConfig):
     return {"theta": theta.to_text(), "length": cfg.m, "count": count}
 
 
-def cmd_growth(cfg: RunConfig):
+def cmd_growth(cfg: argparse.Namespace):
     theta = _theta(cfg)
     t_max = _parse("t-max", Fraction, cfg.t_max)
     samples = _at_least(cfg, "samples", 0)
@@ -257,23 +212,19 @@ def cmd_growth(cfg: RunConfig):
                      else _parse("direction", parse_exact, cfg.direction))
         rows = flat.linear_growth_probe(theta, direction, t_max, samples)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
-        csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
-        return {"mode": "linear", "direction": cfg.direction,
-                "table": table, "csv": csv}
-    import math as _math
-    fns = {"sqrt": lambda t: _math.sqrt(t),
-           "log": lambda t: _math.log1p(t)}
-    f = fns[cfg.f_name]
-    path, rows = flat.prescribed_growth_path(theta, f, segments,
-                                             t_cap=t_max if t_max > 16 else None)
-    table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
-              "f": repr(r.target)} for r in rows]
+        doc = {"mode": "linear", "direction": cfg.direction}
+    else:
+        f = {"sqrt": math.sqrt, "log": math.log1p}[cfg.f_name]
+        path, rows = flat.prescribed_growth_path(theta, f, segments,
+                                                 t_cap=t_max if t_max > 16 else None)
+        table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
+                  "f": repr(r.target)} for r in rows]
+        doc = {"mode": "prescribed", "f": cfg.f_name, "path": _tagged_path(path)}
     csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
-    return {"mode": "prescribed", "f": cfg.f_name, "table": table, "csv": csv,
-            "path": _tagged_path(path, cfg)}
+    return {**doc, "table": table, "csv": csv}
 
 
-def cmd_ts_validate(cfg: RunConfig):
+def cmd_ts_validate(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     return {"polygons": len(S.polygons),
             "edge_pairs": len(S.pairs),
@@ -285,7 +236,7 @@ def cmd_ts_validate(cfg: RunConfig):
                 S.horizontal_is_cylinder_decomposition()}
 
 
-def cmd_ts_return_map(cfg: RunConfig):
+def cmd_ts_return_map(cfg: argparse.Namespace):
     n = _at_least(cfg, "n", 0)
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
@@ -302,7 +253,7 @@ def cmd_ts_return_map(cfg: RunConfig):
     return doc
 
 
-def cmd_ts_partition(cfg: RunConfig):
+def cmd_ts_partition(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     part = tsurface.return_partition(S, cfg.edge, _at_least(cfg, "n", 0))
     return {"edge": cfg.edge, "depth": part.depth,
@@ -313,7 +264,7 @@ def cmd_ts_partition(cfg: RunConfig):
                           for iv in part.intervals]}
 
 
-def cmd_ts_loop(cfg: RunConfig):
+def cmd_ts_loop(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     cert = tsurface.build_inadmissible_loop(S, trans, _at_least(cfg, "k", 0),
@@ -336,7 +287,7 @@ def cmd_ts_loop(cfg: RunConfig):
                      for kind, p0, p1, extra in cert.path_events]}
 
 
-def cmd_ts_exotic(cfg: RunConfig):
+def cmd_ts_exotic(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     levels = _at_least(cfg, "levels", 0)
@@ -354,31 +305,13 @@ def cmd_ts_exotic(cfg: RunConfig):
     return {"edge": cfg.edge, "stages": out}
 
 
-HANDLERS = {
-    "convergents": cmd_convergents,
-    "simple-word": cmd_simple_word,
-    "inadmissible": cmd_inadmissible,
-    "segment": cmd_segment,
-    "exotic": cmd_exotic,
-    "cusp-exotic": cmd_cusp_exotic,
-    "cut": cmd_cut,
-    "measure": cmd_measure,
-    "admissible": cmd_admissible,
-    "factors": cmd_factors,
-    "growth": cmd_growth,
-    "ts:validate": cmd_ts_validate,
-    "ts:return-map": cmd_ts_return_map,
-    "ts:partition": cmd_ts_partition,
-    "ts:loop": cmd_ts_loop,
-    "ts:exotic": cmd_ts_exotic,
-}
-
-
 def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t.strip() != "")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option and default; each subcommand's
+    parser sets ``handler``, the function ``run`` calls with the namespace."""
     # --emit/--out/--seed are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", default=argparse.SUPPRESS,
@@ -392,32 +325,34 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common])
-        for arg, opts in kwargs.items():
+    def add(name, handler, subparsers=sub, parent=common, **options):
+        p = subparsers.add_parser(name, parents=[parent])
+        p.set_defaults(handler=handler)
+        for arg, opts in options.items():
             p.add_argument(f"--{arg.replace('_', '-')}", **opts)
-        return p
 
-    add("convergents", theta={"required": True}, k={"type": int, "default": 8})
-    add("simple-word", slope={"required": True},
+    add("convergents", cmd_convergents, theta={"required": True},
+        k={"type": int, "default": 8})
+    add("simple-word", cmd_simple_word, slope={"required": True},
         start={"type": int, "default": 1})
-    add("inadmissible", theta={"required": True}, k={"type": int, "default": 2})
-    add("segment", theta={"required": True}, k={"type": int, "default": 2})
-    add("exotic", theta={"required": True},
+    add("inadmissible", cmd_inadmissible, theta={"required": True},
+        k={"type": int, "default": 2})
+    add("segment", cmd_segment, theta={"required": True}, k={"type": int, "default": 2})
+    add("exotic", cmd_exotic, theta={"required": True},
         indices={"type": _int_list, "default": ()},
         prefix_blocks={"type": int, "default": None},
         thin={"action": "store_true"})
-    add("cusp-exotic", theta={"required": True},
+    add("cusp-exotic", cmd_cusp_exotic, theta={"required": True},
         loops={"type": _int_list, "default": (1, 1, 1)})
-    add("cut", theta={"required": True}, start={"dest": "s", "required": True},
+    add("cut", cmd_cut, theta={"required": True}, start={"dest": "s", "required": True},
         letters={"type": int, "default": 64})
-    add("measure", theta={"required": True}, path={"required": True})
-    add("admissible", theta={"required": True}, word={"required": True},
+    add("measure", cmd_measure, theta={"required": True}, path={"required": True})
+    add("admissible", cmd_admissible, theta={"required": True}, word={"required": True},
         depth={"type": int, "default": 24},
         sample_letters={"type": int, "default": 0})
-    add("factors", theta={"default": None}, slope={"default": None},
+    add("factors", cmd_factors, theta={"default": None}, slope={"default": None},
         m={"type": int, "default": 3}, depth={"type": int, "default": 24})
-    add("growth", theta={"required": True},
+    add("growth", cmd_growth, theta={"required": True},
         mode={"choices": ["linear", "prescribed"], "default": "linear"},
         direction={"default": "vertical"},
         f={"dest": "f_name", "choices": ["sqrt", "log"], "default": "sqrt"},
@@ -426,24 +361,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     ts = sub.add_parser("ts")
     ts_sub = ts.add_subparsers(dest="ts_command", required=True)
+    surface = argparse.ArgumentParser(add_help=False, parents=[common])
+    surface.add_argument("--surface", required=True,
+                         help="preset name (sheared-torus, slit-tori) or JSON file")
 
-    def add_ts(name, **kwargs):
-        p = ts_sub.add_parser(name, parents=[common])
-        p.add_argument("--surface", required=True,
-                       help="preset name (sheared-torus, slit-tori) or JSON file")
-        for arg, opts in kwargs.items():
-            p.add_argument(f"--{arg.replace('_', '-')}", **opts)
-        return p
+    def add_ts(name, handler, **options):
+        add(name, handler, ts_sub, surface, **options)
 
-    add_ts("validate")
-    add_ts("return-map", edge={"type": int, "default": 0},
+    add_ts("validate", cmd_ts_validate)
+    add_ts("return-map", cmd_ts_return_map, edge={"type": int, "default": 0},
            tau={"default": None}, n={"type": int, "default": 1})
-    add_ts("partition", edge={"type": int, "default": 0},
+    add_ts("partition", cmd_ts_partition, edge={"type": int, "default": 0},
            n={"type": int, "default": 4})
-    add_ts("loop", edge={"type": int, "default": 0},
+    add_ts("loop", cmd_ts_loop, edge={"type": int, "default": 0},
            k={"type": int, "default": 3},
            budget={"type": int, "default": 200000})
-    add_ts("exotic", edge={"type": int, "default": 0},
+    add_ts("exotic", cmd_ts_exotic, edge={"type": int, "default": 0},
            levels={"type": _int_list, "default": (1, 2, 3)},
            prefix={"type": int, "default": None},
            thin={"action": "store_true"})
@@ -462,11 +395,10 @@ def _render_text(doc, out):
             out.write(f"{key}: {value}\n")
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one configuration; returns the process exit status."""
-    handler = HANDLERS[config.subcommand]
+def run(config: argparse.Namespace) -> int:
+    """Dispatch one parsed configuration; returns the process exit status."""
     try:
-        doc = handler(config)
+        doc = config.handler(config)
     except (LaminathError, ValueError, IndexError, KeyError, OSError) as exc:
         code = exc.code if isinstance(exc, LaminathError) else "invalid-input"
         sys.stderr.write(json.dumps({"error": code, "detail": str(exc)},
@@ -477,7 +409,6 @@ def run(config: RunConfig) -> int:
     elif config.emit == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        import io
         buf = io.StringIO()
         _render_text({k: v for k, v in doc.items() if k != "csv"}, buf)
         text = buf.getvalue()
@@ -489,22 +420,12 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    if command == "ts":
-        command = f"ts:{ns.ts_command}"
-    cfg = RunConfig(subcommand=command)
-    for key, value in vars(ns).items():
-        if key in ("command", "ts_command") or value is None:
-            continue
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
-    if cfg.emit not in ("text", "json", "csv"):
+def config_from_args(argv) -> argparse.Namespace:
+    config = build_parser().parse_args(argv)
+    if config.emit not in ("text", "json", "csv"):
         # "--emit cert.json" writes a JSON artifact to that path
-        cfg.out = cfg.emit
-        cfg.emit = "json"
-    return cfg
+        config.out, config.emit = config.emit, "json"
+    return config
 
 
 def main(argv=None) -> int:

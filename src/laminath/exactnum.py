@@ -22,6 +22,24 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SQUAREFREE_CACHE: dict = {}
 
 
+def pair_sign(u: int, v: int, d: int) -> int:
+    """Sign of u + v sqrt d for integers u, v and a non-square d."""
+    if u >= 0 and v >= 0:
+        return 1 if u or v else 0
+    if u <= 0 and v <= 0:
+        return -1
+    return 1 if (u * u > d * v * v) == (u > 0) else -1
+
+
+def pair_floor(A: int, B: int, d: int, C: int) -> int:
+    """floor((A + B sqrt(d)) / C), C > 0."""
+    t = B * B * d
+    root = math.isqrt(t)
+    if B < 0:
+        root = -root - (root * root != t)
+    return (A + root) // C
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = d * f**2 with d square-free; returns (d, f).  Requires n >= 1."""
     if n < 1:
@@ -159,22 +177,8 @@ class QuadNum:
     # -- exact predicates ----------------------------------------------------
 
     def sign(self) -> int:
-        an = self.a.numerator
-        bn = self.b.numerator
-        if bn == 0:
-            return (an > 0) - (an < 0)
-        if an == 0:
-            return 1 if bn > 0 else -1
-        if an > 0 and bn > 0:
-            return 1
-        if an < 0 and bn < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d by cross multiplication;
-        # equality impossible for square-free d >= 2 with b != 0
-        x = an * self.b.denominator
-        y = bn * self.a.denominator
-        big = 1 if x * x > y * y * self.d else -1
-        return big * (1 if an > 0 else -1)
+        a, b = self.a, self.b
+        return pair_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -216,17 +220,9 @@ class QuadNum:
 
     def floor(self) -> int:
         """Exact floor, decided with integer square roots only."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        # write self = (A + B*sqrt(d)) / C with integers A, B, C > 0
-        ad, bd = self.a.denominator, self.b.denominator
-        C = ad * bd
-        A = self.a.numerator * bd
-        B = self.b.numerator * ad
-        t = B * B * self.d  # never a perfect square for B != 0
-        r = math.isqrt(t)
-        fB = r if B > 0 else -r - 1
-        return (A + fB) // C
+        a, b = self.a, self.b
+        return pair_floor(a.numerator * b.denominator, b.numerator * a.denominator,
+                          self.d, a.denominator * b.denominator)
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)

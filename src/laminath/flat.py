@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 from .cf import ContinuedFraction
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
-from .exactnum import Exact, QuadNum, exact_floor, format_exact, frac_part, parse_exact
+from .exactnum import (Exact, QuadNum, exact_floor, format_exact, frac_part, pair_floor,
+                       parse_exact)
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -178,15 +179,6 @@ def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     return E, F, S, G, d, C
 
 
-def _floor(A: int, B: int, d: int, C: int) -> int:
-    """floor((A + B sqrt(d)) / C), C > 0."""
-    t = B * B * d
-    root = math.isqrt(t)
-    if B < 0:
-        root = -root - (root * root != t)
-    return (A + root) // C
-
-
 def _quotients(E: int, F: int, d: int, C: int):
     """Partial quotients of (E + F sqrt(d)) / C: Euclid's algorithm when
     F = 0, else the endless (P + sqrt(D)) / Q recurrence, D not a square."""
@@ -244,14 +236,14 @@ def _window_word(E, F, S, G, d, C, J: int, lift: bool,
     pieces = []
     A, B = S, G
     for _ in range(-(-J // q)):
-        n0 = _floor(A, B, d, C)
-        r = _floor(q * A, q * B, d, C) - q * n0
+        n0 = pair_floor(A, B, d, C)
+        r = pair_floor(q * A, q * B, d, C) - q * n0
         j0 = r * inv % q
         start = j0 + j0 * P // q
         end = start + P + q
         i = (target - r) * inv % q or q
         k = (r + i * p) // q
-        miss = sign and _floor(A + i * E, B + i * F, d, C) - n0 - k
+        miss = sign and pair_floor(A + i * E, B + i * F, d, C) - n0 - k
         if miss not in (0, sign):
             raise CertificateViolation(f"window floor off by {miss} at j={i}")
         e = start + i - 1 + k - shift * i  # the 'a' closing block i - 1
@@ -263,7 +255,7 @@ def _window_word(E, F, S, G, d, C, J: int, lift: bool,
             pieces.append(period[start:end])
         A += q * E
         B += q * F
-    n = J + _floor(S + J * E, G + J * F, d, C) - _floor(S, G, d, C) - shift * J
+    n = J + pair_floor(S + J * E, G + J * F, d, C) - pair_floor(S, G, d, C) - shift * J
     return "".join(pieces)[:n], c
 
 
@@ -344,7 +336,7 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
         E, F, S, G, d, C = _integer_form(theta_val, s)
         # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
         A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
-        J = (_floor(A, B, d, den) if den > 0 else _floor(-A, -B, d, -den)) + 1
+        J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
         letters, hit = _window_word(E, F, S, G, d, C, J, lift=True)[0], _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:

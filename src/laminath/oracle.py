@@ -137,24 +137,30 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                     aligned, s, offset)
 
 
+def _occurrence(stream: str, search: str, letters: str, aligned: bool) -> Optional[int]:
+    """Offset of the factor in ``stream``, or None.  An aligned factor at the
+    stream head is at 0 (the stream starts on a block boundary); elsewhere
+    ``search`` carries the block marker, which the offset skips."""
+    if aligned and stream.startswith(letters):
+        return 0
+    pos = stream.find(search)
+    if pos < 0:
+        return None
+    return pos + (1 if aligned else 0)
+
+
 def _find_witness(search: str, letters: str, aligned: bool,
                   theta: ContinuedFraction):
-    """Start height and offset of the factor in an actual leaf word.
-
-    The offset always points at the factor itself; for aligned factors the
-    stream either begins with the factor (offset 0, the stream starts on a
-    block boundary) or contains the anchored string.
-    """
+    """Start height and offset of the factor in an actual leaf word; the
+    offset always points at the factor itself."""
     budget = max(4 * len(search) + 2000, 10000)
     for denom in (7, 11, 101, 257):
         for j in (1, 2, 3):
             s = Fraction(j, denom)
-            stream = leaf_letter_stream(theta, s, budget)
-            if aligned and stream.startswith(letters):
-                return s, 0
-            pos = stream.find(search)
-            if pos >= 0:
-                return s, pos + (1 if aligned else 0)
+            offset = _occurrence(leaf_letter_stream(theta, s, budget), search, letters,
+                                 aligned)
+            if offset is not None:
+                return s, offset
         budget *= 2
     raise CertificateViolation("admissible word not found in sampled leaf words")
 
@@ -215,11 +221,8 @@ def sampling_cross_check(word, theta: ContinuedFraction,
                 seen.add(c)
                 hs.append(Fraction(c, denom))
     for s in hs:
-        stream = leaf_letter_stream(theta, s, num_letters)
-        if aligned and stream.startswith(letters):
-            return SamplingReport(letters, tuple(hs), num_letters, (s, 0))
-        pos = stream.find(search)
-        if pos >= 0:
-            return SamplingReport(letters, tuple(hs), num_letters,
-                                  (s, pos + (1 if aligned else 0)))
+        offset = _occurrence(leaf_letter_stream(theta, s, num_letters), search, letters,
+                             aligned)
+        if offset is not None:
+            return SamplingReport(letters, tuple(hs), num_letters, (s, offset))
     return SamplingReport(letters, tuple(hs), num_letters, None)

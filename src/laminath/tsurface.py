@@ -21,7 +21,8 @@ Each separatrix is flowed once.  The backward ones are flowed to their first
 transversal crossing as the exchange is built; the exchange keeps those
 pairs and owns one cut table (their backward orbits), which every level-set
 partition and loop certificate reads.  The forward ones are flowed by
-``saddle_connections``, and the cylinder check is read off its result.
+``saddle_connections``; the cylinder check flows them one at a time and
+stops at the first that stays open.
 
 Exactness policy: all states and certificates are exact field elements, and
 no branch rests on floating point.  Every loop runs on one of two integer
@@ -47,7 +48,7 @@ from typing import Optional, Union
 
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
-from .exactnum import Exact, QuadNum, format_exact, parse_exact
+from .exactnum import Exact, QuadNum, format_exact, pair_sign, parse_exact
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -286,8 +287,10 @@ class TranslationSurface:
 
     def horizontal_is_cylinder_decomposition(self, budget: int = 2048) -> bool:
         """True when every horizontal separatrix terminates at a vertex within
-        the budget; cutting along them then leaves only cylinders."""
-        return _connects_every_germ(self, saddle_connections(self, budget))
+        the budget; cutting along them then leaves only cylinders.  Stops at
+        the first separatrix that stays open."""
+        return all(_germ_connection(self, corner, budget)
+                   for corner in self.corner_germs(+1))
 
     def to_json(self) -> dict:
         return {
@@ -346,15 +349,6 @@ def _field(pair, den: int, d: int, quad: bool):
     if quad:
         return QuadNum(Fraction(u, den), Fraction(v, den), d)
     return Fraction(u, den)
-
-
-def _pair_sign(u, v, d) -> int:
-    """Sign of u + v sqrt d for integers u, v and a non-square d."""
-    if u >= 0 and v >= 0:
-        return 1 if u or v else 0
-    if u <= 0 and v <= 0:
-        return -1
-    return 1 if (u * u > d * v * v) == (u > 0) else -1
 
 
 # -- horizontal flow -----------------------------------------------------------
@@ -486,7 +480,7 @@ class _FlowKernel:
         while True:
             ys, xs, edges, exits = tables[p]
             n = len(ys)
-            signs = [_pair_sign(cu - yu, cv - yv, d) for cu, cv in ys]
+            signs = [pair_sign(cu - yu, cv - yv, d) for cu, cv in ys]
             best = None
             # a vertex on the line, or an edge straddling it (never both for
             # one edge k and its end vertex, so this order breaks ties as the
@@ -502,8 +496,8 @@ class _FlowKernel:
                 else:
                     continue
                 du, dv = (hu - xu) * sgn, (hv - xv) * sgn
-                if _pair_sign(du, dv, d) > 0 and (
-                        best is None or _pair_sign(best[4] - du, best[5] - dv, d) > 0):
+                if pair_sign(du, dv, d) > 0 and (
+                        best is None or pair_sign(best[4] - du, best[5] - dv, d) > 0):
                     best = (s, k, hu, hv, du, dv)
             if best is None:
                 raise InvalidSurface("horizontal ray escapes its polygon")
@@ -600,9 +594,9 @@ class Transversal:
             self._iet = ReturnMapIET(self)
         return self._iet
 
-    def non_saddle_cut(self, budget: int = 4096):
-        if self._non_saddle is None or self._non_saddle.traced_steps < budget:
-            self._non_saddle = find_non_saddle_point(self.surface, self, budget)
+    def non_saddle_cut(self):
+        if self._non_saddle is None:
+            self._non_saddle = find_non_saddle_point(self.surface, self, 4096)
         return self._non_saddle
 
 
@@ -653,7 +647,7 @@ def _slot(bounds, u, v, d) -> int:
     """Index j with bounds[j] < (u, v) < bounds[j + 1], by bisection over
     sorted integer pairs the caller knows to enclose (u, v); landing exactly
     on a bound raises SingularHit.  The hot loop, so the sign test of
-    ``_pair_sign`` is inlined."""
+    ``pair_sign`` is inlined."""
     lo, hi = 0, len(bounds) - 1
     while hi - lo > 1:
         mid = (lo + hi) >> 1
@@ -736,8 +730,8 @@ class _IETKernel:
     def inside(self, state, lo, hi) -> bool:
         """Exactly decide lo < state < hi for encoded bounds."""
         u, v = state
-        return (_pair_sign(u - lo[0], v - lo[1], self.d) > 0
-                and _pair_sign(hi[0] - u, hi[1] - v, self.d) > 0)
+        return (pair_sign(u - lo[0], v - lo[1], self.d) > 0
+                and pair_sign(hi[0] - u, hi[1] - v, self.d) > 0)
 
     def orbit(self, state, back: bool = False):
         """Step ``state`` through the exchange (through its inverse when
@@ -985,7 +979,7 @@ class _CutTable:
                 continue
             if prev is not None:
                 gu, gv = u - prev[0], v - prev[1]
-                if best is None or _pair_sign(gu - best[0], gv - best[1], d) > 0:
+                if best is None or pair_sign(gu - best[0], gv - best[1], d) > 0:
                     best = (gu, gv)
             prev = (u, v)
         return self._value(best)
@@ -1008,22 +1002,24 @@ def saddle_connections(surface: TranslationSurface, max_steps: int = 4096):
     out = [SaddleConnection("edge", surface.corner_class[p, k],
                             surface.corner_class[p, (k + 1) % len(surface.polygons[p])], "", 0)
            for p, k in surface.horizontal_edges()]
-    flow = surface._flow
     for corner in surface.corner_germs(+1):
-        st = flow.start(surface.vertex_point(corner))
-        letters = list(islice(flow.trace(st), max_steps))
-        if st.end == "singular":
-            out.append(SaddleConnection(
-                "interior", surface.corner_class[corner],
-                surface.corner_class[st.last[:2]], "".join(letters),
-                len(letters) + 1))
+        conn = _germ_connection(surface, corner, max_steps)
+        if conn is not None:
+            out.append(conn)
     return out
 
 
-def _connects_every_germ(surface, conns) -> bool:
-    """Whether ``conns`` holds an interior connection from every forward
-    germ (``saddle_connections`` finds at most one per germ)."""
-    return sum(c.kind == "interior" for c in conns) == len(surface.corner_germs(+1))
+def _germ_connection(surface, corner, max_steps: int) -> Optional[SaddleConnection]:
+    """The interior connection along the forward separatrix from ``corner``,
+    or None when it meets no vertex within ``max_steps`` steps."""
+    flow = surface._flow
+    st = flow.start(surface.vertex_point(corner))
+    letters = list(islice(flow.trace(st), max_steps))
+    if st.end != "singular":
+        return None
+    return SaddleConnection("interior", surface.corner_class[corner],
+                            surface.corner_class[st.last[:2]], "".join(letters),
+                            len(letters) + 1)
 
 
 @dataclass(frozen=True)
@@ -1043,7 +1039,8 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     conns = saddle_connections(surface, 512)
-    if _connects_every_germ(surface, conns):
+    # one interior connection at most per forward germ
+    if sum(c.kind == "interior" for c in conns) == len(surface.corner_germs(+1)):
         raise CylinderDecomposition("horizontal direction is periodic")
     # a connection of s steps is found by every step budget of at least s
     saddles = tuple(sc.word for sc in conns if sc.steps <= min(budget, 512))
@@ -1165,10 +1162,9 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 
-    ivR = iet.locate(R)
-    if not (ivR.lo == I2.lo and ivR.hi == I2.hi):
+    if not I2.lo < R < I2.hi:
         raise CertificateViolation("R does not lie in the neighboring interval")
-    if ivR.word == I.word:
+    if I2.word == I.word:
         raise CertificateViolation("the neighboring interval repeats the word of I")
 
     window = kernel.encode(q_lo), kernel.encode(q_hi)
@@ -1189,7 +1185,7 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     piece2 = "".join(words[i] + e for i in tail_idx)
     word = piece1 + piece2
     factor = piece1[len(words[word_idx[0]]):] + words[tail_idx[0]] + e
-    if words[tail_idx[0]] != ivR.word:
+    if words[tail_idx[0]] != I2.word:
         raise CertificateViolation("closing flight does not start in R's interval")
     if factor not in word:
         raise CertificateViolation("inadmissible factor missing from the loop word")
@@ -1207,7 +1203,7 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
         ("hop", trans.point(tau_s), trans.point(Q), 0),
     )
     return LoopCertificate(k, word, factor, measure, constant, n,
-                           P, Q, tau_n, R, tau_s, I.word, ivR.word,
+                           P, Q, tau_n, R, tau_s, I.word, I2.word,
                            iet.cut_table.max_gap(n - 1), a, events)
 
 
@@ -1316,21 +1312,13 @@ def preset_surface(name: str) -> TranslationSurface:
     return load_surface(doc)
 
 
-def sample_leaf_words(surface, trans, num_letters: int, heights: int,
-                      seed: Optional[int] = None):
-    """Leaf-word prefixes from many start parameters on the transversal;
-    start points landing exactly on a partition cut are skipped."""
-    import random as _random
+def sample_leaf_words(surface, trans, num_letters: int, heights: int):
+    """Leaf-word prefixes from the start parameters j/(heights + 1) on the
+    transversal; start points landing exactly on a partition cut are skipped."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     iet = trans.return_map()
-    if seed is None:
-        taus = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
-    else:
-        rng = _random.Random(seed)
-        denom = 2 ** 20 + 7
-        taus = [Fraction(rng.randrange(1, denom), denom) for _ in range(heights)]
-    for tau in taus:
+    for tau in (Fraction(j, heights + 1) for j in range(1, heights + 1)):
         try:
             yield tau, iet.letter_stream(tau, num_letters)
         except SingularHit:

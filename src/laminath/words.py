@@ -450,14 +450,17 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
     lattice points with zero-measure loops at the cusps, so the exact ledger
     is the partial sums of |q_k theta - p_k|.
     """
+    loop_counts = tuple(loop_counts)
+    # every count is checked before any convergent is read, so a bad count is
+    # reported as such even when theta's expansion is too short for it
+    if any(count < 1 for count in loop_counts):
+        raise InvalidSlope("loop counts must be positive")
     if theta.compare(1) <= 0:
         raise InvalidSlope("theta must exceed 1")
     theta_val = theta.value()
     stages = []
     partial: Exact = Fraction(0)
     for j, count in enumerate(loop_counts, start=1):
-        if count < 1:
-            raise InvalidSlope("loop counts must be positive")
         cv = theta.convergent(j)
         w = simple_word(Fraction(cv.p, cv.q), cv.q)
         if theta_val is not None:

@@ -226,11 +226,11 @@ def test_console_script_matches_in_process():
 
 def test_run_config_direct_dispatch(tmp_path):
     target = tmp_path / "a.json"
-    cfg = cli.RunConfig(subcommand="simple-word", slope="7/5", start=2,
-                        emit="json", out=str(target))
+    cfg = cli.config_from_args(["--emit", "json", "--out", str(target),
+                                "simple-word", "--slope", "7/5", "--start", "2"])
     assert cli.run(cfg) == 0
     assert json.loads(target.read_text())["blocks"] == [2, 1, 1, 2, 1]
-    bad = cli.RunConfig(subcommand="inadmissible", theta="cf:[1;2]p", k=0)
+    bad = cli.config_from_args(["inadmissible", "--theta", "cf:[1;2]p", "--k", "0"])
     assert cli.run(bad) == 2
 
 
@@ -333,6 +333,15 @@ def test_argv_fuzz_exits_cleanly(command, data):
         assert set(json.loads(lines[0])) == {"error", "detail"}, argv
     if _negative_count(argv):
         assert code == 2, (argv, err)
+
+
+def test_cusp_negative_loop_count_exits_2_on_short_theta():
+    # a rational theta's expansion ran out (exit 3) before the negative count
+    # of the stage it was read for was seen
+    code, out, err = run_cli(["cusp-exotic", "--theta=7", "--loops=1,-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-slope",
+                               "detail": "loop counts must be positive"}
 
 
 def test_segment_level_below_two_exits_2():

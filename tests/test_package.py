@@ -66,3 +66,20 @@ def test_one_backward_flow_pass_per_transversal(monkeypatch):
         calls.clear()
         ts.Transversal(S, edge).non_saddle_cut()
         assert calls.count(True) == len(S.corner_germs(-1)), edge
+
+
+def test_cylinder_check_stops_at_first_open_germ(monkeypatch):
+    # the cylinder flag is decided by the first forward separatrix that
+    # stays open instead of flowing every germ to the full budget
+    from laminath import tsurface as ts
+    trace, calls = ts._FlowKernel.trace, []
+
+    def counting(self, st, back=False):
+        calls.append(back)
+        return trace(self, st, back)
+
+    monkeypatch.setattr(ts._FlowKernel, "trace", counting)
+    S = ts.load_surface(ts.slit_tori_doc())
+    calls.clear()
+    assert S.horizontal_is_cylinder_decomposition() is False
+    assert len(calls) == 1
