@@ -43,24 +43,16 @@ def _at_least(cfg: argparse.Namespace, name: str, low: int):
 
 def _theta(cfg: argparse.Namespace) -> ContinuedFraction:
     if cfg.theta is None:  # only `factors` leaves --theta optional (for --slope)
-        raise LaminathError("missing required option --theta")
+        raise ValueError("the following arguments are required: --theta (or --slope)")
     return _parse("theta", ContinuedFraction.from_text, cfg.theta)
 
 
-def _word_doc(block_word=None, letters=None, measure=None, extra=None) -> dict:
-    doc = {"alphabet": "abAB"}
-    if block_word is not None:
-        doc["letters"] = block_word.letters()
-        doc["blocks"] = list(block_word.blocks)
-        doc["base"] = block_word.base
-        doc["orientation"] = block_word.orientation
-    if letters is not None:
-        doc["letters"] = letters
+def _word_doc(block_word, measure=None, **extra) -> dict:
+    doc = {"alphabet": "abAB", "letters": block_word.letters(),
+           "blocks": list(block_word.blocks), "base": block_word.base,
+           "orientation": block_word.orientation, **extra}
     if measure is not None:
-        doc["measure"] = format_exact(measure)
-        doc["measure_float"] = float(measure)
-    if extra:
-        doc.update(extra)
+        doc.update(measure=format_exact(measure), measure_float=float(measure))
     return doc
 
 
@@ -83,15 +75,13 @@ def cmd_convergents(cfg: argparse.Namespace):
 def cmd_simple_word(cfg: argparse.Namespace):
     r = _parse("slope", Fraction, cfg.slope)
     w = words.simple_word(r, cfg.start)
-    return _word_doc(w, extra={"slope": str(r), "start": cfg.start,
-                               "serialized": w.serialize()})
+    return _word_doc(w, slope=str(r), start=cfg.start, serialized=w.serialize())
 
 
 def cmd_inadmissible(cfg: argparse.Namespace):
     theta = _theta(cfg)
     w = words.inadmissible_word(theta, cfg.k)
-    return _word_doc(w, extra={"theta": theta.to_text(), "k": cfg.k,
-                               "serialized": w.serialize()})
+    return _word_doc(w, theta=theta.to_text(), k=cfg.k, serialized=w.serialize())
 
 
 def _tagged_path(path) -> dict:
@@ -105,29 +95,25 @@ def _tagged_path(path) -> dict:
 def cmd_segment(cfg: argparse.Namespace):
     theta = _theta(cfg)
     cert = words.inadmissible_segment(theta, cfg.k)
-    return _word_doc(cert.word, measure=cert.measure, extra={
-        "theta": theta.to_text(), "k": cfg.k,
-        "letter_count": cert.word.letter_count,
-        "letter_bound": 2 * (cert.convergent.p + cert.convergent.q),
-        "bound": format_exact(cert.bound),
-        "path": _tagged_path(cert.path),
-    })
+    return _word_doc(cert.word, cert.measure, theta=theta.to_text(), k=cfg.k,
+                     letter_count=cert.word.letter_count,
+                     letter_bound=2 * (cert.convergent.p + cert.convergent.q),
+                     bound=format_exact(cert.bound), path=_tagged_path(cert.path))
+
+
+def _ledger(stage) -> dict:
+    """An exotic stage's exact measure ledger, on the torus or a surface."""
+    return {key: format_exact(value) for key, value in (
+        ("measure", stage.certificate.measure), ("connector", stage.connector),
+        ("partial_measure", stage.partial_measure), ("partial_bound", stage.partial_bound))}
 
 
 def cmd_exotic(cfg: argparse.Namespace):
     theta = _theta(cfg)
     prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
     ew = words.exotic_word(theta, _at_least(cfg, "indices", 0), thin=cfg.thin)
-    stages = []
-    for st in ew.stages:
-        stages.append({
-            "index": st.index,
-            "blocks": len(st.certificate.word.blocks),
-            "measure": format_exact(st.certificate.measure),
-            "connector": format_exact(st.connector),
-            "partial_measure": format_exact(st.partial_measure),
-            "partial_bound": format_exact(st.partial_bound),
-        })
+    stages = [{"index": st.index, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
+              for st in ew.stages]
     blocks = ew.blocks()
     letters = ew.letters()
     if prefix_blocks is not None:
@@ -220,7 +206,7 @@ def cmd_growth(cfg: argparse.Namespace):
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
                   "f": repr(r.target)} for r in rows]
         doc = {"mode": "prescribed", "f": cfg.f_name, "path": _tagged_path(path)}
-    csv = "t,I\n" + "\n".join(f"{r['t']},{r['I']}" for r in table) + "\n"
+    csv = "t,I\n" + "".join(f"{r['t']},{r['I']}\n" for r in table)
     return {**doc, "table": table, "csv": csv}
 
 
@@ -294,19 +280,20 @@ def cmd_ts_exotic(cfg: argparse.Namespace):
     if _at_least(cfg, "prefix", 0) is not None:
         levels = tuple(levels)[:cfg.prefix]
     stages = tsurface.synthesize_exotic(S, trans, levels, thin=cfg.thin)
-    out = []
-    for st in stages:
-        out.append({"level": st.level,
-                    "word": S.word_labels(st.certificate.word),
-                    "measure": format_exact(st.certificate.measure),
-                    "connector": format_exact(st.connector),
-                    "partial_measure": format_exact(st.partial_measure),
-                    "partial_bound": format_exact(st.partial_bound)})
-    return {"edge": cfg.edge, "stages": out}
+    return {"edge": cfg.edge,
+            "stages": [{"level": st.level, "word": S.word_labels(st.certificate.word),
+                        **_ledger(st)} for st in stages]}
 
 
 def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t.strip() != "")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError("--k: invalid int value: 'abc'")."""
+
+    def error(self, message):
+        raise ValueError(message.removeprefix("argument "))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the artifact to a file")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    top = argparse.ArgumentParser(prog="laminath", description=__doc__)
+    top = _Parser(prog="laminath", description=__doc__)
     top.add_argument("--emit", default="text")
     top.add_argument("--out", default=None)
     top.add_argument("--seed", type=int, default=None)
@@ -395,15 +382,19 @@ def _render_text(doc, out):
             out.write(f"{key}: {value}\n")
 
 
+def _fail(exc: Exception) -> int:
+    """Write ``exc`` to stderr as one JSON line; returns the exit status."""
+    code = exc.code if isinstance(exc, LaminathError) else "invalid-input"
+    sys.stderr.write(json.dumps({"error": code, "detail": str(exc)}, sort_keys=True) + "\n")
+    return 3 if isinstance(exc, EXHAUSTION_ERRORS) else 2
+
+
 def run(config: argparse.Namespace) -> int:
     """Dispatch one parsed configuration; returns the process exit status."""
     try:
         doc = config.handler(config)
     except (LaminathError, ValueError, IndexError, KeyError, OSError) as exc:
-        code = exc.code if isinstance(exc, LaminathError) else "invalid-input"
-        sys.stderr.write(json.dumps({"error": code, "detail": str(exc)},
-                                    sort_keys=True) + "\n")
-        return 3 if isinstance(exc, EXHAUSTION_ERRORS) else 2
+        return _fail(exc)
     if config.emit == "csv" and "csv" in doc:
         text = doc["csv"]
     elif config.emit == "json":
@@ -429,7 +420,11 @@ def config_from_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    return run(config_from_args(argv if argv is not None else sys.argv[1:]))
+    try:
+        config = config_from_args(argv if argv is not None else sys.argv[1:])
+    except ValueError as exc:  # a usage error
+        return _fail(exc)
+    return run(config)
 
 
 if __name__ == "__main__":

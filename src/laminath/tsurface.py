@@ -19,8 +19,9 @@ words no leaf word ever contains in its tail.
 
 Each separatrix is flowed once.  The backward ones are flowed to their first
 transversal crossing as the exchange is built; the exchange keeps those
-pairs and owns one cut table (their backward orbits), which every level-set
-partition and loop certificate reads.  The forward ones are flowed by
+pairs and owns one cut table (their backward orbits, kept by birth depth and
+sorted per query by one exact integer key), which every level-set partition
+and loop certificate reads.  The forward ones are flowed by
 ``saddle_connections``; the cylinder check flows them one at a time and
 stops at the first that stays open.
 
@@ -31,10 +32,9 @@ whose every branch is an exact integer sign test: the flow kernel behind
 first returns and the separatrices, and the exchange kernel behind leaf
 streams, loop flights, the cut table and the non-saddle search.  Only
 geometry validation and the per-point APIs (``flow_step``,
-``Transversal.point``/``param``, ``ReturnMapIET.locate``/``step``/
-``orbit_word``) use Fraction/QuadNum arithmetic, and results leaving a
-kernel loop are decoded to the field elements, of the types, that
-arithmetic would give.
+``Transversal.point``/``param``, ``ReturnMapIET.step``/``orbit_word``) use
+Fraction/QuadNum arithmetic, and results leaving a kernel loop are decoded
+to the field elements, of the types, that arithmetic would give.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional, Union
 
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
-from .exactnum import Exact, QuadNum, format_exact, pair_sign, parse_exact
+from .exactnum import Exact, QuadNum, format_exact, pair_floor, pair_sign, parse_exact
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -324,12 +324,13 @@ def _den_of(v) -> int:
     return math.lcm(a.denominator, b.denominator)
 
 
-def _surd(values) -> Optional[int]:
-    """The d of the values' quadratic field, or None when all are rational;
-    mixing two fields is a ValueError, as in QuadNum arithmetic."""
-    ds = {v.d for v in values if isinstance(v, QuadNum) and v.b != 0}
+def _surd(values, d: Optional[int] = None) -> Optional[int]:
+    """The d of the quadratic field of the values (and of sqrt ``d``), or None
+    when all are rational; mixing two fields is a ValueError, as in QuadNum
+    arithmetic."""
+    ds = {d, *(v.d for v in values if isinstance(v, QuadNum) and v.b != 0)} - {None}
     if len(ds) > 1:
-        raise ValueError("mixed fields " + " and ".join(f"sqrt{d}" for d in sorted(ds)))
+        raise ValueError("mixed fields " + " and ".join(f"sqrt{e}" for e in sorted(ds)))
     return ds.pop() if ds else None
 
 
@@ -444,10 +445,7 @@ class _FlowKernel:
     def start(self, point: SurfacePoint) -> _FlowState:
         x, y = point.x, point.y
         st = _FlowState()
-        d = _surd((x, y))
-        if self.d and d and d != self.d:
-            raise ValueError(f"mixed fields sqrt{self.d} and sqrt{d}")
-        st.d = self.d or d or 2
+        st.d = _surd((x, y), self.d) or 2
         den = math.lcm(self.D, _den_of(x), _den_of(y))
         st.tables = self._scaled(den // self.D)
         st.den, st.xden = den, den * self.E
@@ -600,10 +598,19 @@ class Transversal:
         return self._non_saddle
 
 
+def _check_orbit(tau, n: int):
+    """tau off [0, 1] or n < 0: ValueError; n > 0 from an end vertex: SingularHit."""
+    if n < 0 or not 0 <= tau <= 1:
+        raise ValueError(f"need 0 <= tau <= 1 and n >= 0, got tau {format_exact(tau)}, n {n}")
+    if n and tau in (0, 1):
+        raise SingularHit("orbit starts at an end vertex of the edge")
+
+
 def first_return(trans: Transversal, tau, n: int = 1):
     """n-th return parameter and crossing word (intermediate arrivals at the
     transversal included, the final arrival excluded).  n = 0 is the identity
     with the empty word."""
+    _check_orbit(tau, n)
     if n == 0:
         return tau, ""
     flow = trans.surface._flow
@@ -678,15 +685,16 @@ class _IETKernel:
     strictly inside the slot's moved interval, so that after the first step
     the bisection runs only over the cuts the last image straddles.  Landing
     exactly on a cut raises SingularHit.  D is divisible by every
-    denominator that will ever enter; callers pass the denominators of their
-    start points to ``ReturnMapIET.fast``.
+    denominator that will ever enter, and d and the type of decoded values
+    are those QuadNum arithmetic gives the exchange with the start points;
+    callers pass their start points to ``ReturnMapIET.fast``.
     """
 
-    def __init__(self, iet: "ReturnMapIET", den: int = 1):
+    def __init__(self, iet: "ReturnMapIET", points=(), den: int = 1):
         ivs = iet.intervals
-        vals = [x for iv in ivs for x in (iv.lo, iv.hi, iv.shift)]
-        self.d = _surd(vals) or 2
-        self.D = math.lcm(den, *(_den_of(x) for x in vals))
+        self.d, self.quad = self.field(iet, points)
+        self.D = math.lcm(den, *(_den_of(x) for iv in ivs for x in (iv.lo, iv.hi, iv.shift)),
+                          *map(_den_of, points))
         one = (self.D, 0)
         moves = [(i, *self.encode(iv.shift)) for i, iv in enumerate(ivs)]
         order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo + ivs[i].shift)
@@ -711,6 +719,14 @@ class _IETKernel:
             successors.append(([lo] + inner + [hi], range(first, first + len(inner) + 1)))
         return bounds, moves, successors
 
+    @staticmethod
+    def field(iet: "ReturnMapIET", points) -> tuple:
+        """(d, quad): the field of the exchange's values and ``points`` (2 if
+        rational, two fields a ValueError) and if QuadNum arithmetic on them
+        gives QuadNums."""
+        vals = [x for iv in iet.intervals for x in (iv.lo, iv.shift)] + list(points)
+        return _surd(vals) or 2, any(isinstance(x, QuadNum) for x in vals)
+
     def encode(self, x):
         return _encode(x, self.D)
 
@@ -722,10 +738,7 @@ class _IETKernel:
         return state
 
     def value(self, state):
-        u, v = state
-        if v == 0:
-            return Fraction(u, self.D)
-        return QuadNum(Fraction(u, self.D), Fraction(v, self.D), self.d)
+        return _field(state, self.D, self.d, self.quad)
 
     def inside(self, state, lo, hi) -> bool:
         """Exactly decide lo < state < hi for encoded bounds."""
@@ -790,24 +803,24 @@ class ReturnMapIET:
         """The one cut table, read by every partition and loop on this map."""
         return _CutTable(self)
 
-    def fast(self, den: int = 1) -> _IETKernel:
-        """The exact kernel, with a table denominator divisible by ``den``."""
-        if self._fast.D % den:
-            self._fast = _IETKernel(self, math.lcm(den, self._fast.D))
-        return self._fast
-
-    def locate(self, tau) -> ExchangeInterval:
-        for iv in self.intervals:
-            if iv.lo < tau < iv.hi:
-                return iv
-        raise SingularHit("parameter lies on a partition cut")
+    def fast(self, *points) -> _IETKernel:
+        """The exact kernel for orbits from ``points``: its denominator
+        divisible by theirs, its field and value type theirs with the exchange's."""
+        kernel = self._fast
+        if (kernel.D % math.lcm(*map(_den_of, points))
+                or (kernel.d, kernel.quad) != _IETKernel.field(self, points)):
+            kernel = self._fast = _IETKernel(self, points, kernel.D)
+        return kernel
 
     def step(self, tau):
-        iv = self.locate(tau)
-        return tau + iv.shift, iv
+        for iv in self.intervals:
+            if iv.lo < tau < iv.hi:
+                return tau + iv.shift, iv
+        raise SingularHit("parameter lies on a partition cut")
 
     def orbit_word(self, tau, n: int):
-        """(T^n(tau), word); matches the convention of first_return."""
+        """(T^n(tau), word); matches first_return, its errors included."""
+        _check_orbit(tau, n)
         parts = []
         for j in range(n):
             tau, iv = self.step(tau)
@@ -818,7 +831,7 @@ class ReturnMapIET:
 
     def letter_stream(self, tau0, num_letters: int) -> str:
         """Leaf word (all crossings, arrivals included) read from tau0."""
-        kernel = self.fast(_den_of(tau0))
+        kernel = self.fast(tau0)
         words = [iv.word + self.arrival_letter for iv in self.intervals]
         orbit = kernel.orbit(kernel.start(tau0))
         out = []
@@ -913,49 +926,53 @@ def return_partition(surface, trans, n: int, words: bool = True) -> ReturnPartit
     return ReturnPartition(n, cuts, intervals)
 
 
+def _exact_key(pairs, d: int):
+    """A sort key on integer pairs (u, v) that orders their values
+    u + v sqrt d exactly: floor(2^K (u + v sqrt d)), K = bit_length(4B) +
+    bit_length(d) + 1, B the largest |u| or |v| among ``pairs``.  Two
+    distinct values differ by at least 1/(|du| + |dv| sqrt d), because
+    (du + dv sqrt d)(du - dv sqrt d) is a nonzero integer; with |du|, |dv| <=
+    2B that is more than 2^-K, so distinct values get distinct keys, in
+    order."""
+    B = max((max(abs(u), abs(v)) for u, v in pairs), default=0)
+    K = (4 * B).bit_length() + d.bit_length() + 1
+    return lambda p: pair_floor(p[0] << K, p[1] << K, d, 1)
+
+
 class _CutTable:
-    """Backward orbits of the depth-1 cuts under the inverse exchange (a
-    strand dies where its separatrix meets a vertex), as kernel pairs kept
-    sorted with their birth depths; answers cut and max-gap queries per
-    depth, the gaps memoised."""
+    """Backward orbits ("strands") of the depth-1 cuts under the inverse
+    exchange, as kernel pairs kept by birth depth: ``born[j]`` holds the cuts
+    born at depth j + 1, up to ``depth``, where growth stops once every strand
+    has died (its separatrix met a vertex).  A query sorts the cuts up to its
+    depth by one exact integer key; the gaps are memoised."""
 
     def __init__(self, iet: ReturnMapIET):
         self.kernel = iet.fast()
-        bounds = self.kernel.forward[0]
-        self.points = list(bounds)              # sorted, 0 and 1 included
-        self.births = [0] + [1] * (len(bounds) - 2) + [0]
-        self.strands = [(p, self.kernel.orbit(p, back=True))
-                        for p in map(list, bounds[1:-1])]
+        cuts = self.kernel.forward[0][1:-1]
+        self.born = [cuts]
+        self.strands = [(p, self.kernel.orbit(p, back=True)) for p in map(list, cuts)]
         self.depth = 1
-        # cuts and gaps keep the type QuadNum arithmetic would give them
-        self.quad = any(isinstance(x, QuadNum)
-                        for iv in iet.intervals for x in (iv.lo, iv.shift))
         self._gaps = {}
 
     def max_gap(self, depth: int):
-        """Largest gap between 0, 1 and the cuts of depth at most ``depth``
-        (at least 1)."""
+        """Largest gap between 0, 1 and the cuts of depth at most ``depth``."""
         if depth not in self._gaps:
-            self._grow(depth)
-            self._gaps[depth] = self._max_gap(depth)
+            pts = [(0, 0), *self._sorted(depth), (self.kernel.D, 0)]
+            gaps = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
+            self._gaps[depth] = self.kernel.value(max(gaps, key=_exact_key(gaps, self.kernel.d)))
         return self._gaps[depth]
 
     def cuts(self, depth: int) -> list:
         """The sorted cuts of depth 1..``depth``, typed as QuadNum arithmetic
         on the exchange gives them.  No cut born at ``depth`` >= 1 means every
         backward separatrix ended sooner: CylinderDecomposition."""
-        self._grow(depth)
-        if depth and depth not in self.births:
+        pts = self._sorted(depth)
+        if not self.strands and depth >= self.depth:  # every strand died by then
             raise CylinderDecomposition("every backward separatrix is a saddle connection")
-        return [self._value(p) for p, born in zip(self.points, self.births)
-                if 0 < born <= depth]
+        return [self.kernel.value(p) for p in pts]
 
-    def _value(self, pair):
-        return _field(pair, self.kernel.D, self.kernel.d, self.quad)
-
-    def _grow(self, depth: int):
-        d = self.kernel.d
-        while self.depth < depth:
+    def _sorted(self, depth: int) -> list:
+        while self.depth < depth and self.strands:
             self.depth += 1
             alive = []
             for state, orbit in self.strands:
@@ -964,25 +981,10 @@ class _CutTable:
                 except SingularHit:
                     continue
                 alive.append((state, orbit))
-                # a preimage lies inside an open interval, never on a cut, so
-                # no cut is born twice
-                j = _slot(self.points, state[0], state[1], d) + 1
-                self.points.insert(j, tuple(state))
-                self.births.insert(j, self.depth)
             self.strands = alive
-
-    def _max_gap(self, depth: int):
-        d = self.kernel.d
-        best = prev = None
-        for (u, v), born in zip(self.points, self.births):
-            if born > depth:
-                continue
-            if prev is not None:
-                gu, gv = u - prev[0], v - prev[1]
-                if best is None or pair_sign(gu - best[0], gv - best[1], d) > 0:
-                    best = (gu, gv)
-            prev = (u, v)
-        return self._value(best)
+            self.born.append([tuple(state) for state, _ in alive])
+        pts = [p for level in self.born[:depth] for p in level]
+        return sorted(pts, key=_exact_key(pts, self.kernel.d))
 
 
 # -- saddle connections --------------------------------------------------------------
@@ -1046,7 +1048,7 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
     saddles = tuple(sc.word for sc in conns if sc.steps <= min(budget, 512))
     iet = trans.return_map()
     for corner, first_cut in iet.first_cuts:
-        kernel = iet.fast(_den_of(first_cut))
+        kernel = iet.fast(first_cut)
         try:
             orbit = kernel.orbit(kernel.start(first_cut), back=True)
             for _ in range(budget):
@@ -1143,22 +1145,19 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     R = P - sgn * delta_r
     q_lo, q_hi = Q - two_k, Q + two_k
 
-    kernel = iet.fast(math.lcm(*(_den_of(val) for val in (Q, R, q_lo, q_hi))))
+    kernel = iet.fast(Q, R, q_lo, q_hi)
     window = kernel.encode(lo_w), kernel.encode(hi_w)
     state = kernel.start(Q)
     word_idx = []
-    n = None
-    for j, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
+    for n, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
         word_idx.append(i)
         if kernel.inside(state, *window):
-            tau = kernel.value(state)
-            if abs(tau - Q) < a and j >= 2 and iet.cut_table.max_gap(j - 1) < a:
-                n = j
+            tau_n = kernel.value(state)
+            if abs(tau_n - Q) < a and n >= 2 and iet.cut_table.max_gap(n - 1) < a:
                 break
-    if n is None:
+    else:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}",
                               depth=len(word_idx))
-    tau_n = kernel.value(state)
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 

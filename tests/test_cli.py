@@ -88,9 +88,35 @@ def test_exotic_emits_ledger():
 
 
 def test_unknown_subcommand_exits_2():
+    code, out, err = run_cli(["no-such-command"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+# usage errors leave as one JSON line (invalid-input, exit 2), whether argparse
+# or a handler catches them; --help still exits 0
+@pytest.mark.parametrize("argv", [
+    ["convergents"],
+    ["nosuch"],
+    ["ts"],
+    ["ts", "loop"],
+    ["factors"],
+    ["--emit", "json", "factors", "--m", "3"],
+    ["convergents", "--theta", "cf:[1;2]p", "--bogus"],
+    ["ts", "return-map", "--surface", "slit-tori", "--edge", "5", "--tau", "2"],
+])
+def test_usage_error_is_one_json_line(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
-        run_cli(["no-such-command"])
-    assert exc.value.code == 2
+        run_cli(["ts", "loop", "--help"])
+    assert exc.value.code == 0
 
 
 def test_missing_theta_exits_2():
@@ -129,6 +155,8 @@ def test_bad_numeric_arguments_exit_2():
     (["ts", "loop", "--surface", "slit-tori", "--edge", "5", "--budget", "-5"], "--budget"),
     (["admissible", "--theta", "cf:[1;2]p", "--word", "abab", "--depth", "-1"], "--depth"),
     (["factors", "--theta", "cf:[1;2]p", "--depth", "-3"], "--depth"),
+    (["convergents", "--theta", "cf:[1;2]p", "--k", "abc"], "--k"),
+    (["ts", "partition", "--surface", "slit-tori", "--edge", "x"], "--edge"),
 ])
 def test_bad_option_is_named(argv, option):
     code, out, err = run_cli(argv)
@@ -180,6 +208,9 @@ def test_growth_csv():
                             "--mode", "linear", "--direction", "0",
                             "--t-max", "4", "--samples", "4"])
     assert out == "t,I\n1,1*sqrt2\n2,2*sqrt2\n3,3*sqrt2\n4,4*sqrt2\n"
+    code, out, _ = run_cli(["--emit", "csv", "growth", "--theta", "cf:[1;2]p",
+                            "--samples", "0"])
+    assert code == 0 and out == "t,I\n"
 
 
 def test_determinism_byte_identical():

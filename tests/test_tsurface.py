@@ -1,15 +1,17 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from laminath import tsurface as ts
 from laminath.errors import (BudgetExhausted, CylinderDecomposition,
                              InvalidSurface, SingularHit)
-from laminath.exactnum import QuadNum, format_exact, frac_part
+from laminath.exactnum import QuadNum, format_exact, frac_part, pair_sign
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -602,7 +604,7 @@ def _points_near(iet, x):
 def _check_both_ways(iet, x, steps=4):
     """A few kernel steps forward and backward from x equal the QuadNum
     references step by step, or both raise SingularHit at the same step."""
-    kernel = iet.fast(ts._den_of(x))
+    kernel = iet.fast(x)
     for back in (False, True):
         reference = _reference_step_back if back else ts.ReturnMapIET.step
         state = kernel.start(x)
@@ -642,7 +644,7 @@ def test_kernel_raises_on_cuts():
                     continue
                 with pytest.raises(SingularHit):
                     (_reference_step_back if back else ts.ReturnMapIET.step)(iet, x)
-                kernel = iet.fast(ts._den_of(x))
+                kernel = iet.fast(x)
                 with pytest.raises(SingularHit):
                     next(kernel.orbit(kernel.start(x), back=back))
         with pytest.raises(SingularHit):
@@ -654,7 +656,7 @@ def test_kernel_long_orbit_matches_reference():
     # the QuadNum references, then back to the start exactly
     iet = _fixture_iet("slit-tori")
     tau = Fraction(3, 11)
-    kernel = iet.fast(ts._den_of(tau))
+    kernel = iet.fast(tau)
     state = kernel.start(tau)
     ref = tau
     for _, i in zip(range(2000), kernel.orbit(state)):
@@ -696,6 +698,55 @@ def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     for j in range(1, 6):
         got, want = table.max_gap(j), ref.max_gap(j)
         assert got == want and type(got) is type(want) is QuadNum, j
+    # the kernel decodes its steps by the same rule
+    kernel = iet.fast(Fraction(1, 7))
+    state = kernel.start(Fraction(1, 7))
+    next(kernel.orbit(state))
+    assert _typed(kernel.value(state)) == _typed(iet.step(Fraction(1, 7))[0])
+
+
+def _sqrt_convergents(d, count):
+    """The first ``count`` convergents p/q of sqrt d, by the periodic
+    expansion's integer recurrence."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    (p0, p1), (q0, q1) = (1, a0), (0, 1)
+    out = [(p1, q1)]
+    while len(out) < count:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_exact_key_orders_pairs_exactly(d, data):
+    # near-ties: p_k - q_k sqrt d lies within 1/q_k of 0, so sums of two such
+    # pairs, shifted by small integers, crowd within 1/q of each other, and
+    # the two halves of one convergent pair differ by as little as the bound
+    # allows; with k up to 160 the coordinates pass 2^200
+    cvs = _sqrt_convergents(d, 161)
+    signs = st.sampled_from([-1, 1])
+    sums = st.builds(
+        lambda i, j, si, sj, du, dv: [(si * cvs[i][0] + sj * cvs[j][0] + du,
+                                       -si * cvs[i][1] - sj * cvs[j][1] + dv)],
+        st.integers(0, 160), st.integers(0, 160), signs, signs,
+        st.integers(-2, 2), st.integers(-2, 2))
+    halves = st.builds(
+        lambda i, s: [(s * (cvs[i][0] // 2), -s * (cvs[i][1] // 2)),
+                      (s * (cvs[i][0] // 2 - cvs[i][0]), -s * (cvs[i][1] // 2 - cvs[i][1]))],
+        st.integers(0, 160), signs)
+    groups = data.draw(st.lists(st.one_of(sums, halves), min_size=1, max_size=8))
+    pairs = [p for group in groups for p in group]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))  # equal pairs
+    key = ts._exact_key(pairs, d)
+    exact = cmp_to_key(lambda a, b: pair_sign(a[0] - b[0], a[1] - b[1], d))
+    assert sorted(pairs, key=key) == sorted(pairs, key=exact)
+    top = max(pairs, key=key)
+    assert all(pair_sign(top[0] - u, top[1] - v, d) >= 0 for u, v in pairs)
 
 
 def _fresh_transversal(name, gamma=None):
@@ -733,8 +784,9 @@ def test_partition_cuts_match_flow_reference(name, gamma):
 def test_partition_cylinder_decided_per_depth():
     # rotation by 1/3: the backward separatrix crosses the edge twice and
     # then ends at the vertex, so depths 1 and 2 have cuts and deeper
-    # partitions raise, whichever depth was asked for first
-    for order in ((1, 2, 3, 6), (6, 3, 2, 1)):
+    # partitions raise, whichever depth was asked for first, at once however
+    # deep
+    for order in ((1, 2, 3, 6, 10 ** 7), (10 ** 7, 6, 3, 2, 1)):
         tr = ts.Transversal(ts.load_surface(ts.sheared_torus_doc(Fraction(1, 3))), 1)
         for n in order:
             if n > 2:
@@ -769,6 +821,17 @@ _LOOP_PINS = {
                        ("-504127/64+5570*sqrt2", "QuadNum"), ("-2786+1970*sqrt2", "QuadNum")),
     ("slit-tori", 6): (348, ("-117119/64+1294*sqrt2", "QuadNum"),
                        ("-503935/128+2784*sqrt2", "QuadNum"), ("577-408*sqrt2", "QuadNum")),
+    ("sheared-torus", 8): (2378, ("-3503+2477*sqrt2", "QuadNum"),
+                           ("-1720831/512+2377*sqrt2", "QuadNum"),
+                           ("1970-1393*sqrt2", "QuadNum")),
+    ("sheared-torus", 10): (8119, ("-12298+8696*sqrt2", "QuadNum"),
+                            ("-23511039/2048+8118*sqrt2", "QuadNum"),
+                            ("3363-2378*sqrt2", "QuadNum")),
+    ("slit-tori", 8): (1189, ("-1365247/256+3771*sqrt2", "QuadNum"),
+                       ("-6885887/512+9510*sqrt2", "QuadNum"), ("-9512+6726*sqrt2", "QuadNum")),
+    ("slit-tori", 10): (3465, ("-15201279/1024+10497*sqrt2", "QuadNum"),
+                        ("-80279551/2048+27718*sqrt2", "QuadNum"),
+                        ("-16238+11482*sqrt2", "QuadNum")),
 }
 
 
@@ -931,21 +994,58 @@ def test_flow_kernel_rescales_for_new_denominators():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=1 - Fraction(1, 10 ** 4),
-                    max_denominator=10 ** 4),
-       st.one_of(st.none(), st.integers(0, 20)), st.integers(1, 20))
+@given(st.one_of(st.fractions(min_value=Fraction(1, 10 ** 4),
+                              max_value=1 - Fraction(1, 10 ** 4), max_denominator=10 ** 4),
+                 st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 3)])),
+       st.one_of(st.none(), st.integers(0, 20)), st.integers(-2, 20))
+@example(Fraction(0), None, 1)
+@example(Fraction(1), None, 1)
+@example(Fraction(2), None, 1)
+@example(Fraction(1, 3), None, -1)
 def test_first_return_matches_orbit_word(tau, cut, n):
     iet = _SLIT_TR.return_map()
-    if cut is not None:  # start on an exchange cut, where the flow meets a vertex
+    if cut is not None and 0 < tau < 1:  # start on an exchange cut: a vertex
         tau = iet.intervals[1 + cut % (len(iet.intervals) - 1)].lo
+    # off the edge or a negative count is a ValueError, an end vertex of the
+    # edge a SingularHit, for both
+    outside = n < 0 or not 0 <= tau <= 1
     try:
         want = iet.orbit_word(tau, n)
-    except SingularHit:
-        with pytest.raises(SingularHit):
+    except (SingularHit, ValueError) as exc:
+        assert isinstance(exc, ValueError if outside else SingularHit)
+        with pytest.raises(type(exc)):
             ts.first_return(_SLIT_TR, tau, n)
         return
+    assert not outside and (n == 0 or 0 < tau < 1)
     got = ts.first_return(_SLIT_TR, tau, n)
     assert _typed(got[0]) == _typed(want[0]) and got[1] == want[1]
+
+
+def _reference_stream(iet, tau, num_letters):
+    out = ""
+    while len(out) < num_letters:
+        tau, iv = iet.step(tau)
+        out += iv.word + iet.arrival_letter
+    return out[:num_letters]
+
+
+def test_kernel_takes_its_field_from_the_start_point():
+    # a rational exchange steps a start point of Q(sqrt 5) in that field and
+    # decodes to the type QuadNum arithmetic gives; a start point of another
+    # field than the exchange's is refused, as QuadNum arithmetic refuses it
+    iet = _fresh_transversal("sheared-torus", Fraction(1, 3)).return_map()
+    x = QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)
+    assert iet.letter_stream(x, 13) == _reference_stream(iet, x, 13) == "babbbabbbabbb"
+    kernel = iet.fast(x)
+    state = kernel.start(x)
+    next(kernel.orbit(state))
+    assert _typed(kernel.value(state)) == _typed(iet.step(x)[0])
+    iet = _SHEARED_TR.return_map()
+    x = QuadNum(0, Fraction(1, 3), 5)
+    for call in (iet.step, lambda t: iet.letter_stream(t, 20),
+                 lambda t: ts.first_return(_SHEARED_TR, t)):
+        with pytest.raises(ValueError, match="mixed fields"):
+            call(x)
 
 
 def _thin_edge_torus():
