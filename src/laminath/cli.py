@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--emit", default="text")
     top.add_argument("--out", default=None)
     top.add_argument("--seed", type=int, default=None)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add(name, handler, subparsers=sub, parent=common, **options):
         p = subparsers.add_parser(name, parents=[parent])
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         segments={"type": int, "default": 6})
 
     ts = sub.add_parser("ts")
-    ts_sub = ts.add_subparsers(dest="ts_command", required=True)
+    ts_sub = ts.add_subparsers(dest="ts_command", metavar="COMMAND", required=True)
     surface = argparse.ArgumentParser(add_help=False, parents=[common])
     surface.add_argument("--surface", required=True,
                          help="preset name (sheared-torus, slit-tori) or JSON file")
@@ -367,6 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
            levels={"type": _int_list, "default": (1, 2, 3)},
            prefix={"type": int, "default": None},
            thin={"action": "store_true"})
+    # usage errors name the subcommand slot COMMAND; --help lists its choices
+    for subparsers in (sub, ts_sub):
+        subparsers.help = "one of " + ", ".join(subparsers.choices)
     return top
 
 

@@ -30,7 +30,9 @@ no branch rests on floating point.  Every loop runs on one of two integer
 kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
 whose every branch is an exact integer sign test: the flow kernel behind
 first returns and the separatrices, and the exchange kernel behind leaf
-streams, loop flights, the cut table and the non-saddle search.  Only
+streams, loop flights, the cut table and the non-saddle search.  Leaf
+streams copy whole tower words of an exact Rauzy–Veech induction of the
+exchange, whose induced exchange steps on the same kernel.  Only
 geometry validation and the per-point APIs (``flow_step``,
 ``Transversal.point``/``param``, ``ReturnMapIET.step``/``orbit_word``) use
 Fraction/QuadNum arithmetic, and results leaving a kernel loop are decoded
@@ -674,11 +676,20 @@ def _slot(bounds, u, v, d) -> int:
     return lo
 
 
+# induction stops once every tower word has _TOWER_MIN letters (a stream steps
+# the exchange through up to one tower before it copies towers), or once one
+# has _TOWER_MAX (a rotation by a tiny shear grows one tower alone)
+_TOWER_MIN = 512
+_TOWER_MAX = 1 << 13
+
+
 class _IETKernel:
     """The one exact interval-exchange kernel.
 
     A state is an integer pair [u, v] standing for (u + v sqrt d)/D, and
-    every branch is an exact sign test on such pairs.  Each direction has
+    every branch is an exact sign test on such pairs.  The exchange acts on
+    (0, ``end``): (0, 1) for a return map, (0, L) for its Rauzy–Veech
+    induction (``towers``).  Each direction has
     one table: the sorted cut pairs of the intervals (forward) or of their
     images (backward, the inverse exchange's table); per slot, the index of
     the interval and the pair to add; and per slot the successor cuts, those
@@ -692,19 +703,28 @@ class _IETKernel:
 
     def __init__(self, iet: "ReturnMapIET", points=(), den: int = 1):
         ivs = iet.intervals
+        self.iet = iet
         self.d, self.quad = self.field(iet, points)
         self.D = math.lcm(den, *(_den_of(x) for iv in ivs for x in (iv.lo, iv.hi, iv.shift)),
                           *map(_den_of, points))
-        one = (self.D, 0)
-        moves = [(i, *self.encode(iv.shift)) for i, iv in enumerate(ivs)]
-        order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo + ivs[i].shift)
-        images = [(self.encode(ivs[i].lo + ivs[i].shift),
-                   self.encode(ivs[i].hi + ivs[i].shift)) for i in order]
-        cuts = [lo for lo, _ in images]
-        if cuts + [one] != [(0, 0)] + [hi for _, hi in images]:
+        self._exchange([self.encode(iv.lo) for iv in ivs],
+                       [self.encode(iv.shift) for iv in ivs], (self.D, 0))
+
+    def _exchange(self, lows, shifts, end):
+        """Tables of the exchange of (0, ``end``) whose interval i starts at
+        ``lows[i]`` (increasing) and moves by ``shifts[i]``."""
+        self.end = end
+        d = self.d
+        images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
+                  in zip(lows, lows[1:] + [end], shifts)]
+        key = _exact_key([lo for lo, _ in images], d)
+        order = sorted(range(len(lows)), key=lambda i: key(images[i][0]))
+        cuts = [images[i][0] for i in order]
+        if cuts + [end] != [(0, 0)] + [images[i][1] for i in order]:
             raise CertificateViolation("return-map images do not tile the edge")
-        self.forward = self._table([self.encode(iv.lo) for iv in ivs] + [one], moves)
-        self.backward = self._table(cuts + [one], [(i, -moves[i][1], -moves[i][2])
+        moves = [(i, su, sv) for i, (su, sv) in enumerate(shifts)]
+        self.forward = self._table(lows + [end], moves)
+        self.backward = self._table(cuts + [end], [(i, -moves[i][1], -moves[i][2])
                                                    for i in order])
 
     def _table(self, bounds, moves):
@@ -731,9 +751,9 @@ class _IETKernel:
         return _encode(x, self.D)
 
     def start(self, x) -> list:
-        """State of the edge parameter x, which must lie inside (0, 1)."""
+        """State of the parameter x, which must lie inside (0, end)."""
         state = list(self.encode(x))
-        if not self.inside(state, (0, 0), (self.D, 0)):
+        if not self.inside(state, (0, 0), self.end):
             raise SingularHit("orbit landed on a partition cut")
         return state
 
@@ -763,6 +783,56 @@ class _IETKernel:
             yield i
             cuts, slots = successors[j]
             j = slots[_slot(cuts, u, v, d)] if len(slots) > 1 else slots[0]
+
+    @cached_property
+    def towers(self) -> tuple:
+        """(kernel, words): the first-return exchange to (0, L) that exact
+        Rauzy–Veech induction (Rauzy 1979; Veech 1982) reaches, on this
+        kernel's field and denominator, and per induced interval its tower
+        word, the letters of the return map's crossings up to its return.
+
+        A move compares a, the last interval of the domain, with b, the
+        interval whose image comes last, and shortens the domain by the
+        shorter one's length.  The shorter one (the loser) is relabelled onto
+        the points that now pass through b and then a before they return:
+        its word becomes w(b) w(a) and its shift the sum.  The winner loses
+        the loser's length, and the loser moves behind the winner in the
+        order in which it came last.  Every floor of a tower lies inside one
+        interval, so from a point strictly inside an induced interval one
+        induced step reads its whole tower word.  Induction stops once every
+        word has ``_TOWER_MIN`` letters or one has ``_TOWER_MAX``, or at an
+        equal-length move (a saddle connection, where rational exchanges
+        end): the towers of every stage are valid."""
+        d = self.d
+        bounds, moves, _ = self.forward
+        lengths = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(bounds, bounds[1:])]
+        shifts = [(du, dv) for _, du, dv in moves]
+        arrival = self.iet.arrival_letter
+        words = [iv.word + arrival for iv in self.iet.intervals]
+        top, bottom = list(range(len(moves))), [i for i, _, _ in self.backward[1]]
+        Lu, Lv = self.end
+        while min(map(len, words)) < _TOWER_MIN and max(map(len, words)) < _TOWER_MAX:
+            a, b = top[-1], bottom[-1]
+            (au, av), (bu, bv) = lengths[a], lengths[b]
+            s = pair_sign(au - bu, av - bv, d)
+            if s == 0:
+                break
+            win, lose, order = (a, b, bottom) if s > 0 else (b, a, top)
+            order.pop()
+            order.insert(order.index(win) + 1, lose)
+            (wu, wv), (lu, lv) = lengths[win], lengths[lose]
+            lengths[win] = (wu - lu, wv - lv)
+            Lu, Lv = Lu - lu, Lv - lv
+            shifts[lose] = (shifts[a][0] + shifts[b][0], shifts[a][1] + shifts[b][1])
+            words[lose] = words[b] + words[a]
+        lows, u, v = [], 0, 0
+        for i in top:
+            lows.append((u, v))
+            u, v = u + lengths[i][0], v + lengths[i][1]
+        kernel = _IETKernel.__new__(_IETKernel)
+        kernel.iet, kernel.d, kernel.quad, kernel.D = None, d, self.quad, self.D
+        kernel._exchange(lows, [shifts[i] for i in top], (Lu, Lv))
+        return kernel, [words[i] for i in top]
 
 
 class ReturnMapIET:
@@ -830,14 +900,35 @@ class ReturnMapIET:
         return tau, "".join(parts)
 
     def letter_stream(self, tau0, num_letters: int) -> str:
-        """Leaf word (all crossings, arrivals included) read from tau0."""
+        """Leaf word (all crossings, arrivals included) read from tau0.
+
+        The exchange steps until the orbit lies strictly inside the induced
+        interval (0, L) of the kernel's ``towers``; from there each induced
+        step copies one whole tower word.  An orbit point exactly on an
+        induced cut hands the rest of the stream back to the exchange, so
+        the letters, and any SingularHit, are those of stepping the exchange
+        alone."""
         kernel = self.fast(tau0)
+        state = kernel.start(tau0)
+        induced, towers = kernel.towers
         words = [iv.word + self.arrival_letter for iv in self.intervals]
-        orbit = kernel.orbit(kernel.start(tau0))
+        (Lu, Lv), d = induced.end, kernel.d
         out = []
         total = 0
-        while total < num_letters:
+        orbit = kernel.orbit(state)
+        while total < num_letters and pair_sign(Lu - state[0], Lv - state[1], d) <= 0:
             w = words[next(orbit)]
+            out.append(w)
+            total += len(w)
+        orbit, letters = induced.orbit(state), towers
+        while total < num_letters:
+            try:
+                w = letters[next(orbit)]
+            except SingularHit:   # on an induced cut: the exchange decides it
+                if letters is words:
+                    raise
+                orbit, letters = kernel.orbit(state), words
+                continue
             out.append(w)
             total += len(w)
         return "".join(out)[:num_letters]

@@ -113,6 +113,21 @@ def test_usage_error_is_one_json_line(argv):
     assert json.loads(err)["error"] == "invalid-input"
 
 
+# the subcommand slot is named as the usage line shows it, not by the
+# parser's internal destination
+@pytest.mark.parametrize("argv, detail", [
+    (["ts"], "the following arguments are required: COMMAND"),
+    ([], "the following arguments are required: COMMAND"),
+    (["nosuch"], "COMMAND: invalid choice: 'nosuch' (choose from 'convergents', "),
+    (["ts", "nosuch"], "COMMAND: invalid choice: 'nosuch' (choose from 'validate', "),
+])
+def test_usage_error_names_the_subcommand_slot(argv, detail):
+    code, out, err = run_cli(argv)
+    doc = json.loads(err)
+    assert code == 2 and out == "" and doc["error"] == "invalid-input"
+    assert doc["detail"].startswith(detail) and "command" not in doc["detail"]
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         run_cli(["ts", "loop", "--help"])

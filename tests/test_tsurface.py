@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from laminath import tsurface as ts
+from laminath.cf import ContinuedFraction
 from laminath.errors import (BudgetExhausted, CylinderDecomposition,
                              InvalidSurface, SingularHit)
 from laminath.exactnum import QuadNum, format_exact, frac_part, pair_sign
@@ -340,7 +341,6 @@ def test_sheared_torus_streams_are_sturmian_words():
     # sequences (inverting the slope transposes the grid roles); this ties
     # the surface stack to the independent torus-word stack
     from laminath import oracle
-    from laminath.cf import ContinuedFraction
     tr = _SHEARED_TR
     stream = tr.return_map().letter_stream(Fraction(3, 11), 20000)
     theta2 = ContinuedFraction.periodic([2], [2])
@@ -1046,6 +1046,136 @@ def test_kernel_takes_its_field_from_the_start_point():
                  lambda t: ts.first_return(_SHEARED_TR, t)):
         with pytest.raises(ValueError, match="mixed fields"):
             call(x)
+
+
+# -- tower-copy leaf streams ---------------------------------------------------------
+
+def _kernel_stream(iet, tau, num_letters):
+    """The leaf word by single steps of the exchange kernel: the reference
+    for the tower-copy stream of ``letter_stream``."""
+    kernel = iet.fast(tau)
+    words = [iv.word + iet.arrival_letter for iv in iet.intervals]
+    orbit = kernel.orbit(kernel.start(tau))
+    out = []
+    total = 0
+    while total < num_letters:
+        out.append(words[next(orbit)])
+        total += len(out[-1])
+    return "".join(out)[:num_letters]
+
+
+def _outcome(stream, iet, tau, n):
+    """The stream, or the type and message of what it raised."""
+    try:
+        return stream(iet, tau, n)
+    except (SingularHit, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _tower_stream(iet, tau, n):
+    return iet.letter_stream(tau, n)
+
+
+# shears of the benchmark's leaf-streams family, [0; c1, pre..., (per...)]
+# with leading partial quotient 1 or 2 and coefficients up to 3, and
+# rational shears, whose induction ends on an equal-length move (1/2 makes
+# the slit tori a cylinder decomposition)
+_stream_shears = st.one_of(
+    st.builds(lambda c1, pre, per: ContinuedFraction(preperiod=[0, c1, *pre],
+                                                     period=per).value(),
+              st.sampled_from([1, 2]), st.lists(st.integers(1, 3), max_size=2),
+              st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+    st.fractions(Fraction(1, 40), Fraction(39, 40), max_denominator=40)
+    .filter(lambda g: g != Fraction(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fixtures, _stream_shears, st.data())
+def test_tower_stream_matches_kernel_steps(name, gamma, data):
+    iet = _fixture_iet(name, gamma)
+    d = gamma.d if isinstance(gamma, QuadNum) else 5
+    tau = data.draw(st.one_of(
+        st.fractions(0, 1, max_denominator=10 ** 6),
+        st.builds(lambda a, b: frac_part(QuadNum(Fraction(a, 7), Fraction(b, 5), d)),
+                  st.integers(-20, 20), st.integers(1, 9))), "tau")
+    n = data.draw(st.integers(1, 20_000), "n")
+    assert _outcome(_tower_stream, iet, tau, n) == _outcome(_kernel_stream, iet, tau, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fixtures, st.sampled_from([None, Fraction(2, 7), Fraction(5, 13)]), st.data())
+def test_tower_stream_lands_on_cuts_as_kernel_steps_do(name, gamma, data):
+    # a start k backward steps before a cut of the exchange or of its
+    # induction: the stream returns the m letters before a landing on an
+    # exchange cut and raises past them; a landing on an induced cut alone
+    # hands the stream back to the exchange, which carries on
+    iet = _fixture_iet(name, gamma)
+    kernel = iet.fast()
+    induced, _ = kernel.towers
+    cut = data.draw(st.sampled_from(kernel.forward[0][1:-1] + induced.forward[0][1:]), "cut")
+    state = list(cut)
+    try:
+        for _ in zip(range(data.draw(st.integers(0, 3000), "k")),
+                     kernel.orbit(state, back=True)):
+            pass
+    except SingularHit:
+        pass
+    x = kernel.value(state)
+    words = [iv.word + iet.arrival_letter for iv in iet.intervals]
+    m, orbit = 0, kernel.orbit(kernel.start(x))
+    try:
+        while m <= 20_000:
+            m += len(words[next(orbit)])
+    except SingularHit:
+        pass
+    for n in {0, 1, max(m - 1, 0), m, m + 1, data.draw(st.integers(0, 20_000), "n")}:
+        assert _outcome(_tower_stream, iet, x, n) == _outcome(_kernel_stream, iet, x, n)
+
+
+def test_tower_stream_singular_starts():
+    for name in ("sheared-torus", "slit-tori"):
+        iet = _fixture_iet(name)
+        # end vertices and points off the edge raise, whatever the length
+        for tau in (Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(4, 3)):
+            for n in (0, 1, 8):
+                want = _outcome(_kernel_stream, iet, tau, n)
+                assert want[0] is SingularHit
+                assert _outcome(_tower_stream, iet, tau, n) == want
+        # every cut of the induction, the right end L included
+        kernel = iet.fast()
+        for cut in kernel.towers[0].forward[0][1:]:
+            x = kernel.value(cut)
+            for n in (0, 5, 20_000):
+                assert (_outcome(_tower_stream, iet, x, n)
+                        == _outcome(_kernel_stream, iet, x, n))
+        x = QuadNum(0, Fraction(1, 3), 5)
+        for n in (0, 5):
+            want = _outcome(_kernel_stream, iet, x, n)
+            assert want[0] is ValueError and _outcome(_tower_stream, iet, x, n) == want
+
+
+@pytest.mark.parametrize("tau, offset", [
+    (Fraction(1, 7), 1), (Fraction(3, 5), 2), (Fraction(2, 9), 1)])
+def test_sheared_torus_stream_is_a_sturmian_word(tau, offset):
+    # the sheared torus returns by rotation by gamma = sqrt2 - 1, so its leaf
+    # word from tau is the cutting sequence of slope [2; 2, 2, ...] = 1 + sqrt2
+    # from height -tau (1 + sqrt2), past its first one or two letters
+    from laminath import flat
+    stream = _SHEARED_TR.return_map().letter_stream(tau, 5000)
+    letters, _ = flat.sturmian_letters(ContinuedFraction.periodic([2], [2]),
+                                       -tau * QuadNum(1, 1, 2), 5000 + offset)
+    assert stream == letters[offset:]
+
+
+def test_towers_are_built_lazily_and_kept():
+    iet = _fresh_transversal("slit-tori").return_map()
+    assert "towers" not in iet._fast.__dict__
+    iet.letter_stream(Fraction(1, 7), 10)
+    kernel = iet.fast(Fraction(1, 7))
+    towers = kernel.__dict__["towers"]
+    # a second stream on the same denominator reuses the same towers
+    assert iet.letter_stream(Fraction(3, 7), 5000) == _kernel_stream(iet, Fraction(3, 7), 5000)
+    assert iet.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
 
 
 def _thin_edge_torus():
