@@ -16,6 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from laminath import tsurface as ts, words
 from laminath.cf import ContinuedFraction
 from laminath.exactnum import format_exact
+from laminath.ledger import min_full_window
 
 
 def torus_demo():
@@ -23,12 +24,12 @@ def torus_demo():
     print("== torus: concatenated inadmissible segments (theta = sqrt2) ==")
     ew = words.exotic_word(theta, (2, 4, 6, 8, 10, 12))
     for st in ew.stages:
-        print(f"  w_{st.index}: {len(st.certificate.word.blocks):6d} blocks  "
+        print(f"  w_{st.level}: {len(st.certificate.word.blocks):6d} blocks  "
               f"measure {float(st.certificate.measure):.8f}  "
               f"running {float(st.partial_measure):.8f}")
     print(f"  total exact: {format_exact(ew.total_measure)}")
     print(f"  window guaranteeing a full segment: "
-          f"{words.min_full_segment_window(ew)} blocks")
+          f"{min_full_window(ew.stages)} blocks")
 
     thinned = words.exotic_word(theta, (2, 4, 6, 8, 10, 12), thin=True)
     print(f"  thinned kept={thinned.kept_indices} skipped={thinned.skipped_indices}")
@@ -52,6 +53,7 @@ def surface_demo():
               f"(< {float(c.measure_constant) / 2 ** st.level:.8f})  "
               f"running {float(st.partial_measure):.8f}")
     print(f"  ledger bound: {format_exact(stages[-1].partial_bound)}")
+    print(f"  window guaranteeing a full loop: {min_full_window(stages)} letters")
 
 
 def main():

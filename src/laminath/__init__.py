@@ -1,7 +1,7 @@
 """laminath: exact-arithmetic toolkit for Sturmian words, flat foliations,
 and translation-surface return dynamics."""
 
-from .cf import ContinuedFraction, Convergent, compare, convergents, floor_part
+from .cf import ContinuedFraction, Convergent
 from .exactnum import QuadNum, format_exact, parse_exact
 from .words import (BlockWord, cusp_exotic_word, exotic_word,
                     inadmissible_segment, inadmissible_word, letters_to_blocks,

@@ -290,17 +290,3 @@ def _recur(p: list, q: list, coeffs) -> None:
 def q_error(theta_value: Exact, cv: Convergent) -> Exact:
     """q_k * theta - p_k, exact."""
     return cv.q * theta_value - cv.p
-
-
-# module-level operation surface ------------------------------------------------
-
-def convergents(theta: ContinuedFraction, k_max: int) -> list[Convergent]:
-    return theta.convergents(k_max)
-
-
-def floor_part(theta: ContinuedFraction) -> int:
-    return theta.floor_part()
-
-
-def compare(theta: ContinuedFraction, r) -> int:
-    return theta.compare(r)

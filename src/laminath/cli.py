@@ -112,7 +112,7 @@ def cmd_exotic(cfg: argparse.Namespace):
     theta = _theta(cfg)
     prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
     ew = words.exotic_word(theta, _at_least(cfg, "indices", 0), thin=cfg.thin)
-    stages = [{"index": st.index, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
+    stages = [{"index": st.level, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
               for st in ew.stages]
     blocks = ew.blocks()
     letters = ew.letters()

@@ -51,6 +51,7 @@ from typing import Optional, Union
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
 from .exactnum import Exact, QuadNum, format_exact, pair_floor, pair_sign, parse_exact
+from .ledger import ExoticStage, exotic_stages
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -1299,55 +1300,35 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
 
 # -- exotic synthesis ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceExoticStage:
-    position: int
-    level: int
-    certificate: LoopCertificate
-    connector: Exact
-    partial_measure: Exact
-    partial_bound: Exact
-
-
 def synthesize_exotic(surface, trans, levels, *, thin: bool = False,
-                      certificates: Optional[dict] = None) -> list[SurfaceExoticStage]:
+                      certificates: Optional[dict] = None) -> list[ExoticStage]:
     """Concatenate level-k loops with slides along the transversal between
     their base points; the exact ledger stays below (c + c') sum 2^{-k} with
-    c = 3|e_y| for the loops and c' = |e_y| for the slides.
-
-    With ``thin=True`` levels are pruned until each kept loop's measure
-    exceeds three times any possible later tail, so distinct level tails give
-    distinct tail measures.
+    c = 3|e_y| for the loops and c' = |e_y| for the slides.  ``thin=True``
+    applies the ledger's thin gate (see ``ledger.exotic_stages``).
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     if certificates is None:
         certificates = {}
-    stages = []
-    partial: Exact = Fraction(0)
-    bound: Exact = Fraction(0)
-    prev: Optional[LoopCertificate] = None
     c_total = 4 * trans.height   # 3|e_y| loop + |e_y| connector
-    gate = None
-    for k in levels:
-        if thin and gate is not None:
-            # later stages total below 2 c_total / 2^k
-            if not 2 * c_total * Fraction(1, 2 ** k) < gate:
-                continue
+
+    def certify(k: int) -> LoopCertificate:
         if k not in certificates:
             certificates[k] = build_inadmissible_loop(surface, trans, k)
-        cert = certificates[k]
+        return certificates[k]
+
+    def join(prev: Optional[ExoticStage], k: int, cert: LoopCertificate):
         connector: Exact = Fraction(0)
         if prev is not None:
-            connector = abs(cert.tau_Q - prev.tau_Q) * trans.height
-        partial = partial + connector + cert.measure
-        bound = bound + c_total * Fraction(1, 2 ** k)
-        stages.append(SurfaceExoticStage(len(stages), k, cert, connector,
-                                         partial, bound))
-        prev = cert
-        if thin:
-            gate = cert.measure / 3
-    return stages
+            connector = abs(cert.tau_Q - prev.certificate.tau_Q) * trans.height
+        return connector, c_total * Fraction(1, 2 ** k)
+
+    def tail(k: int) -> Exact:
+        # the stages from level k on total below sum_{j >= k} c_total / 2^j
+        return 2 * c_total * Fraction(1, 2 ** k)
+
+    return list(exotic_stages(levels, certify, join, tail, thin=thin))
 
 
 # -- bundled example surfaces ------------------------------------------------------------

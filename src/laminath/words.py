@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .cf import ContinuedFraction, Convergent, q_error
 from .errors import CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch
 from .exactnum import Exact
+from .ledger import ExoticStage, exotic_stages
 from . import flat
 
 LetterWord = str  # finite words are plain strings over "abAB"
@@ -75,6 +77,9 @@ class BlockWord:
             raise NotBlockShaped(f"cannot parse block word {text!r}")
         blocks = tuple(int(t) for t in body[1:-1].split(","))
         return cls(min(blocks), blocks, orient or "ba")
+
+    def __len__(self) -> int:
+        return len(self.blocks)
 
     def __str__(self):
         return self.serialize()
@@ -268,26 +273,17 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
 
 # -- exotic concatenations ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExoticStage:
-    """One emitted segment of an exotic word with the running exact ledger."""
-
-    position: int
-    index: int
-    certificate: SegmentCertificate
-    connector: Exact            # vertical hop from the previous segment's end
-    partial_measure: Exact      # segments + connectors so far, exact
-    partial_bound: Exact        # sum of certificate bounds + connector bounds
-
-
 @dataclass
 class ExoticWord:
     """Lazily emitted concatenation w_{i_1} w_{i_2} ... with measure ledger."""
 
     theta: ContinuedFraction
     stages: list[ExoticStage] = field(default_factory=list)
-    kept_indices: list[int] = field(default_factory=list)
     skipped_indices: list[int] = field(default_factory=list)
+
+    @property
+    def kept_indices(self) -> list[int]:
+        return [st.level for st in self.stages]
 
     def letters(self) -> LetterWord:
         return "".join(st.certificate.word.letters() for st in self.stages)
@@ -325,57 +321,27 @@ def exotic_word(theta: ContinuedFraction, indices: Iterable[int], *,
 
     Consecutive representatives are joined by vertical connectors of length
     |1/(2 q_i) - 1/(2 q_j)| < 1/q_i, so the exact ledger is dominated by a
-    constant times sum of 1/q_i.  With ``thin=True`` the sequence is pruned so
-    each kept segment's measure exceeds three times the total of all later
-    segment measures (the domination that makes tail measure signatures
-    distinguish distinct index tails); skipped indices are reported.
+    constant times sum of 1/q_i.  ``thin=True`` applies the ledger's thin gate
+    (see ``ledger.exotic_stages``); skipped indices are reported.
     """
-    out = ExoticWord(theta)
-    prev: Optional[SegmentCertificate] = None
-    prev_index: Optional[int] = None
-    partial_measure: Exact = Fraction(0)
-    partial_bound: Exact = Fraction(0)
-    min_next_q = None
 
-    for i in _validate_indices(indices):
-        if max_stages is not None and len(out.stages) >= max_stages:
-            break
-        if thin and min_next_q is not None:
-            if not theta.convergent(i).q > min_next_q:
-                out.skipped_indices.append(i)
-                continue
-        cert = inadmissible_segment(theta, i)
+    def join(prev: Optional[ExoticStage], k: int, cert: SegmentCertificate):
         if prev is None:
-            connector: Exact = Fraction(0)
-            connector_bound: Exact = Fraction(0)
-        else:
-            connector = abs(cert.start_height - prev.end_height_mod1)
-            connector_bound = Fraction(1, theta.convergent(prev_index).q)
-        partial_measure = partial_measure + connector + cert.measure
-        partial_bound = partial_bound + connector_bound + cert.bound
-        out.stages.append(ExoticStage(len(out.stages), i, cert, connector,
-                                      partial_measure, partial_bound))
-        out.kept_indices.append(i)
-        prev, prev_index = cert, i
-        if thin:
-            # later segment measures total < 8/q_next (each is < 3/q and q at
-            # least doubles along a same-parity sequence); demanding
-            # measure/3 > 8/q_next enforces the domination inequality
-            min_next_q = 24 / cert.measure
+            return Fraction(0), cert.bound
+        return (abs(cert.start_height - prev.certificate.end_height_mod1),
+                Fraction(1, theta.convergent(prev.level).q) + cert.bound)
+
+    def tail(k: int) -> Exact:
+        # each segment measure is < 3/q and q at least doubles along a
+        # same-parity sequence, so the segments from k on total < 8/q_k
+        return Fraction(8, theta.convergent(k).q)
+
+    out = ExoticWord(theta)
+    stages = exotic_stages(_validate_indices(indices),
+                           lambda k: inadmissible_segment(theta, k), join, tail,
+                           thin=thin, skipped=out.skipped_indices)
+    out.stages.extend(islice(stages, max_stages))
     return out
-
-
-def tail_measure_signature(word: ExoticWord, from_position: int = 0) -> Exact:
-    """Exact total of the segment measures from ``from_position`` on.
-
-    Under the thinned domination inequality (each segment measure exceeds
-    three times the sum of all later ones), these sums distinguish any two
-    distinct tails of kept indices, so equal signatures mean equal tails.
-    """
-    total: Exact = Fraction(0)
-    for st in word.stages[from_position:]:
-        total = total + st.certificate.measure
-    return total
 
 
 def exotic_representative(word: ExoticWord) -> "flat.FlatPath":
@@ -408,25 +374,6 @@ def exotic_representative(word: ExoticWord) -> "flat.FlatPath":
     return flat.FlatPath(verts, marks)
 
 
-def min_full_segment_window(word: ExoticWord) -> int:
-    """Smallest window length (in blocks) such that every window of that many
-    consecutive blocks of the emitted prefix contains one segment entirely.
-
-    A window of length L starting at block x contains segment j exactly when
-    S_{j-1} >= x and S_j <= x + L, so full coverage is equivalent to
-    L >= max(first segment, last segment, every sum of consecutive segments).
-    Each segment begins with a certified inadmissible cycle, so any window of
-    at least this length contains an inadmissible factor.
-    """
-    lengths = [len(st.certificate.word.blocks) for st in word.stages]
-    if not lengths:
-        return 0
-    need = max(lengths[0], lengths[-1])
-    for l1, l2 in zip(lengths, lengths[1:]):
-        need = max(need, l1 + l2)
-    return need
-
-
 # -- cusp-loop construction ---------------------------------------------------------
 
 CUSP_LOOP = "BAba"
@@ -434,7 +381,6 @@ CUSP_LOOP = "BAba"
 
 @dataclass(frozen=True)
 class CuspStage:
-    position: int
     k: int
     word: BlockWord
     loop_count: int
@@ -466,7 +412,7 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
         if theta_val is not None:
             partial = partial + abs(q_error(theta_val, cv))
         letters = w.letters() + CUSP_LOOP * count
-        stages.append(CuspStage(j - 1, j, w, count, letters, partial))
+        stages.append(CuspStage(j, w, count, letters, partial))
     return stages
 
 

@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from laminath import cli, flat, oracle, tsurface as ts, words
+from laminath import cli, flat, ledger, oracle, tsurface as ts, words
 from laminath.cf import ContinuedFraction, q_error
 from laminath.exactnum import QuadNum, exact_floor
 
@@ -173,7 +173,7 @@ def test_criterion_06_exotic_word():
         # every window of 2 q_12 blocks contains a full segment, whose head
         # is the oracle-certified inadmissible cycle
         L = 2 * theta.convergent(12).q
-        ok &= words.min_full_segment_window(ew) <= L
+        ok &= ledger.min_full_window(ew.stages) <= L
         for i in indices:
             head = words.inadmissible_word(theta, i)
             ok &= oracle.is_admissible(head, theta, k_max=16).verdict == "inadmissible"
@@ -192,10 +192,10 @@ def test_criterion_06_exotic_word():
         # distinct-tail comparison under the exact measure signature
         a = words.exotic_word(theta, (2, 6, 10))
         b = words.exotic_word(theta, (4, 8, 12))
-        ok &= words.tail_measure_signature(a) != words.tail_measure_signature(b)
+        ok &= ledger.tail_measure_signature(a.stages) != ledger.tail_measure_signature(b.stages)
         thinned = words.exotic_word(theta, indices, thin=True)
         for j, st in enumerate(thinned.stages):
-            tail = words.tail_measure_signature(thinned, j + 1)
+            tail = ledger.tail_measure_signature(thinned.stages, j + 1)
             ok &= st.certificate.measure > 3 * tail
     _report(6, ok, "exotic prefix ledger <= 2C sum 1/q_i exactly; every "
                    "2 q_12-block window contains a certified inadmissible "

@@ -4,26 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laminath import flat
-from laminath.cf import ContinuedFraction, compare, convergents, floor_part, q_error
+from laminath.cf import ContinuedFraction, q_error
 from laminath.errors import InvalidSlope, PrecisionExhausted
 from laminath.exactnum import QuadNum
 
 
 def test_golden_convergents():
     g = ContinuedFraction.golden()
-    cvs = convergents(g, 4)
+    cvs = g.convergents(4)
     assert [(c.p, c.q) for c in cvs] == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
 
 
 def test_sqrt2_convergents():
     s2 = ContinuedFraction.sqrt2()
-    cvs = convergents(s2, 4)
+    cvs = s2.convergents(4)
     assert [(c.p, c.q) for c in cvs] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
 
 
 def test_rational_single_convergent():
     r = ContinuedFraction.from_rational(3)
-    assert [(c.p, c.q) for c in convergents(r, 0)] == [(3, 1)]
+    assert [(c.p, c.q) for c in r.convergents(0)] == [(3, 1)]
 
 
 def test_values():
@@ -33,17 +33,17 @@ def test_values():
 
 
 def test_floor_part():
-    assert floor_part(ContinuedFraction.sqrt2()) == 1
-    assert floor_part(ContinuedFraction.from_rational(Fraction(5, 3))) == 1
-    assert floor_part(ContinuedFraction.golden()) == 1
+    assert ContinuedFraction.sqrt2().floor_part() == 1
+    assert ContinuedFraction.from_rational(Fraction(5, 3)).floor_part() == 1
+    assert ContinuedFraction.golden().floor_part() == 1
 
 
 def test_compare():
     s2 = ContinuedFraction.sqrt2()
-    assert compare(s2, Fraction(7, 5)) == 1
-    assert compare(s2, Fraction(3, 2)) == -1
+    assert s2.compare(Fraction(7, 5)) == 1
+    assert s2.compare(Fraction(3, 2)) == -1
     r = ContinuedFraction.from_rational(Fraction(5, 3))
-    assert compare(r, Fraction(5, 3)) == 0
+    assert r.compare(Fraction(5, 3)) == 0
 
 
 def test_compare_opaque_source_by_enclosure():
@@ -58,10 +58,10 @@ def test_compare_opaque_source_by_enclosure():
 def test_precision_exhausted():
     r = ContinuedFraction.from_rational(Fraction(5, 3))
     with pytest.raises(PrecisionExhausted):
-        convergents(r, 9)
+        r.convergents(9)
     short = ContinuedFraction(source=lambda i: [1, 2, 2][i])
     with pytest.raises(PrecisionExhausted):
-        convergents(short, 5)
+        short.convergents(5)
 
 
 def test_convergent_table_requests_each_index_once():

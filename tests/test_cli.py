@@ -181,6 +181,21 @@ def test_bad_option_is_named(argv, option):
     assert doc["detail"].startswith(option + " ") or doc["detail"].startswith(option + ":")
 
 
+@pytest.mark.parametrize("argv, error, detail", [
+    (["exotic", "--theta", "cf:[1;2]p", "--indices", "4,2"],
+     "parity-mismatch", "indices must be strictly increasing"),
+    (["ts", "exotic", "--surface", "sheared-torus", "--edge", "1", "--levels", "2,2"],
+     "invalid-input", "level 2 does not exceed the level 2 before it"),
+    (["ts", "exotic", "--surface", "sheared-torus", "--edge", "1", "--levels", "4,3,2",
+      "--thin"], "invalid-input", "level 3 does not exceed the level 4 before it"),
+])
+def test_exotic_levels_must_increase(argv, error, detail):
+    # a tail bound holds only for increasing levels, on either side
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"detail": detail, "error": error}, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("edge", ["-1", "6"])
 def test_edge_out_of_range_exits_2(edge):
     # a negative index once wrapped around to the last pair and then traced

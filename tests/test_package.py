@@ -83,3 +83,34 @@ def test_cylinder_check_stops_at_first_open_germ(monkeypatch):
     calls.clear()
     assert S.horizontal_is_cylinder_decomposition() is False
     assert len(calls) == 1
+
+
+def test_ledger_and_surfaces_import_no_torus_module():
+    # the exotic ledger and the surface code run without the torus modules
+    torus = {"words", "flat", "cf", "oracle"}
+    for name in ("tsurface.py", "ledger.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= ({node.module} if node.module else {a.name for a in node.names})
+        assert not imported & torus, f"{name} imports {sorted(imported & torus)}"
+
+
+def test_readme_quick_tour_runs():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_scripts_run(tmp_path):
+    # each script runs from a copy, so the CSVs growth_experiment writes next
+    # to itself land in tmp_path
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for name in ("exotic_demo.py", "growth_experiment.py"):
+        script = tmp_path / name
+        script.write_text((PACKAGE.parents[1] / "scripts" / name).read_text())
+        subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, check=True)
+    assert len(list(tmp_path.glob("growth_*.csv"))) == 5

@@ -509,28 +509,6 @@ def test_non_saddle_on_genus2_with_transcript():
     assert cut.vertex_class in range(len(S.vertex_classes))
 
 
-def test_synthesized_distinct_tails():
-    S = ts.preset_surface("slit-tori")
-    tr = ts.Transversal(S, 5)
-    cache = {}
-    a = ts.synthesize_exotic(S, tr, [2, 4], certificates=cache)
-    b = ts.synthesize_exotic(S, tr, [3, 5], certificates=cache)
-    sig_a = sum((st.certificate.measure for st in a), Fraction(0))
-    sig_b = sum((st.certificate.measure for st in b), Fraction(0))
-    assert sig_a != sig_b
-
-
-def test_synthesized_thinning_dominates():
-    S = ts.preset_surface("slit-tori")
-    tr = ts.Transversal(S, 5)
-    stages = ts.synthesize_exotic(S, tr, range(2, 9), thin=True)
-    assert len(stages) >= 2
-    for j, st_ in enumerate(stages):
-        tail = sum((later.certificate.measure for later in stages[j + 1:]),
-                   Fraction(0))
-        assert st_.certificate.measure > 3 * tail
-
-
 # -- the exact kernel against the QuadNum references -------------------------------------
 
 def _reference_step_back(iet, tau):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from laminath import flat, words
 from laminath.cf import ContinuedFraction, q_error
 from laminath.errors import InvalidSlope, NotBlockShaped, ParityMismatch
+from laminath.ledger import min_full_window
 
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
@@ -234,16 +235,6 @@ def test_exotic_two_segments():
     assert ew.stages[1].connector < Fraction(1, 5)
 
 
-def test_exotic_thinning_reports():
-    ew = words.exotic_word(SQRT2, (2, 4, 6, 8, 10, 12), thin=True)
-    assert ew.kept_indices[0] == 2
-    assert set(ew.kept_indices) | set(ew.skipped_indices) <= {2, 4, 6, 8, 10, 12}
-    # domination: each kept measure exceeds 3x the later tail
-    for i, st_ in enumerate(ew.stages):
-        tail = words.tail_measure_signature(ew, i + 1)
-        assert st_.certificate.measure > 3 * tail
-
-
 def test_exotic_representative_measure_matches_ledger():
     val = SQRT2.value()
     for indices in ((2, 4), (2, 4, 6), (3, 5)):
@@ -257,7 +248,7 @@ def test_exotic_representative_measure_matches_ledger():
 def test_min_full_segment_window():
     ew = words.exotic_word(SQRT2, (2, 4, 6))
     lengths = [len(st.certificate.word.blocks) for st in ew.stages]
-    need = words.min_full_segment_window(ew)
+    need = min_full_window(ew.stages)
     assert need == max(lengths[0], lengths[-1], lengths[0] + lengths[1],
                        lengths[1] + lengths[2])
 
