@@ -13,6 +13,7 @@ from laminath.cf import ContinuedFraction
 from laminath.errors import (BudgetExhausted, CylinderDecomposition,
                              InvalidSurface, SingularHit)
 from laminath.exactnum import QuadNum, format_exact, frac_part, pair_sign
+from laminath.ledger import tail_measure_signature
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -507,6 +508,24 @@ def test_non_saddle_on_genus2_with_transcript():
     assert 0 < cut.tau < 1
     assert cut.traced_steps == 256
     assert cut.vertex_class in range(len(S.vertex_classes))
+
+
+def test_synthesized_distinct_tails():
+    S = ts.preset_surface("slit-tori")
+    tr = ts.Transversal(S, 5)
+    cache = {}
+    a = ts.synthesize_exotic(S, tr, [2, 4], certificates=cache)
+    b = ts.synthesize_exotic(S, tr, [3, 5], certificates=cache)
+    assert tail_measure_signature(a) != tail_measure_signature(b)
+
+
+def test_synthesized_thinning_dominates():
+    S = ts.preset_surface("slit-tori")
+    tr = ts.Transversal(S, 5)
+    stages = ts.synthesize_exotic(S, tr, range(2, 9), thin=True)
+    assert len(stages) >= 2
+    for j, st_ in enumerate(stages):
+        assert st_.certificate.measure > 3 * tail_measure_signature(stages, j + 1)
 
 
 # -- the exact kernel against the QuadNum references -------------------------------------
