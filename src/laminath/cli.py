@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
            n={"type": int, "default": 4})
     add_ts("loop", cmd_ts_loop, edge={"type": int, "default": 0},
            k={"type": int, "default": 3},
-           budget={"type": int, "default": 200000})
+           budget={"type": int, "default": None})
     add_ts("exotic", cmd_ts_exotic, edge={"type": int, "default": 0},
            levels={"type": _int_list, "default": (1, 2, 3)},
            prefix={"type": int, "default": None},

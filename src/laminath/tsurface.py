@@ -30,9 +30,11 @@ no branch rests on floating point.  Every loop runs on one of two integer
 kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
 whose every branch is an exact integer sign test: the flow kernel behind
 first returns and the separatrices, and the exchange kernel behind leaf
-streams, loop flights, the cut table and the non-saddle search.  Leaf
-streams copy whole tower words of an exact Rauzy–Veech induction of the
-exchange, whose induced exchange steps on the same kernel.  Only
+streams, loop flights, the cut table and the non-saddle search.  Each
+kernel's denominator, field and value type follow from its surface or
+exchange and its start points alone.  Leaf streams copy whole tower words
+of an exact Rauzy–Veech induction of the exchange, whose induced exchange
+steps on the same kernel.  Only
 geometry validation and the per-point APIs (``flow_step``,
 ``Transversal.point``/``param``, ``ReturnMapIET.step``/``orbit_word``) use
 Fraction/QuadNum arithmetic, and results leaving a kernel loop are decoded
@@ -381,11 +383,10 @@ class _FlowKernel:
     the line at height y at x = alpha + beta*y, kept as the pairs E*D*alpha
     and E*beta, so a step (which vertices lie on the line, which edges
     straddle it, the nearest positive advance, the transport through the
-    gluing) is a handful of exact integer sign tests.  The tables for a start
-    point's denominator are the base tables rescaled, cached per scale.
+    gluing) is a handful of exact integer sign tests.  A start point that
+    fits D runs on these tables; any other runs on them rescaled to the lcm
+    of D and its denominators.
     """
-
-    _CACHE = 64   # rescaled tables kept before the cache starts over
 
     def __init__(self, surface: TranslationSurface):
         self.surface = surface
@@ -401,7 +402,7 @@ class _FlowKernel:
         E = self.E = math.lcm(*map(_den_of, betas.values()))
         # per polygon: vertex ordinates, vertex abscissae, per edge its
         # (E*D*alpha, E*beta) and its exit (letter, target polygon, translation)
-        self._base = []
+        self.tables = []
         self.edge_quad = []
         for p, poly in enumerate(surface.polygons):
             ys = [_encode(y, D) for _, y in poly]
@@ -427,30 +428,23 @@ class _FlowKernel:
                               E * tu, E * tv, su, sv,
                               quads[-1] or isinstance(tx, QuadNum),
                               isinstance(ty, QuadNum)))
-            self._base.append((ys, xs, edges, exits))
+            self.tables.append((ys, xs, edges, exits))
             self.edge_quad.append(quads)
-        self._tables = {1: self._base}
 
     def _scaled(self, m: int):
         """The tables over m*D, m*E*D (the inverse slopes E*beta unchanged)."""
-        tables = self._tables.get(m)
-        if tables is None:
-            if len(self._tables) >= self._CACHE:
-                self._tables = {1: self._base}
-            tables = self._tables[m] = [
-                ([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
+        return [([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
                  [e and (m * e[0], m * e[1], e[2], e[3]) for e in edges],
                  [x and (*x[:2], m * x[2], m * x[3], m * x[4], m * x[5], *x[6:])
                   for x in exits])
-                for ys, xs, edges, exits in self._base]
-        return tables
+                for ys, xs, edges, exits in self.tables]
 
     def start(self, point: SurfacePoint) -> _FlowState:
         x, y = point.x, point.y
         st = _FlowState()
         st.d = _surd((x, y), self.d) or 2
         den = math.lcm(self.D, _den_of(x), _den_of(y))
-        st.tables = self._scaled(den // self.D)
+        st.tables = self.tables if den == self.D else self._scaled(den // self.D)
         st.den, st.xden = den, den * self.E
         st.poly = point.poly
         st.y = _encode(y, den)
@@ -597,7 +591,7 @@ class Transversal:
 
     def non_saddle_cut(self):
         if self._non_saddle is None:
-            self._non_saddle = find_non_saddle_point(self.surface, self, 4096)
+            self._non_saddle = find_non_saddle_point(self.surface, self)
         return self._non_saddle
 
 
@@ -685,40 +679,29 @@ _TOWER_MAX = 1 << 13
 
 
 class _IETKernel:
-    """The one exact interval-exchange kernel.
+    """The one exact interval-exchange kernel, built from integer data.
 
-    A state is an integer pair [u, v] standing for (u + v sqrt d)/D, and
-    every branch is an exact sign test on such pairs.  The exchange acts on
-    (0, ``end``): (0, 1) for a return map, (0, L) for its Rauzy–Veech
-    induction (``towers``).  Each direction has
-    one table: the sorted cut pairs of the intervals (forward) or of their
-    images (backward, the inverse exchange's table); per slot, the index of
-    the interval and the pair to add; and per slot the successor cuts, those
+    The exchange of (0, ``end``) moves interval i, from ``lows[i]`` up, by
+    ``shifts[i]`` and reads ``words[i]`` through it: (0, 1) for a return
+    map, (0, L) for its Rauzy–Veech induction (``towers``).  Pairs (u, v)
+    stand for (u + v sqrt d)/D, ``d`` None when every value is rational, and
+    decode to QuadNums when ``quad``; every branch is an exact sign test.
+    Each direction has one table: the sorted cut pairs of the intervals
+    (forward) or of their images (backward); per slot, the index of the
+    interval and the pair to add; and per slot the successor cuts, those
     strictly inside the slot's moved interval, so that after the first step
     the bisection runs only over the cuts the last image straddles.  Landing
-    exactly on a cut raises SingularHit.  D is divisible by every
-    denominator that will ever enter, and d and the type of decoded values
-    are those QuadNum arithmetic gives the exchange with the start points;
-    callers pass their start points to ``ReturnMapIET.fast``.
+    exactly on a cut raises SingularHit.
     """
 
-    def __init__(self, iet: "ReturnMapIET", points=(), den: int = 1):
-        ivs = iet.intervals
-        self.iet = iet
-        self.d, self.quad = self.field(iet, points)
-        self.D = math.lcm(den, *(_den_of(x) for iv in ivs for x in (iv.lo, iv.hi, iv.shift)),
-                          *map(_den_of, points))
-        self._exchange([self.encode(iv.lo) for iv in ivs],
-                       [self.encode(iv.shift) for iv in ivs], (self.D, 0))
+    _COPIES = 64   # rescaled copies kept before the memo starts over
 
-    def _exchange(self, lows, shifts, end):
-        """Tables of the exchange of (0, ``end``) whose interval i starts at
-        ``lows[i]`` (increasing) and moves by ``shifts[i]``."""
-        self.end = end
-        d = self.d
+    def __init__(self, lows, shifts, end, D: int, d: Optional[int], quad: bool, words):
+        self.end, self.D, self.surd, self.d, self.quad = end, D, d, d or 2, quad
+        self.words, self._copies = words, {}
         images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
                   in zip(lows, lows[1:] + [end], shifts)]
-        key = _exact_key([lo for lo, _ in images], d)
+        key = _exact_key([lo for lo, _ in images], self.d)
         order = sorted(range(len(lows)), key=lambda i: key(images[i][0]))
         cuts = [images[i][0] for i in order]
         if cuts + [end] != [(0, 0)] + [images[i][1] for i in order]:
@@ -740,13 +723,18 @@ class _IETKernel:
             successors.append(([lo] + inner + [hi], range(first, first + len(inner) + 1)))
         return bounds, moves, successors
 
-    @staticmethod
-    def field(iet: "ReturnMapIET", points) -> tuple:
-        """(d, quad): the field of the exchange's values and ``points`` (2 if
-        rational, two fields a ValueError) and if QuadNum arithmetic on them
-        gives QuadNums."""
-        vals = [x for iv in iet.intervals for x in (iv.lo, iv.shift)] + list(points)
-        return _surd(vals) or 2, any(isinstance(x, QuadNum) for x in vals)
+    def scaled(self, m: int, d: Optional[int], quad: bool) -> "_IETKernel":
+        """The memoised copy over m*D, in the field sqrt ``d``, of value type ``quad``."""
+        copy = self._copies.get((m, d, quad))
+        if copy is None:
+            if len(self._copies) >= self._COPIES:
+                self._copies.clear()
+            bounds, moves, _ = self.forward
+            copy = self._copies[m, d, quad] = _IETKernel(
+                [(m * u, m * v) for u, v in bounds[:-1]],
+                [(m * du, m * dv) for _, du, dv in moves],
+                (m * self.end[0], m * self.end[1]), m * self.D, d, quad, self.words)
+        return copy
 
     def encode(self, x):
         return _encode(x, self.D)
@@ -786,11 +774,11 @@ class _IETKernel:
             j = slots[_slot(cuts, u, v, d)] if len(slots) > 1 else slots[0]
 
     @cached_property
-    def towers(self) -> tuple:
-        """(kernel, words): the first-return exchange to (0, L) that exact
-        Rauzy–Veech induction (Rauzy 1979; Veech 1982) reaches, on this
-        kernel's field and denominator, and per induced interval its tower
-        word, the letters of the return map's crossings up to its return.
+    def towers(self) -> "_IETKernel":
+        """The first-return exchange to (0, L) that exact Rauzy–Veech
+        induction (Rauzy 1979; Veech 1982) reaches, on this kernel's field and
+        denominator, whose words are the tower words: the letters read
+        through this exchange's intervals up to the return.
 
         A move compares a, the last interval of the domain, with b, the
         interval whose image comes last, and shortens the domain by the
@@ -808,8 +796,7 @@ class _IETKernel:
         bounds, moves, _ = self.forward
         lengths = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(bounds, bounds[1:])]
         shifts = [(du, dv) for _, du, dv in moves]
-        arrival = self.iet.arrival_letter
-        words = [iv.word + arrival for iv in self.iet.intervals]
+        words = list(self.words)
         top, bottom = list(range(len(moves))), [i for i, _, _ in self.backward[1]]
         Lu, Lv = self.end
         while min(map(len, words)) < _TOWER_MIN and max(map(len, words)) < _TOWER_MAX:
@@ -830,10 +817,8 @@ class _IETKernel:
         for i in top:
             lows.append((u, v))
             u, v = u + lengths[i][0], v + lengths[i][1]
-        kernel = _IETKernel.__new__(_IETKernel)
-        kernel.iet, kernel.d, kernel.quad, kernel.D = None, d, self.quad, self.D
-        kernel._exchange(lows, [shifts[i] for i in top], (Lu, Lv))
-        return kernel, [words[i] for i in top]
+        return _IETKernel(lows, [shifts[i] for i in top], (Lu, Lv), self.D, self.surd,
+                          self.quad, [words[i] for i in top])
 
 
 class ReturnMapIET:
@@ -863,7 +848,7 @@ class ReturnMapIET:
                                            "cut enumeration incomplete")
             intervals.append(ExchangeInterval(lo, hi, t1 - mid, w1))
         self.intervals = intervals
-        self._fast = _IETKernel(self)
+        self.kernel   # built now: its tables check that the images tile the edge
 
     @property
     def arrival_letter(self) -> str:
@@ -874,14 +859,26 @@ class ReturnMapIET:
         """The one cut table, read by every partition and loop on this map."""
         return _CutTable(self)
 
+    @cached_property
+    def kernel(self) -> _IETKernel:
+        """The exchange's own kernel, over the least denominator D0 of its
+        values; it reads each interval's word and the arrival letter."""
+        ivs = self.intervals
+        values = [x for iv in ivs for x in (iv.lo, iv.shift)]
+        D = math.lcm(*map(_den_of, values))
+        return _IETKernel([_encode(iv.lo, D) for iv in ivs], [_encode(iv.shift, D) for iv in ivs],
+                          (D, 0), D, _surd(values), any(isinstance(x, QuadNum) for x in values),
+                          [iv.word + self.arrival_letter for iv in ivs])
+
     def fast(self, *points) -> _IETKernel:
-        """The exact kernel for orbits from ``points``: its denominator
-        divisible by theirs, its field and value type theirs with the exchange's."""
-        kernel = self._fast
-        if (kernel.D % math.lcm(*map(_den_of, points))
-                or (kernel.d, kernel.quad) != _IETKernel.field(self, points)):
-            kernel = self._fast = _IETKernel(self, points, kernel.D)
-        return kernel
+        """The kernel for orbits from ``points``: the exchange's own when they
+        fit it, else its copy over lcm(D0, their denominators), in the field
+        and value type of QuadNum arithmetic on the exchange and them."""
+        own = self.kernel
+        m = math.lcm(own.D, *map(_den_of, points)) // own.D
+        d = _surd(points, own.surd)
+        quad = own.quad or any(isinstance(x, QuadNum) for x in points)
+        return own if (m, d, quad) == (1, own.surd, own.quad) else own.scaled(m, d, quad)
 
     def step(self, tau):
         for iv in self.intervals:
@@ -911,8 +908,7 @@ class ReturnMapIET:
         alone."""
         kernel = self.fast(tau0)
         state = kernel.start(tau0)
-        induced, towers = kernel.towers
-        words = [iv.word + self.arrival_letter for iv in self.intervals]
+        induced, words = kernel.towers, kernel.words
         (Lu, Lv), d = induced.end, kernel.d
         out = []
         total = 0
@@ -921,7 +917,7 @@ class ReturnMapIET:
             w = words[next(orbit)]
             out.append(w)
             total += len(w)
-        orbit, letters = induced.orbit(state), towers
+        orbit, letters = induced.orbit(state), induced.words
         while total < num_letters:
             try:
                 w = letters[next(orbit)]
@@ -1039,7 +1035,7 @@ class _CutTable:
     depth by one exact integer key; the gaps are memoised."""
 
     def __init__(self, iet: ReturnMapIET):
-        self.kernel = iet.fast()
+        self.kernel = iet.kernel
         cuts = self.kernel.forward[0][1:-1]
         self.born = [cuts]
         self.strands = [(p, self.kernel.orbit(p, back=True)) for p in map(list, cuts)]
@@ -1124,7 +1120,7 @@ class NonSaddleCut:
     saddle_words: tuple
 
 
-def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
+def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
     """A depth-1 cut point whose incoming leaf, traced backward, crosses the
     transversal ``budget`` more times without meeting a vertex (hence lies on
     no saddle connection of that depth).  The saddle connections found below
@@ -1139,8 +1135,8 @@ def find_non_saddle_point(surface, trans, budget: int = 1024) -> NonSaddleCut:
     # a connection of s steps is found by every step budget of at least s
     saddles = tuple(sc.word for sc in conns if sc.steps <= min(budget, 512))
     iet = trans.return_map()
+    kernel = iet.kernel
     for corner, first_cut in iet.first_cuts:
-        kernel = iet.fast(first_cut)
         try:
             orbit = kernel.orbit(kernel.start(first_cut), back=True)
             for _ in range(budget):
@@ -1232,24 +1228,24 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     delta_q = min(two_k, I.length) / 2 * off
     a = delta_q / 3
     Q = P + sgn * delta_q
-    lo_w, hi_w = (P, Q) if sgn > 0 else (Q, P)
+    # between P and Q within a of Q: as a < |PQ|, one window on Q's side
+    near = Q - sgn * a
     delta_r = min(two_k, I2.length) / 2 * off
     R = P - sgn * delta_r
     q_lo, q_hi = Q - two_k, Q + two_k
 
-    kernel = iet.fast(Q, R, q_lo, q_hi)
-    window = kernel.encode(lo_w), kernel.encode(hi_w)
+    kernel = iet.fast(Q, R, q_lo, q_hi, near)
+    window = [kernel.encode(x) for x in ((near, Q) if sgn > 0 else (Q, near))]
     state = kernel.start(Q)
     word_idx = []
     for n, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
         word_idx.append(i)
-        if kernel.inside(state, *window):
-            tau_n = kernel.value(state)
-            if abs(tau_n - Q) < a and n >= 2 and iet.cut_table.max_gap(n - 1) < a:
-                break
+        if kernel.inside(state, *window) and n >= 2 and iet.cut_table.max_gap(n - 1) < a:
+            break
     else:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}",
                               depth=len(word_idx))
+    tau_n = kernel.value(state)
     if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 

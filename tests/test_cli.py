@@ -206,6 +206,21 @@ def test_edge_out_of_range_exits_2(edge):
     assert json.loads(err)["error"] == "invalid-surface"
 
 
+def test_ts_loop_budget_defaults_to_the_library_rule(monkeypatch):
+    # without --budget the library picks the loop budget, as for ts exotic
+    from laminath import tsurface
+    seen = []
+    build = tsurface.build_inadmissible_loop
+
+    def spy(surface, trans, k, return_budget):
+        seen.append(return_budget)
+        return build(surface, trans, k, return_budget)
+
+    monkeypatch.setattr(tsurface, "build_inadmissible_loop", spy)
+    code, _, _ = run_cli(["ts", "loop", "--surface", "slit-tori", "--edge", "5", "--k", "2"])
+    assert (code, seen) == (0, [None])
+
+
 def test_ts_loop_budget_exit_3():
     code, _, err = run_cli(["ts", "loop", "--surface", "slit-tori",
                             "--k", "40", "--budget", "500"])

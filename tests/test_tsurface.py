@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+import random
 from itertools import islice
 
 import pytest
@@ -430,6 +431,12 @@ def test_non_saddle_point_sheared():
     assert cut.saddle_words == ()
 
 
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_non_saddle_search_default_budget_is_the_transversal_one(name):
+    tr = _fresh_transversal(name)
+    assert ts.find_non_saddle_point(tr.surface, tr) == tr.non_saddle_cut()
+
+
 def test_non_saddle_point_rejects_cylinder():
     S3 = ts.load_surface(ts.sheared_torus_doc(Fraction(1, 3)))
     with pytest.raises(CylinderDecomposition):
@@ -690,7 +697,7 @@ def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     iet = ts.ReturnMapIET.__new__(ts.ReturnMapIET)
     iet.intervals = [ts.ExchangeInterval(Fraction(0), 2 * third, third, ""),
                      ts.ExchangeInterval(2 * third, Fraction(1), -2 * third, "a")]
-    iet._fast = ts._IETKernel(iet)
+    iet.trans = _SHEARED_TR   # the kernel's words end in its arrival letter
     table, ref = ts._CutTable(iet), _ReferenceCutTable(iet)
     for j in range(1, 6):
         got, want = table.max_gap(j), ref.max_gap(j)
@@ -981,7 +988,7 @@ def test_flow_kernel_rescales_for_new_denominators():
     # abscissae -c and 1 + c have sqrt parts
     octagon = ts.load_surface(_octagon_doc(0))
     c = QuadNum(0, Fraction(1, 2), 2)
-    for q in range(101, 101 + 2 * ts._FlowKernel._CACHE):
+    for q in range(101, 101 + 128):
         points = [(_SLIT, ts.SurfacePoint(1, Fraction(1, q),
                                           GAMMA / q + Fraction(q - 1, 2 * q))),
                   (octagon, ts.SurfacePoint(0, 1 + c - Fraction(1, q), c))]
@@ -1108,7 +1115,7 @@ def test_tower_stream_lands_on_cuts_as_kernel_steps_do(name, gamma, data):
     # hands the stream back to the exchange, which carries on
     iet = _fixture_iet(name, gamma)
     kernel = iet.fast()
-    induced, _ = kernel.towers
+    induced = kernel.towers
     cut = data.draw(st.sampled_from(kernel.forward[0][1:-1] + induced.forward[0][1:]), "cut")
     state = list(cut)
     try:
@@ -1140,7 +1147,7 @@ def test_tower_stream_singular_starts():
                 assert _outcome(_tower_stream, iet, tau, n) == want
         # every cut of the induction, the right end L included
         kernel = iet.fast()
-        for cut in kernel.towers[0].forward[0][1:]:
+        for cut in kernel.towers.forward[0][1:]:
             x = kernel.value(cut)
             for n in (0, 5, 20_000):
                 assert (_outcome(_tower_stream, iet, x, n)
@@ -1166,13 +1173,48 @@ def test_sheared_torus_stream_is_a_sturmian_word(tau, offset):
 
 def test_towers_are_built_lazily_and_kept():
     iet = _fresh_transversal("slit-tori").return_map()
-    assert "towers" not in iet._fast.__dict__
+    assert "towers" not in iet.kernel.__dict__
     iet.letter_stream(Fraction(1, 7), 10)
     kernel = iet.fast(Fraction(1, 7))
     towers = kernel.__dict__["towers"]
     # a second stream on the same denominator reuses the same towers
     assert iet.letter_stream(Fraction(3, 7), 5000) == _kernel_stream(iet, Fraction(3, 7), 5000)
     assert iet.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
+
+
+def _den(x):
+    a, b = (x.a, x.b) if isinstance(x, QuadNum) else (Fraction(x), Fraction(0))
+    return math.lcm(a.denominator, b.denominator)
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_kernels_do_not_depend_on_call_history(name):
+    # streams from start points over more denominators than the memo of
+    # rescaled kernels keeps, rational and quadratic, in a seeded order, then
+    # a loop, then the first start points again: each kernel's denominator is
+    # the lcm of the exchange's own and the point's, and the cut table runs
+    # on the exchange's own kernel
+    tr = _fresh_transversal(name)
+    iet = tr.return_map()
+    D0 = math.lcm(*(_den(x) for iv in iet.intervals for x in (iv.lo, iv.shift)))
+    rng = random.Random(20260)
+    dens = rng.sample(range(101, 2000), 3 * ts._IETKernel._COPIES)
+    points = [Fraction(rng.randrange(1, q), q) if j % 2 else
+              frac_part(QuadNum(Fraction(rng.randrange(q), q), Fraction(1, q), 2))
+              for j, q in enumerate(dens)]
+
+    def stream_all(xs):
+        for x in xs:
+            assert iet.fast(x).D == math.lcm(D0, _den(x)), x
+            assert len(iet.kernel._copies) <= ts._IETKernel._COPIES
+            assert (_outcome(_tower_stream, iet, x, 3000)
+                    == _outcome(_kernel_stream, iet, x, 3000))
+
+    stream_all(points)
+    ts.build_inadmissible_loop(tr.surface, tr, 5)
+    assert iet.fast().D == D0
+    assert iet.cut_table.kernel is iet.kernel is iet.fast()
+    stream_all(points[:8])
 
 
 def _thin_edge_torus():
