@@ -258,8 +258,6 @@ class ContinuedFraction:
         r = Fraction(r)
         v = self.value()
         if v is not None:
-            if isinstance(v, QuadNum):
-                return v._cmp(r)
             return (v > r) - (v < r)
         # refine the enclosure p_{2k}/q_{2k} < theta < p_{2k+1}/q_{2k+1};
         # theta from an opaque source is treated as irrational, so equality

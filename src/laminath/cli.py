@@ -255,6 +255,11 @@ def cmd_ts_loop(cfg: argparse.Namespace):
     trans = tsurface.Transversal(S, cfg.edge)
     cert = tsurface.build_inadmissible_loop(S, trans, _at_least(cfg, "k", 0),
                                             return_budget=_at_least(cfg, "budget", 1))
+    # the loop's path: a leaf from Q to T^depth(Q), a hop to R, a leaf from R
+    # back near Q and a hop home
+    ends = [{"poly": p.poly, "x": format_exact(p.x), "y": format_exact(p.y)}
+            for p in map(trans.point, (cert.tau_Q, cert.tau_return, cert.tau_R,
+                                       cert.tau_close, cert.tau_Q))]
     return {"level": cert.level, "depth": cert.depth,
             "word": S.word_labels(cert.word),
             "factor": S.word_labels(cert.factor),
@@ -266,11 +271,8 @@ def cmd_ts_loop(cfg: argparse.Namespace):
             "word_I2": S.word_labels(cert.word_I2),
             "max_gap": format_exact(cert.max_gap),
             "gap_bound": format_exact(cert.gap_bound),
-            "path": [[kind,
-                      {"poly": p0.poly, "x": format_exact(p0.x), "y": format_exact(p0.y)},
-                      {"poly": p1.poly, "x": format_exact(p1.x), "y": format_exact(p1.y)},
-                      extra]
-                     for kind, p0, p1, extra in cert.path_events]}
+            "path": [list(event) for event in zip(("leaf", "hop") * 2, ends, ends[1:],
+                                                  (cert.depth, 0, cert.closing_depth, 0))]}
 
 
 def cmd_ts_exotic(cfg: argparse.Namespace):

@@ -5,6 +5,17 @@ integer d >= 2.  Every predicate (sign, comparison, floor) is decided by
 integer arithmetic; nothing here ever rounds.  Plain ``Fraction`` and ``int``
 values interoperate freely and are treated as elements with b = 0.
 
+One type rule: arithmetic (``+ - * / **``, unary minus, ``abs``) returns a
+``QuadNum`` exactly when the result's b is nonzero, and a ``Fraction``
+otherwise (``x ** 0`` is ``Fraction(1)``).  The constructor is the one way to
+get a ``QuadNum`` with b = 0; it compares, hashes and prints as its
+``Fraction``.
+
+Integer kernels encode an element x as the integer pair (u, v) with
+x = (u + v sqrt d)/D, over any D that ``denominator(x)`` divides: ``encode``
+gives the pair, ``decode`` the element by the same type rule, and ``surd``
+the one field of a set of values.
+
 Serialization uses strings like "7/5", "2-1*sqrt2", "-1/2+3/4*sqrt5"; decimal
 forms are never produced.
 """
@@ -14,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Exact = Union[int, Fraction, "QuadNum"]
 
@@ -61,6 +72,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         else:
             m += 1
     return d * n, f
+
+
+def _element(a: Fraction, b, d: int) -> Exact:
+    """a + b sqrt(d) by the type rule: a QuadNum when b (after folding any
+    square factor of d) is nonzero, else the Fraction a."""
+    if b:
+        x = QuadNum(a, b, d)
+        if x.b:
+            return x
+        a = x.a
+    return a
 
 
 class QuadNum:
@@ -116,19 +138,19 @@ class QuadNum:
         if al is None:
             return NotImplemented
         ax, bx, ay, by, d = al
-        return QuadNum(ax + ay, bx + by, d)
+        return _element(ax + ay, bx + by, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.d)
+        return _element(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         al = self._align(other)
         if al is None:
             return NotImplemented
         ax, bx, ay, by, d = al
-        return QuadNum(ax - ay, bx - by, d)
+        return _element(ax - ay, bx - by, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -138,7 +160,7 @@ class QuadNum:
         if al is None:
             return NotImplemented
         ax, bx, ay, by, d = al
-        return QuadNum(ax * ay + bx * by * d, ax * by + bx * ay, d)
+        return _element(ax * ay + bx * by * d, ax * by + bx * ay, d)
 
     __rmul__ = __mul__
 
@@ -152,7 +174,7 @@ class QuadNum:
             raise ZeroDivisionError("division by zero element")
         # multiply by the conjugate of the divisor over its norm
         ia, ib = ay / norm, -by / norm
-        return QuadNum(ax * ia + bx * ib * d, ax * ib + bx * ia, d)
+        return _element(ax * ia + bx * ib * d, ax * ib + bx * ia, d)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -162,7 +184,7 @@ class QuadNum:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadNum(1, 0, self.d)
+        out = Fraction(1)
         base = self
         while n:
             if n & 1:
@@ -172,6 +194,8 @@ class QuadNum:
         return out
 
     def __abs__(self):
+        if not self.b:
+            return abs(self.a)
         return -self if self.sign() < 0 else self
 
     # -- exact predicates ----------------------------------------------------
@@ -240,6 +264,46 @@ def exact_floor(x: Exact) -> int:
 
 def frac_part(x: Exact) -> Exact:
     return x - exact_floor(x)
+
+
+# -- integer pairs -----------------------------------------------------------
+
+def parts(x: Exact) -> tuple[Fraction, Fraction]:
+    """(a, b) with x = a + b sqrt d."""
+    if isinstance(x, QuadNum):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def denominator(x: Exact) -> int:
+    """The least D over which x encodes: lcm of the denominators of a and b."""
+    a, b = parts(x)
+    return math.lcm(a.denominator, b.denominator)
+
+
+def surd(values, d: Optional[int] = None) -> Optional[int]:
+    """The d of the quadratic field of the values (and of sqrt ``d``), or None
+    when all are rational; mixing two fields is a ValueError, as in
+    arithmetic."""
+    ds = {d, *(v.d for v in values if isinstance(v, QuadNum) and v.b != 0)} - {None}
+    if len(ds) > 1:
+        raise ValueError("mixed fields " + " and ".join(f"sqrt{e}" for e in sorted(ds)))
+    return ds.pop() if ds else None
+
+
+def encode(x: Exact, den: int) -> tuple[int, int]:
+    """The integer pair (u, v) with x = (u + v sqrt d)/den."""
+    a, b = parts(x)
+    if den % a.denominator or den % b.denominator:
+        raise ValueError("denominator does not divide the table denominator")
+    return (a.numerator * (den // a.denominator),
+            b.numerator * (den // b.denominator))
+
+
+def decode(pair, den: int, d: int) -> Exact:
+    """The element (u + v sqrt d)/den of an integer pair, by the type rule."""
+    u, v = pair
+    return _element(Fraction(u, den), Fraction(v, den), d)
 
 
 # -- serialization ----------------------------------------------------------

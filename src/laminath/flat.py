@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 from .cf import ContinuedFraction
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
-from .exactnum import (Exact, QuadNum, exact_floor, format_exact, frac_part, pair_floor,
-                       parse_exact)
+from .exactnum import (Exact, QuadNum, denominator, encode, exact_floor, format_exact,
+                       frac_part, pair_floor, parse_exact, surd)
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -83,13 +83,9 @@ class FlatPath:
                         self.markers + other.markers[1:], validate=False)
 
     def to_json(self) -> dict:
-        field = None
-        for pt in self.vertices:
-            for c in (pt.x, pt.y):
-                if isinstance(c, QuadNum) and c.b != 0:
-                    field = f"sqrt{c.d}"
+        d = surd(c for pt in self.vertices for c in (pt.x, pt.y))
         return {
-            "field": field,
+            "field": d and f"sqrt{d}",
             "vertices": [[format_exact(pt.x), format_exact(pt.y)]
                          for pt in self.vertices],
             "markers": list(self.markers),
@@ -172,10 +168,9 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     """Integers (E, F, S, G, d, C), C > 0, with
     j theta + s = (E j + S + (F j + G) sqrt(d)) / C."""
-    th = theta_val if isinstance(theta_val, QuadNum) else QuadNum(theta_val)
-    *parts, d = th._align(s)  # raises on mixed fields
-    C = math.lcm(*(x.denominator for x in parts))
-    E, F, S, G = (x.numerator * (C // x.denominator) for x in parts)
+    d = surd((theta_val, s)) or 2  # raises on mixed fields
+    C = math.lcm(denominator(theta_val), denominator(s))
+    (E, F), (S, G) = encode(theta_val, C), encode(s, C)
     return E, F, S, G, d, C
 
 

@@ -31,14 +31,14 @@ kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
 whose every branch is an exact integer sign test: the flow kernel behind
 first returns and the separatrices, and the exchange kernel behind leaf
 streams, loop flights, the cut table and the non-saddle search.  Each
-kernel's denominator, field and value type follow from its surface or
-exchange and its start points alone.  Leaf streams copy whole tower words
-of an exact Rauzy–Veech induction of the exchange, whose induced exchange
-steps on the same kernel.  Only
-geometry validation and the per-point APIs (``flow_step``,
-``Transversal.point``/``param``, ``ReturnMapIET.step``/``orbit_word``) use
-Fraction/QuadNum arithmetic, and results leaving a kernel loop are decoded
-to the field elements, of the types, that arithmetic would give.
+kernel's denominator and field follow from its surface or exchange and its
+start points alone.  Leaf streams copy whole tower words of an exact
+Rauzy–Veech induction of the exchange, whose induced exchange steps on the
+same kernel.  Only geometry validation and the per-point APIs
+(``flow_step``, ``Transversal.point``/``param``,
+``ReturnMapIET.step``/``orbit_word``) use Fraction/QuadNum arithmetic, and
+results leaving a kernel loop are decoded to the field elements that
+arithmetic would give (``exactnum.decode``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from typing import Optional, Union
 
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
-from .exactnum import Exact, QuadNum, format_exact, pair_floor, pair_sign, parse_exact
+from .exactnum import (Exact, QuadNum, decode, denominator, encode, format_exact,
+                       pair_floor, pair_sign, parse_exact, surd)
 from .ledger import ExoticStage, exotic_stages
 
 Number = Union[int, Fraction, QuadNum]
@@ -316,62 +317,19 @@ def load_surface(doc) -> TranslationSurface:
     return TranslationSurface(polygons, identify)
 
 
-# -- exact integer pairs -------------------------------------------------------
-
-def _parts(v):
-    if isinstance(v, QuadNum):
-        return v.a, v.b
-    return Fraction(v), Fraction(0)
-
-
-def _den_of(v) -> int:
-    a, b = _parts(v)
-    return math.lcm(a.denominator, b.denominator)
-
-
-def _surd(values, d: Optional[int] = None) -> Optional[int]:
-    """The d of the quadratic field of the values (and of sqrt ``d``), or None
-    when all are rational; mixing two fields is a ValueError, as in QuadNum
-    arithmetic."""
-    ds = {d, *(v.d for v in values if isinstance(v, QuadNum) and v.b != 0)} - {None}
-    if len(ds) > 1:
-        raise ValueError("mixed fields " + " and ".join(f"sqrt{e}" for e in sorted(ds)))
-    return ds.pop() if ds else None
-
-
-def _encode(x, den: int) -> tuple:
-    """The integer pair (u, v) with x = (u + v sqrt d)/den."""
-    a, b = _parts(x)
-    if den % a.denominator or den % b.denominator:
-        raise ValueError("denominator does not divide the table denominator")
-    return (a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator))
-
-
-def _field(pair, den: int, d: int, quad: bool):
-    """The value of an integer pair over ``den``: a QuadNum when ``quad``
-    (QuadNum arithmetic would have produced one), else a Fraction."""
-    u, v = pair
-    if quad:
-        return QuadNum(Fraction(u, den), Fraction(v, den), d)
-    return Fraction(u, den)
-
-
 # -- horizontal flow -----------------------------------------------------------
 
 class _FlowState:
     """A point of the flow in kernel coordinates: polygon, ordinate pair over
-    ``den``, abscissa pair over ``xden``, and whether QuadNum arithmetic would
-    give each coordinate as a QuadNum.  ``last`` is the latest step's (polygon,
-    exit edge or vertex index, hit abscissa pair, advance pair); ``end`` is
-    None while the ray flows, then "singular" or "boundary"."""
+    ``den`` and abscissa pair over ``xden``.  ``last`` is the latest step's
+    (polygon, exit edge or vertex index, hit abscissa pair, advance pair);
+    ``end`` is None while the ray flows, then "singular" or "boundary"."""
 
-    __slots__ = ("tables", "den", "xden", "d", "poly", "y", "x", "qx", "qy",
-                 "last", "end")
+    __slots__ = ("tables", "den", "xden", "d", "poly", "y", "x", "last", "end")
 
     def point(self) -> SurfacePoint:
-        return SurfacePoint(self.poly, _field(self.x, self.xden, self.d, self.qx),
-                            _field(self.y, self.den, self.d, self.qy))
+        return SurfacePoint(self.poly, decode(self.x, self.xden, self.d),
+                            decode(self.y, self.den, self.d))
 
 
 class _FlowKernel:
@@ -391,30 +349,28 @@ class _FlowKernel:
     def __init__(self, surface: TranslationSurface):
         self.surface = surface
         coords = [c for poly in surface.polygons for xy in poly for c in xy]
-        self.d = _surd(coords)
-        D = self.D = math.lcm(*map(_den_of, coords))
+        self.d = surd(coords)
+        D = self.D = math.lcm(*map(denominator, coords))
         d = self.d or 2
         betas = {}
         for p, poly in enumerate(surface.polygons):
             for x1, y1, x2, y2, k in surface._edge_table[p]:
                 if y1 != y2:
                     betas[p, k] = (x2 - x1) / (y2 - y1)
-        E = self.E = math.lcm(*map(_den_of, betas.values()))
+        E = self.E = math.lcm(*map(denominator, betas.values()))
         # per polygon: vertex ordinates, vertex abscissae, per edge its
         # (E*D*alpha, E*beta) and its exit (letter, target polygon, translation)
         self.tables = []
-        self.edge_quad = []
         for p, poly in enumerate(surface.polygons):
-            ys = [_encode(y, D) for _, y in poly]
-            xs = [(E * u, E * v) for u, v in (_encode(x, D) for x, _ in poly)]
-            edges, exits, quads = [], [], []
-            for x1, y1, x2, y2, k in surface._edge_table[p]:
-                quads.append(any(isinstance(c, QuadNum) for c in (x1, y1, x2, y2)))
+            ys = [encode(y, D) for _, y in poly]
+            xs = [(E * u, E * v) for u, v in (encode(x, D) for x, _ in poly)]
+            edges, exits = [], []
+            for k in range(len(poly)):
                 beta = betas.get((p, k))
                 if beta is None:
                     edges.append(None)
                 else:
-                    bu, bv = _encode(beta, E)
+                    bu, bv = encode(beta, E)
                     yu, yv = ys[k]
                     edges.append((xs[k][0] - bu * yu - d * bv * yv,
                                   xs[k][1] - bu * yv - bv * yu, bu, bv))
@@ -423,34 +379,29 @@ class _FlowKernel:
                     exits.append(None)
                     continue
                 idx, first, (tx, ty), partner = info
-                (tu, tv), (su, sv) = _encode(tx, D), _encode(ty, D)
+                (tu, tv), (su, sv) = encode(tx, D), encode(ty, D)
                 exits.append((surface.pair_letter(idx, first), partner[0],
-                              E * tu, E * tv, su, sv,
-                              quads[-1] or isinstance(tx, QuadNum),
-                              isinstance(ty, QuadNum)))
+                              E * tu, E * tv, su, sv))
             self.tables.append((ys, xs, edges, exits))
-            self.edge_quad.append(quads)
 
     def _scaled(self, m: int):
         """The tables over m*D, m*E*D (the inverse slopes E*beta unchanged)."""
         return [([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
                  [e and (m * e[0], m * e[1], e[2], e[3]) for e in edges],
-                 [x and (*x[:2], m * x[2], m * x[3], m * x[4], m * x[5], *x[6:])
-                  for x in exits])
+                 [x and (*x[:2], m * x[2], m * x[3], m * x[4], m * x[5]) for x in exits])
                 for ys, xs, edges, exits in self.tables]
 
     def start(self, point: SurfacePoint) -> _FlowState:
         x, y = point.x, point.y
         st = _FlowState()
-        st.d = _surd((x, y), self.d) or 2
-        den = math.lcm(self.D, _den_of(x), _den_of(y))
+        st.d = surd((x, y), self.d) or 2
+        den = math.lcm(self.D, denominator(x), denominator(y))
         st.tables = self.tables if den == self.D else self._scaled(den // self.D)
         st.den, st.xden = den, den * self.E
         st.poly = point.poly
-        st.y = _encode(y, den)
-        u, v = _encode(x, den)
+        st.y = encode(y, den)
+        u, v = encode(x, den)
         st.x = (self.E * u, self.E * v)
-        st.qx, st.qy = isinstance(x, QuadNum), isinstance(y, QuadNum)
         st.last = st.end = None
         return st
 
@@ -461,9 +412,8 @@ class _FlowKernel:
         if st.end == "singular":
             return self.surface.vertex_point((p, k))
         if y is None:
-            y = _field(st.y, st.den, st.d, st.qy)
-        quad = self.edge_quad[p][k] or isinstance(y, QuadNum)
-        return SurfacePoint(p, _field(x, st.xden, st.d, quad), y)
+            y = decode(st.y, st.den, st.d)
+        return SurfacePoint(p, decode(x, st.xden, st.d), y)
 
     def trace(self, st: _FlowState, back: bool = False):
         """Flow ``st`` rightward (leftward when ``back``), updating it in
@@ -471,7 +421,7 @@ class _FlowKernel:
         ray meets a vertex or an unglued edge (``st.end`` says which)."""
         tables, d = st.tables, st.d
         sgn = -1 if back else 1
-        p, (yu, yv), (xu, xv), qx, qy = st.poly, st.y, st.x, st.qx, st.qy
+        p, (yu, yv), (xu, xv) = st.poly, st.y, st.x
         while True:
             ys, xs, edges, exits = tables[p]
             n = len(ys)
@@ -504,10 +454,9 @@ class _FlowKernel:
             if exits[k] is None:
                 st.end = "boundary"
                 return
-            letter, p, tu, tv, su, sv, qt, qs = exits[k]
+            letter, p, tu, tv, su, sv = exits[k]
             xu, xv, yu, yv = hu + tu, hv + tv, yu + su, yv + sv
-            qx, qy = qt or qy, qy or qs
-            st.poly, st.x, st.y, st.qx, st.qy = p, (xu, xv), (yu, yv), qx, qy
+            st.poly, st.x, st.y = p, (xu, xv), (yu, yv)
             yield letter
 
 
@@ -526,8 +475,7 @@ def flow_step(point: SurfacePoint, surface: TranslationSurface,
     st = flow.start(point)
     letter = next(flow.trace(st, back=direction < 0), None)
     hit = flow.hit(st, point.y)
-    adv = _field(st.last[3], st.xden, st.d,
-                 isinstance(hit.x, QuadNum) or isinstance(point.x, QuadNum))
+    adv = decode(st.last[3], st.xden, st.d)
     if letter is None:
         return StepResult(st.end, None, hit, None, None, adv)
     pair = surface.slot_info[(hit.poly, st.last[1])][0]
@@ -684,8 +632,8 @@ class _IETKernel:
     The exchange of (0, ``end``) moves interval i, from ``lows[i]`` up, by
     ``shifts[i]`` and reads ``words[i]`` through it: (0, 1) for a return
     map, (0, L) for its Rauzy–Veech induction (``towers``).  Pairs (u, v)
-    stand for (u + v sqrt d)/D, ``d`` None when every value is rational, and
-    decode to QuadNums when ``quad``; every branch is an exact sign test.
+    stand for (u + v sqrt d)/D, ``d`` None when every value is rational;
+    every branch is an exact sign test.
     Each direction has one table: the sorted cut pairs of the intervals
     (forward) or of their images (backward); per slot, the index of the
     interval and the pair to add; and per slot the successor cuts, those
@@ -696,8 +644,8 @@ class _IETKernel:
 
     _COPIES = 64   # rescaled copies kept before the memo starts over
 
-    def __init__(self, lows, shifts, end, D: int, d: Optional[int], quad: bool, words):
-        self.end, self.D, self.surd, self.d, self.quad = end, D, d, d or 2, quad
+    def __init__(self, lows, shifts, end, D: int, d: Optional[int], words):
+        self.end, self.D, self.surd, self.d = end, D, d, d or 2
         self.words, self._copies = words, {}
         images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
                   in zip(lows, lows[1:] + [end], shifts)]
@@ -723,21 +671,21 @@ class _IETKernel:
             successors.append(([lo] + inner + [hi], range(first, first + len(inner) + 1)))
         return bounds, moves, successors
 
-    def scaled(self, m: int, d: Optional[int], quad: bool) -> "_IETKernel":
-        """The memoised copy over m*D, in the field sqrt ``d``, of value type ``quad``."""
-        copy = self._copies.get((m, d, quad))
+    def scaled(self, m: int, d: Optional[int]) -> "_IETKernel":
+        """The memoised copy over m*D, in the field sqrt ``d``."""
+        copy = self._copies.get((m, d))
         if copy is None:
             if len(self._copies) >= self._COPIES:
                 self._copies.clear()
             bounds, moves, _ = self.forward
-            copy = self._copies[m, d, quad] = _IETKernel(
+            copy = self._copies[m, d] = _IETKernel(
                 [(m * u, m * v) for u, v in bounds[:-1]],
                 [(m * du, m * dv) for _, du, dv in moves],
-                (m * self.end[0], m * self.end[1]), m * self.D, d, quad, self.words)
+                (m * self.end[0], m * self.end[1]), m * self.D, d, self.words)
         return copy
 
     def encode(self, x):
-        return _encode(x, self.D)
+        return encode(x, self.D)
 
     def start(self, x) -> list:
         """State of the parameter x, which must lie inside (0, end)."""
@@ -747,7 +695,7 @@ class _IETKernel:
         return state
 
     def value(self, state):
-        return _field(state, self.D, self.d, self.quad)
+        return decode(state, self.D, self.d)
 
     def inside(self, state, lo, hi) -> bool:
         """Exactly decide lo < state < hi for encoded bounds."""
@@ -818,7 +766,7 @@ class _IETKernel:
             lows.append((u, v))
             u, v = u + lengths[i][0], v + lengths[i][1]
         return _IETKernel(lows, [shifts[i] for i in top], (Lu, Lv), self.D, self.surd,
-                          self.quad, [words[i] for i in top])
+                          [words[i] for i in top])
 
 
 class ReturnMapIET:
@@ -865,20 +813,18 @@ class ReturnMapIET:
         values; it reads each interval's word and the arrival letter."""
         ivs = self.intervals
         values = [x for iv in ivs for x in (iv.lo, iv.shift)]
-        D = math.lcm(*map(_den_of, values))
-        return _IETKernel([_encode(iv.lo, D) for iv in ivs], [_encode(iv.shift, D) for iv in ivs],
-                          (D, 0), D, _surd(values), any(isinstance(x, QuadNum) for x in values),
-                          [iv.word + self.arrival_letter for iv in ivs])
+        D = math.lcm(*map(denominator, values))
+        return _IETKernel([encode(iv.lo, D) for iv in ivs], [encode(iv.shift, D) for iv in ivs],
+                          (D, 0), D, surd(values), [iv.word + self.arrival_letter for iv in ivs])
 
     def fast(self, *points) -> _IETKernel:
         """The kernel for orbits from ``points``: the exchange's own when they
         fit it, else its copy over lcm(D0, their denominators), in the field
-        and value type of QuadNum arithmetic on the exchange and them."""
+        of the exchange and them."""
         own = self.kernel
-        m = math.lcm(own.D, *map(_den_of, points)) // own.D
-        d = _surd(points, own.surd)
-        quad = own.quad or any(isinstance(x, QuadNum) for x in points)
-        return own if (m, d, quad) == (1, own.surd, own.quad) else own.scaled(m, d, quad)
+        m = math.lcm(own.D, *map(denominator, points)) // own.D
+        d = surd(points, own.surd)
+        return own if (m, d) == (1, own.surd) else own.scaled(m, d)
 
     def step(self, tau):
         for iv in self.intervals:
@@ -1051,9 +997,9 @@ class _CutTable:
         return self._gaps[depth]
 
     def cuts(self, depth: int) -> list:
-        """The sorted cuts of depth 1..``depth``, typed as QuadNum arithmetic
-        on the exchange gives them.  No cut born at ``depth`` >= 1 means every
-        backward separatrix ended sooner: CylinderDecomposition."""
+        """The sorted cuts of depth 1..``depth``, as field elements.  No cut
+        born at ``depth`` >= 1 means every backward separatrix ended sooner:
+        CylinderDecomposition."""
         pts = self._sorted(depth)
         if not self.strands and depth >= self.depth:  # every strand died by then
             raise CylinderDecomposition("every backward separatrix is a saddle connection")
@@ -1179,7 +1125,7 @@ class LoopCertificate:
     word_I2: str
     max_gap: Number              # max interval of the (depth-1) partition
     gap_bound: Number            # the required bound a = |PQ|/3
-    path_events: tuple
+    closing_depth: int           # returns of the closing flight from R
 
 
 def build_inadmissible_loop(surface, trans, k: int,
@@ -1263,16 +1209,13 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
             break
         if len(tail_idx) > return_budget:
             raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
-    m = len(tail_idx)
     tau_s = kernel.value(state2)
 
-    e = iet.arrival_letter
-    words = [iv.word for iv in iet.intervals]
-    piece1 = "".join(words[i] + e for i in word_idx)
-    piece2 = "".join(words[i] + e for i in tail_idx)
-    word = piece1 + piece2
-    factor = piece1[len(words[word_idx[0]]):] + words[tail_idx[0]] + e
-    if words[tail_idx[0]] != I2.word:
+    words = kernel.words   # each interval's word and the arrival letter
+    piece1 = "".join(words[i] for i in word_idx)
+    word = piece1 + "".join(words[i] for i in tail_idx)
+    factor = piece1[len(words[word_idx[0]]) - 1:] + words[tail_idx[0]]
+    if words[tail_idx[0]] != I2.word + iet.arrival_letter:
         raise CertificateViolation("closing flight does not start in R's interval")
     if factor not in word:
         raise CertificateViolation("inadmissible factor missing from the loop word")
@@ -1283,15 +1226,9 @@ def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
     if not measure < constant * two_k:
         raise CertificateViolation("loop measure exceeds its structural bound")
 
-    events = (
-        ("leaf", trans.point(Q), trans.point(tau_n), n),
-        ("hop", trans.point(tau_n), trans.point(R), 0),
-        ("leaf", trans.point(R), trans.point(tau_s), m),
-        ("hop", trans.point(tau_s), trans.point(Q), 0),
-    )
     return LoopCertificate(k, word, factor, measure, constant, n,
                            P, Q, tau_n, R, tau_s, I.word, I2.word,
-                           iet.cut_table.max_gap(n - 1), a, events)
+                           iet.cut_table.max_gap(n - 1), a, len(tail_idx))
 
 
 # -- exotic synthesis ----------------------------------------------------------------------

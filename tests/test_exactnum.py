@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laminath.exactnum import (QuadNum, exact_floor, format_exact, frac_part,
-                               parse_exact, squarefree_decompose)
+from laminath.exactnum import (QuadNum, decode, denominator, encode, exact_floor,
+                               format_exact, frac_part, parse_exact, parts,
+                               squarefree_decompose)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 ds = st.sampled_from([2, 3, 5, 7, 13])
@@ -87,3 +88,50 @@ def test_mixed_field_arithmetic_rejected():
         QuadNum(0, 1, 2) + QuadNum(0, 1, 3)
     # rational-valued elements mix freely
     assert QuadNum(3, 0, 2) + QuadNum(0, 1, 3) == QuadNum(3, 1, 3)
+
+
+def _typed_right(x):
+    """Does x follow the type rule: a QuadNum exactly when its b is nonzero?"""
+    if isinstance(x, QuadNum):
+        return x.b != 0
+    return type(x) is Fraction
+
+
+# elements of Q(sqrt 2): QuadNums, Fractions and QuadNum-typed rationals
+_elements = st.one_of(quads(2), fractions, st.builds(QuadNum, fractions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements, _elements, st.integers(0, 4))
+def test_arithmetic_returns_quadnum_exactly_when_b_is_nonzero(x, y, n):
+    (a, b), (c, e) = parts(x), parts(y)
+    results = {"+": (x + y, (a + c, b + e)), "-": (x - y, (a - c, b - e)),
+               "*": (x * y, (a * c + 2 * b * e, a * e + b * c)),
+               "neg": (-x, (-a, -b)), "abs": (abs(x), (a, b) if x >= 0 else (-a, -b))}
+    if y != 0:
+        norm = c * c - 2 * e * e
+        results["/"] = (x / y, ((a * c - 2 * b * e) / norm, (b * c - a * e) / norm))
+    pa, pb = Fraction(1), Fraction(0)
+    for _ in range(n):
+        pa, pb = pa * a + 2 * pb * b, pa * b + pb * a
+    results["**"] = (x ** n, (pa, pb))
+    for op, (got, want) in results.items():
+        assert _typed_right(got), (op, x, y)
+        assert parts(got) == want, (op, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements, st.integers(1, 30))
+def test_pair_encoding_round_trips(x, m):
+    D = denominator(x) * m
+    got = decode(encode(x, D), D, 2)
+    assert got == x and _typed_right(got)
+
+
+def test_vanished_surd_gives_a_fraction():
+    assert type(QuadNum(2, 1, 2) ** 0) is Fraction
+    assert type(QuadNum(0, 1, 2) * QuadNum(0, 1, 2)) is Fraction
+    assert type(QuadNum(Fraction(1, 3)) + 1) is Fraction
+    # sqrt 4 folds into the rational part
+    got = decode((1, 1), 1, 4)
+    assert got == 3 and type(got) is Fraction

@@ -6,6 +6,7 @@ import sys
 
 import laminath
 from laminath.errors import EXHAUSTION_ERRORS, CertificateViolation
+from laminath.exactnum import QuadNum
 
 PACKAGE = pathlib.Path(laminath.__file__).resolve().parent
 
@@ -48,6 +49,20 @@ def test_surface_kernel_has_no_float():
     sqrts = [f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "sqrt"
              and isinstance(f.value, ast.Name) and f.value.id == "math"]
     assert not floats and not sqrts, f"float at {floats}, math.sqrt at {sqrts}"
+
+
+def test_only_exactnum_calls_private_quadnum_methods():
+    # other modules read QuadNum through its operators and the pair encoding
+    private = {name for name in vars(QuadNum) if name.startswith("_") and
+               not name.startswith("__") and callable(getattr(QuadNum, name))}
+    assert {"_align", "_cmp"} <= private
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr in private]
+        assert not lines, f"{path.name}: private QuadNum method at lines {lines}"
 
 
 def test_one_backward_flow_pass_per_transversal(monkeypatch):

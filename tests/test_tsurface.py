@@ -692,7 +692,8 @@ def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
 
 def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     # rotation by 1/3 with QuadNum-typed rational data: QuadNum arithmetic
-    # keeps every gap a QuadNum, and so does the kernel table
+    # gives every gap, which has no sqrt part, as a Fraction, and so does the
+    # kernel table
     third = QuadNum(Fraction(1, 3))
     iet = ts.ReturnMapIET.__new__(ts.ReturnMapIET)
     iet.intervals = [ts.ExchangeInterval(Fraction(0), 2 * third, third, ""),
@@ -701,7 +702,7 @@ def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     table, ref = ts._CutTable(iet), _ReferenceCutTable(iet)
     for j in range(1, 6):
         got, want = table.max_gap(j), ref.max_gap(j)
-        assert got == want and type(got) is type(want) is QuadNum, j
+        assert got == want and type(got) is type(want) is Fraction, j
     # the kernel decodes its steps by the same rule
     kernel = iet.fast(Fraction(1, 7))
     state = kernel.start(Fraction(1, 7))
