@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import CertificateViolation, InvalidSlope, PrecisionExhausted
-from .exactnum import Exact, QuadNum
+from .exactnum import Exact, QuadNum, denominator, encode, pair_sign, surd
 
 
 @dataclass(frozen=True)
@@ -224,11 +224,15 @@ class ContinuedFraction:
     def convergents(self, k_max: int, verify: bool = True) -> list[Convergent]:
         """Convergents p_0/q_0 ... p_{k_max}/q_{k_max} by the standard
         recurrence, each checked against the approximation inequality
-        |q_k theta - p_k| < 1/q_{k+1} (exactly in the quadratic field when
-        available, by the determinant identity otherwise)."""
+        |q_k theta - p_k| < 1/q_{k+1} (exactly, on theta's integer pair, when
+        theta has a value; by the determinant identity otherwise)."""
         out = [self.convergent(k) for k in range(k_max + 1)]
         if verify:
             theta = self.value()
+            if theta is not None:
+                # theta = (u + v sqrt d)/D
+                D = denominator(theta)
+                (u, v), d = encode(theta, D), surd((theta,)) or 2
             for cv in out:
                 try:
                     nxt = self.convergent(cv.k + 1)
@@ -238,11 +242,14 @@ class ContinuedFraction:
                 if abs(det) != 1:
                     raise CertificateViolation("convergent determinant broken")
                 if theta is not None:
-                    err = abs(q_error(theta, cv))
-                    bound = Fraction(1, nxt.q)
-                    # equality holds exactly when theta is the next convergent
-                    # (the last one of a finite fraction)
-                    if not (err < bound or err == bound and theta == nxt.value):
+                    # q_{k+1} (q_k theta - p_k) = (a + b sqrt d)/D lies in
+                    # (-1, 1) when both D + (a + b sqrt d) and D - (a + b sqrt d)
+                    # are positive; one is 0 only for a rational theta at
+                    # distance exactly 1/q_{k+1}, allowed when theta is the
+                    # next convergent (the last one of a finite fraction)
+                    a, b = nxt.q * (cv.q * u - cv.p * D), nxt.q * cv.q * v
+                    inside = min(pair_sign(D + a, b, d), pair_sign(D - a, -b, d))
+                    if inside < 0 or inside == 0 and theta != nxt.value:
                         raise CertificateViolation(
                             f"approximation inequality failed at k={cv.k}")
         return out

@@ -303,7 +303,7 @@ def encode(x: Exact, den: int) -> tuple[int, int]:
 def decode(pair, den: int, d: int) -> Exact:
     """The element (u + v sqrt d)/den of an integer pair, by the type rule."""
     u, v = pair
-    return _element(Fraction(u, den), Fraction(v, den), d)
+    return _element(Fraction(u, den), Fraction(v, den), d) if v else Fraction(u, den)
 
 
 # -- serialization ----------------------------------------------------------

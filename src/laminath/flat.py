@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 from .cf import ContinuedFraction
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
-from .exactnum import (Exact, QuadNum, denominator, encode, exact_floor, format_exact,
-                       frac_part, pair_floor, parse_exact, surd)
+from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
+                       format_exact, frac_part, pair_floor, parse_exact, surd)
 
 Number = Union[int, Fraction, QuadNum]
 
@@ -415,12 +415,53 @@ def three_distance_points(s, r) -> list:
 @dataclass(frozen=True)
 class ClearanceCertificate:
     """Witness that the slope-theta line and its convergent approximation stay
-    in the same lattice cells over one cycle, except at the extreme height."""
+    in the same lattice cells over one cycle, except at the extreme height.
+
+    Kept as the kernel's integers: height l, the fractional part of
+    (p_k/q_k) l + s, is (nums[l] + G sqrt(d)) / C, and floors[l] is the
+    integer part of (p_k/q_k) l + s, which theta l + s shares for l != l0.
+    ``heights`` and ``agreements`` decode them on request."""
 
     k: int
     l0: int
-    heights: tuple
-    agreements: tuple  # (l, common integer part) for l != l0
+    C: int
+    nums: tuple
+    G: int
+    d: int
+    floors: tuple
+
+    @property
+    def heights(self) -> tuple:
+        """Height l for l = 0..q_k-1: a Fraction, or a QuadNum when s has a
+        surd part."""
+        C, G, d = self.C, self.G, self.d
+        return tuple(decode((n, G), C, d) for n in self.nums)
+
+    @property
+    def agreements(self) -> tuple:
+        """(l, common integer part) for l != l0."""
+        l0, floors = self.l0, self.floors
+        return tuple(zip(range(l0), floors[:l0])) + tuple(
+            zip(range(l0 + 1, len(floors)), floors[l0 + 1:]))
+
+
+def _split_check(theta_blocks: list, rat_blocks: list, l0: int, f0: int) -> None:
+    """Raise at the first l != l0 where f0 plus the first l blocks differs
+    between the two lists.
+
+    A difference at block j shows at every l > j until another one cancels
+    it, so l0 alone may split exactly when the lists agree off blocks l0 - 1
+    and l0 and, unless l0 is the last l, sum alike over those two.  When
+    that test fails, the per-l loop names the first split."""
+    lo = max(l0 - 1, 0)
+    if (theta_blocks[:lo] == rat_blocks[:lo] and theta_blocks[l0 + 1:] == rat_blocks[l0 + 1:]
+            and (l0 == len(rat_blocks)
+                 or sum(theta_blocks[lo:l0 + 1]) == sum(rat_blocks[lo:l0 + 1]))):
+        return
+    pairs = zip(accumulate(theta_blocks, initial=f0), accumulate(rat_blocks, initial=f0))
+    for l, (f, g) in enumerate(pairs):
+        if f != g and l != l0:
+            raise CertificateViolation(f"integer parts split at l={l}")
 
 
 def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertificate:
@@ -440,19 +481,14 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     # floor(l p_k/q_k + s) and floor(l theta + s) for l = 0..q-1, as floor(s)
     # plus prefix sums of blocks from the one Sturmian kernel
     E, F, S, G, d, C = _integer_form(Fraction(cv.p, q), s)
-    f_rat = list(accumulate(floor_blocks(E, F, S, G, d, C, q - 1), initial=exact_floor(s)))
-    f_theta = list(accumulate(sturmian_blocks(theta, s, q - 1)[0], initial=exact_floor(s)))
+    f0 = exact_floor(s)
+    rat_blocks = floor_blocks(E, F, S, G, d, C, q - 1)
+    floors = list(accumulate(rat_blocks, initial=f0))
     # height l is (num_l + G sqrt(d)) / C, so integer numerators order them
-    nums = [E * l + S - C * f for l, f in enumerate(f_rat)]
-    l0 = (max if k % 2 == 0 else min)(range(q), key=nums.__getitem__)
-    heights = [Fraction(n, C) for n in nums]
-    if isinstance(s, QuadNum):
-        heights = [h + QuadNum(0, s.b, s.d) for h in heights]
-    for l, (f, g) in enumerate(zip(f_theta, f_rat)):
-        if f != g and l != l0:
-            raise CertificateViolation(f"integer parts split at l={l}")
-    agreements = [(l, f) for l, f in enumerate(f_theta) if l != l0]
-    return ClearanceCertificate(k, l0, tuple(heights), tuple(agreements))
+    nums = [E * l + S - C * f for l, f in enumerate(floors)]
+    l0 = nums.index((max if k % 2 == 0 else min)(nums))
+    _split_check(sturmian_blocks(theta, s, q - 1)[0], rat_blocks, l0, f0)
+    return ClearanceCertificate(k, l0, C, tuple(nums), G, d, tuple(floors))
 
 
 # -- growth probes -----------------------------------------------------------------

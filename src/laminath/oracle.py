@@ -25,7 +25,7 @@ from typing import Optional
 from . import flat
 from .cf import ContinuedFraction
 from .errors import CertificateViolation, DepthInsufficient
-from .words import BlockWord, simple_word
+from .words import BlockWord, _slope_data, simple_word
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,13 @@ def rational_block_rotations(r) -> list[BlockWord]:
 def _periodic_haystack(r, m: int) -> tuple[str, int]:
     """(haystack, period length): enough copies of the slope-r convergent word
     that every length-m factor of its bi-infinite periodic word occurs in the
-    haystack at an offset below the period length."""
-    period = simple_word(Fraction(r), 1).letters()
+    haystack at an offset below the period length.
+
+    The period is the letters of ``simple_word(r, 1)``, read straight off the
+    window kernel as blocks 0..q-1 of (p j + q - 1)/q; the slope check comes
+    first, as the kernel takes any slope."""
+    p, q = _slope_data(Fraction(r))[:2]
+    period = flat._window_word(p, 0, q - 1, 0, 2, q, q, lift=True)[0]
     return period * (m // len(period) + 2), len(period)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from laminath import flat
 from laminath.cf import ContinuedFraction, q_error
-from laminath.errors import InvalidSlope, PrecisionExhausted
+from laminath.errors import CertificateViolation, InvalidSlope, PrecisionExhausted
 from laminath.exactnum import QuadNum
 
 
@@ -154,6 +154,46 @@ def test_finite_convergents_verify(coeffs):
     cvs = theta.convergents(n)
     if n >= 1:
         assert abs(q_error(theta.value(), cvs[n - 1])) == Fraction(1, cvs[n].q)
+
+
+def _first_miss(theta, val, k_max):
+    """The q_error reference: the first k <= k_max whose convergent misses
+    |q_k val - p_k| < 1/q_{k+1} (equality allowed when val = p_{k+1}/q_{k+1}),
+    or None."""
+    for k in range(k_max + 1):
+        cv, nxt = theta.convergent(k), theta.convergent(k + 1)
+        err, bound = abs(q_error(val, cv)), Fraction(1, nxt.q)
+        if not (err < bound or err == bound and val == nxt.value):
+            return k
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       st.lists(st.integers(min_value=1, max_value=5), max_size=2),
+       st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3), st.data())
+def test_verified_convergents_match_q_error(c0, pre, per, data):
+    # the integer-pair check against the q_error reference, on the true value
+    # and on planted values: a convergent p_{j+1}/q_{j+1} and its mirror
+    # image across p_j/q_j (both exactly 1/q_{j+1} from it, as a rational
+    # theta at its next convergent), and quadratic or rational values near
+    # theta
+    theta = ContinuedFraction.periodic([c0] + pre, per)
+    k_max = data.draw(st.integers(min_value=0, max_value=10))
+    true = theta.value()
+    j = data.draw(st.integers(min_value=0, max_value=k_max + 1))
+    cv, nxt = theta.convergent(j), theta.convergent(j + 1)
+    mirror = Fraction(2 * cv.p * nxt.q - nxt.p * cv.q, cv.q * nxt.q)
+    nudge = data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6))
+    val = data.draw(st.sampled_from([true, nxt.value, mirror, true + nudge, true.a + nudge,
+                                     QuadNum(true.a, true.b + nudge, true.d)]))
+    theta._value_cache = val
+    miss = _first_miss(theta, val, k_max)
+    if miss is None:
+        assert theta.convergents(k_max) == [theta.convergent(k) for k in range(k_max + 1)]
+    else:
+        with pytest.raises(CertificateViolation, match=f"at k={miss}$"):
+            theta.convergents(k_max)
 
 
 def test_negative_convergent_index_raises():

@@ -420,6 +420,14 @@ def test_cusp_negative_loop_count_exits_2_on_short_theta():
                                "detail": "loop counts must be positive"}
 
 
+@pytest.mark.parametrize("slope", ["1/2", "0", "1"])
+def test_factors_slope_at_most_one_exits_2(slope):
+    code, out, err = run_cli(["factors", "--slope", slope, "--m", "3"])
+    assert code == 2 and out == ""
+    assert err == ('{"detail": "slope must be > 1, got %s", "error": "invalid-slope"}\n'
+                   % slope)
+
+
 def test_segment_level_below_two_exits_2():
     # a negative level once read the convergent table's (1, 0) seed row and
     # divided by zero

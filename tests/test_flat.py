@@ -1,13 +1,15 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
-from laminath.errors import ClearanceViolated, InvalidGrowthFunction, SingularHit
+from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
+                             SingularHit)
 from laminath.exactnum import QuadNum, exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
@@ -465,7 +467,7 @@ def _clearance_reference(s, theta, k):
         if f_theta != exact_floor(r * l + s):
             raise AssertionError(f"integer parts split at l={l}")
         agreements.append((l, f_theta))
-    return flat.ClearanceCertificate(k, l0, tuple(heights), tuple(agreements))
+    return SimpleNamespace(k=k, l0=l0, heights=tuple(heights), agreements=tuple(agreements))
 
 
 def _clearance_outcome(fn, *args):
@@ -473,7 +475,7 @@ def _clearance_outcome(fn, *args):
         cert = fn(*args)
     except ClearanceViolated:
         return "violated"
-    return cert, [type(h) for h in cert.heights]
+    return (cert.k, cert.l0, cert.heights, cert.agreements), [type(h) for h in cert.heights]
 
 
 @settings(max_examples=150, deadline=None)
@@ -518,6 +520,37 @@ def test_homotopy_clearance_odd():
     cert = flat.homotopy_clearance(Fraction(3, 4), SQRT2, 3)
     assert cert.k == 3
     assert len(cert.agreements) == SQRT2.convergent(3).q - 1
+
+
+@pytest.mark.parametrize("s, k", [(Fraction(1, 4), 4), (Fraction(3, 4), 5), (Fraction(1, 3), 6),
+                                  (Fraction(2, 3), 7), (Fraction(-1, 58), 4), (Fraction(23, 58), 4),
+                                  (Fraction(25, 24), 3), (Fraction(59, 140), 5)])
+def test_clearance_catches_one_flipped_block(monkeypatch, s, k):
+    # flipping theta's block j moves its integer part at every l > j, so the
+    # first split is at j + 1, or at l0 + 1 when j + 1 is the free l0; the
+    # last four cases put l0 at 0 or q_k - 1
+    cert = flat.homotopy_clearance(s, SQRT2, k)
+    q, l0 = SQRT2.convergent(k).q, cert.l0
+    blocks = flat.sturmian_blocks(SQRT2, s, q - 1)[0]
+    for j in range(q - 1):
+        flipped = blocks[:j] + [3 - blocks[j]] + blocks[j + 1:]  # sqrt2 blocks are 1 and 2
+        monkeypatch.setattr(flat, "sturmian_blocks", lambda *args: (flipped, None))
+        split = j + 1 if j + 1 != l0 else l0 + 1
+        if split == q:
+            assert flat.homotopy_clearance(s, SQRT2, k) == cert
+            continue
+        with pytest.raises(CertificateViolation, match=f"split at l={split}$"):
+            flat.homotopy_clearance(s, SQRT2, k)
+    for j in range(q - 2):
+        # one letter moved from block j + 1 to block j changes the integer
+        # part at j + 1 alone, which only l0 may do
+        moved = blocks[:j] + [blocks[j] + 1, blocks[j + 1] - 1] + blocks[j + 2:]
+        monkeypatch.setattr(flat, "sturmian_blocks", lambda *args: (moved, None))
+        if j + 1 == l0:
+            assert flat.homotopy_clearance(s, SQRT2, k) == cert
+            continue
+        with pytest.raises(CertificateViolation, match=f"split at l={j + 1}$"):
+            flat.homotopy_clearance(s, SQRT2, k)
 
 
 # -- growth probes ----------------------------------------------------------------------

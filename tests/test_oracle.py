@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
-from laminath.errors import DepthInsufficient
+from laminath.errors import DepthInsufficient, InvalidSlope
 from laminath.exactnum import exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
@@ -142,6 +142,41 @@ def test_rational_factor_complexity(pq, m):
     p, q = pq
     fs = oracle.rational_factors(Fraction(p, q), m)
     assert len(fs.factors) == min(m + 1, p + q)
+
+
+def _assert_haystack_is_simple_word(r):
+    hay, plen = oracle._periodic_haystack(r, 3 * r.denominator)
+    period = words.simple_word(r, 1).letters()
+    assert plen == len(period) and hay == period * (3 * r.denominator // plen + 2), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_haystack_period_is_the_simple_word(q, data):
+    # the kernel's period letters against the BlockWord reference, p/q > 1
+    p = data.draw(st.integers(min_value=q + 1, max_value=6 * q + 5).filter(
+        lambda p: Fraction(p, q).denominator == q))
+    _assert_haystack_is_simple_word(Fraction(p, q))
+
+
+@pytest.mark.parametrize("theta", [SQRT2, GOLDEN], ids=["sqrt2", "golden"])
+def test_haystack_period_on_convergents(theta):
+    k = 0
+    while theta.convergent(k).q <= 5000:
+        cv = theta.convergent(k)
+        if cv.p > cv.q:
+            _assert_haystack_is_simple_word(Fraction(cv.p, cv.q))
+        k += 1
+    assert k >= 10
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(-3, 2)])
+def test_haystack_keeps_the_slope_guard(r):
+    # the window kernel takes any slope; the haystack still demands r > 1
+    with pytest.raises(InvalidSlope, match="slope must be > 1"):
+        oracle._periodic_haystack(r, 3)
+    with pytest.raises(InvalidSlope, match="slope must be > 1"):
+        oracle.rational_factors(r, 3)
 
 
 def test_wilder_quadratic_slope():

@@ -129,3 +129,33 @@ def test_scripts_run(tmp_path):
         subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                        capture_output=True, text=True, check=True)
     assert len(list(tmp_path.glob("growth_*.csv"))) == 5
+
+
+def test_clearance_builds_no_fraction_per_height(monkeypatch):
+    # homotopy_clearance keeps its heights as integer numerators: a call with
+    # q_k >= 2000 builds O(1) Fractions in flat, and O(1) anywhere
+    import fractions
+    from laminath import flat
+    from laminath.cf import ContinuedFraction
+    theta, k = ContinuedFraction.sqrt2(), 9
+    assert theta.convergent(k).q >= 2000
+    s = fractions.Fraction(1, 3)
+    theta.value()  # cached before counting
+    in_flat, anywhere = [], []
+    new = fractions.Fraction.__new__
+
+    class Counting(fractions.Fraction):
+        def __new__(cls, *args, **kwargs):
+            in_flat.append(args)
+            return fractions.Fraction(*args, **kwargs)
+
+    def counting_new(cls, *args, **kwargs):
+        anywhere.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(flat, "Fraction", Counting)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    cert = flat.homotopy_clearance(s, theta, k)
+    monkeypatch.undo()
+    assert len(in_flat) <= 4 and len(anywhere) <= 40, (len(in_flat), len(anywhere))
+    assert len(cert.agreements) == theta.convergent(k).q - 1
