@@ -332,7 +332,10 @@ _QUAD_RE = re.compile(
 
 
 def parse_exact(text: str) -> Exact:
-    """Parse the format produced by :func:`format_exact`."""
+    """Parse the format produced by :func:`format_exact`; anything else, a
+    non-string too, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"an exact value is a string, got {text!r}")
     s = text.strip().replace(" ", "")
     if "sqrt" not in s:
         return Fraction(s)

@@ -93,9 +93,17 @@ class FlatPath:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FlatPath":
-        vertices = [FlatPoint(parse_exact(x), parse_exact(y))
-                    for x, y in doc["vertices"]]
-        return cls(vertices, doc.get("markers"))
+        """The path of a :meth:`to_json` document; any other shape raises
+        ValueError."""
+        vertices, markers = (doc.get("vertices"), doc.get("markers")) if isinstance(
+            doc, dict) else (None, None)
+        if not (isinstance(vertices, list)
+                and all(isinstance(v, list) and len(v) == 2 for v in vertices)
+                and (markers is None or isinstance(markers, list)
+                     and all(isinstance(m, str) for m in markers))):
+            raise ValueError('a path document is {"vertices": [[x, y], ...], '
+                             '"markers": [...]}')
+        return cls([FlatPoint(parse_exact(x), parse_exact(y)) for x, y in vertices], markers)
 
 
 def _is_integer(x: Number) -> bool:
@@ -124,9 +132,6 @@ def _segment_lattice_hit(p: FlatPoint, q: FlatPoint):
 
 
 # -- transverse measure ------------------------------------------------------
-
-Measure = Exact  # vertical-shift convention: |dy - theta dx| summed over segments
-
 
 def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
     """Exact transverse measure of ``path`` against the slope-theta foliation.

@@ -179,16 +179,12 @@ class TranslationSurface:
                     raise InvalidSurface(f"polygon {pi} self-intersects")
 
     def _edge_vector(self, slot):
-        p, k = slot
-        poly = self.polygons[p]
-        x1, y1 = poly[k]
-        x2, y2 = poly[(k + 1) % len(poly)]
+        (x1, y1), (x2, y2) = self._edge_endpoints(slot)
         return (x2 - x1, y2 - y1)
 
     def _edge_endpoints(self, slot):
-        p, k = slot
-        poly = self.polygons[p]
-        return poly[k], poly[(k + 1) % len(poly)]
+        poly = self.polygons[slot[0]]
+        return poly[slot[1]], poly[(slot[1] + 1) % len(poly)]
 
     # -- derived tables -----------------------------------------------------
 
@@ -200,22 +196,15 @@ class TranslationSurface:
             cAB = (b1[0] - a0[0], b1[1] - a0[1])  # z on A maps to z + cAB on B
             self.slot_info[sa] = (idx, True, cAB, sb)
             self.slot_info[sb] = (idx, False, (-cAB[0], -cAB[1]), sa)
-        self.boundary_slots = []
-        for p, poly in enumerate(self.polygons):
-            for k in range(len(poly)):
-                if (p, k) not in self.slot_info:
-                    self.boundary_slots.append((p, k))
-        self._edge_table = []
-        for poly in self.polygons:
-            n = len(poly)
-            self._edge_table.append(
-                [(poly[k][0], poly[k][1], poly[(k + 1) % n][0],
-                  poly[(k + 1) % n][1], k) for k in range(n)])
+        self.boundary_slots = [(p, k) for p, poly in enumerate(self.polygons)
+                               for k in range(len(poly)) if (p, k) not in self.slot_info]
+        self._edge_table = [[(*poly[k], *poly[(k + 1) % len(poly)], k) for k in range(len(poly))]
+                            for poly in self.polygons]
         self._vertex_classes()
         self._flow = _FlowKernel(self)
 
     def _vertex_classes(self):
-        parent = {}
+        parent = {(p, k): (p, k) for p, poly in enumerate(self.polygons) for k in range(len(poly))}
 
         def find(c):
             while parent[c] != c:
@@ -223,9 +212,6 @@ class TranslationSurface:
                 c = parent[c]
             return c
 
-        for p, poly in enumerate(self.polygons):
-            for k in range(len(poly)):
-                parent[(p, k)] = (p, k)
         for sa, sb in self.pairs:
             (pa, ka), (pb, kb) = sa, sb
             na, nb = len(self.polygons[pa]), len(self.polygons[pb])
@@ -238,10 +224,8 @@ class TranslationSurface:
         for corner in parent:
             classes.setdefault(find(corner), []).append(corner)
         self.vertex_classes = list(classes.values())
-        self.corner_class = {}
-        for ci, corners in enumerate(self.vertex_classes):
-            for c in corners:
-                self.corner_class[c] = ci
+        self.corner_class = {c: ci for ci, corners in enumerate(self.vertex_classes)
+                             for c in corners}
 
     @property
     def euler_characteristic(self) -> int:
@@ -307,14 +291,26 @@ class TranslationSurface:
         }
 
 
+def _pairs_of(items, kind) -> bool:
+    """Whether ``items`` is a JSON list of two-item lists of ``kind``."""
+    return isinstance(items, list) and all(isinstance(it, list) and len(it) == 2
+                                           and all(type(c) is kind for c in it) for it in items)
+
+
 def load_surface(doc) -> TranslationSurface:
-    """Build and validate a surface from its JSON document."""
+    """Build and validate a surface from its JSON document: polygons of [x, y]
+    exact-value strings, identifications of two [polygon, edge] integer
+    pairs; any other shape raises InvalidSurface."""
     if isinstance(doc, TranslationSurface):
         return doc
-    polygons = [[(parse_exact(x), parse_exact(y)) for x, y in poly]
-                for poly in doc["polygons"]]
-    identify = [(tuple(sa), tuple(sb)) for sa, sb in doc["identify"]]
-    return TranslationSurface(polygons, identify)
+    polygons, identify = (doc.get("polygons"), doc.get("identify")) if isinstance(
+        doc, dict) else (None, None)
+    if not (isinstance(polygons, list) and all(_pairs_of(poly, str) for poly in polygons)
+            and _pairs_of(identify, list) and all(_pairs_of(pair, int) for pair in identify)):
+        raise InvalidSurface('a surface document is {"polygons": [[[x, y], ...], ...], '
+                             '"identify": [[[polygon, edge], [polygon, edge]], ...]}')
+    return TranslationSurface([[(parse_exact(x), parse_exact(y)) for x, y in poly]
+                               for poly in polygons], identify)
 
 
 # -- horizontal flow -----------------------------------------------------------
@@ -924,7 +920,7 @@ def backward_cut_points(trans: Transversal, depth: int,
 class PartitionInterval:
     lo: Number
     hi: Number
-    word: Optional[str]
+    word: str
 
     @property
     def length(self):
@@ -942,21 +938,25 @@ class ReturnPartition:
         return max(iv.length for iv in self.intervals)
 
 
-def return_partition(surface, trans, n: int, words: bool = True) -> ReturnPartition:
+def return_partition(surface, trans, n: int) -> ReturnPartition:
     """Level-set partition of the transversal for the n-step return word.
 
     Interval endpoints are the backward vertex orbits up to depth n, read
     from the exchange's cut table; each open interval carries the constant
-    word of its n-step return, read at the midpoint when ``words`` is set.
+    word of its n-step return (``ReturnMapIET.orbit_word``), read on the
+    exchange kernel from the interval's midpoint.
     """
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     iet = trans.return_map()
     cuts = iet.cut_table.cuts(n)
     pts = [Fraction(0)] + cuts + [Fraction(1)]
-    intervals = [PartitionInterval(lo, hi, iet.orbit_word((lo + hi) / 2, n)[1]
-                                   if words else None)
-                 for lo, hi in zip(pts, pts[1:])]
+    mids = [(lo + hi) / 2 for lo, hi in zip(pts, pts[1:])]
+    kernel = iet.fast(*mids)
+    words = kernel.words   # each ends on the arrival letter, which the last drops
+    intervals = [PartitionInterval(lo, hi, "".join(
+                     [words[i] for i in islice(kernel.orbit(kernel.start(mid)), n)])[:-1])
+                 for lo, hi, mid in zip(pts, pts[1:], mids)]
     return ReturnPartition(n, cuts, intervals)
 
 

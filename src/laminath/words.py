@@ -6,11 +6,14 @@ b^{n_i} a with n_i in {n, n+1}; we write such words as block tuples
 (n_1, ..., n_k) with an orientation marker "ba" (blocks b^n a) or "ab".
 
 The three constructions here are the simple-closed-curve word of a rational
-slope, the inadmissible single-cycle word obtained by flipping its last
-block, and the short inadmissible segment with an exact transverse-measure
-certificate.  Concatenating segments over a parity-aligned index sequence
-gives finite-measure words that are not asymptotic to any leaf; a cusp-loop
-variant interleaves convergent words with loops around the puncture.
+slope, the inadmissible single-cycle word (a simple word with its last block
+flipped), and the short inadmissible segment with an exact transverse-measure
+certificate.  Both inadmissible words are read off the segment's own path, a
+line of slope p_k/q_k, one short vertical hop and the moved line until it
+closes up, as its cutting sequence by the block kernel.  Concatenating
+segments over a parity-aligned index sequence gives finite-measure words
+that are not asymptotic to any leaf; a cusp-loop variant interleaves
+convergent words with loops around the puncture.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class BlockWord:
             raise ValueError("orientation must be 'ba' or 'ab'")
         if not self.blocks:
             raise ValueError("blocks must be nonempty")
+        if self.base < 0:
+            raise ValueError(f"blocks must be >= 0, got base {self.base}")
         if not set(self.blocks) <= {self.base, self.base + 1}:
             raise ValueError(f"blocks must lie in {{{self.base},{self.base + 1}}}")
 
@@ -147,52 +152,52 @@ def simple_word(r, l1: int = 1) -> BlockWord:
     return BlockWord(n, tuple(blocks))
 
 
-def partial_simple_word(r, l1: int, stop: int) -> tuple[int, ...]:
-    """Prefix of ``simple_word(r, l1)`` ending just before start index
-    ``stop``.
-
-    Block i of the word belongs to start index l1 - i t (mod q), so the
-    prefix has the m blocks with m = (l1 - stop) / t (mod q), 1 <= m <= q:
-    the block at the starting index is always emitted and the block at the
-    stopping index never is."""
-    p, q, n, s, t = _slope_data(Fraction(r))
-    if not 1 <= stop <= q:
-        raise InvalidSlope(f"stop index must be in 1..{q}")
-    m = (l1 - stop) * pow(t, -1, q) % q or q
-    return simple_word(r, l1).blocks[:m]
-
-
 # -- inadmissible words ----------------------------------------------------------
 
-def _flip(block: int, n: int) -> int:
-    return n + 1 if block == n else n
+def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
+                 ) -> tuple[BlockWord, Convergent]:
+    """Blocks of the level-k segment path: its first q_k, or all B when
+    ``closed``.
+
+    With p/q = p_k/q_k the path is the line of slope p/q from height
+    S/(2q), S = 1 (2q - 1 for odd k), over 0 < x < q - 1; there it hops by
+    -1/q (+1/q for odd k), crossing no grid line, and follows the moved line
+    until it closes up after B blocks, B p = +1 (-1) mod q.  Block j is
+    floor(y(j + 1)) - floor(y(j)), so each leaf piece is one rational line
+    (2 p j + S)/(2q) read by the block kernel.  The first q blocks start and
+    end on the edge block (n for even k, n + 1 for odd) and sum to p -+ 1."""
+    if k < 2:
+        raise IndexError("k must be >= 2")
+    cv = theta.convergent(k)
+    p, q, n, _, _ = _slope_data(Fraction(cv.p, cv.q))
+    sign = -1 if k % 2 else 1
+    S = 2 * q - 1 if k % 2 else 1
+    B = q + sign * pow(p, -1, q) % q if closed else q
+    blocks = (flat.floor_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1)
+              + flat.floor_blocks(2 * p, 0, 2 * p * (q - 1) + S - 2 * sign, 0, 2, 2 * q,
+                                  B - q + 1))
+    if not blocks[0] == n + k % 2 == blocks[q - 1]:
+        raise CertificateViolation("flipped word does not start and end on the edge block")
+    if sum(blocks[:q]) != p - sign:
+        raise CertificateViolation("flipped word breaks the block counts")
+    return BlockWord(n, tuple(blocks)), cv
 
 
 def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     """Single-cycle theta-inadmissible word on q_k blocks.
 
-    Reads the simple word of the k-th convergent from the extreme start
-    height (lowest for even k, highest for odd k) and flips the final
-    block between n and n+1.  Reverting the flip recovers a p_k/q_k word.
+    The first q_k blocks of the level-k segment path (``_path_blocks``): the
+    simple word of the k-th convergent from the extreme start height (lowest
+    for even k, highest for odd k), whose final block the path's hop flips
+    between n and n+1.  Reverting the flip recovers a p_k/q_k word.
     """
-    if k < 2:
-        raise IndexError("k must be >= 2")
-    cv = theta.convergent(k)
-    r = Fraction(cv.p, cv.q)
-    l1 = cv.q if k % 2 == 0 else 1
-    w = simple_word(r, l1)
-    blocks = w.blocks[:-1] + (_flip(w.blocks[-1], w.base),)
-    out = BlockWord(w.base, blocks)
-    edge = w.base if k % 2 == 0 else w.base + 1
-    if not out.blocks[0] == edge == out.blocks[-1]:
-        raise CertificateViolation("flipped word does not start and end on the edge block")
-    return out
+    return _path_blocks(theta, k, closed=False)[0]
 
 
 def revert_flip(word: BlockWord) -> BlockWord:
-    """Undo the final-block flip of :func:`inadmissible_word`."""
-    return BlockWord(word.base,
-                     word.blocks[:-1] + (_flip(word.blocks[-1], word.base),),
+    """Undo the final-block flip of :func:`inadmissible_word`: swap its last
+    block between n and n+1."""
+    return BlockWord(word.base, word.blocks[:-1] + (2 * word.base + 1 - word.blocks[-1],),
                      word.orientation)
 
 
@@ -225,28 +230,17 @@ class SegmentCertificate:
         return y - (y.numerator // y.denominator)
 
 
-def _segment_blocks(theta: ContinuedFraction, k: int) -> tuple[BlockWord, Convergent]:
-    head = inadmissible_word(theta, k)
-    cv = theta.convergent(k)
-    r = Fraction(cv.p, cv.q)
-    _, q, n, s, t = _slope_data(r)
-    if k % 2 == 0:
-        tail = partial_simple_word(r, t + 1, stop=q)
-    else:
-        tail = partial_simple_word(r, t, stop=1)
-    tail = tail[1:]  # drop the first block of the partial run
-    return BlockWord(n, head.blocks + tail), cv
-
-
 def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate:
     """Inadmissible word of letter count <= 2(p_k + q_k) with an exact
     representative: two leaf-direction pieces of slope p_k/q_k joined by one
-    vertical hop of height 1/q_k, closing up on the torus.  The measure needs
-    theta's exact value, so opaque coefficient sources raise InvalidSlope."""
+    vertical hop of height 1/q_k, closing up on the torus.  The word is the
+    cutting sequence of that path (``_path_blocks``), so it starts with
+    ``inadmissible_word(theta, k)``.  The measure needs theta's exact value,
+    so opaque coefficient sources raise InvalidSlope."""
     theta_val = theta.value()
     if theta_val is None:
         raise InvalidSlope("a measured segment needs an exact slope value")
-    word, cv = _segment_blocks(theta, k)
+    word, cv = _path_blocks(theta, k, closed=True)
     p, q = cv.p, cv.q
     r = Fraction(p, q)
     B = len(word.blocks)

@@ -258,7 +258,7 @@ def test_criterion_09_level_set_partition():
                 ok &= iet.orbit_word(iv.hi - third, n)[1] == iv.word
             for left, right in zip(part.intervals, part.intervals[1:]):
                 ok &= left.word != right.word
-        deep = ts.return_partition(S, tr, 64, words=False)
+        deep = ts.return_partition(S, tr, 64)
         ok &= deep.max_length < depth1_max / 10
     _report(9, ok, "level sets constant per interval and distinct across "
                    "cuts for n <= 12; max interval non-increasing and below "

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laminath import cli
+from laminath import cli, tsurface
 
 
 def run_cli(argv):
@@ -334,10 +334,46 @@ _THETA = st.one_of(
     st.sampled_from(["cf:[", "cf:[1;2", "cf:[]p", "cf:[;]p", "cf:[1;0]p", "cf:[1;2]q",
                      "cf:[0;0,0]"]),
     _EXACT)
+# block words with a negative block are invalid input (exit 2)
+_NEGATIVE_WORDS = ["(-1)@ba", "(-1,0)@ba", "(-2,-1)@ab"]
 _WORD = st.one_of(
     st.sampled_from(["abab", "babba", "(1,1,2,1,1)@ba", "(2,2)@ba", "AB", "(1,1,2,1,1)@ab"]),
-    st.sampled_from(["", "(", "ab@", "(1,2)@xy", "(0,0)@ba", "(-1)@ba"]))
-_SURFACE = st.sampled_from(["sheared-torus", "slit-tori", "no-such-surface"])
+    st.sampled_from(["", "(", "ab@", "(1,2)@xy", "(0,0)@ba", *_NEGATIVE_WORDS]))
+# documents for --path and --surface, written once per session: malformed
+# ones (exit 2 with one JSON line, not a traceback) and one valid each
+_SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+_MALFORMED_DOCS = {
+    "path-vertices-int": {"vertices": 5},
+    "path-list": [1, 2],
+    "path-numbers": {"vertices": [[0, 1], [1, 2]]},
+    "surface-polygons-int": {"polygons": 3, "identify": []},
+    "surface-list": [1, 2],
+    "surface-numbers": {"polygons": [[[0, 0], [1, 0], [1, 1], [0, 1]]],
+                        "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+    "surface-edge-str": {"polygons": [_SQUARE], "identify": [[[0, "a"], [0, 2]]]},
+    "surface-edge-float": {"polygons": [_SQUARE], "identify": [[[0, 0.5], [0, 2]]]},
+}
+_VALID_DOCS = {
+    "path-ok": {"vertices": [["0", "1/3"], ["2", "7/3"]], "markers": ["start", "leaf"]},
+    "surface-ok": tsurface.sheared_torus_doc(),
+}
+
+
+def _doc_names(prefix):
+    return [name for name in {**_MALFORMED_DOCS, **_VALID_DOCS} if name.startswith(prefix)]
+
+
+_PATH = st.sampled_from(["", "/nonexistent/p.json", *_doc_names("path-")])
+_SURFACE = st.sampled_from(["sheared-torus", "slit-tori", "no-such-surface",
+                            *_doc_names("surface-")])
+
+
+@pytest.fixture(scope="session")
+def doc_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("docs")
+    for name, doc in {**_MALFORMED_DOCS, **_VALID_DOCS}.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root
 
 
 def _options(required, optional):
@@ -364,6 +400,20 @@ def _negative_count(argv):
     return False
 
 
+def _with_doc(arg, doc_dir):
+    """--path=NAME or --surface=NAME for a session document: its file."""
+    flag, _, value = arg.partition("=")
+    if value in _MALFORMED_DOCS or value in _VALID_DOCS:
+        return f"{flag}={doc_dir / value}.json"
+    return arg
+
+
+def _malformed_input(argv, doc_dir):
+    bad = {f"{doc_dir / name}.json" for name in _MALFORMED_DOCS} | set(_NEGATIVE_WORDS)
+    return any(arg.partition("=")[2] in bad for arg in argv
+               if arg.startswith(("--path=", "--surface=", "--word=")))
+
+
 _ARGV = {
     "convergents": _options([("--theta", _THETA)], [("--k", _INT)]),
     "simple-word": _options([("--slope", _EXACT)], [("--start", _INT)]),
@@ -373,8 +423,7 @@ _ARGV = {
                                                 ("--prefix-blocks", _INT)]),
     "cusp-exotic": _options([("--theta", _THETA)], [("--loops", _INTS)]),
     "cut": _options([("--theta", _THETA), ("--start", _EXACT)], [("--letters", _INT)]),
-    "measure": _options([("--theta", _THETA),
-                         ("--path", st.sampled_from(["", "/nonexistent/p.json"]))], []),
+    "measure": _options([("--theta", _THETA), ("--path", _PATH)], []),
     "admissible": _options([("--theta", _THETA), ("--word", _WORD)],
                            [("--depth", _INT), ("--sample-letters", _INT)]),
     "factors": _options([], [("--theta", _THETA), ("--slope", _EXACT), ("--m", _INT),
@@ -397,8 +446,8 @@ _ARGV = {
 @pytest.mark.parametrize("command", sorted(_ARGV))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_argv_fuzz_exits_cleanly(command, data):
-    argv = command.split() + data.draw(_ARGV[command])
+def test_argv_fuzz_exits_cleanly(command, data, doc_dir):
+    argv = command.split() + [_with_doc(arg, doc_dir) for arg in data.draw(_ARGV[command])]
     if data.draw(st.booleans()):
         argv = ["--emit", "json"] + argv
     code, out, err = run_cli(argv)
@@ -407,7 +456,7 @@ def test_argv_fuzz_exits_cleanly(command, data):
         lines = err.splitlines()
         assert len(lines) == 1, (argv, err)
         assert set(json.loads(lines[0])) == {"error", "detail"}, argv
-    if _negative_count(argv):
+    if _negative_count(argv) or _malformed_input(argv, doc_dir):
         assert code == 2, (argv, err)
 
 
@@ -434,3 +483,19 @@ def test_segment_level_below_two_exits_2():
     code, out, err = run_cli(["segment", "--theta", "cf:[1;2]p", "--k=-1"])
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "invalid-input", "detail": "k must be >= 2"}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["admissible", "--theta=cf:[1;2]p", f"--word={word}"] for word in _NEGATIVE_WORDS),
+    *(["measure", "--theta=cf:[1;2]p", f"--path={name}"]
+      for name in _MALFORMED_DOCS if name.startswith("path-")),
+    *(["ts", "validate", f"--surface={name}"]
+      for name in _MALFORMED_DOCS if name.startswith("surface-")),
+])
+def test_malformed_input_exits_2(argv, doc_dir):
+    # a negative block once read as letters its count did not match, and a
+    # document of the wrong shape ended in a TypeError or AttributeError
+    code, out, err = run_cli([_with_doc(arg, doc_dir) for arg in argv])
+    assert code == 2 and out == "", (argv, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}, err

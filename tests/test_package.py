@@ -159,3 +159,34 @@ def test_clearance_builds_no_fraction_per_height(monkeypatch):
     monkeypatch.undo()
     assert len(in_flat) <= 4 and len(anywhere) <= 40, (len(in_flat), len(anywhere))
     assert len(cert.agreements) == theta.convergent(k).q - 1
+
+
+def test_segment_word_reads_its_own_path(monkeypatch):
+    # the segment word is the cutting sequence of its path, not a flipped
+    # simple word spliced with a second simple-word run
+    from laminath import words
+    from laminath.cf import ContinuedFraction
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("simple_word called")
+
+    monkeypatch.setattr(words, "simple_word", refuse)
+    for k in (2, 3, 8, 9):
+        cert = words.inadmissible_segment(ContinuedFraction.sqrt2(), k)
+        assert cert.word.blocks[:cert.convergent.q] == words.inadmissible_word(
+            ContinuedFraction.sqrt2(), k).blocks
+
+
+def test_partition_words_step_the_exchange_kernel(monkeypatch):
+    # level-set words are read on the exchange kernel, not by the reference
+    # stepper once per letter
+    from laminath import tsurface as ts
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("reference stepper called")
+
+    monkeypatch.setattr(ts.ReturnMapIET, "orbit_word", refuse)
+    monkeypatch.setattr(ts.ReturnMapIET, "step", refuse)
+    for name, edge in (("sheared-torus", 1), ("slit-tori", 5)):
+        part = ts.return_partition(ts.preset_surface(name), edge, 8)
+        assert all(iv.word for iv in part.intervals), name

@@ -262,12 +262,25 @@ def test_partition_level_sets():
             assert left.word != right.word
 
 
+@pytest.mark.parametrize("name, edge", [("sheared-torus", 1), ("slit-tori", 5)])
+def test_partition_words_match_orbit_word(name, edge):
+    # the words read on the exchange kernel are those the reference steps
+    # from each interval's midpoint
+    S = ts.preset_surface(name)
+    tr = ts.Transversal(S, edge)
+    iet = tr.return_map()
+    for n in (0, 1, 8, 32):
+        part = ts.return_partition(S, tr, n)
+        assert [iv.word for iv in part.intervals] == [
+            iet.orbit_word((iv.lo + iv.hi) / 2, n)[1] for iv in part.intervals], n
+
+
 def test_partition_max_length_decreases():
     S = ts.preset_surface("slit-tori")
     tr = ts.Transversal(S, 5)
     prev = None
     for n in (1, 2, 4, 8, 16):
-        part = ts.return_partition(S, tr, n, words=False)
+        part = ts.return_partition(S, tr, n)
         if prev is not None:
             assert part.max_length <= prev
         prev = part.max_length
@@ -778,7 +791,7 @@ def test_partition_cuts_match_flow_reference(name, gamma):
     for trans in (tr, grown):
         table = trans.return_map().cut_table
         for n in range(13):
-            part = ts.return_partition(trans.surface, trans, n, words=False)
+            part = ts.return_partition(trans.surface, trans, n)
             assert [_typed(t) for t in part.cuts] == want[n], n
             if n:
                 assert _typed(part.max_length) == _typed(table.max_gap(n)), n

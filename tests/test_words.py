@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from laminath import flat, words
 from laminath.cf import ContinuedFraction, q_error
-from laminath.errors import InvalidSlope, NotBlockShaped, ParityMismatch
+from laminath.errors import InvalidSlope, NotBlockShaped, ParityMismatch, PrecisionExhausted
+from laminath.exactnum import exact_floor
 from laminath.ledger import min_full_window
 
 SQRT2 = ContinuedFraction.sqrt2()
@@ -71,24 +72,10 @@ def _schedule_word(r, l1):
             return tuple(blocks)
 
 
-def _schedule_partial(r, l1, stop):
-    """Reference: the schedule from l1, stopped on reaching ``stop``."""
-    _, _, n, s, t = words._slope_data(r)
-    blocks = []
-    l = l1
-    while True:
-        blocks.append(n + 1 if l <= t else n)
-        l = s + l if l <= t else l - t
-        if l == stop:
-            return tuple(blocks)
-
-
 def _check_against_schedule(r):
     q = r.denominator
     for l1 in range(1, q + 1):
         assert words.simple_word(r, l1).blocks == _schedule_word(r, l1)
-        for stop in range(1, q + 1):
-            assert words.partial_simple_word(r, l1, stop) == _schedule_partial(r, l1, stop)
 
 
 def test_simple_words_match_schedule_small_slopes():
@@ -190,6 +177,76 @@ def test_segment_bounds_both_thetas():
             assert cert.word.letter_count <= 2 * (cv.p + cv.q)
             assert cert.measure <= 3 * abs(q_error(val, cv)) + Fraction(2, cv.q)
             assert flat.path_crossing_word(cert.path) == cert.word.letters()
+
+
+@st.composite
+def _theta_level(draw):
+    """A finite or eventually periodic theta > 1 and a level k >= 2 with
+    q_k <= 3000."""
+    c0 = draw(st.integers(1, 300))
+    rest = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), min_size=2,
+                         max_size=8))
+    if draw(st.booleans()):
+        theta = ContinuedFraction([c0, *rest])
+    else:
+        # at most three period coefficients: exactnum.squarefree_decompose
+        # finds the square-free part of a longer period's discriminant by
+        # trial division, which can take minutes in theta.value()
+        plen = draw(st.integers(1, min(3, len(rest))))
+        theta = ContinuedFraction(preperiod=[c0, *rest[:-plen]], period=rest[-plen:])
+    levels = []
+    try:
+        while theta.convergent(len(levels) + 2).q <= 3000:
+            levels.append(len(levels) + 2)
+    except PrecisionExhausted:
+        pass
+    assume(levels)
+    return theta, draw(st.sampled_from(levels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_theta_level())
+def test_segment_is_the_cutting_sequence_of_its_path(theta_level):
+    # reference: the path from height 1/(2q) (1 - 1/(2q) for odd k) along
+    # slope p/q, moved by -1/q (+1/q) from x = q - 1 on, read by exact floors
+    # at every integer abscissa up to the close-up after B blocks
+    theta, k = theta_level
+    cert = words.inadmissible_segment(theta, k)
+    p, q = cert.convergent.p, cert.convergent.q
+    sign = 1 if k % 2 == 0 else -1
+    B = len(cert.word.blocks)
+    assert B * p % q == sign % q and q <= B < 2 * q
+
+    def height(x):
+        h = Fraction(1, 2 * q) if sign > 0 else 1 - Fraction(1, 2 * q)
+        return h + x * Fraction(p, q) - (Fraction(sign, q) if x >= q - 1 else 0)
+
+    floors = [exact_floor(height(x)) for x in range(B + 1)]
+    # the hop at x = q - 1 crosses no grid line
+    assert exact_floor(height(q - 1) + Fraction(sign, q)) == floors[q - 1]
+    assert cert.word.blocks == tuple(b - a for a, b in zip(floors, floors[1:]))
+    assert [tuple(v) for v in cert.path.vertices] == [
+        (0, height(0)), (q - 1, height(q - 1) + Fraction(sign, q)), (q - 1, height(q - 1)),
+        (B, height(B))]
+    assert words.inadmissible_word(theta, k).blocks == cert.word.blocks[:q]
+
+
+def test_path_words_reject_slopes_below_one():
+    theta = ContinuedFraction.from_text("cf:[0;2]p")
+    for make in (words.inadmissible_word, words.inadmissible_segment):
+        with pytest.raises(InvalidSlope) as exc:
+            make(theta, 2)
+        assert str(exc.value) == "slope must be > 1, got 2/5"
+
+
+def test_block_words_reject_negative_blocks():
+    # a negative base read letters its letter count did not match
+    for base, blocks in ((-1, (-1, 0)), (-2, (-2, -1)), (-1, (-1,))):
+        with pytest.raises(ValueError):
+            words.BlockWord(base, blocks)
+    with pytest.raises(ValueError):
+        words.BlockWord.parse("(-1,0)@ba")
+    assert words.BlockWord(0, (0, 1, 0)).letters() == "abaa"
 
 
 def test_segment_starts_with_inadmissible_cycle():
