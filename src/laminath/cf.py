@@ -136,6 +136,8 @@ class ContinuedFraction:
             c0, *rest = self._finite
             body = str(c0) + (";" + ",".join(map(str, rest)) if rest else "")
             return f"cf:[{body}]"
+        if self._source is not None:
+            raise ValueError("an opaque coefficient source has no text form")
         cs = list(self._pre) + list(self._per)
         c0, *rest = cs
         body = str(c0) + (";" + ",".join(map(str, rest)) if rest else "")
@@ -221,37 +223,36 @@ class ContinuedFraction:
         self._grow(k)
         return Convergent(k, self._p[k + 2], self._q[k + 2])
 
-    def convergents(self, k_max: int, verify: bool = True) -> list[Convergent]:
+    def convergents(self, k_max: int) -> list[Convergent]:
         """Convergents p_0/q_0 ... p_{k_max}/q_{k_max} by the standard
         recurrence, each checked against the approximation inequality
         |q_k theta - p_k| < 1/q_{k+1} (exactly, on theta's integer pair, when
         theta has a value; by the determinant identity otherwise)."""
         out = [self.convergent(k) for k in range(k_max + 1)]
-        if verify:
-            theta = self.value()
+        theta = self.value()
+        if theta is not None:
+            # theta = (u + v sqrt d)/D
+            D = denominator(theta)
+            (u, v), d = encode(theta, D), surd((theta,)) or 2
+        for cv in out:
+            try:
+                nxt = self.convergent(cv.k + 1)
+            except PrecisionExhausted:
+                continue  # the source ends: theta == p_k/q_k or unknown
+            det = cv.p * nxt.q - nxt.p * cv.q
+            if abs(det) != 1:
+                raise CertificateViolation("convergent determinant broken")
             if theta is not None:
-                # theta = (u + v sqrt d)/D
-                D = denominator(theta)
-                (u, v), d = encode(theta, D), surd((theta,)) or 2
-            for cv in out:
-                try:
-                    nxt = self.convergent(cv.k + 1)
-                except PrecisionExhausted:
-                    continue  # the source ends: theta == p_k/q_k or unknown
-                det = cv.p * nxt.q - nxt.p * cv.q
-                if abs(det) != 1:
-                    raise CertificateViolation("convergent determinant broken")
-                if theta is not None:
-                    # q_{k+1} (q_k theta - p_k) = (a + b sqrt d)/D lies in
-                    # (-1, 1) when both D + (a + b sqrt d) and D - (a + b sqrt d)
-                    # are positive; one is 0 only for a rational theta at
-                    # distance exactly 1/q_{k+1}, allowed when theta is the
-                    # next convergent (the last one of a finite fraction)
-                    a, b = nxt.q * (cv.q * u - cv.p * D), nxt.q * cv.q * v
-                    inside = min(pair_sign(D + a, b, d), pair_sign(D - a, -b, d))
-                    if inside < 0 or inside == 0 and theta != nxt.value:
-                        raise CertificateViolation(
-                            f"approximation inequality failed at k={cv.k}")
+                # q_{k+1} (q_k theta - p_k) = (a + b sqrt d)/D lies in
+                # (-1, 1) when both D + (a + b sqrt d) and D - (a + b sqrt d)
+                # are positive; one is 0 only for a rational theta at
+                # distance exactly 1/q_{k+1}, allowed when theta is the
+                # next convergent (the last one of a finite fraction)
+                a, b = nxt.q * (cv.q * u - cv.p * D), nxt.q * cv.q * v
+                inside = min(pair_sign(D + a, b, d), pair_sign(D - a, -b, d))
+                if inside < 0 or inside == 0 and theta != nxt.value:
+                    raise CertificateViolation(
+                        f"approximation inequality failed at k={cv.k}")
         return out
 
     # -- predicates --------------------------------------------------------------
@@ -281,6 +282,8 @@ class ContinuedFraction:
             k += 1
 
     def __repr__(self):
+        if self._source is not None:
+            return "ContinuedFraction(source=...)"
         return f"ContinuedFraction({self.to_text()!r})"
 
 

@@ -14,7 +14,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -84,21 +83,13 @@ def cmd_inadmissible(cfg: argparse.Namespace):
     return _word_doc(w, theta=theta.to_text(), k=cfg.k, serialized=w.serialize())
 
 
-def _tagged_path(path) -> dict:
-    """The path's JSON, its field defaulting to $LAMINATH_FIELD."""
-    doc = path.to_json()
-    if doc.get("field") is None and os.environ.get("LAMINATH_FIELD"):
-        doc["field"] = os.environ["LAMINATH_FIELD"]
-    return doc
-
-
 def cmd_segment(cfg: argparse.Namespace):
     theta = _theta(cfg)
     cert = words.inadmissible_segment(theta, cfg.k)
     return _word_doc(cert.word, cert.measure, theta=theta.to_text(), k=cfg.k,
                      letter_count=cert.word.letter_count,
                      letter_bound=2 * (cert.convergent.p + cert.convergent.q),
-                     bound=format_exact(cert.bound), path=_tagged_path(cert.path))
+                     bound=format_exact(cert.bound), path=cert.path.to_json())
 
 
 def _ledger(stage) -> dict:
@@ -205,7 +196,7 @@ def cmd_growth(cfg: argparse.Namespace):
                                                  t_cap=t_max if t_max > 16 else None)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
                   "f": repr(r.target)} for r in rows]
-        doc = {"mode": "prescribed", "f": cfg.f_name, "path": _tagged_path(path)}
+        doc = {"mode": "prescribed", "f": cfg.f_name, "path": path.to_json()}
     csv = "t,I\n" + "".join(f"{r['t']},{r['I']}\n" for r in table)
     return {**doc, "table": table, "csv": csv}
 

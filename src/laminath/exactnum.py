@@ -29,7 +29,6 @@ from typing import Optional, Union
 
 Exact = Union[int, Fraction, "QuadNum"]
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SQUAREFREE_CACHE: dict = {}
 
 
@@ -52,25 +51,26 @@ def pair_floor(A: int, B: int, d: int, C: int) -> int:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = d * f**2 with d square-free; returns (d, f).  Requires n >= 1."""
+    """Write n = d * f**2 with d square-free; returns (d, f).  Requires n >= 1.
+
+    Trial division runs only while m**3 <= n, so its cost grows as n^(1/3):
+    what is left then has no prime factor below its cube root, hence at most
+    two, and is either a perfect square or square-free."""
     if n < 1:
         raise ValueError("need a positive integer")
     d, f = 1, 1
-    for p in _SMALL_PRIMES:
-        while n % (p * p) == 0:
-            n //= p * p
-            f *= p
-        if n % p == 0:
-            n //= p
-            d *= p
-    # remaining part has no factor from the small primes; strip square part
     m = 2
-    while m * m <= n:
-        if n % (m * m) == 0:
+    while m ** 3 <= n:
+        while n % (m * m) == 0:
             n //= m * m
             f *= m
-        else:
-            m += 1
+        if n % m == 0:
+            n //= m
+            d *= m
+        m += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        return d, f * r
     return d * n, f
 
 

@@ -18,12 +18,11 @@ exponentially small measure, and their concatenation into finite-measure
 words no leaf word ever contains in its tail.
 
 Each separatrix is flowed once.  The backward ones are flowed to their first
-transversal crossing as the exchange is built; the exchange keeps those
-pairs and owns one cut table (their backward orbits, kept by birth depth and
-sorted per query by one exact integer key), which every level-set partition
-and loop certificate reads.  The forward ones are flowed by
-``saddle_connections``; the cylinder check flows them one at a time and
-stops at the first that stays open.
+transversal crossing as the exchange is built; the exchange keeps those pairs
+(the non-saddle search steps them back on its kernel, flowing no separatrix)
+and owns one cut table (their backward orbits by birth depth, sorted per query
+by one exact key) for every partition and loop.  ``saddle_connections`` and
+the cylinder check, which stops at the first open one, flow the forward ones.
 
 Exactness policy: all states and certificates are exact field elements, and
 no branch rests on floating point.  Every loop runs on one of two integer
@@ -300,7 +299,7 @@ def _pairs_of(items, kind) -> bool:
 def load_surface(doc) -> TranslationSurface:
     """Build and validate a surface from its JSON document: polygons of [x, y]
     exact-value strings, identifications of two [polygon, edge] integer
-    pairs; any other shape raises InvalidSurface."""
+    pairs; any other shape or coordinate raises InvalidSurface."""
     if isinstance(doc, TranslationSurface):
         return doc
     polygons, identify = (doc.get("polygons"), doc.get("identify")) if isinstance(
@@ -309,8 +308,14 @@ def load_surface(doc) -> TranslationSurface:
             and _pairs_of(identify, list) and all(_pairs_of(pair, int) for pair in identify)):
         raise InvalidSurface('a surface document is {"polygons": [[[x, y], ...], ...], '
                              '"identify": [[[polygon, edge], [polygon, edge]], ...]}')
-    return TranslationSurface([[(parse_exact(x), parse_exact(y)) for x, y in poly]
-                               for poly in polygons], identify)
+
+    def coord(p, k, text):
+        try:
+            return parse_exact(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidSurface(f"polygon {p} vertex {k}: cannot parse {text!r} ({exc})") from None
+    return TranslationSurface([[(coord(p, k, x), coord(p, k, y)) for k, (x, y) in enumerate(poly)]
+                               for p, poly in enumerate(polygons)], identify)
 
 
 # -- horizontal flow -----------------------------------------------------------
@@ -1063,23 +1068,14 @@ class NonSaddleCut:
     tau: Number
     vertex_class: int
     traced_steps: int
-    saddle_words: tuple
 
 
 def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
-    """A depth-1 cut point whose incoming leaf, traced backward, crosses the
-    transversal ``budget`` more times without meeting a vertex (hence lies on
-    no saddle connection of that depth).  The saddle connections found below
-    the budget are attached as a cross-check; one forward pass decides them
-    and the cylinder check."""
+    """The first depth-1 cut whose backward exchange orbit lasts ``budget``
+    steps.  An orbit dies only on an image cut, a forward separatrix's
+    crossing, so if all die every backward separatrix is a saddle connection."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    conns = saddle_connections(surface, 512)
-    # one interior connection at most per forward germ
-    if sum(c.kind == "interior" for c in conns) == len(surface.corner_germs(+1)):
-        raise CylinderDecomposition("horizontal direction is periodic")
-    # a connection of s steps is found by every step budget of at least s
-    saddles = tuple(sc.word for sc in conns if sc.steps <= min(budget, 512))
     iet = trans.return_map()
     kernel = iet.kernel
     for corner, first_cut in iet.first_cuts:
@@ -1089,10 +1085,9 @@ def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
                 next(orbit)
         except SingularHit:
             continue
-        return NonSaddleCut(first_cut, surface.corner_class[corner], budget, saddles)
-    raise BudgetExhausted(
-        "all backward separatrices hit vertices within the budget; raise it",
-        budget=budget, corners=len(iet.first_cuts))
+        return NonSaddleCut(first_cut, surface.corner_class[corner], budget)
+    raise CylinderDecomposition(
+        "every backward separatrix crossing the transversal is a saddle connection")
 
 
 # -- inadmissible loops -----------------------------------------------------------------

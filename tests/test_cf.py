@@ -55,6 +55,13 @@ def test_compare_opaque_source_by_enclosure():
     assert s2.compare(Fraction(41, 29)) == 1   # an even convergent itself
 
 
+def test_opaque_source_prints_without_text_form():
+    s2 = ContinuedFraction(source=lambda i: 1 if i == 0 else 2)
+    assert repr(s2) == "ContinuedFraction(source=...)"
+    with pytest.raises(ValueError, match="no text form"):
+        s2.to_text()
+
+
 def test_precision_exhausted():
     r = ContinuedFraction.from_rational(Fraction(5, 3))
     with pytest.raises(PrecisionExhausted):
@@ -76,7 +83,7 @@ def test_convergent_table_requests_each_index_once():
     assert [(c.p, c.q) for c in cvs] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
     assert calls == [0, 1, 2, 3, 4]
     # later reads come from the table
-    assert theta.convergents(4, verify=False) == cvs
+    assert [theta.convergent(k) for k in range(5)] == cvs
     assert theta.compare(Fraction(7, 5)) == 1 and theta.floor_part() == 1
     assert calls == [0, 1, 2, 3, 4]
     with pytest.raises(PrecisionExhausted):
@@ -128,7 +135,7 @@ def test_even_odd_enclosure():
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8))
 def test_determinant_identity(coeffs):
     theta = ContinuedFraction(coeffs)
-    cvs = theta.convergents(len(theta._finite) - 1, verify=False)
+    cvs = theta.convergents(len(theta._finite) - 1)
     prev = None
     for c in cvs:
         if prev is not None:

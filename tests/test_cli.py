@@ -57,6 +57,13 @@ def test_segment_and_measure_round_trip(tmp_path):
     assert json.loads(out2)["measure"] == doc["measure"]
 
 
+def test_segment_output_ignores_environment(monkeypatch):
+    argv = ["--emit", "json", "segment", "--theta", "cf:[1;2]p", "--k", "2"]
+    plain = run_cli(argv)
+    monkeypatch.setenv("LAMINATH_FIELD", "sqrt2")
+    assert run_cli(argv) == plain
+
+
 def test_admissible_block_query():
     code, out, _ = run_cli(["--emit", "json", "admissible",
                             "--theta", "cf:[1;2]p",
@@ -352,6 +359,10 @@ _MALFORMED_DOCS = {
                         "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
     "surface-edge-str": {"polygons": [_SQUARE], "identify": [[[0, "a"], [0, 2]]]},
     "surface-edge-float": {"polygons": [_SQUARE], "identify": [[[0, 0.5], [0, 2]]]},
+    "surface-coord-str": {"polygons": [[["0", "0"], ["1", "x"], ["1", "1"], ["0", "1"]]],
+                          "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+    "surface-coord-zero": {"polygons": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1/0"]]],
+                           "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
 }
 _VALID_DOCS = {
     "path-ok": {"vertices": [["0", "1/3"], ["2", "7/3"]], "markers": ["start", "leaf"]},
@@ -499,3 +510,13 @@ def test_malformed_input_exits_2(argv, doc_dir):
     assert code == 2 and out == "", (argv, err)
     lines = err.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}, err
+
+
+def test_malformed_surface_coordinate_names_its_place(doc_dir):
+    # an unparsable coordinate once read as invalid-input, naming neither the
+    # polygon nor the vertex
+    code, out, err = run_cli(["ts", "validate", f"--surface={doc_dir / 'surface-coord-str.json'}"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-surface", "detail":
+                               "polygon 0 vertex 1: cannot parse 'x' "
+                               "(Invalid literal for Fraction: 'x')"}

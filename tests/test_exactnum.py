@@ -23,6 +23,21 @@ def test_squarefree_decompose():
     assert squarefree_decompose(12) == (3, 2)
     assert squarefree_decompose(49) == (1, 7)
     assert squarefree_decompose(5) == (5, 1)
+    assert squarefree_decompose(1_000_003 ** 2 * 7) == (7, 1_000_003)
+    # the discriminant of cf:[299;22,39,4,13,22,22,39,28]periodic(7), which
+    # is 977 * 1055501 * 1191966977
+    assert squarefree_decompose(1229185522458096029) == (1229185522458096029, 1)
+
+
+def _squarefree_reference(n):
+    f = max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+    return n // (f * f), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200_000))
+def test_squarefree_decompose_matches_reference(n):
+    assert squarefree_decompose(n) == _squarefree_reference(n)
 
 
 def test_normalization_folds_square_factors():

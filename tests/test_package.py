@@ -67,7 +67,9 @@ def test_only_exactnum_calls_private_quadnum_methods():
 
 def test_one_backward_flow_pass_per_transversal(monkeypatch):
     # the non-saddle search reads the first crossings the exchange flowed
-    # instead of flowing every backward separatrix again
+    # instead of flowing every backward separatrix again, and flows no
+    # forward separatrix: its forward traces are the exchange's two probes
+    # per interval
     from laminath import tsurface as ts
     trace, calls = ts._FlowKernel.trace, []
 
@@ -79,8 +81,10 @@ def test_one_backward_flow_pass_per_transversal(monkeypatch):
     for edge in (0, 4, 5):
         S = ts.load_surface(ts.slit_tori_doc())
         calls.clear()
-        ts.Transversal(S, edge).non_saddle_cut()
+        tr = ts.Transversal(S, edge)
+        tr.non_saddle_cut()
         assert calls.count(True) == len(S.corner_germs(-1)), edge
+        assert calls.count(False) == 2 * len(tr.return_map().intervals), edge
 
 
 def test_cylinder_check_stops_at_first_open_germ(monkeypatch):

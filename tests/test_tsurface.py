@@ -441,7 +441,6 @@ def test_saddle_connections_rational_within_three_steps():
 def test_non_saddle_point_sheared():
     cut = ts.find_non_saddle_point(_SHEARED, 1, budget=256)
     assert cut.tau == QuadNum(2, -1, 2)
-    assert cut.saddle_words == ()
 
 
 @pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
@@ -496,11 +495,11 @@ def test_loop_budget_exhausted():
 
 def test_non_saddle_budget_names_budget_and_corners():
     # rotation by 1/997: the one backward separatrix is a saddle connection
-    # of 997 crossings, too long for the 512-step cylinder check
+    # of 997 crossings, so a budget past it proves the cylinders, and one
+    # short of it takes the cut
     S = ts.load_surface(ts.sheared_torus_doc(Fraction(1, 997)))
-    with pytest.raises(BudgetExhausted) as exc:
+    with pytest.raises(CylinderDecomposition):
         ts.find_non_saddle_point(S, 1, budget=2000)
-    assert exc.value.progress == {"budget": 2000, "corners": 1}
     assert ts.find_non_saddle_point(S, 1, budget=500).tau == Fraction(996, 997)
 
 
@@ -1300,7 +1299,7 @@ _SEPARATRIX_PINS = {
     "sheared-torus": (
         [((0, 1), ("2-1*sqrt2", "QuadNum")), ((0, 1), ("3-2*sqrt2", "QuadNum")),
          ((0, 1), ("5-3*sqrt2", "QuadNum"))],
-        (("2-1*sqrt2", "QuadNum"), 0, 4096, ()),
+        (("2-1*sqrt2", "QuadNum"), 0, 4096),
         (8, "9ef09aa7ee378b10784536a54a0fa470c9615f93c97d9a59d10b31f46d20c623")),
     "slit-tori": (
         [((0, 1), ("3-2*sqrt2", "QuadNum")), ((0, 1), ("15-10*sqrt2", "QuadNum")),
@@ -1309,7 +1308,7 @@ _SEPARATRIX_PINS = {
          ((1, 1), ("9-6*sqrt2", "QuadNum")), ((1, 1), ("17-12*sqrt2", "QuadNum")),
          ((1, 1), ("29-20*sqrt2", "QuadNum")), ((1, 2), ("12-8*sqrt2", "QuadNum")),
          ((1, 2), ("26-18*sqrt2", "QuadNum")), ((1, 2), ("34-24*sqrt2", "QuadNum"))],
-        (("3-2*sqrt2", "QuadNum"), 0, 4096, ()),
+        (("3-2*sqrt2", "QuadNum"), 0, 4096),
         (32, "01774241fcf2cd70641b56c4f6768bdf91a8714a3f012c4ef91ee2616326647d")),
 }
 
@@ -1323,7 +1322,7 @@ def test_separatrix_results_pinned(name):
     assert S.horizontal_is_cylinder_decomposition(2048) is False
     assert [(c, _pin(t)) for c, t in ts.backward_cut_points(tr, 3)] == cuts
     nsc = ts.find_non_saddle_point(S, tr, 4096)
-    assert (_pin(nsc.tau), nsc.vertex_class, nsc.traced_steps, nsc.saddle_words) == non_saddle
+    assert (_pin(nsc.tau), nsc.vertex_class, nsc.traced_steps) == non_saddle
     part = ts.return_partition(S, tr, 8)
     rows = [(_pin(iv.lo), _pin(iv.hi), iv.word) for iv in part.intervals]
     text = repr((part.depth, [_pin(c) for c in part.cuts], rows))
