@@ -23,27 +23,35 @@ from .errors import EXHAUSTION_ERRORS, LaminathError
 from .exactnum import format_exact, parse_exact
 
 
-def _parse(flag: str, parse, text: str):
-    """``parse(text)`` for option --flag; malformed text names the option."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"--{flag}: cannot parse {text!r} ({exc})") from None
+def _exact(parse):
+    """An option type reading ``parse(text)``: malformed text is reported as
+    "--theta: cannot parse '1/0' (...)", a LaminathError keeps its code."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r} ({exc})") from None
+    return convert
 
 
-def _at_least(cfg: argparse.Namespace, name: str, low: int):
-    """The integer option ``name`` (each entry of a list), unset or at least ``low``."""
-    value = getattr(cfg, name)
-    for item in value if isinstance(value, tuple) else (value,):
-        if item is not None and item < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {item}")
-    return value
+def _ints(low=None, many=False):
+    """An option type reading an integer, or comma-separated integers as a
+    tuple if ``many``, each at least ``low`` when it is given."""
+    def convert(text: str):
+        values = tuple(int(t) for t in text.split(",") if t.strip()) if many else (int(text),)
+        for item in values:
+            if low is not None and item < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}, got {item}")
+        return values if many else values[0]
+    convert.__name__ = "int"  # a malformed entry reads "invalid int value: '2,x'"
+    return convert
 
 
-def _theta(cfg: argparse.Namespace) -> ContinuedFraction:
-    if cfg.theta is None:  # only `factors` leaves --theta optional (for --slope)
-        raise ValueError("the following arguments are required: --theta (or --slope)")
-    return _parse("theta", ContinuedFraction.from_text, cfg.theta)
+def _direction(text: str) -> str:
+    """``vertical`` or an exact slope, kept as text: the growth artifact echoes it."""
+    if text != "vertical":
+        _exact(parse_exact)(text)
+    return text
 
 
 def _word_doc(block_word, measure=None, **extra) -> dict:
@@ -65,28 +73,24 @@ def _surface_from(cfg: argparse.Namespace) -> tsurface.TranslationSurface:
 # -- subcommand handlers ---------------------------------------------------------
 
 def cmd_convergents(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    cvs = theta.convergents(_at_least(cfg, "k", 0))
-    return {"theta": theta.to_text(),
+    cvs = cfg.theta.convergents(cfg.k)
+    return {"theta": cfg.theta.to_text(),
             "convergents": [{"k": c.k, "p": c.p, "q": c.q} for c in cvs]}
 
 
 def cmd_simple_word(cfg: argparse.Namespace):
-    r = _parse("slope", Fraction, cfg.slope)
-    w = words.simple_word(r, cfg.start)
-    return _word_doc(w, slope=str(r), start=cfg.start, serialized=w.serialize())
+    w = words.simple_word(cfg.slope, cfg.start)
+    return _word_doc(w, slope=str(cfg.slope), start=cfg.start, serialized=w.serialize())
 
 
 def cmd_inadmissible(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    w = words.inadmissible_word(theta, cfg.k)
-    return _word_doc(w, theta=theta.to_text(), k=cfg.k, serialized=w.serialize())
+    w = words.inadmissible_word(cfg.theta, cfg.k)
+    return _word_doc(w, theta=cfg.theta.to_text(), k=cfg.k, serialized=w.serialize())
 
 
 def cmd_segment(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    cert = words.inadmissible_segment(theta, cfg.k)
-    return _word_doc(cert.word, cert.measure, theta=theta.to_text(), k=cfg.k,
+    cert = words.inadmissible_segment(cfg.theta, cfg.k)
+    return _word_doc(cert.word, cert.measure, theta=cfg.theta.to_text(), k=cfg.k,
                      letter_count=cert.word.letter_count,
                      letter_bound=2 * (cert.convergent.p + cert.convergent.q),
                      bound=format_exact(cert.bound), path=cert.path.to_json())
@@ -100,17 +104,15 @@ def _ledger(stage) -> dict:
 
 
 def cmd_exotic(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    prefix_blocks = _at_least(cfg, "prefix_blocks", 0)
-    ew = words.exotic_word(theta, _at_least(cfg, "indices", 0), thin=cfg.thin)
+    ew = words.exotic_word(cfg.theta, cfg.indices, thin=cfg.thin)
     stages = [{"index": st.level, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
               for st in ew.stages]
     blocks = ew.blocks()
     letters = ew.letters()
-    if prefix_blocks is not None:
-        blocks = blocks[:prefix_blocks]
+    if cfg.prefix_blocks is not None:
+        blocks = blocks[:cfg.prefix_blocks]
         letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
-    return {"alphabet": "abAB", "theta": theta.to_text(),
+    return {"alphabet": "abAB", "theta": cfg.theta.to_text(),
             "kept": ew.kept_indices, "skipped": ew.skipped_indices,
             "stages": stages, "blocks": list(blocks), "letters": letters,
             "measure": format_exact(ew.total_measure),
@@ -118,9 +120,8 @@ def cmd_exotic(cfg: argparse.Namespace):
 
 
 def cmd_cusp_exotic(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    stages = words.cusp_exotic_word(theta, cfg.loops)
-    return {"alphabet": "abAB", "theta": theta.to_text(),
+    stages = words.cusp_exotic_word(cfg.theta, cfg.loops)
+    return {"alphabet": "abAB", "theta": cfg.theta.to_text(),
             "letters": words.cusp_word_letters(stages),
             "stages": [{"k": st.k, "word": st.word.serialize(),
                         "loops": st.loop_count,
@@ -129,37 +130,31 @@ def cmd_cusp_exotic(cfg: argparse.Namespace):
 
 
 def cmd_cut(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    s = _parse("start", parse_exact, cfg.s)
-    letters = flat.cutting_sequence(s, theta, _at_least(cfg, "letters", 0))
-    return {"alphabet": "ab", "start": format_exact(s),
-            "theta": theta.to_text(), "letters": letters}
+    letters = flat.cutting_sequence(cfg.s, cfg.theta, cfg.letters)
+    return {"alphabet": "ab", "start": format_exact(cfg.s),
+            "theta": cfg.theta.to_text(), "letters": letters}
 
 
 def cmd_measure(cfg: argparse.Namespace):
-    theta = _theta(cfg)
     with open(cfg.path) as fh:
         path = flat.FlatPath.from_json(json.load(fh))
-    value = flat.transverse_measure(path, theta.value())
+    value = flat.transverse_measure(path, cfg.theta.value())
     return {"measure": format_exact(value), "measure_float": float(value),
-            "normalized_float": flat.transverse_measure(path, theta.value(),
+            "normalized_float": flat.transverse_measure(path, cfg.theta.value(),
                                                         normalized=True)}
 
 
 def cmd_admissible(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    depth = _at_least(cfg, "depth", 0)
-    sample_letters = _at_least(cfg, "sample_letters", 0)
     query = words.BlockWord.parse(cfg.word) if cfg.word.startswith("(") else cfg.word
-    cert = oracle.is_admissible(query, theta, depth)
+    cert = oracle.is_admissible(query, cfg.theta, cfg.depth)
     doc = {"word": cert.word, "verdict": cert.verdict, "aligned": cert.aligned,
            "levels": list(cert.levels), "block_span": cert.block_span}
     if cert.witness_height is not None:
         doc["witness"] = {"height": str(cert.witness_height),
                           "offset": cert.witness_offset}
-    if sample_letters:
-        rep = oracle.sampling_cross_check(query, theta,
-                                          num_letters=sample_letters,
+    if cfg.sample_letters:
+        rep = oracle.sampling_cross_check(query, cfg.theta,
+                                          num_letters=cfg.sample_letters,
                                           heights=100, seed=cfg.seed)
         doc["sampling"] = {"absent": rep.absent,
                            "letters_per_height": rep.letters_per_height,
@@ -168,32 +163,26 @@ def cmd_admissible(cfg: argparse.Namespace):
 
 
 def cmd_factors(cfg: argparse.Namespace):
-    _at_least(cfg, "m", 0)
-    _at_least(cfg, "depth", 0)
-    if cfg.slope:
-        fs = oracle.rational_factors(_parse("slope", Fraction, cfg.slope), cfg.m)
+    if cfg.slope is not None:
+        fs = oracle.rational_factors(cfg.slope, cfg.m)
         return {"slope": str(fs.slope), "length": fs.length,
                 "count": len(fs.factors), "factors": sorted(fs.factors)}
-    theta = _theta(cfg)
-    count = oracle.factor_count(theta, cfg.m, cfg.depth)
-    return {"theta": theta.to_text(), "length": cfg.m, "count": count}
+    if cfg.theta is None:
+        raise ValueError("the following arguments are required: --theta (or --slope)")
+    count = oracle.factor_count(cfg.theta, cfg.m, cfg.depth)
+    return {"theta": cfg.theta.to_text(), "length": cfg.m, "count": count}
 
 
 def cmd_growth(cfg: argparse.Namespace):
-    theta = _theta(cfg)
-    t_max = _parse("t-max", Fraction, cfg.t_max)
-    samples = _at_least(cfg, "samples", 0)
-    segments = _at_least(cfg, "segments", 0)
     if cfg.mode == "linear":
-        direction = ("vertical" if cfg.direction == "vertical"
-                     else _parse("direction", parse_exact, cfg.direction))
-        rows = flat.linear_growth_probe(theta, direction, t_max, samples)
+        direction = "vertical" if cfg.direction == "vertical" else parse_exact(cfg.direction)
+        rows = flat.linear_growth_probe(cfg.theta, direction, cfg.t_max, cfg.samples)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         doc = {"mode": "linear", "direction": cfg.direction}
     else:
         f = {"sqrt": math.sqrt, "log": math.log1p}[cfg.f_name]
-        path, rows = flat.prescribed_growth_path(theta, f, segments,
-                                                 t_cap=t_max if t_max > 16 else None)
+        path, rows = flat.prescribed_growth_path(cfg.theta, f, cfg.segments,
+                                                 t_cap=cfg.t_max if cfg.t_max > 16 else None)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
                   "f": repr(r.target)} for r in rows]
         doc = {"mode": "prescribed", "f": cfg.f_name, "path": path.to_json()}
@@ -214,7 +203,6 @@ def cmd_ts_validate(cfg: argparse.Namespace):
 
 
 def cmd_ts_return_map(cfg: argparse.Namespace):
-    n = _at_least(cfg, "n", 0)
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     doc = {"edge": cfg.edge,
@@ -223,16 +211,15 @@ def cmd_ts_return_map(cfg: argparse.Namespace):
                           "word": S.word_labels(iv.word)}
                          for iv in trans.return_map().intervals]}
     if cfg.tau is not None:
-        tau = _parse("tau", parse_exact, cfg.tau)
-        t2, w = tsurface.first_return(trans, tau, n)
-        doc["orbit"] = {"tau": format_exact(tau), "n": n,
+        t2, w = tsurface.first_return(trans, cfg.tau, cfg.n)
+        doc["orbit"] = {"tau": format_exact(cfg.tau), "n": cfg.n,
                         "image": format_exact(t2), "word": S.word_labels(w)}
     return doc
 
 
 def cmd_ts_partition(cfg: argparse.Namespace):
     S = _surface_from(cfg)
-    part = tsurface.return_partition(S, cfg.edge, _at_least(cfg, "n", 0))
+    part = tsurface.return_partition(S, cfg.edge, cfg.n)
     return {"edge": cfg.edge, "depth": part.depth,
             "max_length": format_exact(part.max_length),
             "max_length_float": float(part.max_length),
@@ -244,8 +231,7 @@ def cmd_ts_partition(cfg: argparse.Namespace):
 def cmd_ts_loop(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
-    cert = tsurface.build_inadmissible_loop(S, trans, _at_least(cfg, "k", 0),
-                                            return_budget=_at_least(cfg, "budget", 1))
+    cert = tsurface.build_inadmissible_loop(S, trans, cfg.k, return_budget=cfg.budget)
     # the loop's path: a leaf from Q to T^depth(Q), a hop to R, a leaf from R
     # back near Q and a hop home
     ends = [{"poly": p.poly, "x": format_exact(p.x), "y": format_exact(p.y)}
@@ -269,17 +255,11 @@ def cmd_ts_loop(cfg: argparse.Namespace):
 def cmd_ts_exotic(cfg: argparse.Namespace):
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
-    levels = _at_least(cfg, "levels", 0)
-    if _at_least(cfg, "prefix", 0) is not None:
-        levels = tuple(levels)[:cfg.prefix]
+    levels = cfg.levels if cfg.prefix is None else cfg.levels[:cfg.prefix]
     stages = tsurface.synthesize_exotic(S, trans, levels, thin=cfg.thin)
     return {"edge": cfg.edge,
             "stages": [{"level": st.level, "word": S.word_labels(st.certificate.word),
                         **_ledger(st)} for st in stages]}
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,33 +291,32 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, opts in options.items():
             p.add_argument(f"--{arg.replace('_', '-')}", **opts)
 
-    add("convergents", cmd_convergents, theta={"required": True},
-        k={"type": int, "default": 8})
-    add("simple-word", cmd_simple_word, slope={"required": True},
+    theta = {"type": _exact(ContinuedFraction.from_text), "required": True}
+    exact, count = {"type": _exact(parse_exact)}, {"type": _ints(0)}
+    add("convergents", cmd_convergents, theta=theta, k={**count, "default": 8})
+    add("simple-word", cmd_simple_word, slope={"type": _exact(Fraction), "required": True},
         start={"type": int, "default": 1})
-    add("inadmissible", cmd_inadmissible, theta={"required": True},
-        k={"type": int, "default": 2})
-    add("segment", cmd_segment, theta={"required": True}, k={"type": int, "default": 2})
-    add("exotic", cmd_exotic, theta={"required": True},
-        indices={"type": _int_list, "default": ()},
-        prefix_blocks={"type": int, "default": None},
-        thin={"action": "store_true"})
-    add("cusp-exotic", cmd_cusp_exotic, theta={"required": True},
-        loops={"type": _int_list, "default": (1, 1, 1)})
-    add("cut", cmd_cut, theta={"required": True}, start={"dest": "s", "required": True},
-        letters={"type": int, "default": 64})
-    add("measure", cmd_measure, theta={"required": True}, path={"required": True})
-    add("admissible", cmd_admissible, theta={"required": True}, word={"required": True},
-        depth={"type": int, "default": 24},
-        sample_letters={"type": int, "default": 0})
-    add("factors", cmd_factors, theta={"default": None}, slope={"default": None},
-        m={"type": int, "default": 3}, depth={"type": int, "default": 24})
-    add("growth", cmd_growth, theta={"required": True},
+    add("inadmissible", cmd_inadmissible, theta=theta, k={"type": int, "default": 2})
+    add("segment", cmd_segment, theta=theta, k={"type": int, "default": 2})
+    add("exotic", cmd_exotic, theta=theta,
+        indices={"type": _ints(0, many=True), "default": ()},
+        prefix_blocks={**count, "default": None}, thin={"action": "store_true"})
+    add("cusp-exotic", cmd_cusp_exotic, theta=theta,
+        loops={"type": _ints(many=True), "default": (1, 1, 1)})
+    add("cut", cmd_cut, theta=theta, start={**exact, "dest": "s", "required": True},
+        letters={**count, "default": 64})
+    add("measure", cmd_measure, theta=theta, path={"required": True})
+    add("admissible", cmd_admissible, theta=theta, word={"required": True},
+        depth={**count, "default": 24}, sample_letters={**count, "default": 0})
+    add("factors", cmd_factors, theta={**theta, "required": False},
+        slope={"type": _exact(Fraction)}, m={**count, "default": 3},
+        depth={**count, "default": 24})
+    add("growth", cmd_growth, theta=theta,
         mode={"choices": ["linear", "prescribed"], "default": "linear"},
-        direction={"default": "vertical"},
+        direction={"type": _direction, "default": "vertical"},
         f={"dest": "f_name", "choices": ["sqrt", "log"], "default": "sqrt"},
-        t_max={"default": "16"}, samples={"type": int, "default": 8},
-        segments={"type": int, "default": 6})
+        t_max={"type": _exact(Fraction), "default": "16"},
+        samples={**count, "default": 8}, segments={**count, "default": 6})
 
     ts = sub.add_parser("ts")
     ts_sub = ts.add_subparsers(dest="ts_command", metavar="COMMAND", required=True)
@@ -350,16 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_ts("validate", cmd_ts_validate)
     add_ts("return-map", cmd_ts_return_map, edge={"type": int, "default": 0},
-           tau={"default": None}, n={"type": int, "default": 1})
+           tau=exact, n={**count, "default": 1})
     add_ts("partition", cmd_ts_partition, edge={"type": int, "default": 0},
-           n={"type": int, "default": 4})
+           n={**count, "default": 4})
     add_ts("loop", cmd_ts_loop, edge={"type": int, "default": 0},
-           k={"type": int, "default": 3},
-           budget={"type": int, "default": None})
+           k={**count, "default": 3}, budget={"type": _ints(1)})
     add_ts("exotic", cmd_ts_exotic, edge={"type": int, "default": 0},
-           levels={"type": _int_list, "default": (1, 2, 3)},
-           prefix={"type": int, "default": None},
-           thin={"action": "store_true"})
+           levels={"type": _ints(0, many=True), "default": (1, 2, 3)},
+           prefix=count, thin={"action": "store_true"})
     # usage errors name the subcommand slot COMMAND; --help lists its choices
     for subparsers in (sub, ts_sub):
         subparsers.help = "one of " + ", ".join(subparsers.choices)
@@ -418,7 +395,7 @@ def config_from_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         config = config_from_args(argv if argv is not None else sys.argv[1:])
-    except ValueError as exc:  # a usage error
+    except (ValueError, LaminathError) as exc:  # a usage error or malformed value
         return _fail(exc)
     return run(config)
 

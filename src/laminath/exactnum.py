@@ -333,17 +333,18 @@ _QUAD_RE = re.compile(
 
 def parse_exact(text: str) -> Exact:
     """Parse the format produced by :func:`format_exact`; anything else, a
-    non-string too, raises ValueError."""
+    non-string or a zero denominator too, raises ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"an exact value is a string, got {text!r}")
     s = text.strip().replace(" ", "")
-    if "sqrt" not in s:
-        return Fraction(s)
     m = _QUAD_RE.match(s)
-    if not m:
+    if "sqrt" in s and not m:
         raise ValueError(f"cannot parse exact value {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b"))
-    if m.group("sign") == "-":
-        b = -b
-    return QuadNum(a, b, int(m.group("d")))
+    try:
+        if not m:
+            return Fraction(s)
+        a = Fraction(m.group("a") or 0)
+        b = Fraction(m.group("b"))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    return QuadNum(a, -b if m.group("sign") == "-" else b, int(m.group("d")))

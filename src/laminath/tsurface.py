@@ -23,6 +23,8 @@ transversal crossing as the exchange is built; the exchange keeps those pairs
 and owns one cut table (their backward orbits by birth depth, sorted per query
 by one exact key) for every partition and loop.  ``saddle_connections`` and
 the cylinder check, which stops at the first open one, flow the forward ones.
+A closed surface with rational coordinates is a cylinder decomposition, and a
+rational exchange has no non-saddle cut: both are decided with no flow.
 
 Exactness policy: all states and certificates are exact field elements, and
 no branch rests on floating point.  Every loop runs on one of two integer
@@ -277,7 +279,12 @@ class TranslationSurface:
     def horizontal_is_cylinder_decomposition(self, budget: int = 2048) -> bool:
         """True when every horizontal separatrix terminates at a vertex within
         the budget; cutting along them then leaves only cylinders.  Stops at
-        the first separatrix that stays open."""
+        the first separatrix that stays open.  A closed surface with rational
+        coordinates is True with no flow: scaled by their common denominator it
+        covers the square torus, branched over one point, so every horizontal
+        leaf closes."""
+        if not self.boundary_slots and self._flow.d is None:
+            return True
         return all(_germ_connection(self, corner, budget)
                    for corner in self.corner_germs(+1))
 
@@ -312,7 +319,7 @@ def load_surface(doc) -> TranslationSurface:
     def coord(p, k, text):
         try:
             return parse_exact(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InvalidSurface(f"polygon {p} vertex {k}: cannot parse {text!r} ({exc})") from None
     return TranslationSurface([[(coord(p, k, x), coord(p, k, y)) for k, (x, y) in enumerate(poly)]
                                for p, poly in enumerate(polygons)], identify)
@@ -1073,12 +1080,16 @@ class NonSaddleCut:
 def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
     """The first depth-1 cut whose backward exchange orbit lasts ``budget``
     steps.  An orbit dies only on an image cut, a forward separatrix's
-    crossing, so if all die every backward separatrix is a saddle connection."""
+    crossing, so if all die every backward separatrix is a saddle connection.
+    A rational exchange raises CylinderDecomposition with no step taken: its
+    states are multiples of 1/D0, and the backward map is injective and never
+    lands on a forward cut such as a first cut, so each first cut's backward
+    orbit repeats no state and dies within D0 - 1 steps."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     iet = trans.return_map()
     kernel = iet.kernel
-    for corner, first_cut in iet.first_cuts:
+    for corner, first_cut in iet.first_cuts if kernel.surd is not None else ():
         try:
             orbit = kernel.orbit(kernel.start(first_cut), back=True)
             for _ in range(budget):

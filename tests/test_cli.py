@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,8 @@ def test_bad_numeric_arguments_exit_2():
     (["factors", "--theta", "cf:[1;2]p", "--depth", "-3"], "--depth"),
     (["convergents", "--theta", "cf:[1;2]p", "--k", "abc"], "--k"),
     (["ts", "partition", "--surface", "slit-tori", "--edge", "x"], "--edge"),
+    # option values are read before any document is opened
+    (["ts", "loop", "--surface", "/nonexistent.json", "--k", "-1"], "--k"),
 ])
 def test_bad_option_is_named(argv, option):
     code, out, err = run_cli(argv)
@@ -186,6 +189,20 @@ def test_bad_option_is_named(argv, option):
     doc = json.loads(err)
     assert doc["error"] == "invalid-input"
     assert doc["detail"].startswith(option + " ") or doc["detail"].startswith(option + ":")
+
+
+# a malformed list entry names the entry type, and a malformed continued
+# fraction keeps its code, when the command line is read
+@pytest.mark.parametrize("argv, error, detail", [
+    (["exotic", "--theta", "cf:[1;2]p", "--indices", "2,x"],
+     "invalid-input", "--indices: invalid int value: '2,x'"),
+    (["convergents", "--theta", "cf:[1;2"],
+     "invalid-slope", "cannot parse continued fraction 'cf:[1;2'"),
+])
+def test_malformed_option_value_detail(argv, error, detail):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error, "detail": detail}
 
 
 @pytest.mark.parametrize("argv, error, detail", [
@@ -245,6 +262,18 @@ def test_cylinder_exit_3(tmp_path):
     f.write_text(doc)
     code, _, err = run_cli(["ts", "partition", "--surface", str(f), "--n", "4"])
     assert code == 3
+    assert json.loads(err)["error"] == "cylinder-decomposition-detected"
+
+
+def test_rational_shear_is_a_cylinder_decomposition(tmp_path):
+    # every leaf of a rational shear closes; at shear 1/4999 both budgeted
+    # searches once missed it, and ts loop certified a loop of depth 5000
+    f = tmp_path / "shear.json"
+    f.write_text(json.dumps(tsurface.sheared_torus_doc(Fraction(1, 4999))))
+    code, out, _ = run_cli(["--emit", "json", "ts", "validate", f"--surface={f}"])
+    assert code == 0 and json.loads(out)["horizontal_cylinder_decomposition"] is True
+    code, out, err = run_cli(["ts", "loop", f"--surface={f}", "--edge", "1", "--k", "3"])
+    assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "cylinder-decomposition-detected"
 
 
@@ -353,6 +382,7 @@ _MALFORMED_DOCS = {
     "path-vertices-int": {"vertices": 5},
     "path-list": [1, 2],
     "path-numbers": {"vertices": [[0, 1], [1, 2]]},
+    "path-zero-denominator": {"vertices": [["1/3", "1/4"], ["1", "1/0"]]},
     "surface-polygons-int": {"polygons": 3, "identify": []},
     "surface-list": [1, 2],
     "surface-numbers": {"polygons": [[[0, 0], [1, 0], [1, 1], [0, 1]]],

@@ -98,6 +98,14 @@ def test_parse_examples():
         parse_exact("sqrt2+1")
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1/0*sqrt2", "1+1/0*sqrt2"])
+def test_parse_zero_denominator_is_value_error(text):
+    # a zero denominator once raised ZeroDivisionError, past the ValueError
+    # handlers of the CLI and the document loaders
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_exact(text)
+
+
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(ValueError):
         QuadNum(0, 1, 2) + QuadNum(0, 1, 3)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import pathlib
@@ -39,6 +40,21 @@ def test_no_assertion_errors_raised():
         assert not lines, f"{path.name}: AssertionError raised at lines {lines}"
     assert CertificateViolation.code == "certificate-violation"
     assert not issubclass(CertificateViolation, EXHAUSTION_ERRORS)
+
+
+def test_every_option_value_is_parsed_where_it_is_declared():
+    # handlers read ready values: each option taking one value declares its
+    # parser, except the output targets and the documents a handler opens
+    from laminath import cli
+    untyped, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif (action.option_strings and action.nargs is None
+                  and action.choices is None and action.type is None):
+                untyped.update(action.option_strings)
+    assert untyped == {"--emit", "--out", "--path", "--surface", "--word"}
 
 
 def test_surface_kernel_has_no_float():
