@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import flat, oracle, tsurface, words
-from .cf import ContinuedFraction
 from .errors import EXHAUSTION_ERRORS, LaminathError
 from .exactnum import format_exact, parse_exact
 
@@ -47,6 +45,13 @@ def _ints(low=None, many=False):
     return convert
 
 
+def _continued_fraction(text: str):
+    """``ContinuedFraction.from_text``; ``cf`` is imported on the first call,
+    so a surface subcommand loads no torus module."""
+    from .cf import ContinuedFraction
+    return ContinuedFraction.from_text(text)
+
+
 def _direction(text: str) -> str:
     """``vertical`` or an exact slope, kept as text: the growth artifact echoes it."""
     if text != "vertical":
@@ -63,7 +68,9 @@ def _word_doc(block_word, measure=None, **extra) -> dict:
     return doc
 
 
-def _surface_from(cfg: argparse.Namespace) -> tsurface.TranslationSurface:
+def _surface_from(cfg: argparse.Namespace):
+    """The surface --surface names: a preset or a JSON document."""
+    from . import tsurface
     if cfg.surface in tsurface.SURFACE_PRESETS:
         return tsurface.preset_surface(cfg.surface)
     with open(cfg.surface) as fh:
@@ -79,16 +86,19 @@ def cmd_convergents(cfg: argparse.Namespace):
 
 
 def cmd_simple_word(cfg: argparse.Namespace):
+    from . import words
     w = words.simple_word(cfg.slope, cfg.start)
     return _word_doc(w, slope=str(cfg.slope), start=cfg.start, serialized=w.serialize())
 
 
 def cmd_inadmissible(cfg: argparse.Namespace):
+    from . import words
     w = words.inadmissible_word(cfg.theta, cfg.k)
     return _word_doc(w, theta=cfg.theta.to_text(), k=cfg.k, serialized=w.serialize())
 
 
 def cmd_segment(cfg: argparse.Namespace):
+    from . import words
     cert = words.inadmissible_segment(cfg.theta, cfg.k)
     return _word_doc(cert.word, cert.measure, theta=cfg.theta.to_text(), k=cfg.k,
                      letter_count=cert.word.letter_count,
@@ -104,6 +114,7 @@ def _ledger(stage) -> dict:
 
 
 def cmd_exotic(cfg: argparse.Namespace):
+    from . import words
     ew = words.exotic_word(cfg.theta, cfg.indices, thin=cfg.thin)
     stages = [{"index": st.level, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
               for st in ew.stages]
@@ -120,6 +131,7 @@ def cmd_exotic(cfg: argparse.Namespace):
 
 
 def cmd_cusp_exotic(cfg: argparse.Namespace):
+    from . import words
     stages = words.cusp_exotic_word(cfg.theta, cfg.loops)
     return {"alphabet": "abAB", "theta": cfg.theta.to_text(),
             "letters": words.cusp_word_letters(stages),
@@ -130,12 +142,14 @@ def cmd_cusp_exotic(cfg: argparse.Namespace):
 
 
 def cmd_cut(cfg: argparse.Namespace):
+    from . import flat
     letters = flat.cutting_sequence(cfg.s, cfg.theta, cfg.letters)
     return {"alphabet": "ab", "start": format_exact(cfg.s),
             "theta": cfg.theta.to_text(), "letters": letters}
 
 
 def cmd_measure(cfg: argparse.Namespace):
+    from . import flat
     with open(cfg.path) as fh:
         path = flat.FlatPath.from_json(json.load(fh))
     value = flat.transverse_measure(path, cfg.theta.value())
@@ -145,6 +159,7 @@ def cmd_measure(cfg: argparse.Namespace):
 
 
 def cmd_admissible(cfg: argparse.Namespace):
+    from . import oracle, words
     query = words.BlockWord.parse(cfg.word) if cfg.word.startswith("(") else cfg.word
     cert = oracle.is_admissible(query, cfg.theta, cfg.depth)
     doc = {"word": cert.word, "verdict": cert.verdict, "aligned": cert.aligned,
@@ -163,6 +178,7 @@ def cmd_admissible(cfg: argparse.Namespace):
 
 
 def cmd_factors(cfg: argparse.Namespace):
+    from . import oracle
     if cfg.slope is not None:
         fs = oracle.rational_factors(cfg.slope, cfg.m)
         return {"slope": str(fs.slope), "length": fs.length,
@@ -174,15 +190,16 @@ def cmd_factors(cfg: argparse.Namespace):
 
 
 def cmd_growth(cfg: argparse.Namespace):
+    from . import flat
     if cfg.mode == "linear":
         direction = "vertical" if cfg.direction == "vertical" else parse_exact(cfg.direction)
-        rows = flat.linear_growth_probe(cfg.theta, direction, cfg.t_max, cfg.samples)
+        t_max = Fraction(16) if cfg.t_max is None else cfg.t_max
+        rows = flat.linear_growth_probe(cfg.theta, direction, t_max, cfg.samples)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure)} for r in rows]
         doc = {"mode": "linear", "direction": cfg.direction}
     else:
         f = {"sqrt": math.sqrt, "log": math.log1p}[cfg.f_name]
-        path, rows = flat.prescribed_growth_path(cfg.theta, f, cfg.segments,
-                                                 t_cap=cfg.t_max if cfg.t_max > 16 else None)
+        path, rows = flat.prescribed_growth_path(cfg.theta, f, cfg.segments, t_cap=cfg.t_max)
         table = [{"t": format_exact(r.t), "I": format_exact(r.measure),
                   "f": repr(r.target)} for r in rows]
         doc = {"mode": "prescribed", "f": cfg.f_name, "path": path.to_json()}
@@ -203,6 +220,7 @@ def cmd_ts_validate(cfg: argparse.Namespace):
 
 
 def cmd_ts_return_map(cfg: argparse.Namespace):
+    from . import tsurface
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     doc = {"edge": cfg.edge,
@@ -218,6 +236,7 @@ def cmd_ts_return_map(cfg: argparse.Namespace):
 
 
 def cmd_ts_partition(cfg: argparse.Namespace):
+    from . import tsurface
     S = _surface_from(cfg)
     part = tsurface.return_partition(S, cfg.edge, cfg.n)
     return {"edge": cfg.edge, "depth": part.depth,
@@ -229,6 +248,7 @@ def cmd_ts_partition(cfg: argparse.Namespace):
 
 
 def cmd_ts_loop(cfg: argparse.Namespace):
+    from . import tsurface
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     cert = tsurface.build_inadmissible_loop(S, trans, cfg.k, return_budget=cfg.budget)
@@ -253,6 +273,7 @@ def cmd_ts_loop(cfg: argparse.Namespace):
 
 
 def cmd_ts_exotic(cfg: argparse.Namespace):
+    from . import tsurface
     S = _surface_from(cfg)
     trans = tsurface.Transversal(S, cfg.edge)
     levels = cfg.levels if cfg.prefix is None else cfg.levels[:cfg.prefix]
@@ -291,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, opts in options.items():
             p.add_argument(f"--{arg.replace('_', '-')}", **opts)
 
-    theta = {"type": _exact(ContinuedFraction.from_text), "required": True}
+    theta = {"type": _exact(_continued_fraction), "required": True}
     exact, count = {"type": _exact(parse_exact)}, {"type": _ints(0)}
     add("convergents", cmd_convergents, theta=theta, k={**count, "default": 8})
     add("simple-word", cmd_simple_word, slope={"type": _exact(Fraction), "required": True},
@@ -315,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         mode={"choices": ["linear", "prescribed"], "default": "linear"},
         direction={"type": _direction, "default": "vertical"},
         f={"dest": "f_name", "choices": ["sqrt", "log"], "default": "sqrt"},
-        t_max={"type": _exact(Fraction), "default": "16"},
+        t_max={"type": _exact(Fraction)},
         samples={**count, "default": 8}, segments={**count, "default": 6})
 
     ts = sub.add_parser("ts")

@@ -533,7 +533,8 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
 
     Leaf segments of lengths d_n with f(d_1 + ... + d_n) = n alternate with
     unit-measure vertical jumps, so the measure at the n-th joint is exactly n
-    and |I - f| <= 1 there.  Returns (path, rows); rows carry (t, I(t), f(t))
+    and |I - f| <= 1 there.  Joints stop before the first one beyond
+    ``t_cap`` (default 10^9).  Returns (path, rows); rows carry (t, I(t), f(t))
     at the joints.  Raises InvalidGrowthFunction when f(0) != 0 or f fails to
     increase across a bracket.
     """
@@ -571,6 +572,8 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
         # keep jump abscissas off the integer lattice
         while T_n.denominator == 1:
             T_n += Fraction(1, 2 ** 31)
+        if T_n > t_cap:
+            break
         joints.append(T_n)
         T_prev = T_n
 

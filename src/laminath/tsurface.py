@@ -654,7 +654,7 @@ class _IETKernel:
 
     def __init__(self, lows, shifts, end, D: int, d: Optional[int], words):
         self.end, self.D, self.surd, self.d = end, D, d, d or 2
-        self.words, self._copies = words, {}
+        self.words, self._copies, self._scale = words, {}, None
         images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
                   in zip(lows, lows[1:] + [end], shifts)]
         key = _exact_key([lo for lo, _ in images], self.d)
@@ -690,6 +690,7 @@ class _IETKernel:
                 [(m * u, m * v) for u, v in bounds[:-1]],
                 [(m * du, m * dv) for _, du, dv in moves],
                 (m * self.end[0], m * self.end[1]), m * self.D, d, self.words)
+            copy._scale = self, m
         return copy
 
     def encode(self, x):
@@ -747,7 +748,12 @@ class _IETKernel:
         induced step reads its whole tower word.  Induction stops once every
         word has ``_TOWER_MIN`` letters or one has ``_TOWER_MAX``, or at an
         equal-length move (a saddle connection, where rational exchanges
-        end): the towers of every stage are valid."""
+        end): the towers of every stage are valid.  A rescaled copy reads
+        its base's towers, scaled alike: scaling every pair by m > 0 keeps
+        every sign, so the moves and the stop are the same."""
+        if self._scale is not None:
+            base, m = self._scale
+            return base.towers.scaled(m, self.surd)
         d = self.d
         bounds, moves, _ = self.forward
         lengths = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(bounds, bounds[1:])]

@@ -394,7 +394,7 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
     # every count is checked before any convergent is read, so a bad count is
     # reported as such even when theta's expansion is too short for it
     if any(count < 1 for count in loop_counts):
-        raise InvalidSlope("loop counts must be positive")
+        raise ValueError("loop counts must be positive")
     if theta.compare(1) <= 0:
         raise InvalidSlope("theta must exceed 1")
     theta_val = theta.value()

@@ -294,6 +294,19 @@ def test_growth_csv():
     assert code == 0 and out == "t,I\n"
 
 
+def test_growth_prescribed_honours_t_max():
+    # --t-max once reached the library only above 16
+    argv = ["--emit", "json", "growth", "--theta", "cf:[1;2]p", "--mode", "prescribed",
+            "--segments", "6"]
+    for t_max in ("4", "16"):
+        code, out, _ = run_cli(argv + ["--t-max", t_max])
+        table = json.loads(out)["table"]
+        assert code == 0 and 0 < len(table) < 6
+        assert all(Fraction(row["t"]) < Fraction(t_max) for row in table)
+    code, out, _ = run_cli(argv)
+    assert code == 0 and len(json.loads(out)["table"]) == 6
+
+
 def test_determinism_byte_identical():
     argv_sets = [
         ["--emit", "json", "exotic", "--theta", "cf:[1;2]p", "--indices", "2,4"],
@@ -506,7 +519,7 @@ def test_cusp_negative_loop_count_exits_2_on_short_theta():
     # of the stage it was read for was seen
     code, out, err = run_cli(["cusp-exotic", "--theta=7", "--loops=1,-1"])
     assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "invalid-slope",
+    assert json.loads(err) == {"error": "invalid-input",
                                "detail": "loop counts must be positive"}
 
 

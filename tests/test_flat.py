@@ -594,6 +594,13 @@ def test_prescribed_growth_log():
         assert abs(row.target - n) < 1e-6
 
 
+def test_prescribed_growth_stops_at_the_cap():
+    # joints stop before the first one beyond t_cap, the square n^2
+    for t_cap, count in ((4, 1), (16, 4), (36, 6)):
+        _, rows = flat.prescribed_growth_path(SQRT2, math.sqrt, 6, t_cap=Fraction(t_cap))
+        assert len(rows) == count and all(row.t <= t_cap for row in rows), t_cap
+
+
 def test_prescribed_growth_zero():
     path, rows = flat.prescribed_growth_path(SQRT2, lambda t: 0.0, 4)
     assert rows == []

@@ -1,9 +1,12 @@
 import argparse
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import laminath
 from laminath.errors import EXHAUSTION_ERRORS, CertificateViolation
@@ -130,6 +133,83 @@ def test_ledger_and_surfaces_import_no_torus_module():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported |= ({node.module} if node.module else {a.name for a in node.names})
         assert not imported & torus, f"{name} imports {sorted(imported & torus)}"
+
+
+def _child(code, *argv):
+    """Run ``code`` in a fresh interpreter; returns its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+_LOADED = "print(*sorted(m[9:] for m in sys.modules if m.startswith('laminath.')))"
+
+
+def test_import_loads_no_submodule():
+    assert _child("import sys, laminath; " + _LOADED) == [""]
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["convergents", "--theta", "cf:[1;2]p"], {"tsurface", "words", "flat", "oracle", "ledger"}),
+    (["segment", "--theta", "cf:[1;2]p", "--k", "3"], {"tsurface"}),
+    (["exotic", "--theta", "cf:[1;2]p", "--indices", "2,4"], {"tsurface"}),
+    (["admissible", "--theta", "cf:[1;2]p", "--word", "(2,2)@ba"], {"tsurface"}),
+    (["ts", "validate", "--surface", "slit-tori"], {"cf", "words", "flat", "oracle"}),
+    (["ts", "loop", "--surface", "sheared-torus", "--k", "3"], {"cf", "words", "flat", "oracle"}),
+])
+def test_subcommands_load_only_what_they_run(argv, unloaded):
+    # each handler imports the modules it calls; the torus and surface
+    # subcommands do not compile each other's modules
+    code = ("import contextlib, io, sys\nfrom laminath import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(status)\n" + _LOADED)
+    status, loaded = _child(code, *argv)
+    assert status == "0"
+    assert not set(loaded.split()) & unloaded, loaded
+
+
+# the names the package exports, by the submodule that defines them
+_EXPORTS = {
+    "cf": "ContinuedFraction Convergent",
+    "exactnum": "QuadNum format_exact parse_exact",
+    "words": "BlockWord cusp_exotic_word exotic_word inadmissible_segment inadmissible_word "
+             "letters_to_blocks simple_word",
+    "flat": "FlatPath FlatPoint cutting_sequence homotopy_clearance linear_growth_probe "
+            "prescribed_growth_path three_distance_points transverse_measure",
+    "oracle": "factor_count is_admissible rational_factors sampling_cross_check",
+    "tsurface": "TranslationSurface Transversal build_inadmissible_loop find_non_saddle_point "
+                "first_return flow_step load_surface return_partition saddle_connections "
+                "synthesize_exotic",
+}
+
+
+def test_star_import_binds_every_export():
+    # lazy exports bind the same 34 names and 8 submodules as eager imports;
+    # an unknown name is still an AttributeError
+    code = """
+import json, sys, laminath
+expected = json.loads(sys.argv[1])
+ns = {}
+exec("from laminath import *", ns)
+del ns["__builtins__"]
+assert sorted(ns) == sorted(expected), sorted(set(ns) ^ set(expected))
+for name, module in expected.items():
+    home = sys.modules["laminath." + module]
+    assert ns[name] is (home if name == module else getattr(home, name)), name
+try:
+    laminath.nosuch
+except AttributeError as exc:
+    print(exc)
+"""
+    expected = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+    expected.update((module, module) for module in ("cf", "errors", "exactnum", "flat",
+                                                    "ledger", "oracle", "tsurface", "words"))
+    assert len(expected) == 42
+    assert _child(code, json.dumps(expected)) == [
+        "module 'laminath' has no attribute 'nosuch'"]
 
 
 def test_readme_quick_tour_runs():

@@ -1195,6 +1195,26 @@ def test_towers_are_built_lazily_and_kept():
     assert iet.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
 
 
+def _tables(kernel):
+    return kernel.forward[:2], kernel.words, kernel.end, kernel.D
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_rescaled_copies_scale_their_base_towers(name):
+    # a stream over a new denominator induces the exchange's own kernel once
+    # and scales its towers; they equal a fresh induction on the copy
+    iet = _fresh_transversal(name).return_map()
+    for p in (991, 997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049):
+        x = Fraction(p // 3, p)
+        assert iet.letter_stream(x, 3000) == _kernel_stream(iet, x, 3000)
+        assert "towers" in iet.kernel.__dict__
+        copy = iet.fast(x)
+        m = copy.D // iet.kernel.D
+        assert copy is not iet.kernel and copy.D == m * iet.kernel.D
+        assert copy.towers is iet.kernel.towers.scaled(m, copy.surd)
+        assert _tables(copy.towers) == _tables(ts._IETKernel.towers.func(copy))
+
+
 def _den(x):
     a, b = (x.a, x.b) if isinstance(x, QuadNum) else (Fraction(x), Fraction(0))
     return math.lcm(a.denominator, b.denominator)

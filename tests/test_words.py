@@ -339,5 +339,5 @@ def test_cusp_representative_measure():
 
 
 def test_cusp_loop_counts_positive():
-    with pytest.raises(InvalidSlope):
+    with pytest.raises(ValueError, match="loop counts must be positive"):
         words.cusp_exotic_word(SQRT2, (1, 0, 1))
