@@ -21,14 +21,18 @@ from .errors import EXHAUSTION_ERRORS, LaminathError
 from .exactnum import format_exact, parse_exact
 
 
-def _exact(parse):
+def _exact(parse, positive=False):
     """An option type reading ``parse(text)``: malformed text is reported as
-    "--theta: cannot parse '1/0' (...)", a LaminathError keeps its code."""
+    "--theta: cannot parse '1/0' (...)", a LaminathError keeps its code, and
+    with ``positive`` a value <= 0 is "--t-max: must be > 0, got 0"."""
     def convert(text: str):
         try:
-            return parse(text)
+            value = parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"cannot parse {text!r} ({exc})") from None
+        if positive and not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
     return convert
 
 
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         mode={"choices": ["linear", "prescribed"], "default": "linear"},
         direction={"type": _direction, "default": "vertical"},
         f={"dest": "f_name", "choices": ["sqrt", "log"], "default": "sqrt"},
-        t_max={"type": _exact(Fraction)},
+        t_max={"type": _exact(Fraction, positive=True)},
         samples={**count, "default": 8}, segments={**count, "default": 6})
 
     ts = sub.add_parser("ts")

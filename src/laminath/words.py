@@ -24,8 +24,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .cf import ContinuedFraction, Convergent, q_error
-from .errors import CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch
-from .exactnum import Exact
+from .errors import (CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch,
+                     SingularHit)
+from .exactnum import Exact, decode, denominator, encode, exact_floor, pair_sign, surd
 from .ledger import ExoticStage, exotic_stages
 from . import flat
 
@@ -171,16 +172,44 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
     cv = theta.convergent(k)
     p, q, n, _, _ = _slope_data(Fraction(cv.p, cv.q))
     sign = -1 if k % 2 else 1
-    S = 2 * q - 1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q if closed else q
+    S, _, N2, _ = _segment_heights(p, q, k, B)
     blocks = (flat.floor_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1)
-              + flat.floor_blocks(2 * p, 0, 2 * p * (q - 1) + S - 2 * sign, 0, 2, 2 * q,
-                                  B - q + 1))
+              + flat.floor_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1))
     if not blocks[0] == n + k % 2 == blocks[q - 1]:
         raise CertificateViolation("flipped word does not start and end on the edge block")
     if sum(blocks[:q]) != p - sign:
         raise CertificateViolation("flipped word breaks the block counts")
     return BlockWord(n, tuple(blocks)), cv
+
+
+def _segment_heights(p: int, q: int, k: int, B: int) -> tuple[int, int, int, int]:
+    """Numerators over 2q of the level-k segment path's vertex heights: the
+    start S at x = 0, the hop's ends N1 = 2 p (q - 1) + S and N1 -+ 2 at
+    x = q - 1, and the end at x = B."""
+    S = 2 * q - 1 if k % 2 else 1
+    N1 = 2 * p * (q - 1) + S
+    N2 = N1 + 2 if k % 2 else N1 - 2
+    return S, N1, N2, N2 + 2 * p * (B - q + 1)
+
+
+def _check_segment_heights(q: int, S: int, N1: int, N2: int, N3: int) -> None:
+    """Decide in integers that the segment path with these height numerators
+    over 2q meets no lattice point and closes up on the torus.
+
+    Both leaves have slope p/q, so at every integer x their heights keep the
+    parity of S and of N2 over 2q; odd numerators are never integers, which
+    clears each vertex and leaf point at an integer abscissa.  The hop at the
+    integer x = q - 1 clears the lattice unless a multiple of 2q lies between
+    N1 and N2, and the end lies over the start exactly when 2q | N3 - S."""
+    two_q = 2 * q
+    if not S & N2 & 1:
+        raise CertificateViolation("segment leaf meets the lattice")
+    lo, hi = (N1, N2) if N1 < N2 else (N2, N1)
+    if (lo - 1) // two_q != hi // two_q:
+        raise CertificateViolation("segment hop meets a grid line")
+    if (N3 - S) % two_q:
+        raise CertificateViolation("segment representative does not close up")
 
 
 def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
@@ -206,7 +235,8 @@ class SegmentCertificate:
     """Short inadmissible word together with an exact measured representative.
 
     ``measure`` is the exact transverse measure of ``path`` against theta and
-    ``bound`` is the structural estimate 3|q_k theta - p_k| + 2/q_k.
+    ``bound`` is the structural estimate 3|q_k theta - p_k| + 2/q_k;
+    :func:`inadmissible_segment` decides measure <= bound before it builds one.
     """
 
     k: int
@@ -215,10 +245,6 @@ class SegmentCertificate:
     path: "flat.FlatPath"
     measure: Exact
     bound: Exact
-
-    def __post_init__(self):
-        if not self.measure <= self.bound:
-            raise CertificateViolation("certificate bound violated")
 
     @property
     def start_height(self) -> Fraction:
@@ -236,32 +262,42 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     vertical hop of height 1/q_k, closing up on the torus.  The word is the
     cutting sequence of that path (``_path_blocks``), so it starts with
     ``inadmissible_word(theta, k)``.  The measure needs theta's exact value,
-    so opaque coefficient sources raise InvalidSlope."""
+    so opaque coefficient sources raise InvalidSlope.
+
+    The certificate is decided in integers.  The vertex heights are
+    numerators over 2q (``_segment_heights``), and ``_check_segment_heights``
+    clears the lattice and the close-up in O(1), so the path is built
+    unvalidated; ``FlatPath.validate`` stays the reference.  With
+    theta = (E + F sqrt d)/C, r - theta is the pair (pC - qE, -qF) over qC,
+    so the measure B|r - theta| + 1/q and the bound 3|q theta - p| + 2/q are
+    pairs over qC, compared by one ``pair_sign`` and decoded once each."""
     theta_val = theta.value()
     if theta_val is None:
         raise InvalidSlope("a measured segment needs an exact slope value")
     word, cv = _path_blocks(theta, k, closed=True)
     p, q = cv.p, cv.q
-    r = Fraction(p, q)
     B = len(word.blocks)
     if not word.letter_count <= 2 * (p + q):
         raise CertificateViolation("segment word exceeds 2(p_k + q_k) letters")
+    heights = _segment_heights(p, q, k, B)
+    _check_segment_heights(q, *heights)
 
-    even = k % 2 == 0
-    h0 = Fraction(1, 2 * q) if even else 1 - Fraction(1, 2 * q)
-    hop = -Fraction(1, q) if even else Fraction(1, q)
-    v0 = flat.FlatPoint(Fraction(0), h0)
-    v1 = flat.FlatPoint(Fraction(q - 1), h0 + (q - 1) * r)
-    v2 = flat.FlatPoint(v1.x, v1.y + hop)
-    dx = B - (q - 1)
-    v3 = flat.FlatPoint(v2.x + dx, v2.y + dx * r)
-    path = flat.FlatPath([v0, v1, v2, v3], ["start", "leaf", "hop", "leaf"])
-    # closes up on the torus: total rise is an integer over B cells
-    if (v3.y - h0).denominator != 1:
-        raise CertificateViolation("segment representative does not close up")
+    C = denominator(theta_val)
+    E, F = encode(theta_val, C)
+    d = surd((theta_val,)) or 2
+    u, v = p * C - q * E, -q * F  # r - theta, then its absolute value
+    if pair_sign(u, v, d) < 0:
+        u, v = -u, -v
+    if pair_sign((3 * q - B) * u + C, (3 * q - B) * v, d) < 0:
+        raise CertificateViolation("certificate bound violated")
+    measure = decode((B * u + C, B * v), q * C, d)
+    bound = decode((3 * q * u + 2 * C, 3 * q * v), q * C, d)
 
-    measure = flat.transverse_measure(path, theta_val)
-    bound = 3 * abs(q_error(theta_val, cv)) + Fraction(2, q)
+    x1 = Fraction(q - 1)
+    y0, y1, y2, y3 = (Fraction(n, 2 * q) for n in heights)
+    path = flat.FlatPath([flat.FlatPoint(Fraction(0), y0), flat.FlatPoint(x1, y1),
+                          flat.FlatPoint(x1, y2), flat.FlatPoint(Fraction(B), y3)],
+                         ["start", "leaf", "hop", "leaf"], validate=False)
     return SegmentCertificate(k, cv, word, path, measure, bound)
 
 
@@ -342,30 +378,33 @@ def exotic_representative(word: ExoticWord) -> "flat.FlatPath":
     """One piecewise path through all emitted stages: each segment's
     representative translated to follow the previous one, joined by vertical
     connector hops inside a single lattice cell.  Its exact transverse
-    measure equals the ledger total."""
-    from .exactnum import exact_floor
+    measure equals the ledger total.
+
+    Each piece is certified lattice-free by ``inadmissible_segment`` and
+    moved by an integer vector, so only the connectors are checked: each runs
+    at the previous end's abscissa between two heights in one cell [n, n + 1),
+    so it meets the lattice only if an end sits at height n.  The path is
+    built unvalidated; ``FlatPath.validate`` stays the reference."""
     if not word.stages:
         raise ValueError("no stages emitted")
-    verts: list = []
-    marks: list = []
-    for st in word.stages:
+    first = word.stages[0].certificate.path
+    verts, marks = list(first.vertices), list(first.markers)
+    for st in word.stages[1:]:
         path = st.certificate.path
-        if not verts:
-            verts.extend(path.vertices)
-            marks.extend(path.markers)
-            continue
         last = verts[-1]
         shift_x = last.x - path.vertices[0].x   # segment paths start at x = 0
         shift_y = exact_floor(last.y)           # keep the same lattice cell
         start = flat.FlatPoint(path.vertices[0].x + shift_x,
                                path.vertices[0].y + shift_y)
         if tuple(start) != tuple(last):
+            if last.y == shift_y or not shift_y < start.y < shift_y + 1:
+                raise SingularHit("connector meets the lattice", point=last)
             verts.append(start)
             marks.append("hop")
         for v, mk in zip(path.vertices[1:], path.markers[1:]):
             verts.append(flat.FlatPoint(v.x + shift_x, v.y + shift_y))
             marks.append(mk)
-    return flat.FlatPath(verts, marks)
+    return flat.FlatPath(verts, marks, validate=False)
 
 
 # -- cusp-loop construction ---------------------------------------------------------

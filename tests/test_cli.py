@@ -182,6 +182,10 @@ def test_bad_numeric_arguments_exit_2():
     (["ts", "partition", "--surface", "slit-tori", "--edge", "x"], "--edge"),
     # option values are read before any document is opened
     (["ts", "loop", "--surface", "/nonexistent.json", "--k", "-1"], "--k"),
+    # a non-positive --t-max once wrote an empty table or a degenerate path
+    (["growth", "--theta", "cf:[1;2]p", "--mode", "prescribed", "--t-max", "0"], "--t-max"),
+    (["growth", "--theta", "cf:[1;2]p", "--mode", "linear", "--t-max", "-4"], "--t-max"),
+    (["growth", "--theta", "cf:[1;2]p", "--t-max=-1/2"], "--t-max"),
 ])
 def test_bad_option_is_named(argv, option):
     code, out, err = run_cli(argv)
@@ -454,6 +458,14 @@ def _negative_count(argv):
     return False
 
 
+def _nonpositive_t_max(argv):
+    for arg in argv:
+        flag, _, value = arg.partition("=")
+        if flag == "--t-max" and value in ("0", "-1", "-1/2"):
+            return True
+    return False
+
+
 def _with_doc(arg, doc_dir):
     """--path=NAME or --surface=NAME for a session document: its file."""
     flag, _, value = arg.partition("=")
@@ -510,7 +522,7 @@ def test_argv_fuzz_exits_cleanly(command, data, doc_dir):
         lines = err.splitlines()
         assert len(lines) == 1, (argv, err)
         assert set(json.loads(lines[0])) == {"error", "detail"}, argv
-    if _negative_count(argv) or _malformed_input(argv, doc_dir):
+    if _negative_count(argv) or _malformed_input(argv, doc_dir) or _nonpositive_t_max(argv):
         assert code == 2, (argv, err)
 
 

@@ -261,6 +261,30 @@ def test_clearance_builds_no_fraction_per_height(monkeypatch):
     assert len(cert.agreements) == theta.convergent(k).q - 1
 
 
+def test_segment_certificate_builds_bounded_fractions(monkeypatch):
+    # inadmissible_segment decides its measure, bound and lattice check on
+    # integer pairs: at most 24 Fractions per call, at every level (the
+    # generic path validation and QuadNum arithmetic built about 150)
+    import fractions
+    from laminath import words
+    from laminath.cf import ContinuedFraction
+    theta = ContinuedFraction.sqrt2()
+    new = fractions.Fraction.__new__
+    for k in (5, 9, 12):
+        words.inadmissible_segment(theta, k)  # convergents and value cached
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+        cert = words.inadmissible_segment(theta, k)
+        monkeypatch.undo()
+        assert len(built) <= 24, (k, len(built))
+        assert cert.measure <= cert.bound
+
+
 def test_segment_word_reads_its_own_path(monkeypatch):
     # the segment word is the cutting sequence of its path, not a flipped
     # simple word spliced with a second simple-word run

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from laminath import flat, words
 from laminath.cf import ContinuedFraction, q_error
-from laminath.errors import InvalidSlope, NotBlockShaped, ParityMismatch, PrecisionExhausted
+from laminath.errors import (CertificateViolation, InvalidSlope, NotBlockShaped,
+                             ParityMismatch, PrecisionExhausted, SingularHit)
 from laminath.exactnum import exact_floor
 from laminath.ledger import min_full_window
 
@@ -180,9 +181,9 @@ def test_segment_bounds_both_thetas():
 
 
 @st.composite
-def _theta_level(draw):
-    """A finite or eventually periodic theta > 1 and a level k >= 2 with
-    q_k <= 3000."""
+def _theta_levels(draw, q_max=3000):
+    """A finite or eventually periodic theta > 1 and its levels k >= 2 with
+    q_k <= q_max (at least one)."""
     c0 = draw(st.integers(1, 300))
     rest = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), min_size=2,
                          max_size=8))
@@ -196,21 +197,22 @@ def _theta_level(draw):
         theta = ContinuedFraction(preperiod=[c0, *rest[:-plen]], period=rest[-plen:])
     levels = []
     try:
-        while theta.convergent(len(levels) + 2).q <= 3000:
+        while theta.convergent(len(levels) + 2).q <= q_max:
             levels.append(len(levels) + 2)
     except PrecisionExhausted:
         pass
     assume(levels)
-    return theta, draw(st.sampled_from(levels))
+    return theta, levels
 
 
 @settings(max_examples=40, deadline=None)
-@given(_theta_level())
-def test_segment_is_the_cutting_sequence_of_its_path(theta_level):
+@given(_theta_levels(), st.data())
+def test_segment_is_the_cutting_sequence_of_its_path(theta_levels, data):
     # reference: the path from height 1/(2q) (1 - 1/(2q) for odd k) along
     # slope p/q, moved by -1/q (+1/q) from x = q - 1 on, read by exact floors
     # at every integer abscissa up to the close-up after B blocks
-    theta, k = theta_level
+    theta, levels = theta_levels
+    k = data.draw(st.sampled_from(levels))
     cert = words.inadmissible_segment(theta, k)
     p, q = cert.convergent.p, cert.convergent.q
     sign = 1 if k % 2 == 0 else -1
@@ -229,6 +231,115 @@ def test_segment_is_the_cutting_sequence_of_its_path(theta_level):
         (0, height(0)), (q - 1, height(q - 1) + Fraction(sign, q)), (q - 1, height(q - 1)),
         (B, height(B))]
     assert words.inadmissible_word(theta, k).blocks == cert.word.blocks[:q]
+
+
+def _reference_segment(theta, k, cert):
+    """The segment's path, measure and bound by Fraction and QuadNum
+    arithmetic, with the path validated by ``FlatPath.validate``."""
+    theta_val, cv = theta.value(), cert.convergent
+    q, r, B = cv.q, Fraction(cv.p, cv.q), len(cert.word.blocks)
+    even = k % 2 == 0
+    h0 = Fraction(1, 2 * q) if even else 1 - Fraction(1, 2 * q)
+    v0 = flat.FlatPoint(Fraction(0), h0)
+    v1 = flat.FlatPoint(Fraction(q - 1), h0 + (q - 1) * r)
+    v2 = flat.FlatPoint(v1.x, v1.y + (-Fraction(1, q) if even else Fraction(1, q)))
+    v3 = flat.FlatPoint(v2.x + B - (q - 1), v2.y + (B - (q - 1)) * r)
+    path = flat.FlatPath([v0, v1, v2, v3], ["start", "leaf", "hop", "leaf"])
+    return (path, flat.transverse_measure(path, theta_val),
+            3 * abs(q_error(theta_val, cv)) + Fraction(2, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_theta_levels(q_max=5000))
+def test_integer_segment_matches_the_references(theta_levels):
+    # the integer certificate against Fraction/QuadNum arithmetic and the
+    # generic lattice check, at every level of both parities up to q_k = 5000:
+    # the same values of the same types, and the same path
+    theta, levels = theta_levels
+    for k in levels:
+        cert = words.inadmissible_segment(theta, k)
+        path, measure, bound = _reference_segment(theta, k, cert)
+        assert cert.path.to_json() == path.to_json()
+        assert [tuple(map(type, v)) for v in cert.path.vertices] == [
+            tuple(map(type, v)) for v in path.vertices]
+        cert.path.validate()
+        assert flat.transverse_measure(cert.path, theta.value()) == measure
+        assert (cert.measure, type(cert.measure)) == (measure, type(measure))
+        assert (cert.bound, type(cert.bound)) == (bound, type(bound))
+    for parity in (0, 1):
+        indices = [k for k in levels if k % 2 == parity]
+        if indices:
+            rep = words.exotic_representative(words.exotic_word(theta, indices))
+            rep.validate()
+
+
+def _planted(fault):
+    """``_segment_heights`` with one fault planted in the numerators it
+    returns: the hop stretched past the nearest grid line beyond its upper
+    (even k) or lower (odd k) end, or the end moved off the close-up."""
+    heights = words._segment_heights
+
+    def planted(p, q, k, B):
+        S, N1, N2, N3 = heights(p, q, k, B)
+        if fault == "hop":
+            two_q = 2 * q
+            N1 = (N1 // two_q + 1) * two_q + 1 if N1 > N2 else N1 // two_q * two_q - 1
+        else:
+            N3 += 2
+        return S, N1, N2, N3
+    return planted
+
+
+@pytest.mark.parametrize("fault, message", [("hop", "segment hop meets a grid line"),
+                                            ("close-up", "does not close up")])
+@pytest.mark.parametrize("theta", [SQRT2, GOLDEN], ids=["sqrt2", "golden"])
+def test_integer_segment_check_catches_planted_faults(monkeypatch, theta, fault, message):
+    # the word is read from S and N2 alone, which neither fault moves, so the
+    # integer check is what refuses the path
+    monkeypatch.setattr(words, "_segment_heights", _planted(fault))
+    for k in range(2, 10):
+        with pytest.raises(CertificateViolation, match=message):
+            words.inadmissible_segment(theta, k)
+
+
+def test_integer_segment_check_refuses_a_leaf_through_the_lattice():
+    # every height moved up by 1/(2q): the numerators turn even and the first
+    # leaf meets a lattice point, as the reference validation confirms
+    cert = words.inadmissible_segment(SQRT2, 4)
+    p, q, B = cert.convergent.p, cert.convergent.q, len(cert.word.blocks)
+    moved = [n + 1 for n in words._segment_heights(p, q, 4, B)]
+    with pytest.raises(CertificateViolation, match="segment leaf meets the lattice"):
+        words._check_segment_heights(q, *moved)
+    with pytest.raises(SingularHit):
+        flat.FlatPath([flat.FlatPoint(v.x, v.y + Fraction(1, 2 * q))
+                       for v in cert.path.vertices])
+
+
+def test_integer_segment_checks_hold_under_python_O():
+    # the checks are statements, not asserts, so -O keeps them: the planted
+    # faults still raise (pytest.raises needs no assert)
+    import os
+    import subprocess
+    import sys
+    test = f"{__file__}::test_integer_segment_check_catches_planted_faults"
+    run = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          test], env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
+
+
+def test_connector_check_catches_a_planted_lattice_start():
+    # a stage whose representative starts on a grid line puts its connector's
+    # end on the lattice, which the O(1) connector check refuses
+    from dataclasses import replace
+    ew = words.exotic_word(SQRT2, (2, 4))
+    st2 = ew.stages[1]
+    path = st2.certificate.path
+    moved = flat.FlatPath([flat.FlatPoint(Fraction(0), Fraction(0))] + path.vertices[1:],
+                          path.markers, validate=False)
+    ew.stages[1] = replace(st2, certificate=replace(st2.certificate, path=moved))
+    with pytest.raises(SingularHit, match="connector"):
+        words.exotic_representative(ew)
 
 
 def test_path_words_reject_slopes_below_one():
