@@ -422,18 +422,25 @@ class ClearanceCertificate:
     """Witness that the slope-theta line and its convergent approximation stay
     in the same lattice cells over one cycle, except at the extreme height.
 
-    Kept as the kernel's integers: height l, the fractional part of
-    (p_k/q_k) l + s, is (nums[l] + G sqrt(d)) / C, and floors[l] is the
-    integer part of (p_k/q_k) l + s, which theta l + s shares for l != l0.
-    ``heights`` and ``agreements`` decode them on request."""
+    Kept as the kernel's integers: (p_k/q_k) l + s is (E l + S + G sqrt(d)) / C,
+    floors[l] is its integer part, which theta l + s shares for l != l0, and
+    height l, its fractional part, is (nums[l] + G sqrt(d)) / C with nums[l] =
+    E l + S - C floors[l].  ``nums``, ``heights`` and ``agreements`` are
+    decoded on request."""
 
     k: int
     l0: int
     C: int
-    nums: tuple
+    E: int
+    S: int
     G: int
     d: int
     floors: tuple
+
+    @property
+    def nums(self) -> tuple:
+        E, S, C = self.E, self.S, self.C
+        return tuple(E * l + S - C * f for l, f in enumerate(self.floors))
 
     @property
     def heights(self) -> tuple:
@@ -486,14 +493,14 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     # floor(l p_k/q_k + s) and floor(l theta + s) for l = 0..q-1, as floor(s)
     # plus prefix sums of blocks from the one Sturmian kernel
     E, F, S, G, d, C = _integer_form(Fraction(cv.p, q), s)
-    f0 = exact_floor(s)
+    f0, c = divmod(pair_floor(q * S, q * G, d, C), q)   # floor(s), floor(q frac(s))
     rat_blocks = floor_blocks(E, F, S, G, d, C, q - 1)
-    floors = list(accumulate(rat_blocks, initial=f0))
-    # height l is (num_l + G sqrt(d)) / C, so integer numerators order them
-    nums = [E * l + S - C * f for l, f in enumerate(floors)]
-    l0 = nums.index((max if k % 2 == 0 else min)(nums))
+    floors = accumulate(rat_blocks, initial=f0)
+    # height l is (c + (l p_k mod q_k) + phi)/q_k mod 1 with 0 <= phi < 1: the
+    # highest has l p_k = -1 - c mod q_k, the lowest l p_k = -c
+    l0 = (-c - (k % 2 == 0)) * pow(cv.p, -1, q) % q
     _split_check(sturmian_blocks(theta, s, q - 1)[0], rat_blocks, l0, f0)
-    return ClearanceCertificate(k, l0, C, tuple(nums), G, d, tuple(floors))
+    return ClearanceCertificate(k, l0, C, E, S, G, d, tuple(floors))
 
 
 # -- growth probes -----------------------------------------------------------------

@@ -20,9 +20,10 @@ words no leaf word ever contains in its tail.
 Each separatrix is flowed once.  The backward ones are flowed to their first
 transversal crossing as the exchange is built; the exchange keeps those pairs
 (the non-saddle search steps them back on its kernel, flowing no separatrix)
-and owns one cut table (their backward orbits by birth depth, sorted per query
-by one exact key) for every partition and loop.  ``saddle_connections`` and
-the cylinder check, which stops at the first open one, flow the forward ones.
+and owns one cut table (their backward orbits by birth depth, each query's new
+levels sorted by one exact key and merged in) for every partition and loop.
+``saddle_connections`` and the cylinder check, which stops at the first open
+one, flow the forward ones.
 A closed surface with rational coordinates is a cylinder decomposition, and a
 rational exchange has no non-saddle cut: both are decided with no flow.
 
@@ -31,15 +32,15 @@ no branch rests on floating point.  Every loop runs on one of two integer
 kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
 whose every branch is an exact integer sign test: the flow kernel behind
 first returns and the separatrices, and the exchange kernel behind leaf
-streams, loop flights, the cut table and the non-saddle search.  Each
+streams, loop certificates, the cut table and the non-saddle search.  Each
 kernel's denominator and field follow from its surface or exchange and its
 start points alone.  Leaf streams copy whole tower words of an exact
 Rauzy–Veech induction of the exchange, whose induced exchange steps on the
 same kernel.  Only geometry validation and the per-point APIs
 (``flow_step``, ``Transversal.point``/``param``,
 ``ReturnMapIET.step``/``orbit_word``) use Fraction/QuadNum arithmetic, and
-results leaving a kernel loop are decoded to the field elements that
-arithmetic would give (``exactnum.decode``).
+results leaving a kernel loop (a loop certificate's values on request) are
+decoded to the field elements that arithmetic would give (``exactnum.decode``).
 """
 
 from __future__ import annotations
@@ -693,12 +694,9 @@ class _IETKernel:
             copy._scale = self, m
         return copy
 
-    def encode(self, x):
-        return encode(x, self.D)
-
     def start(self, x) -> list:
         """State of the parameter x, which must lie inside (0, end)."""
-        state = list(self.encode(x))
+        state = list(encode(x, self.D))
         if not self.inside(state, (0, 0), self.end):
             raise SingularHit("orbit landed on a partition cut")
         return state
@@ -995,8 +993,9 @@ class _CutTable:
     """Backward orbits ("strands") of the depth-1 cuts under the inverse
     exchange, as kernel pairs kept by birth depth: ``born[j]`` holds the cuts
     born at depth j + 1, up to ``depth``, where growth stops once every strand
-    has died (its separatrix met a vertex).  A query sorts the cuts up to its
-    depth by one exact integer key; the gaps are memoised."""
+    has died (its separatrix met a vertex).  A query deeper than the last
+    sorts only the newer levels by one exact integer key and merges them into
+    the last query's sorted cuts by exact sign tests; the gaps are memoised."""
 
     def __init__(self, iet: ReturnMapIET):
         self.kernel = iet.kernel
@@ -1004,15 +1003,23 @@ class _CutTable:
         self.born = [cuts]
         self.strands = [(p, self.kernel.orbit(p, back=True)) for p in map(list, cuts)]
         self.depth = 1
+        self._run = 0, []   # (depth, its cuts sorted) of the last query
         self._gaps = {}
 
-    def max_gap(self, depth: int):
-        """Largest gap between 0, 1 and the cuts of depth at most ``depth``."""
+    def gap(self, depth: int) -> tuple:
+        """Largest gap between 0, 1 and the cuts of depth at most ``depth``, as
+        a pair over the kernel's D: a running maximum by exact sign tests."""
         if depth not in self._gaps:
-            pts = [(0, 0), *self._sorted(depth), (self.kernel.D, 0)]
-            gaps = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(pts, pts[1:])]
-            self._gaps[depth] = self.kernel.value(max(gaps, key=_exact_key(gaps, self.kernel.d)))
+            d, (bu, bv), (pu, pv) = self.kernel.d, (0, 0), (0, 0)
+            for u, v in self._sorted(depth) + [(self.kernel.D, 0)]:
+                if pair_sign(u - pu - bu, v - pv - bv, d) > 0:
+                    bu, bv = u - pu, v - pv
+                pu, pv = u, v
+            self._gaps[depth] = bu, bv
         return self._gaps[depth]
+
+    def max_gap(self, depth: int):
+        return self.kernel.value(self.gap(depth))
 
     def cuts(self, depth: int) -> list:
         """The sorted cuts of depth 1..``depth``, as field elements.  No cut
@@ -1035,8 +1042,17 @@ class _CutTable:
                 alive.append((state, orbit))
             self.strands = alive
             self.born.append([tuple(state) for state, _ in alive])
-        pts = [p for level in self.born[:depth] for p in level]
-        return sorted(pts, key=_exact_key(pts, self.kernel.d))
+        done, run = self._run if self._run[0] <= depth else (0, [])
+        new = [p for level in self.born[done:depth] for p in level]
+        new.sort(key=_exact_key(new, self.kernel.d))
+        out, i, d = [], 0, self.kernel.d
+        for u, v in new:
+            while i < len(run) and pair_sign(u - run[i][0], v - run[i][1], d) > 0:
+                out.append(run[i])
+                i += 1
+            out.append((u, v))
+        self._run = min(depth, len(self.born)), out + run[i:]
+        return self._run[1]
 
 
 # -- saddle connections --------------------------------------------------------------
@@ -1120,24 +1136,37 @@ class LoopCertificate:
     impossible: the (n-1)-step level set through its anchor is shorter than
     a third of |PQ| and lands inside I, so only w_T(I) can follow it, while
     the factor continues with w_T(I').
+
+    ``pairs`` holds, as pairs (u, v) for (u + v sqrt d)/D over the flights'
+    kernel denominator D, tau_Q, tau_return = T^depth(Q), tau_R, tau_close,
+    gap_bound a = |PQ|/3, max_gap (of the (depth-1) partition) and slides
+    |tau_return - tau_R| + |tau_close - tau_Q|.  They, ``measure`` = slides
+    |e_y| and ``measure_constant`` = 3 |e_y| are decoded on request, once.
     """
 
     level: int
     word: str
     factor: str
-    measure: Exact
-    measure_constant: Exact      # 3 |e_y|; measure < constant / 2^level
     depth: int
     tau_P: Number
-    tau_Q: Number
-    tau_return: Number           # T^depth(Q)
-    tau_R: Number
-    tau_close: Number
     word_I: str
     word_I2: str
-    max_gap: Number              # max interval of the (depth-1) partition
-    gap_bound: Number            # the required bound a = |PQ|/3
     closing_depth: int           # returns of the closing flight from R
+    height: Number
+    D: int
+    d: int
+    pairs: tuple
+
+    tau_Q, tau_return, tau_R, tau_close, gap_bound, max_gap, slides = (
+        cached_property(lambda self, i=i: decode(self.pairs[i], self.D, self.d)) for i in range(7))
+    measure = cached_property(lambda self: self.slides * self.height)
+    measure_constant = cached_property(lambda self: 3 * self.height)
+
+
+# base points whose orbits land exactly on a partition cut are retried at perturbed
+# offsets (num, den); fresh prime denominators dodge algebraic coincidences
+_LOOP_OFFSETS = ((1, 1), (6, 7), (9, 11), (10, 13), (12, 17), (15, 19), (16, 23),
+                 (22, 29), (24, 31), (28, 37))
 
 
 def build_inadmissible_loop(surface, trans, k: int,
@@ -1157,22 +1186,13 @@ def build_inadmissible_loop(surface, trans, k: int,
     P = trans.non_saddle_cut().tau
     if return_budget is None:
         return_budget = 96 * 2 ** k + 8192
-    # P is a depth-1 cut, so two exchange intervals meet there
-    j = next(j for j, iv in enumerate(iet.intervals) if iv.lo == P)
-    below, above = iet.intervals[j - 1:j + 1]
-    sides = [(above, below, 1), (below, above, -1)]
-    # base points whose orbits land exactly on a partition cut are retried at
-    # perturbed offsets; fresh prime denominators dodge algebraic coincidences
-    offsets = (Fraction(1), Fraction(6, 7), Fraction(9, 11), Fraction(10, 13),
-               Fraction(12, 17), Fraction(15, 19), Fraction(16, 23),
-               Fraction(22, 29), Fraction(24, 31), Fraction(28, 37))
-    progress = dict(level=k, return_budget=return_budget,
-                    attempts=len(sides) * len(offsets), depth=0)
+    progress = dict(level=k, return_budget=return_budget, attempts=2 * len(_LOOP_OFFSETS),
+                    depth=0)
     last = None
-    for I, I2, sgn in sides:
-        for off in offsets:
+    for sgn in (1, -1):
+        for off in _LOOP_OFFSETS:
             try:
-                return _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off)
+                return _try_loop(trans, iet, k, P, sgn, return_budget, off)
             except SingularHit as exc:
                 last = exc
             except BudgetExhausted as exc:
@@ -1181,66 +1201,92 @@ def build_inadmissible_loop(surface, trans, k: int,
     raise BudgetExhausted(f"loop construction failed at level {k}: {last}", **progress)
 
 
-def _try_loop(trans, iet, k, P, I, I2, sgn, return_budget, off=Fraction(1)):
-    two_k = Fraction(1, 2 ** k)
-    delta_q = min(two_k, I.length) / 2 * off
-    a = delta_q / 3
-    Q = P + sgn * delta_q
-    # between P and Q within a of Q: as a < |PQ|, one window on Q's side
-    near = Q - sgn * a
-    delta_r = min(two_k, I2.length) / 2 * off
-    R = P - sgn * delta_r
-    q_lo, q_hi = Q - two_k, Q + two_k
+def _landings(orbit, state: list, lo, hi, d: int, steps: list):
+    """Run ``orbit`` (of ``state``), appending each interval index to
+    ``steps``; yield the step count whenever lo < state < hi.  The sign
+    tests of ``pair_sign`` are inlined, as in ``_slot``."""
+    (lu, lv), (hu, hv) = lo, hi
+    for i in orbit:
+        steps.append(i)
+        u, v = state
+        du, dv = u - lu, v - lv
+        if (du * du > d * dv * dv) != (du > 0) if du < 0 < dv or dv < 0 < du else du + dv <= 0:
+            continue
+        du, dv = hu - u, hv - v
+        if (du * du > d * dv * dv) != (du > 0) if du < 0 < dv or dv < 0 < du else du + dv <= 0:
+            continue
+        yield len(steps)
 
-    kernel = iet.fast(Q, R, q_lo, q_hi, near)
-    window = [kernel.encode(x) for x in ((near, Q) if sgn > 0 else (Q, near))]
-    state = kernel.start(Q)
-    word_idx = []
-    for n, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
-        word_idx.append(i)
-        if kernel.inside(state, *window) and n >= 2 and iet.cut_table.max_gap(n - 1) < a:
-            break
+
+def _try_loop(trans, iet, k, P, sgn, return_budget, off=(1, 1)):
+    """One attempt: Q in the interval I on side ``sgn`` of P, R in I2 on the
+    other, each ``off`` = (num, den) times half of min(2^-k, |interval|) from
+    P.  They and a = |PQ|/3 are pairs over N = 3 den 2^(k+1) D0, then, by the
+    gcd of their entries and N/D0, over the kernel copy's m D0, m least."""
+    own, (num, den) = iet.kernel, off
+    bounds, d, D0 = own.forward[0], own.d, own.D
+    pu, pv = encode(P, D0)
+    j = bounds.index((pu, pv))   # P is a depth-1 cut: two intervals meet there
+    I, I2 = (j, j - 1) if sgn > 0 else (j - 1, j)
+    thirds = []   # off/3 of half of min(2^-k, length) for I and I2, over N
+    for (lu, lv), (hu, hv) in (bounds[I:I + 2], bounds[I2:I2 + 2]):
+        lu, lv = (hu - lu) << k, (hv - lv) << k
+        thirds += [D0 * num, 0] if pair_sign(lu - D0, lv, d) >= 0 else [lu * num, lv * num]
+    au, av, ru, rv = thirds
+    c = 3 * den << (k + 1)   # N/D0; then Q, R, a and 2^-k over N, over L = N/g
+    pts = [pu * c + 3 * sgn * au, pv * c + 3 * sgn * av, pu * c - 3 * sgn * ru,
+           pv * c - 3 * sgn * rv, au, av, 6 * den * D0]
+    g = math.gcd(c, *pts)
+    Qu, Qv, Ru, Rv, au, av, t = [x // g for x in pts]
+    m, Q, R, a = c // g, (Qu, Qv), (Ru, Rv), (au, av)
+    kernel = own if m == 1 else own.scaled(m, own.surd)
+
+    # between P and Q within a of Q: as a < |PQ|, one window on Q's side
+    near = Qu - sgn * au, Qv - sgn * av
+    state, word_idx = list(Q), []
+    for n in _landings(islice(kernel.orbit(state), return_budget), state,
+                       *((near, Q) if sgn > 0 else (Q, near)), d, word_idx):
+        if n >= 2:
+            gu, gv = iet.cut_table.gap(n - 1)
+            if pair_sign(au - m * gu, av - m * gv, d) > 0:
+                break
     else:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}",
                               depth=len(word_idx))
-    tau_n = kernel.value(state)
-    if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
+    (lu, lv), (hu, hv) = bounds[I:I + 2]   # as T^n(Q) lies in I, that is |T^n(Q) - ends| > a
+    if not kernel.inside(state, (m * lu + au, m * lv + av), (m * hu - au, m * hv - av)):
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 
-    if not I2.lo < R < I2.hi:
+    (lu, lv), (hu, hv) = bounds[I2:I2 + 2]
+    if not kernel.inside(R, (m * lu, m * lv), (m * hu, m * hv)):
         raise CertificateViolation("R does not lie in the neighboring interval")
-    if I2.word == I.word:
+    words = kernel.words   # each interval's word and the arrival letter
+    if words[I2] == words[I]:
         raise CertificateViolation("the neighboring interval repeats the word of I")
 
-    window = kernel.encode(q_lo), kernel.encode(q_hi)
-    state2 = kernel.start(R)
-    tail_idx = []
-    for i in kernel.orbit(state2):
-        tail_idx.append(i)
-        if kernel.inside(state2, *window):
-            break
-        if len(tail_idx) > return_budget:
-            raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
-    tau_s = kernel.value(state2)
+    state2, tail_idx = list(R), []
+    if next(_landings(islice(kernel.orbit(state2), return_budget + 1), state2,
+                      (Qu - t, Qv), (Qu + t, Qv), d, tail_idx), None) is None:
+        raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
 
-    words = kernel.words   # each interval's word and the arrival letter
-    piece1 = "".join(words[i] for i in word_idx)
-    word = piece1 + "".join(words[i] for i in tail_idx)
+    piece1 = "".join([words[i] for i in word_idx])
+    word = piece1 + "".join([words[i] for i in tail_idx])
     factor = piece1[len(words[word_idx[0]]) - 1:] + words[tail_idx[0]]
-    if words[tail_idx[0]] != I2.word + iet.arrival_letter:
+    if words[tail_idx[0]] != words[I2]:
         raise CertificateViolation("closing flight does not start in R's interval")
     if factor not in word:
         raise CertificateViolation("inadmissible factor missing from the loop word")
 
-    ey = trans.height
-    measure = (abs(tau_n - R) + abs(tau_s - Q)) * ey
-    constant = 3 * ey
-    if not measure < constant * two_k:
+    su = sv = 0   # the slides |T^n(Q) - R| + |close - Q|, below 3 2^-k as |e_y| > 0
+    for xu, xv in ((state[0] - Ru, state[1] - Rv), (state2[0] - Qu, state2[1] - Qv)):
+        s = pair_sign(xu, xv, d)
+        su, sv = su + s * xu, sv + s * xv
+    if not pair_sign(3 * kernel.D - (su << k), -(sv << k), d) > 0:
         raise CertificateViolation("loop measure exceeds its structural bound")
 
-    return LoopCertificate(k, word, factor, measure, constant, n,
-                           P, Q, tau_n, R, tau_s, I.word, I2.word,
-                           iet.cut_table.max_gap(n - 1), a, len(tail_idx))
+    return LoopCertificate(k, word, factor, n, P, iet.intervals[I].word, iet.intervals[I2].word,
+                           len(tail_idx), trans.height, kernel.D, d,
+                           (Q, tuple(state), R, tuple(state2), a, (m * gu, m * gv), (su, sv)))
 
 
 # -- exotic synthesis ----------------------------------------------------------------------

@@ -285,6 +285,33 @@ def test_segment_certificate_builds_bounded_fractions(monkeypatch):
         assert cert.measure <= cert.bound
 
 
+def test_loop_certificate_builds_bounded_fractions(monkeypatch):
+    # build_inadmissible_loop decides its points, checks and measure on the
+    # exchange kernel's integer pairs: with the certificate's values unread,
+    # a loop builds the same few Fractions at k = 5 and k = 10 on both
+    # fixtures (the Fraction/QuadNum bookkeeping built 111 to 121 per loop)
+    import fractions
+    from laminath import tsurface as ts
+    new = fractions.Fraction.__new__
+    for name, edge in (("sheared-torus", 1), ("slit-tori", 5)):
+        tr = ts.Transversal(ts.preset_surface(name), edge)
+        tr.return_map(), tr.non_saddle_cut()  # the exchange and its cut P, built once
+        counts = []
+        for k in (5, 10):
+            built = []
+
+            def counting_new(cls, *args, **kwargs):
+                built.append(args)
+                return new(cls, *args, **kwargs)
+
+            monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+            cert = ts.build_inadmissible_loop(tr.surface, tr, k)
+            monkeypatch.undo()
+            counts.append(len(built))
+            assert cert.measure < cert.measure_constant * fractions.Fraction(1, 2 ** k)
+        assert counts[0] == counts[1] <= 4, (name, counts)
+
+
 def test_segment_word_reads_its_own_path(monkeypatch):
     # the segment word is the cutting sequence of its path, not a flipped
     # simple word spliced with a second simple-word run

@@ -4,16 +4,17 @@ import math
 from fractions import Fraction
 from functools import cmp_to_key
 import random
-from itertools import islice
+from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from laminath import tsurface as ts
 from laminath.cf import ContinuedFraction
-from laminath.errors import (BudgetExhausted, CylinderDecomposition,
+from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                              InvalidSurface, SingularHit)
-from laminath.exactnum import QuadNum, format_exact, frac_part, pair_sign
+from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign
 from laminath.ledger import tail_measure_signature
 
 GAMMA = QuadNum(-1, 1, 2)
@@ -585,6 +586,101 @@ class _ReferenceCutTable:
         return max(hi - lo for lo, hi in zip(pts, pts[1:]))
 
 
+def _reference_try_loop(trans, iet, k, P, sgn, return_budget, off):
+    """One loop attempt in Fraction/QuadNum bookkeeping, the exchange kernel
+    doing only the flights and the cut table only max_gap: the intervals
+    are found by value, the points and the bound a are field elements and
+    ``iet.fast`` picks the kernel for them."""
+    off = Fraction(*off)
+    j = next(j for j, iv in enumerate(iet.intervals) if iv.lo == P)
+    below, above = iet.intervals[j - 1:j + 1]
+    I, I2 = (above, below) if sgn > 0 else (below, above)
+    two_k = Fraction(1, 2 ** k)
+    delta_q = min(two_k, I.length) / 2 * off
+    a = delta_q / 3
+    Q = P + sgn * delta_q
+    near = Q - sgn * a
+    delta_r = min(two_k, I2.length) / 2 * off
+    R = P - sgn * delta_r
+    q_lo, q_hi = Q - two_k, Q + two_k
+
+    kernel = iet.fast(Q, R, q_lo, q_hi, near)
+    window = [encode(x, kernel.D) for x in ((near, Q) if sgn > 0 else (Q, near))]
+    state = kernel.start(Q)
+    word_idx = []
+    for n, i in zip(range(1, return_budget + 1), kernel.orbit(state)):
+        word_idx.append(i)
+        if kernel.inside(state, *window) and n >= 2 and iet.cut_table.max_gap(n - 1) < a:
+            break
+    else:
+        raise BudgetExhausted(f"no admissible return depth within {return_budget}",
+                              depth=len(word_idx))
+    tau_n = kernel.value(state)
+    if not min(abs(tau_n - I.lo), abs(tau_n - I.hi)) > a:
+        raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
+    if not I2.lo < R < I2.hi:
+        raise CertificateViolation("R does not lie in the neighboring interval")
+    if I2.word == I.word:
+        raise CertificateViolation("the neighboring interval repeats the word of I")
+
+    window = encode(q_lo, kernel.D), encode(q_hi, kernel.D)
+    state2 = kernel.start(R)
+    tail_idx = []
+    for i in kernel.orbit(state2):
+        tail_idx.append(i)
+        if kernel.inside(state2, *window):
+            break
+        if len(tail_idx) > return_budget:
+            raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
+    tau_s = kernel.value(state2)
+
+    words = kernel.words
+    piece1 = "".join(words[i] for i in word_idx)
+    word = piece1 + "".join(words[i] for i in tail_idx)
+    factor = piece1[len(words[word_idx[0]]) - 1:] + words[tail_idx[0]]
+    if words[tail_idx[0]] != I2.word + iet.arrival_letter:
+        raise CertificateViolation("closing flight does not start in R's interval")
+    if factor not in word:
+        raise CertificateViolation("inadmissible factor missing from the loop word")
+    ey = trans.height
+    measure = (abs(tau_n - R) + abs(tau_s - Q)) * ey
+    constant = 3 * ey
+    if not measure < constant * two_k:
+        raise CertificateViolation("loop measure exceeds its structural bound")
+    return SimpleNamespace(level=k, word=word, factor=factor, measure=measure,
+                           measure_constant=constant, depth=n, tau_P=P, tau_Q=Q,
+                           tau_return=tau_n, tau_R=R, tau_close=tau_s, word_I=I.word,
+                           word_I2=I2.word, max_gap=iet.cut_table.max_gap(n - 1),
+                           gap_bound=a, closing_depth=len(tail_idx))
+
+
+def _reference_loop(trans, k):
+    """``build_inadmissible_loop`` over the reference attempts."""
+    iet, P = trans.return_map(), trans.non_saddle_cut().tau
+    for sgn in (1, -1):
+        for off in ts._LOOP_OFFSETS:
+            try:
+                return _reference_try_loop(trans, iet, k, P, sgn, 96 * 2 ** k + 8192, off)
+            except (SingularHit, BudgetExhausted):
+                continue
+    raise BudgetExhausted("every reference attempt failed")
+
+
+_LOOP_FIELDS = ("level", "word", "factor", "measure", "measure_constant", "depth", "tau_P",
+                "tau_Q", "tau_return", "tau_R", "tau_close", "word_I", "word_I2", "max_gap",
+                "gap_bound", "closing_depth")
+
+
+def _loop_outcome(attempt, *args):
+    """Every certificate field with its type, or the error's type, text and
+    progress."""
+    try:
+        cert = attempt(*args)
+    except (SingularHit, BudgetExhausted, CertificateViolation) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "progress", None)
+    return [(name, _typed(getattr(cert, name))) for name in _LOOP_FIELDS]
+
+
 _IETS = {}
 
 
@@ -863,6 +959,30 @@ def test_loop_certificates_pinned(name, k):
 
 
 _SLIT_TR = ts.Transversal(_SLIT, 5)
+
+
+_LOOP_SHEARS = [None, QuadNum(Fraction(-1, 2), Fraction(1, 2), 5), QuadNum(-1, Fraction(2, 3), 3),
+                frac_part(QuadNum(Fraction(1, 7), Fraction(3, 5), 7))]
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+@pytest.mark.parametrize("gamma", _LOOP_SHEARS, ids=["sqrt2", "sqrt5", "sqrt3", "sqrt7"])
+def test_loops_match_fraction_reference(name, gamma):
+    # the certificate decided on integer pairs equals the Fraction/QuadNum
+    # attempt field by field, value and type, at every level 2..8; both
+    # sides and three offsets are also tried directly, at the default budget
+    # and at 200 returns, so the swapped side, the perturbed offsets and the
+    # budget errors are compared too
+    tr = _fresh_transversal(name, gamma)
+    iet, P = tr.return_map(), tr.non_saddle_cut().tau
+    for k in range(2, 9):
+        want = _loop_outcome(_reference_loop, tr, k)
+        assert _loop_outcome(ts.build_inadmissible_loop, tr.surface, tr, k) == want, k
+        for sgn, off, budget in product(
+                (1, -1), ts._LOOP_OFFSETS[:2] + ts._LOOP_OFFSETS[-1:], (96 * 2 ** k + 8192, 200)):
+            args = tr, iet, k, P, sgn, budget, off
+            assert _loop_outcome(ts._try_loop, *args) == _loop_outcome(
+                _reference_try_loop, *args), (k, sgn, off, budget)
 
 
 # -- the exact flow kernel against the QuadNum reference -----------------------------
