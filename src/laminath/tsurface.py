@@ -1201,12 +1201,12 @@ def build_inadmissible_loop(surface, trans, k: int,
     raise BudgetExhausted(f"loop construction failed at level {k}: {last}", **progress)
 
 
-def _landings(orbit, state: list, lo, hi, d: int, steps: list):
-    """Run ``orbit`` (of ``state``), appending each interval index to
-    ``steps``; yield the step count whenever lo < state < hi.  The sign
-    tests of ``pair_sign`` are inlined, as in ``_slot``."""
-    (lu, lv), (hu, hv) = lo, hi
-    for i in orbit:
+def _landings(kernel: _IETKernel, state: list, lo, hi, budget: int, steps: list):
+    """Step ``state`` on ``kernel`` up to ``budget`` times, appending each
+    interval index to ``steps``; yield the step count whenever lo < state <
+    hi.  The sign tests of ``pair_sign`` are inlined, as in ``_slot``."""
+    (lu, lv), (hu, hv), d = lo, hi, kernel.d
+    for i in islice(kernel.orbit(state), budget):
         steps.append(i)
         u, v = state
         du, dv = u - lu, v - lv
@@ -1218,7 +1218,7 @@ def _landings(orbit, state: list, lo, hi, d: int, steps: list):
         yield len(steps)
 
 
-def _try_loop(trans, iet, k, P, sgn, return_budget, off=(1, 1)):
+def _try_loop(trans, iet, k, P, sgn, return_budget, off):
     """One attempt: Q in the interval I on side ``sgn`` of P, R in I2 on the
     other, each ``off`` = (num, den) times half of min(2^-k, |interval|) from
     P.  They and a = |PQ|/3 are pairs over N = 3 den 2^(k+1) D0, then, by the
@@ -1244,8 +1244,8 @@ def _try_loop(trans, iet, k, P, sgn, return_budget, off=(1, 1)):
     # between P and Q within a of Q: as a < |PQ|, one window on Q's side
     near = Qu - sgn * au, Qv - sgn * av
     state, word_idx = list(Q), []
-    for n in _landings(islice(kernel.orbit(state), return_budget), state,
-                       *((near, Q) if sgn > 0 else (Q, near)), d, word_idx):
+    for n in _landings(kernel, state, *((near, Q) if sgn > 0 else (Q, near)), return_budget,
+                       word_idx):
         if n >= 2:
             gu, gv = iet.cut_table.gap(n - 1)
             if pair_sign(au - m * gu, av - m * gv, d) > 0:
@@ -1265,8 +1265,8 @@ def _try_loop(trans, iet, k, P, sgn, return_budget, off=(1, 1)):
         raise CertificateViolation("the neighboring interval repeats the word of I")
 
     state2, tail_idx = list(R), []
-    if next(_landings(islice(kernel.orbit(state2), return_budget + 1), state2,
-                      (Qu - t, Qv), (Qu + t, Qv), d, tail_idx), None) is None:
+    if next(_landings(kernel, state2, (Qu - t, Qv), (Qu + t, Qv), return_budget + 1,
+                      tail_idx), None) is None:
         raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
 
     piece1 = "".join([words[i] for i in word_idx])
