@@ -30,13 +30,14 @@ rational exchange has no non-saddle cut: both are decided with no flow.
 Exactness policy: all states and certificates are exact field elements, and
 no branch rests on floating point.  Every loop runs on one of two integer
 kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
-whose every branch is an exact integer sign test: the flow kernel behind
-first returns and the separatrices, and the exchange kernel behind leaf
-streams, loop certificates, the cut table and the non-saddle search.  Each
-kernel's denominator and field follow from its surface or exchange and its
-start points alone.  Leaf streams copy whole tower words of an exact
-Rauzy–Veech induction of the exchange, whose induced exchange steps on the
-same kernel.  Only geometry validation and the per-point APIs
+whose every branch is an exact integer sign test: the flow kernel, which
+flows the separatrices, builds the exchange and names the vertex a singular
+orbit meets, and the exchange kernel behind first returns once the exchange
+is built, leaf streams, loop certificates, the cut table and the non-saddle
+search.  Each kernel's denominator and field follow from its surface or
+exchange and its start points alone.  Leaf streams copy whole tower words
+of an exact Rauzy–Veech induction of the exchange, whose induced exchange
+steps on the same kernel.  Only geometry validation and the per-point APIs
 (``flow_step``, ``Transversal.point``/``param``,
 ``ReturnMapIET.step``/``orbit_word``) use Fraction/QuadNum arithmetic, and
 results leaving a kernel loop (a loop certificate's values on request) are
@@ -342,7 +343,10 @@ class _FlowState:
 
 
 class _FlowKernel:
-    """The one exact horizontal-flow kernel of a surface.
+    """The one exact horizontal-flow kernel of a surface.  It flows the
+    separatrices and the probes that build a transversal's exchange; a first
+    return runs on it only until that exchange is built, or to name the
+    vertex a singular orbit meets.
 
     Ordinates are integer pairs (u, v) standing for (u + v sqrt d)/D and
     abscissae pairs over E*D: D clears every vertex coordinate (and the start
@@ -563,10 +567,25 @@ def _check_orbit(tau, n: int):
 def first_return(trans: Transversal, tau, n: int = 1):
     """n-th return parameter and crossing word (intermediate arrivals at the
     transversal included, the final arrival excluded).  n = 0 is the identity
-    with the empty word."""
+    with the empty word.  Once the transversal holds its exchange
+    (``return_map``), the answer is n steps of the exchange kernel; until
+    then, and to name the vertex an orbit meets, the surface is flowed."""
     _check_orbit(tau, n)
     if n == 0:
         return tau, ""
+    if trans._iet is not None:
+        kernel = trans._iet.fast(tau)
+        try:
+            state = kernel.start(tau)
+            word = kernel.return_word(state, n)
+            return kernel.value(state), word
+        except SingularHit:   # on a cut: the flow replays the orbit to its vertex
+            pass
+    return _flow_return(trans, tau, n)
+
+
+def _flow_return(trans: Transversal, tau, n: int):
+    """``first_return`` by the flow kernel, polygon by polygon."""
     flow = trans.surface._flow
     st = flow.start(trans.point(tau))
     budget = 100000 * n
@@ -728,6 +747,13 @@ class _IETKernel:
             cuts, slots = successors[j]
             j = slots[_slot(cuts, u, v, d)] if len(slots) > 1 else slots[0]
 
+    def return_word(self, state, n: int) -> str:
+        """The crossing word of ``n`` steps from ``state`` (moved in place):
+        the words of the intervals used, each ending on the arrival letter,
+        without the last one."""
+        words = self.words
+        return "".join([words[i] for i in islice(self.orbit(state), n)])[:-1]
+
     @cached_property
     def towers(self) -> "_IETKernel":
         """The first-return exchange to (0, L) that exact Rauzy–Veech
@@ -788,7 +814,7 @@ class ReturnMapIET:
     Construction traces the backward separatrices of every singularity to the
     transversal (their first crossings, kept as (corner, parameter) pairs in
     ``first_cuts``, are exactly the discontinuities; ``cut_table`` holds their
-    backward orbits), probes each interval twice to read off the translation
+    backward orbits), flows two probes per interval to read off the translation
     and word, and verifies (in the kernel's backward table) that the
     interval images tile the edge.
     """
@@ -800,9 +826,9 @@ class ReturnMapIET:
         intervals = []
         for lo, hi in zip(pts, pts[1:]):
             mid = (lo + hi) / 2
-            t1, w1 = first_return(trans, mid, 1)
+            t1, w1 = _flow_return(trans, mid, 1)
             probe = lo + (hi - lo) * Fraction(1, 3)
-            t2, w2 = first_return(trans, probe, 1)
+            t2, w2 = _flow_return(trans, probe, 1)
             if w1 != w2 or t1 - mid != t2 - probe:
                 raise CertificateViolation("return word not constant on an interval; "
                                            "cut enumeration incomplete")
@@ -969,9 +995,7 @@ def return_partition(surface, trans, n: int) -> ReturnPartition:
     pts = [Fraction(0)] + cuts + [Fraction(1)]
     mids = [(lo + hi) / 2 for lo, hi in zip(pts, pts[1:])]
     kernel = iet.fast(*mids)
-    words = kernel.words   # each ends on the arrival letter, which the last drops
-    intervals = [PartitionInterval(lo, hi, "".join(
-                     [words[i] for i in islice(kernel.orbit(kernel.start(mid)), n)])[:-1])
+    intervals = [PartitionInterval(lo, hi, kernel.return_word(kernel.start(mid), n))
                  for lo, hi, mid in zip(pts, pts[1:], mids)]
     return ReturnPartition(n, cuts, intervals)
 

@@ -288,6 +288,19 @@ def test_singular_cut_exit_2():
     assert json.loads(err)["error"] == "singular-hit"
 
 
+def test_singular_tau_names_its_return():
+    # the exchange kernel lands on a cut, and the flow names the return at
+    # which the orbit meets the vertex
+    argv = ["ts", "return-map", "--surface", "sheared-torus", "--edge", "1"]
+    code, out, _ = run_cli(argv + ["--tau", "3-2*sqrt2", "--n", "1"])
+    assert code == 0 and "'image': '2-1*sqrt2'" in out
+    for tau, n, returns in (("3-2*sqrt2", "2", 1), ("2-1*sqrt2", "1", 0)):
+        code, out, err = run_cli(argv + ["--tau", tau, "--n", n])
+        assert (code, out) == (2, "")
+        assert err == ('{"detail": "orbit hits a vertex after %d returns", '
+                       '"error": "singular-hit"}\n' % returns)
+
+
 def test_growth_csv():
     code, out, _ = run_cli(["--emit", "csv", "growth", "--theta", "cf:[1;2]p",
                             "--mode", "linear", "--direction", "0",

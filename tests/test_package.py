@@ -341,3 +341,35 @@ def test_partition_words_step_the_exchange_kernel(monkeypatch):
     for name, edge in (("sheared-torus", 1), ("slit-tori", 5)):
         part = ts.return_partition(ts.preset_surface(name), edge, 8)
         assert all(iv.word for iv in part.intervals), name
+
+
+def test_first_return_reads_the_exchange_kernel(monkeypatch):
+    # once the transversal holds its exchange, first returns step the exchange
+    # kernel and do not flow the surface polygon by polygon
+    from fractions import Fraction
+
+    from laminath import tsurface as ts
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("flow kernel called")
+
+    def typed(res):
+        return type(res[0]).__name__, res
+
+    starts = (Fraction(1, 3), Fraction(123, 997), QuadNum(Fraction(1, 5), Fraction(1, 7), 2))
+    cases = [(ts.sheared_torus_doc(), 1, starts), (ts.slit_tori_doc(), 5, starts),
+             (ts.sheared_torus_doc(Fraction(1, 3)), 1,
+              (QuadNum(Fraction(-1, 2), Fraction(1, 2), 5), Fraction(1, 4)))]
+    built, want = [], []
+    for doc, edge, taus in cases:
+        surface = ts.load_surface(doc)
+        flow, trans = ts.Transversal(surface, edge), ts.Transversal(surface, edge)
+        trans.return_map()
+        calls = [(tau, n) for tau in taus for n in (1, 5, 50)]
+        built.append((trans, calls))
+        want.append([typed(ts.first_return(flow, tau, n)) for tau, n in calls])
+    monkeypatch.setattr(ts._FlowKernel, "trace", refuse)
+    got = [[typed(ts.first_return(trans, tau, n)) for tau, n in calls]
+           for trans, calls in built]
+    assert got == want
+    assert [t for t, _ in want[2]] == ["QuadNum"] * 3 + ["Fraction"] * 3

@@ -213,24 +213,37 @@ def _reference_vertex(surface, point):
     return res.hit
 
 
+def _singular_returns(tau, n):
+    """The SingularHit of ``first_return`` on a fresh transversal (the flow)
+    and on one holding its exchange (the kernel, which hands a cut back to the
+    flow), as (message, step, typed point); the two must agree."""
+    built = ts.Transversal(_SHEARED, 1)
+    built.return_map()
+    got = []
+    for tr in (ts.Transversal(_SHEARED, 1), built):
+        with pytest.raises(SingularHit) as exc:
+            ts.first_return(tr, tau, n)
+        got.append((str(exc.value), exc.value.step, _typed(exc.value.point)))
+    assert got[0] == got[1]
+    return got[0]
+
+
 def test_singular_orbit_reported_with_step():
     tau = QuadNum(2, -1, 2)  # the unique depth-1 cut
-    with pytest.raises(SingularHit) as exc:
-        ts.first_return(_SHEARED_TR, tau, 1)
-    assert exc.value.step == 1
+    msg, step, point = _singular_returns(tau, 1)
+    assert (msg, step) == ("orbit hits a vertex after 0 returns", 1)
     want = _reference_vertex(_SHEARED, _SHEARED_TR.point(tau))
-    assert _typed(exc.value.point) == _typed(want)
+    assert point == _typed(want)
 
 
 def test_singular_orbit_after_a_return():
     # one rotation step before the cut: the second return meets the vertex
     tau = QuadNum(3, -2, 2)
     assert ts.first_return(_SHEARED_TR, tau, 1)[0] == QuadNum(2, -1, 2)
-    with pytest.raises(SingularHit) as exc:
-        ts.first_return(_SHEARED_TR, tau, 2)
-    assert exc.value.step == 2
+    msg, step, point = _singular_returns(tau, 2)
+    assert (msg, step) == ("orbit hits a vertex after 1 returns", 2)
     want = _reference_vertex(_SHEARED, _SHEARED_TR.point(tau))
-    assert _typed(exc.value.point) == _typed(want)
+    assert point == _typed(want)
 
 
 # -- return partition ----------------------------------------------------------------
@@ -1140,7 +1153,10 @@ def test_flow_kernel_rescales_for_new_denominators():
 @example(Fraction(2), None, 1)
 @example(Fraction(1, 3), None, -1)
 def test_first_return_matches_orbit_word(tau, cut, n):
+    # _SLIT_TR holds its exchange, so first_return steps the kernel there;
+    # _SLIT_FLOW_TR never builds one and flows
     iet = _SLIT_TR.return_map()
+    assert _SLIT_FLOW_TR._iet is None
     if cut is not None and 0 < tau < 1:  # start on an exchange cut: a vertex
         tau = iet.intervals[1 + cut % (len(iet.intervals) - 1)].lo
     # off the edge or a negative count is a ValueError, an end vertex of the
@@ -1150,12 +1166,34 @@ def test_first_return_matches_orbit_word(tau, cut, n):
         want = iet.orbit_word(tau, n)
     except (SingularHit, ValueError) as exc:
         assert isinstance(exc, ValueError if outside else SingularHit)
-        with pytest.raises(type(exc)):
-            ts.first_return(_SLIT_TR, tau, n)
+        for tr in (_SLIT_TR, _SLIT_FLOW_TR):
+            with pytest.raises(type(exc)):
+                ts.first_return(tr, tau, n)
         return
     assert not outside and (n == 0 or 0 < tau < 1)
-    got = ts.first_return(_SLIT_TR, tau, n)
-    assert _typed(got[0]) == _typed(want[0]) and got[1] == want[1]
+    for tr in (_SLIT_TR, _SLIT_FLOW_TR):
+        got = ts.first_return(tr, tau, n)
+        assert (_typed(got[0]), got[1]) == (_typed(want[0]), want[1])
+
+
+_SLIT_FLOW_TR = ts.Transversal(_SLIT, 5)
+
+
+def test_first_return_flows_without_an_exchange():
+    # with rational shear 1/2 every backward separatrix is a saddle
+    # connection, so no exchange is built; first_return still flows (values
+    # pinned from the flow-only implementation)
+    tr = ts.Transversal(ts.load_surface(ts.slit_tori_doc(Fraction(1, 2))), 5)
+    with pytest.raises(CylinderDecomposition):
+        tr.return_map()
+    assert tr._iet is None
+    third = QuadNum(0, Fraction(1, 3), 2)
+    got = [(_typed(t), w) for t, w in (ts.first_return(tr, tau, n) for tau, n in (
+        (Fraction(1, 3), 1), (Fraction(1, 3), 5), (Fraction(2, 7), 3), (third, 7)))]
+    assert got == [(("Fraction", "1/3"), "acebd"),
+                   (("Fraction", "1/3"), "acebd" + "facebd" * 4),
+                   (("Fraction", "2/7"), "acebd" + "facebd" * 2),
+                   (("QuadNum", "1/3*sqrt2"), "acebd" + "facebd" * 6)]
 
 
 def _reference_stream(iet, tau, num_letters):
