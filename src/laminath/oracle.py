@@ -210,9 +210,16 @@ def sampling_cross_check(word, theta: ContinuedFraction,
 
     BlockWord inputs are searched block-aligned (anchored by the block
     marker, or at the stream head).  Returns the first occurrence if any; an
-    absent report is the sampling oracle's rejection of the word.
+    absent report is the sampling oracle's rejection of the word.  A search
+    that could not find the word (no heights, or fewer letters per height
+    than the word has) raises ValueError.
     """
     search, letters, aligned = _search_form(word)
+    if heights < 1:
+        raise ValueError("sampling needs at least 1 height")
+    if num_letters < len(letters):
+        raise ValueError(f"sampling needs at least {len(letters)} letters per height "
+                         f"(the word's length), got {num_letters}")
     if seed is None:
         hs = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
     else:

@@ -20,8 +20,8 @@ words no leaf word ever contains in its tail.
 Each separatrix is flowed once.  The backward ones are flowed to their first
 transversal crossing as the exchange is built; the exchange keeps those pairs
 (the non-saddle search steps them back on its kernel, flowing no separatrix)
-and owns one cut table (their backward orbits by birth depth, each query's new
-levels sorted by one exact key and merged in) for every partition and loop.
+and owns one cut table (their backward orbits by birth depth, each query's
+cuts sorted by one exact key) for every partition and loop.
 ``saddle_connections`` and the cylinder check, which stops at the first open
 one, flow the forward ones.
 A closed surface with rational coordinates is a cylinder decomposition, and a
@@ -110,6 +110,28 @@ def _segments_cross(a1, a2, b1, b2) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
+def _classes(items, links) -> list:
+    """The classes of ``items`` under the equivalence that the pairs in
+    ``links`` generate, by union-find: each class in item order, and the
+    classes ordered by their first item."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
 class TranslationSurface:
     """Validated polygon collection with translation gluings."""
 
@@ -155,21 +177,8 @@ class TranslationSurface:
                 raise InvalidSurface(
                     f"pair {idx}: edges must be parallel, equal length, and "
                     "oppositely oriented")
-        if len(self.polygons) > 1:
-            reach = {0}
-            frontier = [0]
-            adj = {}
-            for sa, sb in self.pairs:
-                adj.setdefault(sa[0], set()).add(sb[0])
-                adj.setdefault(sb[0], set()).add(sa[0])
-            while frontier:
-                p = frontier.pop()
-                for q in adj.get(p, ()):
-                    if q not in reach:
-                        reach.add(q)
-                        frontier.append(q)
-            if len(reach) != len(self.polygons):
-                raise InvalidSurface("surface is not connected")
+        if len(_classes(range(len(self.polygons)), ((sa[0], sb[0]) for sa, sb in self.pairs))) > 1:
+            raise InvalidSurface("surface is not connected")
 
     def _check_simple(self, pi, poly):
         n = len(poly)
@@ -203,32 +212,16 @@ class TranslationSurface:
                                for k in range(len(poly)) if (p, k) not in self.slot_info]
         self._edge_table = [[(*poly[k], *poly[(k + 1) % len(poly)], k) for k in range(len(poly))]
                             for poly in self.polygons]
-        self._vertex_classes()
-        self._flow = _FlowKernel(self)
-
-    def _vertex_classes(self):
-        parent = {(p, k): (p, k) for p, poly in enumerate(self.polygons) for k in range(len(poly))}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for sa, sb in self.pairs:
-            (pa, ka), (pb, kb) = sa, sb
-            na, nb = len(self.polygons[pa]), len(self.polygons[pb])
-            for c1, c2 in (((pa, ka), (pb, (kb + 1) % nb)),
-                           ((pa, (ka + 1) % na), (pb, kb))):
-                r1, r2 = find(c1), find(c2)
-                if r1 != r2:
-                    parent[r1] = r2
-        classes = {}
-        for corner in parent:
-            classes.setdefault(find(corner), []).append(corner)
-        self.vertex_classes = list(classes.values())
+        # a gluing identifies each end of one edge with the far end of the other
+        n = [len(poly) for poly in self.polygons]
+        self.vertex_classes = _classes(
+            [(p, k) for p in range(len(n)) for k in range(n[p])],
+            [link for (pa, ka), (pb, kb) in self.pairs
+             for link in (((pa, ka), (pb, (kb + 1) % n[pb])),
+                          ((pa, (ka + 1) % n[pa]), (pb, kb)))])
         self.corner_class = {c: ci for ci, corners in enumerate(self.vertex_classes)
                              for c in corners}
+        self._flow = _FlowKernel(self)
 
     @property
     def euler_characteristic(self) -> int:
@@ -1017,9 +1010,9 @@ class _CutTable:
     """Backward orbits ("strands") of the depth-1 cuts under the inverse
     exchange, as kernel pairs kept by birth depth: ``born[j]`` holds the cuts
     born at depth j + 1, up to ``depth``, where growth stops once every strand
-    has died (its separatrix met a vertex).  A query deeper than the last
-    sorts only the newer levels by one exact integer key and merges them into
-    the last query's sorted cuts by exact sign tests; the gaps are memoised."""
+    has died (its separatrix met a vertex).  A query grows the strands to its
+    depth and sorts the cuts born by then by one exact integer key; the gaps
+    are memoised."""
 
     def __init__(self, iet: ReturnMapIET):
         self.kernel = iet.kernel
@@ -1027,7 +1020,6 @@ class _CutTable:
         self.born = [cuts]
         self.strands = [(p, self.kernel.orbit(p, back=True)) for p in map(list, cuts)]
         self.depth = 1
-        self._run = 0, []   # (depth, its cuts sorted) of the last query
         self._gaps = {}
 
     def gap(self, depth: int) -> tuple:
@@ -1066,17 +1058,9 @@ class _CutTable:
                 alive.append((state, orbit))
             self.strands = alive
             self.born.append([tuple(state) for state, _ in alive])
-        done, run = self._run if self._run[0] <= depth else (0, [])
-        new = [p for level in self.born[done:depth] for p in level]
-        new.sort(key=_exact_key(new, self.kernel.d))
-        out, i, d = [], 0, self.kernel.d
-        for u, v in new:
-            while i < len(run) and pair_sign(u - run[i][0], v - run[i][1], d) > 0:
-                out.append(run[i])
-                i += 1
-            out.append((u, v))
-        self._run = min(depth, len(self.born)), out + run[i:]
-        return self._run[1]
+        pts = [p for level in self.born[:depth] for p in level]
+        pts.sort(key=_exact_key(pts, self.kernel.d))
+        return pts
 
 
 # -- saddle connections --------------------------------------------------------------

@@ -79,9 +79,12 @@ class BlockWord:
     def parse(cls, text: str) -> "BlockWord":
         body, _, orient = text.strip().partition("@")
         body = body.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise NotBlockShaped(f"cannot parse block word {text!r}")
-        blocks = tuple(int(t) for t in body[1:-1].split(","))
+        try:
+            if not (body.startswith("(") and body.endswith(")")):
+                raise ValueError
+            blocks = tuple(int(t) for t in body[1:-1].split(","))
+        except ValueError:  # not parenthesised, or an entry that is not an integer
+            raise NotBlockShaped(f"cannot parse block word {text!r}") from None
         return cls(min(blocks), blocks, orient or "ba")
 
     def __len__(self) -> int:
@@ -427,7 +430,8 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
 
     The representative runs along slope-p_k/q_k segments between integer
     lattice points with zero-measure loops at the cusps, so the exact ledger
-    is the partial sums of |q_k theta - p_k|.
+    is the partial sums of |q_k theta - p_k|.  The ledger needs theta's
+    exact value, so opaque coefficient sources raise InvalidSlope.
     """
     loop_counts = tuple(loop_counts)
     # every count is checked before any convergent is read, so a bad count is
@@ -437,13 +441,14 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
     if theta.compare(1) <= 0:
         raise InvalidSlope("theta must exceed 1")
     theta_val = theta.value()
+    if theta_val is None:
+        raise InvalidSlope("a cusp ledger needs an exact slope value")
     stages = []
     partial: Exact = Fraction(0)
     for j, count in enumerate(loop_counts, start=1):
         cv = theta.convergent(j)
         w = simple_word(Fraction(cv.p, cv.q), cv.q)
-        if theta_val is not None:
-            partial = partial + abs(q_error(theta_val, cv))
+        partial = partial + abs(q_error(theta_val, cv))
         letters = w.letters() + CUSP_LOOP * count
         stages.append(CuspStage(j, w, count, letters, partial))
     return stages

@@ -404,7 +404,8 @@ _THETA = st.one_of(
 _NEGATIVE_WORDS = ["(-1)@ba", "(-1,0)@ba", "(-2,-1)@ab"]
 _WORD = st.one_of(
     st.sampled_from(["abab", "babba", "(1,1,2,1,1)@ba", "(2,2)@ba", "AB", "(1,1,2,1,1)@ab"]),
-    st.sampled_from(["", "(", "ab@", "(1,2)@xy", "(0,0)@ba", *_NEGATIVE_WORDS]))
+    st.sampled_from(["", "(", "ab@", "(1,2)@xy", "(0,0)@ba", "(1,x)@ba", "()@ba",
+                     *_NEGATIVE_WORDS]))
 # documents for --path and --surface, written once per session: malformed
 # ones (exit 2 with one JSON line, not a traceback) and one valid each
 _SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
@@ -421,6 +422,9 @@ _MALFORMED_DOCS = {
     "surface-edge-float": {"polygons": [_SQUARE], "identify": [[[0, 0.5], [0, 2]]]},
     "surface-coord-str": {"polygons": [[["0", "0"], ["1", "x"], ["1", "1"], ["0", "1"]]],
                           "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+    "surface-two-tori": {"polygons": [_SQUARE, _SQUARE],
+                         "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]],
+                                      [[1, 0], [1, 2]], [[1, 1], [1, 3]]]},
     "surface-coord-zero": {"polygons": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1/0"]]],
                            "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
 }
@@ -578,6 +582,23 @@ def test_malformed_input_exits_2(argv, doc_dir):
     assert code == 2 and out == "", (argv, err)
     lines = err.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}, err
+
+
+def test_disconnected_surface_exits_2(doc_dir):
+    code, out, err = run_cli(["ts", "validate", f"--surface={doc_dir / 'surface-two-tori.json'}"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-surface", "detail": "surface is not connected"}
+
+
+def test_sampling_that_cannot_fail_exits_2():
+    # three letters per height cannot hold a five-letter word, and an absent
+    # report once printed next to an admissible verdict
+    code, out, err = run_cli(["admissible", "--theta", "cf:[1;2]p", "--word", "babba",
+                              "--sample-letters", "3"])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"detail": "sampling needs at least 5 letters per height "
+                                        "(the word's length), got 3",
+                              "error": "invalid-input"}, sort_keys=True) + "\n"
 
 
 def test_malformed_surface_coordinate_names_its_place(doc_dir):

@@ -231,6 +231,21 @@ def test_sampling_cross_check():
     assert not rep2.absent
 
 
+def test_sampling_refuses_a_search_that_cannot_fail():
+    # a stream shorter than the word, or no stream at all, once reported the
+    # word absent, which reads as the oracle rejecting it
+    word = words.simple_word(Fraction(7, 5), 1)
+    n = word.letter_count
+    with pytest.raises(ValueError, match=f"at least {n} letters per height"):
+        oracle.sampling_cross_check(word, SQRT2, num_letters=n - 1, heights=5)
+    with pytest.raises(ValueError, match="at least 5 letters per height"):
+        oracle.sampling_cross_check("babba", SQRT2, num_letters=3, heights=5)
+    with pytest.raises(ValueError, match="at least 1 height"):
+        oracle.sampling_cross_check("ab", SQRT2, num_letters=100, heights=0)
+    rep = oracle.sampling_cross_check(word, SQRT2, num_letters=n, heights=5)
+    assert rep.letters_per_height == n
+
+
 def test_sampling_seeded_deterministic():
     bad = words.inadmissible_word(SQRT2, 2)
     r1 = oracle.sampling_cross_check(bad, SQRT2, num_letters=5000, heights=5, seed=11)

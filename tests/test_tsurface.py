@@ -573,7 +573,7 @@ def _reference_step_back(iet, tau):
 
 class _ReferenceCutTable:
     """Backward QuadNum orbits of the depth-1 cuts; every query sorts the
-    cuts up to its depth and scans the gaps."""
+    cuts up to its depth, and a gap query scans them."""
 
     def __init__(self, iet):
         self.iet = iet
@@ -581,7 +581,7 @@ class _ReferenceCutTable:
         self.by_depth = [[t for t in base if 0 < t < 1]]
         self.strands = [(t, True) for t in self.by_depth[0]]
 
-    def max_gap(self, depth):
+    def cuts(self, depth):
         while len(self.by_depth) < depth:
             new_strands, born = [], []
             for t, alive in self.strands:
@@ -594,8 +594,10 @@ class _ReferenceCutTable:
                 new_strands.append((t, alive))
             self.strands = new_strands
             self.by_depth.append(born)
-        pts = sorted(t for level in self.by_depth[:depth] for t in level)
-        pts = [Fraction(0)] + pts + [Fraction(1)]
+        return sorted(t for level in self.by_depth[:depth] for t in level)
+
+    def max_gap(self, depth):
+        pts = [Fraction(0)] + self.cuts(depth) + [Fraction(1)]
         return max(hi - lo for lo, hi in zip(pts, pts[1:]))
 
 
@@ -803,12 +805,15 @@ def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
     ref = _ReferenceCutTable(iet)
     depths = list(range(1, 41)) + list(range(60, 201, 35)) + [200]
     want = {j: ref.max_gap(j) for j in depths}
-    # in order, and out of order from a table already grown to depth 200
-    for order in (depths, [200] + depths[::-1]):
+    want_cuts = {j: [_typed(t) for t in ref.cuts(j)] for j in depths}
+    # in order, out of order from a table already grown to depth 200, and
+    # interleaved, deeper and shallower queries in turn
+    for order in (depths, [200] + depths[::-1], [5, 200, 3, 60, 1]):
         table = ts._CutTable(iet)
         for j in order:
             got = table.max_gap(j)
             assert got == want[j] and type(got) is type(want[j]), j
+            assert [_typed(t) for t in table.cuts(j)] == want_cuts[j], j
 
 
 def test_cut_table_keeps_quadnum_type_of_rational_gaps():

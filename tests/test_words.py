@@ -104,6 +104,10 @@ def test_blocks_letters_examples():
         words.letters_to_blocks("aBa")
     with pytest.raises(NotBlockShaped):
         words.letters_to_blocks("bbab")  # ends mid-block
+    # an entry that is not an integer is no block shape either
+    for text in ("(", "(1,x)@ba", "()@ba"):
+        with pytest.raises(NotBlockShaped):
+            words.BlockWord.parse(text)
     flipped = words.letters_to_blocks("aab ab".replace(" ", ""))
     assert flipped.orientation == "ab" and flipped.blocks == (2, 1)
     assert flipped.letters() == "aabab"
@@ -374,6 +378,8 @@ def test_segment_needs_an_exact_slope():
         words.inadmissible_segment(lazy, 2)
     with pytest.raises(InvalidSlope):
         words.exotic_word(lazy, (2, 4))
+    with pytest.raises(InvalidSlope):
+        words.cusp_exotic_word(lazy, (1, 1, 1))
 
 
 # -- exotic words ---------------------------------------------------------------------
