@@ -14,15 +14,15 @@ Text form: "cf:[1;2,2]" for a finite fraction, "cf:[1;2]p" or
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .errors import CertificateViolation, InvalidSlope, PrecisionExhausted
 from .exactnum import Exact, QuadNum, denominator, encode, pair_sign, surd
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Convergent:
     """k-th truncation p/q of a continued fraction; gcd(p, q) = 1."""
 

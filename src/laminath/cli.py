@@ -162,9 +162,14 @@ def cmd_measure(cfg: argparse.Namespace):
                                                         normalized=True)}
 
 
+_SAMPLE_HEIGHTS = 100
+
+
 def cmd_admissible(cfg: argparse.Namespace):
     from . import oracle, words
     query = words.BlockWord.parse(cfg.word) if cfg.word.startswith("(") else cfg.word
+    if cfg.sample_letters:  # refuse a sample too short for the word before deciding it
+        oracle.sampling_form(query, cfg.sample_letters, _SAMPLE_HEIGHTS)
     cert = oracle.is_admissible(query, cfg.theta, cfg.depth)
     doc = {"word": cert.word, "verdict": cert.verdict, "aligned": cert.aligned,
            "levels": list(cert.levels), "block_span": cert.block_span}
@@ -174,7 +179,7 @@ def cmd_admissible(cfg: argparse.Namespace):
     if cfg.sample_letters:
         rep = oracle.sampling_cross_check(query, cfg.theta,
                                           num_letters=cfg.sample_letters,
-                                          heights=100, seed=cfg.seed)
+                                          heights=_SAMPLE_HEIGHTS, seed=cfg.seed)
         doc["sampling"] = {"absent": rep.absent,
                            "letters_per_height": rep.letters_per_height,
                            "heights": len(rep.heights)}

@@ -13,11 +13,11 @@ available as a floating-point convenience only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
+from ._record import record
 from .cf import ContinuedFraction
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
@@ -27,7 +27,7 @@ from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
 Number = Union[int, Fraction, QuadNum]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlatPoint:
     x: Number
     y: Number
@@ -417,7 +417,7 @@ def three_distance_points(s, r) -> list:
     return [(low + j) * Fraction(1, q) for j in range(q)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClearanceCertificate:
     """Witness that the slope-theta line and its convergent approximation stay
     in the same lattice cells over one cycle, except at the extreme height.
@@ -505,7 +505,7 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
 
 # -- growth probes -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GrowthRow:
     t: Exact
     measure: Exact

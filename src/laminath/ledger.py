@@ -11,14 +11,14 @@ leaf), and thinned tails have distinct ``tail_measure_signature``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from ._record import record
 from .exactnum import Exact
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExoticStage:
     """One kept stage of an exotic ray with the running exact ledger."""
 

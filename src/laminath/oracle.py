@@ -18,17 +18,17 @@ floors, at tens of millions of letters per second.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import flat
+from ._record import record
 from .cf import ContinuedFraction
 from .errors import CertificateViolation, DepthInsufficient
 from .words import BlockWord, _slope_data, simple_word
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FactorSet:
     """All length-m letter factors of the periodic slope-r word."""
 
@@ -66,7 +66,7 @@ def rational_factors(r, m: int) -> FactorSet:
     return FactorSet(r, m, frozenset(hay[i:i + m] for i in range(plen)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdmissibilityCertificate:
     verdict: str                       # "admissible" | "inadmissible"
     word: str                          # the factor's letters
@@ -191,7 +191,7 @@ def leaf_block_stream(theta: ContinuedFraction, s: Fraction, num_blocks: int):
     return flat.sturmian_blocks(theta, s, num_blocks)[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SamplingReport:
     word: str
     heights: tuple[Fraction, ...]
@@ -201,6 +201,19 @@ class SamplingReport:
     @property
     def absent(self) -> bool:
         return self.found_at is None
+
+
+def sampling_form(word, num_letters: int, heights: int) -> tuple[str, str, bool]:
+    """``_search_form(word)`` for a sampling search that can find the word:
+    ValueError if there are no heights or fewer letters per height than the
+    word has."""
+    form = _search_form(word)
+    if heights < 1:
+        raise ValueError("sampling needs at least 1 height")
+    if num_letters < len(form[1]):
+        raise ValueError(f"sampling needs at least {len(form[1])} letters per height "
+                         f"(the word's length), got {num_letters}")
+    return form
 
 
 def sampling_cross_check(word, theta: ContinuedFraction,
@@ -214,12 +227,7 @@ def sampling_cross_check(word, theta: ContinuedFraction,
     that could not find the word (no heights, or fewer letters per height
     than the word has) raises ValueError.
     """
-    search, letters, aligned = _search_form(word)
-    if heights < 1:
-        raise ValueError("sampling needs at least 1 height")
-    if num_letters < len(letters):
-        raise ValueError(f"sampling needs at least {len(letters)} letters per height "
-                         f"(the word's length), got {num_letters}")
+    search, letters, aligned = sampling_form(word, num_letters, heights)
     if seed is None:
         hs = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
     else:

@@ -47,12 +47,12 @@ decoded to the field elements that arithmetic would give (``exactnum.decode``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
 
+from ._record import record
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, format_exact,
@@ -62,14 +62,14 @@ from .ledger import ExoticStage, exotic_stages
 Number = Union[int, Fraction, QuadNum]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SurfacePoint:
     poly: int
     x: Number
     y: Number
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepResult:
     kind: str                       # "crossing" | "singular" | "boundary"
     point: Optional[SurfacePoint]   # transported point (crossing only)
@@ -604,7 +604,7 @@ def _flow_return(trans: Transversal, tau, n: int):
 
 # -- the return map as an interval exchange ------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExchangeInterval:
     lo: Number
     hi: Number
@@ -951,7 +951,7 @@ def backward_cut_points(trans: Transversal, depth: int,
     return cuts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionInterval:
     lo: Number
     hi: Number
@@ -962,7 +962,7 @@ class PartitionInterval:
         return self.hi - self.lo
 
 
-@dataclass
+@record
 class ReturnPartition:
     depth: int
     cuts: list
@@ -1065,7 +1065,7 @@ class _CutTable:
 
 # -- saddle connections --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SaddleConnection:
     kind: str              # "interior" leaf or "edge" (a horizontal edge)
     start_class: int
@@ -1100,7 +1100,7 @@ def _germ_connection(surface, corner, max_steps: int) -> Optional[SaddleConnecti
                             len(letters) + 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NonSaddleCut:
     tau: Number
     vertex_class: int
@@ -1133,7 +1133,7 @@ def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
 
 # -- inadmissible loops -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoopCertificate:
     """Closed curve whose crossing word is inadmissible, with exact measure.
 

@@ -18,11 +18,11 @@ convergent words with loops around the puncture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
+from ._record import factory, record
 from .cf import ContinuedFraction, Convergent, q_error
 from .errors import (CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch,
                      SingularHit)
@@ -39,7 +39,7 @@ def is_reduced(word: LetterWord) -> bool:
     return all(INVERSE[x] != y for x, y in zip(word, word[1:]))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BlockWord:
     """Blocks over {n, n+1}; orientation "ba" means each block is b^{n_i} a."""
 
@@ -233,7 +233,7 @@ def revert_flip(word: BlockWord) -> BlockWord:
                      word.orientation)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SegmentCertificate:
     """Short inadmissible word together with an exact measured representative.
 
@@ -306,13 +306,13 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
 
 # -- exotic concatenations ---------------------------------------------------------
 
-@dataclass
+@record
 class ExoticWord:
     """Lazily emitted concatenation w_{i_1} w_{i_2} ... with measure ledger."""
 
     theta: ContinuedFraction
-    stages: list[ExoticStage] = field(default_factory=list)
-    skipped_indices: list[int] = field(default_factory=list)
+    stages: list[ExoticStage] = factory(list)
+    skipped_indices: list[int] = factory(list)
 
     @property
     def kept_indices(self) -> list[int]:
@@ -415,7 +415,7 @@ def exotic_representative(word: ExoticWord) -> "flat.FlatPath":
 CUSP_LOOP = "BAba"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CuspStage:
     k: int
     word: BlockWord

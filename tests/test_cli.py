@@ -601,6 +601,22 @@ def test_sampling_that_cannot_fail_exits_2():
                               "error": "invalid-input"}, sort_keys=True) + "\n"
 
 
+def test_short_sample_is_refused_before_the_verdict(monkeypatch):
+    # the sample's length is checked before any admissibility level is decided
+    from laminath import oracle
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("is_admissible ran before the sample check")
+
+    monkeypatch.setattr(oracle, "is_admissible", unreachable)
+    code, out, err = run_cli(["admissible", "--theta", "cf:[1;2]p", "--word", "(2,2)@ba",
+                              "--sample-letters", "5"])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"detail": "sampling needs at least 6 letters per height "
+                                        "(the word's length), got 5",
+                              "error": "invalid-input"}, sort_keys=True) + "\n"
+
+
 def test_malformed_surface_coordinate_names_its_place(doc_dir):
     # an unparsable coordinate once read as invalid-input, naming neither the
     # polygon nor the vertex

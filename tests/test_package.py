@@ -145,6 +145,9 @@ def _child(code, *argv):
 
 
 _LOADED = "print(*sorted(m[9:] for m in sys.modules if m.startswith('laminath.')))"
+# stdlib modules that cost a CLI call milliseconds to import and that no
+# laminath module needs: dataclasses pulls in inspect, ast, dis and tokenize
+_HEAVY = "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
 
 
 def test_import_loads_no_submodule():
@@ -161,14 +164,25 @@ def test_import_loads_no_submodule():
 ])
 def test_subcommands_load_only_what_they_run(argv, unloaded):
     # each handler imports the modules it calls; the torus and surface
-    # subcommands do not compile each other's modules
+    # subcommands do not compile each other's modules, and none loads
+    # dataclasses or inspect
     code = ("import contextlib, io, sys\nfrom laminath import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main(sys.argv[1:])\n"
-            "print(status)\n" + _LOADED)
-    status, loaded = _child(code, *argv)
+            "print(status)\n" + _LOADED + "\n" + _HEAVY)
+    status, loaded, heavy = _child(code, *argv)
     assert status == "0"
     assert not set(loaded.split()) & unloaded, loaded
+    assert heavy == "", heavy
+
+
+def test_submodules_import_no_dataclasses_or_inspect():
+    # records come from laminath._record, not from the dataclasses module
+    code = "import sys\nimport laminath\nfrom laminath import *\n" + _LOADED + "\n" + _HEAVY
+    loaded, heavy = _child(code)
+    assert loaded.split() == ["_record", "cf", "errors", "exactnum", "flat", "ledger", "oracle",
+                              "tsurface", "words"]
+    assert heavy == "", heavy
 
 
 # the names the package exports, by the submodule that defines them

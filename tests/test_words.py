@@ -8,7 +8,7 @@ from laminath.cf import ContinuedFraction, q_error
 from laminath.errors import (CertificateViolation, InvalidSlope, NotBlockShaped,
                              ParityMismatch, PrecisionExhausted, SingularHit)
 from laminath.exactnum import exact_floor
-from laminath.ledger import min_full_window
+from laminath.ledger import ExoticStage, min_full_window
 
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
@@ -335,13 +335,15 @@ def test_integer_segment_checks_hold_under_python_O():
 def test_connector_check_catches_a_planted_lattice_start():
     # a stage whose representative starts on a grid line puts its connector's
     # end on the lattice, which the O(1) connector check refuses
-    from dataclasses import replace
     ew = words.exotic_word(SQRT2, (2, 4))
     st2 = ew.stages[1]
-    path = st2.certificate.path
-    moved = flat.FlatPath([flat.FlatPoint(Fraction(0), Fraction(0))] + path.vertices[1:],
-                          path.markers, validate=False)
-    ew.stages[1] = replace(st2, certificate=replace(st2.certificate, path=moved))
+    cert = st2.certificate
+    moved = flat.FlatPath([flat.FlatPoint(Fraction(0), Fraction(0))] + cert.path.vertices[1:],
+                          cert.path.markers, validate=False)
+    planted = words.SegmentCertificate(cert.k, cert.convergent, cert.word, moved, cert.measure,
+                                       cert.bound)
+    ew.stages[1] = ExoticStage(st2.level, planted, st2.connector, st2.partial_measure,
+                               st2.partial_bound)
     with pytest.raises(SingularHit, match="connector"):
         words.exotic_representative(ew)
 
