@@ -3,9 +3,13 @@
 A slope theta is always represented by its coefficient stream c0; c1, c2, ...
 and never by a floating-point value.  Finite streams are rational slopes;
 eventually periodic streams are quadratic irrationals and evaluate exactly in
-Q(sqrt(d)).  Arbitrary streams (a callable index -> coefficient) are allowed,
+Q(sqrt(d)).  Both are stored as a preperiod and a period, empty for a finite
+stream.  Arbitrary streams (a callable index -> coefficient) are allowed,
 in which case comparisons fall back to refining the convergent enclosure
 p_{2k}/q_{2k} < theta < p_{2k+1}/q_{2k+1}.
+
+``partial_quotients`` of (E + F sqrt(d))/C is the one partial-quotient
+stream: ``from_rational`` and the window kernel in ``flat`` read it.
 
 Text form: "cf:[1;2,2]" for a finite fraction, "cf:[1;2]p" or
 "cf:[1;2,3]periodic(2)" when a tail of the coefficient list repeats forever.
@@ -13,6 +17,7 @@ Text form: "cf:[1;2,2]" for a finite fraction, "cf:[1;2]p" or
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -54,7 +59,6 @@ class ContinuedFraction:
 
     def __init__(self, coefficients=None, *, preperiod=None, period=None,
                  source: Optional[Callable[[int], int]] = None):
-        self._finite: Optional[tuple[int, ...]] = None
         self._pre: Optional[tuple[int, ...]] = None
         self._per: Optional[tuple[int, ...]] = None
         self._source = None
@@ -71,7 +75,7 @@ class ContinuedFraction:
                 raise InvalidSlope("period coefficients must be >= 1")
             self._pre, self._per = pre, per
         elif coefficients is not None:
-            self._finite = _canonical_finite(coefficients)
+            self._pre, self._per = _canonical_finite(coefficients), ()
         else:
             raise InvalidSlope("no coefficient source given")
         self._value_cache: Optional[Exact] = None
@@ -87,12 +91,7 @@ class ContinuedFraction:
         r = Fraction(r)
         if r < 0:
             raise InvalidSlope("slopes are nonnegative")
-        p, q = r.numerator, r.denominator
-        cs = []
-        while q:
-            cs.append(p // q)
-            p, q = q, p % q
-        return cls(cs)
+        return cls(list(partial_quotients(r.numerator, 0, 0, r.denominator)))
 
     @classmethod
     def periodic(cls, preperiod, period) -> "ContinuedFraction":
@@ -132,35 +131,28 @@ class ContinuedFraction:
         return cls(preperiod=cs[:-plen], period=cs[-plen:])
 
     def to_text(self) -> str:
-        if self._finite is not None:
-            c0, *rest = self._finite
-            body = str(c0) + (";" + ",".join(map(str, rest)) if rest else "")
-            return f"cf:[{body}]"
         if self._source is not None:
             raise ValueError("an opaque coefficient source has no text form")
-        cs = list(self._pre) + list(self._per)
-        c0, *rest = cs
+        c0, *rest = self._pre + self._per
         body = str(c0) + (";" + ",".join(map(str, rest)) if rest else "")
-        suffix = "p" if len(self._per) == 1 else f"periodic({len(self._per)})"
+        n = len(self._per)
+        suffix = "" if not n else "p" if n == 1 else f"periodic({n})"
         return f"cf:[{body}]{suffix}"
 
     # -- coefficient access ---------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self._finite is not None
+        return self._per == ()
 
     def coefficient(self, i: int) -> int:
         if i < 0:
             raise IndexError(i)
-        if self._finite is not None:
-            if i >= len(self._finite):
-                raise PrecisionExhausted(
-                    f"coefficient source ends at index {len(self._finite) - 1}")
-            return self._finite[i]
         if self._per is not None:
             if i < len(self._pre):
                 return self._pre[i]
+            if not self._per:
+                raise PrecisionExhausted(f"coefficient source ends at index {len(self._pre) - 1}")
             return self._per[(i - len(self._pre)) % len(self._per)]
         try:
             c = self._source(i)
@@ -174,7 +166,7 @@ class ContinuedFraction:
 
     @property
     def length(self) -> Optional[int]:
-        return len(self._finite) if self._finite is not None else None
+        return len(self._pre) if self._per == () else None
 
     # -- exact value -----------------------------------------------------------
 
@@ -183,12 +175,9 @@ class ContinuedFraction:
         None for opaque sources."""
         if self._value_cache is not None:
             return self._value_cache
-        if self._finite is not None:
-            val: Exact = self.convergent(len(self._finite) - 1).value
-        elif self._per is not None:
-            val = self._periodic_value()
-        else:
+        if self._per is None:
             return None
+        val = self._periodic_value() if self._per else self.convergent(len(self._pre) - 1).value
         self._value_cache = val
         return val
 
@@ -293,6 +282,25 @@ def _recur(p: list, q: list, coeffs) -> None:
     for c in coeffs:
         p.append(c * p[-1] + p[-2])
         q.append(c * q[-1] + q[-2])
+
+
+def partial_quotients(E: int, F: int, d: int, C: int):
+    """Partial quotients of (E + F sqrt(d)) / C, C != 0: Euclid's algorithm
+    when F = 0, else the endless (P + sqrt(D)) / Q recurrence, D not a
+    square."""
+    if not F:
+        while C:
+            yield E // C
+            E, C = C, E % C
+        return
+    D = F * F * d * C * C
+    P, Q = (E * C, C * C) if F > 0 else (-E * C, -C * C)
+    root = math.isqrt(D)
+    while True:
+        a = (P + root + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 def q_error(theta_value: Exact, cv: Convergent) -> Exact:

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 from ._record import record
-from .cf import ContinuedFraction
+from .cf import ContinuedFraction, partial_quotients
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
@@ -179,24 +179,6 @@ def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     return E, F, S, G, d, C
 
 
-def _quotients(E: int, F: int, d: int, C: int):
-    """Partial quotients of (E + F sqrt(d)) / C: Euclid's algorithm when
-    F = 0, else the endless (P + sqrt(D)) / Q recurrence, D not a square."""
-    if not F:
-        while C:
-            yield E // C
-            E, C = C, E % C
-        return
-    D = F * F * d * C * C
-    P, Q = (E * C, C * C) if F > 0 else (-E * C, -C * C)
-    root = math.isqrt(D)
-    while True:
-        a = (P + root + (Q < 0)) // Q
-        yield a
-        P = a * Q - P
-        Q = (D - P * P) // Q
-
-
 def _period_word(quotients: list[int]) -> str:
     """Letters of the blocks floor((t+1) P/Q) - floor(t P/Q), t < Q, for
     P/Q = [c; a_1, ..., a_k] given by its partial quotients.
@@ -220,7 +202,7 @@ def _window_word(E, F, S, G, d, C, J: int, lift: bool,
     limit = max(J, 0) + 1 if q_max is None else q_max
     quotients, sign = [], 0
     p0, q0, p, q = 0, 1, 1, 0
-    for a in _quotients(E, F, d, C):
+    for a in partial_quotients(E, F, d, C):
         if a * q + q0 > limit:
             sign = 1 if len(quotients) % 2 else -1  # even index: below theta
             break
@@ -289,20 +271,26 @@ def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
     return None
 
 
-def _enclosure_blocks(theta: ContinuedFraction, s, J: int) -> list[int]:
-    """Blocks of an opaque slope by one enclosure comparison each.
+def _line(theta: ContinuedFraction, s, J: int) -> tuple[int, int, int, int, int, int]:
+    """The kernel's integers (E, F, S, G, d, C) of the line y = theta x + s,
+    or, when theta is an opaque source, of an exact stand-in line with the
+    same first J blocks and no lattice point; s = a/b is then rational.
 
-    With c0 < theta < c0 + 1 and n = floor(j theta + s), block j is c0 + 1
-    when (j+1) theta + s exceeds n + c0 + 1 and c0 otherwise; an opaque
-    slope compares as irrational, so the two never meet."""
-    c0 = theta.floor_part()
-    n = exact_floor(s)
-    blocks = []
-    for j in range(J):
-        block = c0 + (theta.compare(Fraction(n + c0 + 1 - s, j + 1)) > 0)
-        blocks.append(block)
-        n += block
-    return blocks
+    The stand-in has slope p/q, the least even convergent of theta whose next
+    denominator q' exceeds J b, and starts at s + 1/(2qb).  For 1 <= j <= J,
+    0 < j theta - j p/q < J/(q q') < 1/(qb), and g = j p/q + s lies on the
+    grid (1/(qb))Z, which holds the integers: j theta + s and the stand-in's
+    g + 1/(2qb) lie in the open cell (g, g + 1/(qb)), so both have integer
+    part floor(g), as s and s + 1/(2qb) do at j = 0."""
+    theta_val = theta.value()
+    if theta_val is not None:
+        return _integer_form(theta_val, s)
+    b = Fraction(s).denominator
+    k = 0
+    while theta.convergent(k + 1).q <= J * b:
+        k += 2
+    cv = theta.convergent(k)
+    return _integer_form(Fraction(cv.p, cv.q), s + Fraction(1, 2 * cv.q * b))
 
 
 def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
@@ -311,13 +299,11 @@ def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
     line meets at an abscissa 1 <= m <= num_blocks, or None.
 
     Slopes with an exact value use exact integer floors of j theta + s;
-    ``s`` is rational or lies in theta's quadratic field.  Opaque coefficient
-    sources use enclosure comparisons and a rational ``s``.
+    ``s`` is rational or lies in theta's quadratic field.  An opaque
+    coefficient source, irrational by contract, takes a rational ``s`` and
+    reads a convergent line with the same blocks (``_line``).
     """
-    theta_val = theta.value()
-    if theta_val is None:
-        return _enclosure_blocks(theta, s, num_blocks), None
-    E, F, S, G, d, C = _integer_form(theta_val, s)
+    E, F, S, G, d, C = _line(theta, s, num_blocks)
     return (floor_blocks(E, F, S, G, d, C, num_blocks),
             _first_hit(E, F, S, G, C, num_blocks))
 
@@ -327,17 +313,14 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
     lattice point (m, n) the line meets within them, or None."""
     # J blocks hold J + floor(J theta + s) - floor(s) > J (1 + theta) - 1
-    # letters, so J > num_letters / (1 + theta) blocks suffice
-    theta_val = theta.value()
-    if theta_val is None:
-        J = num_letters // (1 + theta.floor_part()) + 1  # an opaque slope exceeds c0
-        letters, hit = "".join(["b" * n + "a" for n in _enclosure_blocks(theta, s, J)]), None
-    else:
-        E, F, S, G, d, C = _integer_form(theta_val, s)
-        # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
-        A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
-        J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
-        letters, hit = _window_word(E, F, S, G, d, C, J, lift=True)[0], _first_hit(E, F, S, G, C, J)
+    # letters, so J > num_letters / (1 + theta) blocks suffice; an opaque
+    # slope's stand-in line has a slope of at least c0, so it needs no more
+    # than the num_letters // (1 + c0) + 1 blocks it is built for
+    E, F, S, G, d, C = _line(theta, s, num_letters // (1 + theta.floor_part()) + 1)
+    # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
+    A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
+    J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
+    letters, hit = _window_word(E, F, S, G, d, C, J, lift=True)[0], _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
         hit = None
@@ -355,8 +338,8 @@ def cutting_sequence(s, theta: ContinuedFraction, num_letters: int) -> str:
     'b' per horizontal grid line, 'a' per vertical grid line.
 
     Exact: a crossing that lands on a lattice point raises SingularHit with
-    the point.  Slopes with an exact value use field arithmetic; opaque
-    coefficient sources fall back to enclosure comparisons.
+    the point.  Slopes with an exact value use field arithmetic; an opaque
+    coefficient source reads an exact convergent line with the same letters.
     """
     theta_val = theta.value()
     if theta_val is not None and not theta_val > 0:

@@ -142,32 +142,35 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                     aligned, s, offset)
 
 
-def _occurrence(stream: str, search: str, letters: str, aligned: bool) -> Optional[int]:
-    """Offset of the factor in ``stream``, or None.  An aligned factor at the
-    stream head is at 0 (the stream starts on a block boundary); elsewhere
-    ``search`` carries the block marker, which the offset skips."""
-    if aligned and stream.startswith(letters):
-        return 0
-    pos = stream.find(search)
-    if pos < 0:
-        return None
-    return pos + (1 if aligned else 0)
+def _first_occurrence(search: str, letters: str, aligned: bool, theta: ContinuedFraction,
+                      starts) -> Optional[tuple[Fraction, int]]:
+    """(height, offset) of the factor in the first leaf word, read to n
+    letters for each (height, n) of ``starts`` in turn, that holds it, or
+    None.  An aligned factor at the stream head is at 0 (the stream starts
+    on a block boundary); elsewhere ``search`` carries the block marker,
+    which the offset skips."""
+    for s, n in starts:
+        stream = leaf_letter_stream(theta, s, n)
+        if aligned and stream.startswith(letters):
+            return s, 0
+        pos = stream.find(search)
+        if pos >= 0:
+            return s, pos + aligned
+    return None
 
 
 def _find_witness(search: str, letters: str, aligned: bool,
                   theta: ContinuedFraction):
     """Start height and offset of the factor in an actual leaf word; the
-    offset always points at the factor itself."""
+    offset always points at the factor itself.  Each denominator's heights
+    read twice the letters of the one before."""
     budget = max(4 * len(search) + 2000, 10000)
-    for denom in (7, 11, 101, 257):
-        for j in (1, 2, 3):
-            s = Fraction(j, denom)
-            offset = _occurrence(leaf_letter_stream(theta, s, budget), search, letters,
-                                 aligned)
-            if offset is not None:
-                return s, offset
-        budget *= 2
-    raise CertificateViolation("admissible word not found in sampled leaf words")
+    found = _first_occurrence(search, letters, aligned, theta,
+                              ((Fraction(j, denom), budget << i)
+                               for i, denom in enumerate((7, 11, 101, 257)) for j in (1, 2, 3)))
+    if found is None:
+        raise CertificateViolation("admissible word not found in sampled leaf words")
+    return found
 
 
 def factor_count(theta: ContinuedFraction, m: int, k_max: int = 24) -> int:
@@ -240,9 +243,5 @@ def sampling_cross_check(word, theta: ContinuedFraction,
             if c not in seen:
                 seen.add(c)
                 hs.append(Fraction(c, denom))
-    for s in hs:
-        offset = _occurrence(leaf_letter_stream(theta, s, num_letters), search, letters,
-                             aligned)
-        if offset is not None:
-            return SamplingReport(letters, tuple(hs), num_letters, (s, offset))
-    return SamplingReport(letters, tuple(hs), num_letters, None)
+    found = _first_occurrence(search, letters, aligned, theta, ((s, num_letters) for s in hs))
+    return SamplingReport(letters, tuple(hs), num_letters, found)

@@ -146,6 +146,10 @@ class TranslationSurface:
     def _validate(self):
         if not self.polygons:
             raise InvalidSurface("no polygons")
+        try:
+            surd(c for poly in self.polygons for xy in poly for c in xy)
+        except ValueError as exc:  # two quadratic fields among the coordinates
+            raise InvalidSurface(str(exc)) from None
         for pi, poly in enumerate(self.polygons):
             if len(poly) < 3:
                 raise InvalidSurface(f"polygon {pi} has fewer than 3 vertices")

@@ -26,7 +26,7 @@ from ._record import factory, record
 from .cf import ContinuedFraction, Convergent, q_error
 from .errors import (CertificateViolation, InvalidSlope, NotBlockShaped, ParityMismatch,
                      SingularHit)
-from .exactnum import Exact, decode, denominator, encode, exact_floor, pair_sign, surd
+from .exactnum import Exact, decode, exact_floor, pair_sign
 from .ledger import ExoticStage, exotic_stages
 from . import flat
 
@@ -285,9 +285,7 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     heights = _segment_heights(p, q, k, B)
     _check_segment_heights(q, *heights)
 
-    C = denominator(theta_val)
-    E, F = encode(theta_val, C)
-    d = surd((theta_val,)) or 2
+    E, F, _, _, d, C = flat._integer_form(theta_val, 0)
     u, v = p * C - q * E, -q * F  # r - theta, then its absolute value
     if pair_sign(u, v, d) < 0:
         u, v = -u, -v

@@ -94,9 +94,10 @@ def test_convergent_table_requests_each_index_once():
 
 
 def test_canonical_form():
-    assert ContinuedFraction([2, 1])._finite == (3,)
-    assert ContinuedFraction([1, 2, 1])._finite == (1, 3)
-    assert ContinuedFraction([1])._finite == (1,)
+    for coeffs, canonical in (([2, 1], (3,)), ([1, 2, 1], (1, 3)), ([1], (1,))):
+        theta = ContinuedFraction(coeffs)
+        assert theta.length == len(canonical)
+        assert tuple(map(theta.coefficient, range(theta.length))) == canonical
     with pytest.raises(InvalidSlope):
         ContinuedFraction([1, 0, 2])
 
@@ -135,7 +136,7 @@ def test_even_odd_enclosure():
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8))
 def test_determinant_identity(coeffs):
     theta = ContinuedFraction(coeffs)
-    cvs = theta.convergents(len(theta._finite) - 1)
+    cvs = theta.convergents(theta.length - 1)
     prev = None
     for c in cvs:
         if prev is not None:
@@ -157,7 +158,7 @@ def test_finite_convergents_verify(coeffs):
     # a rational theta = p_n/q_n meets the approximation bound with equality
     # at k = n - 1, which the verified table accepts
     theta = ContinuedFraction(coeffs)
-    n = len(theta._finite) - 1
+    n = theta.length - 1
     cvs = theta.convergents(n)
     if n >= 1:
         assert abs(q_error(theta.value(), cvs[n - 1])) == Fraction(1, cvs[n].q)

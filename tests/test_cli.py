@@ -427,6 +427,9 @@ _MALFORMED_DOCS = {
                                       [[1, 0], [1, 2]], [[1, 1], [1, 3]]]},
     "surface-coord-zero": {"polygons": [[["0", "0"], ["1", "0"], ["1", "1"], ["0", "1/0"]]],
                            "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
+    "surface-mixed-fields": {"polygons": [[["0", "0"], ["1", "-1+1*sqrt2"], ["1", "1*sqrt3"],
+                                           ["0", "1"]]],
+                             "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]},
 }
 _VALID_DOCS = {
     "path-ok": {"vertices": [["0", "1/3"], ["2", "7/3"]], "markers": ["start", "leaf"]},
@@ -588,6 +591,16 @@ def test_disconnected_surface_exits_2(doc_dir):
     code, out, err = run_cli(["ts", "validate", f"--surface={doc_dir / 'surface-two-tori.json'}"])
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "invalid-surface", "detail": "surface is not connected"}
+
+
+def test_mixed_field_surface_exits_2(doc_dir):
+    # a sqrt 2 and a sqrt 3 vertex in one polygon once failed in arithmetic
+    # during validation and came out as invalid-input
+    code, out, err = run_cli(["ts", "validate",
+                              f"--surface={doc_dir / 'surface-mixed-fields.json'}"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-surface",
+                               "detail": "mixed fields sqrt2 and sqrt3"}
 
 
 def test_sampling_that_cannot_fail_exits_2():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
-                             SingularHit)
+                             PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
@@ -162,6 +162,33 @@ def test_oracle_streams_are_floor_differences(theta, data):
     letters = "".join("b" * n + "a" for n in ref)
     n = data.draw(st.integers(min_value=0, max_value=len(letters)))
     assert oracle.leaf_letter_stream(theta, s, n) == letters[:n]
+    if not theta.is_finite:
+        # an opaque twin meets no lattice point at a rational height either
+        lazy = ContinuedFraction(source=theta.coefficient)
+        assert oracle.leaf_block_stream(lazy, s, num_blocks) == ref
+        assert oracle.leaf_letter_stream(lazy, s, n) == letters[:n]
+
+
+@pytest.mark.parametrize("s", [-1, 0, Fraction(5, 2), Fraction(-1, 58)])
+@pytest.mark.parametrize("n", [0, 1, 2, 11])
+def test_opaque_edge_cases_match_reference_walk(s, n):
+    # c0 = 0 and c1 = 1000 make theta's first blocks all 0, and an integer
+    # height starts theta's line on a horizontal grid line, just below the
+    # stand-in line's nudged start
+    lazy = ContinuedFraction(source=lambda i: (0, 1000)[i] if i < 2 else 2)
+    assert flat.sturmian_letters(lazy, s, n) == (_walk_letters(s, lazy, n), None)
+    assert flat.sturmian_blocks(lazy, s, n) == (list(_walk_blocks(s, lazy, n)), None)
+
+
+def test_ending_opaque_source_is_exhausted():
+    # an opaque source is irrational by contract; one that ends raises once
+    # the stand-in line needs a convergent past its end, here where the
+    # enclosure walk once answered "babba"
+    lazy = ContinuedFraction(source=lambda i: [1, 2, 2][i])
+    with pytest.raises(PrecisionExhausted):
+        flat.cutting_sequence(Fraction(1, 4), lazy, 5)
+    with pytest.raises(PrecisionExhausted):
+        flat.cutting_blocks(Fraction(1, 4), lazy, 2)
 
 
 def _blocks_python(E, F, S, G, d, C, J):
@@ -510,7 +537,7 @@ def test_homotopy_clearance_violation():
 
 
 def test_homotopy_clearance_opaque_source():
-    # an opaque slope goes through the block kernel's enclosure path
+    # an opaque slope reads the block kernel on a convergent stand-in line
     lazy = ContinuedFraction(source=SQRT2.coefficient)
     for s, k in ((Fraction(1, 4), 2), (Fraction(3, 4), 3), (Fraction(1, 3), 6)):
         assert flat.homotopy_clearance(s, lazy, k) == flat.homotopy_clearance(s, SQRT2, k)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
-from laminath.errors import DepthInsufficient, InvalidSlope
+from laminath.errors import CertificateViolation, DepthInsufficient, InvalidSlope
 from laminath.exactnum import exact_floor
 
 SQRT2 = ContinuedFraction.sqrt2()
@@ -214,12 +214,29 @@ def test_block_stream_matches_exact_floors():
 
 
 def test_opaque_source_streams_and_verdicts():
-    # sqrt2 as a bare coefficient callable: streams and verdicts go through
-    # enclosure comparisons and agree with the exact slope
+    # sqrt2 as a bare coefficient callable: streams read a convergent
+    # stand-in line, verdicts read convergents, and both agree with the exact
+    # slope
     lazy = ContinuedFraction(source=lambda i: 1 if i == 0 else 2)
     assert (oracle.leaf_letter_stream(lazy, Fraction(1, 4), 10)
             == oracle.leaf_letter_stream(SQRT2, Fraction(1, 4), 10))
     assert oracle.is_admissible("ab", lazy) == oracle.is_admissible("ab", SQRT2)
+
+
+def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
+    # a witness search that finds nothing reads three heights per
+    # denominator, each denominator's streams twice as long as the last
+    calls = []
+
+    def empty(theta, s, n):
+        calls.append((s, n))
+        return ""
+
+    monkeypatch.setattr(oracle, "leaf_letter_stream", empty)
+    with pytest.raises(CertificateViolation, match="not found in sampled leaf words"):
+        oracle.is_admissible("ab", SQRT2)
+    assert calls == [(Fraction(j, denom), 10000 << i)
+                     for i, denom in enumerate((7, 11, 101, 257)) for j in (1, 2, 3)]
 
 
 def test_sampling_cross_check():

@@ -387,3 +387,22 @@ def test_first_return_reads_the_exchange_kernel(monkeypatch):
            for trans, calls in built]
     assert got == want
     assert [t for t, _ in want[2]] == ["QuadNum"] * 3 + ["Fraction"] * 3
+
+
+def test_opaque_slopes_read_the_window_kernel(monkeypatch):
+    # an opaque slope reads an exact convergent line on the window kernel and
+    # makes no enclosure comparison per block
+    from fractions import Fraction
+
+    from laminath import flat
+    from laminath.cf import ContinuedFraction
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("enclosure comparison made")
+
+    theta = ContinuedFraction.sqrt2()
+    opaque = ContinuedFraction(source=theta.coefficient)
+    s, n = Fraction(1, 3), 10 ** 5
+    want = flat.sturmian_letters(theta, s, n)
+    monkeypatch.setattr(ContinuedFraction, "compare", refuse)
+    assert flat.sturmian_letters(opaque, s, n) == want

@@ -14,7 +14,7 @@ from laminath import tsurface as ts
 from laminath.cf import ContinuedFraction
 from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                              InvalidSurface, SingularHit)
-from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign
+from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign, parse_exact
 from laminath.ledger import tail_measure_signature
 
 GAMMA = QuadNum(-1, 1, 2)
@@ -74,6 +74,17 @@ def test_disconnected_rejected():
     doc["identify"] = [p for p in doc["identify"] if p[0][0] == p[1][0]]
     with pytest.raises(InvalidSurface):
         ts.load_surface(doc)
+
+
+def test_mixed_fields_rejected():
+    # both load_surface and direct construction name the two fields
+    poly = [["0", "0"], ["1", "-1+1*sqrt2"], ["1", "1*sqrt3"], ["0", "1"]]
+    doc = {"polygons": [poly], "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+    with pytest.raises(InvalidSurface, match="mixed fields sqrt2 and sqrt3"):
+        ts.load_surface(doc)
+    coords = [(parse_exact(x), parse_exact(y)) for x, y in poly]
+    with pytest.raises(InvalidSurface, match="mixed fields sqrt2 and sqrt3"):
+        ts.TranslationSurface([coords], doc["identify"])
 
 
 def test_unit_square_is_horizontal_cylinder():
