@@ -19,7 +19,7 @@ _EXPORTS = {
                "sampling_cross_check"),
     "tsurface": ("TranslationSurface", "Transversal", "build_inadmissible_loop",
                  "find_non_saddle_point", "first_return", "flow_step", "load_surface",
-                 "return_partition", "saddle_connections", "synthesize_exotic"),
+                 "return_partition", "synthesize_exotic"),
 }
 _SUBMODULES = ("cf", "errors", "exactnum", "flat", "ledger", "oracle", "tsurface", "words")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

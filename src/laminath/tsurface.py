@@ -22,26 +22,24 @@ transversal crossing as the exchange is built; the exchange keeps those pairs
 (the non-saddle search steps them back on its kernel, flowing no separatrix)
 and owns one cut table (their backward orbits by birth depth, each query's
 cuts sorted by one exact key) for every partition and loop.
-``saddle_connections`` and the cylinder check, which stops at the first open
-one, flow the forward ones.
+The cylinder check flows the forward ones, up to the first that stays open.
 A closed surface with rational coordinates is a cylinder decomposition, and a
 rational exchange has no non-saddle cut: both are decided with no flow.
 
-Exactness policy: all states and certificates are exact field elements, and
-no branch rests on floating point.  Every loop runs on one of two integer
-kernels whose states are pairs (u, v) standing for (u + v sqrt d)/D and
-whose every branch is an exact integer sign test: the flow kernel, which
-flows the separatrices, builds the exchange and names the vertex a singular
-orbit meets, and the exchange kernel behind first returns once the exchange
-is built, leaf streams, loop certificates, the cut table and the non-saddle
-search.  Each kernel's denominator and field follow from its surface or
-exchange and its start points alone.  Leaf streams copy whole tower words
-of an exact Rauzy–Veech induction of the exchange, whose induced exchange
-steps on the same kernel.  Only geometry validation and the per-point APIs
-(``flow_step``, ``Transversal.point``/``param``,
-``ReturnMapIET.step``/``orbit_word``) use Fraction/QuadNum arithmetic, and
-results leaving a kernel loop (a loop certificate's values on request) are
-decoded to the field elements that arithmetic would give (``exactnum.decode``).
+Exactness policy: every value is an exact field element and every branch an
+exact integer sign test.  A surface is encoded once, each vertex coordinate
+as a pair (u, v) standing for (u + v sqrt d)/D over their common D, and all
+set-up runs on such pairs (validation, corner germs, the first cuts and the
+exchange's probes), as do both kernels: the flow kernel, which flows the
+separatrices and probes and names the vertex a singular orbit meets, and the
+exchange kernel behind first returns once the exchange is built, leaf
+streams (tower words of an exact Rauzy–Veech induction), loop certificates,
+the cut table and the non-saddle search.  Only the per-point APIs
+(``flow_step``, ``Transversal.point``/``param``, ``ReturnMapIET.step``/
+``orbit_word``) use Fraction/QuadNum arithmetic; values leaving set-up or a
+kernel (the exchange's intervals and first cuts, a loop certificate's
+values on request) decode to the field elements that arithmetic would give
+(``exactnum.decode``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from typing import Optional, Union
 
 from ._record import record
@@ -79,35 +77,47 @@ class StepResult:
     advance: Optional[Number]       # horizontal distance travelled
 
 
-def _cross(ax, ay, bx, by):
-    return ax * by - ay * bx
+def _cross_pair(a, b, d: int) -> tuple:
+    """a x b for encoded vectors (xu, xv, yu, yv), as a pair over D^2."""
+    (xu, xv, yu, yv), (pu, pv, qu, qv) = a, b
+    return (xu * qu + d * xv * qv - yu * pu - d * yv * pv,
+            xu * qv + xv * qu - yu * pv - yv * pu)
 
 
-def _sign(x) -> int:
-    if isinstance(x, QuadNum):
-        return x.sign()
-    return (x > 0) - (x < 0)
+def _turn(p, q, r, d: int, dot: bool = False) -> int:
+    """Sign of (q - p) x (r - p) for encoded points; with ``dot``, of (q - p)
+    . (r - p), the cross product with r - p turned a quarter."""
+    xu, xv, yu, yv = [s - t for s, t in zip(r, p)]
+    return pair_sign(*_cross_pair([s - t for s, t in zip(q, p)],
+                                  (-yu, -yv, xu, xv) if dot else (xu, xv, yu, yv), d), d)
 
 
-def _dir_in_wedge(wx, wy, bx, by, dx, dy) -> bool:
-    """Is (dx,dy) strictly inside the CCW sector from (wx,wy) to (bx,by)?"""
-    swb = _sign(_cross(wx, wy, bx, by))
-    swd = _sign(_cross(wx, wy, dx, dy))
-    sdb = _sign(_cross(dx, dy, bx, by))
-    if swb > 0:
-        return swd > 0 and sdb > 0
-    if swb < 0:
-        return swd > 0 or sdb > 0
-    # straight corner: the sector is the half plane to the left of w
-    return swd > 0
+def _simple(vs, d: int) -> bool:
+    """Whether the polygon through the distinct consecutive vertices ``vs``
+    is simple: no two adjacent edges fold back (their far ends on one ray from
+    the shared vertex), and no two others meet, as closed segments.  Two
+    collinear ones need no test of their own: without fold-backs each lies in
+    a straight run of edges, and where two runs overlap an edge leaving one of
+    them touches the other, an edge not on its line."""
+    n = len(vs)
+    for i, j in combinations(range(n), 2):
+        a1, a2, b1, b2 = vs[i], vs[(i + 1) % n], vs[j], vs[(j + 1) % n]
+        if j - i in (1, n - 1):
+            V, P, Q = (a2, a1, b2) if j == i + 1 else (a1, a2, b1)
+            if _turn(V, P, Q, d) == 0 and _turn(V, P, Q, d, True) > 0:
+                return False
+            continue
+        o = [_turn(a1, a2, b1, d), _turn(a1, a2, b2, d), _turn(b1, b2, a1, d), _turn(b1, b2, a2, d)]
+        if any(o) and o[0] * o[1] <= 0 and o[2] * o[3] <= 0:
+            return False
+    return True
 
 
-def _segments_cross(a1, a2, b1, b2) -> bool:
-    d1 = _sign(_cross(a2[0] - a1[0], a2[1] - a1[1], b1[0] - a1[0], b1[1] - a1[1]))
-    d2 = _sign(_cross(a2[0] - a1[0], a2[1] - a1[1], b2[0] - a1[0], b2[1] - a1[1]))
-    d3 = _sign(_cross(b2[0] - b1[0], b2[1] - b1[1], a1[0] - b1[0], a1[1] - b1[1]))
-    d4 = _sign(_cross(b2[0] - b1[0], b2[1] - b1[1], a2[0] - b1[0], a2[1] - b1[1]))
-    return d1 * d2 < 0 and d3 * d4 < 0
+def _reciprocal(u: int, v: int, d: int) -> tuple:
+    """(cu, cv, N), N > 0, with 1/(u + v sqrt d) = (cu + cv sqrt d)/N: the
+    conjugate over the norm, or 1/u when v = 0."""
+    cu, cv, N = (1, 0, u) if not v else (u, -v, u * u - d * v * v)
+    return (cu, cv, N) if N > 0 else (-cu, -cv, -N)
 
 
 def _classes(items, links) -> list:
@@ -144,26 +154,29 @@ class TranslationSurface:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Encodes the vertices (``_verts``: pairs over ``_D``, in sqrt ``_d``) and checks them."""
         if not self.polygons:
             raise InvalidSurface("no polygons")
+        coords = [c for poly in self.polygons for xy in poly for c in xy]
         try:
-            surd(c for poly in self.polygons for xy in poly for c in xy)
+            self._d = surd(coords)
         except ValueError as exc:  # two quadratic fields among the coordinates
             raise InvalidSurface(str(exc)) from None
-        for pi, poly in enumerate(self.polygons):
-            if len(poly) < 3:
+        D, d = math.lcm(*map(denominator, coords)), self._d or 2
+        self._D, self._verts = D, [[encode(x, D) + encode(y, D) for x, y in poly]
+                                   for poly in self.polygons]
+        for pi, vs in enumerate(self._verts):
+            n = len(vs)
+            if n < 3:
                 raise InvalidSurface(f"polygon {pi} has fewer than 3 vertices")
-            area2 = Fraction(0)
-            n = len(poly)
-            for i in range(n):
-                x1, y1 = poly[i]
-                x2, y2 = poly[(i + 1) % n]
-                if x1 == x2 and y1 == y2:
-                    raise InvalidSurface(f"polygon {pi} repeats vertex {i}")
-                area2 = area2 + _cross(x1, y1, x2, y2)
-            if not area2 > 0:
+            repeat = next((i for i in range(n) if vs[i] == vs[(i + 1) % n]), None)
+            if repeat is not None:
+                raise InvalidSurface(f"polygon {pi} repeats vertex {repeat}")
+            area2 = [sum(c) for c in zip(*[_cross_pair(vs[i - 1], vs[i], d) for i in range(n)])]
+            if pair_sign(*area2, d) <= 0:
                 raise InvalidSurface(f"polygon {pi} must be counterclockwise")
-            self._check_simple(pi, poly)
+            if not _simple(vs, d):
+                raise InvalidSurface(f"polygon {pi} self-intersects")
         if len(self.pairs) > 26:
             raise InvalidSurface("at most 26 edge pairs supported")
         seen = set()
@@ -175,28 +188,17 @@ class TranslationSurface:
                 p, k = slot
                 if not (0 <= p < len(self.polygons)) or not (0 <= k < len(self.polygons[p])):
                     raise InvalidSurface(f"edge reference {slot} out of range")
-            va = self._edge_vector(sa)
-            vb = self._edge_vector(sb)
-            if va[0] != -vb[0] or va[1] != -vb[1]:
+            if self._edge_pairs(sa) != tuple(-c for c in self._edge_pairs(sb)):
                 raise InvalidSurface(
                     f"pair {idx}: edges must be parallel, equal length, and "
                     "oppositely oriented")
         if len(_classes(range(len(self.polygons)), ((sa[0], sb[0]) for sa, sb in self.pairs))) > 1:
             raise InvalidSurface("surface is not connected")
 
-    def _check_simple(self, pi, poly):
-        n = len(poly)
-        for i in range(n):
-            a1, a2 = poly[i], poly[(i + 1) % n]
-            for j in range(i + 1, n):
-                if (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_cross(a1, a2, poly[j], poly[(j + 1) % n]):
-                    raise InvalidSurface(f"polygon {pi} self-intersects")
-
-    def _edge_vector(self, slot):
-        (x1, y1), (x2, y2) = self._edge_endpoints(slot)
-        return (x2 - x1, y2 - y1)
+    def _edge_pairs(self, slot) -> tuple:
+        """The encoded edge vector (xu, xv, yu, yv) of ``slot``."""
+        vs = self._verts[slot[0]]
+        return tuple(b - a for a, b in zip(vs[slot[1]], vs[(slot[1] + 1) % len(vs)]))
 
     def _edge_endpoints(self, slot):
         poly = self.polygons[slot[0]]
@@ -214,8 +216,6 @@ class TranslationSurface:
             self.slot_info[sb] = (idx, False, (-cAB[0], -cAB[1]), sa)
         self.boundary_slots = [(p, k) for p, poly in enumerate(self.polygons)
                                for k in range(len(poly)) if (p, k) not in self.slot_info]
-        self._edge_table = [[(*poly[k], *poly[(k + 1) % len(poly)], k) for k in range(len(poly))]
-                            for poly in self.polygons]
         # a gluing identifies each end of one edge with the far end of the other
         n = [len(poly) for poly in self.polygons]
         self.vertex_classes = _classes(
@@ -259,21 +259,19 @@ class TranslationSurface:
 
     def corner_germs(self, direction: int):
         """Corners whose interior wedge strictly contains (direction, 0); from
-        these the horizontal separatrices emanate."""
-        germs = []
-        for p, poly in enumerate(self.polygons):
-            n = len(poly)
-            for k in range(n):
-                prev, here, nxt = poly[(k - 1) % n], poly[k], poly[(k + 1) % n]
-                wx, wy = nxt[0] - here[0], nxt[1] - here[1]
-                bx, by = prev[0] - here[0], prev[1] - here[1]
-                if _dir_in_wedge(wx, wy, bx, by, direction, 0):
+        these the horizontal separatrices emanate: left of the outgoing edge
+        w and right of the incoming one reversed, b (both at a convex corner,
+        either at a reflex one, left of w at a straight one)."""
+        d, germs = self._d or 2, []
+        for p, vs in enumerate(self._verts):
+            for k, here in enumerate(vs):
+                nxt, prev = vs[(k + 1) % len(vs)], vs[k - 1]
+                left = direction * pair_sign(here[2] - nxt[2], here[3] - nxt[3], d) > 0
+                right = direction * pair_sign(prev[2] - here[2], prev[3] - here[3], d) > 0
+                turn = _turn(here, nxt, prev, d)
+                if (left and right) if turn > 0 else (left or right) if turn < 0 else left:
                     germs.append((p, k))
         return germs
-
-    def horizontal_edges(self):
-        return [slot for slot in self.slot_info
-                if self._edge_vector(slot)[1] == 0]
 
     def horizontal_is_cylinder_decomposition(self, budget: int = 2048) -> bool:
         """True when every horizontal separatrix terminates at a vertex within
@@ -357,30 +355,31 @@ class _FlowKernel:
     """
 
     def __init__(self, surface: TranslationSurface):
-        self.surface = surface
-        coords = [c for poly in surface.polygons for xy in poly for c in xy]
-        self.d = surd(coords)
-        D = self.D = math.lcm(*map(denominator, coords))
-        d = self.d or 2
-        betas = {}
-        for p, poly in enumerate(surface.polygons):
-            for x1, y1, x2, y2, k in surface._edge_table[p]:
-                if y1 != y2:
-                    betas[p, k] = (x2 - x1) / (y2 - y1)
-        E = self.E = math.lcm(*map(denominator, betas.values()))
+        self.surface, self.d, self.D = surface, surface._d, surface._D
+        d, verts = self.d or 2, surface._verts
+        betas = {}   # beta = dx/dy of edge k of polygon p, as (u, v, N) in lowest terms
+        for p, vs in enumerate(verts):
+            for k, (xu, xv, yu, yv) in enumerate(vs):
+                Xu, Xv, Yu, Yv = vs[(k + 1) % len(vs)]
+                if (Yu, Yv) != (yu, yv):
+                    cu, cv, N = _reciprocal(Yu - yu, Yv - yv, d)
+                    bu, bv = (Xu - xu) * cu + d * (Xv - xv) * cv, (Xu - xu) * cv + (Xv - xv) * cu
+                    g = math.gcd(bu, bv, N)
+                    betas[p, k] = bu // g, bv // g, N // g
+        E = self.E = math.lcm(*[N for _, _, N in betas.values()])
         # per polygon: vertex ordinates, vertex abscissae, per edge its
         # (E*D*alpha, E*beta) and its exit (letter, target polygon, translation)
         self.tables = []
-        for p, poly in enumerate(surface.polygons):
-            ys = [encode(y, D) for _, y in poly]
-            xs = [(E * u, E * v) for u, v in (encode(x, D) for x, _ in poly)]
+        for p, vs in enumerate(verts):
+            ys = [(yu, yv) for _, _, yu, yv in vs]
+            xs = [(E * xu, E * xv) for xu, xv, _, _ in vs]
             edges, exits = [], []
-            for k in range(len(poly)):
+            for k in range(len(vs)):
                 beta = betas.get((p, k))
                 if beta is None:
                     edges.append(None)
                 else:
-                    bu, bv = encode(beta, E)
+                    bu, bv = beta[0] * (E // beta[2]), beta[1] * (E // beta[2])
                     yu, yv = ys[k]
                     edges.append((xs[k][0] - bu * yu - d * bv * yv,
                                   xs[k][1] - bu * yv - bv * yu, bu, bv))
@@ -388,10 +387,10 @@ class _FlowKernel:
                 if info is None:
                     exits.append(None)
                     continue
-                idx, first, (tx, ty), partner = info
-                (tu, tv), (su, sv) = encode(tx, D), encode(ty, D)
-                exits.append((surface.pair_letter(idx, first), partner[0],
-                              E * tu, E * tv, su, sv))
+                idx, first, _, (q, j) = info
+                # the gluing moves the slot's start to its partner's end
+                tu, tv, su, sv = (b - a for a, b in zip(vs[k], verts[q][(j + 1) % len(verts[q])]))
+                exits.append((surface.pair_letter(idx, first), q, E * tu, E * tv, su, sv))
             self.tables.append((ys, xs, edges, exits))
 
     def _scaled(self, m: int):
@@ -403,16 +402,16 @@ class _FlowKernel:
 
     def start(self, point: SurfacePoint) -> _FlowState:
         x, y = point.x, point.y
-        st = _FlowState()
-        st.d = surd((x, y), self.d) or 2
         den = math.lcm(self.D, denominator(x), denominator(y))
-        st.tables = self.tables if den == self.D else self._scaled(den // self.D)
-        st.den, st.xden = den, den * self.E
-        st.poly = point.poly
-        st.y = encode(y, den)
-        u, v = encode(x, den)
-        st.x = (self.E * u, self.E * v)
-        st.last = st.end = None
+        return self.begin(point.poly, encode(x, den), encode(y, den), den // self.D,
+                          surd((x, y), self.d))
+
+    def begin(self, poly: int, x, y, m: int, d: Optional[int]) -> _FlowState:
+        """The state at the point (x, y) of ``poly``, pairs over m*D in sqrt ``d``."""
+        st = _FlowState()
+        st.d, st.poly, st.y, st.x = d or 2, poly, y, (self.E * x[0], self.E * x[1])
+        st.tables, st.den = self.tables if m == 1 else self._scaled(m), m * self.D
+        st.xden, st.last, st.end = st.den * self.E, None, None
         return st
 
     def hit(self, st: _FlowState, y=None) -> SurfacePoint:
@@ -509,17 +508,25 @@ class Transversal:
         if not 0 <= pair_index < len(surface.pairs):
             raise InvalidSurface(f"no edge pair {pair_index} on this surface")
         sa, sb = surface.pairs[pair_index]
-        va = surface._edge_vector(sa)
-        if va[1] == 0:
+        d, wy = surface._d or 2, surface._edge_pairs(sa)[2:]
+        if wy == (0, 0):
             raise InvalidSurface("transversal edge must not be horizontal")
-        self.slot = sa if _sign(va[1]) < 0 else sb
+        self.slot = sa if pair_sign(*wy, d) < 0 else sb
         self.upstream_slot = sb if self.slot is sa else sa
         self.start, self.end = surface._edge_endpoints(self.slot)
-        self.vec = surface._edge_vector(self.slot)
+        self.vec = (self.end[0] - self.start[0], self.end[1] - self.start[1])
         up_info = surface.slot_info[self.upstream_slot]
         self.arrival_letter = surface.pair_letter(pair_index, up_info[1])
         self.letters = {surface.pair_letter(pair_index, True),
                         surface.pair_letter(pair_index, False)}
+        # encoded: the slot's start and vector, 1/vec_y as (cu, cv, N), and per crossing
+        # letter the ordinate of tau = 0 where it lands: the slot's start or upstream's end
+        (p, k), (q, j) = self.slot, self.upstream_slot
+        self._at, self._along = surface._verts[p][k], surface._edge_pairs(self.slot)
+        self._over = _reciprocal(*self._along[2:], d)
+        self._y0 = {self.arrival_letter: self._at[2:],
+                    surface.pair_letter(pair_index, not up_info[1]):
+                    surface._verts[q][(j + 1) % len(surface._verts[q])][2:]}
         self._iet: Optional[ReturnMapIET] = None
         self._non_saddle = None
 
@@ -537,6 +544,13 @@ class Transversal:
             if 0 <= tau <= 1 and self.start[0] + tau * self.vec[0] == x:
                 return tau
         raise ValueError("point does not lie on the transversal")
+
+    def _param(self, st: _FlowState, letter: str) -> tuple:
+        """The parameter, as a pair over m*N, of the state ``st`` over m*D that
+        has just crossed this edge pair through ``letter``: (y - y0)/vec_y."""
+        m, d, (cu, cv, _), (su, sv) = st.den // self.surface._D, st.d, self._over, self._y0[letter]
+        yu, yv = st.y[0] - m * su, st.y[1] - m * sv
+        return yu * cu + d * yv * cv, yu * cv + yv * cu
 
     @property
     def height(self):
@@ -578,21 +592,25 @@ def first_return(trans: Transversal, tau, n: int = 1):
             return kernel.value(state), word
         except SingularHit:   # on a cut: the flow replays the orbit to its vertex
             pass
-    return _flow_return(trans, tau, n)
+    S, d = denominator(tau), surd((tau,), trans.surface._d)
+    t, word = _flow_return(trans, encode(tau, S), S, n, d)
+    return decode(t, S * trans._over[2], d), word
 
 
-def _flow_return(trans: Transversal, tau, n: int):
-    """``first_return`` by the flow kernel, polygon by polygon."""
-    flow = trans.surface._flow
-    st = flow.start(trans.point(tau))
-    budget = 100000 * n
-    letters = []
-    returns = 0
+def _flow_return(trans: Transversal, t, S: int, n: int, d: Optional[int]):
+    """``first_return`` by the flow kernel, polygon by polygon, from the
+    parameter (u + v sqrt d)/S of the pair t = (u, v): the n-th return
+    parameter as a pair over S*N (``Transversal._over``) and the word."""
+    flow, (tu, tv), e = trans.surface._flow, t, d or 2
+    (xu, xv, yu, yv), (au, av, bu, bv) = trans._at, trans._along
+    st = flow.begin(trans.slot[0], (S * xu + tu * au + e * tv * av, S * xv + tu * av + tv * au),
+                    (S * yu + tu * bu + e * tv * bv, S * yv + tu * bv + tv * bu), S, d)
+    budget, letters, returns = 100000 * n, [], 0
     for steps, letter in enumerate(flow.trace(st), 1):
         if letter in trans.letters:
             returns += 1
             if returns == n:
-                return trans.param(st.point()), "".join(letters)
+                return trans._param(st, letter), "".join(letters)
         letters.append(letter)
         if steps > budget:
             raise BudgetExhausted(
@@ -819,17 +837,22 @@ class ReturnMapIET:
     def __init__(self, trans: Transversal):
         self.trans = trans
         self.first_cuts = backward_cut_points(trans, depth=1)
-        pts = [Fraction(0)] + sorted({t for _, t in self.first_cuts}) + [Fraction(1)]
+        N, d = trans._over[2], trans.surface._d
+        pts = {encode(t, N) for _, t in self.first_cuts}
+        pts = [(0, 0)] + sorted(pts, key=_exact_key(pts, d or 2)) + [(N, 0)]
         intervals = []
-        for lo, hi in zip(pts, pts[1:]):
-            mid = (lo + hi) / 2
-            t1, w1 = _flow_return(trans, mid, 1)
-            probe = lo + (hi - lo) * Fraction(1, 3)
-            t2, w2 = _flow_return(trans, probe, 1)
-            if w1 != w2 or t1 - mid != t2 - probe:
+        for (lu, lv), (hu, hv) in zip(pts, pts[1:]):
+            # the midpoint and the point a third of the way up, over 6N: one
+            # shift, over 6N^2, and one word for both
+            probes = [(3 * (lu + hu), 3 * (lv + hv)), (2 * (2 * lu + hu), 2 * (2 * lv + hv))]
+            found = {(ru - N * pu, rv - N * pv, word) for (pu, pv), ((ru, rv), word) in zip(
+                probes, [_flow_return(trans, t, 6 * N, 1, d) for t in probes])}
+            if len(found) > 1:
                 raise CertificateViolation("return word not constant on an interval; "
                                            "cut enumeration incomplete")
-            intervals.append(ExchangeInterval(lo, hi, t1 - mid, w1))
+            (su, sv, word), = found
+            intervals.append(ExchangeInterval(decode((lu, lv), N, d), decode((hu, hv), N, d),
+                                              decode((su, sv), 6 * N * N, d), word))
         self.intervals = intervals
         self.kernel   # built now: its tables check that the images tile the edge
 
@@ -947,12 +970,13 @@ def backward_cut_points(trans: Transversal, depth: int,
                 break
             if letter in trans.letters:
                 crossings += 1
-                cuts.append((corner, trans.param(st.point())))
+                cuts.append((corner, trans._param(st, letter)))
         any_alive = any_alive or st.end is None
     if not any_alive:
         raise CylinderDecomposition(
             "every backward separatrix is a saddle connection")
-    return cuts
+    N, d = trans._over[2], surface._d
+    return [(corner, decode(t, N, d)) for corner, t in cuts]
 
 
 @record(frozen=True)
@@ -1076,19 +1100,6 @@ class SaddleConnection:
     end_class: int
     word: str
     steps: int
-
-
-def saddle_connections(surface: TranslationSurface, max_steps: int = 4096):
-    """Horizontal separatrices terminating at a vertex within the budget,
-    with crossing words; horizontal inner edges are edge connections."""
-    out = [SaddleConnection("edge", surface.corner_class[p, k],
-                            surface.corner_class[p, (k + 1) % len(surface.polygons[p])], "", 0)
-           for p, k in surface.horizontal_edges()]
-    for corner in surface.corner_germs(+1):
-        conn = _germ_connection(surface, corner, max_steps)
-        if conn is not None:
-            out.append(conn)
-    return out
 
 
 def _germ_connection(surface, corner, max_steps: int) -> Optional[SaddleConnection]:
@@ -1385,15 +1396,3 @@ def preset_surface(name: str) -> TranslationSurface:
         raise InvalidSurface(f"unknown surface preset {name!r}") from None
     return load_surface(doc)
 
-
-def sample_leaf_words(surface, trans, num_letters: int, heights: int):
-    """Leaf-word prefixes from the start parameters j/(heights + 1) on the
-    transversal; start points landing exactly on a partition cut are skipped."""
-    if isinstance(trans, int):
-        trans = Transversal(surface, trans)
-    iet = trans.return_map()
-    for tau in (Fraction(j, heights + 1) for j in range(1, heights + 1)):
-        try:
-            yield tau, iet.letter_stream(tau, num_letters)
-        except SingularHit:
-            continue

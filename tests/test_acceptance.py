@@ -16,6 +16,8 @@ from laminath import cli, flat, ledger, oracle, tsurface as ts, words
 from laminath.cf import ContinuedFraction, q_error
 from laminath.exactnum import QuadNum, exact_floor
 
+from reference import sample_leaf_words
+
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
 THETAS = {"sqrt2": SQRT2, "golden": GOLDEN}
@@ -279,7 +281,7 @@ def test_criterion_10_general_inadmissible_loops():
             # single constant per (surface, edge): 3 |e_y|
             ok &= cert.measure_constant == 3 * tr.height
             ok &= cert.measure < cert.measure_constant * Fraction(1, 2 ** k)
-        for _tau, stream in ts.sample_leaf_words(S, tr, 100_000, 100):
+        for _tau, stream in sample_leaf_words(S, tr, 100_000, 100):
             for cert in certs:
                 ok &= cert.word not in stream
                 ok &= cert.factor not in stream

@@ -593,6 +593,21 @@ def test_disconnected_surface_exits_2(doc_dir):
     assert json.loads(err) == {"error": "invalid-surface", "detail": "surface is not connected"}
 
 
+@pytest.mark.parametrize("polygon", [
+    [["0", "0"], ["4", "0"], ["4", "4"], ["2", "0"], ["0", "4"]],
+    [["0", "0"], ["3", "0"], ["3", "1"], ["2", "0"], ["1", "0"], ["0", "1"]],
+    [["0", "0"], ["2", "0"], ["1", "0"], ["1", "1"], ["0", "1"]],
+], ids=["touching", "overlap", "fold-back"])
+def test_non_simple_polygon_exits_2(polygon, tmp_path):
+    # a vertex on an edge, overlapping edges and an edge folded back onto
+    # the one before it once passed validation and exited 0
+    f = tmp_path / "surface.json"
+    f.write_text(json.dumps({"polygons": [polygon], "identify": []}))
+    code, out, err = run_cli(["ts", "validate", f"--surface={f}"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "invalid-surface", "detail": "polygon 0 self-intersects"}
+
+
 def test_mixed_field_surface_exits_2(doc_dir):
     # a sqrt 2 and a sqrt 3 vertex in one polygon once failed in arithmetic
     # during validation and came out as invalid-input

@@ -106,6 +106,24 @@ def test_one_backward_flow_pass_per_transversal(monkeypatch):
         assert calls.count(False) == 2 * len(tr.return_map().intervals), edge
 
 
+def test_surface_setup_multiplies_no_field_elements(monkeypatch):
+    # validation, corner germs, the first cuts and the exchange's probes run
+    # on the surface's integer pairs; only decoding the exchange's values
+    # builds field elements, and decoding multiplies and divides none
+    from laminath import tsurface as ts
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counting(self, other, _method=getattr(QuadNum, name), _name=name):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(QuadNum, name, counting)
+    S = ts.load_surface(ts.slit_tori_doc())
+    ts.Transversal(S, 5).return_map()
+    assert calls == []
+    assert QuadNum(1, 1, 2) * 3 / QuadNum(0, 1, 2) == 3 + QuadNum(0, 3, 2) / 2
+    assert calls == ["__mul__", "__truediv__", "__truediv__"]
+
+
 def test_cylinder_check_stops_at_first_open_germ(monkeypatch):
     # the cylinder flag is decided by the first forward separatrix that
     # stays open instead of flowing every germ to the full budget
@@ -195,13 +213,12 @@ _EXPORTS = {
             "prescribed_growth_path three_distance_points transverse_measure",
     "oracle": "factor_count is_admissible rational_factors sampling_cross_check",
     "tsurface": "TranslationSurface Transversal build_inadmissible_loop find_non_saddle_point "
-                "first_return flow_step load_surface return_partition saddle_connections "
-                "synthesize_exotic",
+                "first_return flow_step load_surface return_partition synthesize_exotic",
 }
 
 
 def test_star_import_binds_every_export():
-    # lazy exports bind the same 34 names and 8 submodules as eager imports;
+    # lazy exports bind the same 33 names and 8 submodules as eager imports;
     # an unknown name is still an AttributeError
     code = """
 import json, sys, laminath
@@ -221,7 +238,7 @@ except AttributeError as exc:
     expected = {name: module for module, names in _EXPORTS.items() for name in names.split()}
     expected.update((module, module) for module in ("cf", "errors", "exactnum", "flat",
                                                     "ledger", "oracle", "tsurface", "words"))
-    assert len(expected) == 42
+    assert len(expected) == 41
     assert _child(code, json.dumps(expected)) == [
         "module 'laminath' has no attribute 'nosuch'"]
 

