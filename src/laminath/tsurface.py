@@ -842,11 +842,11 @@ class ReturnMapIET:
         pts = [(0, 0)] + sorted(pts, key=_exact_key(pts, d or 2)) + [(N, 0)]
         intervals = []
         for (lu, lv), (hu, hv) in zip(pts, pts[1:]):
-            # the midpoint and the point a third of the way up, over 6N: one
-            # shift, over 6N^2, and one word for both
+            # probes at the middle and a third of the way up, over 6N: one shift, one word
             probes = [(3 * (lu + hu), 3 * (lv + hv)), (2 * (2 * lu + hu), 2 * (2 * lv + hv))]
-            found = {(ru - N * pu, rv - N * pv, word) for (pu, pv), ((ru, rv), word) in zip(
-                probes, [_flow_return(trans, t, 6 * N, 1, d) for t in probes])}
+            returns = [_flow_return(trans, t, 6 * N, 1, d) for t in probes]
+            found = {(ru - N * pu, rv - N * pv, w)
+                     for (pu, pv), ((ru, rv), w) in zip(probes, returns)}
             if len(found) > 1:
                 raise CertificateViolation("return word not constant on an interval; "
                                            "cut enumeration incomplete")
