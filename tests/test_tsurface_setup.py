@@ -150,9 +150,9 @@ def test_exchange_matches_quadnum_construction(gamma, slit, data):
                     frac_part(QuadNum(Fraction(1, 3), Fraction(data.draw(st.integers(1, 9)),
                                                                   11), gamma.d))):
             n = data.draw(st.integers(1, 3))
-            got = ts.first_return(fresh, tau, n)
-            assert (_pin(got[0]), got[1]) == (lambda t, w: (_pin(t), w))(
-                *_reference_return(fresh, tau, n))
+            (got, word), (want, want_word) = (ts.first_return(fresh, tau, n),
+                                              _reference_return(fresh, tau, n))
+            assert (_pin(got), word) == (_pin(want), want_word)
         assert fresh._iet is None
 
 
