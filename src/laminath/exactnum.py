@@ -1,9 +1,10 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(d)).
 
-A ``QuadNum`` is a + b*sqrt(d) with rational a, b and a fixed square-free
-integer d >= 2.  Every predicate (sign, comparison, floor) is decided by
-integer arithmetic; nothing here ever rounds.  Plain ``Fraction`` and ``int``
-values interoperate freely and are treated as elements with b = 0.
+A ``QuadNum`` is the integer triple (u, v, D), D > 0 and gcd(u, v, D) = 1,
+standing for (u + v*sqrt(d))/D = a + b*sqrt(d) over a square-free d >= 2.
+Arithmetic costs one gcd per result and every predicate (sign, comparison,
+floor) is integer arithmetic; nothing here ever rounds.  ``int`` and
+``Fraction`` values interoperate freely as elements with b = 0.
 
 One type rule: arithmetic (``+ - * / **``, unary minus, ``abs``) returns a
 ``QuadNum`` exactly when the result's b is nonzero, and a ``Fraction``
@@ -11,10 +12,10 @@ otherwise (``x ** 0`` is ``Fraction(1)``).  The constructor is the one way to
 get a ``QuadNum`` with b = 0; it compares, hashes and prints as its
 ``Fraction``.
 
-Integer kernels encode an element x as the integer pair (u, v) with
-x = (u + v sqrt d)/D, over any D that ``denominator(x)`` divides: ``encode``
-gives the pair, ``decode`` the element by the same type rule, and ``surd``
-the one field of a set of values.
+Integer kernels encode x as the pair (u, v) with x = (u + v sqrt d)/D over
+any D that ``denominator(x)`` (a QuadNum's own D) divides: ``encode`` gives
+the pair, ``decode`` the element by the same type rule, and ``surd`` the one
+field of a set of values.
 
 Serialization uses strings like "7/5", "2-1*sqrt2", "-1/2+3/4*sqrt5"; decimal
 forms are never produced.
@@ -74,192 +75,177 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return d * n, f
 
 
-def _element(a: Fraction, b, d: int) -> Exact:
-    """a + b sqrt(d) by the type rule: a QuadNum when b (after folding any
-    square factor of d) is nonzero, else the Fraction a."""
-    if b:
-        x = QuadNum(a, b, d)
-        if x.b:
-            return x
-        a = x.a
-    return a
+def _fold(u: int, v: int, d: int) -> tuple[int, int, int]:
+    """u + v sqrt d over a square-free d; a rational sqrt d folds into u."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if d not in _SQUAREFREE_CACHE:
+        _SQUAREFREE_CACHE[d] = squarefree_decompose(d)
+    d0, f = _SQUAREFREE_CACHE[d]
+    return (u + v * f, 0, 2) if d0 == 1 else (u, v * f, d0)
+
+
+def _make(u: int, v: int, D: int, d: int) -> Exact:
+    """(u + v sqrt d)/D, D != 0, by the type rule."""
+    if not v:
+        return Fraction(u, D)
+    g = math.gcd(u, v, D) if D > 0 else -math.gcd(u, v, D)
+    x = _new(QuadNum)
+    _store(x, (u // g, v // g, D // g, d))
+    return x
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational x."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, x.denominator
 
 
 class QuadNum:
     """Immutable element a + b*sqrt(d) of Q(sqrt(d))."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_t",)   # the reduced (u, v, D, d)
 
     def __init__(self, a, b=0, d=2):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
-        if b:
-            if d < 2:
-                raise ValueError("d must be >= 2")
-            if d not in _SQUAREFREE_CACHE:
-                _SQUAREFREE_CACHE[d] = squarefree_decompose(d)
-            d0, f = _SQUAREFREE_CACHE[d]
-            if d0 == 1:
-                # sqrt(d) rational: fold into the rational part
-                a += b * f
-                b = Fraction(0)
-                d = 2
-            elif f == 1:
-                d = d0
-            else:
-                b *= f
-                d = d0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        (n, m), (r, s) = _ratio(a), _ratio(b)
+        D = math.lcm(m, s)
+        u, v = n * (D // m), r * (D // s)
+        if v:
+            u, v, d = _fold(u, v, d)
+        g = math.gcd(u, v, D)
+        _store(self, (u // g, v // g, D // g, d))
 
     def __setattr__(self, *args):
         raise AttributeError("QuadNum is immutable")
 
-    # -- coercion -----------------------------------------------------------
+    a = property(lambda self: Fraction(self._t[0], self._t[2]))
+    b = property(lambda self: Fraction(self._t[1], self._t[2]))
+    d = property(lambda self: self._t[3])
 
     def _align(self, other):
-        """Both operands as (a, b) pairs over a common square-free d."""
+        """(u, v, D, p, q, E, d): both triples over their common field."""
+        u, v, D, d = self._t
         if isinstance(other, QuadNum):
-            if self.b != 0 and other.b != 0 and self.d != other.d:
-                raise ValueError(f"mixed fields sqrt{self.d} and sqrt{other.d}")
-            d = self.d if self.b != 0 else other.d
-            return self.a, self.b, other.a, other.b, d
+            p, q, E, e = other._t
+            if q and e != d:
+                if v:
+                    raise ValueError(f"mixed fields sqrt{d} and sqrt{e}")
+                d = e
+            return u, v, D, p, q, E, d
         if isinstance(other, (int, Fraction)):
-            return self.a, self.b, Fraction(other), Fraction(0), self.d
-        return None
+            return u, v, D, other.numerator, 0, other.denominator, d
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        al = self._align(other)
-        if al is None:
+        if (al := self._align(other)) is None:
             return NotImplemented
-        ax, bx, ay, by, d = al
-        return _element(ax + ay, bx + by, d)
+        u, v, D, p, q, E, d = al
+        return _make(u * E + p * D, v * E + q * D, D * E, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(-self.a, -self.b, self.d)
+        u, v, D, d = self._t
+        return _make(-u, -v, D, d)
 
     def __sub__(self, other):
-        al = self._align(other)
-        if al is None:
+        if (al := self._align(other)) is None:
             return NotImplemented
-        ax, bx, ay, by, d = al
-        return _element(ax - ay, bx - by, d)
+        u, v, D, p, q, E, d = al
+        return _make(u * E - p * D, v * E - q * D, D * E, d)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if (al := self._align(other)) is None:
+            return NotImplemented
+        u, v, D, p, q, E, d = al
+        return _make(p * D - u * E, q * D - v * E, D * E, d)
 
     def __mul__(self, other):
-        al = self._align(other)
-        if al is None:
+        if (al := self._align(other)) is None:
             return NotImplemented
-        ax, bx, ay, by, d = al
-        return _element(ax * ay + bx * by * d, ax * by + bx * ay, d)
+        u, v, D, p, q, E, d = al
+        return _make(u * p + v * q * d, u * q + v * p, D * E, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        al = self._align(other)
-        if al is None:
+        if (al := self._align(other)) is None:
             return NotImplemented
-        ax, bx, ay, by, d = al
-        norm = ay * ay - by * by * d
+        u, v, D, p, q, E, d = al
+        norm = p * p - q * q * d
         if norm == 0:
             raise ZeroDivisionError("division by zero element")
         # multiply by the conjugate of the divisor over its norm
-        ia, ib = ay / norm, -by / norm
-        return _element(ax * ia + bx * ib * d, ax * ib + bx * ia, d)
+        return _make(E * (u * p - v * q * d), E * (v * p - u * q), D * norm, d)
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return QuadNum(other, 0, self.d) / self
+        return QuadNum(other, 0, self._t[3]) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        u, v, D, d = self._t
+        pu, pv = 1, 0
+        for _ in range(n):
+            pu, pv = pu * u + pv * v * d, pu * v + pv * u
+        return _make(pu, pv, D ** n, d)
 
     def __abs__(self):
-        if not self.b:
-            return abs(self.a)
-        return -self if self.sign() < 0 else self
+        return -self if self.sign() < 0 else self if self._t[1] else self.a
 
     # -- exact predicates ----------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        return pair_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
+        u, v, _, d = self._t
+        return pair_sign(u, v, d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self._t[0] or self._t[1])
 
-    def __bool__(self):
-        return not self.is_zero()
+    __bool__ = lambda self: not self.is_zero()
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, QuadNum):
-            return diff.sign()
-        return (diff > 0) - (diff < 0)
+        u, v, D, p, q, E, d = self._align(other)
+        return pair_sign(u * E - p * D, v * E - q * D, d)
 
     def __eq__(self, other):
         if isinstance(other, (QuadNum, int, Fraction)):
             return self._cmp(other) == 0
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+    __lt__ = lambda self, other: self._cmp(other) < 0
+    __le__ = lambda self, other: self._cmp(other) <= 0
+    __gt__ = lambda self, other: self._cmp(other) > 0
+    __ge__ = lambda self, other: self._cmp(other) >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # equal elements share their reduced triple
+        return hash(self._t) if self._t[1] else hash(self.a)
 
     def floor(self) -> int:
         """Exact floor, decided with integer square roots only."""
-        a, b = self.a, self.b
-        return pair_floor(a.numerator * b.denominator, b.numerator * a.denominator,
-                          self.d, a.denominator * b.denominator)
+        u, v, D, d = self._t
+        return pair_floor(u, v, d, D)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        u, v, D, d = self._t
+        return u / D + v / D * math.sqrt(d)
 
     def __repr__(self):
         return f"QuadNum({format_exact(self)!r})"
 
 
+_new, _store = object.__new__, QuadNum._t.__set__   # past the immutability guard
+
+
 def exact_floor(x: Exact) -> int:
     if isinstance(x, QuadNum):
         return x.floor()
-    x = Fraction(x)
-    return x.numerator // x.denominator
+    n, m = _ratio(x)
+    return n // m
 
 
 def frac_part(x: Exact) -> Exact:
@@ -276,16 +262,15 @@ def parts(x: Exact) -> tuple[Fraction, Fraction]:
 
 
 def denominator(x: Exact) -> int:
-    """The least D over which x encodes: lcm of the denominators of a and b."""
-    a, b = parts(x)
-    return math.lcm(a.denominator, b.denominator)
+    """The least D over which x encodes (a QuadNum's own D)."""
+    return x._t[2] if isinstance(x, QuadNum) else _ratio(x)[1]
 
 
 def surd(values, d: Optional[int] = None) -> Optional[int]:
     """The d of the quadratic field of the values (and of sqrt ``d``), or None
     when all are rational; mixing two fields is a ValueError, as in
     arithmetic."""
-    ds = {d, *(v.d for v in values if isinstance(v, QuadNum) and v.b != 0)} - {None}
+    ds = {d, *(v._t[3] for v in values if isinstance(v, QuadNum) and v._t[1])} - {None}
     if len(ds) > 1:
         raise ValueError("mixed fields " + " and ".join(f"sqrt{e}" for e in sorted(ds)))
     return ds.pop() if ds else None
@@ -293,37 +278,43 @@ def surd(values, d: Optional[int] = None) -> Optional[int]:
 
 def encode(x: Exact, den: int) -> tuple[int, int]:
     """The integer pair (u, v) with x = (u + v sqrt d)/den."""
-    a, b = parts(x)
-    if den % a.denominator or den % b.denominator:
+    if isinstance(x, QuadNum):
+        u, v, D, _ = x._t
+    else:
+        (u, D), v = _ratio(x), 0
+    if den % D:
         raise ValueError("denominator does not divide the table denominator")
-    return (a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator))
+    return u * (den // D), v * (den // D)
 
 
 def decode(pair, den: int, d: int) -> Exact:
     """The element (u + v sqrt d)/den of an integer pair, by the type rule."""
     u, v = pair
-    return _element(Fraction(u, den), Fraction(v, den), d) if v else Fraction(u, den)
+    if not v:
+        return Fraction(u, den)
+    u, v, d = _fold(u, v, d)
+    return _make(u, v, den, d)
 
 
 # -- serialization ----------------------------------------------------------
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _fmt_ratio(n: int, m: int) -> str:
+    """n/m, m > 0, in lowest terms: "n" or "n/m"."""
+    g = math.gcd(n, m)
+    return str(n // g) if m == g else f"{n // g}/{m // g}"
 
 
 def format_exact(x: Exact) -> str:
     """Render exactly: "7/5", "2-1*sqrt2", "-1/2+3/4*sqrt5".  Never decimal."""
-    if isinstance(x, QuadNum):
-        if x.b == 0:
-            return _fmt_fraction(x.a)
-        b_abs = _fmt_fraction(abs(x.b))
-        tail = f"{b_abs}*sqrt{x.d}"
-        if x.a == 0:
-            return tail if x.b > 0 else f"-{tail}"
-        sign = "+" if x.b > 0 else "-"
-        return f"{_fmt_fraction(x.a)}{sign}{tail}"
-    return _fmt_fraction(Fraction(x))
+    if not isinstance(x, QuadNum):
+        return _fmt_ratio(*_ratio(x))
+    u, v, D, d = x._t
+    if not v:
+        return _fmt_ratio(u, D)
+    tail = f"{_fmt_ratio(abs(v), D)}*sqrt{d}"
+    if not u:
+        return tail if v > 0 else f"-{tail}"
+    return f"{_fmt_ratio(u, D)}{'+' if v > 0 else '-'}{tail}"
 
 
 _QUAD_RE = re.compile(

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from laminath.exactnum import (QuadNum, decode, denominator, encode, exact_floor,
                                format_exact, frac_part, parse_exact, parts,
                                squarefree_decompose)
+
+import reference as ref
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 ds = st.sampled_from([2, 3, 5, 7, 13])
@@ -158,3 +161,92 @@ def test_vanished_surd_gives_a_fraction():
     # sqrt 4 folds into the rational part
     got = decode((1, 1), 1, 4)
     assert got == 3 and type(got) is Fraction
+
+
+# -- the integer triples against the Fraction-pair reference -------------------
+
+_FIELDS = [2, 3, 5, 37, 4, 8, 12]   # square-free, and three that fold
+_ratios = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+
+
+def _both(a, b, d):
+    return QuadNum(a, b, d), ref.QuadNum(a, b, d)
+
+
+# (exactnum value, reference value): a QuadNum (b = 0 too), a Fraction or an int
+_operands = st.one_of(
+    st.builds(_both, _ratios, st.one_of(_ratios, st.just(0)), st.sampled_from(_FIELDS)),
+    _ratios.map(lambda q: (q, q)), st.integers(-3, 3).map(lambda n: (n, n)))
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge}
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return "value", f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want, what):
+    """The exactnum outcome ``got`` is the reference outcome ``want``: the
+    same value of the same type, or the same error."""
+    if isinstance(want[1], ref.QuadNum):
+        assert type(got[1]) is QuadNum, what
+        assert (got[1].a, got[1].b, got[1].d) == (want[1].a, want[1].b, want[1].d), what
+    else:
+        assert (type(got[0]), type(got[1])) == (type(want[0]), type(want[1])), what
+        assert got == want, what
+
+
+def _check_against_reference(x, rx, y, ry, n):
+    for name, op in _BINARY.items():
+        _same(_outcome(op, x, y), _outcome(op, rx, ry), (name, x, y))
+    if not isinstance(x, QuadNum):
+        return
+    unary = {"neg": operator.neg, "abs": abs, "pow": lambda v: v ** n,
+             "sign": lambda v: v.sign(), "is_zero": lambda v: v.is_zero(), "bool": bool,
+             "floor": lambda v: v.floor(), "float": float, "parts": lambda v: (v.a, v.b, v.d)}
+    for name, op in unary.items():
+        _same(_outcome(op, x), _outcome(op, rx), (name, x))
+    text = format_exact(x)
+    assert text == ref.format_exact(rx) and repr(x) == f"QuadNum({text!r})"
+    back = parse_exact(text)
+    assert back == x and _typed_right(back)
+    assert exact_floor(x) == rx.floor()
+    _same(("value", frac_part(x)), ("value", rx - rx.floor()), ("frac_part", x))
+    # equal elements hash alike; b = 0 hashes as its Fraction
+    assert hash(x) == (hash(rx.a) if rx.b == 0 else hash(QuadNum(x.a, x.b, x.d)))
+    if isinstance(y, QuadNum) and _outcome(operator.eq, x, y) == ("value", True):
+        assert hash(x) == hash(y)
+    # the pair encoding reads the triple: D is the lcm of the denominators
+    D = math.lcm(rx.a.denominator, rx.b.denominator)
+    assert denominator(x) == D and parts(x) == (rx.a, rx.b)
+    assert encode(x, 3 * D) == (int(rx.a * 3 * D), int(rx.b * 3 * D))
+    _same(("value", decode(encode(x, D), D, x.d)),
+          ("value", ref._element(rx.a, rx.b, rx.d)), ("decode", x))
+    with pytest.raises(AttributeError, match="immutable"):
+        x.a = 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands, _operands, st.integers(0, 4))
+def test_triples_match_fraction_pair_reference(x, y, n):
+    _check_against_reference(*x, *y, n)
+
+
+@pytest.mark.parametrize("x, y", [
+    ((1, 1, 2), (0, 1, 3)),                          # mixed fields
+    ((1, 1, 2), (0, 0, 3)), ((5, 0, 3), (0, 1, 2)),  # b = 0 takes the other's field
+    ((1, 1, 2), (0, 0, 2)), ((0, 0, 5), (1, 1, 2)),  # division by a zero element
+    ((1, 1, 2), (1, -1, 2)), ((1, 1, 2), (0, 2, 8)), # conjugates; sqrt 8 folds to 2 sqrt 2
+    ((2, 1, 4), (1, 1, 12)), ((0, 3, 4), (1, 0, 2)), # sqrt 4 folds into the rational part
+])
+def test_reference_corner_cases(x, y):
+    for n in (0, 1, 3):
+        _check_against_reference(*_both(*x), *_both(*y), n)
+    _check_against_reference(*_both(*x), 0, 0, 2)
+    _check_against_reference(*_both(*x), Fraction(-3, 4), Fraction(-3, 4), 2)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,24 @@ def test_surface_setup_multiplies_no_field_elements(monkeypatch):
     assert calls == []
     assert QuadNum(1, 1, 2) * 3 / QuadNum(0, 1, 2) == 3 + QuadNum(0, 3, 2) / 2
     assert calls == ["__mul__", "__truediv__", "__truediv__"]
+
+
+def test_same_field_arithmetic_builds_no_fraction(monkeypatch):
+    # a QuadNum is an integer triple: + - * / and < between two elements of
+    # one field are integer arithmetic, with no Fraction on the way
+    calls, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    x, y = QuadNum(Fraction(3, 7), Fraction(-5, 11), 2), QuadNum(Fraction(1, 3), Fraction(2, 9), 2)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [x + y, x - y, x * y, x / y]
+    assert x < y or y < x
+    assert calls == []
+    assert all(type(r) is QuadNum for r in results)
+    assert results[0].a == Fraction(16, 21) and calls
 
 
 def test_cylinder_check_stops_at_first_open_germ(monkeypatch):
