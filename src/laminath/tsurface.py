@@ -59,6 +59,9 @@ from .ledger import ExoticStage, exotic_stages
 
 Number = Union[int, Fraction, QuadNum]
 
+# the public label of each internal letter: e_i, E_i for pair i
+_LABELS = {chr(base + i): f"{e}{i}" for base, e in ((97, "e"), (65, "E")) for i in range(26)}
+
 
 @record(frozen=True)
 class SurfacePoint:
@@ -84,12 +87,15 @@ def _cross_pair(a, b, d: int) -> tuple:
             xu * qv + xv * qu - yu * pv - yv * pu)
 
 
-def _turn(p, q, r, d: int, dot: bool = False) -> int:
-    """Sign of (q - p) x (r - p) for encoded points; with ``dot``, of (q - p)
-    . (r - p), the cross product with r - p turned a quarter."""
-    xu, xv, yu, yv = [s - t for s, t in zip(r, p)]
-    return pair_sign(*_cross_pair([s - t for s, t in zip(q, p)],
-                                  (-yu, -yv, xu, xv) if dot else (xu, xv, yu, yv), d), d)
+def _diff(p, q) -> tuple:
+    """q - p for encoded points."""
+    return q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
+
+
+def _turn(e, f, d: int, dot: bool = False) -> int:
+    """Sign of e x f for encoded vectors; with ``dot``, of e . f, the cross
+    product with f turned a quarter."""
+    return pair_sign(*_cross_pair(e, (-f[2], -f[3], f[0], f[1]) if dot else f, d), d)
 
 
 def _simple(vs, d: int) -> bool:
@@ -100,14 +106,17 @@ def _simple(vs, d: int) -> bool:
     a straight run of edges, and where two runs overlap an edge leaving one of
     them touches the other, an edge not on its line."""
     n = len(vs)
+    edges = [_diff(p, q) for p, q in zip(vs, [*vs[1:], vs[0]])]
     for i, j in combinations(range(n), 2):
-        a1, a2, b1, b2 = vs[i], vs[(i + 1) % n], vs[j], vs[(j + 1) % n]
+        a, b = edges[i], edges[j]
         if j - i in (1, n - 1):
-            V, P, Q = (a2, a1, b2) if j == i + 1 else (a1, a2, b1)
-            if _turn(V, P, Q, d) == 0 and _turn(V, P, Q, d, True) > 0:
+            # adjacent edges fold back when parallel and opposed
+            if _turn(a, b, d) == 0 and _turn(a, b, d, True) < 0:
                 return False
             continue
-        o = [_turn(a1, a2, b1, d), _turn(a1, a2, b2, d), _turn(b1, b2, a1, d), _turn(b1, b2, a2, d)]
+        a1, a2, b1, b2 = vs[i], vs[i + 1], vs[j], vs[(j + 1) % n]
+        o = [_turn(a, _diff(a1, b1), d), _turn(a, _diff(a1, b2), d),
+             _turn(b, _diff(b1, a1), d), _turn(b, _diff(b1, a2), d)]
         if any(o) and o[0] * o[1] <= 0 and o[2] * o[3] <= 0:
             return False
     return True
@@ -244,11 +253,10 @@ class TranslationSurface:
         return c if first_slot else c.upper()
 
     def public_label(self, letter: str) -> str:
-        i = ord(letter.lower()) - ord("a")
-        return f"e{i}" if letter.islower() else f"E{i}"
+        return _LABELS[letter]
 
     def word_labels(self, word: str) -> str:
-        return " ".join(self.public_label(ch) for ch in word)
+        return " ".join([_LABELS[ch] for ch in word])
 
     def vertex_point(self, corner) -> SurfacePoint:
         p, k = corner
@@ -268,7 +276,7 @@ class TranslationSurface:
                 nxt, prev = vs[(k + 1) % len(vs)], vs[k - 1]
                 left = direction * pair_sign(here[2] - nxt[2], here[3] - nxt[3], d) > 0
                 right = direction * pair_sign(prev[2] - here[2], prev[3] - here[3], d) > 0
-                turn = _turn(here, nxt, prev, d)
+                turn = _turn(_diff(here, nxt), _diff(here, prev), d)
                 if (left and right) if turn > 0 else (left or right) if turn < 0 else left:
                     germs.append((p, k))
         return germs
@@ -351,8 +359,10 @@ class _FlowKernel:
     straddle it, the nearest positive advance, the transport through the
     gluing) is a handful of exact integer sign tests.  A start point that
     fits D runs on these tables; any other runs on them rescaled to the lcm
-    of D and its denominators.
+    of D and its denominators, one memoised copy per factor.
     """
+
+    _COPIES = 64   # rescaled tables kept before the memo starts over
 
     def __init__(self, surface: TranslationSurface):
         self.surface, self.d, self.D = surface, surface._d, surface._D
@@ -369,7 +379,7 @@ class _FlowKernel:
         E = self.E = math.lcm(*[N for _, _, N in betas.values()])
         # per polygon: vertex ordinates, vertex abscissae, per edge its
         # (E*D*alpha, E*beta) and its exit (letter, target polygon, translation)
-        self.tables = []
+        self.tables, self._copies = [], {}
         for p, vs in enumerate(verts):
             ys = [(yu, yv) for _, _, yu, yv in vs]
             xs = [(E * xu, E * xv) for xu, xv, _, _ in vs]
@@ -394,11 +404,18 @@ class _FlowKernel:
             self.tables.append((ys, xs, edges, exits))
 
     def _scaled(self, m: int):
-        """The tables over m*D, m*E*D (the inverse slopes E*beta unchanged)."""
-        return [([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
+        """The memoised tables over m*D, m*E*D (the inverse slopes E*beta
+        unchanged)."""
+        tables = self._copies.get(m)
+        if tables is None:
+            if len(self._copies) >= self._COPIES:
+                self._copies.clear()
+            tables = self._copies[m] = [
+                ([(m * u, m * v) for u, v in ys], [(m * u, m * v) for u, v in xs],
                  [e and (m * e[0], m * e[1], e[2], e[3]) for e in edges],
                  [x and (*x[:2], m * x[2], m * x[3], m * x[4], m * x[5]) for x in exits])
                 for ys, xs, edges, exits in self.tables]
+        return tables
 
     def start(self, point: SurfacePoint) -> _FlowState:
         x, y = point.x, point.y
