@@ -195,8 +195,13 @@ def _same(got, want, what):
     """The exactnum outcome ``got`` is the reference outcome ``want``: the
     same value of the same type, or the same error."""
     if isinstance(want[1], ref.QuadNum):
-        assert type(got[1]) is QuadNum, what
-        assert (got[1].a, got[1].b, got[1].d) == (want[1].a, want[1].b, want[1].d), what
+        x, w = got[1], want[1]
+        assert type(x) is QuadNum, what
+        assert (x.a, x.b, x.d) == (w.a, w.b, w.d), what
+        # a reduced triple: D is the lcm of the denominators, and the
+        # hash is that of the same element built afresh
+        assert denominator(x) == math.lcm(w.a.denominator, w.b.denominator), what
+        assert hash(x) == hash(QuadNum(w.a, w.b, w.d)), what
     else:
         assert (type(got[0]), type(got[1])) == (type(want[0]), type(want[1])), what
         assert got == want, what
@@ -226,6 +231,9 @@ def _check_against_reference(x, rx, y, ry, n):
     D = math.lcm(rx.a.denominator, rx.b.denominator)
     assert denominator(x) == D and parts(x) == (rx.a, rx.b)
     assert encode(x, 3 * D) == (int(rx.a * 3 * D), int(rx.b * 3 * D))
+    if D > 1:
+        with pytest.raises(ValueError, match="does not divide"):
+            encode(x, D + 1)
     _same(("value", decode(encode(x, D), D, x.d)),
           ("value", ref._element(rx.a, rx.b, rx.d)), ("decode", x))
     with pytest.raises(AttributeError, match="immutable"):

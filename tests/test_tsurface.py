@@ -47,6 +47,16 @@ def test_slit_tori_genus_two():
     assert not S.boundary_slots
 
 
+def test_word_labels_name_each_slot():
+    # pair i reads e_i through its first slot and E_i through its second
+    S = ts.preset_surface("slit-tori")
+    for i in range(len(S.pairs)):
+        assert S.public_label(S.pair_letter(i, True)) == f"e{i}"
+        assert S.public_label(S.pair_letter(i, False)) == f"E{i}"
+    assert S.word_labels("aBcZ") == "e0 E1 e2 E25"
+    assert S.word_labels("") == ""
+
+
 def test_mismatched_edges_rejected():
     doc = unit_square_doc()
     doc["identify"] = [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]
