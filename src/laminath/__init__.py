@@ -13,13 +13,12 @@ _EXPORTS = {
     "words": ("BlockWord", "cusp_exotic_word", "exotic_word", "inadmissible_segment",
               "inadmissible_word", "letters_to_blocks", "simple_word"),
     "flat": ("FlatPath", "FlatPoint", "cutting_sequence", "homotopy_clearance",
-             "linear_growth_probe", "prescribed_growth_path", "three_distance_points",
-             "transverse_measure"),
+             "linear_growth_probe", "prescribed_growth_path", "transverse_measure"),
     "oracle": ("factor_count", "is_admissible", "rational_factors",
                "sampling_cross_check"),
     "tsurface": ("TranslationSurface", "Transversal", "build_inadmissible_loop",
-                 "find_non_saddle_point", "first_return", "flow_step", "load_surface",
-                 "return_partition", "synthesize_exotic"),
+                 "find_non_saddle_point", "first_return", "load_surface", "return_partition",
+                 "synthesize_exotic"),
 }
 _SUBMODULES = ("cf", "errors", "exactnum", "flat", "ledger", "oracle", "tsurface", "words")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

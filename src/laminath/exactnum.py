@@ -207,8 +207,11 @@ class QuadNum:
 
     __bool__ = lambda self: not self.is_zero()
 
-    def _cmp(self, other) -> int:
-        u, v, D, p, q, E, d = self._align(other)
+    def _cmp(self, other):
+        """The sign of self - other; NotImplemented for another operand type."""
+        if (al := self._align(other)) is None:
+            return NotImplemented
+        u, v, D, p, q, E, d = al
         return pair_sign(u * E - p * D, v * E - q * D, d)
 
     def __eq__(self, other):
@@ -216,10 +219,10 @@ class QuadNum:
             return self._cmp(other) == 0
         return NotImplemented
 
-    __lt__ = lambda self, other: self._cmp(other) < 0
-    __le__ = lambda self, other: self._cmp(other) <= 0
-    __gt__ = lambda self, other: self._cmp(other) > 0
-    __ge__ = lambda self, other: self._cmp(other) >= 0
+    __lt__ = lambda self, other: s if (s := self._cmp(other)) is NotImplemented else s < 0
+    __le__ = lambda self, other: s if (s := self._cmp(other)) is NotImplemented else s <= 0
+    __gt__ = lambda self, other: s if (s := self._cmp(other)) is NotImplemented else s > 0
+    __ge__ = lambda self, other: s if (s := self._cmp(other)) is NotImplemented else s >= 0
 
     def __hash__(self):
         # equal elements share their reduced triple
@@ -253,13 +256,6 @@ def frac_part(x: Exact) -> Exact:
 
 
 # -- integer pairs -----------------------------------------------------------
-
-def parts(x: Exact) -> tuple[Fraction, Fraction]:
-    """(a, b) with x = a + b sqrt d."""
-    if isinstance(x, QuadNum):
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
-
 
 def denominator(x: Exact) -> int:
     """The least D over which x encodes (a QuadNum's own D)."""

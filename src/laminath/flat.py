@@ -15,22 +15,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ._record import record
 from .cf import ContinuedFraction, partial_quotients
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
-                       format_exact, frac_part, pair_floor, parse_exact, surd)
-
-Number = Union[int, Fraction, QuadNum]
+                       format_exact, pair_floor, parse_exact, surd)
 
 
 @record(frozen=True)
 class FlatPoint:
-    x: Number
-    y: Number
+    x: Exact
+    y: Exact
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -76,12 +74,6 @@ class FlatPath:
         for i in range(1, len(self.vertices)):
             yield self.vertices[i - 1], self.vertices[i], self.markers[i]
 
-    def concat(self, other: "FlatPath") -> "FlatPath":
-        if tuple(self.vertices[-1]) != tuple(other.vertices[0]):
-            raise ValueError("paths do not share an endpoint")
-        return FlatPath(self.vertices + other.vertices[1:],
-                        self.markers + other.markers[1:], validate=False)
-
     def to_json(self) -> dict:
         d = surd(c for pt in self.vertices for c in (pt.x, pt.y))
         return {
@@ -106,7 +98,7 @@ class FlatPath:
         return cls([FlatPoint(parse_exact(x), parse_exact(y)) for x, y in vertices], markers)
 
 
-def _is_integer(x: Number) -> bool:
+def _is_integer(x: Exact) -> bool:
     if isinstance(x, QuadNum):
         return x.b == 0 and x.a.denominator == 1
     return Fraction(x).denominator == 1
@@ -350,55 +342,7 @@ def cutting_sequence(s, theta: ContinuedFraction, num_letters: int) -> str:
     return letters
 
 
-def cutting_blocks(s, theta: ContinuedFraction, num_blocks: int) -> tuple[int, ...]:
-    """First ``num_blocks`` block sizes of the cutting sequence from height s."""
-    blocks, hit = sturmian_blocks(theta, s, num_blocks)
-    if hit is not None:
-        raise _singular(hit)
-    return tuple(blocks)
-
-
-def _axis_crossings(u0, dx, letter):
-    """Crossing parameters of integer lines along one coordinate, on (0, 1]."""
-    events = []
-    if dx == 0:
-        return events
-    v0 = u0 + dx
-    lo, hi = (u0, v0) if u0 < v0 else (v0, u0)
-    m = exact_floor(lo)
-    while m <= hi:
-        t = (m - u0) / dx
-        if 0 < t <= 1:
-            events.append((t, letter))
-        m += 1
-    return events
-
-
-def path_crossing_word(path: FlatPath) -> str:
-    """Grid-crossing word of a piecewise path; crossings are counted on the
-    half-open segment (start, end].  Cusp-marked lattice junctions separate
-    segments without contributing letters."""
-    out = []
-    for u, v, mark in path.segments():
-        events = (_axis_crossings(u.x, v.x - u.x, "a")
-                  + _axis_crossings(u.y, v.y - u.y, "b"))
-        events.sort(key=lambda e: e[0])
-        for t, letter in events:
-            if mark == "cusp" and t == 1:
-                continue
-            out.append(letter)
-    return "".join(out)
-
-
 # -- rotation orbit structure ---------------------------------------------------
-
-def three_distance_points(s, r) -> list:
-    """Heights s + r*l mod 1 for l = 0..q-1, sorted: with r = p/q in lowest
-    terms they are (frac(q s) + j)/q for j = 0..q-1, 1/q apart."""
-    q = Fraction(r).denominator
-    low = frac_part(s * q)
-    return [(low + j) * Fraction(1, q) for j in range(q)]
-
 
 @record(frozen=True)
 class ClearanceCertificate:

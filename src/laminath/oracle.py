@@ -25,7 +25,7 @@ from . import flat
 from ._record import record
 from .cf import ContinuedFraction
 from .errors import CertificateViolation, DepthInsufficient
-from .words import BlockWord, _slope_data, simple_word
+from .words import BlockWord, _slope_data
 
 
 @record(frozen=True)
@@ -38,11 +38,6 @@ class FactorSet:
 
     def __contains__(self, word: str) -> bool:
         return word in self.factors
-
-
-def rational_block_rotations(r) -> list[BlockWord]:
-    base = simple_word(Fraction(r), 1)
-    return [base.rotate(j) for j in range(len(base.blocks))]
 
 
 def _periodic_haystack(r, m: int) -> tuple[str, int]:
@@ -228,14 +223,18 @@ def sampling_cross_check(word, theta: ContinuedFraction,
     marker, or at the stream head).  Returns the first occurrence if any; an
     absent report is the sampling oracle's rejection of the word.  A search
     that could not find the word (no heights, or fewer letters per height
-    than the word has) raises ValueError.
+    than the word has), or a seeded one asking for more distinct heights than
+    it draws from, raises ValueError.
     """
     search, letters, aligned = sampling_form(word, num_letters, heights)
     if seed is None:
         hs = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
     else:
-        rng = random.Random(seed)
         denom = 2 ** 20 + 7
+        if heights >= denom:
+            raise ValueError(f"seeded sampling draws at most {denom - 1} distinct heights "
+                             f"c/{denom}, got {heights}")
+        rng = random.Random(seed)
         hs = []
         seen = set()
         while len(hs) < heights:

@@ -34,12 +34,12 @@ exchange's probes), as do both kernels: the flow kernel, which flows the
 separatrices and probes and names the vertex a singular orbit meets, and the
 exchange kernel behind first returns once the exchange is built, leaf
 streams (tower words of an exact Rauzy–Veech induction), loop certificates,
-the cut table and the non-saddle search.  Only the per-point APIs
-(``flow_step``, ``Transversal.point``/``param``, ``ReturnMapIET.step``/
-``orbit_word``) use Fraction/QuadNum arithmetic; values leaving set-up or a
-kernel (the exchange's intervals and first cuts, a loop certificate's
-values on request) decode to the field elements that arithmetic would give
-(``exactnum.decode``).
+the cut table and the non-saddle search.  Only a transversal's edge vector
+and ``Transversal.point``, and the exchange's reference steps
+``ReturnMapIET.step``/``orbit_word``, use Fraction/QuadNum arithmetic;
+values leaving set-up or a kernel (the exchange's intervals and first cuts,
+a loop certificate's values on request) decode to the field elements that
+arithmetic would give (``exactnum.decode``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Optional, Union
+from typing import Optional
 
 from ._record import record
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
@@ -57,8 +57,6 @@ from .exactnum import (Exact, QuadNum, decode, denominator, encode, format_exact
                        pair_floor, pair_sign, parse_exact, surd)
 from .ledger import ExoticStage, exotic_stages
 
-Number = Union[int, Fraction, QuadNum]
-
 # the public label of each internal letter: e_i, E_i for pair i
 _LABELS = {chr(base + i): f"{e}{i}" for base, e in ((97, "e"), (65, "E")) for i in range(26)}
 
@@ -66,18 +64,8 @@ _LABELS = {chr(base + i): f"{e}{i}" for base, e in ((97, "e"), (65, "E")) for i 
 @record(frozen=True)
 class SurfacePoint:
     poly: int
-    x: Number
-    y: Number
-
-
-@record(frozen=True)
-class StepResult:
-    kind: str                       # "crossing" | "singular" | "boundary"
-    point: Optional[SurfacePoint]   # transported point (crossing only)
-    hit: Optional[SurfacePoint]     # crossing/vertex point in the exited chart
-    letter: Optional[str]           # internal char label of the exited slot
-    pair: Optional[int]
-    advance: Optional[Number]       # horizontal distance travelled
+    x: Exact
+    y: Exact
 
 
 def _cross_pair(a, b, d: int) -> tuple:
@@ -209,20 +197,13 @@ class TranslationSurface:
         vs = self._verts[slot[0]]
         return tuple(b - a for a, b in zip(vs[slot[1]], vs[(slot[1] + 1) % len(vs)]))
 
-    def _edge_endpoints(self, slot):
-        poly = self.polygons[slot[0]]
-        return poly[slot[1]], poly[(slot[1] + 1) % len(poly)]
-
     # -- derived tables -----------------------------------------------------
 
     def _build_tables(self):
+        # per glued slot: its pair, whether it is the pair's first slot, its partner
         self.slot_info = {}
         for idx, (sa, sb) in enumerate(self.pairs):
-            a0, _a1 = self._edge_endpoints(sa)
-            _b0, b1 = self._edge_endpoints(sb)
-            cAB = (b1[0] - a0[0], b1[1] - a0[1])  # z on A maps to z + cAB on B
-            self.slot_info[sa] = (idx, True, cAB, sb)
-            self.slot_info[sb] = (idx, False, (-cAB[0], -cAB[1]), sa)
+            self.slot_info[sa], self.slot_info[sb] = (idx, True, sb), (idx, False, sa)
         self.boundary_slots = [(p, k) for p, poly in enumerate(self.polygons)
                                for k in range(len(poly)) if (p, k) not in self.slot_info]
         # a gluing identifies each end of one edge with the far end of the other
@@ -251,9 +232,6 @@ class TranslationSurface:
     def pair_letter(self, pair_index: int, first_slot: bool) -> str:
         c = chr(ord("a") + pair_index)
         return c if first_slot else c.upper()
-
-    def public_label(self, letter: str) -> str:
-        return _LABELS[letter]
 
     def word_labels(self, word: str) -> str:
         return " ".join([_LABELS[ch] for ch in word])
@@ -290,8 +268,14 @@ class TranslationSurface:
         leaf closes."""
         if not self.boundary_slots and self._flow.d is None:
             return True
-        return all(_germ_connection(self, corner, budget)
-                   for corner in self.corner_germs(+1))
+        flow = self._flow
+        for corner in self.corner_germs(+1):
+            st = flow.start(self.vertex_point(corner))
+            for _ in islice(flow.trace(st), budget):
+                pass
+            if st.end != "singular":
+                return False
+        return True
 
     def to_json(self) -> dict:
         return {
@@ -339,10 +323,6 @@ class _FlowState:
     ``end`` is None while the ray flows, then "singular" or "boundary"."""
 
     __slots__ = ("tables", "den", "xden", "d", "poly", "y", "x", "last", "end")
-
-    def point(self) -> SurfacePoint:
-        return SurfacePoint(self.poly, decode(self.x, self.xden, self.d),
-                            decode(self.y, self.den, self.d))
 
 
 class _FlowKernel:
@@ -397,7 +377,7 @@ class _FlowKernel:
                 if info is None:
                     exits.append(None)
                     continue
-                idx, first, _, (q, j) = info
+                idx, first, (q, j) = info
                 # the gluing moves the slot's start to its partner's end
                 tu, tv, su, sv = (b - a for a, b in zip(vs[k], verts[q][(j + 1) % len(verts[q])]))
                 exits.append((surface.pair_letter(idx, first), q, E * tu, E * tv, su, sv))
@@ -431,15 +411,13 @@ class _FlowKernel:
         st.xden, st.last, st.end = st.den * self.E, None, None
         return st
 
-    def hit(self, st: _FlowState, y=None) -> SurfacePoint:
-        """Where the latest step met the polygon boundary: the vertex, or the
-        edge point at height ``y`` (default: the state's ordinate)."""
+    def hit(self, st: _FlowState) -> SurfacePoint:
+        """Where the ray of an ended state met the polygon boundary: the
+        vertex, or the point of the unglued edge."""
         p, k, x, _ = st.last
         if st.end == "singular":
             return self.surface.vertex_point((p, k))
-        if y is None:
-            y = decode(st.y, st.den, st.d)
-        return SurfacePoint(p, decode(x, st.xden, st.d), y)
+        return SurfacePoint(p, decode(x, st.xden, st.d), decode(st.y, st.den, st.d))
 
     def trace(self, st: _FlowState, back: bool = False):
         """Flow ``st`` rightward (leftward when ``back``), updating it in
@@ -486,28 +464,6 @@ class _FlowKernel:
             yield letter
 
 
-def flow_step(point: SurfacePoint, surface: TranslationSurface,
-              direction: int = 1) -> StepResult:
-    """Exact first boundary contact of the horizontal ray from ``point``:
-    one step of the surface's flow kernel.
-
-    Inner-edge crossings transport through the gluing; a polygon vertex on
-    the ray is a singular hit (informative, not fatal), an unglued edge a
-    boundary hit.  ``direction`` is 1 (rightward) or -1 (leftward).
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be 1 or -1")
-    flow = surface._flow
-    st = flow.start(point)
-    letter = next(flow.trace(st, back=direction < 0), None)
-    hit = flow.hit(st, point.y)
-    adv = decode(st.last[3], st.xden, st.d)
-    if letter is None:
-        return StepResult(st.end, None, hit, None, None, adv)
-    pair = surface.slot_info[(hit.poly, st.last[1])][0]
-    return StepResult("crossing", st.point(), hit, letter, pair, adv)
-
-
 # -- transversal edges ------------------------------------------------------------
 
 class Transversal:
@@ -530,7 +486,9 @@ class Transversal:
             raise InvalidSurface("transversal edge must not be horizontal")
         self.slot = sa if pair_sign(*wy, d) < 0 else sb
         self.upstream_slot = sb if self.slot is sa else sa
-        self.start, self.end = surface._edge_endpoints(self.slot)
+        (p, k), (q, j) = self.slot, self.upstream_slot
+        poly = surface.polygons[p]
+        self.start, self.end = poly[k], poly[(k + 1) % len(poly)]
         self.vec = (self.end[0] - self.start[0], self.end[1] - self.start[1])
         up_info = surface.slot_info[self.upstream_slot]
         self.arrival_letter = surface.pair_letter(pair_index, up_info[1])
@@ -538,7 +496,6 @@ class Transversal:
                         surface.pair_letter(pair_index, False)}
         # encoded: the slot's start and vector, 1/vec_y as (cu, cv, N), and per crossing
         # letter the ordinate of tau = 0 where it lands: the slot's start or upstream's end
-        (p, k), (q, j) = self.slot, self.upstream_slot
         self._at, self._along = surface._verts[p][k], surface._edge_pairs(self.slot)
         self._over = _reciprocal(*self._along[2:], d)
         self._y0 = {self.arrival_letter: self._at[2:],
@@ -551,16 +508,6 @@ class Transversal:
         return SurfacePoint(self.slot[0],
                             self.start[0] + tau * self.vec[0],
                             self.start[1] + tau * self.vec[1])
-
-    def param(self, point: SurfacePoint):
-        """Edge parameter of a point lying on either chart of the pair."""
-        up_trans = self.surface.slot_info[self.upstream_slot][2]
-        for x, y in ((point.x, point.y),
-                     (point.x + up_trans[0], point.y + up_trans[1])):
-            tau = (y - self.start[1]) / self.vec[1]
-            if 0 <= tau <= 1 and self.start[0] + tau * self.vec[0] == x:
-                return tau
-        raise ValueError("point does not lie on the transversal")
 
     def _param(self, st: _FlowState, letter: str) -> tuple:
         """The parameter, as a pair over m*N, of the state ``st`` over m*D that
@@ -645,9 +592,9 @@ def _flow_return(trans: Transversal, t, S: int, n: int, d: Optional[int]):
 
 @record(frozen=True)
 class ExchangeInterval:
-    lo: Number
-    hi: Number
-    shift: Number     # T(tau) = tau + shift here
+    lo: Exact
+    hi: Exact
+    shift: Exact      # T(tau) = tau + shift here
     word: str         # crossings strictly between consecutive returns
 
     @property
@@ -998,8 +945,8 @@ def backward_cut_points(trans: Transversal, depth: int,
 
 @record(frozen=True)
 class PartitionInterval:
-    lo: Number
-    hi: Number
+    lo: Exact
+    hi: Exact
     word: str
 
     @property
@@ -1108,33 +1055,11 @@ class _CutTable:
         return pts
 
 
-# -- saddle connections --------------------------------------------------------------
-
-@record(frozen=True)
-class SaddleConnection:
-    kind: str              # "interior" leaf or "edge" (a horizontal edge)
-    start_class: int
-    end_class: int
-    word: str
-    steps: int
-
-
-def _germ_connection(surface, corner, max_steps: int) -> Optional[SaddleConnection]:
-    """The interior connection along the forward separatrix from ``corner``,
-    or None when it meets no vertex within ``max_steps`` steps."""
-    flow = surface._flow
-    st = flow.start(surface.vertex_point(corner))
-    letters = list(islice(flow.trace(st), max_steps))
-    if st.end != "singular":
-        return None
-    return SaddleConnection("interior", surface.corner_class[corner],
-                            surface.corner_class[st.last[:2]], "".join(letters),
-                            len(letters) + 1)
-
+# -- the non-saddle cut --------------------------------------------------------------
 
 @record(frozen=True)
 class NonSaddleCut:
-    tau: Number
+    tau: Exact
     vertex_class: int
     traced_steps: int
 
@@ -1188,11 +1113,11 @@ class LoopCertificate:
     word: str
     factor: str
     depth: int
-    tau_P: Number
+    tau_P: Exact
     word_I: str
     word_I2: str
     closing_depth: int           # returns of the closing flight from R
-    height: Number
+    height: Exact
     D: int
     d: int
     pairs: tuple

@@ -32,12 +32,6 @@ from . import flat
 
 LetterWord = str  # finite words are plain strings over "abAB"
 
-INVERSE = {"a": "A", "b": "B", "A": "a", "B": "b"}
-
-
-def is_reduced(word: LetterWord) -> bool:
-    return all(INVERSE[x] != y for x, y in zip(word, word[1:]))
-
 
 @record(frozen=True)
 class BlockWord:
@@ -224,13 +218,6 @@ def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     between n and n+1.  Reverting the flip recovers a p_k/q_k word.
     """
     return _path_blocks(theta, k, closed=False)[0]
-
-
-def revert_flip(word: BlockWord) -> BlockWord:
-    """Undo the final-block flip of :func:`inadmissible_word`: swap its last
-    block between n and n+1."""
-    return BlockWord(word.base, word.blocks[:-1] + (2 * word.base + 1 - word.blocks[-1],),
-                     word.orientation)
 
 
 @record(frozen=True)
@@ -454,19 +441,3 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
 
 def cusp_word_letters(stages: list[CuspStage]) -> LetterWord:
     return "".join(st.letters for st in stages)
-
-
-def cusp_representative(theta: ContinuedFraction, num_stages: int) -> "flat.FlatPath":
-    """Piecewise path through the cusps: slope-p_k/q_k segments joining
-    successive lattice points, each junction marked as a cusp loop."""
-    x = Fraction(0)
-    y = Fraction(0)
-    points = [flat.FlatPoint(x, y)]
-    markers = ["cusp"]
-    for j in range(1, num_stages + 1):
-        cv = theta.convergent(j)
-        x += cv.q
-        y += cv.p
-        points.append(flat.FlatPoint(x, y))
-        markers.append("cusp")
-    return flat.FlatPath(points, markers)

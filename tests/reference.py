@@ -1,26 +1,103 @@
-"""Helpers the tests call but no certificate or CLI command needs: the
-saddle connections of a surface, leaf words sampled at evenly spaced
-heights, and the slow reference ``QuadNum`` (a Fraction pair a, b) with its
-``format_exact``.  The first two read the library's kernels."""
+"""Slow references and per-point helpers that the tests call and no
+certificate, CLI command, script or benchmark needs: on surfaces
+``flow_step``, ``state_point``, ``param``, ``saddle_connections`` and
+``sample_leaf_words`` (read off the library's kernels); on the torus
+``cutting_blocks``, ``path_crossing_word``, ``concat``,
+``three_distance_points``, ``revert_flip``, ``cusp_representative`` and
+``rational_block_rotations``; ``parts`` and the slow reference ``QuadNum``
+(a Fraction pair a, b) with its ``format_exact``; ``run_cli``, one
+in-process CLI call."""
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
+from typing import Optional
 
-from laminath import tsurface as ts
+from laminath import cli, exactnum, flat, tsurface as ts
+from laminath._record import record
+from laminath.cf import ContinuedFraction
 from laminath.errors import SingularHit
-from laminath.exactnum import pair_floor, pair_sign, squarefree_decompose
+from laminath.exactnum import (Exact, decode, exact_floor, frac_part, pair_floor, pair_sign,
+                               squarefree_decompose)
+from laminath.words import BlockWord, simple_word
+
+
+@record(frozen=True)
+class StepResult:
+    kind: str                          # "crossing" | "singular" | "boundary"
+    point: Optional[ts.SurfacePoint]   # transported point (crossing only)
+    hit: Optional[ts.SurfacePoint]     # crossing/vertex point in the exited chart
+    letter: Optional[str]              # internal char label of the exited slot
+    pair: Optional[int]
+    advance: Optional[Exact]           # horizontal distance travelled
+
+
+def state_point(st) -> ts.SurfacePoint:
+    """The point of a flow kernel state, decoded."""
+    return ts.SurfacePoint(st.poly, decode(st.x, st.xden, st.d), decode(st.y, st.den, st.d))
+
+
+def flow_step(point: ts.SurfacePoint, surface: ts.TranslationSurface,
+              direction: int = 1) -> StepResult:
+    """Exact first boundary contact of the horizontal ray from ``point``:
+    one step of the surface's flow kernel.
+
+    Inner-edge crossings transport through the gluing; a polygon vertex on
+    the ray is a singular hit (informative, not fatal), an unglued edge a
+    boundary hit.  ``direction`` is 1 (rightward) or -1 (leftward).
+    """
+    if direction not in (1, -1):
+        raise ValueError("direction must be 1 or -1")
+    flow = surface._flow
+    st = flow.start(point)
+    letter = next(flow.trace(st, back=direction < 0), None)
+    p, k, x, adv = st.last
+    hit = (surface.vertex_point((p, k)) if st.end == "singular"
+           else ts.SurfacePoint(p, decode(x, st.xden, st.d), point.y))
+    adv = decode(adv, st.xden, st.d)
+    if letter is None:
+        return StepResult(st.end, None, hit, None, None, adv)
+    pair = surface.slot_info[(p, k)][0]
+    return StepResult("crossing", state_point(st), hit, letter, pair, adv)
+
+
+def param(trans: ts.Transversal, point: ts.SurfacePoint):
+    """Edge parameter of a point lying on either chart of the transversal's
+    pair; the gluing moves the upstream slot's start to the slot's end."""
+    (q, j), (x1, y1) = trans.upstream_slot, trans.end
+    x0, y0 = trans.surface.polygons[q][j]
+    for x, y in ((point.x, point.y), (point.x + (x1 - x0), point.y + (y1 - y0))):
+        tau = (y - trans.start[1]) / trans.vec[1]
+        if 0 <= tau <= 1 and trans.start[0] + tau * trans.vec[0] == x:
+            return tau
+    raise ValueError("point does not lie on the transversal")
+
+
+@record(frozen=True)
+class SaddleConnection:
+    kind: str              # "interior" leaf or "edge" (a horizontal edge)
+    start_class: int
+    end_class: int
+    word: str
+    steps: int
 
 
 def saddle_connections(surface, max_steps: int = 4096):
     """Horizontal separatrices terminating at a vertex within the budget,
     with crossing words; horizontal inner edges are edge connections."""
-    out = [ts.SaddleConnection("edge", surface.corner_class[p, k],
-                               surface.corner_class[p, (k + 1) % len(surface.polygons[p])], "", 0)
+    out = [SaddleConnection("edge", surface.corner_class[p, k],
+                            surface.corner_class[p, (k + 1) % len(surface.polygons[p])], "", 0)
            for p, k in surface.slot_info if surface._edge_pairs((p, k))[2:] == (0, 0)]
-    for corner in surface.corner_germs(+1):
-        conn = ts._germ_connection(surface, corner, max_steps)
-        if conn is not None:
-            out.append(conn)
+    flow = surface._flow
+    for corner in surface.corner_germs(+1):   # the forward separatrices
+        st = flow.start(surface.vertex_point(corner))
+        letters = list(islice(flow.trace(st), max_steps))
+        if st.end == "singular":
+            out.append(SaddleConnection("interior", surface.corner_class[corner],
+                                        surface.corner_class[st.last[:2]], "".join(letters),
+                                        len(letters) + 1))
     return out
 
 
@@ -35,6 +112,91 @@ def sample_leaf_words(surface, trans, num_letters: int, heights: int):
             yield tau, iet.letter_stream(tau, num_letters)
         except SingularHit:
             continue
+
+
+def cutting_blocks(s, theta: ContinuedFraction, num_blocks: int) -> tuple[int, ...]:
+    """First ``num_blocks`` block sizes of the cutting sequence from height s."""
+    blocks, hit = flat.sturmian_blocks(theta, s, num_blocks)
+    if hit is not None:
+        raise flat._singular(hit)
+    return tuple(blocks)
+
+
+def _axis_crossings(u0, dx, letter):
+    """Crossing parameters of integer lines along one coordinate, on (0, 1]."""
+    events = []
+    if dx == 0:
+        return events
+    v0 = u0 + dx
+    lo, hi = (u0, v0) if u0 < v0 else (v0, u0)
+    m = exact_floor(lo)
+    while m <= hi:
+        t = (m - u0) / dx
+        if 0 < t <= 1:
+            events.append((t, letter))
+        m += 1
+    return events
+
+
+def path_crossing_word(path: flat.FlatPath) -> str:
+    """Grid-crossing word of a piecewise path; crossings are counted on the
+    half-open segment (start, end].  Cusp-marked lattice junctions separate
+    segments without contributing letters."""
+    out = []
+    for u, v, mark in path.segments():
+        events = (_axis_crossings(u.x, v.x - u.x, "a")
+                  + _axis_crossings(u.y, v.y - u.y, "b"))
+        events.sort(key=lambda e: e[0])
+        for t, letter in events:
+            if mark == "cusp" and t == 1:
+                continue
+            out.append(letter)
+    return "".join(out)
+
+
+def concat(path: flat.FlatPath, other: flat.FlatPath) -> flat.FlatPath:
+    """``path`` followed by ``other``, which must start where it ends."""
+    if tuple(path.vertices[-1]) != tuple(other.vertices[0]):
+        raise ValueError("paths do not share an endpoint")
+    return flat.FlatPath(path.vertices + other.vertices[1:],
+                         path.markers + other.markers[1:], validate=False)
+
+
+def three_distance_points(s, r) -> list:
+    """Heights s + r*l mod 1 for l = 0..q-1, sorted: with r = p/q in lowest
+    terms they are (frac(q s) + j)/q for j = 0..q-1, 1/q apart."""
+    q = Fraction(r).denominator
+    low = frac_part(s * q)
+    return [(low + j) * Fraction(1, q) for j in range(q)]
+
+
+def revert_flip(word: BlockWord) -> BlockWord:
+    """Undo the final-block flip of ``words.inadmissible_word``: swap its last
+    block between n and n+1."""
+    return BlockWord(word.base, word.blocks[:-1] + (2 * word.base + 1 - word.blocks[-1],),
+                     word.orientation)
+
+
+def cusp_representative(theta: ContinuedFraction, num_stages: int) -> flat.FlatPath:
+    """Piecewise path through the cusps: slope-p_k/q_k segments joining
+    successive lattice points, each junction marked as a cusp loop."""
+    points = [flat.FlatPoint(Fraction(0), Fraction(0))]
+    for j in range(1, num_stages + 1):
+        cv = theta.convergent(j)
+        points.append(flat.FlatPoint(points[-1].x + cv.q, points[-1].y + cv.p))
+    return flat.FlatPath(points, ["cusp"] * len(points))
+
+
+def rational_block_rotations(r) -> list[BlockWord]:
+    base = simple_word(Fraction(r), 1)
+    return [base.rotate(j) for j in range(len(base.blocks))]
+
+
+def parts(x: Exact) -> tuple[Fraction, Fraction]:
+    """(a, b) with x = a + b sqrt d."""
+    if isinstance(x, exactnum.QuadNum):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
 
 
 def _element(a: Fraction, b, d: int):
@@ -212,3 +374,11 @@ def format_exact(x) -> str:
         sign = "+" if x.b > 0 else "-"
         return f"{_fmt_fraction(x.a)}{sign}{tail}"
     return _fmt_fraction(Fraction(x))
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of ``laminath.cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()

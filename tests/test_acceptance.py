@@ -6,17 +6,15 @@ criterion explicitly names a float comparison (the prescribed-growth targets,
 whose tolerance is 1).
 """
 
-import io
 import json
 import math
-import sys
 from fractions import Fraction
 
-from laminath import cli, flat, ledger, oracle, tsurface as ts, words
+from laminath import flat, ledger, oracle, tsurface as ts, words
 from laminath.cf import ContinuedFraction, q_error
 from laminath.exactnum import QuadNum, exact_floor
 
-from reference import sample_leaf_words
+from reference import cutting_blocks, revert_flip, run_cli, sample_leaf_words
 
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
@@ -65,7 +63,7 @@ def test_criterion_02_simple_word_vs_cutting_period():
                 continue
             r = Fraction(p, q)
             theta = ContinuedFraction.from_rational(r)
-            period = flat.cutting_blocks(Fraction(1, 2 * q), theta, q)
+            period = cutting_blocks(Fraction(1, 2 * q), theta, q)
             base = words.simple_word(r, 1)
             rotations = {base.rotate(j).blocks for j in range(q)}
             ok &= period in rotations
@@ -81,7 +79,7 @@ def test_criterion_02_simple_word_vs_cutting_period():
 
 def test_criterion_03_sturmian_windows():
     q8 = SQRT2.convergent(8).q
-    blocks = flat.cutting_blocks(Fraction(1, 4), SQRT2, q8)
+    blocks = cutting_blocks(Fraction(1, 4), SQRT2, q8)
     ok = True
     for k in range(2, 9):
         cv = SQRT2.convergent(k)
@@ -106,7 +104,7 @@ def test_criterion_04_inadmissibility():
             anchored = letters[-1] + letters
             for s in streams:
                 ok &= not s.startswith(letters) and anchored not in s
-            good = words.revert_flip(bad)
+            good = revert_flip(bad)
             cert2 = oracle.is_admissible(good, theta, k_max=16)
             ok &= cert2.verdict == "admissible"
             ok &= cert2.witness_height is not None
@@ -312,17 +310,6 @@ def test_criterion_11_flat_growth():
 
 # 12 --------------------------------------------------------------------------
 
-def _run_cli(argv):
-    buf, err = io.StringIO(), io.StringIO()
-    old = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = buf, err
-    try:
-        code = cli.main(argv)
-    finally:
-        sys.stdout, sys.stderr = old
-    return code, buf.getvalue()
-
-
 def test_criterion_12_cli_determinism():
     battery = [
         ["--emit", "json", "convergents", "--theta", "cf:[1;2]p", "--k", "12"],
@@ -340,8 +327,8 @@ def test_criterion_12_cli_determinism():
     ]
     ok = True
     for argv in battery:
-        c1, out1 = _run_cli(argv)
-        c2, out2 = _run_cli(argv)
+        c1, out1, _ = run_cli(argv)
+        c2, out2, _ = run_cli(argv)
         ok &= c1 == 0 and c2 == 0 and out1.encode() == out2.encode()
     _report(12, ok, "CLI artifacts byte-identical across repeated runs with "
                     "identical config and seed")

@@ -1,6 +1,4 @@
-import io
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -8,17 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from laminath import cli, tsurface
 
-
-def run_cli(argv):
-    buf = io.StringIO()
-    err = io.StringIO()
-    old_out, old_err = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = buf, err
-    try:
-        code = cli.main(argv)
-    finally:
-        sys.stdout, sys.stderr = old_out, old_err
-    return code, buf.getvalue(), err.getvalue()
+from reference import run_cli
 
 
 def test_convergents_json():

