@@ -141,10 +141,6 @@ class ContinuedFraction:
 
     # -- coefficient access ---------------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self._per == ()
-
     def coefficient(self, i: int) -> int:
         if i < 0:
             raise IndexError(i)

@@ -5,14 +5,13 @@ decimals; a float annotation is included where a magnitude is useful for
 plotting.  Identical configuration and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 precondition or usage errors, 3 precision/depth/
-budget exhaustion.
+budget exhaustion.  ``json`` is imported only where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -77,6 +76,7 @@ def _surface_from(cfg: argparse.Namespace):
     from . import tsurface
     if cfg.surface in tsurface.SURFACE_PRESETS:
         return tsurface.preset_surface(cfg.surface)
+    import json
     with open(cfg.surface) as fh:
         return tsurface.load_surface(json.load(fh))
 
@@ -153,6 +153,7 @@ def cmd_cut(cfg: argparse.Namespace):
 
 
 def cmd_measure(cfg: argparse.Namespace):
+    import json
     from . import flat
     with open(cfg.path) as fh:
         path = flat.FlatPath.from_json(json.load(fh))
@@ -387,6 +388,7 @@ def _render_text(doc, out):
 
 def _fail(exc: Exception) -> int:
     """Write ``exc`` to stderr as one JSON line; returns the exit status."""
+    import json
     code = exc.code if isinstance(exc, LaminathError) else "invalid-input"
     sys.stderr.write(json.dumps({"error": code, "detail": str(exc)}, sort_keys=True) + "\n")
     return 3 if isinstance(exc, EXHAUSTION_ERRORS) else 2
@@ -401,6 +403,7 @@ def run(config: argparse.Namespace) -> int:
     if config.emit == "csv" and "csv" in doc:
         text = doc["csv"]
     elif config.emit == "json":
+        import json
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         buf = io.StringIO()

@@ -171,16 +171,23 @@ def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     return E, F, S, G, d, C
 
 
+def _standard_word(x, y, directive):
+    """Standard word s_k of directive (d_1, ..., d_k) over s_{-1} = x, s_0 = y, str
+    or bytes: s_1 = y^{d_1} x, s_k = s_{k-1}^{d_k} s_{k-2} (Lothaire ch. 2)."""
+    prev, word = x, y
+    for d in directive:
+        prev, word = word, word * d + prev
+    return word
+
+
 def _period_word(quotients: list[int]) -> str:
     """Letters of the blocks floor((t+1) P/Q) - floor(t P/Q), t < Q, for
     P/Q = [c; a_1, ..., a_k] given by its partial quotients.
 
-    Q/(P+Q) = [0; c+1, a_1, ..., a_k], and its standard word (s_1 = b^c a,
-    s_0 = b, s_k = s_{k-1}^{a_k} s_{k-2}; Lothaire ch. 2) is this word up to
-    the last two letters, which are "ba"."""
-    prev, word = "b", "b" * quotients[0] + "a"
-    for a in quotients[1:]:
-        prev, word = word, word * a + prev
+    Q/(P+Q) = [0; c+1, a_1, ..., a_k], and its standard word (directive
+    c, a_1, ..., a_k over a and b) is this word up to the last two letters,
+    which are "ba"."""
+    word = _standard_word("a", "b", quotients)
     return word[:-2] + "ba" if len(quotients) > 1 else word
 
 

@@ -7,7 +7,8 @@ convergent word p_l/q_l, for any level l with q_l >= count_a(u) + 2.  One
 direction is the window structure of leaf words (every q_l-block window is a
 rotation of the convergent word), the other is that every convergent word
 extends to a leaf word.  Verdicts record the levels used; "depth
-insufficient" is an explicit outcome, never a verdict.
+insufficient" is an explicit outcome, never a verdict.  Block words are
+decided on block bytes, as the convergent's block sequence is a standard word.
 
 An independent sampling oracle searches long leaf-word prefixes from many
 start heights.  The prefixes come from the window kernel in ``flat``: copies
@@ -51,6 +52,27 @@ def _periodic_haystack(r, m: int) -> tuple[str, int]:
     p, q = _slope_data(Fraction(r))[:2]
     period = flat._window_word(p, 0, q - 1, 0, 2, q, q, lift=True)[0]
     return period * (m // len(period) + 2), len(period)
+
+
+def _block_period(theta: ContinuedFraction, l: int) -> bytes:
+    """Block values of one period of the level-l convergent word, up to
+    rotation, one byte each (l >= 1, c0 + 1 < 256).  The blocks of
+    [c0; a_1, ..., a_l] are c0 plus the standard word of [0; a_1, ..., a_l]
+    over 0 and 1: s_0 = 0, s_1 = 0^(a_1 - 1) 1 (Lothaire ch. 2)."""
+    c, a1, *rest = map(theta.coefficient, range(l + 1))
+    period = flat._standard_word(b"\x01", b"\x00", (a1 - 1, *rest))
+    return period.translate(bytes.maketrans(b"\x00\x01", bytes((c, c + 1))))
+
+
+def _occurs(search: str, blocks: Optional[bytes], theta: ContinuedFraction, l: int) -> bool:
+    """Whether the level-l periodic word holds ``search``, read on the block
+    bytes ``blocks`` of a "ba" BlockWord if given: a marker-anchored letter
+    occurrence is a block occurrence, and L // q + 2 periods hold every
+    length-L factor."""
+    cv = theta.convergent(l)
+    if blocks is None:
+        return search in _periodic_haystack(Fraction(cv.p, cv.q), len(search))[0]
+    return blocks in _block_period(theta, l) * (len(blocks) // cv.q + 2)
 
 
 def rational_factors(r, m: int) -> FactorSet:
@@ -108,9 +130,11 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     (block-aligned containment).  Membership of the search string among the
     convergent-word factors at the first level whose cycle is longer than the
     word's block span settles the verdict; inadmissible verdicts are
-    confirmed at the following level as well.  Admissible verdicts carry a
-    start height and offset locating the factor in the leaf word from that
-    height, re-checkable against the exact cutting sequence.
+    confirmed at the following level as well.  A "ba" BlockWord is decided on
+    block bytes when its values and theta's blocks c0 >= 1, c0 + 1 fit in a
+    byte.  Admissible verdicts carry a start height and offset locating the
+    factor in the leaf word from that height, re-checkable against the exact
+    cutting sequence.
     """
     search, letters, aligned = _search_form(word)
     if letters == "":
@@ -118,15 +142,13 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                         Fraction(1, 7), 0)
     span = search.count("a") + 2
     l0 = _window_level(theta, span, k_max)
-    cv = theta.convergent(l0)
-    hay, _plen = _periodic_haystack(Fraction(cv.p, cv.q), len(search))
-    member = search in hay
+    c = theta.floor_part()
+    blocks = (bytes(word.blocks) if isinstance(word, BlockWord) and word.orientation == "ba"
+              and 0 < c < 255 and word.base < 255 else None)
     levels = [l0]
-    if not member:
+    if not _occurs(search, blocks, theta, l0):
         if l0 + 1 <= k_max:
-            cv1 = theta.convergent(l0 + 1)
-            hay1, _ = _periodic_haystack(Fraction(cv1.p, cv1.q), len(search))
-            if search in hay1:
+            if _occurs(search, blocks, theta, l0 + 1):
                 raise CertificateViolation(
                     "level disagreement; window threshold violated")
             levels.append(l0 + 1)

@@ -487,9 +487,6 @@ class Transversal:
         self.slot = sa if pair_sign(*wy, d) < 0 else sb
         self.upstream_slot = sb if self.slot is sa else sa
         (p, k), (q, j) = self.slot, self.upstream_slot
-        poly = surface.polygons[p]
-        self.start, self.end = poly[k], poly[(k + 1) % len(poly)]
-        self.vec = (self.end[0] - self.start[0], self.end[1] - self.start[1])
         up_info = surface.slot_info[self.upstream_slot]
         self.arrival_letter = surface.pair_letter(pair_index, up_info[1])
         self.letters = {surface.pair_letter(pair_index, True),
@@ -498,11 +495,18 @@ class Transversal:
         # letter the ordinate of tau = 0 where it lands: the slot's start or upstream's end
         self._at, self._along = surface._verts[p][k], surface._edge_pairs(self.slot)
         self._over = _reciprocal(*self._along[2:], d)
+        self.height = abs(decode(self._along[2:], surface._D, d))
         self._y0 = {self.arrival_letter: self._at[2:],
                     surface.pair_letter(pair_index, not up_info[1]):
                     surface._verts[q][(j + 1) % len(surface._verts[q])][2:]}
         self._iet: Optional[ReturnMapIET] = None
         self._non_saddle = None
+
+    # the slot's ends and vector as field elements, for ``point``
+    start = cached_property(lambda self: self.surface.polygons[self.slot[0]][self.slot[1]])
+    end = cached_property(lambda self: self.surface.polygons[self.slot[0]][
+        (self.slot[1] + 1) % len(self.surface.polygons[self.slot[0]])])
+    vec = cached_property(lambda self: (self.end[0] - self.start[0], self.end[1] - self.start[1]))
 
     def point(self, tau) -> SurfacePoint:
         return SurfacePoint(self.slot[0],
@@ -516,9 +520,6 @@ class Transversal:
         yu, yv = st.y[0] - m * su, st.y[1] - m * sv
         return yu * cu + d * yv * cv, yu * cv + yv * cu
 
-    @property
-    def height(self):
-        return abs(self.vec[1])
 
     def return_map(self) -> "ReturnMapIET":
         if self._iet is None:
@@ -596,10 +597,6 @@ class ExchangeInterval:
     hi: Exact
     shift: Exact      # T(tau) = tau + shift here
     word: str         # crossings strictly between consecutive returns
-
-    @property
-    def length(self):
-        return self.hi - self.lo
 
 
 def _slot(bounds, u, v, d) -> int:

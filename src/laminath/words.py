@@ -61,11 +61,6 @@ class BlockWord:
     def letter_count(self) -> int:
         return sum(self.blocks) + len(self.blocks)
 
-    def rotate(self, j: int) -> "BlockWord":
-        k = j % len(self.blocks)
-        return BlockWord(self.base, self.blocks[k:] + self.blocks[:k],
-                         self.orientation)
-
     def serialize(self) -> str:
         return "(" + ",".join(map(str, self.blocks)) + ")@" + self.orientation
 

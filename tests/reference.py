@@ -3,10 +3,12 @@ certificate, CLI command, script or benchmark needs: on surfaces
 ``flow_step``, ``state_point``, ``param``, ``saddle_connections`` and
 ``sample_leaf_words`` (read off the library's kernels); on the torus
 ``cutting_blocks``, ``path_crossing_word``, ``concat``,
-``three_distance_points``, ``revert_flip``, ``cusp_representative`` and
-``rational_block_rotations``; ``parts`` and the slow reference ``QuadNum``
-(a Fraction pair a, b) with its ``format_exact``; ``run_cli``, one
-in-process CLI call."""
+``three_distance_points``, ``revert_flip``, ``cusp_representative``,
+``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
+verdict ``is_admissible_letters``, the slow reference of the oracle's block
+bytes; ``interval_length`` of an exchange interval; ``parts`` and the slow
+reference ``QuadNum`` (a Fraction pair a, b) with its ``format_exact``;
+``run_cli``, one in-process CLI call."""
 
 import io
 import math
@@ -15,10 +17,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from laminath import cli, exactnum, flat, tsurface as ts
+from laminath import cli, exactnum, flat, oracle, tsurface as ts
 from laminath._record import record
 from laminath.cf import ContinuedFraction
-from laminath.errors import SingularHit
+from laminath.errors import CertificateViolation, SingularHit
 from laminath.exactnum import (Exact, decode, exact_floor, frac_part, pair_floor, pair_sign,
                                squarefree_decompose)
 from laminath.words import BlockWord, simple_word
@@ -187,9 +189,52 @@ def cusp_representative(theta: ContinuedFraction, num_stages: int) -> flat.FlatP
     return flat.FlatPath(points, ["cusp"] * len(points))
 
 
+def rotate(word: BlockWord, j: int) -> BlockWord:
+    """The block word read from block j on, cyclically."""
+    k = j % len(word.blocks)
+    return BlockWord(word.base, word.blocks[k:] + word.blocks[:k], word.orientation)
+
+
 def rational_block_rotations(r) -> list[BlockWord]:
     base = simple_word(Fraction(r), 1)
-    return [base.rotate(j) for j in range(len(base.blocks))]
+    return [rotate(base, j) for j in range(len(base.blocks))]
+
+
+def is_finite(theta: ContinuedFraction) -> bool:
+    """Whether theta's coefficient stream ends (a rational slope)."""
+    return theta.length is not None
+
+
+def interval_length(iv: ts.ExchangeInterval):
+    return iv.hi - iv.lo
+
+
+def is_admissible_letters(word, theta: ContinuedFraction,
+                          k_max: int = 24) -> oracle.AdmissibilityCertificate:
+    """``oracle.is_admissible`` with every word decided in letter space: the
+    marker-anchored letters searched in a letter haystack of the periodic
+    convergent word at levels l0 and l0 + 1."""
+    search, letters, aligned = oracle._search_form(word)
+    if letters == "":
+        return oracle.AdmissibilityCertificate("admissible", letters, (), 0, aligned,
+                                               Fraction(1, 7), 0)
+    span = search.count("a") + 2
+    l0 = oracle._window_level(theta, span, k_max)
+    cv = theta.convergent(l0)
+    hay, _plen = oracle._periodic_haystack(Fraction(cv.p, cv.q), len(search))
+    levels = [l0]
+    if search not in hay:
+        if l0 + 1 <= k_max:
+            cv1 = theta.convergent(l0 + 1)
+            hay1, _ = oracle._periodic_haystack(Fraction(cv1.p, cv1.q), len(search))
+            if search in hay1:
+                raise CertificateViolation("level disagreement; window threshold violated")
+            levels.append(l0 + 1)
+        return oracle.AdmissibilityCertificate("inadmissible", letters, tuple(levels),
+                                               span, aligned)
+    s, offset = oracle._find_witness(search, letters, aligned, theta)
+    return oracle.AdmissibilityCertificate("admissible", letters, tuple(levels), span,
+                                           aligned, s, offset)
 
 
 def parts(x: Exact) -> tuple[Fraction, Fraction]:

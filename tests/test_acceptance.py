@@ -14,7 +14,7 @@ from laminath import flat, ledger, oracle, tsurface as ts, words
 from laminath.cf import ContinuedFraction, q_error
 from laminath.exactnum import QuadNum, exact_floor
 
-from reference import cutting_blocks, revert_flip, run_cli, sample_leaf_words
+from reference import cutting_blocks, revert_flip, rotate, run_cli, sample_leaf_words
 
 SQRT2 = ContinuedFraction.sqrt2()
 GOLDEN = ContinuedFraction.golden()
@@ -65,7 +65,7 @@ def test_criterion_02_simple_word_vs_cutting_period():
             theta = ContinuedFraction.from_rational(r)
             period = cutting_blocks(Fraction(1, 2 * q), theta, q)
             base = words.simple_word(r, 1)
-            rotations = {base.rotate(j).blocks for j in range(q)}
+            rotations = {rotate(base, j).blocks for j in range(q)}
             ok &= period in rotations
             for l1 in range(1, q + 1):
                 ok &= words.simple_word(r, l1).blocks in rotations
@@ -84,7 +84,7 @@ def test_criterion_03_sturmian_windows():
     for k in range(2, 9):
         cv = SQRT2.convergent(k)
         base = words.simple_word(Fraction(cv.p, cv.q), 1)
-        rotations = {base.rotate(j).blocks for j in range(cv.q)}
+        rotations = {rotate(base, j).blocks for j in range(cv.q)}
         ok &= blocks[:cv.q] in rotations
     _report(3, ok, "first q_k blocks of the sqrt2 leaf from height 1/4 are "
                    "convergent-word rotations for 2 <= k <= 8, exact")

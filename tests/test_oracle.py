@@ -277,3 +277,101 @@ def test_sampling_seeded_deterministic():
     assert r1.heights == r2.heights and r1.absent and r2.absent
     assert r1.heights == tuple(Fraction(c, 2 ** 20 + 7)
                                for c in (948709, 976539, 947562, 398254, 387261))
+
+
+# -- block-space verdicts ----------------------------------------------------------
+
+def _outcome(decide, word, theta, k_max):
+    """The certificate, or the type and text of the exception raised."""
+    try:
+        return decide(word, theta, k_max)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+@st.composite
+def _slopes(draw):
+    """Quadratic, rational and opaque slopes with integer part 0..2, 7, 254 or
+    255, the last two often, since a byte holds blocks up to 255."""
+    c = draw(st.sampled_from([0, 1, 1, 2, 2, 7, 254, 254, 255, 255]))
+    tail = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["quadratic", "rational", "opaque"]))
+    if kind == "rational":
+        return ContinuedFraction([c, *tail, *draw(st.lists(st.integers(1, 4), max_size=8))])
+    quadratic = ContinuedFraction.periodic([c], tail)
+    return quadratic if kind == "quadratic" else ContinuedFraction(source=quadratic.coefficient)
+
+
+@st.composite
+def _block_words(draw, theta):
+    """Block words over bases c - 1 .. c + 1 in both orientations, 1 to 400
+    blocks: leaf-word slices (admissible), perhaps with one block flipped, or
+    random blocks."""
+    c = theta.floor_part()
+    n = draw(st.integers(min_value=1, max_value=400))
+    if draw(st.booleans()):
+        s = Fraction(draw(st.integers(1, 996)), 997)
+        skip = draw(st.integers(min_value=0, max_value=300))
+        blocks = list(oracle.leaf_block_stream(theta, s, skip + n)[skip:])
+        if draw(st.booleans()):
+            j = draw(st.integers(min_value=0, max_value=n - 1))
+            blocks[j] = 2 * c + 1 - blocks[j]
+        base = c
+    else:
+        base = max(c + draw(st.integers(min_value=-1, max_value=1)), 0)
+        blocks = draw(st.lists(st.sampled_from([base, base + 1]), min_size=n, max_size=n))
+    return words.BlockWord(base, tuple(blocks), draw(st.sampled_from(["ba", "ba", "ab"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slopes(), st.data())
+def test_block_verdicts_match_the_letter_reference(theta, data):
+    # block-space verdicts against the letter haystacks: verdict, levels,
+    # span and witness, or the same exception, including depth exhaustion,
+    # slopes below 1 and block values beyond a byte
+    word = data.draw(_block_words(theta))
+    k_max = data.draw(st.sampled_from([24, 24, 24, 3, 5, 7]))
+    assert (_outcome(oracle.is_admissible, word, theta, k_max)
+            == _outcome(ref.is_admissible_letters, word, theta, k_max))
+
+
+@pytest.mark.parametrize("c", [0, 1, 254, 255, 300])
+def test_block_verdicts_at_the_byte_edges(c):
+    # words over bases c - 1 .. c + 1 next to integer parts 0 and 255
+    theta = ContinuedFraction.periodic([c], [2])
+    for base in {max(c - 1, 0), c, c + 1}:
+        for blocks in ((base,), (base + 1, base), (base, base + 1, base, base + 1, base)):
+            for orientation in ("ba", "ab"):
+                word = words.BlockWord(base, blocks, orientation)
+                assert (_outcome(oracle.is_admissible, word, theta, 24)
+                        == _outcome(ref.is_admissible_letters, word, theta, 24)), word
+
+
+def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
+    # integer part 300 or a block of 256: the letter path decides
+    wide = ContinuedFraction.from_text("cf:[300;2]p")
+    narrow = ContinuedFraction.from_text("cf:[254;1,2]p")
+    cases = [(wide, words.inadmissible_word(wide, 2)),
+             (wide, ref.revert_flip(words.inadmissible_word(wide, 3))),
+             (narrow, words.BlockWord(255, (255, 256, 255)))]
+    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
+    assert [c.verdict for c in want] == ["inadmissible", "admissible", "inadmissible"]
+
+    def refuse(*args):
+        raise RuntimeError("block bytes read")
+
+    monkeypatch.setattr(oracle, "_block_period", refuse)
+    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+
+
+def test_block_period_is_a_rotation_of_the_simple_word():
+    # every reduced p/q with 2 <= q <= 60 and integer part 1..3, and integer
+    # parts up to 254 at q <= 12
+    slopes = [Fraction(p, q) for q in range(2, 61) for p in range(q + 1, 4 * q)]
+    slopes += [Fraction(c * q + j, q) for c in (4, 7, 100, 254)
+               for q in range(2, 13) for j in range(1, q)]
+    for r in {r for r in slopes if r.denominator > 1}:
+        theta = ContinuedFraction.from_rational(r)
+        period = oracle._block_period(theta, theta.length - 1)
+        simple = bytes(words.simple_word(r, 1).blocks)
+        assert len(period) == len(simple) and period in simple * 2, r

@@ -213,6 +213,18 @@ def test_subcommands_load_only_what_they_run(argv, unloaded):
     assert heavy == "", heavy
 
 
+def test_text_calls_leave_json_unloaded():
+    # json is imported where JSON is read or written: a text-mode call loads
+    # it exactly when a bare interpreter does, a JSON call always
+    code = ("import contextlib, io, sys\nfrom laminath import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(sys.argv[1:])\n"
+            "print(status, 'json' in sys.modules)")
+    bare = _child("import sys; print('json' in sys.modules)")
+    assert _child(code, "convergents", "--theta", "cf:[1;2]p") == ["0 " + bare[0]]
+    assert _child(code, "--emit", "json", "convergents", "--theta", "cf:[1;2]p") == ["0 True"]
+
+
 def test_submodules_import_no_dataclasses_or_inspect():
     # records come from laminath._record, not from the dataclasses module
     code = "import sys\nimport laminath\nfrom laminath import *\n" + _LOADED + "\n" + _HEAVY
@@ -442,3 +454,23 @@ def test_opaque_slopes_read_the_window_kernel(monkeypatch):
     want = flat.sturmian_letters(theta, s, n)
     monkeypatch.setattr(ContinuedFraction, "compare", refuse)
     assert flat.sturmian_letters(opaque, s, n) == want
+
+
+def test_block_word_verdicts_read_no_letter_haystack(monkeypatch):
+    # a "ba" block-word verdict reads the convergent's block bytes: neither
+    # the letter haystack nor the window kernel is called
+    from laminath import flat, oracle, words
+    from laminath.cf import ContinuedFraction
+    from reference import is_admissible_letters
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letter haystack built")
+
+    cases = [(theta, words.inadmissible_segment(theta, k).word)
+             for theta in (ContinuedFraction.sqrt2(), ContinuedFraction.from_text("cf:[4;1,1,7]p"))
+             for k in (2, 3, 6, 7)]
+    want = [is_admissible_letters(word, theta) for theta, word in cases]
+    monkeypatch.setattr(oracle, "_periodic_haystack", refuse)
+    monkeypatch.setattr(flat, "_window_word", refuse)
+    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+    assert {cert.verdict for cert in want} == {"inadmissible"}

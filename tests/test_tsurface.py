@@ -17,7 +17,8 @@ from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDeco
 from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign, parse_exact
 from laminath.ledger import tail_measure_signature
 
-from reference import StepResult, flow_step, saddle_connections, sample_leaf_words, state_point
+from reference import (StepResult, flow_step, interval_length, saddle_connections,
+                       sample_leaf_words, state_point)
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -329,7 +330,7 @@ def test_iet_tiles_and_matches_flow():
     S = ts.preset_surface("slit-tori")
     tr = ts.Transversal(S, 5)
     iet = tr.return_map()
-    total = sum((iv.length for iv in iet.intervals), Fraction(0))
+    total = sum(map(interval_length, iet.intervals), Fraction(0))
     assert total == 1
     for iv in iet.intervals:
         mid = iv.midpoint if hasattr(iv, "midpoint") else (iv.lo + iv.hi) / 2
@@ -628,11 +629,11 @@ def _reference_try_loop(trans, iet, k, P, sgn, return_budget, off):
     below, above = iet.intervals[j - 1:j + 1]
     I, I2 = (above, below) if sgn > 0 else (below, above)
     two_k = Fraction(1, 2 ** k)
-    delta_q = min(two_k, I.length) / 2 * off
+    delta_q = min(two_k, interval_length(I)) / 2 * off
     a = delta_q / 3
     Q = P + sgn * delta_q
     near = Q - sgn * a
-    delta_r = min(two_k, I2.length) / 2 * off
+    delta_r = min(two_k, interval_length(I2)) / 2 * off
     R = P - sgn * delta_r
     q_lo, q_hi = Q - two_k, Q + two_k
 

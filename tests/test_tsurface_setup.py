@@ -148,6 +148,8 @@ def test_exchange_matches_quadnum_construction(gamma, slit, data):
         assert [(_pin(iv.lo), _pin(iv.hi), _pin(iv.shift), iv.word)
                 for iv in iet.intervals] == rows
         fresh = ts.Transversal(S, edge)   # no exchange: first_return flows
+        # the height, decoded from the encoded edge, is |vec_y| in value and type
+        assert _pin(fresh.height) == _pin(abs(fresh.vec[1]))
         for tau in (Fraction(data.draw(st.integers(1, 996)), 997),
                     frac_part(QuadNum(Fraction(1, 3), Fraction(data.draw(st.integers(1, 9)),
                                                                   11), gamma.d))):
