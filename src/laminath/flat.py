@@ -155,11 +155,12 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # every i = 0..q but at most one: |i (q theta - p)| < q/q' <= 1 (q' the
 # next convergent denominator), so only the residue r + i p = q - 1
 # (theta > p/q) or 0 (theta < p/q) mod q can cross an integer, and it comes
-# up at exactly one i* in 1..q.  So a window is a slice of the doubled
-# period word of p/q from block j0 = r/p mod q, which is letter
-# j0 + floor(j0 p/q), and one exact floor at i* decides whether one "ab"
-# turns into "ba" (one 'b' more or less at the window's end when i* = q).
-# Three exact floors per window in all.
+# up at exactly one i* in 1..q.  So a window is blocks j0..j0+q-1 of the
+# doubled period of p/q, j0 = r/p mod q, and one exact floor at i* decides
+# whether block i* - 1 gains one from block i* or loses one to it (from or
+# to nothing when i* = q).  Three exact floors per window in all.  The window
+# plan decides windows once; they are read off the letter period (block j0 is
+# letter j0 + floor(j0 p/q)) or the block period, 0/1 offsets from floor(theta).
 
 
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
@@ -191,13 +192,22 @@ def _period_word(quotients: list[int]) -> str:
     return word[:-2] + "ba" if len(quotients) > 1 else word
 
 
-def _window_word(E, F, S, G, d, C, J: int, lift: bool,
-                 q_max: Optional[int] = None) -> tuple[str, int]:
-    """(letters, c): the letters of blocks 0..J-1 of
-    x_j = (E j + S + (F j + G) sqrt(d)) / C, and c = floor((E + F sqrt(d)) / C).
+def _block_period(quotients: list[int]) -> bytes:
+    """Blocks floor((t+1) P/Q) - floor(t P/Q) - c, t < Q, as 0/1 bytes, of
+    P/Q = [c; a_1, ..., a_k]: [c] and [c; 1] have Q = 1, else 0 w 1 with w
+    the standard word of directive (a_1 - 1, a_2, ..., a_k) over 1, 0 less
+    its last two letters (Berstel et al., Combinatorics on Words, 2008)."""
+    if len(quotients) == 1 or quotients[1:] == [1]:
+        return bytes((len(quotients) - 1,))
+    a1, *rest = quotients[1:]
+    return b"\x00" + _standard_word(b"\x01", b"\x00", (a1 - 1, *rest))[:-2] + b"\x01"
 
-    Unless ``lift`` (which needs c >= 0), every block drops c b's, leaving
-    blocks 0 and 1.  ``q_max`` caps the window length (default J + 1)."""
+
+def _window_plan(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
+    """(quotients, p, q, windows) for blocks j < J of x_j = (E j + S + (F j + G) sqrt(d)) / C:
+    the window convergent p/q = [c; a_1, ..., a_k] and per window of q blocks
+    (j0, i, miss), its start in the period and its block i - 1 off by miss
+    (block i by -miss if i < q).  ``q_max`` caps q (default J + 1)."""
     limit = max(J, 0) + 1 if q_max is None else q_max
     quotients, sign = [], 0
     p0, q0, p, q = 0, 1, 1, 0
@@ -207,48 +217,65 @@ def _window_word(E, F, S, G, d, C, J: int, lift: bool,
             break
         quotients.append(a)
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
-    c = quotients[0]
-    shift = 0 if lift else c
-    quotients[0] -= shift
-    P = p - shift * q
-    period = _period_word(quotients) * 2
     inv = pow(p, -1, q)
     target = q - 1 if sign > 0 else 0
-    pieces = []
+    windows = []
     A, B = S, G
     for _ in range(-(-J // q)):
         n0 = pair_floor(A, B, d, C)
         r = pair_floor(q * A, q * B, d, C) - q * n0
-        j0 = r * inv % q
-        start = j0 + j0 * P // q
-        end = start + P + q
         i = (target - r) * inv % q or q
-        k = (r + i * p) // q
-        miss = sign and pair_floor(A + i * E, B + i * F, d, C) - n0 - k
+        miss = sign and pair_floor(A + i * E, B + i * F, d, C) - n0 - (r + i * p) // q
         if miss not in (0, sign):
             raise CertificateViolation(f"window floor off by {miss} at j={i}")
-        e = start + i - 1 + k - shift * i  # the 'a' closing block i - 1
-        if miss > 0:
-            pieces += [period[start:e], "ba", period[e + 2:end]]
-        elif miss < 0:
-            pieces += [period[start:e - 1], "ab" if i < q else "a", period[e + 1:end]]
-        else:
-            pieces.append(period[start:end])
-        A += q * E
-        B += q * F
-    n = J + pair_floor(S + J * E, G + J * F, d, C) - pair_floor(S, G, d, C) - shift * J
-    return "".join(pieces)[:n], c
+        windows.append((r * inv % q, i, miss))
+        A, B = A + q * E, B + q * F
+    return quotients, p, q, windows
+
+
+def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None) -> str:
+    """The letters of blocks 0..J-1 of x_j = (E j + S + (F j + G) sqrt(d)) / C,
+    slope >= 0: the window plan read off the doubled letter period of p/q."""
+    quotients, p, q, windows = _window_plan(E, F, S, G, d, C, J, q_max)
+    period = _period_word(quotients) * 2
+    pieces = []
+    for j0, i, miss in windows:
+        start = j0 + j0 * p // q
+        end = start + p + q
+        # a defect swaps the "ab" after, or the "ba" before, the 'a' closing block i - 1
+        m = j0 + i - 1 + (j0 + i) * p // q + (miss > 0)
+        pieces += ([period[start:m - 1], "ba" if miss > 0 else "ab" if i < q else "a",
+                    period[m + 1:end]] if miss else [period[start:end]])
+    n = J + pair_floor(S + J * E, G + J * F, d, C) - pair_floor(S, G, d, C)
+    return "".join(pieces)[:n]
+
+
+def _window_blocks(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
+    """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as 0/1
+    bytes: the window plan read off the doubled block period of p/q."""
+    quotients, p, q, windows = _window_plan(E, F, S, G, d, C, J, q_max)
+    period = _block_period(quotients) * 2
+    out = bytearray()
+    for j0, i, miss in windows:
+        out += period[j0:j0 + q]
+        if miss:  # blocks i - 1 and i of the window, indexed from its end
+            out[i - 1 - q] += miss
+            if i < q:
+                out[i - q] -= miss
+    return out[:J], quotients[0]
+
+
+def _block_values(offsets, c: int):
+    """The blocks c + offset, by one translate where they fit in a byte."""
+    return (offsets.translate(bytes.maketrans(b"\x00\x01", bytes((c, c + 1))))
+            if 0 <= c < 255 else list(map(c.__add__, offsets)))
 
 
 def floor_blocks(E: int, F: int, S: int, G: int, d: int, C: int, J: int) -> list[int]:
     """Blocks floor(x_{j+1}) - floor(x_j), j = 0..J-1, of
     x_j = (E j + S + (F j + G) sqrt(d)) / C, with square-free d and C > 0,
-    read off the window kernel's letters one byte per block."""
-    letters, c = _window_word(E, F, S, G, d, C, J, lift=False)
-    base = c if 0 <= c < 255 else 0  # block values as bytes where they fit
-    blocks = list(letters.encode().replace(b"ba", b"\x01")
-                  .translate(bytes.maketrans(b"a\x01", bytes((base, base + 1)))))
-    return blocks if base == c else list(map(c.__add__, blocks))
+    read off the window kernel's block offsets."""
+    return list(_block_values(*_window_blocks(E, F, S, G, d, C, J)))
 
 
 def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
@@ -319,7 +346,7 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
     A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
     J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
-    letters, hit = _window_word(E, F, S, G, d, C, J, lift=True)[0], _first_hit(E, F, S, G, C, J)
+    letters, hit = _window_letters(E, F, S, G, d, C, J), _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
         hit = None

@@ -50,18 +50,14 @@ def _periodic_haystack(r, m: int) -> tuple[str, int]:
     window kernel as blocks 0..q-1 of (p j + q - 1)/q; the slope check comes
     first, as the kernel takes any slope."""
     p, q = _slope_data(Fraction(r))[:2]
-    period = flat._window_word(p, 0, q - 1, 0, 2, q, q, lift=True)[0]
+    period = flat._window_letters(p, 0, q - 1, 0, 2, q, q)
     return period * (m // len(period) + 2), len(period)
 
 
 def _block_period(theta: ContinuedFraction, l: int) -> bytes:
-    """Block values of one period of the level-l convergent word, up to
-    rotation, one byte each (l >= 1, c0 + 1 < 256).  The blocks of
-    [c0; a_1, ..., a_l] are c0 plus the standard word of [0; a_1, ..., a_l]
-    over 0 and 1: s_0 = 0, s_1 = 0^(a_1 - 1) 1 (Lothaire ch. 2)."""
-    c, a1, *rest = map(theta.coefficient, range(l + 1))
-    period = flat._standard_word(b"\x01", b"\x00", (a1 - 1, *rest))
-    return period.translate(bytes.maketrans(b"\x00\x01", bytes((c, c + 1))))
+    """Block values of one period of the level-l convergent word, a byte each (c0 < 255)."""
+    quotients = [theta.coefficient(i) for i in range(l + 1)]
+    return flat._block_values(flat._block_period(quotients), quotients[0])
 
 
 def _occurs(search: str, blocks: Optional[bytes], theta: ContinuedFraction, l: int) -> bool:
@@ -100,7 +96,8 @@ class AdmissibilityCertificate:
 
 def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
     for l in range(k_max + 1):
-        if theta.convergent(l).q >= span:
+        theta._grow(l)  # q_l off the cached convergent table
+        if theta._q[l + 2] >= span:
             return l
     raise DepthInsufficient(
         f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")

@@ -52,10 +52,11 @@ class BlockWord:
             raise ValueError(f"blocks must lie in {{{self.base},{self.base + 1}}}")
 
     def letters(self) -> LetterWord:
-        run, mark = ("b", "a") if self.orientation == "ba" else ("a", "b")
+        run, mark = (b"b", b"a") if self.orientation == "ba" else (b"a", b"b")
         n = self.base
-        return "".join(map({n: run * n + mark, n + 1: run * n + run + mark}.__getitem__,
-                           self.blocks))
+        offs = (bytes(self.blocks).translate(bytes.maketrans(bytes((n, n + 1)), b"\x00\x01"))
+                if n < 255 else bytes(map(n.__rsub__, self.blocks)))
+        return offs.replace(b"\x00", run * n + mark).replace(b"\x01", run * n + run + mark).decode()
 
     @property
     def letter_count(self) -> int:
@@ -166,13 +167,13 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
     sign = -1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q if closed else q
     S, _, N2, _ = _segment_heights(p, q, k, B)
-    blocks = (flat.floor_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1)
-              + flat.floor_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1))
-    if not blocks[0] == n + k % 2 == blocks[q - 1]:
+    offs, c = flat._window_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1)
+    offs += flat._window_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1)[0]
+    if not offs[0] + c == n + k % 2 == offs[q - 1] + c:
         raise CertificateViolation("flipped word does not start and end on the edge block")
-    if sum(blocks[:q]) != p - sign:
+    if c * q + offs.count(1, 0, q) != p - sign:
         raise CertificateViolation("flipped word breaks the block counts")
-    return BlockWord(n, tuple(blocks)), cv
+    return BlockWord(n, tuple(flat._block_values(offs, c))), cv
 
 
 def _segment_heights(p: int, q: int, k: int, B: int) -> tuple[int, int, int, int]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laminath import flat, oracle, words
-from laminath.cf import ContinuedFraction
+from laminath.cf import ContinuedFraction, partial_quotients
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                              PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor, frac_part
@@ -208,9 +208,10 @@ def _blocks_python(E, F, S, G, d, C, J):
 
 
 def _window_blocks(E, F, S, G, d, C, J, q_max):
-    """Blocks of the window kernel with its window length capped at q_max."""
-    letters, c = flat._window_word(E, F, S, G, d, C, J, lift=False, q_max=q_max)
-    return [len(run) + c for run in letters[:-1].split("a")] if J else []
+    """Blocks of the window kernel's block read-out with its window length
+    capped at q_max."""
+    offsets, c = flat._window_blocks(E, F, S, G, d, C, J, q_max)
+    return [o + c for o in offsets]
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,8 +230,22 @@ def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
     assert flat.floor_blocks(E, F, S, G, d, C, J) == ref
     assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
     if E + F * QuadNum(0, 1, d) >= 0:
-        letters = flat._window_word(E, F, S, G, d, C, J, lift=True, q_max=q_max)[0]
+        letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
         assert letters == "".join("b" * n + "a" for n in ref)
+
+
+def test_block_period_matches_direct_floors():
+    # every P/q with q <= 60 and integer part 0..3, in its canonical
+    # expansion and in the one ending in 1 that a window convergent may have;
+    # q = 1 gives [c] and [c - 1; 1], whose block c is offset 1 from c - 1
+    for q in range(1, 61):
+        for P in range(4 * q):
+            if math.gcd(P, q) != 1:
+                continue
+            canonical = list(partial_quotients(P, 0, 0, q))
+            for form in (canonical, canonical[:-1] + [canonical[-1] - 1, 1]):
+                want = bytes((t + 1) * P // q - t * P // q - form[0] for t in range(q))
+                assert flat._block_period(form) == want, (P, q, form)
 
 
 def test_window_blocks_short_lengths_and_steep_slopes():
@@ -253,6 +268,8 @@ def test_window_defect_at_the_window_end(s, q_max, p):
     for J in (1, q_max, 3 * q_max + 1, 50):
         ref = _blocks_python(E, F, S, G, d, C, J)
         assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
+        letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
+        assert letters == "".join("b" * n + "a" for n in ref)
     # the first window really carries the defect: its q blocks do not sum to p
     assert sum(_blocks_python(E, F, S, G, d, C, q_max)) != p
 

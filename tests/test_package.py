@@ -458,7 +458,7 @@ def test_opaque_slopes_read_the_window_kernel(monkeypatch):
 
 def test_block_word_verdicts_read_no_letter_haystack(monkeypatch):
     # a "ba" block-word verdict reads the convergent's block bytes: neither
-    # the letter haystack nor the window kernel is called
+    # the letter haystack nor the window kernel's letter read-out is called
     from laminath import flat, oracle, words
     from laminath.cf import ContinuedFraction
     from reference import is_admissible_letters
@@ -471,6 +471,33 @@ def test_block_word_verdicts_read_no_letter_haystack(monkeypatch):
              for k in (2, 3, 6, 7)]
     want = [is_admissible_letters(word, theta) for theta, word in cases]
     monkeypatch.setattr(oracle, "_periodic_haystack", refuse)
-    monkeypatch.setattr(flat, "_window_word", refuse)
+    monkeypatch.setattr(flat, "_window_letters", refuse)
     assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
     assert {cert.verdict for cert in want} == {"inadmissible"}
+
+
+def test_segments_and_clearances_read_no_letters(monkeypatch):
+    # segment words and clearance certificates are read on the window
+    # kernel's block read-out: no letter period is built or sliced
+    from fractions import Fraction
+
+    from laminath import flat, words
+    from laminath.cf import ContinuedFraction
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letters read")
+
+    thetas = (ContinuedFraction.sqrt2(), ContinuedFraction.from_text("cf:[4;1,1,7]p"),
+              ContinuedFraction.from_text("cf:[300;2]p"))
+    cases = [(theta, k) for theta in thetas for k in (2, 3, 6, 7)]
+
+    def certify(theta, k):
+        seg = words.inadmissible_segment(theta, k)
+        clearance = flat.homotopy_clearance(Fraction(1, 4) if k % 2 == 0 else Fraction(3, 4),
+                                            theta, k)
+        return seg.word, seg.measure, clearance
+
+    want = [certify(theta, k) for theta, k in cases]
+    monkeypatch.setattr(flat, "_window_letters", refuse)
+    monkeypatch.setattr(flat, "_period_word", refuse)
+    assert [certify(theta, k) for theta, k in cases] == want
