@@ -27,15 +27,17 @@ A closed surface with rational coordinates is a cylinder decomposition, and a
 rational exchange has no non-saddle cut: both are decided with no flow.
 
 Exactness policy: every value is an exact field element and every branch an
-exact integer sign test.  A surface is encoded once, each vertex coordinate
-as a pair (u, v) standing for (u + v sqrt d)/D over their common D, and all
-set-up runs on such pairs (validation, corner germs, the first cuts and the
-exchange's probes), as do both kernels: the flow kernel, which flows the
-separatrices and probes and names the vertex a singular orbit meets, and the
-exchange kernel behind first returns once the exchange is built, leaf
-streams (tower words of an exact Rauzy–Veech induction), loop certificates,
-the cut table and the non-saddle search.  Only a transversal's edge vector
-and ``Transversal.point``, and the exchange's reference steps
+exact integer sign test, or a test on integer keys with a proved error bound
+that leaves to the sign test what it cannot decide (the exchange kernel's
+slots and loop windows, ``_IETKernel``).  A surface is encoded once, each
+vertex coordinate as a pair (u, v) standing for (u + v sqrt d)/D over their
+common D, and all set-up runs on such pairs (validation, corner germs, the
+first cuts and the exchange's probes), as do both kernels: the flow kernel,
+which flows the separatrices and probes and names the vertex a singular
+orbit meets, and the exchange kernel behind first returns once the exchange
+is built, leaf streams (tower words of an exact Rauzy–Veech induction), loop
+certificates, the cut table and the non-saddle search.  Only a transversal's
+edge vector and ``Transversal.point``, and the exchange's reference steps
 ``ReturnMapIET.step``/``orbit_word``, use Fraction/QuadNum arithmetic;
 values leaving set-up or a kernel (the exchange's intervals and first cuts,
 a loop certificate's values on request) decode to the field elements that
@@ -45,6 +47,7 @@ arithmetic would give (``exactnum.decode``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, islice
@@ -54,7 +57,7 @@ from ._record import record
 from .errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                      InvalidSurface, SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, format_exact,
-                       pair_floor, pair_sign, parse_exact, surd)
+                       pair_sign, parse_exact, surd)
 from .ledger import ExoticStage, exotic_stages
 
 # the public label of each internal letter: e_i, E_i for pair i
@@ -601,25 +604,16 @@ class ExchangeInterval:
 
 def _slot(bounds, u, v, d) -> int:
     """Index j with bounds[j] < (u, v) < bounds[j + 1], by bisection over
-    sorted integer pairs the caller knows to enclose (u, v); landing exactly
-    on a bound raises SingularHit.  The hot loop, so the sign test of
-    ``pair_sign`` is inlined."""
+    sorted integer pairs the caller knows to enclose (u, v), with exact sign
+    tests; landing exactly on a bound raises SingularHit.  The exact fallback
+    of an orbit's keyed slot, taken only near a cut."""
     lo, hi = 0, len(bounds) - 1
     while hi - lo > 1:
         mid = (lo + hi) >> 1
-        cu, cv = bounds[mid]
-        du = u - cu
-        dv = v - cv
-        if du >= 0 and dv >= 0:
-            if not (du or dv):
-                raise SingularHit("orbit landed on a partition cut")
-            lo = mid
-        elif du <= 0 and dv <= 0:
-            hi = mid
-        elif (du * du > d * dv * dv) == (du > 0):
-            lo = mid
-        else:
-            hi = mid
+        s = pair_sign(u - bounds[mid][0], v - bounds[mid][1], d)
+        if not s:
+            raise SingularHit("orbit landed on a partition cut")
+        lo, hi = (mid, hi) if s > 0 else (lo, mid)
     return lo
 
 
@@ -636,13 +630,16 @@ class _IETKernel:
     The exchange of (0, ``end``) moves interval i, from ``lows[i]`` up, by
     ``shifts[i]`` and reads ``words[i]`` through it: (0, 1) for a return
     map, (0, L) for its Rauzy–Veech induction (``towers``).  Pairs (u, v)
-    stand for (u + v sqrt d)/D, ``d`` None when every value is rational;
-    every branch is an exact sign test.
+    stand for (u + v sqrt d)/D, ``d`` None when every value is rational.
     Each direction has one table: the sorted cut pairs of the intervals
-    (forward) or of their images (backward); per slot, the index of the
-    interval and the pair to add; and per slot the successor cuts, those
-    strictly inside the slot's moved interval, so that after the first step
-    the bisection runs only over the cuts the last image straddles.  Landing
+    (forward) or of their images (backward), their keys and largest key
+    error; per slot, the interval's index, the pair to add, its key and error.
+    The key of (u, v), (u << 20) + (v R >> 10) with R = isqrt(d 2^60), lies
+    within |v|/2^10 + 1 of 2^20 (u + v sqrt d): (|v| >> 10) + 2 bounds its
+    error, and keys add with their errors.  An orbit keeps its state's key x
+    and error bound e and takes the slot found by bisecting the cut keys for
+    x when x is farther than e plus the cuts' error from both of its ends;
+    otherwise ``_slot`` decides exactly and x and e are recomputed.  Landing
     exactly on a cut raises SingularHit.
     """
 
@@ -650,7 +647,7 @@ class _IETKernel:
 
     def __init__(self, lows, shifts, end, D: int, d: Optional[int], words):
         self.end, self.D, self.surd, self.d = end, D, d, d or 2
-        self.words, self._copies, self._scale = words, {}, None
+        self.words, self._copies, self._scale, self._R = words, {}, None, math.isqrt(self.d << 60)
         images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
                   in zip(lows, lows[1:] + [end], shifts)]
         key = _exact_key([lo for lo, _ in images], self.d)
@@ -658,22 +655,20 @@ class _IETKernel:
         cuts = [images[i][0] for i in order]
         if cuts + [end] != [(0, 0)] + [images[i][1] for i in order]:
             raise CertificateViolation("return-map images do not tile the edge")
-        moves = [(i, su, sv) for i, (su, sv) in enumerate(shifts)]
-        self.forward = self._table(lows + [end], moves)
-        self.backward = self._table(cuts + [end], [(i, -moves[i][1], -moves[i][2])
+        self.forward = self._table(lows + [end], list(enumerate(shifts)))
+        self.backward = self._table(cuts + [end], [(i, (-shifts[i][0], -shifts[i][1]))
                                                    for i in order])
 
+    def key(self, u: int, v: int) -> tuple:
+        """The key of the pair (u, v) and the bound on its error."""
+        return (u << 20) + (v * self._R >> 10), (abs(v) >> 10) + 2
+
     def _table(self, bounds, moves):
-        """(bounds, moves, successors): successors[j] holds the bounds
-        strictly inside slot j's moved interval, framed by its ends, and the
-        slots those bounds separate."""
-        successors = []
-        for j, (_, du, dv) in enumerate(moves):
-            lo, hi = [(u + du, v + dv) for u, v in bounds[j:j + 2]]
-            inner = [b for b in bounds if self.inside(b, lo, hi)]
-            first = bounds.index(lo) if lo in bounds else _slot(bounds, *lo, self.d)
-            successors.append(([lo] + inner + [hi], range(first, first + len(inner) + 1)))
-        return bounds, moves, successors
+        """(bounds, moves as (index, du, dv, key, error), bound keys, their
+        largest error)."""
+        keys = [self.key(*b) for b in bounds]
+        return (bounds, [(i, *s, *self.key(*s)) for i, s in moves], [k for k, _ in keys],
+                max(e for _, e in keys))
 
     def scaled(self, m: int, d: Optional[int]) -> "_IETKernel":
         """The memoised copy over m*D, in the field sqrt ``d``."""
@@ -681,10 +676,10 @@ class _IETKernel:
         if copy is None:
             if len(self._copies) >= self._COPIES:
                 self._copies.clear()
-            bounds, moves, _ = self.forward
+            bounds, moves = self.forward[:2]
             copy = self._copies[m, d] = _IETKernel(
                 [(m * u, m * v) for u, v in bounds[:-1]],
-                [(m * du, m * dv) for _, du, dv in moves],
+                [(m * du, m * dv) for _, du, dv, _, _ in moves],
                 (m * self.end[0], m * self.end[1]), m * self.D, d, self.words)
             copy._scale = self, m
         return copy
@@ -705,23 +700,28 @@ class _IETKernel:
         return (pair_sign(u - lo[0], v - lo[1], self.d) > 0
                 and pair_sign(hi[0] - u, hi[1] - v, self.d) > 0)
 
-    def orbit(self, state, back: bool = False):
+    def orbit(self, state, back: bool = False, keyed: Optional[list] = None):
         """Step ``state`` through the exchange (through its inverse when
-        ``back``), updating it in place; yields the index of the interval
-        each step used."""
-        bounds, moves, successors = self.backward if back else self.forward
-        d = self.d
+        ``back``), updating it in place, and ``keyed`` to its key and error
+        bound; yields the index of the interval each step used."""
+        bounds, moves, keys, err = self.backward if back else self.forward
+        inner, d, keyed = keys[1:-1], self.d, keyed or [0, 0]
         u, v = state
-        j = _slot(bounds, u, v, d)
+        x, e = self.key(u, v)
         while True:
-            i, du, dv = moves[j]
+            j = bisect_right(inner, x)
+            t = e + err
+            if not keys[j] + t < x < keys[j + 1] - t:
+                j = _slot(bounds, u, v, d)
+                x, e = self.key(u, v)
+            i, du, dv, dx, de = moves[j]
             u += du
             v += dv
             state[0] = u
             state[1] = v
+            keyed[0] = x = x + dx
+            keyed[1] = e = e + de
             yield i
-            cuts, slots = successors[j]
-            j = slots[_slot(cuts, u, v, d)] if len(slots) > 1 else slots[0]
 
     def return_word(self, state, n: int) -> str:
         """The crossing word of ``n`` steps from ``state`` (moved in place):
@@ -755,11 +755,11 @@ class _IETKernel:
             base, m = self._scale
             return base.towers.scaled(m, self.surd)
         d = self.d
-        bounds, moves, _ = self.forward
+        bounds, moves = self.forward[:2]
         lengths = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(bounds, bounds[1:])]
-        shifts = [(du, dv) for _, du, dv in moves]
+        shifts = [(du, dv) for _, du, dv, _, _ in moves]
         words = list(self.words)
-        top, bottom = list(range(len(moves))), [i for i, _, _ in self.backward[1]]
+        top, bottom = list(range(len(moves))), [move[0] for move in self.backward[1]]
         Lu, Lv = self.end
         while min(map(len, words)) < _TOWER_MIN and max(map(len, words)) < _TOWER_MAX:
             a, b = top[-1], bottom[-1]
@@ -984,15 +984,18 @@ def return_partition(surface, trans, n: int) -> ReturnPartition:
 
 def _exact_key(pairs, d: int):
     """A sort key on integer pairs (u, v) that orders their values
-    u + v sqrt d exactly: floor(2^K (u + v sqrt d)), K = bit_length(4B) +
-    bit_length(d) + 1, B the largest |u| or |v| among ``pairs``.  Two
-    distinct values differ by at least 1/(|du| + |dv| sqrt d), because
-    (du + dv sqrt d)(du - dv sqrt d) is a nonzero integer; with |du|, |dv| <=
-    2B that is more than 2^-K, so distinct values get distinct keys, in
-    order."""
+    u + v sqrt d exactly, in the fixed-point form of the exchange kernel's
+    keys: (u << K) + (v R >> L), R = isqrt(d 2^(2K + 2L)), K =
+    bit_length(4B) + bit_length(d) + 4 and L = bit_length(B) + 1, B the
+    largest |u| or |v| among ``pairs``.  A key lies within B/2^L + 1 < 3/2 of
+    2^K (u + v sqrt d).  Two distinct values differ by at least
+    1/(|du| + |dv| sqrt d), because (du + dv sqrt d)(du - dv sqrt d) is a
+    nonzero integer; with |du|, |dv| <= 2B that is more than 2^(3 - K), so
+    their keys differ by more than 8 - 3 and keep their order."""
     B = max((max(abs(u), abs(v)) for u, v in pairs), default=0)
-    K = (4 * B).bit_length() + d.bit_length() + 1
-    return lambda p: pair_floor(p[0] << K, p[1] << K, d, 1)
+    K, L = (4 * B).bit_length() + d.bit_length() + 4, B.bit_length() + 1
+    R = math.isqrt(d << 2 * (K + L))
+    return lambda p: (p[0] << K) + (p[1] * R >> L)
 
 
 class _CutTable:
@@ -1166,18 +1169,16 @@ def build_inadmissible_loop(surface, trans, k: int,
 def _landings(kernel: _IETKernel, state: list, lo, hi, budget: int, steps: list):
     """Step ``state`` on ``kernel`` up to ``budget`` times, appending each
     interval index to ``steps``; yield the step count whenever lo < state <
-    hi.  The sign tests of ``pair_sign`` are inlined, as in ``_slot``."""
-    (lu, lv), (hu, hv), d = lo, hi, kernel.d
-    for i in islice(kernel.orbit(state), budget):
+    hi.  The window is decided on the key and error bound the orbit hands
+    out, and by ``kernel.inside`` only when they cannot decide it."""
+    (lk, le), (hk, he), keyed = kernel.key(*lo), kernel.key(*hi), [0, 0]
+    for i in islice(kernel.orbit(state, keyed=keyed), budget):
         steps.append(i)
-        u, v = state
-        du, dv = u - lu, v - lv
-        if (du * du > d * dv * dv) != (du > 0) if du < 0 < dv or dv < 0 < du else du + dv <= 0:
+        x, e = keyed
+        if x + e + le <= lk or x - e - he >= hk:
             continue
-        du, dv = hu - u, hv - v
-        if (du * du > d * dv * dv) != (du > 0) if du < 0 < dv or dv < 0 < du else du + dv <= 0:
-            continue
-        yield len(steps)
+        if lk + le <= x - e and x + e + he <= hk or kernel.inside(state, lo, hi):
+            yield len(steps)
 
 
 def _try_loop(trans, iet, k, P, sgn, return_budget, off):
@@ -1215,12 +1216,11 @@ def _try_loop(trans, iet, k, P, sgn, return_budget, off):
     else:
         raise BudgetExhausted(f"no admissible return depth within {return_budget}",
                               depth=len(word_idx))
-    (lu, lv), (hu, hv) = bounds[I:I + 2]   # as T^n(Q) lies in I, that is |T^n(Q) - ends| > a
-    if not kernel.inside(state, (m * lu + au, m * lv + av), (m * hu - au, m * hv - av)):
+    (lu, lv), (hu, hv) = kernel.forward[0][I:I + 2]   # T^n(Q) in I: |T^n(Q) - ends| > a
+    if not kernel.inside(state, (lu + au, lv + av), (hu - au, hv - av)):
         raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
 
-    (lu, lv), (hu, hv) = bounds[I2:I2 + 2]
-    if not kernel.inside(R, (m * lu, m * lv), (m * hu, m * hv)):
+    if not kernel.inside(R, *kernel.forward[0][I2:I2 + 2]):
         raise CertificateViolation("R does not lie in the neighboring interval")
     words = kernel.words   # each interval's word and the arrival letter
     if words[I2] == words[I]:

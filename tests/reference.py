@@ -6,7 +6,8 @@ certificate, CLI command, script or benchmark needs: on surfaces
 ``three_distance_points``, ``revert_flip``, ``cusp_representative``,
 ``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
 verdict ``is_admissible_letters``, the slow reference of the oracle's block
-bytes; ``interval_length`` of an exchange interval; ``parts`` and the slow
+bytes; ``exact_orbit``, the exchange kernel's orbit by exact sign tests
+alone; ``interval_length`` of an exchange interval; ``parts`` and the slow
 reference ``QuadNum`` (a Fraction pair a, b) with its ``format_exact``;
 ``run_cli``, one in-process CLI call."""
 
@@ -203,6 +204,20 @@ def rational_block_rotations(r) -> list[BlockWord]:
 def is_finite(theta: ContinuedFraction) -> bool:
     """Whether theta's coefficient stream ends (a rational slope)."""
     return theta.length is not None
+
+
+def exact_orbit(kernel, state, back: bool = False):
+    """The exchange kernel's orbit decided by exact sign tests alone: every
+    step bisects all of the table's bounds (``_slot``), with no key and no
+    successor table.  The reference of ``_IETKernel.orbit``: it moves
+    ``state`` in place and yields the same indices, and raises SingularHit
+    at the same step."""
+    bounds, moves = (kernel.backward if back else kernel.forward)[:2]
+    while True:
+        i, du, dv = moves[ts._slot(bounds, *state, kernel.d)][:3]
+        state[0] += du
+        state[1] += dv
+        yield i
 
 
 def interval_length(iv: ts.ExchangeInterval):

@@ -8,17 +8,18 @@ from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from laminath import tsurface as ts
 from laminath.cf import ContinuedFraction
 from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                              InvalidSurface, SingularHit)
-from laminath.exactnum import QuadNum, encode, format_exact, frac_part, pair_sign, parse_exact
+from laminath.exactnum import (QuadNum, encode, format_exact, frac_part, pair_floor, pair_sign,
+                               parse_exact)
 from laminath.ledger import tail_measure_signature
 
-from reference import (StepResult, flow_step, interval_length, saddle_connections,
-                       sample_leaf_words, state_point)
+from reference import (StepResult, exact_orbit, flow_step, interval_length,
+                       saddle_connections, sample_leaf_words, state_point)
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -813,6 +814,181 @@ def test_kernel_long_orbit_matches_reference():
     assert ref == tau
 
 
+# -- keyed slots ---------------------------------------------------------------------
+
+def _orbit_outcome(orbit, state, steps=2000):
+    """Each step's interval index and state, and the step that raised
+    SingularHit (None if none did)."""
+    seen = []
+    try:
+        for _, i in zip(range(steps), orbit):
+            seen.append((i, tuple(state)))
+    except SingularHit:
+        return seen, len(seen) + 1
+    return seen, None
+
+
+def _matches_exact(kernel, start, back=False, steps=2000):
+    """The keyed orbit from the pair ``start`` sees the indices, states and
+    SingularHit step of the exact reference."""
+    state = list(start)
+    got = _orbit_outcome(kernel.orbit(state, back=back), state, steps)
+    state = list(start)
+    assert got == _orbit_outcome(exact_orbit(kernel, state, back), state, steps)
+
+
+def _pell(d, bits=40):
+    """Two units p + q sqrt d (p^2 - d q^2 = +-1) with p > 2^bits, so that
+    |p - q sqrt d| < 2^-bits: consecutive powers of the least unit, of both
+    norms when the least unit has norm -1."""
+    p1, q1 = next((p, q) for p, q in _sqrt_convergents(d, 100) if abs(p * p - d * q * q) == 1)
+    p, q = p1, q1
+    while not p >> bits:
+        p, q = p1 * p + d * q1 * q, p1 * q + q1 * p
+    return [(p, q), (p1 * p + d * q1 * q, p1 * q + q1 * p)]
+
+
+def _near_cuts(kernel, bits=40, tables=None):
+    """States within 2^-bits of each inner cut of the tables (both by
+    default), on either side: the cut plus or minus the pair of
+    p - q sqrt d, a Pell unit's conjugate."""
+    return [(cu + s * p, cv - s * q) for table in tables or (kernel.forward, kernel.backward)
+            for cu, cv in table[0][1:-1] for p, q in _pell(kernel.d, bits) for s in (1, -1)]
+
+
+def _arriving(kernel, target, n, back=False):
+    """The state n exact steps before ``target`` in the direction ``back``
+    (fewer when the way back lands on a cut)."""
+    state = list(target)
+    try:
+        for _ in zip(range(n), exact_orbit(kernel, state, not back)):
+            pass
+    except SingularHit:
+        pass
+    return tuple(state)
+
+
+_rational_shears = st.fractions(Fraction(1, 40), Fraction(39, 40), max_denominator=40).filter(
+    lambda g: g != Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fixtures, st.one_of(_shears, _rational_shears), st.data())
+def test_keyed_orbit_matches_exact_orbit(name, gamma, data):
+    # the exchange's own kernel or its towers, rescaled by m up to 2^64 (so
+    # that |v| >> 10 dominates every key error), in the exchange's field or
+    # in sqrt 5 for a rational exchange; the start is anywhere, within 2^-40
+    # of a cut, or up to 1,500 exact steps before such a state
+    iet = _fixture_iet(name, gamma)
+    kernel = data.draw(st.sampled_from([iet.kernel, iet.kernel.towers]), "kernel")
+    m = data.draw(st.one_of(st.just(1), st.integers(2, 1 << 64)), "m")
+    d = kernel.surd or data.draw(st.sampled_from([None, 5]), "d")
+    if (m, d) != (1, kernel.surd):
+        kernel = kernel.scaled(m, d)
+    back = data.draw(st.booleans(), "back")
+    (eu, ev), d = kernel.end, kernel.d
+    t, v = data.draw(st.integers(1, (1 << 32) - 1), "t"), 0
+    if kernel.surd:
+        v = data.draw(st.integers(-(1 << 30), 1 << 30), "v")
+    # (u, v) at or just below t/2^32 of the way along (0, end)
+    u = pair_floor(t * eu, t * ev - (v << 32), d, 1 << 32)
+    start = data.draw(st.sampled_from([(u, v)] + _near_cuts(kernel)), "start")
+    assume(kernel.inside(start, (0, 0), kernel.end))
+    start = _arriving(kernel, start, data.draw(st.integers(0, 1500), "n"), back)
+    _matches_exact(kernel, start, back)
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+@pytest.mark.parametrize("m", [1, 1 << 40])
+def test_state_near_a_cut_takes_the_exact_fallback(name, m, monkeypatch):
+    # a key cannot tell which side of a cut a state within 2^-40 of it lies
+    # on: the slot goes to the exact bisection, which decides it.  Over
+    # D = 2^40 D0 the state's key falls inside the edge's, off by about 2^-30
+    kernel = _fixture_iet(name).kernel.scaled(m, 2)
+    calls, slot = [], ts._slot
+    monkeypatch.setattr(ts, "_slot", lambda *args: calls.append(args) or slot(*args))
+    for table, back in ((kernel.forward, False), (kernel.backward, True)):
+        for start in _near_cuts(kernel, tables=[table]):
+            state = list(start)
+            del calls[:]
+            got = _orbit_outcome(kernel.orbit(state, back=back), state, 4)
+            assert calls, (start, back)
+            state = list(start)
+            assert got == _orbit_outcome(exact_orbit(kernel, state, back), state, 4)
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+@pytest.mark.parametrize("m", [3 << 10, 1 << 40, (1 << 64) + 1])
+def test_key_error_grows_with_the_shift(name, m):
+    # on a copy scaled by m, m |dv| > 2^10, a step adds up to m |dv|/2^10 + 1
+    # to the key's error.  From a rational state (v = 0: an exact key) the
+    # orbit runs n steps to a state T within 1/D of a cut whose v is the sum
+    # of the n shifts' v: its key is off by about |v|/2^10, far more than 2n
+    kernel = _fixture_iet(name).kernel.scaled(m, 2)
+    (p, q), _ = _pell(2)
+    cuts = kernel.forward[0][1:-1] + kernel.backward[0][1:-1]
+    for (cu, cv), back, n, s in product(cuts, (False, True), (50, 400), (1, -1)):
+        near = cu + s * p, cv - s * q
+        v = near[1] - _arriving(kernel, near, n, back)[1]   # the path's v-shift
+        w = v - cv
+        f = math.isqrt(2 * w * w) if w >= 0 else -math.isqrt(2 * w * w) - 1
+        for u in (cu - f, cu - f - 1):   # T just above and just below the cut
+            _matches_exact(kernel, _arriving(kernel, (u, v), n, back), back, n + 3)
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_slot_test_counts_the_cut_keys_error(name):
+    # on a copy scaled by 2^64 the cut keys carry errors near 2^54, while a
+    # rational state's key is exact: a state within 1/D of a cut, on either
+    # side, is placed only by counting the cuts' error
+    kernel = _fixture_iet(name).kernel.scaled(1 << 64, 2)
+    for table, back in ((kernel.forward, False), (kernel.backward, True)):
+        for cu, cv in table[0][1:-1]:
+            below = cu + (math.isqrt(2 * cv * cv) if cv >= 0 else -math.isqrt(2 * cv * cv) - 1)
+            for u in (below, below + 1):
+                _matches_exact(kernel, (u, 0), back, 3)
+
+
+def test_huge_states_step_exactly():
+    # coordinates past 2000 bits step without error and as the exact orbit
+    for name in ("sheared-torus", "slit-tori"):
+        kernel = _fixture_iet(name).kernel.scaled(3 ** 1300, 2)
+        start = (kernel.end[0] // 3, 0)
+        assert start[0].bit_length() > 2000
+        for back in (False, True):
+            _matches_exact(kernel, start, back, 300)
+        for start in _near_cuts(kernel, 2100)[:4]:
+            assert min(map(int.bit_length, start)) > 2000
+            _matches_exact(kernel, start, False, 300)
+
+
+def test_keyed_slots_rarely_fall_back(monkeypatch):
+    # CI tripwire: loops at k <= 8 on both fixtures, and leaf streams, decide
+    # fewer than 5% of their steps by the exact bisection
+    calls, steps = [0], [0]
+    slot, orbit = ts._slot, ts._IETKernel.orbit
+
+    def counted_slot(*args):
+        calls[0] += 1
+        return slot(*args)
+
+    def counted_orbit(self, *args, **kwargs):
+        for i in orbit(self, *args, **kwargs):
+            steps[0] += 1
+            yield i
+
+    monkeypatch.setattr(ts, "_slot", counted_slot)
+    monkeypatch.setattr(ts._IETKernel, "orbit", counted_orbit)
+    for name in ("sheared-torus", "slit-tori"):
+        tr = _fresh_transversal(name)
+        for k in range(1, 9):
+            ts.build_inadmissible_loop(tr.surface, tr, k)
+        for x in (Fraction(1, 7), Fraction(3, 11), QuadNum(0, Fraction(1, 3), 2)):
+            tr.return_map().letter_stream(x, 20_000)
+    assert steps[0] > 10_000
+    assert calls[0] < 0.05 * steps[0], (calls[0], steps[0])
+
+
 @pytest.mark.parametrize("name, gamma", [
     ("sheared-torus", None), ("slit-tori", None),
     ("sheared-torus", QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
@@ -870,13 +1046,12 @@ def _sqrt_convergents(d, count):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.data())
-def test_exact_key_orders_pairs_exactly(d, data):
-    # near-ties: p_k - q_k sqrt d lies within 1/q_k of 0, so sums of two such
-    # pairs, shifted by small integers, crowd within 1/q of each other, and
-    # the two halves of one convergent pair differ by as little as the bound
-    # allows; with k up to 160 the coordinates pass 2^200
+def _near_ties(d, data):
+    """Pairs whose values crowd together: p_k - q_k sqrt d lies within 1/q_k
+    of 0, so sums of two such pairs, shifted by small integers, crowd within
+    1/q of each other, and the two halves of one convergent pair differ by as
+    little as ``_exact_key``'s bound allows; with k up to 160 the coordinates
+    pass 2^200.  A few pairs repeat."""
     cvs = _sqrt_convergents(d, 161)
     signs = st.sampled_from([-1, 1])
     sums = st.builds(
@@ -890,12 +1065,34 @@ def test_exact_key_orders_pairs_exactly(d, data):
         st.integers(0, 160), signs)
     groups = data.draw(st.lists(st.one_of(sums, halves), min_size=1, max_size=8))
     pairs = [p for group in groups for p in group]
-    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))  # equal pairs
+    return pairs + data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_exact_key_orders_pairs_exactly(d, data):
+    pairs = _near_ties(d, data)
     key = ts._exact_key(pairs, d)
     exact = cmp_to_key(lambda a, b: pair_sign(a[0] - b[0], a[1] - b[1], d))
     assert sorted(pairs, key=key) == sorted(pairs, key=exact)
     top = max(pairs, key=key)
     assert all(pair_sign(top[0] - u, top[1] - v, d) >= 0 for u, v in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_exact_key_orders_as_pair_floor_keys(d, data):
+    # the fixed-point keys compare as floor(2^K (u + v sqrt d)) by
+    # pair_floor does, K = bit_length(4B) + bit_length(d) + 1: the same
+    # order and the same ties
+    pairs = _near_ties(d, data)
+    B = max(max(abs(u), abs(v)) for u, v in pairs)
+    K = (4 * B).bit_length() + d.bit_length() + 1
+    want = [pair_floor(u << K, v << K, d, 1) for u, v in pairs]
+    got = list(map(ts._exact_key(pairs, d), pairs))
+    sign = lambda x: (x > 0) - (x < 0)
+    assert [[sign(a - b) for b in got] for a in got] == [[sign(a - b) for b in want]
+                                                         for a in want]
 
 
 def _fresh_transversal(name, gamma=None):
