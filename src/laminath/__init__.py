@@ -20,7 +20,8 @@ _EXPORTS = {
                  "find_non_saddle_point", "first_return", "load_surface", "return_partition",
                  "synthesize_exotic"),
 }
-_SUBMODULES = ("cf", "errors", "exactnum", "flat", "ledger", "oracle", "tsurface", "words")
+_SUBMODULES = ("cf", "errors", "exactnum", "flat", "iet", "ledger", "oracle", "tsurface",
+               "words")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_HOME, *_SUBMODULES]

@@ -11,43 +11,32 @@ label of each slot it exits through.  Internally pair i is encoded as the
 character chr(ord('a')+i) or chr(ord('A')+i) so words are plain strings.
 
 The first-return map to a non-horizontal edge is an interval exchange in the
-edge parameter; return words are constant on the exchange intervals, whose
-endpoints are the backward orbits of the singularities.  That structure
-drives everything here: level-set partitions, short inadmissible loops of
-exponentially small measure, and their concatenation into finite-measure
-words no leaf word ever contains in its tail.
-
-Each separatrix is flowed once.  The backward ones are flowed to their first
-transversal crossing as the exchange is built; the exchange keeps those pairs
-(the non-saddle search steps them back on its kernel, flowing no separatrix)
-and owns one cut table (their backward orbits by birth depth, each query's
-cuts sorted by one exact key) for every partition and loop.
-The cylinder check flows the forward ones, up to the first that stays open.
-A closed surface with rational coordinates is a cylinder decomposition, and a
-rational exchange has no non-saddle cut: both are decided with no flow.
+edge parameter whose return words are constant on intervals cut by the
+backward orbits of the singularities.  ``ReturnMapIET`` builds it: each
+backward separatrix is flowed once, to its first transversal crossing, and
+two probes per interval, and the integer data go to ``iet`` (loaded with the
+first exchange built), where level-set partitions, the non-saddle search,
+short inadmissible loops of exponentially small measure and leaf streams run
+with no flow; here the loops are concatenated into finite-measure words no
+leaf word ever contains in its tail.  The cylinder check flows the forward
+separatrices, up to the first that stays open; a closed surface with
+rational coordinates is a cylinder decomposition with no flow.
 
 Exactness policy: every value is an exact field element and every branch an
-exact integer sign test, or a test on integer keys with a proved error bound
-that leaves to the sign test what it cannot decide (the exchange kernel's
-slots and loop windows, ``_IETKernel``).  A surface is encoded once, each
-vertex coordinate as a pair (u, v) standing for (u + v sqrt d)/D over their
-common D, and all set-up runs on such pairs (validation, corner germs, the
-first cuts and the exchange's probes), as do both kernels: the flow kernel,
-which flows the separatrices and probes and names the vertex a singular
-orbit meets, and the exchange kernel behind first returns once the exchange
-is built, leaf streams (tower words of an exact Rauzy–Veech induction), loop
-certificates, the cut table and the non-saddle search.  Only a transversal's
-edge vector and ``Transversal.point``, and the exchange's reference steps
-``ReturnMapIET.step``/``orbit_word``, use Fraction/QuadNum arithmetic;
-values leaving set-up or a kernel (the exchange's intervals and first cuts,
-a loop certificate's values on request) decode to the field elements that
-arithmetic would give (``exactnum.decode``).
+exact integer sign test.  A surface is encoded once, each vertex coordinate
+as a pair (u, v) standing for (u + v sqrt d)/D over their common D, and all
+set-up runs on such pairs (validation, corner germs, the first cuts and the
+exchange's probes), as does the flow kernel, which flows the separatrices
+and probes and names the vertex a singular orbit meets.  Only a
+transversal's edge vector and ``Transversal.point``, and the exchange's
+reference steps ``ReturnMapIET.step``/``orbit_word``, use Fraction/QuadNum
+arithmetic; the first cuts decode to the field elements that arithmetic
+would give (``exactnum.decode``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, islice
@@ -279,14 +268,6 @@ class TranslationSurface:
             if st.end != "singular":
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "field": self._flow.d and f"sqrt{self._flow.d}",
-            "polygons": [[[format_exact(x), format_exact(y)] for x, y in poly]
-                         for poly in self.polygons],
-            "identify": [[list(sa), list(sb)] for sa, sb in self.pairs],
-        }
 
 
 def _pairs_of(items, kind) -> bool:
@@ -553,7 +534,7 @@ def first_return(trans: Transversal, tau, n: int = 1):
     if n == 0:
         return tau, ""
     if trans._iet is not None:
-        kernel = trans._iet.fast(tau)
+        kernel = trans._iet.kernel.fast(tau)
         try:
             state = kernel.start(tau)
             word = kernel.return_word(state, n)
@@ -594,214 +575,27 @@ def _flow_return(trans: Transversal, t, S: int, n: int, d: Optional[int]):
 
 # -- the return map as an interval exchange ------------------------------------------
 
-@record(frozen=True)
-class ExchangeInterval:
-    lo: Exact
-    hi: Exact
-    shift: Exact      # T(tau) = tau + shift here
-    word: str         # crossings strictly between consecutive returns
-
-
-def _slot(bounds, u, v, d) -> int:
-    """Index j with bounds[j] < (u, v) < bounds[j + 1], by bisection over
-    sorted integer pairs the caller knows to enclose (u, v), with exact sign
-    tests; landing exactly on a bound raises SingularHit.  The exact fallback
-    of an orbit's keyed slot, taken only near a cut."""
-    lo, hi = 0, len(bounds) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        s = pair_sign(u - bounds[mid][0], v - bounds[mid][1], d)
-        if not s:
-            raise SingularHit("orbit landed on a partition cut")
-        lo, hi = (mid, hi) if s > 0 else (lo, mid)
-    return lo
-
-
-# induction stops once every tower word has _TOWER_MIN letters (a stream steps
-# the exchange through up to one tower before it copies towers), or once one
-# has _TOWER_MAX (a rotation by a tiny shear grows one tower alone)
-_TOWER_MIN = 512
-_TOWER_MAX = 1 << 13
-
-
-class _IETKernel:
-    """The one exact interval-exchange kernel, built from integer data.
-
-    The exchange of (0, ``end``) moves interval i, from ``lows[i]`` up, by
-    ``shifts[i]`` and reads ``words[i]`` through it: (0, 1) for a return
-    map, (0, L) for its Rauzy–Veech induction (``towers``).  Pairs (u, v)
-    stand for (u + v sqrt d)/D, ``d`` None when every value is rational.
-    Each direction has one table: the sorted cut pairs of the intervals
-    (forward) or of their images (backward), their keys and largest key
-    error; per slot, the interval's index, the pair to add, its key and error.
-    The key of (u, v), (u << 20) + (v R >> 10) with R = isqrt(d 2^60), lies
-    within |v|/2^10 + 1 of 2^20 (u + v sqrt d): (|v| >> 10) + 2 bounds its
-    error, and keys add with their errors.  An orbit keeps its state's key x
-    and error bound e and takes the slot found by bisecting the cut keys for
-    x when x is farther than e plus the cuts' error from both of its ends;
-    otherwise ``_slot`` decides exactly and x and e are recomputed.  Landing
-    exactly on a cut raises SingularHit.
-    """
-
-    _COPIES = 64   # rescaled copies kept before the memo starts over
-
-    def __init__(self, lows, shifts, end, D: int, d: Optional[int], words):
-        self.end, self.D, self.surd, self.d = end, D, d, d or 2
-        self.words, self._copies, self._scale, self._R = words, {}, None, math.isqrt(self.d << 60)
-        images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
-                  in zip(lows, lows[1:] + [end], shifts)]
-        key = _exact_key([lo for lo, _ in images], self.d)
-        order = sorted(range(len(lows)), key=lambda i: key(images[i][0]))
-        cuts = [images[i][0] for i in order]
-        if cuts + [end] != [(0, 0)] + [images[i][1] for i in order]:
-            raise CertificateViolation("return-map images do not tile the edge")
-        self.forward = self._table(lows + [end], list(enumerate(shifts)))
-        self.backward = self._table(cuts + [end], [(i, (-shifts[i][0], -shifts[i][1]))
-                                                   for i in order])
-
-    def key(self, u: int, v: int) -> tuple:
-        """The key of the pair (u, v) and the bound on its error."""
-        return (u << 20) + (v * self._R >> 10), (abs(v) >> 10) + 2
-
-    def _table(self, bounds, moves):
-        """(bounds, moves as (index, du, dv, key, error), bound keys, their
-        largest error)."""
-        keys = [self.key(*b) for b in bounds]
-        return (bounds, [(i, *s, *self.key(*s)) for i, s in moves], [k for k, _ in keys],
-                max(e for _, e in keys))
-
-    def scaled(self, m: int, d: Optional[int]) -> "_IETKernel":
-        """The memoised copy over m*D, in the field sqrt ``d``."""
-        copy = self._copies.get((m, d))
-        if copy is None:
-            if len(self._copies) >= self._COPIES:
-                self._copies.clear()
-            bounds, moves = self.forward[:2]
-            copy = self._copies[m, d] = _IETKernel(
-                [(m * u, m * v) for u, v in bounds[:-1]],
-                [(m * du, m * dv) for _, du, dv, _, _ in moves],
-                (m * self.end[0], m * self.end[1]), m * self.D, d, self.words)
-            copy._scale = self, m
-        return copy
-
-    def start(self, x) -> list:
-        """State of the parameter x, which must lie inside (0, end)."""
-        state = list(encode(x, self.D))
-        if not self.inside(state, (0, 0), self.end):
-            raise SingularHit("orbit landed on a partition cut")
-        return state
-
-    def value(self, state):
-        return decode(state, self.D, self.d)
-
-    def inside(self, state, lo, hi) -> bool:
-        """Exactly decide lo < state < hi for encoded bounds."""
-        u, v = state
-        return (pair_sign(u - lo[0], v - lo[1], self.d) > 0
-                and pair_sign(hi[0] - u, hi[1] - v, self.d) > 0)
-
-    def orbit(self, state, back: bool = False, keyed: Optional[list] = None):
-        """Step ``state`` through the exchange (through its inverse when
-        ``back``), updating it in place, and ``keyed`` to its key and error
-        bound; yields the index of the interval each step used."""
-        bounds, moves, keys, err = self.backward if back else self.forward
-        inner, d, keyed = keys[1:-1], self.d, keyed or [0, 0]
-        u, v = state
-        x, e = self.key(u, v)
-        while True:
-            j = bisect_right(inner, x)
-            t = e + err
-            if not keys[j] + t < x < keys[j + 1] - t:
-                j = _slot(bounds, u, v, d)
-                x, e = self.key(u, v)
-            i, du, dv, dx, de = moves[j]
-            u += du
-            v += dv
-            state[0] = u
-            state[1] = v
-            keyed[0] = x = x + dx
-            keyed[1] = e = e + de
-            yield i
-
-    def return_word(self, state, n: int) -> str:
-        """The crossing word of ``n`` steps from ``state`` (moved in place):
-        the words of the intervals used, each ending on the arrival letter,
-        without the last one."""
-        words = self.words
-        return "".join([words[i] for i in islice(self.orbit(state), n)])[:-1]
-
-    @cached_property
-    def towers(self) -> "_IETKernel":
-        """The first-return exchange to (0, L) that exact Rauzy–Veech
-        induction (Rauzy 1979; Veech 1982) reaches, on this kernel's field and
-        denominator, whose words are the tower words: the letters read
-        through this exchange's intervals up to the return.
-
-        A move compares a, the last interval of the domain, with b, the
-        interval whose image comes last, and shortens the domain by the
-        shorter one's length.  The shorter one (the loser) is relabelled onto
-        the points that now pass through b and then a before they return:
-        its word becomes w(b) w(a) and its shift the sum.  The winner loses
-        the loser's length, and the loser moves behind the winner in the
-        order in which it came last.  Every floor of a tower lies inside one
-        interval, so from a point strictly inside an induced interval one
-        induced step reads its whole tower word.  Induction stops once every
-        word has ``_TOWER_MIN`` letters or one has ``_TOWER_MAX``, or at an
-        equal-length move (a saddle connection, where rational exchanges
-        end): the towers of every stage are valid.  A rescaled copy reads
-        its base's towers, scaled alike: scaling every pair by m > 0 keeps
-        every sign, so the moves and the stop are the same."""
-        if self._scale is not None:
-            base, m = self._scale
-            return base.towers.scaled(m, self.surd)
-        d = self.d
-        bounds, moves = self.forward[:2]
-        lengths = [(u1 - u0, v1 - v0) for (u0, v0), (u1, v1) in zip(bounds, bounds[1:])]
-        shifts = [(du, dv) for _, du, dv, _, _ in moves]
-        words = list(self.words)
-        top, bottom = list(range(len(moves))), [move[0] for move in self.backward[1]]
-        Lu, Lv = self.end
-        while min(map(len, words)) < _TOWER_MIN and max(map(len, words)) < _TOWER_MAX:
-            a, b = top[-1], bottom[-1]
-            (au, av), (bu, bv) = lengths[a], lengths[b]
-            s = pair_sign(au - bu, av - bv, d)
-            if s == 0:
-                break
-            win, lose, order = (a, b, bottom) if s > 0 else (b, a, top)
-            order.pop()
-            order.insert(order.index(win) + 1, lose)
-            (wu, wv), (lu, lv) = lengths[win], lengths[lose]
-            lengths[win] = (wu - lu, wv - lv)
-            Lu, Lv = Lu - lu, Lv - lv
-            shifts[lose] = (shifts[a][0] + shifts[b][0], shifts[a][1] + shifts[b][1])
-            words[lose] = words[b] + words[a]
-        lows, u, v = [], 0, 0
-        for i in top:
-            lows.append((u, v))
-            u, v = u + lengths[i][0], v + lengths[i][1]
-        return _IETKernel(lows, [shifts[i] for i in top], (Lu, Lv), self.D, self.surd,
-                          [words[i] for i in top])
-
-
 class ReturnMapIET:
     """First-return map of the horizontal flow to a transversal, realized as
-    an interval exchange with per-interval return words.
+    an interval exchange with per-interval return words: the one place that
+    imports the exchange code (``iet``).
 
     Construction traces the backward separatrices of every singularity to the
     transversal (their first crossings, kept as (corner, parameter) pairs in
     ``first_cuts``, are exactly the discontinuities; ``cut_table`` holds their
     backward orbits), flows two probes per interval to read off the translation
-    and word, and verifies (in the kernel's backward table) that the
-    interval images tile the edge.
+    and word, and builds the ``kernel`` from the probes' integer pairs; its
+    backward table verifies that the interval images tile the edge.
     """
 
     def __init__(self, trans: Transversal):
+        from .iet import _CutTable, _exact_key, _least_kernel
         self.trans = trans
         self.first_cuts = backward_cut_points(trans, depth=1)
         N, d = trans._over[2], trans.surface._d
         pts = {encode(t, N) for _, t in self.first_cuts}
         pts = [(0, 0)] + sorted(pts, key=_exact_key(pts, d or 2)) + [(N, 0)]
-        intervals = []
+        shifts, words = [], []
         for (lu, lv), (hu, hv) in zip(pts, pts[1:]):
             # probes at the middle and a third of the way up, over 6N: one shift, one word
             probes = [(3 * (lu + hu), 3 * (lv + hv)), (2 * (2 * lu + hu), 2 * (2 * lv + hv))]
@@ -812,38 +606,14 @@ class ReturnMapIET:
                 raise CertificateViolation("return word not constant on an interval; "
                                            "cut enumeration incomplete")
             (su, sv, word), = found
-            intervals.append(ExchangeInterval(decode((lu, lv), N, d), decode((hu, hv), N, d),
-                                              decode((su, sv), 6 * N * N, d), word))
-        self.intervals = intervals
-        self.kernel   # built now: its tables check that the images tile the edge
+            shifts.append((su, sv))
+            words.append(word + trans.arrival_letter)
+        self.kernel = _least_kernel([(6 * N * u, 6 * N * v) for u, v in pts[:-1]], shifts,
+                                    6 * N * N, d, words)
+        self.cut_table = _CutTable(self.kernel)   # read by every partition and loop
 
-    @property
-    def arrival_letter(self) -> str:
-        return self.trans.arrival_letter
-
-    @cached_property
-    def cut_table(self) -> "_CutTable":
-        """The one cut table, read by every partition and loop on this map."""
-        return _CutTable(self)
-
-    @cached_property
-    def kernel(self) -> _IETKernel:
-        """The exchange's own kernel, over the least denominator D0 of its
-        values; it reads each interval's word and the arrival letter."""
-        ivs = self.intervals
-        values = [x for iv in ivs for x in (iv.lo, iv.shift)]
-        D = math.lcm(*map(denominator, values))
-        return _IETKernel([encode(iv.lo, D) for iv in ivs], [encode(iv.shift, D) for iv in ivs],
-                          (D, 0), D, surd(values), [iv.word + self.arrival_letter for iv in ivs])
-
-    def fast(self, *points) -> _IETKernel:
-        """The kernel for orbits from ``points``: the exchange's own when they
-        fit it, else its copy over lcm(D0, their denominators), in the field
-        of the exchange and them."""
-        own = self.kernel
-        m = math.lcm(own.D, *map(denominator, points)) // own.D
-        d = surd(points, own.surd)
-        return own if (m, d) == (1, own.surd) else own.scaled(m, d)
+    arrival_letter = property(lambda self: self.trans.arrival_letter)
+    intervals = property(lambda self: self.kernel.intervals)   # decoded once, by the kernel
 
     def step(self, tau):
         for iv in self.intervals:
@@ -863,40 +633,13 @@ class ReturnMapIET:
         return tau, "".join(parts)
 
     def letter_stream(self, tau0, num_letters: int) -> str:
-        """Leaf word (all crossings, arrivals included) read from tau0.
-
-        The exchange steps until the orbit lies strictly inside the induced
-        interval (0, L) of the kernel's ``towers``; from there each induced
-        step copies one whole tower word.  An orbit point exactly on an
-        induced cut hands the rest of the stream back to the exchange, so
-        the letters, and any SingularHit, are those of stepping the exchange
-        alone."""
-        kernel = self.fast(tau0)
-        state = kernel.start(tau0)
-        induced, words = kernel.towers, kernel.words
-        (Lu, Lv), d = induced.end, kernel.d
-        out = []
-        total = 0
-        orbit = kernel.orbit(state)
-        while total < num_letters and pair_sign(Lu - state[0], Lv - state[1], d) <= 0:
-            w = words[next(orbit)]
-            out.append(w)
-            total += len(w)
-        orbit, letters = induced.orbit(state), induced.words
-        while total < num_letters:
-            try:
-                w = letters[next(orbit)]
-            except SingularHit:   # on an induced cut: the exchange decides it
-                if letters is words:
-                    raise
-                orbit, letters = kernel.orbit(state), words
-                continue
-            out.append(w)
-            total += len(w)
-        return "".join(out)[:num_letters]
+        """Leaf word (all crossings, arrivals included) read from tau0, by
+        the kernel's tower copies (``iet._IETKernel.letters``)."""
+        kernel = self.kernel.fast(tau0)
+        return kernel.letters(kernel.start(tau0), num_letters)
 
 
-# -- backward separatrices, level sets --------------------------------------------
+# -- backward separatrices and what the exchange reads off them ---------------------
 
 def backward_cut_points(trans: Transversal, depth: int,
                         step_budget: int = 400000):
@@ -940,122 +683,12 @@ def backward_cut_points(trans: Transversal, depth: int,
     return [(corner, decode(t, N, d)) for corner, t in cuts]
 
 
-@record(frozen=True)
-class PartitionInterval:
-    lo: Exact
-    hi: Exact
-    word: str
-
-    @property
-    def length(self):
-        return self.hi - self.lo
-
-
-@record
-class ReturnPartition:
-    depth: int
-    cuts: list
-    intervals: list
-
-    @property
-    def max_length(self):
-        return max(iv.length for iv in self.intervals)
-
-
-def return_partition(surface, trans, n: int) -> ReturnPartition:
-    """Level-set partition of the transversal for the n-step return word.
-
-    Interval endpoints are the backward vertex orbits up to depth n, read
-    from the exchange's cut table; each open interval carries the constant
-    word of its n-step return (``ReturnMapIET.orbit_word``), read on the
-    exchange kernel from the interval's midpoint.
-    """
+def return_partition(surface, trans, n: int):
+    """Level-set partition of the transversal for the n-step return word,
+    read off the exchange's cut table (``iet._CutTable.partition``)."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    iet = trans.return_map()
-    cuts = iet.cut_table.cuts(n)
-    pts = [Fraction(0)] + cuts + [Fraction(1)]
-    mids = [(lo + hi) / 2 for lo, hi in zip(pts, pts[1:])]
-    kernel = iet.fast(*mids)
-    intervals = [PartitionInterval(lo, hi, kernel.return_word(kernel.start(mid), n))
-                 for lo, hi, mid in zip(pts, pts[1:], mids)]
-    return ReturnPartition(n, cuts, intervals)
-
-
-def _exact_key(pairs, d: int):
-    """A sort key on integer pairs (u, v) that orders their values
-    u + v sqrt d exactly, in the fixed-point form of the exchange kernel's
-    keys: (u << K) + (v R >> L), R = isqrt(d 2^(2K + 2L)), K =
-    bit_length(4B) + bit_length(d) + 4 and L = bit_length(B) + 1, B the
-    largest |u| or |v| among ``pairs``.  A key lies within B/2^L + 1 < 3/2 of
-    2^K (u + v sqrt d).  Two distinct values differ by at least
-    1/(|du| + |dv| sqrt d), because (du + dv sqrt d)(du - dv sqrt d) is a
-    nonzero integer; with |du|, |dv| <= 2B that is more than 2^(3 - K), so
-    their keys differ by more than 8 - 3 and keep their order."""
-    B = max((max(abs(u), abs(v)) for u, v in pairs), default=0)
-    K, L = (4 * B).bit_length() + d.bit_length() + 4, B.bit_length() + 1
-    R = math.isqrt(d << 2 * (K + L))
-    return lambda p: (p[0] << K) + (p[1] * R >> L)
-
-
-class _CutTable:
-    """Backward orbits ("strands") of the depth-1 cuts under the inverse
-    exchange, as kernel pairs kept by birth depth: ``born[j]`` holds the cuts
-    born at depth j + 1, up to ``depth``, where growth stops once every strand
-    has died (its separatrix met a vertex).  A query grows the strands to its
-    depth and sorts the cuts born by then by one exact integer key; the gaps
-    are memoised."""
-
-    def __init__(self, iet: ReturnMapIET):
-        self.kernel = iet.kernel
-        cuts = self.kernel.forward[0][1:-1]
-        self.born = [cuts]
-        self.strands = [(p, self.kernel.orbit(p, back=True)) for p in map(list, cuts)]
-        self.depth = 1
-        self._gaps = {}
-
-    def gap(self, depth: int) -> tuple:
-        """Largest gap between 0, 1 and the cuts of depth at most ``depth``, as
-        a pair over the kernel's D: a running maximum by exact sign tests."""
-        if depth not in self._gaps:
-            d, (bu, bv), (pu, pv) = self.kernel.d, (0, 0), (0, 0)
-            for u, v in self._sorted(depth) + [(self.kernel.D, 0)]:
-                if pair_sign(u - pu - bu, v - pv - bv, d) > 0:
-                    bu, bv = u - pu, v - pv
-                pu, pv = u, v
-            self._gaps[depth] = bu, bv
-        return self._gaps[depth]
-
-    def max_gap(self, depth: int):
-        return self.kernel.value(self.gap(depth))
-
-    def cuts(self, depth: int) -> list:
-        """The sorted cuts of depth 1..``depth``, as field elements.  No cut
-        born at ``depth`` >= 1 means every backward separatrix ended sooner:
-        CylinderDecomposition."""
-        pts = self._sorted(depth)
-        if not self.strands and depth >= self.depth:  # every strand died by then
-            raise CylinderDecomposition("every backward separatrix is a saddle connection")
-        return [self.kernel.value(p) for p in pts]
-
-    def _sorted(self, depth: int) -> list:
-        while self.depth < depth and self.strands:
-            self.depth += 1
-            alive = []
-            for state, orbit in self.strands:
-                try:
-                    next(orbit)
-                except SingularHit:
-                    continue
-                alive.append((state, orbit))
-            self.strands = alive
-            self.born.append([tuple(state) for state, _ in alive])
-        pts = [p for level in self.born[:depth] for p in level]
-        pts.sort(key=_exact_key(pts, self.kernel.d))
-        return pts
-
-
-# -- the non-saddle cut --------------------------------------------------------------
+    return trans.return_map().cut_table.partition(n)
 
 @record(frozen=True)
 class NonSaddleCut:
@@ -1066,189 +699,28 @@ class NonSaddleCut:
 
 def find_non_saddle_point(surface, trans, budget: int = 4096) -> NonSaddleCut:
     """The first depth-1 cut whose backward exchange orbit lasts ``budget``
-    steps.  An orbit dies only on an image cut, a forward separatrix's
-    crossing, so if all die every backward separatrix is a saddle connection.
-    A rational exchange raises CylinderDecomposition with no step taken: its
-    states are multiples of 1/D0, and the backward map is injective and never
-    lands on a forward cut such as a first cut, so each first cut's backward
-    orbit repeats no state and dies within D0 - 1 steps."""
+    steps (``iet._IETKernel.lasting``).  An orbit dies only on an image cut,
+    a forward separatrix's crossing, so if all die every backward separatrix
+    is a saddle connection."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
     iet = trans.return_map()
-    kernel = iet.kernel
-    for corner, first_cut in iet.first_cuts if kernel.surd is not None else ():
-        try:
-            orbit = kernel.orbit(kernel.start(first_cut), back=True)
-            for _ in range(budget):
-                next(orbit)
-        except SingularHit:
-            continue
-        return NonSaddleCut(first_cut, surface.corner_class[corner], budget)
-    raise CylinderDecomposition(
-        "every backward separatrix crossing the transversal is a saddle connection")
+    j = iet.kernel.lasting([t for _, t in iet.first_cuts], budget)
+    if j is None:
+        raise CylinderDecomposition(
+            "every backward separatrix crossing the transversal is a saddle connection")
+    corner, first_cut = iet.first_cuts[j]
+    return NonSaddleCut(first_cut, surface.corner_class[corner], budget)
 
-
-# -- inadmissible loops -----------------------------------------------------------------
-
-@record(frozen=True)
-class LoopCertificate:
-    """Closed curve whose crossing word is inadmissible, with exact measure.
-
-    The word flows n returns from Q (a point within 2^-level of the chosen
-    cut P), slides across P into the neighboring interval, takes the wrong
-    one-step continuation there, flows until it re-approaches Q and slides
-    home.  ``factor`` is the stretch whose occurrence in any leaf word is
-    impossible: the (n-1)-step level set through its anchor is shorter than
-    a third of |PQ| and lands inside I, so only w_T(I) can follow it, while
-    the factor continues with w_T(I').
-
-    ``pairs`` holds, as pairs (u, v) for (u + v sqrt d)/D over the flights'
-    kernel denominator D, tau_Q, tau_return = T^depth(Q), tau_R, tau_close,
-    gap_bound a = |PQ|/3, max_gap (of the (depth-1) partition) and slides
-    |tau_return - tau_R| + |tau_close - tau_Q|.  They, ``measure`` = slides
-    |e_y| and ``measure_constant`` = 3 |e_y| are decoded on request, once.
-    """
-
-    level: int
-    word: str
-    factor: str
-    depth: int
-    tau_P: Exact
-    word_I: str
-    word_I2: str
-    closing_depth: int           # returns of the closing flight from R
-    height: Exact
-    D: int
-    d: int
-    pairs: tuple
-
-    tau_Q, tau_return, tau_R, tau_close, gap_bound, max_gap, slides = (
-        cached_property(lambda self, i=i: decode(self.pairs[i], self.D, self.d)) for i in range(7))
-    measure = cached_property(lambda self: self.slides * self.height)
-    measure_constant = cached_property(lambda self: 3 * self.height)
-
-
-# base points whose orbits land exactly on a partition cut are retried at perturbed
-# offsets (num, den); fresh prime denominators dodge algebraic coincidences
-_LOOP_OFFSETS = ((1, 1), (6, 7), (9, 11), (10, 13), (12, 17), (15, 19), (16, 23),
-                 (22, 29), (24, 31), (28, 37))
-
-
-def build_inadmissible_loop(surface, trans, k: int,
-                            return_budget: Optional[int] = None) -> LoopCertificate:
-    """Construct the level-k inadmissible loop at the non-saddle cut point.
-
-    Distances along the transversal are edge-parameter fractions; the loop's
-    measure is its two slides along the edge times the edge height and stays
-    below 3 |e_y| / 2^k.  If the orbit never re-enters between P and Q on the
-    first side, the two intervals swap roles and the search restarts.  If
-    all fail, ``progress`` holds the level, return budget, attempts and the
-    deepest return depth a failed first flight reached.
-    """
+def build_inadmissible_loop(surface, trans, k: int, return_budget: Optional[int] = None):
+    """The level-k inadmissible loop at the non-saddle cut point, searched
+    on the exchange (``iet._CutTable.loop``).  Distances along the
+    transversal are edge-parameter fractions; the loop's measure is its two
+    slides along the edge times the edge height, below 3 |e_y| / 2^k."""
     if isinstance(trans, int):
         trans = Transversal(surface, trans)
-    iet = trans.return_map()
-    P = trans.non_saddle_cut().tau
-    if return_budget is None:
-        return_budget = 96 * 2 ** k + 8192
-    progress = dict(level=k, return_budget=return_budget, attempts=2 * len(_LOOP_OFFSETS),
-                    depth=0)
-    last = None
-    for sgn in (1, -1):
-        for off in _LOOP_OFFSETS:
-            try:
-                return _try_loop(trans, iet, k, P, sgn, return_budget, off)
-            except SingularHit as exc:
-                last = exc
-            except BudgetExhausted as exc:
-                last = exc
-                progress["depth"] = max(progress["depth"], exc.progress["depth"])
-    raise BudgetExhausted(f"loop construction failed at level {k}: {last}", **progress)
-
-
-def _landings(kernel: _IETKernel, state: list, lo, hi, budget: int, steps: list):
-    """Step ``state`` on ``kernel`` up to ``budget`` times, appending each
-    interval index to ``steps``; yield the step count whenever lo < state <
-    hi.  The window is decided on the key and error bound the orbit hands
-    out, and by ``kernel.inside`` only when they cannot decide it."""
-    (lk, le), (hk, he), keyed = kernel.key(*lo), kernel.key(*hi), [0, 0]
-    for i in islice(kernel.orbit(state, keyed=keyed), budget):
-        steps.append(i)
-        x, e = keyed
-        if x + e + le <= lk or x - e - he >= hk:
-            continue
-        if lk + le <= x - e and x + e + he <= hk or kernel.inside(state, lo, hi):
-            yield len(steps)
-
-
-def _try_loop(trans, iet, k, P, sgn, return_budget, off):
-    """One attempt: Q in the interval I on side ``sgn`` of P, R in I2 on the
-    other, each ``off`` = (num, den) times half of min(2^-k, |interval|) from
-    P.  They and a = |PQ|/3 are pairs over N = 3 den 2^(k+1) D0, then, by the
-    gcd of their entries and N/D0, over the kernel copy's m D0, m least."""
-    own, (num, den) = iet.kernel, off
-    bounds, d, D0 = own.forward[0], own.d, own.D
-    pu, pv = encode(P, D0)
-    j = bounds.index((pu, pv))   # P is a depth-1 cut: two intervals meet there
-    I, I2 = (j, j - 1) if sgn > 0 else (j - 1, j)
-    thirds = []   # off/3 of half of min(2^-k, length) for I and I2, over N
-    for (lu, lv), (hu, hv) in (bounds[I:I + 2], bounds[I2:I2 + 2]):
-        lu, lv = (hu - lu) << k, (hv - lv) << k
-        thirds += [D0 * num, 0] if pair_sign(lu - D0, lv, d) >= 0 else [lu * num, lv * num]
-    au, av, ru, rv = thirds
-    c = 3 * den << (k + 1)   # N/D0; then Q, R, a and 2^-k over N, over L = N/g
-    pts = [pu * c + 3 * sgn * au, pv * c + 3 * sgn * av, pu * c - 3 * sgn * ru,
-           pv * c - 3 * sgn * rv, au, av, 6 * den * D0]
-    g = math.gcd(c, *pts)
-    Qu, Qv, Ru, Rv, au, av, t = [x // g for x in pts]
-    m, Q, R, a = c // g, (Qu, Qv), (Ru, Rv), (au, av)
-    kernel = own if m == 1 else own.scaled(m, own.surd)
-
-    # between P and Q within a of Q: as a < |PQ|, one window on Q's side
-    near = Qu - sgn * au, Qv - sgn * av
-    state, word_idx = list(Q), []
-    for n in _landings(kernel, state, *((near, Q) if sgn > 0 else (Q, near)), return_budget,
-                       word_idx):
-        if n >= 2:
-            gu, gv = iet.cut_table.gap(n - 1)
-            if pair_sign(au - m * gu, av - m * gv, d) > 0:
-                break
-    else:
-        raise BudgetExhausted(f"no admissible return depth within {return_budget}",
-                              depth=len(word_idx))
-    (lu, lv), (hu, hv) = kernel.forward[0][I:I + 2]   # T^n(Q) in I: |T^n(Q) - ends| > a
-    if not kernel.inside(state, (lu + au, lv + av), (hu - au, hv - av)):
-        raise CertificateViolation("return point lies within |PQ|/3 of its interval's ends")
-
-    if not kernel.inside(R, *kernel.forward[0][I2:I2 + 2]):
-        raise CertificateViolation("R does not lie in the neighboring interval")
-    words = kernel.words   # each interval's word and the arrival letter
-    if words[I2] == words[I]:
-        raise CertificateViolation("the neighboring interval repeats the word of I")
-
-    state2, tail_idx = list(R), []
-    if next(_landings(kernel, state2, (Qu - t, Qv), (Qu + t, Qv), return_budget + 1,
-                      tail_idx), None) is None:
-        raise BudgetExhausted("closing flight exceeded the return budget", depth=n)
-
-    piece1 = "".join([words[i] for i in word_idx])
-    word = piece1 + "".join([words[i] for i in tail_idx])
-    factor = piece1[len(words[word_idx[0]]) - 1:] + words[tail_idx[0]]
-    if words[tail_idx[0]] != words[I2]:
-        raise CertificateViolation("closing flight does not start in R's interval")
-    if factor not in word:
-        raise CertificateViolation("inadmissible factor missing from the loop word")
-
-    su = sv = 0   # the slides |T^n(Q) - R| + |close - Q|, below 3 2^-k as |e_y| > 0
-    for xu, xv in ((state[0] - Ru, state[1] - Rv), (state2[0] - Qu, state2[1] - Qv)):
-        s = pair_sign(xu, xv, d)
-        su, sv = su + s * xu, sv + s * xv
-    if not pair_sign(3 * kernel.D - (su << k), -(sv << k), d) > 0:
-        raise CertificateViolation("loop measure exceeds its structural bound")
-
-    return LoopCertificate(k, word, factor, n, P, iet.intervals[I].word, iet.intervals[I2].word,
-                           len(tail_idx), trans.height, kernel.D, d,
-                           (Q, tuple(state), R, tuple(state2), a, (m * gu, m * gv), (su, sv)))
+    return trans.return_map().cut_table.loop(trans.height, trans.non_saddle_cut().tau, k,
+                                             return_budget)
 
 
 # -- exotic synthesis ----------------------------------------------------------------------
@@ -1266,12 +738,12 @@ def synthesize_exotic(surface, trans, levels, *, thin: bool = False,
         certificates = {}
     c_total = 4 * trans.height   # 3|e_y| loop + |e_y| connector
 
-    def certify(k: int) -> LoopCertificate:
+    def certify(k: int):
         if k not in certificates:
             certificates[k] = build_inadmissible_loop(surface, trans, k)
         return certificates[k]
 
-    def join(prev: Optional[ExoticStage], k: int, cert: LoopCertificate):
+    def join(prev: Optional[ExoticStage], k: int, cert):
         connector: Exact = Fraction(0)
         if prev is not None:
             connector = abs(cert.tau_Q - prev.certificate.tau_Q) * trans.height
@@ -1290,8 +762,7 @@ def sheared_torus_doc(gamma=None) -> dict:
     """Unit-area torus from a sheared parallelogram; the first return to the
     vertical edge pair is rotation by gamma (default sqrt2 - 1)."""
     g = QuadNum(-1, 1, 2) if gamma is None else gamma
-    pts = [(Fraction(0), Fraction(0)), (Fraction(1), g),
-           (Fraction(1), g + 1), (Fraction(0), Fraction(1))]
+    pts = [(0, 0), (1, g), (1, g + 1), (0, 1)]
     return {
         "field": "sqrt2",
         "polygons": [[[format_exact(x), format_exact(y)] for x, y in pts]],
@@ -1304,9 +775,7 @@ def slit_tori_doc(gamma=None, slit=Fraction(1, 2)) -> dict:
     horizontal flow is minimal for irrational shear."""
     g = QuadNum(-1, 1, 2) if gamma is None else gamma
     a = Fraction(slit)
-    hexa = [(Fraction(0), Fraction(0)), (Fraction(1), g),
-            (Fraction(1), g + a), (Fraction(1), g + 1),
-            (Fraction(0), Fraction(1)), (Fraction(0), a)]
+    hexa = [(0, 0), (1, g), (1, g + a), (1, g + 1), (0, 1), (0, a)]
     poly = [[format_exact(x), format_exact(y)] for x, y in hexa]
     return {
         "field": "sqrt2",

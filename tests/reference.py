@@ -1,7 +1,8 @@
 """Slow references and per-point helpers that the tests call and no
 certificate, CLI command, script or benchmark needs: on surfaces
-``flow_step``, ``state_point``, ``param``, ``saddle_connections`` and
-``sample_leaf_words`` (read off the library's kernels); on the torus
+``flow_step``, ``state_point``, ``param``, ``surface_doc`` (the document
+``load_surface`` reads), ``saddle_connections`` and ``sample_leaf_words``
+(read off the library's kernels); on the torus
 ``cutting_blocks``, ``path_crossing_word``, ``concat``,
 ``three_distance_points``, ``revert_flip``, ``cusp_representative``,
 ``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from laminath import cli, exactnum, flat, oracle, tsurface as ts
+from laminath import cli, exactnum, flat, iet, oracle, tsurface as ts
 from laminath._record import record
 from laminath.cf import ContinuedFraction
 from laminath.errors import CertificateViolation, SingularHit
@@ -76,6 +77,15 @@ def param(trans: ts.Transversal, point: ts.SurfacePoint):
         if 0 <= tau <= 1 and trans.start[0] + tau * trans.vec[0] == x:
             return tau
     raise ValueError("point does not lie on the transversal")
+
+
+def surface_doc(surface: ts.TranslationSurface) -> dict:
+    """The JSON document of a surface, as ``load_surface`` reads it."""
+    d = surface._d
+    return {"field": d and f"sqrt{d}",
+            "polygons": [[[exactnum.format_exact(x), exactnum.format_exact(y)] for x, y in poly]
+                         for poly in surface.polygons],
+            "identify": [[list(sa), list(sb)] for sa, sb in surface.pairs]}
 
 
 @record(frozen=True)
@@ -214,13 +224,13 @@ def exact_orbit(kernel, state, back: bool = False):
     at the same step."""
     bounds, moves = (kernel.backward if back else kernel.forward)[:2]
     while True:
-        i, du, dv = moves[ts._slot(bounds, *state, kernel.d)][:3]
+        i, du, dv = moves[iet._slot(bounds, *state, kernel.d)][:3]
         state[0] += du
         state[1] += dv
         yield i
 
 
-def interval_length(iv: ts.ExchangeInterval):
+def interval_length(iv: iet.ExchangeInterval):
     return iv.hi - iv.lo
 
 

@@ -62,13 +62,15 @@ def test_every_option_value_is_parsed_where_it_is_declared():
 
 
 def test_surface_kernel_has_no_float():
-    # every branch in tsurface is decided in exact arithmetic
-    tree = ast.parse((PACKAGE / "tsurface.py").read_text())
-    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    floats = [f.lineno for f in calls if isinstance(f, ast.Name) and f.id == "float"]
-    sqrts = [f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "sqrt"
-             and isinstance(f.value, ast.Name) and f.value.id == "math"]
-    assert not floats and not sqrts, f"float at {floats}, math.sqrt at {sqrts}"
+    # every branch in tsurface and in its exchange kernel is decided in exact
+    # arithmetic
+    for name in ("tsurface.py", "iet.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        floats = [f.lineno for f in calls if isinstance(f, ast.Name) and f.id == "float"]
+        sqrts = [f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "sqrt"
+                 and isinstance(f.value, ast.Name) and f.value.id == "math"]
+        assert not floats and not sqrts, f"{name}: float at {floats}, math.sqrt at {sqrts}"
 
 
 def test_only_exactnum_calls_private_quadnum_methods():
@@ -163,7 +165,7 @@ def test_cylinder_check_stops_at_first_open_germ(monkeypatch):
 def test_ledger_and_surfaces_import_no_torus_module():
     # the exotic ledger and the surface code run without the torus modules
     torus = {"words", "flat", "cf", "oracle"}
-    for name in ("tsurface.py", "ledger.py"):
+    for name in ("tsurface.py", "iet.py", "ledger.py"):
         tree = ast.parse((PACKAGE / name).read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -191,12 +193,43 @@ def test_import_loads_no_submodule():
     assert _child("import sys, laminath; " + _LOADED) == [""]
 
 
+def test_exchange_imports_no_surface_or_torus_module():
+    # the exchange code stands alone: importing it compiles neither the
+    # surface module nor the torus modules
+    loaded = set(_child("import sys, laminath.iet; " + _LOADED)[0].split())
+    assert "iet" in loaded and not loaded & {"tsurface", "flat", "words", "cf", "oracle"}, loaded
+
+
+def test_every_module_compiles_in_bounded_memory():
+    # tripwire: compiling a module with no cached bytecode costs memory in
+    # proportion to its size, so no module may grow past 2.5 MiB of compile
+    # peak (tracemalloc, least of three compiles)
+    if sys.implementation.name != "cpython":
+        pytest.skip("compile memory is measured on CPython")
+    import tracemalloc
+
+    def peak(source, name):
+        tracemalloc.start()
+        try:
+            compile(source, name, "exec")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = {path.name: min(peak(path.read_text(), str(path)) for _ in range(3))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"iet.py", "tsurface.py"} <= set(peaks)
+    over = {name: round(p / 2 ** 20, 3) for name, p in peaks.items() if p >= 2.5 * 2 ** 20}
+    assert not over, over
+
+
 @pytest.mark.parametrize("argv, unloaded", [
-    (["convergents", "--theta", "cf:[1;2]p"], {"tsurface", "words", "flat", "oracle", "ledger"}),
-    (["segment", "--theta", "cf:[1;2]p", "--k", "3"], {"tsurface"}),
-    (["exotic", "--theta", "cf:[1;2]p", "--indices", "2,4"], {"tsurface"}),
-    (["admissible", "--theta", "cf:[1;2]p", "--word", "(2,2)@ba"], {"tsurface"}),
-    (["ts", "validate", "--surface", "slit-tori"], {"cf", "words", "flat", "oracle"}),
+    (["convergents", "--theta", "cf:[1;2]p"],
+     {"tsurface", "iet", "words", "flat", "oracle", "ledger"}),
+    (["segment", "--theta", "cf:[1;2]p", "--k", "3"], {"tsurface", "iet"}),
+    (["exotic", "--theta", "cf:[1;2]p", "--indices", "2,4"], {"tsurface", "iet"}),
+    (["admissible", "--theta", "cf:[1;2]p", "--word", "(2,2)@ba"], {"tsurface", "iet"}),
+    (["ts", "validate", "--surface", "slit-tori"], {"cf", "words", "flat", "oracle", "iet"}),
     (["ts", "loop", "--surface", "sheared-torus", "--k", "3"], {"cf", "words", "flat", "oracle"}),
 ])
 def test_subcommands_load_only_what_they_run(argv, unloaded):
@@ -229,8 +262,8 @@ def test_submodules_import_no_dataclasses_or_inspect():
     # records come from laminath._record, not from the dataclasses module
     code = "import sys\nimport laminath\nfrom laminath import *\n" + _LOADED + "\n" + _HEAVY
     loaded, heavy = _child(code)
-    assert loaded.split() == ["_record", "cf", "errors", "exactnum", "flat", "ledger", "oracle",
-                              "tsurface", "words"]
+    assert loaded.split() == ["_record", "cf", "errors", "exactnum", "flat", "iet", "ledger",
+                              "oracle", "tsurface", "words"]
     assert heavy == "", heavy
 
 
@@ -249,7 +282,7 @@ _EXPORTS = {
 
 
 def test_star_import_binds_every_export():
-    # lazy exports bind the same 31 names and 8 submodules as eager imports;
+    # lazy exports bind the same 31 names and 9 submodules as eager imports;
     # an unknown name is still an AttributeError
     code = """
 import json, sys, laminath
@@ -267,9 +300,9 @@ except AttributeError as exc:
     print(exc)
 """
     expected = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-    expected.update((module, module) for module in ("cf", "errors", "exactnum", "flat",
+    expected.update((module, module) for module in ("cf", "errors", "exactnum", "flat", "iet",
                                                     "ledger", "oracle", "tsurface", "words"))
-    assert len(expected) == 39
+    assert len(expected) == 40
     assert _child(code, json.dumps(expected)) == [
         "module 'laminath' has no attribute 'nosuch'"]
 

@@ -14,7 +14,7 @@ import pytest
 from laminath._record import factory
 from laminath.exactnum import decode
 
-_MODULES = ("cf", "errors", "exactnum", "flat", "ledger", "oracle", "tsurface", "words")
+_MODULES = ("cf", "errors", "exactnum", "flat", "iet", "ledger", "oracle", "tsurface", "words")
 _GENERATED = {"__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__",
               "__record_fields__", "__record_values__", "__dict__", "__weakref__"}
 
@@ -139,7 +139,7 @@ def test_block_word_post_init_checks_as_its_twin():
 
 
 def test_loop_certificate_cached_properties_decode_once():
-    from laminath.tsurface import LoopCertificate
+    from laminath.iet import LoopCertificate
     args = _VALUES["LoopCertificate"][0]
     cert, twin = LoopCertificate(*args), _twin(LoopCertificate)(*args)
     names = ("tau_Q", "tau_return", "tau_R", "tau_close", "gap_bound", "max_gap", "slides",

@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 from functools import cmp_to_key
 import random
+import sys
 from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from laminath import tsurface as ts
+from laminath import iet as exchange, tsurface as ts
 from laminath.cf import ContinuedFraction
 from laminath.errors import (BudgetExhausted, CertificateViolation, CylinderDecomposition,
                              InvalidSurface, SingularHit)
@@ -19,7 +20,7 @@ from laminath.exactnum import (QuadNum, encode, format_exact, frac_part, pair_fl
 from laminath.ledger import tail_measure_signature
 
 from reference import (StepResult, exact_orbit, flow_step, interval_length,
-                       saddle_connections, sample_leaf_words, state_point)
+                       saddle_connections, sample_leaf_words, state_point, surface_doc)
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -120,10 +121,10 @@ def test_surface_json_round_trip():
                           (ts.sheared_torus_doc(), "sqrt2"),
                           (ts.sheared_torus_doc(QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
                            "sqrt5")):
-        doc = ts.load_surface(source).to_json()
+        doc = surface_doc(ts.load_surface(source))
         assert doc["field"] == field
         S2 = ts.load_surface(json.loads(json.dumps(doc)))
-        assert S2.to_json() == doc
+        assert surface_doc(S2) == doc
 
 
 # -- flow and first returns ------------------------------------------------------
@@ -638,7 +639,7 @@ def _reference_try_loop(trans, iet, k, P, sgn, return_budget, off):
     R = P - sgn * delta_r
     q_lo, q_hi = Q - two_k, Q + two_k
 
-    kernel = iet.fast(Q, R, q_lo, q_hi, near)
+    kernel = iet.kernel.fast(Q, R, q_lo, q_hi, near)
     window = [encode(x, kernel.D) for x in ((near, Q) if sgn > 0 else (Q, near))]
     state = kernel.start(Q)
     word_idx = []
@@ -692,7 +693,7 @@ def _reference_loop(trans, k):
     """``build_inadmissible_loop`` over the reference attempts."""
     iet, P = trans.return_map(), trans.non_saddle_cut().tau
     for sgn in (1, -1):
-        for off in ts._LOOP_OFFSETS:
+        for off in exchange._LOOP_OFFSETS:
             try:
                 return _reference_try_loop(trans, iet, k, P, sgn, 96 * 2 ** k + 8192, off)
             except (SingularHit, BudgetExhausted):
@@ -750,7 +751,7 @@ def _points_near(iet, x):
 def _check_both_ways(iet, x, steps=4):
     """A few kernel steps forward and backward from x equal the QuadNum
     references step by step, or both raise SingularHit at the same step."""
-    kernel = iet.fast(x)
+    kernel = iet.kernel.fast(x)
     for back in (False, True):
         reference = _reference_step_back if back else ts.ReturnMapIET.step
         state = kernel.start(x)
@@ -790,7 +791,7 @@ def test_kernel_raises_on_cuts():
                     continue
                 with pytest.raises(SingularHit):
                     (_reference_step_back if back else ts.ReturnMapIET.step)(iet, x)
-                kernel = iet.fast(x)
+                kernel = iet.kernel.fast(x)
                 with pytest.raises(SingularHit):
                     next(kernel.orbit(kernel.start(x), back=back))
         with pytest.raises(SingularHit):
@@ -802,7 +803,7 @@ def test_kernel_long_orbit_matches_reference():
     # the QuadNum references, then back to the start exactly
     iet = _fixture_iet("slit-tori")
     tau = Fraction(3, 11)
-    kernel = iet.fast(tau)
+    kernel = iet.kernel.fast(tau)
     state = kernel.start(tau)
     ref = tau
     for _, i in zip(range(2000), kernel.orbit(state)):
@@ -905,8 +906,8 @@ def test_state_near_a_cut_takes_the_exact_fallback(name, m, monkeypatch):
     # on: the slot goes to the exact bisection, which decides it.  Over
     # D = 2^40 D0 the state's key falls inside the edge's, off by about 2^-30
     kernel = _fixture_iet(name).kernel.scaled(m, 2)
-    calls, slot = [], ts._slot
-    monkeypatch.setattr(ts, "_slot", lambda *args: calls.append(args) or slot(*args))
+    calls, slot = [], exchange._slot
+    monkeypatch.setattr(exchange, "_slot", lambda *args: calls.append(args) or slot(*args))
     for table, back in ((kernel.forward, False), (kernel.backward, True)):
         for start in _near_cuts(kernel, tables=[table]):
             state = list(start)
@@ -966,7 +967,7 @@ def test_keyed_slots_rarely_fall_back(monkeypatch):
     # CI tripwire: loops at k <= 8 on both fixtures, and leaf streams, decide
     # fewer than 5% of their steps by the exact bisection
     calls, steps = [0], [0]
-    slot, orbit = ts._slot, ts._IETKernel.orbit
+    slot, orbit = exchange._slot, exchange._IETKernel.orbit
 
     def counted_slot(*args):
         calls[0] += 1
@@ -977,8 +978,8 @@ def test_keyed_slots_rarely_fall_back(monkeypatch):
             steps[0] += 1
             yield i
 
-    monkeypatch.setattr(ts, "_slot", counted_slot)
-    monkeypatch.setattr(ts._IETKernel, "orbit", counted_orbit)
+    monkeypatch.setattr(exchange, "_slot", counted_slot)
+    monkeypatch.setattr(exchange._IETKernel, "orbit", counted_orbit)
     for name in ("sheared-torus", "slit-tori"):
         tr = _fresh_transversal(name)
         for k in range(1, 9):
@@ -987,6 +988,35 @@ def test_keyed_slots_rarely_fall_back(monkeypatch):
             tr.return_map().letter_stream(x, 20_000)
     assert steps[0] > 10_000
     assert calls[0] < 0.05 * steps[0], (calls[0], steps[0])
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_stream_entry_rarely_tests_exactly(name, monkeypatch):
+    # CI tripwire: a leaf stream decides its entry into the induced interval
+    # (0, L) on the orbit's key and error bound; the exact sign tests that
+    # ``letters`` makes itself stay under 5% of its entry steps
+    tests, steps = [0], [0]
+    sign, orbit = exchange.pair_sign, exchange._IETKernel.orbit
+    letters = exchange._IETKernel.letters.__code__
+
+    def counted_sign(*args):
+        tests[0] += sys._getframe(1).f_code is letters
+        return sign(*args)
+
+    def counted_orbit(self, state, back=False, keyed=None):
+        for i in orbit(self, state, back, keyed):
+            steps[0] += keyed is not None   # only the entry flight hands out keys
+            yield i
+
+    iet = _fresh_transversal(name).return_map()
+    monkeypatch.setattr(exchange, "pair_sign", counted_sign)
+    monkeypatch.setattr(exchange._IETKernel, "orbit", counted_orbit)
+    for x in (Fraction(1, 7), Fraction(3, 11), Fraction(5, 13), Fraction(101, 997),
+              Fraction(500, 1001), QuadNum(0, Fraction(1, 3), 2), QuadNum(1, Fraction(-1, 2), 2),
+              QuadNum(Fraction(1, 9), Fraction(1, 5), 2)):
+        iet.letter_stream(x, 20_000)
+    assert steps[0] > 150
+    assert tests[0] < 0.05 * steps[0], (tests[0], steps[0])
 
 
 @pytest.mark.parametrize("name, gamma", [
@@ -1003,7 +1033,7 @@ def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
     # in order, out of order from a table already grown to depth 200, and
     # interleaved, deeper and shallower queries in turn
     for order in (depths, [200] + depths[::-1], [5, 200, 3, 60, 1]):
-        table = ts._CutTable(iet)
+        table = exchange._CutTable(iet.kernel)
         for j in order:
             got = table.max_gap(j)
             assert got == want[j] and type(got) is type(want[j]), j
@@ -1013,21 +1043,22 @@ def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
 def test_cut_table_keeps_quadnum_type_of_rational_gaps():
     # rotation by 1/3 with QuadNum-typed rational data: QuadNum arithmetic
     # gives every gap, which has no sqrt part, as a Fraction, and so does the
-    # kernel table
+    # kernel table built from the same exchange's integer data
     third = QuadNum(Fraction(1, 3))
-    iet = ts.ReturnMapIET.__new__(ts.ReturnMapIET)
-    iet.intervals = [ts.ExchangeInterval(Fraction(0), 2 * third, third, ""),
-                     ts.ExchangeInterval(2 * third, Fraction(1), -2 * third, "a")]
-    iet.trans = _SHEARED_TR   # the kernel's words end in its arrival letter
-    table, ref = ts._CutTable(iet), _ReferenceCutTable(iet)
+    ref_iet = SimpleNamespace(intervals=[
+        exchange.ExchangeInterval(Fraction(0), 2 * third, third, ""),
+        exchange.ExchangeInterval(2 * third, Fraction(1), -2 * third, "a")])
+    kernel = exchange._IETKernel([(0, 0), (2, 0)], [(1, 0), (-2, 0)], (3, 0), 3, None,
+                                 ["b", "ab"])
+    table, ref = exchange._CutTable(kernel), _ReferenceCutTable(ref_iet)
     for j in range(1, 6):
         got, want = table.max_gap(j), ref.max_gap(j)
         assert got == want and type(got) is type(want) is Fraction, j
     # the kernel decodes its steps by the same rule
-    kernel = iet.fast(Fraction(1, 7))
+    kernel = kernel.fast(Fraction(1, 7))
     state = kernel.start(Fraction(1, 7))
     next(kernel.orbit(state))
-    assert _typed(kernel.value(state)) == _typed(iet.step(Fraction(1, 7))[0])
+    assert _typed(kernel.value(state)) == _typed(ts.ReturnMapIET.step(ref_iet, Fraction(1, 7))[0])
 
 
 def _sqrt_convergents(d, count):
@@ -1072,7 +1103,7 @@ def _near_ties(d, data):
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_exact_key_orders_pairs_exactly(d, data):
     pairs = _near_ties(d, data)
-    key = ts._exact_key(pairs, d)
+    key = exchange._exact_key(pairs, d)
     exact = cmp_to_key(lambda a, b: pair_sign(a[0] - b[0], a[1] - b[1], d))
     assert sorted(pairs, key=key) == sorted(pairs, key=exact)
     top = max(pairs, key=key)
@@ -1089,7 +1120,7 @@ def test_exact_key_orders_as_pair_floor_keys(d, data):
     B = max(max(abs(u), abs(v)) for u, v in pairs)
     K = (4 * B).bit_length() + d.bit_length() + 1
     want = [pair_floor(u << K, v << K, d, 1) for u, v in pairs]
-    got = list(map(ts._exact_key(pairs, d), pairs))
+    got = list(map(exchange._exact_key(pairs, d), pairs))
     sign = lambda x: (x > 0) - (x < 0)
     assert [[sign(a - b) for b in got] for a in got] == [[sign(a - b) for b in want]
                                                          for a in want]
@@ -1211,11 +1242,11 @@ def test_loops_match_fraction_reference(name, gamma):
     for k in range(2, 9):
         want = _loop_outcome(_reference_loop, tr, k)
         assert _loop_outcome(ts.build_inadmissible_loop, tr.surface, tr, k) == want, k
-        for sgn, off, budget in product(
-                (1, -1), ts._LOOP_OFFSETS[:2] + ts._LOOP_OFFSETS[-1:], (96 * 2 ** k + 8192, 200)):
-            args = tr, iet, k, P, sgn, budget, off
-            assert _loop_outcome(ts._try_loop, *args) == _loop_outcome(
-                _reference_try_loop, *args), (k, sgn, off, budget)
+        offsets = exchange._LOOP_OFFSETS[:2] + exchange._LOOP_OFFSETS[-1:]
+        for sgn, off, budget in product((1, -1), offsets, (96 * 2 ** k + 8192, 200)):
+            args = k, P, sgn, budget, off
+            assert _loop_outcome(exchange._try_loop, iet.cut_table, tr.height, *args) == (
+                _loop_outcome(_reference_try_loop, tr, iet, *args)), (k, sgn, off, budget)
 
 
 # -- the exact flow kernel against the QuadNum reference -----------------------------
@@ -1431,7 +1462,7 @@ def test_kernel_takes_its_field_from_the_start_point():
     iet = _fresh_transversal("sheared-torus", Fraction(1, 3)).return_map()
     x = QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)
     assert iet.letter_stream(x, 13) == _reference_stream(iet, x, 13) == "babbbabbbabbb"
-    kernel = iet.fast(x)
+    kernel = iet.kernel.fast(x)
     state = kernel.start(x)
     next(kernel.orbit(state))
     assert _typed(kernel.value(state)) == _typed(iet.step(x)[0])
@@ -1448,7 +1479,7 @@ def test_kernel_takes_its_field_from_the_start_point():
 def _kernel_stream(iet, tau, num_letters):
     """The leaf word by single steps of the exchange kernel: the reference
     for the tower-copy stream of ``letter_stream``."""
-    kernel = iet.fast(tau)
+    kernel = iet.kernel.fast(tau)
     words = [iv.word + iet.arrival_letter for iv in iet.intervals]
     orbit = kernel.orbit(kernel.start(tau))
     out = []
@@ -1505,7 +1536,7 @@ def test_tower_stream_lands_on_cuts_as_kernel_steps_do(name, gamma, data):
     # exchange cut and raises past them; a landing on an induced cut alone
     # hands the stream back to the exchange, which carries on
     iet = _fixture_iet(name, gamma)
-    kernel = iet.fast()
+    kernel = iet.kernel.fast()
     induced = kernel.towers
     cut = data.draw(st.sampled_from(kernel.forward[0][1:-1] + induced.forward[0][1:]), "cut")
     state = list(cut)
@@ -1537,7 +1568,7 @@ def test_tower_stream_singular_starts():
                 assert want[0] is SingularHit
                 assert _outcome(_tower_stream, iet, tau, n) == want
         # every cut of the induction, the right end L included
-        kernel = iet.fast()
+        kernel = iet.kernel.fast()
         for cut in kernel.towers.forward[0][1:]:
             x = kernel.value(cut)
             for n in (0, 5, 20_000):
@@ -1566,11 +1597,11 @@ def test_towers_are_built_lazily_and_kept():
     iet = _fresh_transversal("slit-tori").return_map()
     assert "towers" not in iet.kernel.__dict__
     iet.letter_stream(Fraction(1, 7), 10)
-    kernel = iet.fast(Fraction(1, 7))
+    kernel = iet.kernel.fast(Fraction(1, 7))
     towers = kernel.__dict__["towers"]
     # a second stream on the same denominator reuses the same towers
     assert iet.letter_stream(Fraction(3, 7), 5000) == _kernel_stream(iet, Fraction(3, 7), 5000)
-    assert iet.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
+    assert iet.kernel.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
 
 
 def _tables(kernel):
@@ -1586,11 +1617,11 @@ def test_rescaled_copies_scale_their_base_towers(name):
         x = Fraction(p // 3, p)
         assert iet.letter_stream(x, 3000) == _kernel_stream(iet, x, 3000)
         assert "towers" in iet.kernel.__dict__
-        copy = iet.fast(x)
+        copy = iet.kernel.fast(x)
         m = copy.D // iet.kernel.D
         assert copy is not iet.kernel and copy.D == m * iet.kernel.D
         assert copy.towers is iet.kernel.towers.scaled(m, copy.surd)
-        assert _tables(copy.towers) == _tables(ts._IETKernel.towers.func(copy))
+        assert _tables(copy.towers) == _tables(exchange._IETKernel.towers.func(copy))
 
 
 def _den(x):
@@ -1609,22 +1640,22 @@ def test_kernels_do_not_depend_on_call_history(name):
     iet = tr.return_map()
     D0 = math.lcm(*(_den(x) for iv in iet.intervals for x in (iv.lo, iv.shift)))
     rng = random.Random(20260)
-    dens = rng.sample(range(101, 2000), 3 * ts._IETKernel._COPIES)
+    dens = rng.sample(range(101, 2000), 3 * exchange._IETKernel._COPIES)
     points = [Fraction(rng.randrange(1, q), q) if j % 2 else
               frac_part(QuadNum(Fraction(rng.randrange(q), q), Fraction(1, q), 2))
               for j, q in enumerate(dens)]
 
     def stream_all(xs):
         for x in xs:
-            assert iet.fast(x).D == math.lcm(D0, _den(x)), x
-            assert len(iet.kernel._copies) <= ts._IETKernel._COPIES
+            assert iet.kernel.fast(x).D == math.lcm(D0, _den(x)), x
+            assert len(iet.kernel._copies) <= exchange._IETKernel._COPIES
             assert (_outcome(_tower_stream, iet, x, 3000)
                     == _outcome(_kernel_stream, iet, x, 3000))
 
     stream_all(points)
     ts.build_inadmissible_loop(tr.surface, tr, 5)
-    assert iet.fast().D == D0
-    assert iet.cut_table.kernel is iet.kernel is iet.fast()
+    assert iet.kernel.fast().D == D0
+    assert iet.cut_table.kernel is iet.kernel is iet.kernel.fast()
     stream_all(points[:8])
 
 
