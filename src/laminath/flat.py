@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .cf import ContinuedFraction, partial_quotients
@@ -192,15 +192,23 @@ def _period_word(quotients: list[int]) -> str:
     return word[:-2] + "ba" if len(quotients) > 1 else word
 
 
-def _block_period(quotients: list[int]) -> bytes:
+def _block_periods(quotients: Iterable[int], k: int) -> Iterator[bytes]:
     """Blocks floor((t+1) P/Q) - floor(t P/Q) - c, t < Q, as 0/1 bytes, of
-    P/Q = [c; a_1, ..., a_k]: [c] and [c; 1] have Q = 1, else 0 w 1 with w
-    the standard word of directive (a_1 - 1, a_2, ..., a_k) over 1, 0 less
-    its last two letters (Berstel et al., Combinatorics on Words, 2008)."""
-    if len(quotients) == 1 or quotients[1:] == [1]:
-        return bytes((len(quotients) - 1,))
-    a1, *rest = quotients[1:]
-    return b"\x00" + _standard_word(b"\x01", b"\x00", (a1 - 1, *rest))[:-2] + b"\x01"
+    P/Q = [c; a_1, ..., a_l] for l = k, k + 1, ..., each a_l read from
+    ``quotients`` when its level is asked for: [c] and [c; 1] have Q = 1,
+    else 0 w 1 with w the standard word of directive (a_1 - 1, a_2, ..., a_l)
+    over 1, 0 less its last two letters (Berstel et al., Combinatorics on
+    Words, 2008).  Level l + 1 is one more step of ``_standard_word``'s
+    recursion, run inline."""
+    quotients = iter(quotients)
+    next(quotients)
+    if k == 0:
+        yield b"\x00"
+    prev, word = b"\x01", b"\x00"
+    for l, a in enumerate(quotients, 1):
+        prev, word = word, word * (a - (l == 1)) + prev
+        if l >= k:  # [c; 1] has the one-letter word 1
+            yield b"\x00" + word[:-2] + b"\x01" if len(word) > 1 else word
 
 
 def _window_plan(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
@@ -254,7 +262,7 @@ def _window_blocks(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
     """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as 0/1
     bytes: the window plan read off the doubled block period of p/q."""
     quotients, p, q, windows = _window_plan(E, F, S, G, d, C, J, q_max)
-    period = _block_period(quotients) * 2
+    period = next(_block_periods(quotients, len(quotients) - 1)) * 2
     out = bytearray()
     for j0, i, miss in windows:
         out += period[j0:j0 + q]
@@ -332,6 +340,12 @@ def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
     E, F, S, G, d, C = _line(theta, s, num_blocks)
     return (floor_blocks(E, F, S, G, d, C, num_blocks),
             _first_hit(E, F, S, G, C, num_blocks))
+
+
+def _leaf_blocks(theta: ContinuedFraction, s, J: int):
+    """The first J blocks of the line y = theta x + s leaving (0, s), as
+    ``_block_values`` gives them: bytes where they fit in a byte."""
+    return _block_values(*_window_blocks(*_line(theta, s, J), J))
 
 
 def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
@@ -418,9 +432,10 @@ class ClearanceCertificate:
             zip(range(l0 + 1, len(floors)), floors[l0 + 1:]))
 
 
-def _split_check(theta_blocks: list, rat_blocks: list, l0: int, f0: int) -> None:
+def _split_check(theta_blocks, rat_blocks, l0: int, f0: int) -> None:
     """Raise at the first l != l0 where f0 plus the first l blocks differs
-    between the two lists.
+    between the two block sequences (bytes or lists, as ``_block_values``
+    gives them).
 
     A difference at block j shows at every l > j until another one cancels
     it, so l0 alone may split exactly when the lists agree off blocks l0 - 1
@@ -455,12 +470,12 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     # plus prefix sums of blocks from the one Sturmian kernel
     E, F, S, G, d, C = _integer_form(Fraction(cv.p, q), s)
     f0, c = divmod(pair_floor(q * S, q * G, d, C), q)   # floor(s), floor(q frac(s))
-    rat_blocks = floor_blocks(E, F, S, G, d, C, q - 1)
+    rat_blocks = _block_values(*_window_blocks(E, F, S, G, d, C, q - 1))
     floors = accumulate(rat_blocks, initial=f0)
     # height l is (c + (l p_k mod q_k) + phi)/q_k mod 1 with 0 <= phi < 1: the
     # highest has l p_k = -1 - c mod q_k, the lowest l p_k = -c
     l0 = (-c - (k % 2 == 0)) * pow(cv.p, -1, q) % q
-    _split_check(sturmian_blocks(theta, s, q - 1)[0], rat_blocks, l0, f0)
+    _split_check(_leaf_blocks(theta, s, q - 1), rat_blocks, l0, f0)
     return ClearanceCertificate(k, l0, C, E, S, G, d, tuple(floors))
 
 

@@ -78,7 +78,7 @@ class _IETKernel:
         self.words, self._copies, self._scale, self._R = words, {}, None, math.isqrt(self.d << 60)
         images = [((u + su, v + sv), (hu + su, hv + sv)) for (u, v), (hu, hv), (su, sv)
                   in zip(lows, lows[1:] + [end], shifts)]
-        key = _exact_key([lo for lo, _ in images], self.d)
+        key = _exact_key(_reach(lo for lo, _ in images), self.d)
         order = sorted(range(len(lows)), key=lambda i: key(images[i][0]))
         cuts = [images[i][0] for i in order]
         if cuts + [end] != [(0, 0)] + [images[i][1] for i in order]:
@@ -285,17 +285,22 @@ def _least_kernel(lows, shifts, D: int, d: Optional[int], words) -> _IETKernel:
                       d if any(v for _, v in lows + shifts) else None, words)
 
 
-def _exact_key(pairs, d: int):
-    """A sort key on integer pairs (u, v) that orders their values
-    u + v sqrt d exactly, in the fixed-point form of the exchange kernel's
-    keys: (u << K) + (v R >> L), R = isqrt(d 2^(2K + 2L)), K =
-    bit_length(4B) + bit_length(d) + 4 and L = bit_length(B) + 1, B the
-    largest |u| or |v| among ``pairs``.  A key lies within B/2^L + 1 < 3/2 of
-    2^K (u + v sqrt d).  Two distinct values differ by at least
-    1/(|du| + |dv| sqrt d), because (du + dv sqrt d)(du - dv sqrt d) is a
-    nonzero integer; with |du|, |dv| <= 2B that is more than 2^(3 - K), so
-    their keys differ by more than 8 - 3 and keep their order."""
-    B = max((max(abs(u), abs(v)) for u, v in pairs), default=0)
+def _reach(pairs) -> int:
+    """The largest |u| or |v| among integer pairs (u, v), 0 for none."""
+    return max((max(abs(u), abs(v)) for u, v in pairs), default=0)
+
+
+def _exact_key(B: int, d: int):
+    """A sort key on integer pairs (u, v) with |u|, |v| <= B that orders
+    their values u + v sqrt d exactly, in the fixed-point form of the
+    exchange kernel's keys: (u << K) + (v R >> L), R = isqrt(d 2^(2K + 2L)),
+    K = bit_length(4B) + bit_length(d) + 4 and L = bit_length(B) + 1.  A key
+    lies within B/2^L + 1 < 3/2 of 2^K (u + v sqrt d).  Two distinct values
+    differ by at least 1/(|du| + |dv| sqrt d), because
+    (du + dv sqrt d)(du - dv sqrt d) is a nonzero integer; with
+    |du|, |dv| <= 2B that is more than 2^(3 - K), so their keys differ by
+    more than 8 - 3 and keep their order.  Any B above the true largest
+    entry keeps this, with wider keys."""
     K, L = (4 * B).bit_length() + d.bit_length() + 4, B.bit_length() + 1
     R = math.isqrt(d << 2 * (K + L))
     return lambda p: (p[0] << K) + (p[1] * R >> L)
@@ -329,11 +334,18 @@ class _CutTable:
     born at depth j + 1, up to ``depth``, where growth stops once every strand
     has died (landed on an image cut).  A query grows the strands to its
     depth and sorts the cuts born by then by one exact integer key; the gaps
-    are memoised.  Level-set partitions and loops read it."""
+    are memoised.  Level-set partitions and loops read it.
+
+    A cut born at depth j is a depth-1 cut plus j - 1 backward moves, so its
+    entries are at most ``reach`` (the depth-1 cuts' largest |u| or |v|) plus
+    j - 1 times ``stride`` (the moves' largest |du| or |dv|): the key's bound
+    B, read with no scan of the cuts."""
 
     def __init__(self, kernel: _IETKernel):
         self.kernel = kernel
         cuts = kernel.forward[0][1:-1]
+        self.reach = _reach(cuts)
+        self.stride = _reach((du, dv) for _, du, dv, _, _ in kernel.backward[1])
         self.born = [cuts]
         self.strands = [(p, kernel.orbit(p, back=True)) for p in map(list, cuts)]
         self.depth = 1
@@ -409,8 +421,9 @@ class _CutTable:
                 alive.append((state, orbit))
             self.strands = alive
             self.born.append([tuple(state) for state, _ in alive])
-        pts = [p for level in self.born[:depth] for p in level]
-        pts.sort(key=_exact_key(pts, self.kernel.d))
+        levels = self.born[:depth]
+        pts = [p for level in levels for p in level]
+        pts.sort(key=_exact_key(self.reach + (len(levels) - 1) * self.stride, self.kernel.d))
         return pts
 
 

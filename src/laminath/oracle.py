@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from itertools import count
+from typing import Iterator, Optional
 
 from . import flat
 from ._record import record
@@ -54,21 +55,25 @@ def _periodic_haystack(r, m: int) -> tuple[str, int]:
     return period * (m // len(period) + 2), len(period)
 
 
-def _block_period(theta: ContinuedFraction, l: int) -> bytes:
-    """Block values of one period of the level-l convergent word, a byte each (c0 < 255)."""
-    quotients = [theta.coefficient(i) for i in range(l + 1)]
-    return flat._block_values(flat._block_period(quotients), quotients[0])
+def _block_periods(theta: ContinuedFraction, l: int) -> Iterator[bytes]:
+    """Block values of one period of the level-l, l + 1, ... convergent
+    words, a byte each (c0 < 255): one standard-word recursion, one more
+    step per level, reading each coefficient once."""
+    c = theta.floor_part()
+    return (flat._block_values(period, c)
+            for period in flat._block_periods(map(theta.coefficient, count()), l))
 
 
-def _occurs(search: str, blocks: Optional[bytes], theta: ContinuedFraction, l: int) -> bool:
+def _occurs(search: str, blocks: Optional[bytes], periods, theta: ContinuedFraction,
+            l: int) -> bool:
     """Whether the level-l periodic word holds ``search``, read on the block
-    bytes ``blocks`` of a "ba" BlockWord if given: a marker-anchored letter
-    occurrence is a block occurrence, and L // q + 2 periods hold every
-    length-L factor."""
+    bytes ``blocks`` of a "ba" BlockWord if given, against the next period of
+    ``periods``: a marker-anchored letter occurrence is a block occurrence,
+    and L // q + 2 periods hold every length-L factor."""
     cv = theta.convergent(l)
     if blocks is None:
         return search in _periodic_haystack(Fraction(cv.p, cv.q), len(search))[0]
-    return blocks in _block_period(theta, l) * (len(blocks) // cv.q + 2)
+    return blocks in next(periods) * (len(blocks) // cv.q + 2)
 
 
 def rational_factors(r, m: int) -> FactorSet:
@@ -128,10 +133,10 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     convergent-word factors at the first level whose cycle is longer than the
     word's block span settles the verdict; inadmissible verdicts are
     confirmed at the following level as well.  A "ba" BlockWord is decided on
-    block bytes when its values and theta's blocks c0 >= 1, c0 + 1 fit in a
-    byte.  Admissible verdicts carry a start height and offset locating the
-    factor in the leaf word from that height, re-checkable against the exact
-    cutting sequence.
+    the block bytes it stores (base < 255) when theta's c0 >= 1 is below 255,
+    against each level's period from one standard-word recursion.  Admissible
+    verdicts carry a start height and offset locating the factor in the leaf
+    word from that height, re-checkable against the exact cutting sequence.
     """
     search, letters, aligned = _search_form(word)
     if letters == "":
@@ -140,12 +145,13 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     span = search.count("a") + 2
     l0 = _window_level(theta, span, k_max)
     c = theta.floor_part()
-    blocks = (bytes(word.blocks) if isinstance(word, BlockWord) and word.orientation == "ba"
-              and 0 < c < 255 and word.base < 255 else None)
+    blocks = (word.blocks if isinstance(word, BlockWord) and word.orientation == "ba"
+              and 0 < c < 255 and type(word.blocks) is bytes else None)
+    periods = None if blocks is None else _block_periods(theta, l0)
     levels = [l0]
-    if not _occurs(search, blocks, theta, l0):
+    if not _occurs(search, blocks, periods, theta, l0):
         if l0 + 1 <= k_max:
-            if _occurs(search, blocks, theta, l0 + 1):
+            if _occurs(search, blocks, periods, theta, l0 + 1):
                 raise CertificateViolation(
                     "level disagreement; window threshold violated")
             levels.append(l0 + 1)

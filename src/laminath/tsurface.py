@@ -589,12 +589,12 @@ class ReturnMapIET:
     """
 
     def __init__(self, trans: Transversal):
-        from .iet import _CutTable, _exact_key, _least_kernel
+        from .iet import _CutTable, _exact_key, _least_kernel, _reach
         self.trans = trans
         self.first_cuts = backward_cut_points(trans, depth=1)
         N, d = trans._over[2], trans.surface._d
         pts = {encode(t, N) for _, t in self.first_cuts}
-        pts = [(0, 0)] + sorted(pts, key=_exact_key(pts, d or 2)) + [(N, 0)]
+        pts = [(0, 0)] + sorted(pts, key=_exact_key(_reach(pts), d or 2)) + [(N, 0)]
         shifts, words = [], []
         for (lu, lv), (hu, hv) in zip(pts, pts[1:]):
             # probes at the middle and a third of the way up, over 6N: one shift, one word

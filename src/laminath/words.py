@@ -2,8 +2,9 @@
 
 Letters are 'a', 'b' with inverses 'A', 'B'.  A word of slope r = p/q > 1
 starting on the left edge of the unit square decomposes into blocks
-b^{n_i} a with n_i in {n, n+1}; we write such words as block tuples
-(n_1, ..., n_k) with an orientation marker "ba" (blocks b^n a) or "ab".
+b^{n_i} a with n_i in {n, n+1}; we write such words as block sequences
+(n_1, ..., n_k), stored as bytes when n < 255, with an orientation marker
+"ba" (blocks b^n a) or "ab".
 
 The three constructions here are the simple-closed-curve word of a rational
 slope, the inadmissible single-cycle word (a simple word with its last block
@@ -19,7 +20,7 @@ convergent words with loops around the puncture.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 from ._record import factory, record
@@ -35,10 +36,15 @@ LetterWord = str  # finite words are plain strings over "abAB"
 
 @record(frozen=True)
 class BlockWord:
-    """Blocks over {n, n+1}; orientation "ba" means each block is b^{n_i} a."""
+    """Blocks over {n, n+1}; orientation "ba" means each block is b^{n_i} a.
+
+    ``blocks`` is stored as bytes, a block a byte, when base < 255 and so
+    every block fits in one, and as a tuple of ints otherwise.  Any sequence
+    of ints is taken and stored in that form, so a word equals and hashes
+    like every other word with the same base, blocks and orientation."""
 
     base: int
-    blocks: tuple[int, ...]
+    blocks: bytes | tuple[int, ...]
     orientation: str = "ba"
 
     def __post_init__(self):
@@ -46,21 +52,32 @@ class BlockWord:
             raise ValueError("orientation must be 'ba' or 'ab'")
         if not self.blocks:
             raise ValueError("blocks must be nonempty")
-        if self.base < 0:
-            raise ValueError(f"blocks must be >= 0, got base {self.base}")
-        if not set(self.blocks) <= {self.base, self.base + 1}:
-            raise ValueError(f"blocks must lie in {{{self.base},{self.base + 1}}}")
+        n = self.base
+        if n < 0:
+            raise ValueError(f"blocks must be >= 0, got base {n}")
+        try:
+            if n < 255:
+                blocks = bytes(self.blocks)
+                ok = not blocks.translate(None, bytes((n, n + 1)))
+            else:
+                blocks = tuple(self.blocks)
+                ok = set(blocks) <= {n, n + 1}
+        except (TypeError, ValueError):  # a block that is not an int in 0..255
+            ok = False
+        if not ok:
+            raise ValueError(f"blocks must lie in {{{n},{n + 1}}}")
+        object.__setattr__(self, "blocks", blocks)
 
     def letters(self) -> LetterWord:
         run, mark = (b"b", b"a") if self.orientation == "ba" else (b"a", b"b")
-        n = self.base
-        offs = (bytes(self.blocks).translate(bytes.maketrans(bytes((n, n + 1)), b"\x00\x01"))
-                if n < 255 else bytes(map(n.__rsub__, self.blocks)))
+        n, blocks = self.base, self.blocks
+        offs = (blocks.translate(bytes.maketrans(bytes((n, n + 1)), b"\x00\x01"))
+                if type(blocks) is bytes else bytes(map(n.__rsub__, blocks)))
         return offs.replace(b"\x00", run * n + mark).replace(b"\x01", run * n + run + mark).decode()
 
     @property
     def letter_count(self) -> int:
-        return sum(self.blocks) + len(self.blocks)
+        return (self.base + 1) * len(self.blocks) + self.blocks.count(self.base + 1)
 
     def serialize(self) -> str:
         return "(" + ",".join(map(str, self.blocks)) + ")@" + self.orientation
@@ -109,7 +126,7 @@ def letters_to_blocks(word: LetterWord) -> BlockWord:
     n = min(blocks)
     if max(blocks) > n + 1:
         raise NotBlockShaped(f"{word!r} mixes block sizes {n} and {max(blocks)}")
-    return BlockWord(n, tuple(blocks), orientation)
+    return BlockWord(n, blocks, orientation)
 
 
 # -- the simple-closed-curve word algorithm ------------------------------------
@@ -140,10 +157,10 @@ def simple_word(r, l1: int = 1) -> BlockWord:
     p, q, n, s, t = _slope_data(Fraction(r))
     if not 1 <= l1 <= s + t:
         raise InvalidSlope(f"start index must be in 1..{s + t}")
-    blocks = flat.floor_blocks(p, 0, q - l1, 0, 2, q, q)
-    if len(blocks) != q or sum(blocks) != p:
+    offs, c = flat._window_blocks(p, 0, q - l1, 0, 2, q, q)
+    if len(offs) != q or c * q + offs.count(1) != p:
         raise CertificateViolation("simple word breaks the block counts")
-    return BlockWord(n, tuple(blocks))
+    return BlockWord(n, flat._block_values(offs, c))
 
 
 # -- inadmissible words ----------------------------------------------------------
@@ -173,7 +190,7 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
         raise CertificateViolation("flipped word does not start and end on the edge block")
     if c * q + offs.count(1, 0, q) != p - sign:
         raise CertificateViolation("flipped word breaks the block counts")
-    return BlockWord(n, tuple(flat._block_values(offs, c))), cv
+    return BlockWord(n, flat._block_values(offs, c)), cv
 
 
 def _segment_heights(p: int, q: int, k: int, B: int) -> tuple[int, int, int, int]:
@@ -302,11 +319,10 @@ class ExoticWord:
     def letters(self) -> LetterWord:
         return "".join(st.certificate.word.letters() for st in self.stages)
 
-    def blocks(self) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for st in self.stages:
-            out += st.certificate.word.blocks
-        return out
+    def blocks(self) -> bytes | tuple[int, ...]:
+        """The stages' blocks joined, in the form their words store them."""
+        parts = [st.certificate.word.blocks for st in self.stages]
+        return b"".join(parts) if parts and type(parts[0]) is bytes else tuple(chain(*parts))
 
     @property
     def total_measure(self) -> Exact:

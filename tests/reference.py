@@ -186,7 +186,7 @@ def three_distance_points(s, r) -> list:
 def revert_flip(word: BlockWord) -> BlockWord:
     """Undo the final-block flip of ``words.inadmissible_word``: swap its last
     block between n and n+1."""
-    return BlockWord(word.base, word.blocks[:-1] + (2 * word.base + 1 - word.blocks[-1],),
+    return BlockWord(word.base, (*word.blocks[:-1], 2 * word.base + 1 - word.blocks[-1]),
                      word.orientation)
 
 

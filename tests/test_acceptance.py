@@ -65,10 +65,10 @@ def test_criterion_02_simple_word_vs_cutting_period():
             theta = ContinuedFraction.from_rational(r)
             period = cutting_blocks(Fraction(1, 2 * q), theta, q)
             base = words.simple_word(r, 1)
-            rotations = {rotate(base, j).blocks for j in range(q)}
-            ok &= period in rotations
+            rotations = {rotate(base, j) for j in range(q)}
+            ok &= words.BlockWord(base.base, period) in rotations
             for l1 in range(1, q + 1):
-                ok &= words.simple_word(r, l1).blocks in rotations
+                ok &= words.simple_word(r, l1) in rotations
                 checked += 1
     _report(2, ok, f"simple words match cutting-sequence periods up to "
                    f"rotation for all coprime p > q, p + q <= 60 "
@@ -84,8 +84,8 @@ def test_criterion_03_sturmian_windows():
     for k in range(2, 9):
         cv = SQRT2.convergent(k)
         base = words.simple_word(Fraction(cv.p, cv.q), 1)
-        rotations = {rotate(base, j).blocks for j in range(cv.q)}
-        ok &= blocks[:cv.q] in rotations
+        rotations = {rotate(base, j) for j in range(cv.q)}
+        ok &= words.BlockWord(base.base, blocks[:cv.q]) in rotations
     _report(3, ok, "first q_k blocks of the sqrt2 leaf from height 1/4 are "
                    "convergent-word rotations for 2 <= k <= 8, exact")
 

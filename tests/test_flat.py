@@ -237,15 +237,22 @@ def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
 def test_block_period_matches_direct_floors():
     # every P/q with q <= 60 and integer part 0..3, in its canonical
     # expansion and in the one ending in 1 that a window convergent may have;
-    # q = 1 gives [c] and [c - 1; 1], whose block c is offset 1 from c - 1
+    # q = 1 gives [c] and [c - 1; 1], whose block c is offset 1 from c - 1.
+    # The periods from level l on are those of the truncations [c; a_1..a_l]
     for q in range(1, 61):
         for P in range(4 * q):
             if math.gcd(P, q) != 1:
                 continue
             canonical = list(partial_quotients(P, 0, 0, q))
             for form in (canonical, canonical[:-1] + [canonical[-1] - 1, 1]):
-                want = bytes((t + 1) * P // q - t * P // q - form[0] for t in range(q))
-                assert flat._block_period(form) == want, (P, q, form)
+                want = []
+                p0, q0, p1, q1 = 0, 1, 1, 0
+                for a in form:
+                    p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+                    want.append(bytes((t + 1) * p1 // q1 - t * p1 // q1 - form[0]
+                                      for t in range(q1)))
+                for l in range(len(form)):
+                    assert list(flat._block_periods(form, l)) == want[l:], (P, q, form, l)
 
 
 def test_window_blocks_short_lengths_and_steep_slopes():
@@ -579,9 +586,11 @@ def test_clearance_catches_one_flipped_block(monkeypatch, s, k):
     cert = flat.homotopy_clearance(s, SQRT2, k)
     q, l0 = SQRT2.convergent(k).q, cert.l0
     blocks = flat.sturmian_blocks(SQRT2, s, q - 1)[0]
+    assert flat._leaf_blocks(SQRT2, s, q - 1) == bytes(blocks)
     for j in range(q - 1):
-        flipped = blocks[:j] + [3 - blocks[j]] + blocks[j + 1:]  # sqrt2 blocks are 1 and 2
-        monkeypatch.setattr(flat, "sturmian_blocks", lambda *args: (flipped, None))
+        # sqrt2 blocks are 1 and 2; the clearance reads theta's blocks as bytes
+        flipped = bytes(blocks[:j] + [3 - blocks[j]] + blocks[j + 1:])
+        monkeypatch.setattr(flat, "_leaf_blocks", lambda *args: flipped)
         split = j + 1 if j + 1 != l0 else l0 + 1
         if split == q:
             assert flat.homotopy_clearance(s, SQRT2, k) == cert
@@ -591,8 +600,8 @@ def test_clearance_catches_one_flipped_block(monkeypatch, s, k):
     for j in range(q - 2):
         # one letter moved from block j + 1 to block j changes the integer
         # part at j + 1 alone, which only l0 may do
-        moved = blocks[:j] + [blocks[j] + 1, blocks[j + 1] - 1] + blocks[j + 2:]
-        monkeypatch.setattr(flat, "sturmian_blocks", lambda *args: (moved, None))
+        moved = bytes(blocks[:j] + [blocks[j] + 1, blocks[j + 1] - 1] + blocks[j + 2:])
+        monkeypatch.setattr(flat, "_leaf_blocks", lambda *args: moved)
         if j + 1 == l0:
             assert flat.homotopy_clearance(s, SQRT2, k) == cert
             continue
@@ -669,13 +678,13 @@ def test_sliding_windows_are_convergent_rotations():
         q = cv.q
         blocks = cutting_blocks(s, SQRT2, 40 + q)
         base = words.simple_word(Fraction(cv.p, cv.q), 1)
-        rotations = {rotate(base, j).blocks for j in range(q)}
+        rotations = {rotate(base, j) for j in range(q)}
         checked = 0
         for j in range(40):
             y = frac_part(s + val * j)
             eps = (1 - y) if k % 2 == 0 else y
             if Fraction(1, q) < eps:
-                assert blocks[j:j + q] in rotations
+                assert words.BlockWord(base.base, blocks[j:j + q]) in rotations
                 checked += 1
         assert checked > 20
 

@@ -28,9 +28,9 @@ def test_rational_factors_examples():
     fs = oracle.rational_factors(Fraction(2, 1), 3)
     assert fs.factors == {"bba", "bab", "abb"}
     rot5 = ref.rational_block_rotations(Fraction(7, 5))
-    assert {r.blocks for r in rot5} == {(1, 1, 2, 1, 2), (1, 2, 1, 2, 1),
-                                        (2, 1, 2, 1, 1), (1, 2, 1, 1, 2),
-                                        (2, 1, 1, 2, 1)}
+    assert {r.blocks for r in rot5} == set(map(bytes, [(1, 1, 2, 1, 2), (1, 2, 1, 2, 1),
+                                                       (2, 1, 2, 1, 1), (1, 2, 1, 1, 2),
+                                                       (2, 1, 1, 2, 1)]))
     rot3 = ref.rational_block_rotations(Fraction(5, 3))
     pairs = set()
     for r in rot3:
@@ -112,7 +112,7 @@ def test_monotonicity_factors_of_admissible():
 def test_extensions_of_inadmissible_stay_inadmissible(lead, tail):
     # extending an inadmissible block factor by whole blocks on either side
     bad = words.inadmissible_word(SQRT2, 2)
-    extended = words.BlockWord(1, (lead,) + bad.blocks + (tail,))
+    extended = words.BlockWord(1, (lead, *bad.blocks, tail))
     assert oracle.is_admissible(extended, SQRT2).verdict == "inadmissible"
 
 
@@ -360,7 +360,24 @@ def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
     def refuse(*args):
         raise RuntimeError("block bytes read")
 
-    monkeypatch.setattr(oracle, "_block_period", refuse)
+    monkeypatch.setattr(oracle, "_block_periods", refuse)
+    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+
+
+def test_torus_block_words_are_decided_on_their_bytes(monkeypatch):
+    # segment and inadmissible words below base 255 never reach the letter
+    # haystack: their stored bytes are searched in the standard-word periods
+    cases = [(theta, make(theta, k)) for theta in (SQRT2, GOLDEN,
+                                                  ContinuedFraction.from_text("cf:[253;1,2]p"))
+             for k in (2, 3, 4) for make in (words.inadmissible_word,
+                                              lambda t, k: words.inadmissible_segment(t, k).word)]
+    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
+    assert {c.verdict for c in want} == {"inadmissible"}
+
+    def refuse(*args):
+        raise RuntimeError("letter haystack read")
+
+    monkeypatch.setattr(oracle, "_periodic_haystack", refuse)
     assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
 
 
@@ -372,6 +389,6 @@ def test_block_period_is_a_rotation_of_the_simple_word():
                for q in range(2, 13) for j in range(1, q)]
     for r in {r for r in slopes if r.denominator > 1}:
         theta = ContinuedFraction.from_rational(r)
-        period = oracle._block_period(theta, theta.length - 1)
-        simple = bytes(words.simple_word(r, 1).blocks)
+        period = next(oracle._block_periods(theta, theta.length - 1))
+        simple = words.simple_word(r, 1).blocks
         assert len(period) == len(simple) and period in simple * 2, r

@@ -1103,7 +1103,7 @@ def _near_ties(d, data):
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_exact_key_orders_pairs_exactly(d, data):
     pairs = _near_ties(d, data)
-    key = exchange._exact_key(pairs, d)
+    key = exchange._exact_key(exchange._reach(pairs), d)
     exact = cmp_to_key(lambda a, b: pair_sign(a[0] - b[0], a[1] - b[1], d))
     assert sorted(pairs, key=key) == sorted(pairs, key=exact)
     top = max(pairs, key=key)
@@ -1120,7 +1120,7 @@ def test_exact_key_orders_as_pair_floor_keys(d, data):
     B = max(max(abs(u), abs(v)) for u, v in pairs)
     K = (4 * B).bit_length() + d.bit_length() + 1
     want = [pair_floor(u << K, v << K, d, 1) for u, v in pairs]
-    got = list(map(exchange._exact_key(pairs, d), pairs))
+    got = list(map(exchange._exact_key(B, d), pairs))
     sign = lambda x: (x > 0) - (x < 0)
     assert [[sign(a - b) for b in got] for a in got] == [[sign(a - b) for b in want]
                                                          for a in want]
@@ -1130,6 +1130,26 @@ def _fresh_transversal(name, gamma=None):
     doc, edge = ((ts.sheared_torus_doc, 1) if name == "sheared-torus"
                  else (ts.slit_tori_doc, 5))
     return ts.Transversal(ts.load_surface(doc(gamma)), edge)
+
+
+@pytest.mark.parametrize("name, gamma", [
+    ("sheared-torus", None), ("slit-tori", None),
+    ("sheared-torus", QuadNum(Fraction(-1, 2), Fraction(1, 2), 5)),
+    ("slit-tori", QuadNum(-1, Fraction(2, 3), 3)),
+])
+def test_cut_table_keys_order_cuts_exactly(name, gamma):
+    # the cut table bounds its key's B by the depth-1 cuts' reach plus a
+    # stride per backward move, without scanning the cuts: the bound covers
+    # every cut, and the cuts sort as pair_sign orders them, at every depth
+    table = _fresh_transversal(name, gamma).return_map().cut_table
+    d = table.kernel.d
+    exact = cmp_to_key(lambda a, b: pair_sign(a[0] - b[0], a[1] - b[1], d))
+    for depth in (1, 2, 3, 5, 8, 13, 40, 150, 600, 2500):
+        pts = table._sorted(depth)
+        B = table.reach + (min(depth, len(table.born)) - 1) * table.stride
+        assert exchange._reach(pts) <= B, depth
+        assert pts == sorted(pts, key=exact), depth
+        assert all(pair_sign(b[0] - a[0], b[1] - a[1], d) > 0 for a, b in zip(pts, pts[1:]))
 
 
 @pytest.mark.parametrize("name, gamma", [

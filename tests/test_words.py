@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,10 @@ def coprime_slopes(max_sum=40):
 # -- Algorithm 1 -------------------------------------------------------------
 
 def test_simple_word_traces():
-    assert words.simple_word(Fraction(5, 3), 1).blocks == (2, 2, 1)
-    assert words.simple_word(Fraction(5, 3), 3).blocks == (1, 2, 2)
-    assert words.simple_word(Fraction(2, 1), 1).blocks == (2,)
-    assert words.simple_word(Fraction(7, 5), 5).blocks == (1, 1, 2, 1, 2)
+    assert words.simple_word(Fraction(5, 3), 1).blocks == bytes((2, 2, 1))
+    assert words.simple_word(Fraction(5, 3), 3).blocks == bytes((1, 2, 2))
+    assert words.simple_word(Fraction(2, 1), 1).blocks == bytes((2,))
+    assert words.simple_word(Fraction(7, 5), 5).blocks == bytes((1, 1, 2, 1, 2))
 
 
 def test_simple_word_counts():
@@ -78,7 +79,7 @@ def _schedule_word(r, l1):
 def _check_against_schedule(r):
     q = r.denominator
     for l1 in range(1, q + 1):
-        assert words.simple_word(r, l1).blocks == _schedule_word(r, l1)
+        assert words.simple_word(r, l1).blocks == bytes(_schedule_word(r, l1))
 
 
 def test_simple_words_match_schedule_small_slopes():
@@ -101,7 +102,7 @@ def test_simple_words_match_schedule(q, data):
 
 def test_blocks_letters_examples():
     assert words.BlockWord(1, (2, 2, 1)).letters() == "bbabbaba"
-    assert words.letters_to_blocks("baba").blocks == (1, 1)
+    assert words.letters_to_blocks("baba").blocks == bytes((1, 1))
     with pytest.raises(NotBlockShaped):
         words.letters_to_blocks("aBa")
     with pytest.raises(NotBlockShaped):
@@ -111,7 +112,7 @@ def test_blocks_letters_examples():
         with pytest.raises(NotBlockShaped):
             words.BlockWord.parse(text)
     flipped = words.letters_to_blocks("aab ab".replace(" ", ""))
-    assert flipped.orientation == "ab" and flipped.blocks == (2, 1)
+    assert flipped.orientation == "ab" and flipped.blocks == bytes((2, 1))
     assert flipped.letters() == "aabab"
 
 
@@ -131,14 +132,14 @@ def test_exotic_max_stages():
 def test_blocks_letters_round_trip(n, bits):
     blocks = tuple(n + b for b in bits)
     w = words.BlockWord(min(blocks), blocks)
-    assert words.letters_to_blocks(w.letters()).blocks == blocks
+    assert words.letters_to_blocks(w.letters()) == w and w.blocks == bytes(blocks)
 
 
 # -- Algorithm 2 -----------------------------------------------------------------
 
 def test_inadmissible_word_sqrt2():
-    assert words.inadmissible_word(SQRT2, 2).blocks == (1, 1, 2, 1, 1)
-    assert words.inadmissible_word(SQRT2, 3).blocks == (2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2)
+    assert words.inadmissible_word(SQRT2, 2).blocks == bytes((1, 1, 2, 1, 1))
+    assert words.inadmissible_word(SQRT2, 3).blocks == bytes((2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2))
 
 
 def test_inadmissible_word_edges():
@@ -166,7 +167,7 @@ def test_inadmissible_word_k_too_small():
 
 def test_segment_sqrt2_k2():
     cert = words.inadmissible_segment(SQRT2, 2)
-    assert cert.word.blocks == (1, 1, 2, 1, 1, 2, 1, 2)
+    assert cert.word.blocks == bytes((1, 1, 2, 1, 1, 2, 1, 2))
     assert cert.word.letter_count == 19
     assert cert.word.letter_count <= 2 * (7 + 5)
     # measure below 3|q theta - p| + 2/q
@@ -232,7 +233,7 @@ def test_segment_is_the_cutting_sequence_of_its_path(theta_levels, data):
     floors = [exact_floor(height(x)) for x in range(B + 1)]
     # the hop at x = q - 1 crosses no grid line
     assert exact_floor(height(q - 1) + Fraction(sign, q)) == floors[q - 1]
-    assert cert.word.blocks == tuple(b - a for a, b in zip(floors, floors[1:]))
+    assert list(cert.word.blocks) == [b - a for a, b in zip(floors, floors[1:])]
     assert [tuple(v) for v in cert.path.vertices] == [
         (0, height(0)), (q - 1, height(q - 1) + Fraction(sign, q)), (q - 1, height(q - 1)),
         (B, height(B))]
@@ -368,6 +369,72 @@ def test_block_words_reject_negative_blocks():
     assert words.BlockWord(0, (0, 1, 0)).letters() == "abaa"
 
 
+_BASES = (0, 1, 2, 3, 253, 254, 255, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_BASES), st.integers(min_value=0, max_value=39),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=60), st.sampled_from(["ba", "ab"]))
+def test_kernel_and_tuple_block_words_agree(c, p, q, S, J, orientation):
+    # blocks of the line (c + p/q) j + S/q off the window kernel, c up to 300,
+    # against the same blocks given as a tuple of ints: one word either way
+    p %= q
+    offsets, c0 = flat._window_blocks(c * q + p, 0, S, 0, 2, q, J)
+    assert c0 == c
+    kernel_blocks = flat._block_values(offsets, c)
+    values = tuple(c + o for o in offsets)
+    base = min(values)
+    kernel, plain = (words.BlockWord(base, kernel_blocks, orientation),
+                     words.BlockWord(base, values, orientation))
+    assert kernel == plain and hash(kernel) == hash(plain)
+    assert type(kernel.blocks) is type(plain.blocks) is (bytes if base < 255 else tuple)
+    assert list(kernel.blocks) == list(values) and len(kernel) == len(plain) == J
+    text = kernel.serialize()
+    assert text == plain.serialize() == "(" + ",".join(map(str, values)) + ")@" + orientation
+    assert words.BlockWord.parse(text) == kernel
+    run, mark = orientation
+    letters = "".join(run * n + mark for n in values)
+    assert kernel.letters() == plain.letters() == letters
+    assert kernel.letter_count == plain.letter_count == len(letters)
+
+
+@pytest.mark.parametrize("base", _BASES)
+def test_block_words_refuse_blocks_off_the_base(base):
+    # the same ValueError in the byte form and the wide one
+    message = re.escape(f"blocks must lie in {{{base},{base + 1}}}")
+    bad = [(base + 2,), (base, base + 1, base + 2), (256,), (-1,), (base, 1.5), (base, "x")]
+    bad += [(base - 1, base)] if base else []
+    for blocks in bad:
+        if set(blocks) <= {base, base + 1}:
+            continue
+        with pytest.raises(ValueError, match=message):
+            words.BlockWord(base, blocks)
+    with pytest.raises(ValueError, match="must be nonempty"):
+        words.BlockWord(base, b"")
+
+
+def test_torus_words_keep_block_bytes():
+    # segment words, inadmissible words, simple words and exotic words keep
+    # their blocks as bytes below base 255, and the wide ones as tuples
+    narrow = (SQRT2, GOLDEN, ContinuedFraction.periodic([7], [3, 1, 5]),
+              ContinuedFraction.from_text("cf:[253;1,2]p"))
+    wide = ContinuedFraction.from_text("cf:[300;2]p")
+    for theta in (*narrow, wide):
+        form = tuple if theta is wide else bytes
+        for k in (2, 3, 4, 5):
+            for word in (words.inadmissible_word(theta, k),
+                         words.inadmissible_segment(theta, k).word):
+                assert type(word.blocks) is form, (theta, k)
+        ew = words.exotic_word(theta, [2, 4, 6])
+        assert type(ew.blocks()) is form
+        assert list(ew.blocks()) == [b for stage in ew.stages
+                                     for b in stage.certificate.word.blocks]
+    for r in (Fraction(7, 5), Fraction(2), Fraction(254 * 3 + 1, 3), Fraction(256 * 2 + 1, 2)):
+        form = bytes if r < 255 else tuple
+        assert type(words.simple_word(r, 1).blocks) is form, r
+
+
 def test_segment_starts_with_inadmissible_cycle():
     for k in (2, 3, 4):
         cert = words.inadmissible_segment(SQRT2, k)
@@ -435,7 +502,7 @@ def test_min_full_segment_window():
 
 def test_cusp_word_first_stages():
     stages = words.cusp_exotic_word(SQRT2, (1, 1))
-    assert stages[0].word.blocks == (1, 2)
+    assert stages[0].word.blocks == bytes((1, 2))
     assert stages[0].letters == "babba" + "BAba"
     letters = words.cusp_word_letters(stages)
     assert letters.startswith("babbaBAba")
