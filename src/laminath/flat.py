@@ -161,6 +161,8 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # to nothing when i* = q).  Three exact floors per window in all.  The window
 # plan decides windows once; they are read off the letter period (block j0 is
 # letter j0 + floor(j0 p/q)) or the block period, 0/1 offsets from floor(theta).
+# Its slope half (p/q, the sign, p^-1 mod q and the period) depends on the
+# slope and J alone, so lines of one slope at many heights share it.
 
 
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
@@ -211,11 +213,19 @@ def _block_periods(quotients: Iterable[int], k: int) -> Iterator[bytes]:
             yield b"\x00" + word[:-2] + b"\x01" if len(word) > 1 else word
 
 
-def _window_plan(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
-    """(quotients, p, q, windows) for blocks j < J of x_j = (E j + S + (F j + G) sqrt(d)) / C:
-    the window convergent p/q = [c; a_1, ..., a_k] and per window of q blocks
-    (j0, i, miss), its start in the period and its block i - 1 off by miss
-    (block i by -miss if i < q).  ``q_max`` caps q (default J + 1)."""
+def _block_period(quotients: list[int]) -> bytes:
+    """The block period of ``_block_periods`` at the last level of ``quotients``."""
+    return next(_block_periods(quotients, len(quotients) - 1))
+
+
+def _slope_plan(E, F, d, C, J: int, q_max: Optional[int], period: Callable) -> tuple:
+    """(quotients, p, q, sign, inv, doubled period): the slope half of a
+    window plan for J blocks of slope (E + F sqrt(d)) / C.  p/q = [c; a_1,
+    ..., a_k] is its last convergent with q <= ``q_max`` (default J + 1),
+    sign that of slope - p/q (0 when the expansion ends at p/q), inv =
+    p^-1 mod q, and the period is ``period(quotients)`` twice over.  Every
+    line of this slope, at any height and scale C, reads its windows off the
+    same plan."""
     limit = max(J, 0) + 1 if q_max is None else q_max
     quotients, sign = [], 0
     p0, q0, p, q = 0, 1, 1, 0
@@ -225,7 +235,16 @@ def _window_plan(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
             break
         quotients.append(a)
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
-    inv = pow(p, -1, q)
+    return quotients, p, q, sign, pow(p, -1, q), period(quotients) * 2
+
+
+def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
+    """The height half of the window plan for blocks j < J of
+    x_j = (E j + S + (F j + G) sqrt(d)) / C, whose slope half is ``plan``:
+    per window of q blocks (j0, i, miss), its start in the period and its
+    block i - 1 off by miss (block i by -miss if i < q).  Three exact floors
+    per window."""
+    _, p, q, sign, inv, _ = plan
     target = q - 1 if sign > 0 else 0
     windows = []
     A, B = S, G
@@ -238,16 +257,19 @@ def _window_plan(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
             raise CertificateViolation(f"window floor off by {miss} at j={i}")
         windows.append((r * inv % q, i, miss))
         A, B = A + q * E, B + q * F
-    return quotients, p, q, windows
+    return windows
 
 
-def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None) -> str:
+def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None,
+                    plan=None) -> str:
     """The letters of blocks 0..J-1 of x_j = (E j + S + (F j + G) sqrt(d)) / C,
-    slope >= 0: the window plan read off the doubled letter period of p/q."""
-    quotients, p, q, windows = _window_plan(E, F, S, G, d, C, J, q_max)
-    period = _period_word(quotients) * 2
+    slope >= 0: the window plan read off the doubled letter period of p/q.
+    ``plan`` is the slope half (``_slope_plan`` with ``_period_word``),
+    built here with q capped at ``q_max`` (default J + 1) when not given."""
+    _, p, q, _, _, period = plan = plan or _slope_plan(E, F, d, C, J, q_max,
+                                                       _period_word)
     pieces = []
-    for j0, i, miss in windows:
+    for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
         start = j0 + j0 * p // q
         end = start + p + q
         # a defect swaps the "ab" after, or the "ba" before, the 'a' closing block i - 1
@@ -258,13 +280,15 @@ def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None) -> st
     return "".join(pieces)[:n]
 
 
-def _window_blocks(E, F, S, G, d, C, J: int, q_max: Optional[int] = None):
+def _window_blocks(E, F, S, G, d, C, J: int, q_max: Optional[int] = None, plan=None):
     """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as 0/1
-    bytes: the window plan read off the doubled block period of p/q."""
-    quotients, p, q, windows = _window_plan(E, F, S, G, d, C, J, q_max)
-    period = next(_block_periods(quotients, len(quotients) - 1)) * 2
+    bytes: the window plan read off the doubled block period of p/q.
+    ``plan`` is the slope half (``_slope_plan`` with ``_block_period``),
+    built here with q capped at ``q_max`` (default J + 1) when not given."""
+    quotients, _, q, _, _, period = plan = plan or _slope_plan(
+        E, F, d, C, J, q_max, _block_period)
     out = bytearray()
-    for j0, i, miss in windows:
+    for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
         out += period[j0:j0 + q]
         if miss:  # blocks i - 1 and i of the window, indexed from its end
             out[i - 1 - q] += miss
@@ -348,10 +372,9 @@ def _leaf_blocks(theta: ContinuedFraction, s, J: int):
     return _block_values(*_window_blocks(*_line(theta, s, J), J))
 
 
-def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
-    """(letters, hit): the first ``num_letters`` letters of the line from
-    (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
-    lattice point (m, n) the line meets within them, or None."""
+def _letter_line(theta: ContinuedFraction, s, num_letters: int):
+    """(E, F, S, G, d, C, J): ``_line``'s integers of the line from (0, s)
+    and the J blocks that hold its first ``num_letters`` letters."""
     # J blocks hold J + floor(J theta + s) - floor(s) > J (1 + theta) - 1
     # letters, so J > num_letters / (1 + theta) blocks suffice; an opaque
     # slope's stand-in line has a slope of at least c0, so it needs no more
@@ -360,6 +383,14 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     # num_letters / (1 + theta) = n C (C + E - F sqrt(d)) / ((C + E)^2 - F^2 d)
     A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
     J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
+    return E, F, S, G, d, C, J
+
+
+def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
+    """(letters, hit): the first ``num_letters`` letters of the line from
+    (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
+    lattice point (m, n) the line meets within them, or None."""
+    E, F, S, G, d, C, J = _letter_line(theta, s, num_letters)
     letters, hit = _window_letters(E, F, S, G, d, C, J), _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:

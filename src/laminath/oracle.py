@@ -13,11 +13,14 @@ decided on block bytes, as the convergent's block sequence is a standard word.
 An independent sampling oracle searches long leaf-word prefixes from many
 start heights.  The prefixes come from the window kernel in ``flat``: copies
 of a convergent's period word, each placed and corrected by a few exact
-floors, at tens of millions of letters per second.
+floors, at tens of millions of letters per second.  A search plans each
+slope once per call, for all its heights, and searches a block word on
+block bytes, as the verdicts do; the witness search is the same loop.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import count
@@ -144,9 +147,7 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                         Fraction(1, 7), 0)
     span = search.count("a") + 2
     l0 = _window_level(theta, span, k_max)
-    c = theta.floor_part()
-    blocks = (word.blocks if isinstance(word, BlockWord) and word.orientation == "ba"
-              and 0 < c < 255 and type(word.blocks) is bytes else None)
+    blocks = _block_bytes(word, theta.floor_part())
     periods = None if blocks is None else _block_periods(theta, l0)
     levels = [l0]
     if not _occurs(search, blocks, periods, theta, l0):
@@ -157,35 +158,85 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
             levels.append(l0 + 1)
         return AdmissibilityCertificate("inadmissible", letters, tuple(levels),
                                         span, aligned)
-    s, offset = _find_witness(search, letters, aligned, theta)
+    s, offset = _find_witness(word, (search, letters, aligned), theta)
     return AdmissibilityCertificate("admissible", letters, tuple(levels), span,
                                     aligned, s, offset)
 
 
-def _first_occurrence(search: str, letters: str, aligned: bool, theta: ContinuedFraction,
+def _block_bytes(word, c: int) -> Optional[bytes]:
+    """The stored blocks of a "ba" BlockWord, which is decided and searched
+    on block bytes when theta's c0 = ``c`` lies in 1..254; else None."""
+    return (word.blocks if isinstance(word, BlockWord) and word.orientation == "ba"
+            and 0 < c < 255 and type(word.blocks) is bytes else None)
+
+
+def _height_read(theta: ContinuedFraction, s, n: int, plans: dict, blocks: bool):
+    """The first n letters of the leaf word from (0, s), or with ``blocks``
+    the blocks that hold them (``flat.sturmian_letters``'s J) as 0/1 offsets
+    from c0.  The slope half of the window plan comes from ``plans``, keyed
+    by the line's slope reduced by its gcd and J, and is built there on
+    first use: heights over different denominators scale the same slope's
+    integers differently."""
+    E, F, S, G, d, C, J = flat._letter_line(theta, s, n)
+    g = math.gcd(E, F, C)
+    key = (E // g, F // g, d, C // g, J)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = flat._slope_plan(
+            E, F, d, C, J, None, flat._block_period if blocks else flat._period_word)
+    if blocks:
+        return flat._window_blocks(E, F, S, G, d, C, J, plan=plan)[0]
+    return flat._window_letters(E, F, S, G, d, C, J, plan=plan)[:n]
+
+
+def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFraction,
                       starts) -> Optional[tuple[Fraction, int]]:
-    """(height, offset) of the factor in the first leaf word, read to n
-    letters for each (height, n) of ``starts`` in turn, that holds it, or
-    None.  An aligned factor at the stream head is at 0 (the stream starts
+    """(height, offset) of ``word``, in its ``_search_form`` ``form``, in the
+    first leaf word, read to n letters for each (height, n) of ``starts`` in
+    turn, that holds it, or None.  Each slope is planned once per call
+    (``_height_read``).
+
+    A "ba" BlockWord with bytes blocks (``_block_bytes``) is searched on
+    block bytes: its blocks as 0/1 offsets from c0 in the line's block
+    offsets.  A hit at block i is at letter i (c0 + 1) plus the 1s before
+    it, and counts if the word ends by letter n; the first hit ends first,
+    so it is the first aligned letter occurrence.  A block outside
+    {c0, c0 + 1} occurs in no leaf word.  Other words are searched in
+    letters: an aligned factor at the stream head is at 0 (the stream starts
     on a block boundary); elsewhere ``search`` carries the block marker,
     which the offset skips."""
+    search, letters, aligned = form
+    c = theta.floor_part()
+    blocks = _block_bytes(word, c)
+    if blocks is not None:
+        if blocks.translate(None, bytes((c, c + 1))):
+            return None
+        needle = blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01"))
+    plans = {}
     for s, n in starts:
-        stream = leaf_letter_stream(theta, s, n)
-        if aligned and stream.startswith(letters):
-            return s, 0
-        pos = stream.find(search)
-        if pos >= 0:
-            return s, pos + aligned
+        if blocks is not None:
+            offs = _height_read(theta, s, n, plans, True)
+            i = offs.find(needle)
+            if i >= 0:
+                at = i * (c + 1) + offs.count(1, 0, i)
+                if at + len(letters) <= n:
+                    return s, at
+        else:
+            stream = _height_read(theta, s, n, plans, False)
+            if aligned and stream.startswith(letters):
+                return s, 0
+            pos = stream.find(search)
+            if pos >= 0:
+                return s, pos + aligned
     return None
 
 
-def _find_witness(search: str, letters: str, aligned: bool,
-                  theta: ContinuedFraction):
-    """Start height and offset of the factor in an actual leaf word; the
-    offset always points at the factor itself.  Each denominator's heights
-    read twice the letters of the one before."""
-    budget = max(4 * len(search) + 2000, 10000)
-    found = _first_occurrence(search, letters, aligned, theta,
+def _find_witness(word, form: tuple[str, str, bool], theta: ContinuedFraction):
+    """Start height and offset of ``word`` (in its ``_search_form`` ``form``)
+    in an actual leaf word; the offset always points at the factor itself.
+    Each denominator's heights read twice the letters of the one before."""
+    budget = max(4 * len(form[0]) + 2000, 10000)
+    found = _first_occurrence(word, form, theta,
                               ((Fraction(j, denom), budget << i)
                                for i, denom in enumerate((7, 11, 101, 257)) for j in (1, 2, 3)))
     if found is None:
@@ -244,14 +295,16 @@ def sampling_cross_check(word, theta: ContinuedFraction,
                          seed: Optional[int] = None) -> SamplingReport:
     """Search the factor in leaf-word prefixes from many exact start heights.
 
-    BlockWord inputs are searched block-aligned (anchored by the block
-    marker, or at the stream head).  Returns the first occurrence if any; an
-    absent report is the sampling oracle's rejection of the word.  A search
-    that could not find the word (no heights, or fewer letters per height
-    than the word has), or a seeded one asking for more distinct heights than
-    it draws from, raises ValueError.
+    BlockWord inputs are searched block-aligned: a "ba" word on block bytes
+    (``_first_occurrence``), others anchored by the block marker or at the
+    stream head.  One slope plan serves every height of the call.  Returns
+    the first occurrence if any; an absent report is the sampling oracle's
+    rejection of the word.  A search that could not find the word (no
+    heights, or fewer letters per height than the word has), or a seeded
+    one asking for more distinct heights than it draws from, raises
+    ValueError.
     """
-    search, letters, aligned = sampling_form(word, num_letters, heights)
+    form = sampling_form(word, num_letters, heights)
     if seed is None:
         hs = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
     else:
@@ -267,5 +320,5 @@ def sampling_cross_check(word, theta: ContinuedFraction,
             if c not in seen:
                 seen.add(c)
                 hs.append(Fraction(c, denom))
-    found = _first_occurrence(search, letters, aligned, theta, ((s, num_letters) for s in hs))
-    return SamplingReport(letters, tuple(hs), num_letters, found)
+    found = _first_occurrence(word, form, theta, ((s, num_letters) for s in hs))
+    return SamplingReport(form[1], tuple(hs), num_letters, found)

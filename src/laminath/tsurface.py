@@ -581,8 +581,8 @@ class ReturnMapIET:
     imports the exchange code (``iet``).
 
     Construction traces the backward separatrices of every singularity to the
-    transversal (their first crossings, kept as (corner, parameter) pairs in
-    ``first_cuts``, are exactly the discontinuities; ``cut_table`` holds their
+    transversal (their first crossings, decoded once into (corner, parameter)
+    pairs in ``first_cuts``, are exactly the discontinuities; ``cut_table`` holds their
     backward orbits), flows two probes per interval to read off the translation
     and word, and builds the ``kernel`` from the probes' integer pairs; its
     backward table verifies that the interval images tile the edge.
@@ -591,9 +591,10 @@ class ReturnMapIET:
     def __init__(self, trans: Transversal):
         from .iet import _CutTable, _exact_key, _least_kernel, _reach
         self.trans = trans
-        self.first_cuts = backward_cut_points(trans, depth=1)
+        cuts = backward_cut_points(trans, depth=1)
         N, d = trans._over[2], trans.surface._d
-        pts = {encode(t, N) for _, t in self.first_cuts}
+        self.first_cuts = [(corner, decode(t, N, d)) for corner, t in cuts]
+        pts = {t for _, t in cuts}
         pts = [(0, 0)] + sorted(pts, key=_exact_key(_reach(pts), d or 2)) + [(N, 0)]
         shifts, words = [], []
         for (lu, lv), (hu, hv) in zip(pts, pts[1:]):
@@ -645,7 +646,8 @@ def backward_cut_points(trans: Transversal, depth: int,
                         step_budget: int = 400000):
     """Transversal parameters whose forward orbit hits a vertex within
     ``depth`` returns: trace every backward separatrix leftward, recording
-    each transversal crossing as a (corner, parameter) pair.
+    each transversal crossing as a (corner, parameter) pair, the parameter
+    an integer pair over N = ``trans._over[2]``.
 
     Raises CylinderDecomposition when every backward separatrix terminates at
     a vertex (then all are saddle connections and the horizontal direction is
@@ -679,8 +681,7 @@ def backward_cut_points(trans: Transversal, depth: int,
     if not any_alive:
         raise CylinderDecomposition(
             "every backward separatrix is a saddle connection")
-    N, d = trans._over[2], surface._d
-    return [(corner, decode(t, N, d)) for corner, t in cuts]
+    return cuts
 
 
 def return_partition(surface, trans, n: int):

@@ -175,8 +175,10 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
     -1/q (+1/q for odd k), crossing no grid line, and follows the moved line
     until it closes up after B blocks, B p = +1 (-1) mod q.  Block j is
     floor(y(j + 1)) - floor(y(j)), so each leaf piece is one rational line
-    (2 p j + S)/(2q) read by the block kernel.  The first q blocks start and
-    end on the edge block (n for even k, n + 1 for odd) and sum to p -+ 1."""
+    (2 p j + S)/(2q) read by the block kernel.  Both pieces read one slope
+    plan, the whole expansion of p/q, whose windows are exact at any length.
+    The first q blocks start and end on the edge block (n for even k, n + 1
+    for odd) and sum to p -+ 1."""
     if k < 2:
         raise IndexError("k must be >= 2")
     cv = theta.convergent(k)
@@ -184,8 +186,9 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
     sign = -1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q if closed else q
     S, _, N2, _ = _segment_heights(p, q, k, B)
-    offs, c = flat._window_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1)
-    offs += flat._window_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1)[0]
+    plan = flat._slope_plan(2 * p, 0, 2, 2 * q, q - 1, None, flat._block_period)
+    offs, c = flat._window_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1, plan=plan)
+    offs += flat._window_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1, plan=plan)[0]
     if not offs[0] + c == n + k % 2 == offs[q - 1] + c:
         raise CertificateViolation("flipped word does not start and end on the edge block")
     if c * q + offs.count(1, 0, q) != p - sign:

@@ -1,16 +1,19 @@
 """Slow references and per-point helpers that the tests call and no
 certificate, CLI command, script or benchmark needs: on surfaces
 ``flow_step``, ``state_point``, ``param``, ``surface_doc`` (the document
-``load_surface`` reads), ``saddle_connections`` and ``sample_leaf_words``
-(read off the library's kernels); on the torus
+``load_surface`` reads), ``saddle_connections``, ``sample_leaf_words``
+(read off the library's kernels) and ``backward_cut_values``, the cut
+points decoded; on the torus
 ``cutting_blocks``, ``path_crossing_word``, ``concat``,
 ``three_distance_points``, ``revert_flip``, ``cusp_representative``,
 ``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
 verdict ``is_admissible_letters``, the slow reference of the oracle's block
-bytes; ``exact_orbit``, the exchange kernel's orbit by exact sign tests
-alone; ``interval_length`` of an exchange interval; ``parts`` and the slow
-reference ``QuadNum`` (a Fraction pair a, b) with its ``format_exact``;
-``run_cli``, one in-process CLI call."""
+bytes, and the letter-space searches ``first_occurrence_letters`` and
+``find_witness_letters``, the slow references of the sampling oracle and
+the witness search; ``exact_orbit``, the exchange kernel's orbit by exact
+sign tests alone; ``interval_length`` of an exchange interval; ``parts``
+and the slow reference ``QuadNum`` (a Fraction pair a, b) with its
+``format_exact``; ``run_cli``, one in-process CLI call."""
 
 import io
 import math
@@ -125,6 +128,14 @@ def sample_leaf_words(surface, trans, num_letters: int, heights: int):
             yield tau, iet.letter_stream(tau, num_letters)
         except SingularHit:
             continue
+
+
+def backward_cut_values(trans: ts.Transversal, depth: int, step_budget: int = 400000):
+    """``tsurface.backward_cut_points`` with each parameter decoded to its
+    exact value."""
+    N, d = trans._over[2], trans.surface._d
+    return [(corner, decode(t, N, d))
+            for corner, t in ts.backward_cut_points(trans, depth, step_budget)]
 
 
 def cutting_blocks(s, theta: ContinuedFraction, num_blocks: int) -> tuple[int, ...]:
@@ -257,9 +268,41 @@ def is_admissible_letters(word, theta: ContinuedFraction,
             levels.append(l0 + 1)
         return oracle.AdmissibilityCertificate("inadmissible", letters, tuple(levels),
                                                span, aligned)
-    s, offset = oracle._find_witness(search, letters, aligned, theta)
+    s, offset = find_witness_letters(search, letters, aligned, theta)
     return oracle.AdmissibilityCertificate("admissible", letters, tuple(levels), span,
                                            aligned, s, offset)
+
+
+def first_occurrence_letters(search: str, letters: str, aligned: bool,
+                             theta: ContinuedFraction, starts):
+    """``oracle._first_occurrence`` in letter space, one whole letter stream
+    per height: (height, offset) of the factor in the first leaf word, read
+    to n letters for each (height, n) of ``starts`` in turn, that holds it,
+    or None.  An aligned factor at the stream head is at 0 (the stream starts
+    on a block boundary); elsewhere ``search`` carries the block marker,
+    which the offset skips."""
+    for s, n in starts:
+        stream = oracle.leaf_letter_stream(theta, s, n)
+        if aligned and stream.startswith(letters):
+            return s, 0
+        pos = stream.find(search)
+        if pos >= 0:
+            return s, pos + aligned
+    return None
+
+
+def find_witness_letters(search: str, letters: str, aligned: bool, theta: ContinuedFraction):
+    """``oracle._find_witness`` by ``first_occurrence_letters``: three
+    heights per denominator, each denominator's streams twice as long as
+    the last."""
+    budget = max(4 * len(search) + 2000, 10000)
+    found = first_occurrence_letters(search, letters, aligned, theta,
+                                     ((Fraction(j, denom), budget << i)
+                                      for i, denom in enumerate((7, 11, 101, 257))
+                                      for j in (1, 2, 3)))
+    if found is None:
+        raise CertificateViolation("admissible word not found in sampled leaf words")
+    return found
 
 
 def parts(x: Exact) -> tuple[Fraction, Fraction]:

@@ -229,9 +229,15 @@ def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
     ref = _blocks_python(E, F, S, G, d, C, J)
     assert flat.floor_blocks(E, F, S, G, d, C, J) == ref
     assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
+    # a slope plan built at another scale of the same slope reads the same
+    plan = flat._slope_plan(3 * E, 3 * F, d, 3 * C, J, q_max, flat._block_period)
+    offsets, c = flat._window_blocks(E, F, S, G, d, C, J, plan=plan)
+    assert [c + o for o in offsets] == ref
     if E + F * QuadNum(0, 1, d) >= 0:
         letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
         assert letters == "".join("b" * n + "a" for n in ref)
+        plan = flat._slope_plan(2 * E, 2 * F, d, 2 * C, J, q_max, flat._period_word)
+        assert flat._window_letters(E, F, S, G, d, C, J, plan=plan) == letters
 
 
 def test_block_period_matches_direct_floors():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,11 +231,11 @@ def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
     # denominator, each denominator's streams twice as long as the last
     calls = []
 
-    def empty(theta, s, n):
+    def empty(theta, s, n, plans, blocks):
         calls.append((s, n))
         return ""
 
-    monkeypatch.setattr(oracle, "leaf_letter_stream", empty)
+    monkeypatch.setattr(oracle, "_height_read", empty)
     with pytest.raises(CertificateViolation, match="not found in sampled leaf words"):
         oracle.is_admissible("ab", SQRT2)
     assert calls == [(Fraction(j, denom), 10000 << i)
@@ -279,12 +280,70 @@ def test_sampling_seeded_deterministic():
                                for c in (948709, 976539, 947562, 398254, 387261))
 
 
+@st.composite
+def _sampling_cases(draw):
+    """(theta, word, n, heights, seed): a slope with c0 in 1..3, exact or
+    opaque; unseeded or seeded heights; and a "ba" block word.  The word is a
+    block-aligned factor of the first searched height's leaf stream (at its
+    head, anywhere, or through the block that ends past letter n), such a
+    factor over base c0 - 1 or 0, whose blocks 0 and 1 are no offsets from
+    c0, or an inadmissible word."""
+    c = draw(st.integers(min_value=1, max_value=3))
+    theta = ContinuedFraction.periodic([c], draw(st.lists(st.integers(1, 3), min_size=1,
+                                                          max_size=3)))
+    if draw(st.booleans()):
+        theta = ContinuedFraction(source=theta.coefficient)
+    n = draw(st.integers(min_value=20, max_value=3000))
+    heights = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)))
+    kind = draw(st.sampled_from(["head", "factor", "past n", "base", "inadmissible"]))
+    if kind == "inadmissible":
+        word = words.inadmissible_word(theta, draw(st.integers(min_value=2, max_value=5)))
+        return theta, word, max(n, word.letter_count), heights, seed
+    s0 = oracle.sampling_cross_check("a", theta, n, heights, seed).heights[0]  # read first
+    J = flat._letter_line(theta, s0, n)[-1]
+    offsets, _ = flat._window_blocks(*flat._line(theta, s0, J), J)
+    ends = [0, *accumulate(c + 1 + o for o in offsets)]   # letter offset of each block
+    if kind == "past n":
+        lo = min(i for i in range(J) if ends[J] - ends[i] <= n)
+        i, j = draw(st.integers(min_value=lo, max_value=min(lo + 3, J - 1))), J
+    else:
+        i = 0 if kind == "head" else draw(st.integers(min_value=0, max_value=J - 1))
+        j = draw(st.integers(min_value=i + 1, max_value=J))
+        while ends[j] - ends[i] > n:
+            j -= 1
+    if kind != "base":
+        return theta, words.BlockWord(c, bytes(c + o for o in offsets[i:j])), n, heights, seed
+    # each offset o as the block o, which a translate with no {c, c + 1}
+    # check passes through unchanged, where the base allows it
+    base = draw(st.sampled_from([0, c - 1]))
+    blocks = [next((b for b in (o, c + o) if b in (base, base + 1)), base)
+              for o in offsets[i:j]]
+    word = words.BlockWord(base, blocks)
+    return theta, word, max(n, word.letter_count), heights, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampling_cases())
+def test_block_searches_match_the_letter_reference(case):
+    # the sampling oracle and the witness search on block bytes, against one
+    # whole letter stream per height: the same first occurrence, or none
+    theta, word, n, heights, seed = case
+    form = oracle._search_form(word)
+    rep = oracle.sampling_cross_check(word, theta, n, heights, seed)
+    assert rep.word == form[1]
+    assert rep.found_at == ref.first_occurrence_letters(*form, theta,
+                                                        ((s, n) for s in rep.heights))
+    assert (_outcome(oracle._find_witness, word, form, theta)
+            == _outcome(ref.find_witness_letters, *form, theta))
+
+
 # -- block-space verdicts ----------------------------------------------------------
 
-def _outcome(decide, word, theta, k_max):
+def _outcome(decide, *args):
     """The certificate, or the type and text of the exception raised."""
     try:
-        return decide(word, theta, k_max)
+        return decide(*args)
     except Exception as exc:  # compared by type and text
         return type(exc), str(exc)
 

@@ -509,6 +509,42 @@ def test_block_word_verdicts_read_no_letter_haystack(monkeypatch):
     assert {cert.verdict for cert in want} == {"inadmissible"}
 
 
+def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
+    # a "ba" block word is sampled on the window kernel's block bytes: no
+    # letter stream is read, and one call over 8 heights (j/9 reduce to
+    # ninths and thirds) reads the slope's partial quotients once
+    from fractions import Fraction
+
+    from laminath import flat, oracle, words
+    from laminath.cf import ContinuedFraction
+    from reference import first_occurrence_letters
+
+    theta = ContinuedFraction.from_text("cf:[2;1,3]p")
+    cases = [(word, seed) for word in (words.inadmissible_word(theta, 4),
+                                       words.simple_word(Fraction(119, 43), 1))
+             for seed in (None, 3)]
+    want = []
+    for word, seed in cases:
+        heights = oracle.sampling_cross_check("a", theta, 20_000, 8, seed).heights
+        want.append(first_occurrence_letters(*oracle._search_form(word), theta,
+                                             ((s, 20_000) for s in heights)))
+    assert want[0] is want[1] is None and want[2] and want[3]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letters read")
+
+    reads = []
+    quotients = flat.partial_quotients
+    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
+    monkeypatch.setattr(flat, "_window_letters", refuse)
+    monkeypatch.setattr(flat, "partial_quotients", lambda *args: reads.append(args)
+                        or quotients(*args))
+    for (word, seed), found in zip(cases, want):
+        reads.clear()
+        assert oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at == found
+        assert len(reads) == 1
+
+
 def test_segments_and_clearances_read_no_letters(monkeypatch):
     # segment words and clearance certificates are read on the window
     # kernel's block read-out: no letter period is built or sliced

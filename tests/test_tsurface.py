@@ -19,8 +19,9 @@ from laminath.exactnum import (QuadNum, encode, format_exact, frac_part, pair_fl
                                parse_exact)
 from laminath.ledger import tail_measure_signature
 
-from reference import (StepResult, exact_orbit, flow_step, interval_length,
-                       saddle_connections, sample_leaf_words, state_point, surface_doc)
+from reference import (StepResult, backward_cut_values, exact_orbit, flow_step,
+                       interval_length, saddle_connections, sample_leaf_words, state_point,
+                       surface_doc)
 
 GAMMA = QuadNum(-1, 1, 2)
 
@@ -1162,7 +1163,7 @@ def test_partition_cuts_match_flow_reference(name, gamma):
     # the exchange's cut table, in value and type: asked for depth by depth,
     # and after a loop has grown the table past every depth asked for
     tr = _fresh_transversal(name, gamma)
-    want = [[_typed(t) for t in sorted({t for _, t in ts.backward_cut_points(tr, n)})]
+    want = [[_typed(t) for t in sorted({t for _, t in backward_cut_values(tr, n)})]
             for n in range(13)]
     grown = _fresh_transversal(name, gamma)
     ts.build_inadmissible_loop(grown.surface, grown, 3)
@@ -1190,7 +1191,7 @@ def test_partition_cylinder_decided_per_depth():
                 with pytest.raises(CylinderDecomposition):
                     ts.return_partition(tr.surface, tr, n)
                 continue
-            want = sorted({t for _, t in ts.backward_cut_points(tr, n)})
+            want = sorted({t for _, t in backward_cut_values(tr, n)})
             got = ts.return_partition(tr.surface, tr, n).cuts
             assert [_typed(t) for t in got] == [_typed(t) for t in want], n
 
@@ -1741,7 +1742,7 @@ def _pin(value):
     return format_exact(value), type(value).__name__
 
 
-# parent values: backward_cut_points(trans, 3), find_non_saddle_point(4096)
+# parent values: backward_cut_points(trans, 3) decoded, find_non_saddle_point(4096)
 # and the sha256 of return_partition(n=8) (depth, cuts, and per interval its
 # ends and word), exact values as (string, type name)
 _SEPARATRIX_PINS = {
@@ -1769,7 +1770,7 @@ def test_separatrix_results_pinned(name):
     cuts, non_saddle, (count, digest) = _SEPARATRIX_PINS[name]
     assert saddle_connections(S, 512) == []
     assert S.horizontal_is_cylinder_decomposition(2048) is False
-    assert [(c, _pin(t)) for c, t in ts.backward_cut_points(tr, 3)] == cuts
+    assert [(c, _pin(t)) for c, t in backward_cut_values(tr, 3)] == cuts
     nsc = ts.find_non_saddle_point(S, tr, 4096)
     assert (_pin(nsc.tau), nsc.vertex_class, nsc.traced_steps) == non_saddle
     part = ts.return_partition(S, tr, 8)
