@@ -260,14 +260,11 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     return windows
 
 
-def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None,
-                    plan=None) -> str:
+def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None) -> str:
     """The letters of blocks 0..J-1 of x_j = (E j + S + (F j + G) sqrt(d)) / C,
-    slope >= 0: the window plan read off the doubled letter period of p/q.
-    ``plan`` is the slope half (``_slope_plan`` with ``_period_word``),
-    built here with q capped at ``q_max`` (default J + 1) when not given."""
-    _, p, q, _, _, period = plan = plan or _slope_plan(E, F, d, C, J, q_max,
-                                                       _period_word)
+    slope >= 0: the window plan read off the doubled letter period of p/q,
+    with q capped at ``q_max`` (default J + 1)."""
+    _, p, q, _, _, period = plan = _slope_plan(E, F, d, C, J, q_max, _period_word)
     pieces = []
     for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
         start = j0 + j0 * p // q

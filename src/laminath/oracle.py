@@ -7,15 +7,21 @@ convergent word p_l/q_l, for any level l with q_l >= count_a(u) + 2.  One
 direction is the window structure of leaf words (every q_l-block window is a
 rotation of the convergent word), the other is that every convergent word
 extends to a leaf word.  Verdicts record the levels used; "depth
-insufficient" is an explicit outcome, never a verdict.  Block words are
-decided on block bytes, as the convergent's block sequence is a standard word.
+insufficient" is an explicit outcome, never a verdict.
+
+Every word is matched on blocks, never on letters.  In a leaf word every 'a'
+ends a block b^c0 a or b^(c0+1) a, so a letter string is a cylinder set of
+blocks (Lothaire ch. 2): the 0/1 offsets from c0 of its inner blocks, with a
+1 at either end where its leading or trailing run of b's fills a long block
+(``_needle``).  Verdicts search that needle in the convergent's block period
+(``flat._block_periods``: the confirming level is one more step of the same
+standard-word recursion).
 
 An independent sampling oracle searches long leaf-word prefixes from many
-start heights.  The prefixes come from the window kernel in ``flat``: copies
-of a convergent's period word, each placed and corrected by a few exact
-floors, at tens of millions of letters per second.  A search plans each
-slope once per call, for all its heights, and searches a block word on
-block bytes, as the verdicts do; the witness search is the same loop.
+start heights, on the same needle.  The prefixes come from the window kernel
+in ``flat``: copies of a convergent's block period, each placed and
+corrected by a few exact floors.  A search plans each slope once per call,
+for all its heights; the witness search is the same loop.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import flat
 from ._record import record
 from .cf import ContinuedFraction
-from .errors import CertificateViolation, DepthInsufficient
-from .words import BlockWord, _slope_data
+from .errors import CertificateViolation, DepthInsufficient, InvalidSlope
+from .words import BlockWord, simple_word
 
 
 @record(frozen=True)
@@ -45,46 +51,14 @@ class FactorSet:
         return word in self.factors
 
 
-def _periodic_haystack(r, m: int) -> tuple[str, int]:
-    """(haystack, period length): enough copies of the slope-r convergent word
-    that every length-m factor of its bi-infinite periodic word occurs in the
-    haystack at an offset below the period length.
-
-    The period is the letters of ``simple_word(r, 1)``, read straight off the
-    window kernel as blocks 0..q-1 of (p j + q - 1)/q; the slope check comes
-    first, as the kernel takes any slope."""
-    p, q = _slope_data(Fraction(r))[:2]
-    period = flat._window_letters(p, 0, q - 1, 0, 2, q, q)
-    return period * (m // len(period) + 2), len(period)
-
-
-def _block_periods(theta: ContinuedFraction, l: int) -> Iterator[bytes]:
-    """Block values of one period of the level-l, l + 1, ... convergent
-    words, a byte each (c0 < 255): one standard-word recursion, one more
-    step per level, reading each coefficient once."""
-    c = theta.floor_part()
-    return (flat._block_values(period, c)
-            for period in flat._block_periods(map(theta.coefficient, count()), l))
-
-
-def _occurs(search: str, blocks: Optional[bytes], periods, theta: ContinuedFraction,
-            l: int) -> bool:
-    """Whether the level-l periodic word holds ``search``, read on the block
-    bytes ``blocks`` of a "ba" BlockWord if given, against the next period of
-    ``periods``: a marker-anchored letter occurrence is a block occurrence,
-    and L // q + 2 periods hold every length-L factor."""
-    cv = theta.convergent(l)
-    if blocks is None:
-        return search in _periodic_haystack(Fraction(cv.p, cv.q), len(search))[0]
-    return blocks in next(periods) * (len(blocks) // cv.q + 2)
-
-
 def rational_factors(r, m: int) -> FactorSet:
     """Length-m factors of the bi-infinite periodic word with period the
-    slope-r convergent word, from all cyclic rotations."""
+    slope-r convergent word (``simple_word(r, 1)``, so r > 1), from all
+    cyclic rotations."""
     r = Fraction(r)
-    hay, plen = _periodic_haystack(r, m)
-    return FactorSet(r, m, frozenset(hay[i:i + m] for i in range(plen)))
+    period = simple_word(r, 1).letters()
+    hay = period * (m // len(period) + 2)
+    return FactorSet(r, m, frozenset(hay[i:i + m] for i in range(len(period))))
 
 
 @record(frozen=True)
@@ -114,32 +88,60 @@ def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
 def _search_form(word) -> tuple[str, str, bool]:
     """(search string, display letters, aligned).
 
-    A BlockWord asks for a block-aligned occurrence.  In a leaf word every
-    block ends with the marker letter, so an occurrence is aligned exactly
-    when the marker precedes it; anchoring the search string with the marker
-    encodes alignment as plain containment.
+    A BlockWord asks for a block-aligned occurrence: the search string is
+    its letters led by its marker letter ('a' for b^n a blocks), found
+    anywhere, and the letters alone also count at the head of a leaf word,
+    which starts a block.  A letter string is searched as it is.
     """
     if isinstance(word, BlockWord):
         letters = word.letters()
-        anchor = letters[-1]  # block-terminating marker ('a' for b^n a blocks)
-        return anchor + letters, letters, True
+        return letters[-1] + letters, letters, True
     if set(word) - {"a", "b"}:
         raise ValueError("words are over the letters a, b")
     return word, word, False
+
+
+def _needle(u: str, c: int, blocks=None) -> tuple[Optional[bytes], bool, int]:
+    """(needle, head, x) of the letter string u = b^x a (b^n_1 a) ...
+    (b^n_k a) b^y, a cylinder set of the blocks b^c a and b^(c+1) a of leaf
+    words.  The needle is n_1 .. n_k as 0/1 offsets from c, led by a 1
+    (``head``) where x = c + 1 and closed by a 1 where y = c + 1; it is None,
+    as no leaf word holds u, where x or y exceeds c + 1 or some n_i lies off
+    {c, c + 1}.  A u with no 'a' is its tail b^y alone, with x = -1.  The
+    stored blocks of a "ba" BlockWord, u = a (b^n_1 a) ... (b^n_k a), are
+    given as ``blocks`` and translated once."""
+    if blocks is None:
+        *runs, y = map(len, u.split("a"))
+        x, blocks = (runs[0], runs[1:]) if runs else (-1, ())
+    else:
+        x = y = 0
+    if type(blocks) is bytes and c < 255:
+        inner = (None if blocks.translate(None, bytes((c, c + 1)))
+                 else blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01")))
+    else:
+        inner = bytes(b - c for b in blocks) if set(blocks) <= {c, c + 1} else None
+    if inner is None or max(x, y) > c + 1:
+        return None, False, x
+    head = x == c + 1
+    return b"\x01" * head + inner + b"\x01" * (y == c + 1), head, x
+
+
+def _stored_blocks(word):
+    """The blocks of a "ba" BlockWord, which ``_needle`` reads as they are."""
+    return word.blocks if isinstance(word, BlockWord) and word.orientation == "ba" else None
 
 
 def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> AdmissibilityCertificate:
     """Decide whether ``word`` occurs in some theta-leaf word.
 
     ``word`` may be a letter string (plain containment) or a BlockWord
-    (block-aligned containment).  Membership of the search string among the
-    convergent-word factors at the first level whose cycle is longer than the
-    word's block span settles the verdict; inadmissible verdicts are
-    confirmed at the following level as well.  A "ba" BlockWord is decided on
-    the block bytes it stores (base < 255) when theta's c0 >= 1 is below 255,
-    against each level's period from one standard-word recursion.  Admissible
-    verdicts carry a start height and offset locating the factor in the leaf
-    word from that height, re-checkable against the exact cutting sequence.
+    (block-aligned containment).  Membership of the search string's block
+    needle (``_needle``) in the periodic block word of the first convergent
+    whose cycle is longer than the word's block span settles the verdict;
+    inadmissible verdicts are confirmed at the following level as well.
+    Theta must exceed 1.  Admissible verdicts carry a start height and
+    offset locating the factor in the leaf word from that height,
+    re-checkable against the exact cutting sequence.
     """
     search, letters, aligned = _search_form(word)
     if letters == "":
@@ -147,12 +149,16 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                         Fraction(1, 7), 0)
     span = search.count("a") + 2
     l0 = _window_level(theta, span, k_max)
-    blocks = _block_bytes(word, theta.floor_part())
-    periods = None if blocks is None else _block_periods(theta, l0)
+    c = theta.floor_part()
+    if c == 0:
+        cv = theta.convergent(l0)
+        raise InvalidSlope(f"slope must be > 1, got {Fraction(cv.p, cv.q)}")
+    needle = _needle(search, c, _stored_blocks(word))[0]
+    periods = flat._block_periods(map(theta.coefficient, count()), l0)
     levels = [l0]
-    if not _occurs(search, blocks, periods, theta, l0):
+    if not _occurs(needle, periods):
         if l0 + 1 <= k_max:
-            if _occurs(search, blocks, periods, theta, l0 + 1):
+            if _occurs(needle, periods):
                 raise CertificateViolation(
                     "level disagreement; window threshold violated")
             levels.append(l0 + 1)
@@ -163,30 +169,26 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                     aligned, s, offset)
 
 
-def _block_bytes(word, c: int) -> Optional[bytes]:
-    """The stored blocks of a "ba" BlockWord, which is decided and searched
-    on block bytes when theta's c0 = ``c`` lies in 1..254; else None."""
-    return (word.blocks if isinstance(word, BlockWord) and word.orientation == "ba"
-            and 0 < c < 255 and type(word.blocks) is bytes else None)
+def _occurs(needle: Optional[bytes], periods) -> bool:
+    """Whether the periodic word of the next block period of ``periods``
+    holds ``needle``: L // q + 2 periods hold every length-L factor."""
+    period = next(periods)
+    return needle is not None and needle in period * (len(needle) // len(period) + 2)
 
 
-def _height_read(theta: ContinuedFraction, s, n: int, plans: dict, blocks: bool):
-    """The first n letters of the leaf word from (0, s), or with ``blocks``
-    the blocks that hold them (``flat.sturmian_letters``'s J) as 0/1 offsets
-    from c0.  The slope half of the window plan comes from ``plans``, keyed
-    by the line's slope reduced by its gcd and J, and is built there on
-    first use: heights over different denominators scale the same slope's
-    integers differently."""
+def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> bytearray:
+    """The blocks that hold the first n letters of the leaf word from (0, s)
+    (``flat.sturmian_letters``'s J), as 0/1 offsets from c0.  The slope half
+    of the window plan comes from ``plans``, keyed by the line's slope
+    reduced by its gcd and J, and is built there on first use: heights over
+    different denominators scale the same slope's integers differently."""
     E, F, S, G, d, C, J = flat._letter_line(theta, s, n)
     g = math.gcd(E, F, C)
     key = (E // g, F // g, d, C // g, J)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = flat._slope_plan(
-            E, F, d, C, J, None, flat._block_period if blocks else flat._period_word)
-    if blocks:
-        return flat._window_blocks(E, F, S, G, d, C, J, plan=plan)[0]
-    return flat._window_letters(E, F, S, G, d, C, J, plan=plan)[:n]
+        plan = plans[key] = flat._slope_plan(E, F, d, C, J, None, flat._block_period)
+    return flat._window_blocks(E, F, S, G, d, C, J, plan=plan)[0]
 
 
 def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFraction,
@@ -196,38 +198,35 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     turn, that holds it, or None.  Each slope is planned once per call
     (``_height_read``).
 
-    A "ba" BlockWord with bytes blocks (``_block_bytes``) is searched on
-    block bytes: its blocks as 0/1 offsets from c0 in the line's block
-    offsets.  A hit at block i is at letter i (c0 + 1) plus the 1s before
-    it, and counts if the word ends by letter n; the first hit ends first,
-    so it is the first aligned letter occurrence.  A block outside
-    {c0, c0 + 1} occurs in no leaf word.  Other words are searched in
-    letters: an aligned factor at the stream head is at 0 (the stream starts
-    on a block boundary); elsewhere ``search`` carries the block marker,
-    which the offset skips."""
+    The search string's needle (``_needle``) is found in the leaf word's
+    block offsets.  A hit whose block after the head starts at letter L
+    puts the search string at L - x - 1, and the letters of an aligned word
+    one letter on.  So a hit at block 0 with no head byte counts only for
+    an aligned "ba" word (x = 0): its marker is the start of the stream, at
+    letter -1.  An "ab" word's letters also count at letter 0 where the
+    needle of "a" + letters starts the offsets.  The first hit ends first,
+    so it is the first letter occurrence; it counts if the word ends by
+    letter n."""
     search, letters, aligned = form
     c = theta.floor_part()
-    blocks = _block_bytes(word, c)
-    if blocks is not None:
-        if blocks.translate(None, bytes((c, c + 1))):
-            return None
-        needle = blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01"))
+    blocks = _stored_blocks(word)
+    needle, head, x = _needle(search, c, blocks)
+    top = _needle("a" + letters, c)[0] if aligned and blocks is None else None
+    if needle is None and top is None:
+        return None
+    first = not head and x >= aligned  # the least block a hit may start at
     plans = {}
     for s, n in starts:
-        if blocks is not None:
-            offs = _height_read(theta, s, n, plans, True)
-            i = offs.find(needle)
-            if i >= 0:
-                at = i * (c + 1) + offs.count(1, 0, i)
-                if at + len(letters) <= n:
-                    return s, at
+        offs = _height_read(theta, s, n, plans)
+        if top is not None and offs.startswith(top):
+            at = 0
+        elif needle is not None and (i := offs.find(needle, first)) >= 0:
+            i += head
+            at = i * (c + 1) + offs.count(1, 0, i) - x - 1 + aligned
         else:
-            stream = _height_read(theta, s, n, plans, False)
-            if aligned and stream.startswith(letters):
-                return s, 0
-            pos = stream.find(search)
-            if pos >= 0:
-                return s, pos + aligned
+            continue
+        if at + len(letters) <= n:
+            return s, at
     return None
 
 
@@ -295,14 +294,13 @@ def sampling_cross_check(word, theta: ContinuedFraction,
                          seed: Optional[int] = None) -> SamplingReport:
     """Search the factor in leaf-word prefixes from many exact start heights.
 
-    BlockWord inputs are searched block-aligned: a "ba" word on block bytes
-    (``_first_occurrence``), others anchored by the block marker or at the
-    stream head.  One slope plan serves every height of the call.  Returns
-    the first occurrence if any; an absent report is the sampling oracle's
-    rejection of the word.  A search that could not find the word (no
-    heights, or fewer letters per height than the word has), or a seeded
-    one asking for more distinct heights than it draws from, raises
-    ValueError.
+    Every word is searched on the block offsets of the leaf words
+    (``_first_occurrence``), BlockWord inputs block-aligned.  One slope plan
+    serves every height of the call.  Returns the first occurrence if any;
+    an absent report is the sampling oracle's rejection of the word.  A
+    search that could not find the word (no heights, or fewer letters per
+    height than the word has), or a seeded one asking for more distinct
+    heights than it draws from, raises ValueError.
     """
     form = sampling_form(word, num_letters, heights)
     if seed is None:

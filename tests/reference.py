@@ -7,13 +7,14 @@ points decoded; on the torus
 ``cutting_blocks``, ``path_crossing_word``, ``concat``,
 ``three_distance_points``, ``revert_flip``, ``cusp_representative``,
 ``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
-verdict ``is_admissible_letters``, the slow reference of the oracle's block
-bytes, and the letter-space searches ``first_occurrence_letters`` and
-``find_witness_letters``, the slow references of the sampling oracle and
-the witness search; ``exact_orbit``, the exchange kernel's orbit by exact
-sign tests alone; ``interval_length`` of an exchange interval; ``parts``
-and the slow reference ``QuadNum`` (a Fraction pair a, b) with its
-``format_exact``; ``run_cli``, one in-process CLI call."""
+verdict ``is_admissible_letters`` on period letters from exact floors, the
+slow reference of the oracle's block needles, and the letter-space searches
+``first_occurrence_letters`` and ``find_witness_letters``, the slow
+references of the sampling oracle and the witness search; ``exact_orbit``,
+the exchange kernel's orbit by exact sign tests alone; ``interval_length``
+of an exchange interval; ``parts`` and the slow reference ``QuadNum`` (a
+Fraction pair a, b) with its ``format_exact``; ``run_cli``, one in-process
+CLI call."""
 
 import io
 import math
@@ -25,7 +26,7 @@ from typing import Optional
 from laminath import cli, exactnum, flat, iet, oracle, tsurface as ts
 from laminath._record import record
 from laminath.cf import ContinuedFraction
-from laminath.errors import CertificateViolation, SingularHit
+from laminath.errors import CertificateViolation, InvalidSlope, SingularHit
 from laminath.exactnum import (Exact, decode, exact_floor, frac_part, pair_floor, pair_sign,
                                squarefree_decompose)
 from laminath.words import BlockWord, simple_word
@@ -245,6 +246,19 @@ def interval_length(iv: iet.ExchangeInterval):
     return iv.hi - iv.lo
 
 
+def _period_letters(cv) -> str:
+    """Letters of the blocks floor((t+1) p/q) - floor(t p/q), t < q, of the
+    convergent p/q, by exact integer floors; InvalidSlope unless p/q > 1."""
+    p, q = cv.p, cv.q
+    if p <= q:
+        raise InvalidSlope(f"slope must be > 1, got {Fraction(p, q)}")
+    c = p // q
+    floors = [t * p // q for t in range(q + 1)]
+    offsets = bytes(y - x - c for x, y in zip(floors, floors[1:]))
+    return (offsets.replace(b"\x01", b"b" * (c + 1) + b"a")
+            .replace(b"\x00", b"b" * c + b"a").decode())
+
+
 def is_admissible_letters(word, theta: ContinuedFraction,
                           k_max: int = 24) -> oracle.AdmissibilityCertificate:
     """``oracle.is_admissible`` with every word decided in letter space: the
@@ -256,14 +270,15 @@ def is_admissible_letters(word, theta: ContinuedFraction,
                                                Fraction(1, 7), 0)
     span = search.count("a") + 2
     l0 = oracle._window_level(theta, span, k_max)
-    cv = theta.convergent(l0)
-    hay, _plen = oracle._periodic_haystack(Fraction(cv.p, cv.q), len(search))
+
+    def occurs(l):
+        period = _period_letters(theta.convergent(l))
+        return search in period * (len(search) // len(period) + 2)
+
     levels = [l0]
-    if search not in hay:
+    if not occurs(l0):
         if l0 + 1 <= k_max:
-            cv1 = theta.convergent(l0 + 1)
-            hay1, _ = oracle._periodic_haystack(Fraction(cv1.p, cv1.q), len(search))
-            if search in hay1:
+            if occurs(l0 + 1):
                 raise CertificateViolation("level disagreement; window threshold violated")
             levels.append(l0 + 1)
         return oracle.AdmissibilityCertificate("inadmissible", letters, tuple(levels),

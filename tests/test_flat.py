@@ -236,8 +236,6 @@ def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
     if E + F * QuadNum(0, 1, d) >= 0:
         letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
         assert letters == "".join("b" * n + "a" for n in ref)
-        plan = flat._slope_plan(2 * E, 2 * F, d, 2 * C, J, q_max, flat._period_word)
-        assert flat._window_letters(E, F, S, G, d, C, J, plan=plan) == letters
 
 
 def test_block_period_matches_direct_floors():

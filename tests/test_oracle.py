@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
@@ -147,37 +147,9 @@ def test_rational_factor_complexity(pq, m):
     assert len(fs.factors) == min(m + 1, p + q)
 
 
-def _assert_haystack_is_simple_word(r):
-    hay, plen = oracle._periodic_haystack(r, 3 * r.denominator)
-    period = words.simple_word(r, 1).letters()
-    assert plen == len(period) and hay == period * (3 * r.denominator // plen + 2), r
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=60), st.data())
-def test_haystack_period_is_the_simple_word(q, data):
-    # the kernel's period letters against the BlockWord reference, p/q > 1
-    p = data.draw(st.integers(min_value=q + 1, max_value=6 * q + 5).filter(
-        lambda p: Fraction(p, q).denominator == q))
-    _assert_haystack_is_simple_word(Fraction(p, q))
-
-
-@pytest.mark.parametrize("theta", [SQRT2, GOLDEN], ids=["sqrt2", "golden"])
-def test_haystack_period_on_convergents(theta):
-    k = 0
-    while theta.convergent(k).q <= 5000:
-        cv = theta.convergent(k)
-        if cv.p > cv.q:
-            _assert_haystack_is_simple_word(Fraction(cv.p, cv.q))
-        k += 1
-    assert k >= 10
-
-
 @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(-3, 2)])
 def test_haystack_keeps_the_slope_guard(r):
-    # the window kernel takes any slope; the haystack still demands r > 1
-    with pytest.raises(InvalidSlope, match="slope must be > 1"):
-        oracle._periodic_haystack(r, 3)
+    # the window kernel takes any slope; the factor haystack demands r > 1
     with pytest.raises(InvalidSlope, match="slope must be > 1"):
         oracle.rational_factors(r, 3)
 
@@ -231,9 +203,9 @@ def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
     # denominator, each denominator's streams twice as long as the last
     calls = []
 
-    def empty(theta, s, n, plans, blocks):
+    def empty(theta, s, n, plans):
         calls.append((s, n))
-        return ""
+        return b""
 
     monkeypatch.setattr(oracle, "_height_read", empty)
     with pytest.raises(CertificateViolation, match="not found in sampled leaf words"):
@@ -280,27 +252,66 @@ def test_sampling_seeded_deterministic():
                                for c in (948709, 976539, 947562, 398254, 387261))
 
 
+def test_aligned_words_count_at_the_stream_head():
+    # the golden leaf word from height 1/2 starts bba ba bba: a "ba" word read
+    # in exactly its own letters sits at letter 0, its anchored form at
+    # letter -1; the "ab" word bbab sits at letter 0 too, while its anchored
+    # form bbbab occurs in no leaf word
+    assert oracle.is_admissible("bbbab", GOLDEN).verdict == "inadmissible"
+    for word in (words.BlockWord(1, (2, 1, 2)), words.BlockWord(0, (0, 0, 1), "ab")):
+        form = oracle._search_form(word)
+        rep = oracle.sampling_cross_check(word, GOLDEN, word.letter_count, 1)
+        assert rep.heights == (Fraction(1, 2),)
+        assert rep.found_at == (Fraction(1, 2), 0) == ref.first_occurrence_letters(
+            *form, GOLDEN, [(Fraction(1, 2), word.letter_count)])
+
+
 @st.composite
 def _sampling_cases(draw):
-    """(theta, word, n, heights, seed): a slope with c0 in 1..3, exact or
-    opaque; unseeded or seeded heights; and a "ba" block word.  The word is a
-    block-aligned factor of the first searched height's leaf stream (at its
-    head, anywhere, or through the block that ends past letter n), such a
-    factor over base c0 - 1 or 0, whose blocks 0 and 1 are no offsets from
-    c0, or an inadmissible word."""
-    c = draw(st.integers(min_value=1, max_value=3))
+    """(theta, word, n, heights, seed): a slope with integer part c0 in 0..3,
+    254, 255 or 300, exact or opaque; unseeded or seeded heights; and a word
+    read off the first searched height's leaf stream of n letters (two
+    blocks or more).  A "ba" block word is a block-aligned factor of it (at
+    its head, anywhere, or through the block that ends past letter n), such
+    a factor over base c0 - 1 or 0, whose blocks 0 and 1 are no offsets from
+    c0, or an inadmissible word (c0 > 0).  An "ab" word is a slice ending on
+    a 'b', its a-runs as blocks, at the head or anywhere: the head slice
+    b^(c0+1) a b of a stream that starts on a long block occurs there while
+    its anchored form occurs nowhere.  A letter string is a slice, perhaps
+    with one letter flipped, or a run of c0 to c0 + 2 b's."""
+    c = draw(st.sampled_from([0, 1, 2, 3, 254, 255, 300]))
     theta = ContinuedFraction.periodic([c], draw(st.lists(st.integers(1, 3), min_size=1,
                                                           max_size=3)))
     if draw(st.booleans()):
         theta = ContinuedFraction(source=theta.coefficient)
-    n = draw(st.integers(min_value=20, max_value=3000))
+    n = draw(st.integers(min_value=20, max_value=3000)) + 2 * c
     heights = draw(st.integers(min_value=1, max_value=8))
     seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)))
-    kind = draw(st.sampled_from(["head", "factor", "past n", "base", "inadmissible"]))
-    if kind == "inadmissible":
+    kind = draw(st.sampled_from(["head", "factor", "past n", "base", "inadmissible",
+                                 "ab head", "ab", "letters", "run"]))
+    if kind == "run":
+        return theta, "b" * draw(st.integers(min_value=c, max_value=c + 2)), n, heights, seed
+    if kind == "inadmissible" and c > 0:
         word = words.inadmissible_word(theta, draw(st.integers(min_value=2, max_value=5)))
         return theta, word, max(n, word.letter_count), heights, seed
     s0 = oracle.sampling_cross_check("a", theta, n, heights, seed).heights[0]  # read first
+    if kind in ("ab head", "ab", "letters"):
+        stream = oracle.leaf_letter_stream(theta, s0, n)
+        i = 0 if kind == "ab head" else draw(st.integers(min_value=0, max_value=n - 1))
+        j = (stream.index("a") + 2 if kind == "ab head"
+             else draw(st.integers(min_value=i + 1, max_value=min(i + 200, n))))
+        if kind == "letters":
+            word = list(stream[i:j])
+            k = draw(st.integers(min_value=-1, max_value=j - i - 1))  # -1: no flip
+            if k >= 0:
+                word[k] = "ab"[word[k] == "a"]
+            return theta, "".join(word), n, heights, seed
+        j = stream.rfind("b", i, j) + 1 or stream.find("b", i) + 1
+        assume(j > i)
+        runs = [len(run) for run in stream[i:j].split("b")[:-1]]
+        base = min(runs)
+        word = words.BlockWord(base, [min(r, base + 1) for r in runs], "ab")
+        return theta, word, n, heights, seed
     J = flat._letter_line(theta, s0, n)[-1]
     offsets, _ = flat._window_blocks(*flat._line(theta, s0, J), J)
     ends = [0, *accumulate(c + 1 + o for o in offsets)]   # letter offset of each block
@@ -313,10 +324,10 @@ def _sampling_cases(draw):
         while ends[j] - ends[i] > n:
             j -= 1
     if kind != "base":
-        return theta, words.BlockWord(c, bytes(c + o for o in offsets[i:j])), n, heights, seed
+        return theta, words.BlockWord(c, [c + o for o in offsets[i:j]]), n, heights, seed
     # each offset o as the block o, which a translate with no {c, c + 1}
     # check passes through unchanged, where the base allows it
-    base = draw(st.sampled_from([0, c - 1]))
+    base = draw(st.sampled_from([0, max(c - 1, 0)]))
     blocks = [next((b for b in (o, c + o) if b in (base, base + 1)), base)
               for o in offsets[i:j]]
     word = words.BlockWord(base, blocks)
@@ -326,8 +337,8 @@ def _sampling_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_sampling_cases())
 def test_block_searches_match_the_letter_reference(case):
-    # the sampling oracle and the witness search on block bytes, against one
-    # whole letter stream per height: the same first occurrence, or none
+    # the sampling oracle and the witness search on block offsets, against
+    # one whole letter stream per height: the same first occurrence, or none
     theta, word, n, heights, seed = case
     form = oracle._search_form(word)
     rep = oracle.sampling_cross_check(word, theta, n, heights, seed)
@@ -350,9 +361,9 @@ def _outcome(decide, *args):
 
 @st.composite
 def _slopes(draw):
-    """Quadratic, rational and opaque slopes with integer part 0..2, 7, 254 or
-    255, the last two often, since a byte holds blocks up to 255."""
-    c = draw(st.sampled_from([0, 1, 1, 2, 2, 7, 254, 254, 255, 255]))
+    """Quadratic, rational and opaque slopes with integer part 0..3, 7, 254,
+    255 or 300, the byte edges often."""
+    c = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 7, 254, 254, 255, 255, 300]))
     tail = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
     kind = draw(st.sampled_from(["quadratic", "rational", "opaque"]))
     if kind == "rational":
@@ -362,15 +373,25 @@ def _slopes(draw):
 
 
 @st.composite
-def _block_words(draw, theta):
+def _words(draw, theta):
     """Block words over bases c - 1 .. c + 1 in both orientations, 1 to 400
     blocks: leaf-word slices (admissible), perhaps with one block flipped, or
-    random blocks."""
+    random blocks; and letter strings: 1 to 400 letters of a leaf word,
+    perhaps with one letter flipped, or runs of c to c + 2 b's."""
     c = theta.floor_part()
     n = draw(st.integers(min_value=1, max_value=400))
-    if draw(st.booleans()):
-        s = Fraction(draw(st.integers(1, 996)), 997)
-        skip = draw(st.integers(min_value=0, max_value=300))
+    s = Fraction(draw(st.integers(1, 996)), 997)
+    skip = draw(st.integers(min_value=0, max_value=300))
+    kind = draw(st.sampled_from(["slice", "random", "letters", "run"]))
+    if kind == "run":
+        return "b" * draw(st.integers(min_value=c, max_value=c + 2))
+    if kind == "letters":
+        letters = list(oracle.leaf_letter_stream(theta, s, skip + n)[skip:])
+        j = draw(st.integers(min_value=-1, max_value=n - 1))  # -1: no flip
+        if j >= 0:
+            letters[j] = "ab"[letters[j] == "a"]
+        return "".join(letters)
+    if kind == "slice":
         blocks = list(oracle.leaf_block_stream(theta, s, skip + n)[skip:])
         if draw(st.booleans()):
             j = draw(st.integers(min_value=0, max_value=n - 1))
@@ -385,10 +406,11 @@ def _block_words(draw, theta):
 @settings(max_examples=150, deadline=None)
 @given(_slopes(), st.data())
 def test_block_verdicts_match_the_letter_reference(theta, data):
-    # block-space verdicts against the letter haystacks: verdict, levels,
-    # span and witness, or the same exception, including depth exhaustion,
-    # slopes below 1 and block values beyond a byte
-    word = data.draw(_block_words(theta))
+    # verdicts on block needles against the letter haystacks: verdict,
+    # levels, span and witness, or the same exception, including depth
+    # exhaustion, slopes below 1 and block values beyond a byte, for every
+    # word form
+    word = data.draw(_words(theta))
     k_max = data.draw(st.sampled_from([24, 24, 24, 3, 5, 7]))
     assert (_outcome(oracle.is_admissible, word, theta, k_max)
             == _outcome(ref.is_admissible_letters, word, theta, k_max))
@@ -406,38 +428,58 @@ def test_block_verdicts_at_the_byte_edges(c):
                         == _outcome(ref.is_admissible_letters, word, theta, 24)), word
 
 
-def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
-    # integer part 300 or a block of 256: the letter path decides
+def test_oracle_reads_no_letters(monkeypatch):
+    # verdicts, witnesses and sampling searches read block offsets alone:
+    # with the window kernel's letter read-out, its letter period and the
+    # leaf letter stream refused, they equal the letter reference on letter
+    # strings, "ba" and "ab" words, blocks beyond a byte and integer parts 0
+    # to 300; and a sampling call over 8 heights (j/9 reduce to ninths and
+    # thirds) reads the slope's partial quotients once
     wide = ContinuedFraction.from_text("cf:[300;2]p")
-    narrow = ContinuedFraction.from_text("cf:[254;1,2]p")
-    cases = [(wide, words.inadmissible_word(wide, 2)),
-             (wide, ref.revert_flip(words.inadmissible_word(wide, 3))),
-             (narrow, words.BlockWord(255, (255, 256, 255)))]
-    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
-    assert [c.verdict for c in want] == ["inadmissible", "admissible", "inadmissible"]
+    verdicts = [(theta, words.inadmissible_segment(theta, k).word)
+                for theta in (SQRT2, ContinuedFraction.from_text("cf:[4;1,1,7]p"),
+                              ContinuedFraction.from_text("cf:[253;1,2]p"))
+                for k in (2, 3, 6)]
+    verdicts += [(GOLDEN, words.inadmissible_word(GOLDEN, k)) for k in (2, 3, 4)]
+    verdicts += [(wide, words.inadmissible_word(wide, 2)),
+                 (wide, ref.revert_flip(words.inadmissible_word(wide, 3))), (wide, "b" * 301),
+                 (ContinuedFraction.from_text("cf:[254;1,2]p"),
+                  words.BlockWord(255, (255, 256, 255))),
+                 (SQRT2, "bbabba"), (SQRT2, "abbabab"), (GOLDEN, "bbab"),
+                 (GOLDEN, words.BlockWord(0, (0, 0, 1), "ab")),
+                 (GOLDEN, words.BlockWord(1, (2, 1, 2), "ab")),
+                 (ContinuedFraction.from_text("cf:[0;2,1]p"), "ab")]
+    want = [_outcome(ref.is_admissible_letters, word, theta) for theta, word in verdicts]
+    assert {cert.verdict if isinstance(cert, oracle.AdmissibilityCertificate) else cert[0]
+            for cert in want} == {"admissible", "inadmissible", InvalidSlope}
 
-    def refuse(*args):
-        raise RuntimeError("block bytes read")
+    theta = ContinuedFraction.from_text("cf:[2;1,3]p")
+    searches = [(word, seed) for word in (words.inadmissible_word(theta, 4),
+                                          words.simple_word(Fraction(119, 43), 1),
+                                          "bbabbbabbab", words.BlockWord(0, (1, 0, 1), "ab"))
+                for seed in (None, 3)]
+    found = []
+    for word, seed in searches:
+        heights = oracle.sampling_cross_check("a", theta, 20_000, 8, seed).heights
+        found.append(ref.first_occurrence_letters(*oracle._search_form(word), theta,
+                                                  ((s, 20_000) for s in heights)))
+    assert found[0] is found[1] is None and all(found[2:])
 
-    monkeypatch.setattr(oracle, "_block_periods", refuse)
-    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letters read")
 
-
-def test_torus_block_words_are_decided_on_their_bytes(monkeypatch):
-    # segment and inadmissible words below base 255 never reach the letter
-    # haystack: their stored bytes are searched in the standard-word periods
-    cases = [(theta, make(theta, k)) for theta in (SQRT2, GOLDEN,
-                                                  ContinuedFraction.from_text("cf:[253;1,2]p"))
-             for k in (2, 3, 4) for make in (words.inadmissible_word,
-                                              lambda t, k: words.inadmissible_segment(t, k).word)]
-    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
-    assert {c.verdict for c in want} == {"inadmissible"}
-
-    def refuse(*args):
-        raise RuntimeError("letter haystack read")
-
-    monkeypatch.setattr(oracle, "_periodic_haystack", refuse)
-    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+    reads = []
+    quotients = flat.partial_quotients
+    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
+    monkeypatch.setattr(flat, "_window_letters", refuse)
+    monkeypatch.setattr(flat, "_period_word", refuse)
+    assert [_outcome(oracle.is_admissible, word, theta) for theta, word in verdicts] == want
+    monkeypatch.setattr(flat, "partial_quotients", lambda *args: reads.append(args)
+                        or quotients(*args))
+    for (word, seed), want_found in zip(searches, found):
+        reads.clear()
+        assert oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at == want_found
+        assert len(reads) == 1
 
 
 def test_block_period_is_a_rotation_of_the_simple_word():
@@ -448,6 +490,8 @@ def test_block_period_is_a_rotation_of_the_simple_word():
                for q in range(2, 13) for j in range(1, q)]
     for r in {r for r in slopes if r.denominator > 1}:
         theta = ContinuedFraction.from_rational(r)
-        period = next(oracle._block_periods(theta, theta.length - 1))
+        quotients = [theta.coefficient(i) for i in range(theta.length)]
+        period = flat._block_values(next(flat._block_periods(quotients, theta.length - 1)),
+                                    quotients[0])
         simple = words.simple_word(r, 1).blocks
         assert len(period) == len(simple) and period in simple * 2, r
