@@ -428,58 +428,72 @@ def test_block_verdicts_at_the_byte_edges(c):
                         == _outcome(ref.is_admissible_letters, word, theta, 24)), word
 
 
-def test_oracle_reads_no_letters(monkeypatch):
-    # verdicts, witnesses and sampling searches read block offsets alone:
-    # with the window kernel's letter read-out, its letter period and the
-    # leaf letter stream refused, they equal the letter reference on letter
-    # strings, "ba" and "ab" words, blocks beyond a byte and integer parts 0
-    # to 300; and a sampling call over 8 heights (j/9 reduce to ninths and
-    # thirds) reads the slope's partial quotients once
+def _refuse_letters(monkeypatch):
+    # the window kernel's letter read-out, its letter period and the leaf
+    # letter stream raise when read
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letters read")
+
+    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
+    monkeypatch.setattr(flat, "_window_letters", refuse)
+    monkeypatch.setattr(flat, "_period_word", refuse)
+
+
+def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
+    # integer part 300 or a block of 256 falls back to no letter path: the
+    # block offsets decide it as the letter reference does
     wide = ContinuedFraction.from_text("cf:[300;2]p")
-    verdicts = [(theta, words.inadmissible_segment(theta, k).word)
-                for theta in (SQRT2, ContinuedFraction.from_text("cf:[4;1,1,7]p"),
-                              ContinuedFraction.from_text("cf:[253;1,2]p"))
-                for k in (2, 3, 6)]
-    verdicts += [(GOLDEN, words.inadmissible_word(GOLDEN, k)) for k in (2, 3, 4)]
-    verdicts += [(wide, words.inadmissible_word(wide, 2)),
-                 (wide, ref.revert_flip(words.inadmissible_word(wide, 3))), (wide, "b" * 301),
-                 (ContinuedFraction.from_text("cf:[254;1,2]p"),
-                  words.BlockWord(255, (255, 256, 255))),
-                 (SQRT2, "bbabba"), (SQRT2, "abbabab"), (GOLDEN, "bbab"),
-                 (GOLDEN, words.BlockWord(0, (0, 0, 1), "ab")),
-                 (GOLDEN, words.BlockWord(1, (2, 1, 2), "ab")),
-                 (ContinuedFraction.from_text("cf:[0;2,1]p"), "ab")]
+    narrow = ContinuedFraction.from_text("cf:[254;1,2]p")
+    cases = [(wide, words.inadmissible_word(wide, 2)),
+             (wide, ref.revert_flip(words.inadmissible_word(wide, 3))),
+             (wide, "b" * 301),
+             (narrow, words.BlockWord(255, (255, 256, 255)))]
+    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
+    assert [c.verdict for c in want] == ["inadmissible", "admissible", "admissible",
+                                         "inadmissible"]
+    _refuse_letters(monkeypatch)
+    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+
+
+def test_torus_block_words_are_decided_on_their_bytes(monkeypatch):
+    # segment and inadmissible words never reach a letter haystack: their
+    # block offsets are searched in the standard-word block periods
+    cases = [(theta, make(theta, k)) for theta in (SQRT2, GOLDEN,
+                                                  ContinuedFraction.from_text("cf:[253;1,2]p"))
+             for k in (2, 3, 4) for make in (words.inadmissible_word,
+                                              lambda t, k: words.inadmissible_segment(t, k).word)]
+    want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
+    assert {c.verdict for c in want} == {"inadmissible"}
+    _refuse_letters(monkeypatch)
+    assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
+
+
+def test_oracle_reads_no_letters(monkeypatch):
+    # letter strings and "ab" words are decided and sampled on block offsets
+    # too: with every letter path refused, verdicts and first occurrences
+    # equal the letter reference, slopes below 1 included
+    verdicts = [(SQRT2, "bbabba"), (SQRT2, "abbabab"), (GOLDEN, "bbab"),
+                (GOLDEN, words.BlockWord(0, (0, 0, 1), "ab")),
+                (GOLDEN, words.BlockWord(1, (2, 1, 2), "ab")),
+                (ContinuedFraction.from_text("cf:[0;2,1]p"), "ab")]
     want = [_outcome(ref.is_admissible_letters, word, theta) for theta, word in verdicts]
     assert {cert.verdict if isinstance(cert, oracle.AdmissibilityCertificate) else cert[0]
             for cert in want} == {"admissible", "inadmissible", InvalidSlope}
 
     theta = ContinuedFraction.from_text("cf:[2;1,3]p")
-    searches = [(word, seed) for word in (words.inadmissible_word(theta, 4),
-                                          words.simple_word(Fraction(119, 43), 1),
-                                          "bbabbbabbab", words.BlockWord(0, (1, 0, 1), "ab"))
+    searches = [(word, seed) for word in ("bbabbbabbab", words.BlockWord(0, (1, 0, 1), "ab"))
                 for seed in (None, 3)]
     found = []
     for word, seed in searches:
         heights = oracle.sampling_cross_check("a", theta, 20_000, 8, seed).heights
         found.append(ref.first_occurrence_letters(*oracle._search_form(word), theta,
                                                   ((s, 20_000) for s in heights)))
-    assert found[0] is found[1] is None and all(found[2:])
+    assert all(found)
 
-    def refuse(*args, **kwargs):
-        raise RuntimeError("letters read")
-
-    reads = []
-    quotients = flat.partial_quotients
-    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
-    monkeypatch.setattr(flat, "_window_letters", refuse)
-    monkeypatch.setattr(flat, "_period_word", refuse)
+    _refuse_letters(monkeypatch)
     assert [_outcome(oracle.is_admissible, word, theta) for theta, word in verdicts] == want
-    monkeypatch.setattr(flat, "partial_quotients", lambda *args: reads.append(args)
-                        or quotients(*args))
-    for (word, seed), want_found in zip(searches, found):
-        reads.clear()
-        assert oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at == want_found
-        assert len(reads) == 1
+    assert [oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at
+            for word, seed in searches] == found
 
 
 def test_block_period_is_a_rotation_of_the_simple_word():
