@@ -159,10 +159,13 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # doubled period of p/q, j0 = r/p mod q, and one exact floor at i* decides
 # whether block i* - 1 gains one from block i* or loses one to it (from or
 # to nothing when i* = q).  Three exact floors per window in all.  The window
-# plan decides windows once; they are read off the letter period (block j0 is
-# letter j0 + floor(j0 p/q)) or the block period, 0/1 offsets from floor(theta).
-# Its slope half (p/q, the sign, p^-1 mod q and the period) depends on the
-# slope and J alone, so lines of one slope at many heights share it.
+# plan decides windows once, and one read-out copies them in the images of
+# the block offsets 0/1 from c = floor(theta): the bytes 0/1, or the letters
+# b^c a and b^(c+1) a.  One standard-word recursion builds the period in
+# either image, as the morphism of the images commutes with it.  The slope
+# half of the plan (p/q, the sign, p^-1 mod q, the images and the period)
+# depends on the slope, J and the images alone, so lines of one slope at
+# many heights share it.
 
 
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
@@ -174,60 +177,46 @@ def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
     return E, F, S, G, d, C
 
 
-def _standard_word(x, y, directive):
-    """Standard word s_k of directive (d_1, ..., d_k) over s_{-1} = x, s_0 = y, str
-    or bytes: s_1 = y^{d_1} x, s_k = s_{k-1}^{d_k} s_{k-2} (Lothaire ch. 2)."""
-    prev, word = x, y
-    for d in directive:
-        prev, word = word, word * d + prev
-    return word
+_OFFSETS = (b"\x00", b"\x01")
 
 
-def _period_word(quotients: list[int]) -> str:
-    """Letters of the blocks floor((t+1) P/Q) - floor(t P/Q), t < Q, for
-    P/Q = [c; a_1, ..., a_k] given by its partial quotients.
-
-    Q/(P+Q) = [0; c+1, a_1, ..., a_k], and its standard word (directive
-    c, a_1, ..., a_k over a and b) is this word up to the last two letters,
-    which are "ba"."""
-    word = _standard_word("a", "b", quotients)
-    return word[:-2] + "ba" if len(quotients) > 1 else word
+def _letter_images(c: int) -> tuple[str, str]:
+    """The letters b^c a and b^(c+1) a of the block offsets 0 and 1 from c."""
+    return "b" * c + "a", "b" * c + "ba"
 
 
-def _block_periods(quotients: Iterable[int], k: int) -> Iterator[bytes]:
-    """Blocks floor((t+1) P/Q) - floor(t P/Q) - c, t < Q, as 0/1 bytes, of
-    P/Q = [c; a_1, ..., a_l] for l = k, k + 1, ..., each a_l read from
-    ``quotients`` when its level is asked for: [c] and [c; 1] have Q = 1,
-    else 0 w 1 with w the standard word of directive (a_1 - 1, a_2, ..., a_l)
-    over 1, 0 less its last two letters (Berstel et al., Combinatorics on
-    Words, 2008).  Level l + 1 is one more step of ``_standard_word``'s
-    recursion, run inline."""
+def _block_periods(quotients: Iterable[int], k: int, images=_OFFSETS) -> Iterator:
+    """Blocks floor((t+1) P/Q) - floor(t P/Q) - c, t < Q, in ``images`` (of
+    the offsets 0 and 1; the offsets themselves by default), of P/Q = [c;
+    a_1, ..., a_l] for l = k, k + 1, ..., each a_l read from ``quotients``
+    when its level is asked for: [c] and [c; 1] have Q = 1, else 0 w 1 with
+    w the standard word of directive (a_1 - 1, a_2, ..., a_l) over 1, 0 less
+    its last two blocks, 01 or 10 (Berstel et al., Combinatorics on Words,
+    2008).  Level l + 1 is one more step of the recursion
+    s_l = s_{l-1}^{d_l} s_{l-2} (Lothaire ch. 2), run inline on the images."""
+    x0, x1 = images
+    last_two = len(x0) + len(x1)
     quotients = iter(quotients)
     next(quotients)
     if k == 0:
-        yield b"\x00"
-    prev, word = b"\x01", b"\x00"
+        yield x0
+    prev, word = x1, x0
     for l, a in enumerate(quotients, 1):
         prev, word = word, word * (a - (l == 1)) + prev
-        if l >= k:  # [c; 1] has the one-letter word 1
-            yield b"\x00" + word[:-2] + b"\x01" if len(word) > 1 else word
+        if l >= k:  # [c; 1] has the one-block word 1
+            yield x0[:0].join((x0, word[:-last_two], x1)) if len(word) > len(x1) else word
 
 
-def _block_period(quotients: list[int]) -> bytes:
-    """The block period of ``_block_periods`` at the last level of ``quotients``."""
-    return next(_block_periods(quotients, len(quotients) - 1))
-
-
-def _slope_plan(E, F, d, C, J: int, q_max: Optional[int], period: Callable) -> tuple:
-    """(quotients, p, q, sign, inv, doubled period): the slope half of a
-    window plan for J blocks of slope (E + F sqrt(d)) / C.  p/q = [c; a_1,
-    ..., a_k] is its last convergent with q <= ``q_max`` (default J + 1),
-    sign that of slope - p/q (0 when the expansion ends at p/q), inv =
-    p^-1 mod q, and the period is ``period(quotients)`` twice over.  Every
-    line of this slope, at any height and scale C, reads its windows off the
-    same plan."""
-    limit = max(J, 0) + 1 if q_max is None else q_max
-    quotients, sign = [], 0
+def _slope_plan(E, F, d, C, J: int, letters: bool = False) -> tuple:
+    """(quotients, p, q, sign, inv, images, doubled period): the slope half
+    of a window plan for J blocks of slope (E + F sqrt(d)) / C.  p/q = [c;
+    a_1, ..., a_k] is its last convergent with q <= J + 1, sign that of
+    slope - p/q (0 when the expansion ends at p/q), inv = p^-1 mod q, the
+    images those of the block offsets 0 and 1 (the offsets themselves, or
+    with ``letters`` the letters b^c a and b^(c+1) a), and the period is
+    ``_block_periods``' at p/q in them, twice over.  Every line of this
+    slope, at any height and scale C, reads its windows off the same plan."""
+    limit, quotients, sign = max(J, 0) + 1, [], 0
     p0, q0, p, q = 0, 1, 1, 0
     for a in partial_quotients(E, F, d, C):
         if a * q + q0 > limit:
@@ -235,7 +224,9 @@ def _slope_plan(E, F, d, C, J: int, q_max: Optional[int], period: Callable) -> t
             break
         quotients.append(a)
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
-    return quotients, p, q, sign, pow(p, -1, q), period(quotients) * 2
+    images = _letter_images(quotients[0]) if letters else _OFFSETS
+    period = next(_block_periods(quotients, len(quotients) - 1, images))
+    return quotients, p, q, sign, pow(p, -1, q), images, period * 2
 
 
 def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
@@ -244,7 +235,7 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     per window of q blocks (j0, i, miss), its start in the period and its
     block i - 1 off by miss (block i by -miss if i < q).  Three exact floors
     per window."""
-    _, p, q, sign, inv, _ = plan
+    _, p, q, sign, inv, _, _ = plan
     target = q - 1 if sign > 0 else 0
     windows = []
     A, B = S, G
@@ -260,38 +251,38 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     return windows
 
 
-def _window_letters(E, F, S, G, d, C, J: int, q_max: Optional[int] = None) -> str:
-    """The letters of blocks 0..J-1 of x_j = (E j + S + (F j + G) sqrt(d)) / C,
-    slope >= 0: the window plan read off the doubled letter period of p/q,
-    with q capped at ``q_max`` (default J + 1)."""
-    _, p, q, _, _, period = plan = _slope_plan(E, F, d, C, J, q_max, _period_word)
+def _window_read(plan, E, F, S, G, d, C, J: int):
+    """The whole windows that hold blocks 0..J-1 of
+    x_j = (E j + S + (F j + G) sqrt(d)) / C, read off the slope half
+    ``plan`` in its images: 0/1 offsets or letters.  Block j of the doubled
+    period starts at j w0 + (w1 - w0) floor(j f/q), with w0 and w1 the
+    images' lengths and f = p - c q the offsets' sum over a period."""
+    quotients, p, q, _, _, (x0, x1), period = plan
+    w0, w1, f = len(x0), len(x1), p - quotients[0] * q
+    width = q * w0 + (w1 - w0) * f
     pieces = []
     for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
-        start = j0 + j0 * p // q
-        end = start + p + q
-        # a defect swaps the "ab" after, or the "ba" before, the 'a' closing block i - 1
-        m = j0 + i - 1 + (j0 + i) * p // q + (miss > 0)
-        pieces += ([period[start:m - 1], "ba" if miss > 0 else "ab" if i < q else "a",
-                    period[m + 1:end]] if miss else [period[start:end]])
-    n = J + pair_floor(S + J * E, G + J * F, d, C) - pair_floor(S, G, d, C)
-    return "".join(pieces)[:n]
+        start = j0 * w0 + (w1 - w0) * (j0 * f // q)
+        if not miss:
+            pieces.append(period[start:start + width])
+            continue
+        # blocks i - 1 and i of the window swap 0 1 for 1 0 (miss > 0) or back,
+        # block i - 1 alone when i = q, where the tail slice is empty
+        j = j0 + i - 1
+        cut = j * w0 + (w1 - w0) * (j * f // q)
+        swap = (x1 + x0 if miss > 0 else x0 + x1) if i < q else (x1 if miss > 0 else x0)
+        pieces += (period[start:cut], swap, period[cut + w0 + w1:start + width])
+    return period[:0].join(pieces)
 
 
-def _window_blocks(E, F, S, G, d, C, J: int, q_max: Optional[int] = None, plan=None):
-    """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as 0/1
-    bytes: the window plan read off the doubled block period of p/q.
-    ``plan`` is the slope half (``_slope_plan`` with ``_block_period``),
-    built here with q capped at ``q_max`` (default J + 1) when not given."""
-    quotients, _, q, _, _, period = plan = plan or _slope_plan(
-        E, F, d, C, J, q_max, _block_period)
-    out = bytearray()
-    for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
-        out += period[j0:j0 + q]
-        if miss:  # blocks i - 1 and i of the window, indexed from its end
-            out[i - 1 - q] += miss
-            if i < q:
-                out[i - q] -= miss
-    return out[:J], quotients[0]
+def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
+    """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as a
+    bytearray of 0/1 offsets, the first J of the read-out of the slope half
+    ``plan`` (``_slope_plan``, built here when not given)."""
+    plan = plan or _slope_plan(E, F, d, C, J)
+    offsets = bytearray(_window_read(plan, E, F, S, G, d, C, J))
+    del offsets[J:]
+    return offsets, plan[0][0]
 
 
 def _block_values(offsets, c: int):
@@ -388,7 +379,8 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
     lattice point (m, n) the line meets within them, or None."""
     E, F, S, G, d, C, J = _letter_line(theta, s, num_letters)
-    letters, hit = _window_letters(E, F, S, G, d, C, J), _first_hit(E, F, S, G, C, J)
+    letters = _window_read(_slope_plan(E, F, d, C, J, letters=True), E, F, S, G, d, C, J)
+    hit = _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
         hit = None

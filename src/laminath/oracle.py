@@ -178,7 +178,7 @@ def _occurs(needle: Optional[bytes], periods) -> bool:
 
 def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> bytearray:
     """The blocks that hold the first n letters of the leaf word from (0, s)
-    (``flat.sturmian_letters``'s J), as 0/1 offsets from c0.  The slope half
+    (the J of ``flat._letter_line``), as 0/1 offsets from c0.  The slope half
     of the window plan comes from ``plans``, keyed by the line's slope
     reduced by its gcd and J, and is built there on first use: heights over
     different denominators scale the same slope's integers differently."""
@@ -187,7 +187,7 @@ def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> bytearray:
     key = (E // g, F // g, d, C // g, J)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = flat._slope_plan(E, F, d, C, J, None, flat._block_period)
+        plan = plans[key] = flat._slope_plan(E, F, d, C, J)
     return flat._window_blocks(E, F, S, G, d, C, J, plan=plan)[0]
 
 

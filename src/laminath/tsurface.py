@@ -764,8 +764,9 @@ def sheared_torus_doc(gamma=None) -> dict:
     vertical edge pair is rotation by gamma (default sqrt2 - 1)."""
     g = QuadNum(-1, 1, 2) if gamma is None else gamma
     pts = [(0, 0), (1, g), (1, g + 1), (0, 1)]
+    d = surd((g,))  # the field of the coordinates, None over Q
     return {
-        "field": "sqrt2",
+        "field": d and f"sqrt{d}",
         "polygons": [[[format_exact(x), format_exact(y)] for x, y in pts]],
         "identify": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
     }
@@ -778,8 +779,9 @@ def slit_tori_doc(gamma=None, slit=Fraction(1, 2)) -> dict:
     a = Fraction(slit)
     hexa = [(0, 0), (1, g), (1, g + a), (1, g + 1), (0, 1), (0, a)]
     poly = [[format_exact(x), format_exact(y)] for x, y in hexa]
+    d = surd((g,))
     return {
-        "field": "sqrt2",
+        "field": d and f"sqrt{d}",
         "polygons": [poly, [list(v) for v in poly]],
         "identify": [
             [[0, 0], [0, 3]],   # bottom ~ top, torus 0

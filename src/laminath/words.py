@@ -106,23 +106,14 @@ def letters_to_blocks(word: LetterWord) -> BlockWord:
     if not word:
         raise NotBlockShaped("empty word")
     if set(word) <= {"b", "a"} and word[0] == "b" and word[-1] == "a":
-        run, mark = "b", "a"
-        orientation = "ba"
+        mark, orientation = "a", "ba"
     elif set(word) <= {"a", "b"} and word[0] == "a" and word[-1] == "b":
-        run, mark = "a", "b"
-        orientation = "ab"
+        mark, orientation = "b", "ab"
     else:
         raise NotBlockShaped(f"{word!r} is not of block shape")
-    blocks = []
-    count = 0
-    for ch in word:
-        if ch == run:
-            count += 1
-        else:
-            if count == 0:
-                raise NotBlockShaped(f"{word!r} has an empty block")
-            blocks.append(count)
-            count = 0
+    blocks = list(map(len, word[:-1].split(mark)))
+    if 0 in blocks:
+        raise NotBlockShaped(f"{word!r} has an empty block")
     n = min(blocks)
     if max(blocks) > n + 1:
         raise NotBlockShaped(f"{word!r} mixes block sizes {n} and {max(blocks)}")
@@ -186,7 +177,7 @@ def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
     sign = -1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q if closed else q
     S, _, N2, _ = _segment_heights(p, q, k, B)
-    plan = flat._slope_plan(2 * p, 0, 2, 2 * q, q - 1, None, flat._block_period)
+    plan = flat._slope_plan(2 * p, 0, 2, 2 * q, q - 1)
     offs, c = flat._window_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1, plan=plan)
     offs += flat._window_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1, plan=plan)[0]
     if not offs[0] + c == n + k % 2 == offs[q - 1] + c:

@@ -10,7 +10,9 @@ points decoded; on the torus
 verdict ``is_admissible_letters`` on period letters from exact floors, the
 slow reference of the oracle's block needles, and the letter-space searches
 ``first_occurrence_letters`` and ``find_witness_letters``, the slow
-references of the sampling oracle and the witness search; ``exact_orbit``,
+references of the sampling oracle and the witness search, and
+``refuse_letters``, the tripwire that makes every letter path raise;
+``exact_orbit``,
 the exchange kernel's orbit by exact sign tests alone; ``interval_length``
 of an exchange interval; ``parts`` and the slow reference ``QuadNum`` (a
 Fraction pair a, b) with its ``format_exact``; ``run_cli``, one in-process
@@ -318,6 +320,17 @@ def find_witness_letters(search: str, letters: str, aligned: bool, theta: Contin
     if found is None:
         raise CertificateViolation("admissible word not found in sampled leaf words")
     return found
+
+
+def refuse_letters(monkeypatch) -> None:
+    """Make every letter path raise when read: the window kernel's letter
+    images, the one place a letter plan is made, and the oracle's leaf
+    letter stream."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("letters read")
+
+    monkeypatch.setattr(flat, "_letter_images", refuse)
+    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
 
 
 def parts(x: Exact) -> tuple[Fraction, Fraction]:

@@ -207,11 +207,27 @@ def _blocks_python(E, F, S, G, d, C, J):
     return [y - x for x, y in zip(floors, floors[1:])]
 
 
-def _window_blocks(E, F, S, G, d, C, J, q_max):
+def _plan(E, F, d, C, J, cap, letters=False):
+    """The window kernel's slope half for J blocks, or with q capped at
+    ``cap`` when given: the plan for cap - 1 blocks."""
+    return flat._slope_plan(E, F, d, C, J if cap is None else cap - 1, letters)
+
+
+def _window_blocks(E, F, S, G, d, C, J, cap):
     """Blocks of the window kernel's block read-out with its window length
-    capped at q_max."""
-    offsets, c = flat._window_blocks(E, F, S, G, d, C, J, q_max)
+    capped at ``cap``."""
+    offsets, c = flat._window_blocks(E, F, S, G, d, C, J, plan=_plan(E, F, d, C, J, cap))
     return [o + c for o in offsets]
+
+
+def _letter_read(E, F, S, G, d, C, J, cap):
+    """(read, want): the letter read-out's whole windows over J blocks, its
+    window length capped at ``cap``, and the reference letters of the same
+    blocks."""
+    plan = _plan(E, F, d, C, J, cap, letters=True)
+    q = plan[2]
+    want = "".join("b" * n + "a" for n in _blocks_python(E, F, S, G, d, C, -(-J // q) * q))
+    return flat._window_read(plan, E, F, S, G, d, C, J), want
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,27 +238,28 @@ def _window_blocks(E, F, S, G, d, C, J, q_max):
        st.sampled_from([2, 3, 5, 7, 13]), st.integers(min_value=1, max_value=60),
        st.integers(min_value=0, max_value=300),
        st.sampled_from([None, 1, 2, 3, 5, 30]))
-def test_window_blocks_match_reference(E, F, S, G, d, C, J, q_max):
+def test_window_blocks_match_reference(E, F, S, G, d, C, J, cap):
     # any sign of E and F, slopes below 1, rational slopes (F = 0: no defect
-    # once q reaches the denominator), and short windows (q_max = 2: a
+    # once q reaches the denominator), and short windows (cap = 2: a
     # defect in most windows)
     ref = _blocks_python(E, F, S, G, d, C, J)
     assert flat.floor_blocks(E, F, S, G, d, C, J) == ref
-    assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
+    assert _window_blocks(E, F, S, G, d, C, J, cap) == ref
     # a slope plan built at another scale of the same slope reads the same
-    plan = flat._slope_plan(3 * E, 3 * F, d, 3 * C, J, q_max, flat._block_period)
+    plan = _plan(3 * E, 3 * F, d, 3 * C, J, cap)
     offsets, c = flat._window_blocks(E, F, S, G, d, C, J, plan=plan)
     assert [c + o for o in offsets] == ref
     if E + F * QuadNum(0, 1, d) >= 0:
-        letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
-        assert letters == "".join("b" * n + "a" for n in ref)
+        read, want = _letter_read(E, F, S, G, d, C, J, cap)
+        assert read == want
 
 
 def test_block_period_matches_direct_floors():
     # every P/q with q <= 60 and integer part 0..3, in its canonical
     # expansion and in the one ending in 1 that a window convergent may have;
     # q = 1 gives [c] and [c - 1; 1], whose block c is offset 1 from c - 1.
-    # The periods from level l on are those of the truncations [c; a_1..a_l]
+    # The periods from level l on are those of the truncations [c; a_1..a_l],
+    # in the letter images too where c >= 0
     for q in range(1, 61):
         for P in range(4 * q):
             if math.gcd(P, q) != 1:
@@ -255,8 +272,13 @@ def test_block_period_matches_direct_floors():
                     p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
                     want.append(bytes((t + 1) * p1 // q1 - t * p1 // q1 - form[0]
                                       for t in range(q1)))
+                c = form[0]
+                letters = ["".join("b" * (c + o) + "a" for o in w) for w in want]
                 for l in range(len(form)):
                     assert list(flat._block_periods(form, l)) == want[l:], (P, q, form, l)
+                    if c >= 0:  # letters b^c a need c >= 0
+                        assert list(flat._block_periods(form, l, flat._letter_images(c))
+                                    ) == letters[l:], (P, q, form, l)
 
 
 def test_window_blocks_short_lengths_and_steep_slopes():
@@ -269,20 +291,20 @@ def test_window_blocks_short_lengths_and_steep_slopes():
     assert flat.sturmian_letters(SQRT2, Fraction(1, 4), 1)[0] == "b"
 
 
-@pytest.mark.parametrize("s, q_max, p", [
+@pytest.mark.parametrize("s, cap, p", [
     (Fraction(1, 10), 2, 3),    # 3/2 > sqrt2, r = 0: one 'b' dropped at i* = q
     (Fraction(19, 20), 5, 7),   # 7/5 < sqrt2, r = q - 1: one 'b' added at i* = q
     (Fraction(7, 10), 1, 1),    # 1/1, q = 1: every window ends on i* = q
 ])
-def test_window_defect_at_the_window_end(s, q_max, p):
+def test_window_defect_at_the_window_end(s, cap, p):
     E, F, S, G, d, C = flat._integer_form(SQRT2.value(), s)
-    for J in (1, q_max, 3 * q_max + 1, 50):
+    for J in (1, cap, 3 * cap + 1, 50):
         ref = _blocks_python(E, F, S, G, d, C, J)
-        assert _window_blocks(E, F, S, G, d, C, J, q_max) == ref
-        letters = flat._window_letters(E, F, S, G, d, C, J, q_max)
-        assert letters == "".join("b" * n + "a" for n in ref)
+        assert _window_blocks(E, F, S, G, d, C, J, cap) == ref
+        read, want = _letter_read(E, F, S, G, d, C, J, cap)
+        assert read == want
     # the first window really carries the defect: its q blocks do not sum to p
-    assert sum(_blocks_python(E, F, S, G, d, C, q_max)) != p
+    assert sum(_blocks_python(E, F, S, G, d, C, cap)) != p
 
 
 def test_long_stream_matches_reference():

@@ -375,9 +375,10 @@ def _slopes(draw):
 @st.composite
 def _words(draw, theta):
     """Block words over bases c - 1 .. c + 1 in both orientations, 1 to 400
-    blocks: leaf-word slices (admissible), perhaps with one block flipped, or
-    random blocks; and letter strings: 1 to 400 letters of a leaf word,
-    perhaps with one letter flipped, or runs of c to c + 2 b's."""
+    blocks and at most 4000 letters: leaf-word slices (admissible), perhaps
+    with one block flipped, or random blocks; and letter strings: 1 to 400
+    letters of a leaf word, perhaps with one letter flipped, or runs of c to
+    c + 2 b's."""
     c = theta.floor_part()
     n = draw(st.integers(min_value=1, max_value=400))
     s = Fraction(draw(st.integers(1, 996)), 997)
@@ -391,6 +392,7 @@ def _words(draw, theta):
         if j >= 0:
             letters[j] = "ab"[letters[j] == "a"]
         return "".join(letters)
+    n = min(n, max(1, 4000 // (c + 3)))  # a block holds at most c + 3 letters
     if kind == "slice":
         blocks = list(oracle.leaf_block_stream(theta, s, skip + n)[skip:])
         if draw(st.booleans()):
@@ -428,17 +430,6 @@ def test_block_verdicts_at_the_byte_edges(c):
                         == _outcome(ref.is_admissible_letters, word, theta, 24)), word
 
 
-def _refuse_letters(monkeypatch):
-    # the window kernel's letter read-out, its letter period and the leaf
-    # letter stream raise when read
-    def refuse(*args, **kwargs):
-        raise RuntimeError("letters read")
-
-    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
-    monkeypatch.setattr(flat, "_window_letters", refuse)
-    monkeypatch.setattr(flat, "_period_word", refuse)
-
-
 def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
     # integer part 300 or a block of 256 falls back to no letter path: the
     # block offsets decide it as the letter reference does
@@ -451,7 +442,7 @@ def test_block_verdicts_fall_back_beyond_a_byte(monkeypatch):
     want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
     assert [c.verdict for c in want] == ["inadmissible", "admissible", "admissible",
                                          "inadmissible"]
-    _refuse_letters(monkeypatch)
+    ref.refuse_letters(monkeypatch)
     assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
 
 
@@ -464,7 +455,7 @@ def test_torus_block_words_are_decided_on_their_bytes(monkeypatch):
                                               lambda t, k: words.inadmissible_segment(t, k).word)]
     want = [ref.is_admissible_letters(word, theta) for theta, word in cases]
     assert {c.verdict for c in want} == {"inadmissible"}
-    _refuse_letters(monkeypatch)
+    ref.refuse_letters(monkeypatch)
     assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
 
 
@@ -490,7 +481,7 @@ def test_oracle_reads_no_letters(monkeypatch):
                                                   ((s, 20_000) for s in heights)))
     assert all(found)
 
-    _refuse_letters(monkeypatch)
+    ref.refuse_letters(monkeypatch)
     assert [_outcome(oracle.is_admissible, word, theta) for theta, word in verdicts] == want
     assert [oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at
             for word, seed in searches] == found

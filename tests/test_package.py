@@ -490,21 +490,17 @@ def test_opaque_slopes_read_the_window_kernel(monkeypatch):
 
 
 def test_block_word_verdicts_read_no_letter_haystack(monkeypatch):
-    # a "ba" block-word verdict reads the convergent's block offsets: neither
-    # a letter period nor the window kernel's letter read-out is built
-    from laminath import flat, oracle, words
+    # a "ba" block-word verdict reads the convergent's block offsets: no
+    # letter plan is made and no letter stream read
+    from laminath import oracle, words
     from laminath.cf import ContinuedFraction
-    from reference import is_admissible_letters
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("letter haystack built")
+    from reference import is_admissible_letters, refuse_letters
 
     cases = [(theta, words.inadmissible_segment(theta, k).word)
              for theta in (ContinuedFraction.sqrt2(), ContinuedFraction.from_text("cf:[4;1,1,7]p"))
              for k in (2, 3, 6, 7)]
     want = [is_admissible_letters(word, theta) for theta, word in cases]
-    monkeypatch.setattr(flat, "_period_word", refuse)
-    monkeypatch.setattr(flat, "_window_letters", refuse)
+    refuse_letters(monkeypatch)
     assert [oracle.is_admissible(word, theta) for theta, word in cases] == want
     assert {cert.verdict for cert in want} == {"inadmissible"}
 
@@ -517,7 +513,7 @@ def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
 
     from laminath import flat, oracle, words
     from laminath.cf import ContinuedFraction
-    from reference import first_occurrence_letters
+    from reference import first_occurrence_letters, refuse_letters
 
     theta = ContinuedFraction.from_text("cf:[2;1,3]p")
     cases = [(word, seed) for word in (words.inadmissible_word(theta, 4),
@@ -530,13 +526,9 @@ def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
                                              ((s, 20_000) for s in heights)))
     assert want[0] is want[1] is None and want[2] and want[3]
 
-    def refuse(*args, **kwargs):
-        raise RuntimeError("letters read")
-
     reads = []
     quotients = flat.partial_quotients
-    monkeypatch.setattr(oracle, "leaf_letter_stream", refuse)
-    monkeypatch.setattr(flat, "_window_letters", refuse)
+    refuse_letters(monkeypatch)
     monkeypatch.setattr(flat, "partial_quotients", lambda *args: reads.append(args)
                         or quotients(*args))
     for (word, seed), found in zip(cases, want):
@@ -547,14 +539,12 @@ def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
 
 def test_segments_and_clearances_read_no_letters(monkeypatch):
     # segment words and clearance certificates are read on the window
-    # kernel's block read-out: no letter period is built or sliced
+    # kernel's block read-out: no letter plan is made
     from fractions import Fraction
 
     from laminath import flat, words
     from laminath.cf import ContinuedFraction
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("letters read")
+    from reference import refuse_letters
 
     thetas = (ContinuedFraction.sqrt2(), ContinuedFraction.from_text("cf:[4;1,1,7]p"),
               ContinuedFraction.from_text("cf:[300;2]p"))
@@ -567,6 +557,5 @@ def test_segments_and_clearances_read_no_letters(monkeypatch):
         return seg.word, seg.measure, clearance
 
     want = [certify(theta, k) for theta, k in cases]
-    monkeypatch.setattr(flat, "_window_letters", refuse)
-    monkeypatch.setattr(flat, "_period_word", refuse)
+    refuse_letters(monkeypatch)
     assert [certify(theta, k) for theta, k in cases] == want

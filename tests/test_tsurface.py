@@ -128,6 +128,17 @@ def test_surface_json_round_trip():
         assert surface_doc(S2) == doc
 
 
+def test_preset_documents_name_their_own_field():
+    # a preset names the field of its shear, the one the loader finds in its
+    # coordinates: sqrt5 for a shear in Q(sqrt5), None for a rational shear
+    for make in (ts.sheared_torus_doc, ts.slit_tori_doc):
+        for gamma, field in ((None, "sqrt2"), (Fraction(1, 3), None),
+                             (QuadNum(Fraction(-1, 2), Fraction(1, 2), 5), "sqrt5")):
+            doc = make() if gamma is None else make(gamma)
+            assert doc["field"] == field
+            assert surface_doc(ts.load_surface(doc))["field"] == field
+
+
 # -- flow and first returns ------------------------------------------------------
 
 def _reference_flow_step(point, surface, direction=1):

@@ -188,9 +188,9 @@ def test_segment_bounds_both_thetas():
 
 
 @st.composite
-def _theta_levels(draw, q_max=3000):
+def _theta_levels(draw, q_top=3000):
     """A finite or eventually periodic theta > 1 and its levels k >= 2 with
-    q_k <= q_max (at least one)."""
+    q_k <= q_top (at least one)."""
     c0 = draw(st.integers(1, 300))
     rest = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), min_size=2,
                          max_size=8))
@@ -204,7 +204,7 @@ def _theta_levels(draw, q_max=3000):
         theta = ContinuedFraction(preperiod=[c0, *rest[:-plen]], period=rest[-plen:])
     levels = []
     try:
-        while theta.convergent(len(levels) + 2).q <= q_max:
+        while theta.convergent(len(levels) + 2).q <= q_top:
             levels.append(len(levels) + 2)
     except PrecisionExhausted:
         pass
@@ -257,7 +257,7 @@ def _reference_segment(theta, k, cert):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_theta_levels(q_max=5000))
+@given(_theta_levels(q_top=5000))
 def test_integer_segment_matches_the_references(theta_levels):
     # the integer certificate against Fraction/QuadNum arithmetic and the
     # generic lattice check, at every level of both parities up to q_k = 5000:
