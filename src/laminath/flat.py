@@ -251,17 +251,17 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     return windows
 
 
-def _window_read(plan, E, F, S, G, d, C, J: int):
-    """The whole windows that hold blocks 0..J-1 of
-    x_j = (E j + S + (F j + G) sqrt(d)) / C, read off the slope half
-    ``plan`` in its images: 0/1 offsets or letters.  Block j of the doubled
-    period starts at j w0 + (w1 - w0) floor(j f/q), with w0 and w1 the
-    images' lengths and f = p - c q the offsets' sum over a period."""
+def _window_read(plan, windows):
+    """The whole windows of ``windows`` (``_window_plan``'s, of the slope
+    half ``plan``) read off the plan in its images: 0/1 offsets or letters.
+    Block j of the doubled period starts at j w0 + (w1 - w0) floor(j f/q),
+    with w0 and w1 the images' lengths and f = p - c q the offsets' sum
+    over a period."""
     quotients, p, q, _, _, (x0, x1), period = plan
     w0, w1, f = len(x0), len(x1), p - quotients[0] * q
     width = q * w0 + (w1 - w0) * f
     pieces = []
-    for j0, i, miss in _window_plan(plan, E, F, S, G, d, C, J):
+    for j0, i, miss in windows:
         start = j0 * w0 + (w1 - w0) * (j0 * f // q)
         if not miss:
             pieces.append(period[start:start + width])
@@ -275,12 +275,28 @@ def _window_read(plan, E, F, S, G, d, C, J: int):
     return period[:0].join(pieces)
 
 
+def _window_seams(q: int, windows) -> list[int]:
+    """The seams of the 0/1 offset read-out of ``windows``, ascending: the
+    last byte before each window but the first, and the bytes of each
+    window's off blocks, wq + i - 1 and wq + i (the first alone when
+    i = q).  Window w is bytes wq .. wq + q - 1 of the read-out, so a run
+    that holds no seam lies in one window, off its swapped blocks: it is a
+    factor of the periodic word of the plan's period."""
+    seams = []
+    for w, (_, i, miss) in enumerate(windows):
+        if w:
+            seams.append(w * q - 1)
+        if miss:
+            seams += (w * q + i - 1, w * q + i) if i < q else (w * q + q - 1,)
+    return seams
+
+
 def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
     """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as a
     bytearray of 0/1 offsets, the first J of the read-out of the slope half
     ``plan`` (``_slope_plan``, built here when not given)."""
     plan = plan or _slope_plan(E, F, d, C, J)
-    offsets = bytearray(_window_read(plan, E, F, S, G, d, C, J))
+    offsets = bytearray(_window_read(plan, _window_plan(plan, E, F, S, G, d, C, J)))
     del offsets[J:]
     return offsets, plan[0][0]
 
@@ -379,7 +395,8 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     (0, s), 'b' per horizontal grid line and 'a' per vertical one, and the
     lattice point (m, n) the line meets within them, or None."""
     E, F, S, G, d, C, J = _letter_line(theta, s, num_letters)
-    letters = _window_read(_slope_plan(E, F, d, C, J, letters=True), E, F, S, G, d, C, J)
+    plan = _slope_plan(E, F, d, C, J, letters=True)
+    letters = _window_read(plan, _window_plan(plan, E, F, S, G, d, C, J))
     hit = _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:

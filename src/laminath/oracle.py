@@ -21,7 +21,13 @@ An independent sampling oracle searches long leaf-word prefixes from many
 start heights, on the same needle.  The prefixes come from the window kernel
 in ``flat``: copies of a convergent's block period, each placed and
 corrected by a few exact floors.  A search plans each slope once per call,
-for all its heights; the witness search is the same loop.
+for all its heights; the witness search is the same loop.  A run of a
+prefix inside one window, off its corrected blocks, is a factor of the
+periodic word, so a needle that word lacks (every inadmissible word's) can
+only occur through a seam: a window's last byte or a corrected one.  Such
+needles are searched in the spans around the seams alone, a few needle
+lengths per window, not in the whole prefix (Lohrey 2012 on pattern
+matching in compressed strings).
 """
 
 from __future__ import annotations
@@ -110,16 +116,20 @@ def _needle(u: str, c: int, blocks=None) -> tuple[Optional[bytes], bool, int]:
     {c, c + 1}.  A u with no 'a' is its tail b^y alone, with x = -1.  The
     stored blocks of a "ba" BlockWord, u = a (b^n_1 a) ... (b^n_k a), are
     given as ``blocks`` and translated once."""
-    if blocks is None:
-        *runs, y = map(len, u.split("a"))
-        x, blocks = (runs[0], runs[1:]) if runs else (-1, ())
-    else:
+    if blocks is not None:
         x = y = 0
-    if type(blocks) is bytes and c < 255:
-        inner = (None if blocks.translate(None, bytes((c, c + 1)))
-                 else blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01")))
+        if type(blocks) is bytes and c < 255:
+            inner = (None if blocks.translate(None, bytes((c, c + 1)))
+                     else blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01")))
+        else:
+            inner = bytes(b - c for b in blocks) if set(blocks) <= {c, c + 1} else None
     else:
-        inner = bytes(b - c for b in blocks) if set(blocks) <= {c, c + 1} else None
+        x, last = u.find("a"), u.rfind("a")
+        y = len(u) - 1 - last
+        # the inner blocks b^(c+1) a and b^c a become 0x01 and 0x00, the
+        # 'ba' first; any other block leaves an 'a' or a 'b' behind
+        inner = u[x + 1:last + 1].replace("b" * c + "ba", "\x01").replace("b" * c + "a", "\x00")
+        inner = None if "a" in inner or "b" in inner else inner.encode()
     if inner is None or max(x, y) > c + 1:
         return None, False, x
     head = x == c + 1
@@ -169,26 +179,58 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                     aligned, s, offset)
 
 
+def _cyclic(period: bytes, m: int) -> bytes:
+    """The first q + m - 1 bytes of the periodic word of the q-byte
+    ``period``: they hold every length-m factor of it."""
+    q = len(period)
+    return (period * (m // q + 2))[:q + m - 1]
+
+
 def _occurs(needle: Optional[bytes], periods) -> bool:
     """Whether the periodic word of the next block period of ``periods``
-    holds ``needle``: L // q + 2 periods hold every length-L factor."""
+    holds ``needle``; the level is read either way."""
     period = next(periods)
-    return needle is not None and needle in period * (len(needle) // len(period) + 2)
+    return needle is not None and needle in _cyclic(period, len(needle))
 
 
-def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> bytearray:
-    """The blocks that hold the first n letters of the leaf word from (0, s)
-    (the J of ``flat._letter_line``), as 0/1 offsets from c0.  The slope half
-    of the window plan comes from ``plans``, keyed by the line's slope
-    reduced by its gcd and J, and is built there on first use: heights over
-    different denominators scale the same slope's integers differently."""
+def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> tuple:
+    """(offsets, seams, period): the blocks that hold the first n letters of
+    the leaf word from (0, s) (the J of ``flat._letter_line``), as 0/1
+    offsets from c0; the ascending seams of their read-out; and the block
+    period of its plan, one object per plan.
+
+    The slope half of the window plan and its period come from ``plans``,
+    keyed by the line's slope reduced by its gcd and J, built there on first
+    use: heights over different denominators scale the same slope's
+    integers differently.  One window plan gives the read-out and its seams
+    (``flat._window_seams``): a run of offsets that holds no seam is a
+    factor of the periodic word of the period."""
     E, F, S, G, d, C, J = flat._letter_line(theta, s, n)
     g = math.gcd(E, F, C)
     key = (E // g, F // g, d, C // g, J)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = flat._slope_plan(E, F, d, C, J)
-    return flat._window_blocks(E, F, S, G, d, C, J, plan=plan)[0]
+    entry = plans.get(key)
+    if entry is None:
+        plan = flat._slope_plan(E, F, d, C, J)
+        entry = plans[key] = plan, plan[6][:plan[2]]
+    plan, period = entry
+    windows = flat._window_plan(plan, E, F, S, G, d, C, J)
+    return flat._window_read(plan, windows)[:J], flat._window_seams(plan[2], windows), period
+
+
+def _seam_find(offs, needle: bytes, start: int, seams) -> int:
+    """``offs.find(needle, start)`` for a needle whose every occurrence holds
+    one of the ascending ``seams``: the spans [x - m + 1, x + m) of the
+    seams x, m = len(needle), are merged and searched in order, so the first
+    hit is the first occurrence."""
+    m = len(needle)
+    lo = hi = start
+    for x in seams:
+        if x - m + 1 >= hi:  # past the current span: search it
+            if lo < hi and (i := offs.find(needle, lo, hi)) >= 0:
+                return i
+            lo = x - m + 1
+        hi = x + m
+    return offs.find(needle, lo, hi) if lo < hi else -1
 
 
 def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFraction,
@@ -199,14 +241,19 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     (``_height_read``).
 
     The search string's needle (``_needle``) is found in the leaf word's
-    block offsets.  A hit whose block after the head starts at letter L
-    puts the search string at L - x - 1, and the letters of an aligned word
-    one letter on.  So a hit at block 0 with no head byte counts only for
-    an aligned "ba" word (x = 0): its marker is the start of the stream, at
-    letter -1.  An "ab" word's letters also count at letter 0 where the
-    needle of "a" + letters starts the offsets.  The first hit ends first,
-    so it is the first letter occurrence; it counts if the word ends by
-    letter n."""
+    block offsets.  Where the periodic word of a plan's period does not
+    hold the needle (tested once per plan), every occurrence holds a seam of
+    the read-out, and only the spans around the seams are searched
+    (``_seam_find``); elsewhere, as in the witness search for an admissible
+    word, the whole read-out is.
+
+    A hit whose block after the head starts at letter L puts the search
+    string at L - x - 1, and the letters of an aligned word one letter on.
+    So a hit at block 0 with no head byte counts only for an aligned "ba"
+    word (x = 0): its marker is the start of the stream, at letter -1.  An
+    "ab" word's letters also count at letter 0 where the needle of "a" +
+    letters starts the offsets.  The first hit ends first, so it is the
+    first letter occurrence; it counts if the word ends by letter n."""
     search, letters, aligned = form
     c = theta.floor_part()
     blocks = _stored_blocks(word)
@@ -215,16 +262,22 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     if needle is None and top is None:
         return None
     first = not head and x >= aligned  # the least block a hit may start at
-    plans = {}
+    plans, absent = {}, {}
     for s, n in starts:
-        offs = _height_read(theta, s, n, plans)
+        offs, seams, period = _height_read(theta, s, n, plans)
         if top is not None and offs.startswith(top):
             at = 0
-        elif needle is not None and (i := offs.find(needle, first)) >= 0:
+        elif needle is None:
+            continue
+        else:
+            if period not in absent:
+                absent[period] = needle not in _cyclic(period, len(needle))
+            i = (_seam_find(offs, needle, first, seams) if absent[period]
+                 else offs.find(needle, first))
+            if i < 0:
+                continue
             i += head
             at = i * (c + 1) + offs.count(1, 0, i) - x - 1 + aligned
-        else:
-            continue
         if at + len(letters) <= n:
             return s, at
     return None

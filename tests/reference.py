@@ -290,6 +290,18 @@ def is_admissible_letters(word, theta: ContinuedFraction,
                                            aligned, s, offset)
 
 
+def run_length_needle(u: str, c: int):
+    """``oracle._needle`` of the letter string u, by its run lengths: the
+    runs of b's between its a's are its blocks, less c, and its leading
+    and trailing runs add a 1 where they fill a long block."""
+    *runs, y = map(len, u.split("a"))
+    x, blocks = (runs[0], runs[1:]) if runs else (-1, ())
+    if not set(blocks) <= {c, c + 1} or max(x, y) > c + 1:
+        return None, False, x
+    head = x == c + 1
+    return bytes([1] * head + [b - c for b in blocks] + [1] * (y == c + 1)), head, x
+
+
 def first_occurrence_letters(search: str, letters: str, aligned: bool,
                              theta: ContinuedFraction, starts):
     """``oracle._first_occurrence`` in letter space, one whole letter stream

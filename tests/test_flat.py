@@ -227,7 +227,7 @@ def _letter_read(E, F, S, G, d, C, J, cap):
     plan = _plan(E, F, d, C, J, cap, letters=True)
     q = plan[2]
     want = "".join("b" * n + "a" for n in _blocks_python(E, F, S, G, d, C, -(-J // q) * q))
-    return flat._window_read(plan, E, F, S, G, d, C, J), want
+    return flat._window_read(plan, flat._window_plan(plan, E, F, S, G, d, C, J)), want
 
 
 @settings(max_examples=200, deadline=None)

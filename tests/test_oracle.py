@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -198,6 +198,15 @@ def test_opaque_source_streams_and_verdicts():
     assert oracle.is_admissible("ab", lazy) == oracle.is_admissible("ab", SQRT2)
 
 
+def test_needle_parse_matches_the_run_length_reference():
+    # the needle of every a/b string of up to 12 letters, over bases on
+    # both sides of a byte
+    for m in range(13):
+        for u in map("".join, product("ab", repeat=m)):
+            for c in (0, 1, 2, 254, 255, 300):
+                assert oracle._needle(u, c) == ref.run_length_needle(u, c)
+
+
 def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
     # a witness search that finds nothing reads three heights per
     # denominator, each denominator's streams twice as long as the last
@@ -205,7 +214,7 @@ def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
 
     def empty(theta, s, n, plans):
         calls.append((s, n))
-        return b""
+        return b"", [], b"\x00"
 
     monkeypatch.setattr(oracle, "_height_read", empty)
     with pytest.raises(CertificateViolation, match="not found in sampled leaf words"):
@@ -347,6 +356,82 @@ def test_block_searches_match_the_letter_reference(case):
                                                         ((s, n) for s in rep.heights))
     assert (_outcome(oracle._find_witness, word, form, theta)
             == _outcome(ref.find_witness_letters, *form, theta))
+
+
+@st.composite
+def _seam_cases(draw):
+    """(theta, s, n): a slope with integer part 1 or 2, a quadratic
+    irrational (exact or opaque) or a rational with denominator at most 7,
+    whose one window plan has no swapped blocks; a height; and n letters, so
+    few that the plan's q is small and needles run past it."""
+    c = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["exact", "opaque", "rational"]))
+    if kind == "rational":
+        q = draw(st.integers(min_value=1, max_value=7))
+        theta = ContinuedFraction.from_rational(
+            Fraction(c * q + draw(st.integers(min_value=1, max_value=q)), q))
+    else:
+        theta = ContinuedFraction.periodic([c], draw(st.lists(st.integers(1, 4), min_size=1,
+                                                              max_size=3)))
+        if kind == "opaque":
+            theta = ContinuedFraction(source=theta.coefficient)
+    s = Fraction(draw(st.integers(min_value=0, max_value=996)), 997)
+    return theta, s, draw(st.integers(min_value=8, max_value=1500))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seam_cases(), st.data())
+def test_seam_search_matches_a_plain_find(case, data):
+    # the seams cut a height's read-out into factors of its plan's periodic
+    # word; a needle that word lacks is found at the seams exactly where a
+    # plain find finds it, from block 0 or 1; and words through a seam, or
+    # read off the period, are placed as the letter reference places them
+    theta, s, n = case
+    offs, seams, period = oracle._height_read(theta, s, n, {})
+    J = flat._letter_line(theta, s, n)[-1]
+    assert offs == flat._window_blocks(*flat._line(theta, s, J), J)[0]
+    assert seams == sorted(seams)
+    cuts = sorted({-1, J, *(x for x in seams if x < J)})
+    for a, b in zip(cuts, cuts[1:]):
+        assert offs[a + 1:b] in oracle._cyclic(period, b - a - 1)
+
+    q = len(period)
+    start = data.draw(st.sampled_from([0, 1]), label="start")
+    for a in range(J):
+        # the shortest run from block a that the periodic word lacks, found
+        # by bisection (its extensions lack it too), not by the seams
+        lo, hi = a + 1, J
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if offs[a:mid] in oracle._cyclic(period, mid - a):
+                lo = mid + 1
+            else:
+                hi = mid
+        needle = offs[a:hi]
+        if needle not in oracle._cyclic(period, hi - a):
+            assert oracle._seam_find(offs, needle, start, seams) == offs.find(needle, start)
+
+    m = data.draw(st.integers(min_value=1, max_value=min(J, 2 * q + 2)), label="m")
+    if data.draw(st.booleans(), label="from the period"):
+        at = data.draw(st.integers(min_value=0, max_value=q - 1))
+        needle = oracle._cyclic(period, at + m)[at:at + m]
+    else:
+        x = data.draw(st.sampled_from(cuts[1:-1] or [0]), label="seam")
+        at = min(max(x - data.draw(st.integers(min_value=0, max_value=m - 1)), 0), J - m)
+        needle = bytearray(offs[at:at + m])
+        if data.draw(st.booleans(), label="flip one byte"):
+            needle[data.draw(st.integers(min_value=0, max_value=m - 1))] ^= 1
+    if needle not in oracle._cyclic(period, m):
+        assert oracle._seam_find(offs, needle, start, seams) == offs.find(needle, start)
+
+    c = theta.floor_part()
+    letters = "".join("b" * (c + o) + "a" for o in needle)
+    runs = [len(run) for run in (letters + "b").split("b")[:-1]]
+    for word in (letters, words.BlockWord(c, [c + o for o in needle]),
+                 words.BlockWord(0, runs, "ab")):
+        form = oracle._search_form(word)
+        assert (oracle._first_occurrence(word, form, theta, [(s, n)])
+                == ref.first_occurrence_letters(*form, theta, [(s, n)]))
 
 
 # -- block-space verdicts ----------------------------------------------------------
