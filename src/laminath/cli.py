@@ -123,8 +123,9 @@ def cmd_exotic(cfg: argparse.Namespace):
     stages = [{"index": st.level, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
               for st in ew.stages]
     blocks = ew.blocks()
-    letters = ew.letters()
-    if cfg.prefix_blocks is not None:
+    if cfg.prefix_blocks is None:
+        letters = ew.letters()
+    else:
         blocks = blocks[:cfg.prefix_blocks]
         letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
     return {"alphabet": "abAB", "theta": cfg.theta.to_text(),

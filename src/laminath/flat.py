@@ -8,6 +8,10 @@ segments contribute 0, vertical hops their length, and loops around the
 puncture (cusp-marked lattice vertices) nothing.  The perpendicular-length
 normalization differs by the constant factor 1/sqrt(1 + theta^2) and is
 available as a floating-point convenience only.
+
+One window kernel (see the cutting sequences) reads every Sturmian word,
+the oracle's sampled leaf prefixes with their window seams and period
+included (``_leaf_offsets``): the oracle never reads a window plan.
 """
 
 from __future__ import annotations
@@ -165,7 +169,8 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # either image, as the morphism of the images commutes with it.  The slope
 # half of the plan (p/q, the sign, p^-1 mod q, the images and the period)
 # depends on the slope, J and the images alone, so lines of one slope at
-# many heights share it.
+# many heights share it, as the sampled read-out (``_leaf_offsets``) does
+# across the heights of one search.
 
 
 def _integer_form(theta_val: Exact, s) -> tuple[int, int, int, int, int, int]:
@@ -275,22 +280,6 @@ def _window_read(plan, windows):
     return period[:0].join(pieces)
 
 
-def _window_seams(q: int, windows) -> list[int]:
-    """The seams of the 0/1 offset read-out of ``windows``, ascending: the
-    last byte before each window but the first, and the bytes of each
-    window's off blocks, wq + i - 1 and wq + i (the first alone when
-    i = q).  Window w is bytes wq .. wq + q - 1 of the read-out, so a run
-    that holds no seam lies in one window, off its swapped blocks: it is a
-    factor of the periodic word of the plan's period."""
-    seams = []
-    for w, (_, i, miss) in enumerate(windows):
-        if w:
-            seams.append(w * q - 1)
-        if miss:
-            seams += (w * q + i - 1, w * q + i) if i < q else (w * q + q - 1,)
-    return seams
-
-
 def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
     """(offsets, c): blocks 0..J-1 of x_j less c = floor(x_1 - x_0), as a
     bytearray of 0/1 offsets, the first J of the read-out of the slope half
@@ -305,13 +294,6 @@ def _block_values(offsets, c: int):
     """The blocks c + offset, by one translate where they fit in a byte."""
     return (offsets.translate(bytes.maketrans(b"\x00\x01", bytes((c, c + 1))))
             if 0 <= c < 255 else list(map(c.__add__, offsets)))
-
-
-def floor_blocks(E: int, F: int, S: int, G: int, d: int, C: int, J: int) -> list[int]:
-    """Blocks floor(x_{j+1}) - floor(x_j), j = 0..J-1, of
-    x_j = (E j + S + (F j + G) sqrt(d)) / C, with square-free d and C > 0,
-    read off the window kernel's block offsets."""
-    return list(_block_values(*_window_blocks(E, F, S, G, d, C, J)))
 
 
 def _first_hit(E, F, S, G, C, J) -> Optional[tuple[int, int]]:
@@ -366,7 +348,7 @@ def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
     reads a convergent line with the same blocks (``_line``).
     """
     E, F, S, G, d, C = _line(theta, s, num_blocks)
-    return (floor_blocks(E, F, S, G, d, C, num_blocks),
+    return (list(_block_values(*_window_blocks(E, F, S, G, d, C, num_blocks))),
             _first_hit(E, F, S, G, C, num_blocks))
 
 
@@ -388,6 +370,39 @@ def _letter_line(theta: ContinuedFraction, s, num_letters: int):
     A, B, den = num_letters * C * (C + E), -num_letters * C * F, (C + E) ** 2 - F * F * d
     J = (pair_floor(A, B, d, den) if den > 0 else pair_floor(-A, -B, d, -den)) + 1
     return E, F, S, G, d, C, J
+
+
+def _leaf_offsets(theta: ContinuedFraction, s, n: int, plans: dict) -> tuple:
+    """(offsets, seams, period): the J blocks of ``_letter_line`` that hold
+    the first n letters of the leaf word from (0, s), as 0/1 offsets from
+    c0; the ascending seams of their read-out; and the block period of its
+    plan, one object per plan.
+
+    The slope half of the window plan and its period come from ``plans``,
+    keyed by the line's slope reduced by its gcd and J, built there on first
+    use: heights over different denominators scale the same slope's
+    integers differently.  Window w is bytes wq .. wq + q - 1 of the
+    read-out; its seams are the byte before it (but for the first window)
+    and its off blocks' bytes, wq + i - 1 and wq + i (the first alone when
+    i = q).  So a run that holds no seam lies in one window, off its
+    swapped blocks: it is a factor of the periodic word of the period."""
+    E, F, S, G, d, C, J = _letter_line(theta, s, n)
+    g = math.gcd(E, F, C)
+    key = (E // g, F // g, d, C // g, J)
+    entry = plans.get(key)
+    if entry is None:
+        plan = _slope_plan(E, F, d, C, J)
+        entry = plans[key] = plan, plan[6][:plan[2]]
+    plan, period = entry
+    q = len(period)
+    windows = _window_plan(plan, E, F, S, G, d, C, J)
+    seams = []
+    for w, (_, i, miss) in enumerate(windows):
+        if w:
+            seams.append(w * q - 1)
+        if miss:
+            seams += (w * q + i - 1, w * q + i) if i < q else (w * q + q - 1,)
+    return _window_read(plan, windows)[:J], seams, period
 
 
 def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):

@@ -366,21 +366,18 @@ class _CutTable:
     def max_gap(self, depth: int):
         return self.kernel.value(self.gap(depth))
 
-    def cuts(self, depth: int) -> list:
-        """The sorted cuts of depth 1..``depth``, as field elements; with no
-        cut born at ``depth`` >= 1, every strand died sooner (on a surface,
-        every backward separatrix is a saddle connection): CylinderDecomposition."""
+    def partition(self, depth: int) -> ReturnPartition:
+        """The level-set partition for the ``depth``-step return word: the
+        sorted cuts of depth 1..``depth``, as field elements, and, per open
+        interval between 0, 1 and them, its constant word, read from its
+        midpoint over 2D.  With no cut born at ``depth`` >= 1, every strand
+        died sooner (on a surface, every backward separatrix is a saddle
+        connection): CylinderDecomposition."""
         pts = self._sorted(depth)
         if not self.strands and depth >= self.depth:  # every strand died by then
             raise CylinderDecomposition("every backward separatrix is a saddle connection")
-        return [self.kernel.value(p) for p in pts]
-
-    def partition(self, depth: int) -> ReturnPartition:
-        """The level-set partition for the ``depth``-step return word: the
-        cuts of depth at most ``depth`` and, per open interval between 0, 1
-        and them, its constant word, read from its midpoint over 2D."""
-        cuts, half = self.cuts(depth), self.kernel.scaled(2, self.kernel.surd)
-        pts = [(0, 0)] + self._sorted(depth) + [(self.kernel.D, 0)]
+        cuts, half = [self.kernel.value(p) for p in pts], self.kernel.scaled(2, self.kernel.surd)
+        pts = [(0, 0)] + pts + [(self.kernel.D, 0)]
         ends = [Fraction(0)] + cuts + [Fraction(1)]
         return ReturnPartition(depth, cuts, [
             PartitionInterval(lo, hi, half.return_word([u + x, v + y], depth))

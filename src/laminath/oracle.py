@@ -19,9 +19,10 @@ standard-word recursion).
 
 An independent sampling oracle searches long leaf-word prefixes from many
 start heights, on the same needle.  The prefixes come from the window kernel
-in ``flat``: copies of a convergent's block period, each placed and
-corrected by a few exact floors.  A search plans each slope once per call,
-for all its heights; the witness search is the same loop.  A run of a
+in ``flat`` (``flat._leaf_offsets``): copies of a convergent's block
+period, each placed and corrected by a few exact floors, with the seams of
+the copy and the period it copies.  A search plans each slope once per
+call, for all its heights; the witness search is the same loop.  A run of a
 prefix inside one window, off its corrected blocks, is a factor of the
 periodic word, so a needle that word lacks (every inadmissible word's) can
 only occur through a seam: a window's last byte or a corrected one.  Such
@@ -32,7 +33,6 @@ matching in compressed strings).
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import count
@@ -63,7 +63,7 @@ def rational_factors(r, m: int) -> FactorSet:
     cyclic rotations."""
     r = Fraction(r)
     period = simple_word(r, 1).letters()
-    hay = period * (m // len(period) + 2)
+    hay = _cyclic(period, m)
     return FactorSet(r, m, frozenset(hay[i:i + m] for i in range(len(period))))
 
 
@@ -179,9 +179,9 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                                     aligned, s, offset)
 
 
-def _cyclic(period: bytes, m: int) -> bytes:
-    """The first q + m - 1 bytes of the periodic word of the q-byte
-    ``period``: they hold every length-m factor of it."""
+def _cyclic(period, m: int):
+    """The first q + m - 1 symbols of the periodic word of the length-q
+    ``period`` (bytes or str): they hold every length-m factor of it."""
     q = len(period)
     return (period * (m // q + 2))[:q + m - 1]
 
@@ -191,30 +191,6 @@ def _occurs(needle: Optional[bytes], periods) -> bool:
     holds ``needle``; the level is read either way."""
     period = next(periods)
     return needle is not None and needle in _cyclic(period, len(needle))
-
-
-def _height_read(theta: ContinuedFraction, s, n: int, plans: dict) -> tuple:
-    """(offsets, seams, period): the blocks that hold the first n letters of
-    the leaf word from (0, s) (the J of ``flat._letter_line``), as 0/1
-    offsets from c0; the ascending seams of their read-out; and the block
-    period of its plan, one object per plan.
-
-    The slope half of the window plan and its period come from ``plans``,
-    keyed by the line's slope reduced by its gcd and J, built there on first
-    use: heights over different denominators scale the same slope's
-    integers differently.  One window plan gives the read-out and its seams
-    (``flat._window_seams``): a run of offsets that holds no seam is a
-    factor of the periodic word of the period."""
-    E, F, S, G, d, C, J = flat._letter_line(theta, s, n)
-    g = math.gcd(E, F, C)
-    key = (E // g, F // g, d, C // g, J)
-    entry = plans.get(key)
-    if entry is None:
-        plan = flat._slope_plan(E, F, d, C, J)
-        entry = plans[key] = plan, plan[6][:plan[2]]
-    plan, period = entry
-    windows = flat._window_plan(plan, E, F, S, G, d, C, J)
-    return flat._window_read(plan, windows)[:J], flat._window_seams(plan[2], windows), period
 
 
 def _seam_find(offs, needle: bytes, start: int, seams) -> int:
@@ -238,7 +214,7 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     """(height, offset) of ``word``, in its ``_search_form`` ``form``, in the
     first leaf word, read to n letters for each (height, n) of ``starts`` in
     turn, that holds it, or None.  Each slope is planned once per call
-    (``_height_read``).
+    (``flat._leaf_offsets``).
 
     The search string's needle (``_needle``) is found in the leaf word's
     block offsets.  Where the periodic word of a plan's period does not
@@ -264,7 +240,7 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     first = not head and x >= aligned  # the least block a hit may start at
     plans, absent = {}, {}
     for s, n in starts:
-        offs, seams, period = _height_read(theta, s, n, plans)
+        offs, seams, period = flat._leaf_offsets(theta, s, n, plans)
         if top is not None and offs.startswith(top):
             at = 0
         elif needle is None:

@@ -20,7 +20,7 @@ convergent words with loops around the puncture.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from ._record import factory, record
@@ -340,7 +340,7 @@ def _validate_indices(indices: Iterable[int]) -> Iterator[int]:
 
 
 def exotic_word(theta: ContinuedFraction, indices: Iterable[int], *,
-                thin: bool = False, max_stages: Optional[int] = None) -> ExoticWord:
+                thin: bool = False) -> ExoticWord:
     """Concatenate inadmissible segments over a same-parity index sequence.
 
     Consecutive representatives are joined by vertical connectors of length
@@ -364,7 +364,7 @@ def exotic_word(theta: ContinuedFraction, indices: Iterable[int], *,
     stages = exotic_stages(_validate_indices(indices),
                            lambda k: inadmissible_segment(theta, k), join, tail,
                            thin=thin, skipped=out.skipped_indices)
-    out.stages.extend(islice(stages, max_stages))
+    out.stages.extend(stages)
     return out
 
 

@@ -343,13 +343,26 @@ def test_measure_path_with_quadratic_coordinates(tmp_path):
 
 
 def test_console_script_matches_in_process():
+    # an installed console script runs as it is; otherwise its
+    # [project.scripts] target runs in a child interpreter off the source tree
+    import os
+    import re
     import shutil
     import subprocess
-    if shutil.which("laminath") is None:
-        pytest.skip("console script not installed")
+    import sys
+    from pathlib import Path
     argv = ["--emit", "json", "convergents", "--theta", "cf:[1;2]p", "--k", "6"]
     _code, out, _ = run_cli(argv)
-    proc = subprocess.run(["laminath", *argv], capture_output=True, text=True)
+    env = None
+    if shutil.which("laminath") is not None:
+        cmd = ["laminath"]
+    else:
+        root = Path(__file__).resolve().parents[1]
+        module, func = re.search(r'^laminath = "([\w.]+):(\w+)"$',
+                                 (root / "pyproject.toml").read_text(), re.M).groups()
+        cmd = [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([*cmd, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == out
 

@@ -243,7 +243,7 @@ def test_window_blocks_match_reference(E, F, S, G, d, C, J, cap):
     # once q reaches the denominator), and short windows (cap = 2: a
     # defect in most windows)
     ref = _blocks_python(E, F, S, G, d, C, J)
-    assert flat.floor_blocks(E, F, S, G, d, C, J) == ref
+    assert list(flat._block_values(*flat._window_blocks(E, F, S, G, d, C, J))) == ref
     assert _window_blocks(E, F, S, G, d, C, J, cap) == ref
     # a slope plan built at another scale of the same slope reads the same
     plan = _plan(3 * E, 3 * F, d, 3 * C, J, cap)
@@ -286,7 +286,8 @@ def test_window_blocks_short_lengths_and_steep_slopes():
     for form in ((7, 5, 3, 2, 2, 9), (-7, 0, 3, 0, 2, 5), (0, -3, 11, 4, 5, 7),
                  (1000, 1, 3, 2, 2, 3), (-1000, -1, 3, 2, 2, 3)):
         for J in (0, 1, 40):
-            assert flat.floor_blocks(*form, J) == _blocks_python(*form, J)
+            assert (list(flat._block_values(*flat._window_blocks(*form, J)))
+                    == _blocks_python(*form, J))
     assert flat.sturmian_letters(SQRT2, Fraction(1, 4), 0) == ("", None)
     assert flat.sturmian_letters(SQRT2, Fraction(1, 4), 1)[0] == "b"
 

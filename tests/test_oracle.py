@@ -216,7 +216,7 @@ def test_witness_search_reads_its_heights_and_budgets(monkeypatch):
         calls.append((s, n))
         return b"", [], b"\x00"
 
-    monkeypatch.setattr(oracle, "_height_read", empty)
+    monkeypatch.setattr(flat, "_leaf_offsets", empty)
     with pytest.raises(CertificateViolation, match="not found in sampled leaf words"):
         oracle.is_admissible("ab", SQRT2)
     assert calls == [(Fraction(j, denom), 10000 << i)
@@ -387,7 +387,7 @@ def test_seam_search_matches_a_plain_find(case, data):
     # plain find finds it, from block 0 or 1; and words through a seam, or
     # read off the period, are placed as the letter reference places them
     theta, s, n = case
-    offs, seams, period = oracle._height_read(theta, s, n, {})
+    offs, seams, period = flat._leaf_offsets(theta, s, n, {})
     J = flat._letter_line(theta, s, n)[-1]
     assert offs == flat._window_blocks(*flat._line(theta, s, J), J)[0]
     assert seams == sorted(seams)

@@ -1049,7 +1049,7 @@ def test_cut_table_max_gap_matches_sorted_reference(name, gamma):
         for j in order:
             got = table.max_gap(j)
             assert got == want[j] and type(got) is type(want[j]), j
-            assert [_typed(t) for t in table.cuts(j)] == want_cuts[j], j
+            assert [_typed(t) for t in table.partition(j).cuts] == want_cuts[j], j
 
 
 def test_cut_table_keeps_quadnum_type_of_rational_gaps():
