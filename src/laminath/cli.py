@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import EXHAUSTION_ERRORS, LaminathError
+from .errors import EXHAUSTION_ERRORS, LaminathError, MemoryExhausted
 from .exactnum import format_exact, parse_exact
 
 
@@ -120,13 +120,12 @@ def _ledger(stage) -> dict:
 def cmd_exotic(cfg: argparse.Namespace):
     from . import words
     ew = words.exotic_word(cfg.theta, cfg.indices, thin=cfg.thin)
-    stages = [{"index": st.level, "blocks": len(st.certificate.word.blocks), **_ledger(st)}
+    stages = [{"index": st.level, "blocks": st.certificate.B, **_ledger(st)}
               for st in ew.stages]
-    blocks = ew.blocks()
+    blocks = ew.blocks(cfg.prefix_blocks)
     if cfg.prefix_blocks is None:
         letters = ew.letters()
     else:
-        blocks = blocks[:cfg.prefix_blocks]
         letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
     return {"alphabet": "abAB", "theta": cfg.theta.to_text(),
             "kept": ew.kept_indices, "skipped": ew.skipped_indices,
@@ -401,6 +400,8 @@ def run(config: argparse.Namespace) -> int:
         doc = config.handler(config)
     except (LaminathError, ValueError, IndexError, KeyError, OSError) as exc:
         return _fail(exc)
+    except MemoryError:
+        return _fail(MemoryExhausted("out of memory; ask for a lower level or less output"))
     if config.emit == "csv" and "csv" in doc:
         text = doc["csv"]
     elif config.emit == "json":

@@ -70,6 +70,10 @@ class BudgetExhausted(LaminathError):
         self.progress = progress
 
 
+class MemoryExhausted(LaminathError):
+    code = "memory-exhausted"  # a MemoryError reached the CLI
+
+
 # errors that make the CLI exit 3; every other error exits 2
 EXHAUSTION_ERRORS = (PrecisionExhausted, DepthInsufficient, BudgetExhausted,
-                     CylinderDecomposition)
+                     CylinderDecomposition, MemoryExhausted)

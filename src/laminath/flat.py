@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import record
@@ -26,7 +25,7 @@ from .cf import ContinuedFraction, partial_quotients
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                      SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
-                       format_exact, pair_floor, parse_exact, surd)
+                       format_exact, pair_floor, pair_sign, parse_exact, surd)
 
 
 @record(frozen=True)
@@ -352,12 +351,6 @@ def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
             _first_hit(E, F, S, G, C, num_blocks))
 
 
-def _leaf_blocks(theta: ContinuedFraction, s, J: int):
-    """The first J blocks of the line y = theta x + s leaving (0, s), as
-    ``_block_values`` gives them: bytes where they fit in a byte."""
-    return _block_values(*_window_blocks(*_line(theta, s, J), J))
-
-
 def _letter_line(theta: ContinuedFraction, s, num_letters: int):
     """(E, F, S, G, d, C, J): ``_line``'s integers of the line from (0, s)
     and the J blocks that hold its first ``num_letters`` letters."""
@@ -450,10 +443,10 @@ class ClearanceCertificate:
     in the same lattice cells over one cycle, except at the extreme height.
 
     Kept as the kernel's integers: (p_k/q_k) l + s is (E l + S + G sqrt(d)) / C,
-    floors[l] is its integer part, which theta l + s shares for l != l0, and
-    height l, its fractional part, is (nums[l] + G sqrt(d)) / C with nums[l] =
-    E l + S - C floors[l].  ``nums``, ``heights`` and ``agreements`` are
-    decoded on request."""
+    floors[l] = (l p_k + floor(q_k s)) // q_k its integer part, which theta
+    l + s shares for l != l0, and height l, its fractional part, (nums[l] +
+    G sqrt(d)) / C with nums[l] = E l + S - C floors[l].  ``floors``,
+    ``nums``, ``heights`` and ``agreements`` are derived on request."""
 
     k: int
     l0: int
@@ -462,7 +455,12 @@ class ClearanceCertificate:
     S: int
     G: int
     d: int
-    floors: tuple
+
+    @property
+    def floors(self) -> tuple:
+        q = self.C // math.gcd(self.E, self.C)  # E/C is p_k/q_k
+        p, t = self.E * q // self.C, pair_floor(q * self.S, q * self.G, self.d, self.C)
+        return tuple((l * p + t) // q for l in range(q))
 
     @property
     def nums(self) -> tuple:
@@ -479,29 +477,7 @@ class ClearanceCertificate:
     @property
     def agreements(self) -> tuple:
         """(l, common integer part) for l != l0."""
-        l0, floors = self.l0, self.floors
-        return tuple(zip(range(l0), floors[:l0])) + tuple(
-            zip(range(l0 + 1, len(floors)), floors[l0 + 1:]))
-
-
-def _split_check(theta_blocks, rat_blocks, l0: int, f0: int) -> None:
-    """Raise at the first l != l0 where f0 plus the first l blocks differs
-    between the two block sequences (bytes or lists, as ``_block_values``
-    gives them).
-
-    A difference at block j shows at every l > j until another one cancels
-    it, so l0 alone may split exactly when the lists agree off blocks l0 - 1
-    and l0 and, unless l0 is the last l, sum alike over those two.  When
-    that test fails, the per-l loop names the first split."""
-    lo = max(l0 - 1, 0)
-    if (theta_blocks[:lo] == rat_blocks[:lo] and theta_blocks[l0 + 1:] == rat_blocks[l0 + 1:]
-            and (l0 == len(rat_blocks)
-                 or sum(theta_blocks[lo:l0 + 1]) == sum(rat_blocks[lo:l0 + 1]))):
-        return
-    pairs = zip(accumulate(theta_blocks, initial=f0), accumulate(rat_blocks, initial=f0))
-    for l, (f, g) in enumerate(pairs):
-        if f != g and l != l0:
-            raise CertificateViolation(f"integer parts split at l={l}")
+        return tuple((l, f) for l, f in enumerate(self.floors) if l != self.l0)
 
 
 def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertificate:
@@ -511,24 +487,34 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     Requires 1/q_k < 1 - s for even k and 1/q_k < s for odd k; returns the
     index l0 of the extreme height and, for every other l, the common integer
     part of theta l + s and (p_k/q_k) l + s.
-    """
+
+    Decided in O(1).  For l < q = q_k, |l (theta - p/q)| < 1/q once (q - 1)
+    |q theta - p| < 1, which |q theta - p| < 1/q_(k+1) <= 1/q gives (Khinchin,
+    Continued Fractions, 1964, ch. I).  With s = floor(s) + (c + phi)/q, c an
+    integer and 0 <= phi < 1, the p/q line's fractional heights are (m +
+    phi)/q, m = l p + c mod q, one for each m in 0..q-1.  theta l + s lies
+    above (p/q) l + s for even k and below for odd k, by less than 1/q, so
+    only the extreme height, m = q - 1 (upward) or 0 (downward), can cross an
+    integer, at l0 = (m - c) p^-1 mod q.  The hypothesis is checked exactly:
+    for an exact slope q theta - p has the parity's sign (or is 0 at a finite
+    expansion's last level) and (q - 1)|q theta - p| < 1, one comparison on
+    theta's integer pair; an opaque source is irrational and q_(k+1) >= q."""
     cv = theta.convergent(k)
-    q = cv.q
+    p, q = cv.p, cv.q
     eps = (1 - s) if k % 2 == 0 else s
     if not Fraction(1, q) < eps:
-        raise ClearanceViolated(
-            f"need 1/q_k < {'1-s' if k % 2 == 0 else 's'} at k={k}")
-    # floor(l p_k/q_k + s) and floor(l theta + s) for l = 0..q-1, as floor(s)
-    # plus prefix sums of blocks from the one Sturmian kernel
-    E, F, S, G, d, C = _integer_form(Fraction(cv.p, q), s)
-    f0, c = divmod(pair_floor(q * S, q * G, d, C), q)   # floor(s), floor(q frac(s))
-    rat_blocks = _block_values(*_window_blocks(E, F, S, G, d, C, q - 1))
-    floors = accumulate(rat_blocks, initial=f0)
-    # height l is (c + (l p_k mod q_k) + phi)/q_k mod 1 with 0 <= phi < 1: the
-    # highest has l p_k = -1 - c mod q_k, the lowest l p_k = -c
-    l0 = (-c - (k % 2 == 0)) * pow(cv.p, -1, q) % q
-    _split_check(_leaf_blocks(theta, s, q - 1), rat_blocks, l0, f0)
-    return ClearanceCertificate(k, l0, C, E, S, G, d, tuple(floors))
+        raise ClearanceViolated(f"need 1/q_k < {'1-s' if k % 2 == 0 else 's'} at k={k}")
+    E, _, S, G, d, C = _integer_form(Fraction(p, q), s)
+    if (theta_val := theta.value()) is not None:
+        a, b, _, _, e, D = _integer_form(theta_val, 0)
+        u, v = q * a - p * D, q * b  # q theta - p = (u + v sqrt(e))/D
+        sign = pair_sign(u, v, e)
+        if sign == (1 if k % 2 else -1):
+            raise CertificateViolation(f"p_k/q_k lies on the wrong side of theta at k={k}")
+        if pair_sign(D - (q - 1) * sign * u, -(q - 1) * sign * v, e) <= 0:
+            raise CertificateViolation(f"(q_k - 1)|q_k theta - p_k| is not below 1 at k={k}")
+    l0 = (-(k % 2 == 0) - pair_floor(q * S, q * G, d, C)) * pow(p, -1, q) % q  # m = -1 or 0
+    return ClearanceCertificate(k, l0, C, E, S, G, d)
 
 
 # -- growth probes -----------------------------------------------------------------

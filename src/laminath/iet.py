@@ -462,6 +462,7 @@ class LoopCertificate:
         cached_property(lambda self, i=i: decode(self.pairs[i], self.D, self.d)) for i in range(7))
     measure = cached_property(lambda self: self.slides * self.height)
     measure_constant = cached_property(lambda self: 3 * self.height)
+    length = property(lambda self: len(self.word))  # the ledger's unit: letters
 
 
 # base points whose orbits land exactly on a partition cut are retried at perturbed

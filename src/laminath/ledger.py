@@ -23,7 +23,7 @@ class ExoticStage:
     """One kept stage of an exotic ray with the running exact ledger."""
 
     level: int
-    certificate: Any            # has the stage's exact ``measure`` and its ``word``
+    certificate: Any            # has the stage's exact ``measure``, ``word`` and its ``length``
     connector: Exact            # hop from the previous stage's end
     partial_measure: Exact      # stage measures + connectors so far, exact
     partial_bound: Exact        # sum of the bound steps so far
@@ -71,12 +71,12 @@ def tail_measure_signature(stages: list[ExoticStage], from_position: int = 0) ->
 
 
 def min_full_window(stages: list[ExoticStage]) -> int:
-    """Smallest L such that every window of L consecutive units (those of
-    ``len(word)``: blocks on the torus, letters on surfaces) of the stage
-    words contains one stage word entirely.  A window [x, x + L] contains
-    stage j exactly when S_{j-1} >= x and S_j <= x + L, so L must cover the
-    first and last stages and every two consecutive ones."""
-    lengths = [len(st.certificate.word) for st in stages]
+    """Smallest L such that every window of L consecutive units (of the
+    certificates' ``length``, read with no word built: blocks on the torus,
+    letters on surfaces) of the stage words contains one stage word entirely.
+    A window [x, x + L] contains stage j exactly when S_{j-1} >= x and S_j <=
+    x + L, so L must cover the first and last stages and every two in a row."""
+    lengths = [st.certificate.length for st in stages]
     if not lengths:
         return 0
     return max([lengths[0], lengths[-1]] + [a + b for a, b in zip(lengths, lengths[1:])])

@@ -20,7 +20,8 @@ convergent words with loops around the puncture.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Optional
 
 from ._record import factory, record
@@ -156,35 +157,48 @@ def simple_word(r, l1: int = 1) -> BlockWord:
 
 # -- inadmissible words ----------------------------------------------------------
 
-def _path_blocks(theta: ContinuedFraction, k: int, closed: bool
-                 ) -> tuple[BlockWord, Convergent]:
-    """Blocks of the level-k segment path: its first q_k, or all B when
-    ``closed``.
+def _segment_shape(theta: ContinuedFraction, k: int, closed: bool
+                   ) -> tuple[Convergent, int, tuple, int]:
+    """(cv, B, heights, letters) of the level-k segment path, in integers: its
+    B blocks (q_k unless ``closed``), ``_segment_heights`` and letter count.
 
     With p/q = p_k/q_k the path is the line of slope p/q from height
     S/(2q), S = 1 (2q - 1 for odd k), over 0 < x < q - 1; there it hops by
     -1/q (+1/q for odd k), crossing no grid line, and follows the moved line
     until it closes up after B blocks, B p = +1 (-1) mod q.  Block j is
-    floor(y(j + 1)) - floor(y(j)), so each leaf piece is one rational line
-    (2 p j + S)/(2q) read by the block kernel.  Both pieces read one slope
-    plan, the whole expansion of p/q, whose windows are exact at any length.
-    The first q blocks start and end on the edge block (n for even k, n + 1
-    for odd) and sum to p -+ 1."""
+    floor(y(j + 1)) - floor(y(j)), so the word's checks read floors of the
+    heights, after ``_check_segment_heights`` on a closed path: blocks 0 and
+    q - 1 are the edge block (n, or n + 1 for odd k), the first q sum to
+    p -+ 1, and the B blocks' B + sum letters are at most 2(p + q)."""
     if k < 2:
         raise IndexError("k must be >= 2")
     cv = theta.convergent(k)
     p, q, n, _, _ = _slope_data(Fraction(cv.p, cv.q))
     sign = -1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q if closed else q
+    S, N1, N2, N3 = heights = _segment_heights(p, q, k, B)
+    if closed:
+        _check_segment_heights(q, *heights)
+    two_q, last = 2 * q, (N2 + 2 * p) // (2 * q) - N2 // (2 * q)  # block q - 1
+    if not (2 * p + S) // two_q - S // two_q == n + k % 2 == last:
+        raise CertificateViolation("flipped word does not start and end on the edge block")
+    first = N1 // two_q - S // two_q  # blocks 0..q-2
+    if first + last != p - sign:
+        raise CertificateViolation("flipped word breaks the block counts")
+    letters = B + first + N3 // two_q - N2 // two_q
+    if not letters <= 2 * (p + q):
+        raise CertificateViolation("segment word exceeds 2(p_k + q_k) letters")
+    return cv, B, heights, letters
+
+
+def _segment_word(p: int, q: int, k: int, B: int) -> BlockWord:
+    """The first B blocks of the level-k segment path of p/q: the lines
+    (2 p j + S)/(2q) and (2 p j + N2)/(2q), off one plan exact at any length."""
     S, _, N2, _ = _segment_heights(p, q, k, B)
     plan = flat._slope_plan(2 * p, 0, 2, 2 * q, q - 1)
     offs, c = flat._window_blocks(2 * p, 0, S, 0, 2, 2 * q, q - 1, plan=plan)
     offs += flat._window_blocks(2 * p, 0, N2, 0, 2, 2 * q, B - q + 1, plan=plan)[0]
-    if not offs[0] + c == n + k % 2 == offs[q - 1] + c:
-        raise CertificateViolation("flipped word does not start and end on the edge block")
-    if c * q + offs.count(1, 0, q) != p - sign:
-        raise CertificateViolation("flipped word breaks the block counts")
-    return BlockWord(n, flat._block_values(offs, c)), cv
+    return BlockWord(c, flat._block_values(offs, c))
 
 
 def _segment_heights(p: int, q: int, k: int, B: int) -> tuple[int, int, int, int]:
@@ -219,12 +233,13 @@ def _check_segment_heights(q: int, S: int, N1: int, N2: int, N3: int) -> None:
 def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     """Single-cycle theta-inadmissible word on q_k blocks.
 
-    The first q_k blocks of the level-k segment path (``_path_blocks``): the
-    simple word of the k-th convergent from the extreme start height (lowest
-    for even k, highest for odd k), whose final block the path's hop flips
-    between n and n+1.  Reverting the flip recovers a p_k/q_k word.
+    The first q_k blocks of the level-k segment path (``_segment_shape``):
+    the simple word of the k-th convergent from the extreme start height
+    (lowest for even k, highest for odd k), whose final block the path's hop
+    flips between n and n+1.  Reverting the flip recovers a p_k/q_k word.
     """
-    return _path_blocks(theta, k, closed=False)[0]
+    cv, B, _, _ = _segment_shape(theta, k, closed=False)
+    return _segment_word(cv.p, cv.q, k, B)
 
 
 @record(frozen=True)
@@ -234,50 +249,45 @@ class SegmentCertificate:
     ``measure`` is the exact transverse measure of ``path`` against theta and
     ``bound`` is the structural estimate 3|q_k theta - p_k| + 2/q_k;
     :func:`inadmissible_segment` decides measure <= bound before it builds one.
+    All but ``word`` are closed forms in (p_k, q_k, B); it is built on read.
     """
 
     k: int
     convergent: Convergent
-    word: BlockWord
+    B: int
+    letter_count: int
     path: "flat.FlatPath"
     measure: Exact
     bound: Exact
 
-    @property
-    def start_height(self) -> Fraction:
-        return Fraction(self.path.vertices[0].y)
-
-    @property
-    def end_height_mod1(self) -> Fraction:
-        y = Fraction(self.path.vertices[-1].y)
-        return y - (y.numerator // y.denominator)
+    length = property(lambda self: self.B)  # the ledger's unit: blocks
+    word = cached_property(lambda self: _segment_word(self.convergent.p, self.convergent.q,
+                                                      self.k, self.B))
+    start_height = property(lambda self: self.path.vertices[0].y)
+    end_height_mod1 = property(lambda self: self.path.vertices[-1].y % 1)
 
 
 def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate:
     """Inadmissible word of letter count <= 2(p_k + q_k) with an exact
     representative: two leaf-direction pieces of slope p_k/q_k joined by one
     vertical hop of height 1/q_k, closing up on the torus.  The word is the
-    cutting sequence of that path (``_path_blocks``), so it starts with
+    cutting sequence of that path (``_segment_word``), so it starts with
     ``inadmissible_word(theta, k)``.  The measure needs theta's exact value,
     so opaque coefficient sources raise InvalidSlope.
 
-    The certificate is decided in integers.  The vertex heights are
-    numerators over 2q (``_segment_heights``), and ``_check_segment_heights``
-    clears the lattice and the close-up in O(1), so the path is built
-    unvalidated; ``FlatPath.validate`` stays the reference.  With
+    The certificate is decided in integers, and no block is built.  The
+    vertex heights are numerators over 2q (``_segment_heights``);
+    ``_check_segment_heights`` clears the lattice and the close-up in O(1),
+    so the path is built unvalidated (``FlatPath.validate`` stays the
+    reference), and ``_segment_shape`` decides the word's checks.  With
     theta = (E + F sqrt d)/C, r - theta is the pair (pC - qE, -qF) over qC,
     so the measure B|r - theta| + 1/q and the bound 3|q theta - p| + 2/q are
     pairs over qC, compared by one ``pair_sign`` and decoded once each."""
     theta_val = theta.value()
     if theta_val is None:
         raise InvalidSlope("a measured segment needs an exact slope value")
-    word, cv = _path_blocks(theta, k, closed=True)
+    cv, B, heights, letters = _segment_shape(theta, k, closed=True)
     p, q = cv.p, cv.q
-    B = len(word.blocks)
-    if not word.letter_count <= 2 * (p + q):
-        raise CertificateViolation("segment word exceeds 2(p_k + q_k) letters")
-    heights = _segment_heights(p, q, k, B)
-    _check_segment_heights(q, *heights)
 
     E, F, _, _, d, C = flat._integer_form(theta_val, 0)
     u, v = p * C - q * E, -q * F  # r - theta, then its absolute value
@@ -293,7 +303,7 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     path = flat.FlatPath([flat.FlatPoint(Fraction(0), y0), flat.FlatPoint(x1, y1),
                           flat.FlatPoint(x1, y2), flat.FlatPoint(Fraction(B), y3)],
                          ["start", "leaf", "hop", "leaf"], validate=False)
-    return SegmentCertificate(k, cv, word, path, measure, bound)
+    return SegmentCertificate(k, cv, B, letters, path, measure, bound)
 
 
 # -- exotic concatenations ---------------------------------------------------------
@@ -313,10 +323,14 @@ class ExoticWord:
     def letters(self) -> LetterWord:
         return "".join(st.certificate.word.letters() for st in self.stages)
 
-    def blocks(self) -> bytes | tuple[int, ...]:
-        """The stages' blocks joined, in the form their words store them."""
-        parts = [st.certificate.word.blocks for st in self.stages]
-        return b"".join(parts) if parts and type(parts[0]) is bytes else tuple(chain(*parts))
+    def blocks(self, limit: Optional[int] = None) -> bytes | tuple[int, ...]:
+        """The stages' blocks joined, in the form their words store them; with
+        ``limit``, the first ``limit``, from the stage words they reach."""
+        starts = accumulate((st.certificate.B for st in self.stages), initial=0)
+        parts = [st.certificate.word.blocks for st, start in zip(self.stages, starts)
+                 if limit is None or start < limit]
+        return (b"".join(parts) if parts and type(parts[0]) is bytes
+                else tuple(chain(*parts)))[:limit]
 
     @property
     def total_measure(self) -> Exact:

@@ -83,6 +83,50 @@ def test_exotic_emits_ledger():
     assert len(doc["stages"]) == 2
 
 
+def test_exotic_prefix_builds_only_the_stage_words_it_reaches():
+    # sqrt2 down to level 42, where q_k is about 10^16: the stage lengths are
+    # B = 2 q_k - q_(k-1) without a word, and the 64 blocks come from the
+    # level-2 and level-6 words alone
+    import time
+    from laminath import words
+    from laminath.cf import ContinuedFraction
+    theta, indices = ContinuedFraction.sqrt2(), list(range(2, 43, 4))
+    start = time.perf_counter()
+    code, out, _ = run_cli(["--emit", "json", "exotic", "--theta", "cf:[1;2]p", "--indices",
+                            ",".join(map(str, indices)), "--prefix-blocks", "64"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    doc = json.loads(out)
+    head = b"".join(words.inadmissible_segment(theta, k).word.blocks for k in (2, 6))
+    assert doc["blocks"] == list(head[:64])
+    assert doc["letters"] == words.BlockWord(1, head[:64]).letters()
+    assert [row["blocks"] for row in doc["stages"]] == [
+        2 * theta.convergent(k).q - theta.convergent(k - 1).q for k in indices]
+    assert elapsed < 1.0, elapsed
+
+
+def test_memory_exhaustion_exits_3_with_one_json_line():
+    # the level-13 segment word of [4;1,1,7]p does not fit in 1.5 GB of
+    # address space: the MemoryError from the block kernel exits 3 with one
+    # JSON line, not a traceback.  The limit acts on the child alone
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "laminath.cli", "segment", "--theta",
+                           "cf:[4;1,1,7]p", "--k", "13"], capture_output=True, text=True,
+                          env=env, preexec_fn=limit)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "memory-exhausted"
+
+
 def test_unknown_subcommand_exits_2():
     code, out, err = run_cli(["no-such-command"])
     assert code == 2 and out == ""

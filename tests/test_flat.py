@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laminath import flat, oracle, words
-from laminath.cf import ContinuedFraction, partial_quotients
+from laminath.cf import ContinuedFraction, Convergent, partial_quotients
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                              PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor, frac_part
@@ -606,34 +606,28 @@ def test_homotopy_clearance_odd():
 @pytest.mark.parametrize("s, k", [(Fraction(1, 4), 4), (Fraction(3, 4), 5), (Fraction(1, 3), 6),
                                   (Fraction(2, 3), 7), (Fraction(-1, 58), 4), (Fraction(23, 58), 4),
                                   (Fraction(25, 24), 3), (Fraction(59, 140), 5)])
-def test_clearance_catches_one_flipped_block(monkeypatch, s, k):
-    # flipping theta's block j moves its integer part at every l > j, so the
-    # first split is at j + 1, or at l0 + 1 when j + 1 is the free l0; the
-    # last four cases put l0 at 0 or q_k - 1
+def test_clearance_catches_one_flipped_block(s, k):
+    # the clearance reads only theta's convergent, so the faults are planted
+    # there.  (p_k +- 1)/q_k is the convergent line with one block flipped:
+    # floor(j (p_k +- 1)/q_k + s) - floor(j p_k/q_k + s) steps once on j < q_k.
+    # It lies on the wrong side of theta or too far from it; a convergent of
+    # the other parity lies on the wrong side.  The last four cases put l0 at
+    # 0 or q_k - 1
     cert = flat.homotopy_clearance(s, SQRT2, k)
-    q, l0 = SQRT2.convergent(k).q, cert.l0
-    blocks = flat.sturmian_blocks(SQRT2, s, q - 1)[0]
-    assert flat._leaf_blocks(SQRT2, s, q - 1) == bytes(blocks)
-    for j in range(q - 1):
-        # sqrt2 blocks are 1 and 2; the clearance reads theta's blocks as bytes
-        flipped = bytes(blocks[:j] + [3 - blocks[j]] + blocks[j + 1:])
-        monkeypatch.setattr(flat, "_leaf_blocks", lambda *args: flipped)
-        split = j + 1 if j + 1 != l0 else l0 + 1
-        if split == q:
-            assert flat.homotopy_clearance(s, SQRT2, k) == cert
-            continue
-        with pytest.raises(CertificateViolation, match=f"split at l={split}$"):
-            flat.homotopy_clearance(s, SQRT2, k)
-    for j in range(q - 2):
-        # one letter moved from block j + 1 to block j changes the integer
-        # part at j + 1 alone, which only l0 may do
-        moved = bytes(blocks[:j] + [blocks[j] + 1, blocks[j + 1] - 1] + blocks[j + 2:])
-        monkeypatch.setattr(flat, "_leaf_blocks", lambda *args: moved)
-        if j + 1 == l0:
-            assert flat.homotopy_clearance(s, SQRT2, k) == cert
-            continue
-        with pytest.raises(CertificateViolation, match=f"split at l={j + 1}$"):
-            flat.homotopy_clearance(s, SQRT2, k)
+    cv, val = SQRT2.convergent(k), SQRT2.value()
+
+    def planted(p, q):
+        return SimpleNamespace(convergent=lambda j: Convergent(j, p, q), value=lambda: val)
+
+    assert flat.homotopy_clearance(s, planted(cv.p, cv.q), k) == cert
+    side, far = "wrong side of theta", r"is not below 1"
+    faults = [(cv.p + 1, cv.q, side if k % 2 == 0 else far),
+              (cv.p - 1, cv.q, far if k % 2 == 0 else side)]
+    faults += [(other.p, other.q, side) for other in (SQRT2.convergent(k - 1),
+                                                       SQRT2.convergent(k + 1))]
+    for p, q, message in faults:
+        with pytest.raises(CertificateViolation, match=message):
+            flat.homotopy_clearance(s, planted(p, q), k)
 
 
 # -- growth probes ----------------------------------------------------------------------

@@ -336,6 +336,83 @@ def test_integer_segment_checks_hold_under_python_O():
     assert run.returncode == 0 and "4 passed" in run.stdout, run.stdout + run.stderr
 
 
+# every level whose word fits in this many blocks, on six quadratic slopes
+_SIX_SLOPES = ("cf:[1;2]p", "cf:[1;1]p", "cf:[4;1,1,7]p", "cf:[2;1,2]p", "cf:[1;3,1,2]p",
+               "cf:[5;2]p")
+_MAX_WORD = 3_000_000
+
+
+def _path_word_reference(theta, k) -> bytes:
+    """The level-k segment path's blocks by exact floors at every integer
+    abscissa, from first principles: the path starts at 1/(2q) (1 - 1/(2q)
+    for odd k) with slope p/q = p_k/q_k, hops by -1/q (+1/q) at x = q - 1
+    and closes up after B = 2 q_k - q_(k-1) blocks, the one x in [q, 2q)
+    with x p = +1 (-1) mod q, as p_k q_(k-1) - p_(k-1) q_k = (-1)^(k-1)."""
+    import numpy as np
+    p, q, odd = theta.convergent(k).p, theta.convergent(k).q, k % 2
+    B = 2 * q - theta.convergent(k - 1).q
+    num = np.arange(B + 1, dtype=np.int64)  # 2q times the height at x
+    num *= 2 * p
+    num += 2 * q - 1 if odd else 1
+    before = int(num[q - 1])
+    num[q - 1:] += 2 if odd else -2
+    assert before // (2 * q) == int(num[q - 1]) // (2 * q)  # the hop crosses no grid line
+    assert (int(num[B]) - int(num[0])) % (2 * q) == 0  # the path closes up
+    num //= 2 * q
+    return np.diff(num).astype(np.uint8).tobytes()
+
+
+def _assert_claims_match_the_word(theta, k, cert):
+    # the word built on read is the reference's, and the claims made without
+    # it (B, the letter count, the heights, the measure and the bound) are
+    # the built word's
+    word = cert.word
+    assert word.blocks == _path_word_reference(theta, k)
+    assert cert.B == cert.length == len(word.blocks)
+    assert cert.letter_count == word.letter_count
+    path, measure, bound = _reference_segment(theta, k, cert)
+    assert cert.path.to_json() == path.to_json()
+    assert (cert.measure, cert.bound) == (measure, bound)
+
+
+@pytest.mark.parametrize("text", _SIX_SLOPES)
+def test_word_free_certificates_match_their_words(text):
+    theta = ContinuedFraction.from_text(text)
+    k = 2
+    while 2 * theta.convergent(k).q - theta.convergent(k - 1).q <= _MAX_WORD:
+        cert = words.inadmissible_segment(theta, k)
+        assert "word" not in vars(cert), (text, k)  # certified with no block built
+        _assert_claims_match_the_word(theta, k, cert)
+        k += 1
+    assert cert.B > _MAX_WORD // 6  # the deepest word checked is long
+
+
+@pytest.mark.parametrize("fault", ["B", "S"])
+def test_word_free_claims_catch_planted_faults(monkeypatch, fault):
+    # B one too long in the certificate, or the word read from S + 1 (the
+    # start one step of 1/(2q) up, which moves the extreme height onto a grid
+    # line); the certificate's own checks pass, and the comparison fails
+    heights = words._segment_heights
+
+    def moved_start(p, q, k, B):
+        S, N1, N2, N3 = heights(p, q, k, B)
+        return S + 1, N1, N2, N3
+
+    for text in _SIX_SLOPES:
+        theta = ContinuedFraction.from_text(text)
+        for k in (2, 3, 6, 7):
+            cert = words.inadmissible_segment(theta, k)
+            if fault == "B":
+                cert = words.SegmentCertificate(cert.k, cert.convergent, cert.B + 1,
+                                                cert.letter_count, cert.path, cert.measure,
+                                                cert.bound)
+            else:
+                monkeypatch.setattr(words, "_segment_heights", moved_start)
+            with pytest.raises(AssertionError):
+                _assert_claims_match_the_word(theta, k, cert)
+            monkeypatch.undo()
+
+
 def test_connector_check_catches_a_planted_lattice_start():
     # a stage whose representative starts on a grid line puts its connector's
     # end on the lattice, which the O(1) connector check refuses
@@ -344,8 +421,8 @@ def test_connector_check_catches_a_planted_lattice_start():
     cert = st2.certificate
     moved = flat.FlatPath([flat.FlatPoint(Fraction(0), Fraction(0))] + cert.path.vertices[1:],
                           cert.path.markers, validate=False)
-    planted = words.SegmentCertificate(cert.k, cert.convergent, cert.word, moved, cert.measure,
-                                       cert.bound)
+    planted = words.SegmentCertificate(cert.k, cert.convergent, cert.B, cert.letter_count, moved,
+                                       cert.measure, cert.bound)
     ew.stages[1] = ExoticStage(st2.level, planted, st2.connector, st2.partial_measure,
                                st2.partial_bound)
     with pytest.raises(SingularHit, match="connector"):
@@ -497,6 +574,22 @@ def test_min_full_segment_window():
     need = min_full_window(ew.stages)
     assert need == max(lengths[0], lengths[-1], lengths[0] + lengths[1],
                        lengths[1] + lengths[2])
+
+
+def test_thin_ray_of_100_stages_builds_no_word():
+    # every stage claim is a closed form in (p_k, q_k, B): a thin ray at
+    # sqrt2 down to level 398 (q_k of about 500 bits) is certified, and its
+    # window bound read, without a block
+    import time
+    start = time.perf_counter()
+    ew = words.exotic_word(SQRT2, range(2, 402, 4), thin=True)
+    need = min_full_window(ew.stages)
+    elapsed = time.perf_counter() - start
+    assert len(ew.stages) == 100 and not ew.skipped_indices
+    assert not any("word" in vars(st.certificate) for st in ew.stages)
+    lengths = [st.certificate.B for st in ew.stages]
+    assert need == max(lengths[0], lengths[-1], *map(sum, zip(lengths, lengths[1:])))
+    assert elapsed < 1.0, elapsed
 
 
 # -- cusp construction -------------------------------------------------------------------
