@@ -123,10 +123,7 @@ def cmd_exotic(cfg: argparse.Namespace):
     stages = [{"index": st.level, "blocks": st.certificate.B, **_ledger(st)}
               for st in ew.stages]
     blocks = ew.blocks(cfg.prefix_blocks)
-    if cfg.prefix_blocks is None:
-        letters = ew.letters()
-    else:
-        letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
+    letters = words.BlockWord(min(blocks), blocks).letters() if blocks else ""
     return {"alphabet": "abAB", "theta": cfg.theta.to_text(),
             "kept": ew.kept_indices, "skipped": ew.skipped_indices,
             "stages": stages, "blocks": list(blocks), "letters": letters,

@@ -153,15 +153,16 @@ def transverse_measure(path: FlatPath, theta: Exact, normalized: bool = False):
 # (j, j+1); its letters are b^block a.
 #
 # The kernel copies windows of q blocks, p/q the last convergent of theta
-# with q <= J + 1.  With x = m theta + s, n0 = floor(x) and
-# r = floor(q x) - q n0, floor(x + i theta) = n0 + floor((r + i p)/q) for
-# every i = 0..q but at most one: |i (q theta - p)| < q/q' <= 1 (q' the
+# with q <= J + 1.  With x = m theta + s, one floor, floor(q x) = q n0 + r
+# with 0 <= r < q, gives n0 = floor(x) too (Graham, Knuth and Patashnik,
+# Concrete Mathematics, 3.2), and floor(x + i theta) = n0 + floor((r + i p)/q)
+# for every i = 0..q but at most one: |i (q theta - p)| < q/q' <= 1 (q' the
 # next convergent denominator), so only the residue r + i p = q - 1
 # (theta > p/q) or 0 (theta < p/q) mod q can cross an integer, and it comes
 # up at exactly one i* in 1..q.  So a window is blocks j0..j0+q-1 of the
 # doubled period of p/q, j0 = r/p mod q, and one exact floor at i* decides
 # whether block i* - 1 gains one from block i* or loses one to it (from or
-# to nothing when i* = q).  Three exact floors per window in all.  The window
+# to nothing when i* = q).  Two exact floors per window in all.  The window
 # plan decides windows once, and one read-out copies them in the images of
 # the block offsets 0/1 from c = floor(theta): the bytes 0/1, or the letters
 # b^c a and b^(c+1) a.  One standard-word recursion builds the period in
@@ -237,15 +238,14 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     """The height half of the window plan for blocks j < J of
     x_j = (E j + S + (F j + G) sqrt(d)) / C, whose slope half is ``plan``:
     per window of q blocks (j0, i, miss), its start in the period and its
-    block i - 1 off by miss (block i by -miss if i < q).  Three exact floors
-    per window."""
+    block i - 1 off by miss (block i by -miss if i < q).  Two exact floors
+    per window, floor(q x) and the one at i, and one for a rational slope."""
     _, p, q, sign, inv, _, _ = plan
     target = q - 1 if sign > 0 else 0
     windows = []
     A, B = S, G
     for _ in range(-(-J // q)):
-        n0 = pair_floor(A, B, d, C)
-        r = pair_floor(q * A, q * B, d, C) - q * n0
+        n0, r = divmod(pair_floor(q * A, q * B, d, C), q)
         i = (target - r) * inv % q or q
         miss = sign and pair_floor(A + i * E, B + i * F, d, C) - n0 - (r + i * p) // q
         if miss not in (0, sign):
@@ -564,61 +564,38 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
     theta_val = theta.value()
     if t_cap is None:
         t_cap = Fraction(10) ** 9
-
-    joints = []
-    T_prev = Fraction(0)
+    vertices, markers, rows = [FlatPoint(Fraction(0), Fraction(1, 7))], ["start"], []
+    T = Fraction(0)
     for n in range(1, n_segments + 1):
-        lo = T_prev
-        hi = max(T_prev * 2, Fraction(1))
-        tries = 0
+        # double hi until f(hi) >= n; a doubling past t_cap or the 201st ends
+        # the path, as does a joint past t_cap
+        lo, hi, doublings = T, max(T * 2, Fraction(1)), 0
         while f(float(hi)) < n:
-            hi *= 2
-            tries += 1
-            if hi > t_cap or tries > 200:
-                joints_ok = False
+            hi, doublings = hi * 2, doublings + 1
+            if hi > t_cap or doublings > 200:
                 break
         else:
-            joints_ok = True
-        if not joints_ok:
-            break
-        if f(float(lo)) > n:
-            raise InvalidGrowthFunction("f decreased across a bracket")
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if f(float(mid)) < n:
-                lo = mid
-            else:
-                hi = mid
-        T_n = (lo + hi) / 2
-        # keep jump abscissas off the integer lattice
-        while T_n.denominator == 1:
-            T_n += Fraction(1, 2 ** 31)
-        if T_n > t_cap:
-            break
-        joints.append(T_n)
-        T_prev = T_n
-
-    base = FlatPoint(Fraction(0), Fraction(1, 7))
-    vertices = [base]
-    markers = ["start"]
-    x = base.x
-    y: Exact = base.y
-    for T_n in joints:
-        dx = T_n - x
-        x = T_n
-        y = y + theta_val * dx
-        vertices.append(FlatPoint(x, y))
-        markers.append("leaf")
-        y = y + 1
-        vertices.append(FlatPoint(x, y))
-        markers.append("hop")
-    if not joints:
+            if f(float(lo)) > n:
+                raise InvalidGrowthFunction("f decreased across a bracket")
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if f(float(mid)) < n:
+                    lo = mid
+                else:
+                    hi = mid
+            T = (lo + hi) / 2
+            # keep jump abscissas off the integer lattice
+            while T.denominator == 1:
+                T += Fraction(1, 2 ** 31)
+            if T <= t_cap:
+                y = vertices[-1].y + theta_val * (T - vertices[-1].x)
+                vertices += (FlatPoint(T, y), FlatPoint(T, y + 1))
+                markers += ("leaf", "hop")
+                rows.append(GrowthRow(T, Fraction(n), f(float(T))))
+                continue
+        break
+    if not rows:
         end_x = min(Fraction(t_cap), Fraction(100))
-        vertices.append(FlatPoint(end_x, base.y + theta_val * end_x))
+        vertices.append(FlatPoint(end_x, vertices[0].y + theta_val * end_x))
         markers.append("leaf")
-    path = FlatPath(vertices, markers, validate=False)
-
-    rows = []
-    for n, T_n in enumerate(joints, start=1):
-        rows.append(GrowthRow(T_n, Fraction(n), f(float(T_n))))
-    return path, rows
+    return FlatPath(vertices, markers, validate=False), rows

@@ -85,7 +85,8 @@ class AdmissibilityCertificate:
 def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
     for l in range(k_max + 1):
         theta._grow(l)  # q_l off the cached convergent table
-        if theta._q[l + 2] >= span:
+        # a finite expansion's last level is theta, each of whose leaf words is its periodic word
+        if theta._q[l + 2] >= span or l + 1 == theta.length:
             return l
     raise DepthInsufficient(
         f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")
@@ -147,8 +148,9 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     ``word`` may be a letter string (plain containment) or a BlockWord
     (block-aligned containment).  Membership of the search string's block
     needle (``_needle``) in the periodic block word of the first convergent
-    whose cycle is longer than the word's block span settles the verdict;
-    inadmissible verdicts are confirmed at the following level as well.
+    whose cycle is longer than the word's block span, or else of a finite
+    expansion's last, settles the verdict; inadmissible verdicts are
+    confirmed at the following level, where there is one.
     Theta must exceed 1.  Admissible verdicts carry a start height and
     offset locating the factor in the leaf word from that height,
     re-checkable against the exact cutting sequence.
@@ -167,7 +169,7 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     periods = flat._block_periods(map(theta.coefficient, count()), l0)
     levels = [l0]
     if not _occurs(needle, periods):
-        if l0 + 1 <= k_max:
+        if l0 + 1 <= k_max and l0 + 1 != theta.length:
             if _occurs(needle, periods):
                 raise CertificateViolation(
                     "level disagreement; window threshold violated")

@@ -123,32 +123,28 @@ def letters_to_blocks(word: LetterWord) -> BlockWord:
 
 # -- the simple-closed-curve word algorithm ------------------------------------
 
-def _slope_data(r: Fraction) -> tuple[int, int, int, int, int]:
-    """(p, q, n, s, t) for slope r = p/q > 1; s n-blocks and t (n+1)-blocks.
-    Integer slopes take n = r - 1 so that t = 1."""
+def _slope_data(r: Fraction) -> tuple[int, int, int]:
+    """(p, q, n) for slope r = p/q > 1, whose q blocks are (n + 1) q - p
+    n-blocks and p - n q (n+1)-blocks.  Integer slopes take n = r - 1 so
+    that one block is n + 1."""
     r = Fraction(r)
     if r <= 1:
         raise InvalidSlope(f"slope must be > 1, got {r}")
     p, q = r.numerator, r.denominator
-    n = p // q
-    if q == 1:
-        n = p - 1
-    s = (n + 1) * q - p
-    t = p - n * q
-    return p, q, n, s, t
+    return p, q, p // q - (q == 1)
 
 
 def simple_word(r, l1: int = 1) -> BlockWord:
     """Block word of the simple closed curve of slope r = p/q > 1.
 
     The q blocks are floor(((j+1) p + q - l1) / q) - floor((j p + q - l1) / q),
-    the cutting sequence of slope r from height 1 - l1/q; t of them carry
-    n+1 and s carry n, and l1 picks the start, so different l1 give cyclic
-    rotations of one word.
+    the cutting sequence of slope r from height 1 - l1/q (``_slope_data``
+    counts its n- and (n+1)-blocks), and l1 picks the start, so different l1
+    give cyclic rotations of one word.
     """
-    p, q, n, s, t = _slope_data(Fraction(r))
-    if not 1 <= l1 <= s + t:
-        raise InvalidSlope(f"start index must be in 1..{s + t}")
+    p, q, n = _slope_data(Fraction(r))
+    if not 1 <= l1 <= q:
+        raise InvalidSlope(f"start index must be in 1..{q}")
     offs, c = flat._window_blocks(p, 0, q - l1, 0, 2, q, q)
     if len(offs) != q or c * q + offs.count(1) != p:
         raise CertificateViolation("simple word breaks the block counts")
@@ -157,28 +153,26 @@ def simple_word(r, l1: int = 1) -> BlockWord:
 
 # -- inadmissible words ----------------------------------------------------------
 
-def _segment_shape(theta: ContinuedFraction, k: int, closed: bool
-                   ) -> tuple[Convergent, int, tuple, int]:
+def _segment_shape(theta: ContinuedFraction, k: int) -> tuple[Convergent, int, tuple, int]:
     """(cv, B, heights, letters) of the level-k segment path, in integers: its
-    B blocks (q_k unless ``closed``), ``_segment_heights`` and letter count.
+    B blocks, ``_segment_heights`` and letter count.
 
     With p/q = p_k/q_k the path is the line of slope p/q from height
     S/(2q), S = 1 (2q - 1 for odd k), over 0 < x < q - 1; there it hops by
     -1/q (+1/q for odd k), crossing no grid line, and follows the moved line
     until it closes up after B blocks, B p = +1 (-1) mod q.  Block j is
     floor(y(j + 1)) - floor(y(j)), so the word's checks read floors of the
-    heights, after ``_check_segment_heights`` on a closed path: blocks 0 and
-    q - 1 are the edge block (n, or n + 1 for odd k), the first q sum to
-    p -+ 1, and the B blocks' B + sum letters are at most 2(p + q)."""
+    heights, after ``_check_segment_heights``: blocks 0 and q - 1 are the
+    edge block (n, or n + 1 for odd k), the first q sum to p -+ 1, and the B
+    blocks' B + sum letters are at most 2(p + q)."""
     if k < 2:
         raise IndexError("k must be >= 2")
     cv = theta.convergent(k)
-    p, q, n, _, _ = _slope_data(Fraction(cv.p, cv.q))
+    p, q, n = _slope_data(Fraction(cv.p, cv.q))
     sign = -1 if k % 2 else 1
-    B = q + sign * pow(p, -1, q) % q if closed else q
+    B = q + sign * pow(p, -1, q) % q
     S, N1, N2, N3 = heights = _segment_heights(p, q, k, B)
-    if closed:
-        _check_segment_heights(q, *heights)
+    _check_segment_heights(q, *heights)
     two_q, last = 2 * q, (N2 + 2 * p) // (2 * q) - N2 // (2 * q)  # block q - 1
     if not (2 * p + S) // two_q - S // two_q == n + k % 2 == last:
         raise CertificateViolation("flipped word does not start and end on the edge block")
@@ -233,13 +227,14 @@ def _check_segment_heights(q: int, S: int, N1: int, N2: int, N3: int) -> None:
 def inadmissible_word(theta: ContinuedFraction, k: int) -> BlockWord:
     """Single-cycle theta-inadmissible word on q_k blocks.
 
-    The first q_k blocks of the level-k segment path (``_segment_shape``):
-    the simple word of the k-th convergent from the extreme start height
-    (lowest for even k, highest for odd k), whose final block the path's hop
-    flips between n and n+1.  Reverting the flip recovers a p_k/q_k word.
+    The first q_k blocks of the level-k segment path, whose shape
+    (``_segment_shape``) is checked whole, close-up included: the simple
+    word of the k-th convergent from the extreme start height (lowest for
+    even k, highest for odd k), whose final block the path's hop flips
+    between n and n+1.  Reverting the flip recovers a p_k/q_k word.
     """
-    cv, B, _, _ = _segment_shape(theta, k, closed=False)
-    return _segment_word(cv.p, cv.q, k, B)
+    cv = _segment_shape(theta, k)[0]
+    return _segment_word(cv.p, cv.q, k, cv.q)
 
 
 @record(frozen=True)
@@ -286,7 +281,7 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     theta_val = theta.value()
     if theta_val is None:
         raise InvalidSlope("a measured segment needs an exact slope value")
-    cv, B, heights, letters = _segment_shape(theta, k, closed=True)
+    cv, B, heights, letters = _segment_shape(theta, k)
     p, q = cv.p, cv.q
 
     E, F, _, _, d, C = flat._integer_form(theta_val, 0)

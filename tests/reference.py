@@ -6,7 +6,8 @@ certificate, CLI command, script or benchmark needs: on surfaces
 points decoded; on the torus
 ``cutting_blocks``, ``path_crossing_word``, ``concat``,
 ``three_distance_points``, ``revert_flip``, ``cusp_representative``,
-``rotate``, ``rational_block_rotations`` and ``is_finite``; the letter-space
+``rotate``, ``rational_block_rotations``, ``is_finite`` and
+``prescribed_growth_path``, the two-pass growth path; the letter-space
 verdict ``is_admissible_letters`` on period letters from exact floors, the
 slow reference of the oracle's block needles, and the letter-space searches
 ``first_occurrence_letters`` and ``find_witness_letters``, the slow
@@ -28,7 +29,7 @@ from typing import Optional
 from laminath import cli, exactnum, flat, iet, oracle, tsurface as ts
 from laminath._record import record
 from laminath.cf import ContinuedFraction
-from laminath.errors import CertificateViolation, InvalidSlope, SingularHit
+from laminath.errors import CertificateViolation, InvalidGrowthFunction, InvalidSlope, SingularHit
 from laminath.exactnum import (Exact, decode, exact_floor, frac_part, pair_floor, pair_sign,
                                squarefree_decompose)
 from laminath.words import BlockWord, simple_word
@@ -230,6 +231,71 @@ def is_finite(theta: ContinuedFraction) -> bool:
     return theta.length is not None
 
 
+def prescribed_growth_path(theta: ContinuedFraction, f, n_segments: int, t_cap=None):
+    """``flat.prescribed_growth_path`` in two passes: every joint is found
+    first, and the path and rows are laid after."""
+    if abs(f(0.0)) > 1e-12:
+        raise InvalidGrowthFunction("f(0) must be 0")
+    theta_val = theta.value()
+    if t_cap is None:
+        t_cap = Fraction(10) ** 9
+
+    joints = []
+    T_prev = Fraction(0)
+    for n in range(1, n_segments + 1):
+        lo = T_prev
+        hi = max(T_prev * 2, Fraction(1))
+        tries = 0
+        while f(float(hi)) < n:
+            hi *= 2
+            tries += 1
+            if hi > t_cap or tries > 200:
+                joints_ok = False
+                break
+        else:
+            joints_ok = True
+        if not joints_ok:
+            break
+        if f(float(lo)) > n:
+            raise InvalidGrowthFunction("f decreased across a bracket")
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if f(float(mid)) < n:
+                lo = mid
+            else:
+                hi = mid
+        T_n = (lo + hi) / 2
+        while T_n.denominator == 1:
+            T_n += Fraction(1, 2 ** 31)
+        if T_n > t_cap:
+            break
+        joints.append(T_n)
+        T_prev = T_n
+
+    base = flat.FlatPoint(Fraction(0), Fraction(1, 7))
+    vertices = [base]
+    markers = ["start"]
+    x = base.x
+    y: Exact = base.y
+    for T_n in joints:
+        dx = T_n - x
+        x = T_n
+        y = y + theta_val * dx
+        vertices.append(flat.FlatPoint(x, y))
+        markers.append("leaf")
+        y = y + 1
+        vertices.append(flat.FlatPoint(x, y))
+        markers.append("hop")
+    if not joints:
+        end_x = min(Fraction(t_cap), Fraction(100))
+        vertices.append(flat.FlatPoint(end_x, base.y + theta_val * end_x))
+        markers.append("leaf")
+    path = flat.FlatPath(vertices, markers, validate=False)
+    rows = [flat.GrowthRow(T_n, Fraction(n), f(float(T_n)))
+            for n, T_n in enumerate(joints, start=1)]
+    return path, rows
+
+
 def exact_orbit(kernel, state, back: bool = False):
     """The exchange kernel's orbit decided by exact sign tests alone: every
     step bisects all of the table's bounds (``_slot``), with no key and no
@@ -279,7 +345,7 @@ def is_admissible_letters(word, theta: ContinuedFraction,
 
     levels = [l0]
     if not occurs(l0):
-        if l0 + 1 <= k_max:
+        if l0 + 1 <= k_max and l0 + 1 != theta.length:
             if occurs(l0 + 1):
                 raise CertificateViolation("level disagreement; window threshold violated")
             levels.append(l0 + 1)

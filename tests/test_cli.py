@@ -600,6 +600,18 @@ def test_cusp_negative_loop_count_exits_2_on_short_theta():
                                "detail": "loop counts must be positive"}
 
 
+def test_finite_slopes_decide_at_their_last_level():
+    # 7/5 = [1; 2, 2] and 5/3 = [1; 1, 2] end at level 2: "aa" is decided
+    # there with no level 3 to confirm it, and 4-letter factors, wider than
+    # q_2 = 3, are counted there as --slope counts them (both exited 3)
+    code, out, err = run_cli(["--emit", "json", "admissible", "--theta", "7/5", "--word", "aa"])
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"], doc["levels"]) == (0, "", "inadmissible", [2])
+    counts = [json.loads(run_cli(["--emit", "json", "factors", flag, "5/3", "--m", "4"])[1])
+              ["count"] for flag in ("--theta", "--slope")]
+    assert counts == [5, 5]
+
+
 @pytest.mark.parametrize("slope", ["1/2", "0", "1"])
 def test_factors_slope_at_most_one_exits_2(slope):
     code, out, err = run_cli(["factors", "--slope", slope, "--m", "3"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction, Convergent, partial_quotients
@@ -12,6 +12,7 @@ from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGro
                              PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor, frac_part
 
+import reference as ref
 from reference import (concat, cutting_blocks, is_finite, path_crossing_word, rotate,
                        three_distance_points)
 
@@ -687,6 +688,46 @@ def test_prescribed_growth_zero():
 def test_prescribed_growth_invalid():
     with pytest.raises(InvalidGrowthFunction):
         flat.prescribed_growth_path(SQRT2, lambda t: 1.0, 3)
+
+
+def _growth_target(kind: str, x: float):
+    """A target with f(0) = 0: t**x, x log1p(t), 10**-x t, or a plateau of
+    height 1 + x from t = 1/2 on, where a bracket for n < 1 + x raises."""
+    return {"power": lambda t: t ** x, "log": lambda t: x * math.log1p(t),
+            "linear": lambda t: 10 ** -x * t, "plateau": lambda t: (1 + x) * (t >= 0.5)}[kind]
+
+
+def _growth_outcome(build, theta, target, n_segments, t_cap):
+    """Path JSON and rows (t, I, repr(f(t))), or the raised error's type and text."""
+    try:
+        path, rows = build(theta, _growth_target(*target), n_segments, t_cap=t_cap)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return path.to_json(), [(row.t, row.measure, repr(row.target)) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.one_of(st.tuples(st.just("power"), st.floats(0.05, 0.95)),
+                        st.tuples(st.just("log"), st.floats(0.05, 8)),
+                        st.tuples(st.just("linear"), st.floats(0, 61)),
+                        st.tuples(st.just("plateau"), st.floats(0, 8))),
+       t_cap=st.one_of(st.none(), st.just(2 ** 205),
+                       st.fractions(Fraction(1, 16), 64, max_denominator=16)),
+       n_segments=st.integers(0, 12),
+       theta=st.sampled_from(["cf:[1;2]p", "7/5", "cf:[0;3]p"]))
+@example(target=("linear", 61.0), t_cap=2 ** 205, n_segments=3, theta="cf:[1;2]p")
+@example(target=("linear", 60.3), t_cap=2 ** 205, n_segments=3, theta="cf:[1;2]p")
+@example(target=("linear", 60.0), t_cap=2 ** 205, n_segments=3, theta="cf:[1;2]p")
+@example(target=("plateau", 4.0), t_cap=None, n_segments=5, theta="7/5")
+@example(target=("power", 0.5), t_cap=Fraction(5), n_segments=6, theta="cf:[0;3]p")
+def test_prescribed_growth_matches_two_pass_reference(target, t_cap, n_segments, theta):
+    # one loop lays each joint's leaf, hop and row; the reference finds every
+    # joint first.  c t with c = 1e-61 needs more than 200 doublings, a
+    # plateau raises at a bracket that starts on it, and a cap below a
+    # doubling ends the path even where f reaches n there
+    theta = ContinuedFraction.from_text(theta)
+    got = _growth_outcome(flat.prescribed_growth_path, theta, target, n_segments, t_cap)
+    assert got == _growth_outcome(ref.prescribed_growth_path, theta, target, n_segments, t_cap)
 
 
 def test_sliding_windows_are_convergent_rotations():

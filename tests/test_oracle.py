@@ -117,6 +117,19 @@ def test_extensions_of_inadmissible_stay_inadmissible(lead, tail):
     assert oracle.is_admissible(extended, SQRT2).verdict == "inadmissible"
 
 
+@pytest.mark.parametrize("pq", [(3, 2), (5, 3), (7, 5), (8, 5)])
+def test_finite_slopes_decide_at_their_last_level(pq):
+    # the last level of a finite expansion is theta, each of whose leaf words
+    # is its periodic word: wider factors and verdicts end there, unconfirmed
+    theta = ContinuedFraction.from_rational(Fraction(*pq))
+    for m in (1, 4, 9, 20):
+        assert oracle.factor_count(theta, m) == min(m + 1, sum(pq))
+    period = words.simple_word(Fraction(*pq)).letters()
+    for word, verdict in ((period * 3, "admissible"), ("aa", "inadmissible")):
+        cert = oracle.is_admissible(word, theta)
+        assert (cert.verdict, cert.levels) == (verdict, (theta.length - 1,)), word
+
+
 # -- factor complexity -------------------------------------------------------------
 
 def test_factor_count_small():
@@ -447,12 +460,15 @@ def _outcome(decide, *args):
 @st.composite
 def _slopes(draw):
     """Quadratic, rational and opaque slopes with integer part 0..3, 7, 254,
-    255 or 300, the byte edges often."""
+    255 or 300, the byte edges often; finite slopes end after one to three
+    more coefficients, so that most words outrun their last level."""
     c = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 7, 254, 254, 255, 255, 300]))
     tail = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
-    kind = draw(st.sampled_from(["quadratic", "rational", "opaque"]))
+    kind = draw(st.sampled_from(["quadratic", "rational", "finite", "opaque"]))
     if kind == "rational":
         return ContinuedFraction([c, *tail, *draw(st.lists(st.integers(1, 4), max_size=8))])
+    if kind == "finite":
+        return ContinuedFraction([c, *tail])
     quadratic = ContinuedFraction.periodic([c], tail)
     return quadratic if kind == "quadratic" else ContinuedFraction(source=quadratic.coefficient)
 

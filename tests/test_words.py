@@ -67,7 +67,8 @@ def test_simple_word_start_is_rotation(r, data):
 def _schedule_word(r, l1):
     """Reference: the cyclic schedule of q start positions, t carrying n+1
     and s carrying n, read from l1 until it returns to l1."""
-    _, _, n, s, t = words._slope_data(r)
+    p, q, n = words._slope_data(r)
+    s, t = (n + 1) * q - p, p - n * q
     blocks = []
     l = l1
     while True:
@@ -303,11 +304,13 @@ def _planted(fault):
 @pytest.mark.parametrize("theta", [SQRT2, GOLDEN], ids=["sqrt2", "golden"])
 def test_integer_segment_check_catches_planted_faults(monkeypatch, theta, fault, message):
     # the word is read from S and N2 alone, which neither fault moves, so the
-    # integer check is what refuses the path
+    # integer check is what refuses the path; the single-cycle word reads the
+    # same checked shape
     monkeypatch.setattr(words, "_segment_heights", _planted(fault))
-    for k in range(2, 10):
-        with pytest.raises(CertificateViolation, match=message):
-            words.inadmissible_segment(theta, k)
+    for build in (words.inadmissible_segment, words.inadmissible_word):
+        for k in range(2, 10):
+            with pytest.raises(CertificateViolation, match=message):
+                build(theta, k)
 
 
 def test_integer_segment_check_refuses_a_leaf_through_the_lattice():
