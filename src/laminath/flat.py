@@ -556,8 +556,9 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
     unit-measure vertical jumps, so the measure at the n-th joint is exactly n
     and |I - f| <= 1 there.  Joints stop before the first one beyond
     ``t_cap`` (default 10^9).  Returns (path, rows); rows carry (t, I(t), f(t))
-    at the joints.  Raises InvalidGrowthFunction when f(0) != 0 or f fails to
-    increase across a bracket.
+    at the joints.  Raises InvalidGrowthFunction when f(0) != 0, when f fails
+    to increase across a bracket, or when f jumps so that |I - f| > 1 at a
+    joint.
     """
     if abs(f(0.0)) > 1e-12:
         raise InvalidGrowthFunction("f(0) must be 0")
@@ -588,6 +589,8 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
             while T.denominator == 1:
                 T += Fraction(1, 2 ** 31)
             if T <= t_cap:
+                if abs(n - f(float(T))) > 1:   # f jumps past n: no joint holds |I - f| <= 1
+                    raise InvalidGrowthFunction(f"|I - f| exceeds 1 at joint {n}")
                 y = vertices[-1].y + theta_val * (T - vertices[-1].x)
                 vertices += (FlatPoint(T, y), FlatPoint(T, y + 1))
                 markers += ("leaf", "hop")

@@ -1,11 +1,11 @@
 """Interval exchanges on integer pairs (u, v) standing for (u + v sqrt d)/D,
 with no polygon: the one exact kernel (both directions, rescaled copies, the
-Rauzy–Veech towers of leaf streams), the cut table behind level-set
-partitions, and the inadmissible-loop search.  Every branch is an exact
-integer sign test, or a test on integer fixed-point keys with a proved error
-bound that leaves to the sign test what it cannot decide (``_IETKernel``,
-``_exact_key``); values leave decoded as Fraction/QuadNum arithmetic gives
-them (``exactnum.decode``).
+ladder of Rauzy–Veech tower levels that leaf streams descend), the cut table
+behind level-set partitions, and the inadmissible-loop search.  Every branch
+is an exact integer sign test, or a test on integer fixed-point keys with a
+proved error bound that leaves to the sign test what it cannot decide
+(``_IETKernel``, ``_exact_key``); values leave decoded as Fraction/QuadNum
+arithmetic gives them (``exactnum.decode``).
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ def _slot(bounds, u, v, d) -> int:
     return lo
 
 
-# induction stops once every tower word has _TOWER_MIN letters (a stream steps
-# the exchange through up to one tower before it copies towers), or once one
-# has _TOWER_MAX (a rotation by a tiny shear grows one tower alone)
-_TOWER_MIN = 512
-_TOWER_MAX = 1 << 13
+# a tower level stops its induction once every word is _RATIO times the
+# longest word of the level it is induced from, or one is _RATIO^2 times it
+# (a rotation by a tiny shear grows one tower alone).  A move at most doubles
+# the longest word, so a stream that descends from a level only while it
+# still needs more than _DESCENT = 2 _RATIO^2 times that level's longest word
+# builds no level whose words are longer than the letters it still needs
+_RATIO, _DESCENT = 4, 32
 
 
 @record(frozen=True)
@@ -184,35 +186,38 @@ class _IETKernel:
 
     def letters(self, state, num_letters: int) -> str:
         """The first ``num_letters`` letters of the words read from ``state``
-        (moved in place).  The exchange steps until the orbit lies strictly
-        inside the induced interval (0, L) of ``towers``, decided on the key
-        and error bound the orbit hands out and by a sign test only when they
-        straddle L's key; from there each induced step copies one whole
-        tower word.  An orbit point exactly on an induced cut hands the rest
-        back to the exchange, so the letters, and any SingularHit, are those
-        of stepping the exchange alone."""
-        induced, words = self.towers, self.words
-        (Lu, Lv), d = induced.end, self.d
-        (lk, le), keyed = self.key(Lu, Lv), list(self.key(*state))
-        out = []
-        total = 0
-        orbit = self.orbit(state, keyed=keyed)
-        while total < num_letters and keyed[0] + keyed[1] + le > lk and (
-                keyed[0] - keyed[1] - le >= lk or pair_sign(Lu - state[0], Lv - state[1], d) <= 0):
-            w = words[next(orbit)]
-            out.append(w)
-            total += len(w)
-        orbit, letters = induced.orbit(state), induced.words
+        (moved in place), down a ladder of tower levels: ``towers``, its
+        ``towers`` and so on.  While the letters still needed exceed
+        ``_DESCENT`` times the longest word of the current level, that level
+        steps until the orbit lies strictly inside the next level's (0, L),
+        decided on the key and error bound the orbit hands out and by a sign
+        test only when they straddle L's key, and the stream goes down to it;
+        then each step copies one whole word of the level reached.  An orbit
+        point exactly on a cut of a level hands the rest of the stream back
+        to the level it was induced from, so the letters, and any
+        SingularHit, are those of stepping the exchange alone."""
+        out, total, ladder, fell, d = [], 0, [self], False, self.d
         while total < num_letters:
+            level = top = ladder[-1]
+            if not fell and num_letters - total > _DESCENT * max(map(len, level.words)):
+                top = level.towers if level.towers.end != level.end else level
+            (Lu, Lv), words = top.end, level.words
+            (lk, le), keyed = self.key(Lu, Lv), list(self.key(*state))
+            orbit = level.orbit(state, keyed=None if top is level else keyed)
             try:
-                w = letters[next(orbit)]
-            except SingularHit:   # on an induced cut: the exchange decides it
-                if letters is words:
+                while total < num_letters and (top is level or keyed[0] + keyed[1] + le > lk and (
+                        keyed[0] - keyed[1] - le >= lk
+                        or pair_sign(Lu - state[0], Lv - state[1], d) <= 0)):
+                    w = words[next(orbit)]
+                    out.append(w)
+                    total += len(w)
+            except SingularHit:   # on a cut of this level: the one it came from decides
+                if level is self:
                     raise
-                orbit, letters = self.orbit(state), words
+                ladder.pop()
+                fell = True
                 continue
-            out.append(w)
-            total += len(w)
+            ladder.append(top)
         return "".join(out)[:num_letters]
 
     @cached_property
@@ -238,11 +243,14 @@ class _IETKernel:
         order in which it came last.  Every floor of a tower lies inside one
         interval, so from a point strictly inside an induced interval one
         induced step reads its whole tower word.  Induction stops once every
-        word has ``_TOWER_MIN`` letters or one has ``_TOWER_MAX``, or at an
-        equal-length move (a saddle connection, where rational exchanges
-        end): the towers of every stage are valid.  A rescaled copy reads
-        its base's towers, scaled alike: scaling every pair by m > 0 keeps
-        every sign, so the moves and the stop are the same."""
+        word is ``_RATIO`` times this exchange's longest word or one is
+        ``_RATIO``^2 times it, or at an equal-length move (a saddle
+        connection, where rational exchanges end): the towers of every stage
+        are valid.  Its own ``towers`` is the next level of the ladder that
+        ``letters`` descends; a level whose induction makes no move keeps its
+        (0, L) and is the last.  A rescaled copy reads its base's towers,
+        scaled alike: scaling every pair by m > 0 keeps every sign, so the
+        moves and the stop are the same."""
         if self._scale is not None:
             base, m = self._scale
             return base.towers.scaled(m, self.surd)
@@ -253,7 +261,8 @@ class _IETKernel:
         words = list(self.words)
         top, bottom = list(range(len(moves))), [move[0] for move in self.backward[1]]
         Lu, Lv = self.end
-        while min(map(len, words)) < _TOWER_MIN and max(map(len, words)) < _TOWER_MAX:
+        low = _RATIO * max(map(len, words))
+        while min(map(len, words)) < low and max(map(len, words)) < _RATIO * low:
             a, b = top[-1], bottom[-1]
             (au, av), (bu, bv) = lengths[a], lengths[b]
             s = pair_sign(au - bu, av - bv, d)

@@ -724,10 +724,30 @@ def test_prescribed_growth_matches_two_pass_reference(target, t_cap, n_segments,
     # one loop lays each joint's leaf, hop and row; the reference finds every
     # joint first.  c t with c = 1e-61 needs more than 200 doublings, a
     # plateau raises at a bracket that starts on it, and a cap below a
-    # doubling ends the path even where f reaches n there
+    # doubling ends the path even where f reaches n there.  Where f jumps, so
+    # that the reference's row at joint j breaks |I - f| <= 1 (its first j
+    # joints are those of its j-segment path), the product raises at joint j
     theta = ContinuedFraction.from_text(theta)
     got = _growth_outcome(flat.prescribed_growth_path, theta, target, n_segments, t_cap)
-    assert got == _growth_outcome(ref.prescribed_growth_path, theta, target, n_segments, t_cap)
+    want = _growth_outcome(ref.prescribed_growth_path, theta, target, n_segments, t_cap)
+    for j in range(1, n_segments + 1):
+        rows = (want[1] if isinstance(want[1], list) else
+                _growth_outcome(ref.prescribed_growth_path, theta, target, j, t_cap)[1])
+        if isinstance(rows, list) and len(rows) >= j and abs(j - float(rows[j - 1][2])) > 1:
+            want = InvalidGrowthFunction, f"|I - f| exceeds 1 at joint {j}"
+            break
+    assert got == want
+
+
+@pytest.mark.parametrize("at, height, n_segments, joint", [
+    (0.5, 5.0, 3, 2), (0.5, 5.0, 5, 2), (0.3, 2.25, 1, 1)])
+def test_prescribed_growth_rejects_a_jumping_target(at, height, n_segments, joint):
+    # f = height from t = at on: bisection puts the first joints at the jump,
+    # where f reads 0 or height.  With f = 5 from 1/2 on, joint 1 reads 0
+    # (|I - f| = 1 holds) and joint 2 reads 0; with f = 2.25 from 0.3 on,
+    # joint 1 reads 2.25
+    with pytest.raises(InvalidGrowthFunction, match=rf"\|I - f\| exceeds 1 at joint {joint}$"):
+        flat.prescribed_growth_path(SQRT2, lambda t: height * (t >= at), n_segments)
 
 
 def test_sliding_windows_are_convergent_rotations():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 import random
 import sys
+import tracemalloc
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -1004,9 +1005,10 @@ def test_keyed_slots_rarely_fall_back(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
 def test_stream_entry_rarely_tests_exactly(name, monkeypatch):
-    # CI tripwire: a leaf stream decides its entry into the induced interval
-    # (0, L) on the orbit's key and error bound; the exact sign tests that
-    # ``letters`` makes itself stay under 5% of its entry steps
+    # CI tripwire: a leaf stream decides each entry into the next tower
+    # level's interval (0, L), on every level it descends, on the orbit's key
+    # and error bound; the exact sign tests that ``letters``, which runs every
+    # entry flight, makes itself stay under 5% of its entry steps
     tests, steps = [0], [0]
     sign, orbit = exchange.pair_sign, exchange._IETKernel.orbit
     letters = exchange._IETKernel.letters.__code__
@@ -1025,10 +1027,40 @@ def test_stream_entry_rarely_tests_exactly(name, monkeypatch):
     monkeypatch.setattr(exchange._IETKernel, "orbit", counted_orbit)
     for x in (Fraction(1, 7), Fraction(3, 11), Fraction(5, 13), Fraction(101, 997),
               Fraction(500, 1001), QuadNum(0, Fraction(1, 3), 2), QuadNum(1, Fraction(-1, 2), 2),
-              QuadNum(Fraction(1, 9), Fraction(1, 5), 2)):
-        iet.letter_stream(x, 20_000)
+              QuadNum(Fraction(1, 9), Fraction(1, 5), 2), Fraction(2, 9), Fraction(7, 10),
+              Fraction(13, 17), Fraction(238506, 1000003), Fraction(999, 1009),
+              QuadNum(0, Fraction(2, 5), 2), QuadNum(Fraction(1, 2), Fraction(-1, 3), 2),
+              QuadNum(Fraction(-1, 4), Fraction(1, 2), 2)):
+        iet.letter_stream(x, 300_000)
     assert steps[0] > 150
     assert tests[0] < 0.05 * steps[0], (tests[0], steps[0])
+
+
+@pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
+def test_long_stream_takes_few_kernel_steps(name, monkeypatch):
+    # cost guard: a 150k-letter stream from the default shear takes at most
+    # 120 kernel steps across all tower levels, counted as the entry
+    # tripwire counts them, and the levels it leaves cached hold under 1 MiB
+    steps, orbit = [0], exchange._IETKernel.orbit
+
+    def counted_orbit(self, state, back=False, keyed=None):
+        for i in orbit(self, state, back, keyed):
+            steps[0] += 1
+            yield i
+
+    iet = _fresh_transversal(name).return_map()
+    monkeypatch.setattr(exchange._IETKernel, "orbit", counted_orbit)
+    tracemalloc.start()
+    try:
+        for x in (Fraction(1, 7), Fraction(3, 11), Fraction(238506, 1000003),
+                  QuadNum(0, Fraction(1, 3), 2), QuadNum(1, Fraction(-1, 2), 2)):
+            steps[0] = 0
+            assert len(iet.letter_stream(x, 150_000)) == 150_000
+            assert steps[0] <= 120, (x, steps[0])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
 
 
 @pytest.mark.parametrize("name, gamma", [
@@ -1534,6 +1566,55 @@ def _tower_stream(iet, tau, n):
     return iet.letter_stream(tau, n)
 
 
+def _kernel_walk(iet, tau, num_letters):
+    """Single kernel steps from tau until ``num_letters`` letters are read or
+    a step lands on a cut: the letters read (None when the start raised) and
+    the type and message of what was raised (None when nothing was)."""
+    words = [iv.word + iet.arrival_letter for iv in iet.intervals]
+    try:
+        kernel = iet.kernel.fast(tau)
+        orbit = kernel.orbit(kernel.start(tau))
+    except (SingularHit, ValueError) as exc:
+        return None, (type(exc), str(exc))
+    out, total = [], 0
+    try:
+        while total < num_letters:
+            out.append(words[next(orbit)])
+            total += len(out[-1])
+    except SingularHit as exc:
+        return "".join(out), (type(exc), str(exc))
+    return "".join(out), None
+
+
+def _walked(walk, n):
+    """``_outcome(_kernel_stream, iet, tau, n)`` from a kernel walk of at
+    least n letters: a walk that lands on a cut after T letters gives the
+    first n letters for n <= T and raises for n > T."""
+    letters, raised = walk
+    if letters is None or raised is not None and n > len(letters):
+        return raised
+    return letters[:n]
+
+
+def _ladder(kernel, n):
+    """The tower levels a stream of n letters from ``kernel`` may descend:
+    each level's ``towers`` while n exceeds ``_DESCENT`` times its longest
+    word and the induction moves."""
+    levels = [kernel]
+    while (n > exchange._DESCENT * max(map(len, levels[-1].words))
+           and levels[-1].towers.end != levels[-1].end):
+        levels.append(levels[-1].towers)
+    return levels
+
+
+def _built(kernel):
+    """The tower levels built below ``kernel``, in order."""
+    levels = [kernel]
+    while "towers" in levels[-1].__dict__:
+        levels.append(levels[-1].towers)
+    return levels[1:]
+
+
 # shears of the benchmark's leaf-streams family, [0; c1, pre..., (per...)]
 # with leading partial quotient 1 or 2 and coefficients up to 3, and
 # rational shears, whose induction ends on an equal-length move (1/2 makes
@@ -1546,8 +1627,12 @@ _stream_shears = st.one_of(
     st.fractions(Fraction(1, 40), Fraction(39, 40), max_denominator=40)
     .filter(lambda g: g != Fraction(1, 2)))
 
+# stream lengths up to 20k, or from 20k to 300k, where a stream descends
+# three or more tower levels
+_stream_lengths = st.one_of(st.integers(0, 20_000), st.integers(20_000, 300_000))
 
-@settings(max_examples=60, deadline=None)
+
+@settings(max_examples=100, deadline=None)
 @given(_fixtures, _stream_shears, st.data())
 def test_tower_stream_matches_kernel_steps(name, gamma, data):
     iet = _fixture_iet(name, gamma)
@@ -1556,21 +1641,24 @@ def test_tower_stream_matches_kernel_steps(name, gamma, data):
         st.fractions(0, 1, max_denominator=10 ** 6),
         st.builds(lambda a, b: frac_part(QuadNum(Fraction(a, 7), Fraction(b, 5), d)),
                   st.integers(-20, 20), st.integers(1, 9))), "tau")
-    n = data.draw(st.integers(1, 20_000), "n")
-    assert _outcome(_tower_stream, iet, tau, n) == _outcome(_kernel_stream, iet, tau, n)
+    n = data.draw(_stream_lengths, "n")
+    assert _outcome(_tower_stream, iet, tau, n) == _walked(_kernel_walk(iet, tau, n), n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_fixtures, st.sampled_from([None, Fraction(2, 7), Fraction(5, 13)]), st.data())
 def test_tower_stream_lands_on_cuts_as_kernel_steps_do(name, gamma, data):
-    # a start k backward steps before a cut of the exchange or of its
-    # induction: the stream returns the m letters before a landing on an
-    # exchange cut and raises past them; a landing on an induced cut alone
-    # hands the stream back to the exchange, which carries on
+    # a start k backward steps before a cut of the exchange or of any tower
+    # level a 300k-letter stream reaches: the stream returns the m letters
+    # before a landing on an exchange cut and raises past them; a landing on
+    # a level's cut alone hands the stream back to the level it was induced
+    # from, which carries on
     iet = _fixture_iet(name, gamma)
     kernel = iet.kernel.fast()
-    induced = kernel.towers
-    cut = data.draw(st.sampled_from(kernel.forward[0][1:-1] + induced.forward[0][1:]), "cut")
+    levels = _ladder(kernel, 300_000)
+    cut = data.draw(st.sampled_from(
+        kernel.forward[0][1:-1] + [c for level in levels[1:] for c in level.forward[0][1:]]),
+        "cut")
     state = list(cut)
     try:
         for _ in zip(range(data.draw(st.integers(0, 3000), "k")),
@@ -1579,15 +1667,11 @@ def test_tower_stream_lands_on_cuts_as_kernel_steps_do(name, gamma, data):
     except SingularHit:
         pass
     x = kernel.value(state)
-    words = [iv.word + iet.arrival_letter for iv in iet.intervals]
-    m, orbit = 0, kernel.orbit(kernel.start(x))
-    try:
-        while m <= 20_000:
-            m += len(words[next(orbit)])
-    except SingularHit:
-        pass
-    for n in {0, 1, max(m - 1, 0), m, m + 1, data.draw(st.integers(0, 20_000), "n")}:
-        assert _outcome(_tower_stream, iet, x, n) == _outcome(_kernel_stream, iet, x, n)
+    n = data.draw(_stream_lengths, "n")
+    walk = _kernel_walk(iet, x, n + 1)
+    m = len(walk[0] or "") if walk[1] else n   # the letters before a landing
+    for j in {0, 1, max(m - 1, 0), m, m + 1, n}:
+        assert _outcome(_tower_stream, iet, x, j) == _walked(walk, j)
 
 
 def test_tower_stream_singular_starts():
@@ -1599,13 +1683,15 @@ def test_tower_stream_singular_starts():
                 want = _outcome(_kernel_stream, iet, tau, n)
                 assert want[0] is SingularHit
                 assert _outcome(_tower_stream, iet, tau, n) == want
-        # every cut of the induction, the right end L included
-        kernel = iet.kernel.fast()
-        for cut in kernel.towers.forward[0][1:]:
-            x = kernel.value(cut)
-            for n in (0, 5, 20_000):
-                assert (_outcome(_tower_stream, iet, x, n)
-                        == _outcome(_kernel_stream, iet, x, n))
+        # every cut of every tower level a 300k-letter stream reaches, each
+        # level's right end L included
+        levels = _ladder(iet.kernel.fast(), 300_000)
+        assert len(levels) >= 4
+        for cut in [c for level in levels[1:] for c in level.forward[0][1:]]:
+            x = levels[0].value(cut)
+            walk = _kernel_walk(iet, x, 300_000)
+            for n in (0, 5, 20_000, 300_000):
+                assert _outcome(_tower_stream, iet, x, n) == _walked(walk, n)
         x = QuadNum(0, Fraction(1, 3), 5)
         for n in (0, 5):
             want = _outcome(_kernel_stream, iet, x, n)
@@ -1625,25 +1711,54 @@ def test_sheared_torus_stream_is_a_sturmian_word(tau, offset):
     assert stream == letters[offset:]
 
 
-def test_towers_are_built_lazily_and_kept():
+def test_towers_are_built_lazily_and_kept(monkeypatch):
+    # a 10-letter stream builds no towers; a 150k-letter stream builds only
+    # the levels it steps on, each with words shorter than the stream; a
+    # second stream on the same denominator reuses them and builds none
     iet = _fresh_transversal("slit-tori").return_map()
-    assert "towers" not in iet.kernel.__dict__
-    iet.letter_stream(Fraction(1, 7), 10)
+    assert iet.letter_stream(Fraction(1, 7), 10) == _kernel_stream(iet, Fraction(1, 7), 10)
     kernel = iet.kernel.fast(Fraction(1, 7))
-    towers = kernel.__dict__["towers"]
-    # a second stream on the same denominator reuses the same towers
-    assert iet.letter_stream(Fraction(3, 7), 5000) == _kernel_stream(iet, Fraction(3, 7), 5000)
-    assert iet.kernel.fast(Fraction(3, 7)) is kernel and kernel.__dict__["towers"] is towers
+    assert _built(kernel) == _built(iet.kernel) == []
+    stepped, orbit = [], exchange._IETKernel.orbit
+
+    def recorded_orbit(self, *args, **kwargs):
+        stepped.append(self)
+        return orbit(self, *args, **kwargs)
+
+    monkeypatch.setattr(exchange._IETKernel, "orbit", recorded_orbit)
+    first = iet.letter_stream(Fraction(1, 7), 150_000)
+    levels, first_steps = _built(kernel), list(stepped)
+    second = iet.letter_stream(Fraction(3, 7), 150_000)
+    monkeypatch.undo()
+    assert len(levels) >= 3 and all(max(map(len, level.words)) < 150_000 for level in levels)
+    assert first_steps == [kernel] + levels   # kernels compare by identity
+    assert iet.kernel.fast(Fraction(3, 7)) is kernel and _built(kernel) == levels
+    assert set(stepped) == set(first_steps)
+    assert [first, second] == [_kernel_stream(iet, x, 150_000)
+                               for x in (Fraction(1, 7), Fraction(3, 7))]
+    # at any length, no level is built whose words are as long as the stream
+    for name, n in product(("sheared-torus", "slit-tori"), (100, 1000, 5000, 20_000, 60_000)):
+        iet = _fresh_transversal(name).return_map()
+        iet.letter_stream(Fraction(1, 7), n)
+        assert all(max(map(len, level.words)) < n for level in _built(iet.kernel)), (name, n)
 
 
 def _tables(kernel):
     return kernel.forward[:2], kernel.words, kernel.end, kernel.D
 
 
+def _rebuilt(kernel):
+    """A kernel from ``kernel``'s integer data, with no base to scale."""
+    bounds, moves = kernel.forward[:2]
+    return exchange._IETKernel(bounds[:-1], [(du, dv) for _, du, dv, _, _ in moves], kernel.end,
+                               kernel.D, kernel.surd, kernel.words)
+
+
 @pytest.mark.parametrize("name", ["sheared-torus", "slit-tori"])
 def test_rescaled_copies_scale_their_base_towers(name):
-    # a stream over a new denominator induces the exchange's own kernel once
-    # and scales its towers; they equal a fresh induction on the copy
+    # a stream over a new denominator induces the exchange's own kernel and
+    # scales its levels: every level of the copy is its base's level, scaled,
+    # and equals a fresh induction of that level on the copy's own data
     iet = _fresh_transversal(name).return_map()
     for p in (991, 997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049):
         x = Fraction(p // 3, p)
@@ -1652,8 +1767,13 @@ def test_rescaled_copies_scale_their_base_towers(name):
         copy = iet.kernel.fast(x)
         m = copy.D // iet.kernel.D
         assert copy is not iet.kernel and copy.D == m * iet.kernel.D
-        assert copy.towers is iet.kernel.towers.scaled(m, copy.surd)
-        assert _tables(copy.towers) == _tables(exchange._IETKernel.towers.func(copy))
+        fresh = _rebuilt(copy)
+        assert fresh._scale is None and _tables(fresh) == _tables(copy)
+        levels, bases, fresh = (_ladder(k, 300_000) for k in (copy, iet.kernel, fresh))
+        assert len(levels) == len(bases) == len(fresh) >= 4
+        for level, base, new in zip(levels[1:], bases[1:], fresh[1:]):
+            assert level is base.scaled(m, copy.surd)
+            assert _tables(level) == _tables(new)
 
 
 def _den(x):
