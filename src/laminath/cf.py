@@ -83,6 +83,7 @@ class ContinuedFraction:
         # by (p_{-2}, p_{-1}) = (0, 1) and (q_{-2}, q_{-1}) = (1, 0)
         self._p = [0, 1]
         self._q = [1, 0]
+        self._checked: list[Convergent] = []  # convergents() records, levels 0.. in turn
 
     # -- constructors --------------------------------------------------------
 
@@ -212,17 +213,22 @@ class ContinuedFraction:
         """Convergents p_0/q_0 ... p_{k_max}/q_{k_max} by the standard
         recurrence, each checked against the approximation inequality
         |q_k theta - p_k| < 1/q_{k+1} (exactly, on theta's integer pair, when
-        theta has a value; by the determinant identity otherwise)."""
-        out = [self.convergent(k) for k in range(k_max + 1)]
-        theta = self.value()
+        theta has a value; by the determinant identity otherwise).  Each
+        level is checked once per slope: a checked record is kept, and a
+        call checks only the levels no earlier call has."""
+        self._grow(k_max)
+        out = self._checked
+        theta = self.value() if k_max >= len(out) else None
         if theta is not None:
             # theta = (u + v sqrt d)/D
             D = denominator(theta)
             (u, v), d = encode(theta, D), surd((theta,)) or 2
-        for cv in out:
+        for k in range(len(out), k_max + 1):
+            cv = self.convergent(k)
             try:
-                nxt = self.convergent(cv.k + 1)
+                nxt = self.convergent(k + 1)
             except PrecisionExhausted:
+                out.append(cv)
                 continue  # the source ends: theta == p_k/q_k or unknown
             det = cv.p * nxt.q - nxt.p * cv.q
             if abs(det) != 1:
@@ -238,7 +244,8 @@ class ContinuedFraction:
                 if inside < 0 or inside == 0 and theta != nxt.value:
                     raise CertificateViolation(
                         f"approximation inequality failed at k={cv.k}")
-        return out
+            out.append(cv)
+        return out[:k_max + 1]
 
     # -- predicates --------------------------------------------------------------
 

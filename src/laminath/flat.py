@@ -239,7 +239,9 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     x_j = (E j + S + (F j + G) sqrt(d)) / C, whose slope half is ``plan``:
     per window of q blocks (j0, i, miss), its start in the period and its
     block i - 1 off by miss (block i by -miss if i < q).  Two exact floors
-    per window, floor(q x) and the one at i, and one for a rational slope."""
+    per window, floor(q x) and the one at i.  When the slope is p/q (sign
+    0) a window moves q x by the integer q p, so every window is the first,
+    read with one floor."""
     _, p, q, sign, inv, _, _ = plan
     target = q - 1 if sign > 0 else 0
     windows = []
@@ -251,6 +253,8 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
         if miss not in (0, sign):
             raise CertificateViolation(f"window floor off by {miss} at j={i}")
         windows.append((r * inv % q, i, miss))
+        if not sign:
+            return windows * -(-J // q)
         A, B = A + q * E, B + q * F
     return windows
 
@@ -260,11 +264,14 @@ def _window_read(plan, windows):
     half ``plan``) read off the plan in its images: 0/1 offsets or letters.
     Block j of the doubled period starts at j w0 + (w1 - w0) floor(j f/q),
     with w0 and w1 the images' lengths and f = p - c q the offsets' sum
-    over a period."""
-    quotients, p, q, _, _, (x0, x1), period = plan
+    over a period.  At a slope p/q (sign 0) every window is the first, read
+    once and repeated."""
+    quotients, p, q, sign, _, (x0, x1), period = plan
     w0, w1, f = len(x0), len(x1), p - quotients[0] * q
     width = q * w0 + (w1 - w0) * f
-    pieces = []
+    pieces, repeat = [], 1
+    if not sign:
+        windows, repeat = windows[:1], len(windows)
     for j0, i, miss in windows:
         start = j0 * w0 + (w1 - w0) * (j0 * f // q)
         if not miss:
@@ -276,7 +283,7 @@ def _window_read(plan, windows):
         cut = j * w0 + (w1 - w0) * (j * f // q)
         swap = (x1 + x0 if miss > 0 else x0 + x1) if i < q else (x1 if miss > 0 else x0)
         pieces += (period[start:cut], swap, period[cut + w0 + w1:start + width])
-    return period[:0].join(pieces)
+    return period[:0].join(pieces) * repeat
 
 
 def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
@@ -378,15 +385,27 @@ def _leaf_offsets(theta: ContinuedFraction, s, n: int, plans: dict) -> tuple:
     read-out; its seams are the byte before it (but for the first window)
     and its off blocks' bytes, wq + i - 1 and wq + i (the first alone when
     i = q).  So a run that holds no seam lies in one window, off its
-    swapped blocks: it is a factor of the periodic word of the period."""
-    E, F, S, G, d, C, J = _letter_line(theta, s, n)
-    g = math.gcd(E, F, C)
-    key = (E // g, F // g, d, C // g, J)
-    entry = plans.get(key)
-    if entry is None:
-        plan = _slope_plan(E, F, d, C, J)
-        entry = plans[key] = plan, plan[6][:plan[2]]
-    plan, period = entry
+    swapped blocks: it is a factor of the periodic word of the period.
+
+    A rational height a/b over an exact slope reads (E, F, d, C), J and the
+    plan off ``plans`` under (b, n) after the first: only S = a C/b is its
+    own (G = 0).  Other heights derive their line each time."""
+    b = s.denominator if isinstance(s, Fraction) and theta.value() is not None else None
+    line = plans.get((b, n))
+    if line is None:
+        E, F, S, G, d, C, J = _letter_line(theta, s, n)
+        g = math.gcd(E, F, C)
+        key = (E // g, F // g, d, C // g, J)
+        if key not in plans:
+            plan = _slope_plan(E, F, d, C, J)
+            plans[key] = plan, plan[6][:plan[2]]
+        line = E, F, d, C, J, plans[key]
+        if b is not None:
+            plans[b, n] = line
+    else:
+        E, F, d, C, J, _ = line
+        S, G = s.numerator * (C // b), 0
+    plan, period = line[5]
     q = len(period)
     windows = _window_plan(plan, E, F, S, G, d, C, J)
     seams = []

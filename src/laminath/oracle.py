@@ -15,7 +15,11 @@ blocks (Lothaire ch. 2): the 0/1 offsets from c0 of its inner blocks, with a
 1 at either end where its leading or trailing run of b's fills a long block
 (``_needle``).  Verdicts search that needle in the convergent's block period
 (``flat._block_periods``: the confirming level is one more step of the same
-standard-word recursion).
+standard-word recursion).  A "ba" BlockWord builds no letters: its needle,
+its span len(blocks) + 3 (the 'a's of its marker-led letters, plus 2) and
+its witness search's budget and bounds (its letter count) come off the
+stored blocks, and a certificate builds its letters from the query on first
+read.
 
 An independent sampling oracle searches long leaf-word prefixes from many
 start heights, on the same needle.  The prefixes come from the window kernel
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Optional
 
@@ -70,12 +75,16 @@ def rational_factors(r, m: int) -> FactorSet:
 @record(frozen=True)
 class AdmissibilityCertificate:
     verdict: str                       # "admissible" | "inadmissible"
-    word: str                          # the factor's letters
+    query: object                      # the word asked: a letter string or a BlockWord
     levels: tuple[int, ...]            # convergent indices consulted
     block_span: int                    # block window requirement
     aligned: bool = False              # block-aligned occurrence demanded
     witness_height: Optional[Fraction] = None
     witness_offset: Optional[int] = None
+
+    # the factor's letters, built from the query on first read
+    word = cached_property(lambda self: (self.query.letters() if isinstance(self.query, BlockWord)
+                                         else self.query))
 
     @property
     def is_admissible(self) -> bool:
@@ -90,6 +99,12 @@ def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
             return l
     raise DepthInsufficient(
         f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")
+
+
+def _letter_count(word, form) -> int:
+    """The letter count of ``word``, of ``_search_form`` ``form``: a "ba"
+    BlockWord's off its blocks."""
+    return word.letter_count if _stored_blocks(word) is not None else len(form[1])
 
 
 def _search_form(word) -> tuple[str, str, bool]:
@@ -153,19 +168,22 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     confirmed at the following level, where there is one.
     Theta must exceed 1.  Admissible verdicts carry a start height and
     offset locating the factor in the leaf word from that height,
-    re-checkable against the exact cutting sequence.
+    re-checkable against the exact cutting sequence.  A "ba" BlockWord is
+    decided on its stored blocks, with no letter built.
     """
-    search, letters, aligned = _search_form(word)
+    blocks = _stored_blocks(word)
+    form = (None, None, True) if blocks is not None else _search_form(word)
+    search, letters, aligned = form
     if letters == "":
-        return AdmissibilityCertificate("admissible", letters, (), 0, aligned,
+        return AdmissibilityCertificate("admissible", word, (), 0, aligned,
                                         Fraction(1, 7), 0)
-    span = search.count("a") + 2
+    span = len(blocks) + 3 if blocks is not None else search.count("a") + 2
     l0 = _window_level(theta, span, k_max)
     c = theta.floor_part()
-    if c == 0:
+    if c == 0 or c == theta.length == 1:  # theta < 1, or theta = [1] = 1
         cv = theta.convergent(l0)
         raise InvalidSlope(f"slope must be > 1, got {Fraction(cv.p, cv.q)}")
-    needle = _needle(search, c, _stored_blocks(word))[0]
+    needle = _needle(search, c, blocks)[0]
     periods = flat._block_periods(map(theta.coefficient, count()), l0)
     levels = [l0]
     if not _occurs(needle, periods):
@@ -174,10 +192,10 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
                 raise CertificateViolation(
                     "level disagreement; window threshold violated")
             levels.append(l0 + 1)
-        return AdmissibilityCertificate("inadmissible", letters, tuple(levels),
+        return AdmissibilityCertificate("inadmissible", word, tuple(levels),
                                         span, aligned)
-    s, offset = _find_witness(word, (search, letters, aligned), theta)
-    return AdmissibilityCertificate("admissible", letters, tuple(levels), span,
+    s, offset = _find_witness(word, form, theta)
+    return AdmissibilityCertificate("admissible", word, tuple(levels), span,
                                     aligned, s, offset)
 
 
@@ -231,7 +249,9 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     word (x = 0): its marker is the start of the stream, at letter -1.  An
     "ab" word's letters also count at letter 0 where the needle of "a" +
     letters starts the offsets.  The first hit ends first, so it is the
-    first letter occurrence; it counts if the word ends by letter n."""
+    first letter occurrence; it counts if the word ends by letter n.  A "ba"
+    word's form may hold no strings: only its blocks and letter count are
+    read."""
     search, letters, aligned = form
     c = theta.floor_part()
     blocks = _stored_blocks(word)
@@ -239,6 +259,7 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     top = _needle("a" + letters, c)[0] if aligned and blocks is None else None
     if needle is None and top is None:
         return None
+    size = _letter_count(word, form)
     first = not head and x >= aligned  # the least block a hit may start at
     plans, absent = {}, {}
     for s, n in starts:
@@ -256,7 +277,7 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
                 continue
             i += head
             at = i * (c + 1) + offs.count(1, 0, i) - x - 1 + aligned
-        if at + len(letters) <= n:
+        if at + size <= n:
             return s, at
     return None
 
@@ -265,7 +286,7 @@ def _find_witness(word, form: tuple[str, str, bool], theta: ContinuedFraction):
     """Start height and offset of ``word`` (in its ``_search_form`` ``form``)
     in an actual leaf word; the offset always points at the factor itself.
     Each denominator's heights read twice the letters of the one before."""
-    budget = max(4 * len(form[0]) + 2000, 10000)
+    budget = max(4 * (_letter_count(word, form) + form[2]) + 2000, 10000)
     found = _first_occurrence(word, form, theta,
                               ((Fraction(j, denom), budget << i)
                                for i, denom in enumerate((7, 11, 101, 257)) for j in (1, 2, 3)))

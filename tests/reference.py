@@ -9,7 +9,8 @@ points decoded; on the torus
 ``rotate``, ``rational_block_rotations``, ``is_finite`` and
 ``prescribed_growth_path``, the two-pass growth path; the letter-space
 verdict ``is_admissible_letters`` on period letters from exact floors, the
-slow reference of the oracle's block needles, and the letter-space searches
+slow reference of the oracle's block needles, ``cylinder_admissible``, the
+O(k) cylinder-interval verdict on "ba" block words, and the letter-space searches
 ``first_occurrence_letters`` and ``find_witness_letters``, the slow
 references of the sampling oracle and the witness search, and
 ``refuse_letters``, the tripwire that makes every letter path raise;
@@ -334,7 +335,7 @@ def is_admissible_letters(word, theta: ContinuedFraction,
     convergent word at levels l0 and l0 + 1."""
     search, letters, aligned = oracle._search_form(word)
     if letters == "":
-        return oracle.AdmissibilityCertificate("admissible", letters, (), 0, aligned,
+        return oracle.AdmissibilityCertificate("admissible", word, (), 0, aligned,
                                                Fraction(1, 7), 0)
     span = search.count("a") + 2
     l0 = oracle._window_level(theta, span, k_max)
@@ -349,11 +350,35 @@ def is_admissible_letters(word, theta: ContinuedFraction,
             if occurs(l0 + 1):
                 raise CertificateViolation("level disagreement; window threshold violated")
             levels.append(l0 + 1)
-        return oracle.AdmissibilityCertificate("inadmissible", letters, tuple(levels),
+        return oracle.AdmissibilityCertificate("inadmissible", word, tuple(levels),
                                                span, aligned)
     s, offset = find_witness_letters(search, letters, aligned, theta)
-    return oracle.AdmissibilityCertificate("admissible", letters, tuple(levels), span,
+    return oracle.AdmissibilityCertificate("admissible", word, tuple(levels), span,
                                            aligned, s, offset)
+
+
+def cylinder_admissible(word: BlockWord, theta_value: Exact) -> bool:
+    """Whether the "ba" block word (n_1, ..., n_k) occurs in some leaf word
+    of the slope ``theta_value``, by its cylinder interval (Lothaire,
+    Algebraic Combinatorics on Words, ch. 2): the leaf word from height s in
+    [0, 1) starts with the word exactly when floor(j theta + s) = N_j, N_j =
+    n_1 + ... + n_j, for j = 0..k, so those heights form [max_j (N_j - j
+    theta), min_j (N_j + 1 - j theta)), and the word occurs where that is not
+    empty.  With theta = (E + F sqrt d)/C the ends are the integer pairs
+    (C N_j - j E, -j F) over C, kept as a running maximum and minimum by
+    ``pair_sign``: O(k) exact sign tests, with no convergent and no
+    haystack.  Where two ends tie, as at a rational slope, the half-open
+    convention may differ from the oracle's."""
+    E, F, _, _, d, C = flat._integer_form(theta_value, 0)
+    lo, hi, N = (0, 0), (C, 0), 0
+    for j, n in enumerate(word.blocks, 1):
+        N += n
+        a, b = C * N - j * E, -j * F
+        if pair_sign(a - lo[0], b - lo[1], d) > 0:
+            lo = a, b
+        if pair_sign(a + C - hi[0], b - hi[1], d) < 0:
+            hi = a + C, b
+    return pair_sign(hi[0] - lo[0], hi[1] - lo[1], d) > 0
 
 
 def run_length_needle(u: str, c: int):

@@ -204,6 +204,41 @@ def test_verified_convergents_match_q_error(c0, pre, per, data):
             theta.convergents(k_max)
 
 
+@pytest.mark.parametrize("order", [(2, 5), (5, 2)])
+def test_corrupted_convergent_is_caught_in_either_order(order):
+    # p_4, corrupted before any call reaches level 3, breaks the checks of
+    # levels 3 and 4: the k = 5 call raises whether or not a k = 2 call has
+    # checked levels 0..2 first, and no failed level is kept as checked
+    theta = ContinuedFraction.sqrt2()
+    want = [theta.convergent(k) for k in range(3)]
+    theta._grow(6)
+    theta._p[4 + 2] += 1
+    for k in order:
+        if k == 5:
+            with pytest.raises(CertificateViolation, match="determinant"):
+                theta.convergents(5)
+        else:
+            assert theta.convergents(2) == want
+    with pytest.raises(CertificateViolation, match="determinant"):
+        theta.convergents(5)
+
+
+def test_convergent_levels_are_checked_once_per_slope(monkeypatch):
+    # each level costs two exact sign tests, once per slope: later calls
+    # check only the levels no earlier call reached, and return the same
+    # records
+    from laminath import cf
+    calls = []
+    sign = cf.pair_sign
+    monkeypatch.setattr(cf, "pair_sign", lambda *args: calls.append(args) or sign(*args))
+    theta = ContinuedFraction.golden()
+    first = theta.convergents(5)
+    assert len(calls) == 12
+    assert theta.convergents(2) == first[:3] and len(calls) == 12
+    assert theta.convergents(7)[:6] == first and len(calls) == 16
+    assert theta.convergents(7) == ContinuedFraction.golden().convergents(7)
+
+
 def test_negative_convergent_index_raises():
     theta = ContinuedFraction.sqrt2()
     for k in (-1, -2):

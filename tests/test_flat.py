@@ -316,6 +316,26 @@ def test_long_stream_matches_reference():
     assert oracle.leaf_letter_stream(SQRT2, s, 100_000) == letters[:100_000]
 
 
+@pytest.mark.parametrize("text", ["5/3", "7/5", "cf:[2;3,1]"])
+def test_rational_read_outs_match_exact_floors(text):
+    # at a slope p/q every window is the first, read once and repeated: J of
+    # about 20k blocks, thousands of windows of q <= 5 blocks, equals the
+    # exact floors in both images, at rational and quadratic heights, one of
+    # them on the lattice
+    theta = ContinuedFraction.from_text(text)
+    val, n = theta.value(), 50_000
+    for s in (Fraction(1, 7), Fraction(-5, 11), Fraction(0), QuadNum(Fraction(1, 3), 1, 2)):
+        E, F, S, G, d, C, J = flat._letter_line(theta, s, n)
+        assert J > 3000 * val.denominator
+        blocks = _blocks_python(E, F, S, G, d, C, J)
+        hit = next(((j, exact_floor(j * val + s)) for j in range(1, J + 1)
+                    if j * val + s == exact_floor(j * val + s)), None)
+        assert flat.sturmian_blocks(theta, s, J) == (blocks, hit)
+        letters = "".join("b" * k + "a" for k in blocks)
+        assert flat.sturmian_letters(theta, s, n)[0] == letters[:n]
+        assert len(letters) >= n and (hit is None) == (s != 0)
+
+
 # -- transverse measure -----------------------------------------------------------
 
 def test_measure_trivials():

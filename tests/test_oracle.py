@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction
 from laminath.errors import CertificateViolation, DepthInsufficient, InvalidSlope
-from laminath.exactnum import exact_floor
+from laminath.exactnum import QuadNum, exact_floor
 
 import reference as ref
 
@@ -165,6 +165,14 @@ def test_haystack_keeps_the_slope_guard(r):
     # the window kernel takes any slope; the factor haystack demands r > 1
     with pytest.raises(InvalidSlope, match="slope must be > 1"):
         oracle.rational_factors(r, 3)
+
+
+@pytest.mark.parametrize("word", ["a", "bab", words.BlockWord(1, (1, 2))])
+def test_verdicts_refuse_slope_one(word):
+    # theta = [1] has integer part 1 but does not exceed 1: it is refused,
+    # as the letter reference refuses it, not decided
+    with pytest.raises(InvalidSlope, match="slope must be > 1, got 1$"):
+        oracle.is_admissible(word, ContinuedFraction([0, 1]))
 
 
 def test_wilder_quadratic_slope():
@@ -447,6 +455,35 @@ def test_seam_search_matches_a_plain_find(case, data):
                 == ref.first_occurrence_letters(*form, theta, [(s, n)]))
 
 
+@pytest.mark.parametrize("text", ["cf:[1;2]p", "cf:[2;1,3]p", "7/5", "opaque"])
+def test_leaf_offsets_derive_one_line_per_denominator(text, monkeypatch):
+    # over an exact slope, a search derives (E, F, d, C) and J once for each
+    # denominator and length of its rational heights, and reads every height
+    # as a fresh search does; heights in the slope's field, and every height
+    # of an opaque slope, derive their own line
+    theta = (ContinuedFraction(source=SQRT2.coefficient) if text == "opaque"
+             else ContinuedFraction.from_text(text))
+    val = theta.value()
+    starts = [(Fraction(j, 2 ** 20 + 7), n) for n in (300, 5000) for j in (1, 77, 2 ** 19)]
+    starts += [(Fraction(j, 9), 5000) for j in (1, 2, 3, 7)]  # 3/9 is 1/3
+    if val is not None:
+        unit = QuadNum(0, 1, 2) if text == "7/5" else val
+        starts += [(Fraction(1, 3) + unit / 5, 5000), (Fraction(2, 3) - unit / 7, 5000)]
+    want = [flat._leaf_offsets(theta, s, n, {}) for s, n in starts]
+    lines = []
+    letter_line = flat._letter_line
+    monkeypatch.setattr(flat, "_letter_line", lambda *args: lines.append(args[1:])
+                        or letter_line(*args))
+    plans = {}
+    assert [flat._leaf_offsets(theta, s, n, plans) for s, n in starts] == want
+    if val is None:
+        assert len(lines) == len(starts)
+    else:
+        # the first height of each (denominator, n), and each field height
+        firsts = (starts[0], starts[3], starts[6], starts[8])
+        assert lines == [(s, n) for s, n in starts if isinstance(s, QuadNum) or (s, n) in firsts]
+
+
 # -- block-space verdicts ----------------------------------------------------------
 
 def _outcome(decide, *args):
@@ -586,6 +623,93 @@ def test_oracle_reads_no_letters(monkeypatch):
     assert [_outcome(oracle.is_admissible, word, theta) for theta, word in verdicts] == want
     assert [oracle.sampling_cross_check(word, theta, 20_000, 8, seed).found_at
             for word, seed in searches] == found
+
+
+def test_block_verdicts_build_no_letters(monkeypatch):
+    # a "ba" block word is decided, witness search included, on its stored
+    # blocks: with BlockWord.letters refused, every verdict, level, span and
+    # witness is unchanged, and the certificate builds its letters on read
+    wide = ContinuedFraction.from_text("cf:[300;2]p")
+    opaque = ContinuedFraction(source=SQRT2.coefficient)
+    cases = [(theta, word) for theta in (SQRT2, GOLDEN, opaque)
+             for word in (words.inadmissible_word(theta, 2), words.inadmissible_word(theta, 5),
+                          ref.revert_flip(words.inadmissible_word(theta, 4)),
+                          words.BlockWord(theta.floor_part(),
+                                          oracle.leaf_block_stream(theta, Fraction(2, 9), 40)))]
+    cases += [(SQRT2, words.inadmissible_segment(SQRT2, 3).word),
+              (wide, words.inadmissible_word(wide, 2)),
+              (wide, ref.revert_flip(words.inadmissible_word(wide, 3)))]
+    want = [oracle.is_admissible(word, theta) for theta, word in cases]
+    assert {c.verdict for c in want} == {"admissible", "inadmissible"}
+
+    def refuse(self):
+        raise RuntimeError("letters built")
+
+    monkeypatch.setattr(words.BlockWord, "letters", refuse)
+    got = [oracle.is_admissible(word, theta) for theta, word in cases]
+    assert [(c.verdict, c.levels, c.block_span, c.witness_height, c.witness_offset)
+            for c in got] == [(c.verdict, c.levels, c.block_span, c.witness_height,
+                               c.witness_offset) for c in want]
+    monkeypatch.undo()
+    assert got == want
+    assert [c.word for c in got] == [word.letters() for _, word in cases]
+
+
+@st.composite
+def _cylinder_cases(draw):
+    """(theta, slope, word): a quadratic theta with integer part 1..3 or 7,
+    the slope it is decided at (theta or its opaque copy), and a "ba" block
+    word of one of three kinds: random blocks over bases c - 1 .. c + 1, a
+    factor of a leaf block stream (perhaps with one block flipped), or an
+    ``inadmissible_word``."""
+    c = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    pre = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=2))
+    per = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    theta = ContinuedFraction.periodic([c, *pre], per)
+    slope = theta if draw(st.booleans()) else ContinuedFraction(source=theta.coefficient)
+    kind = draw(st.sampled_from(["random", "factor", "factor", "inadmissible"]))
+    if kind == "inadmissible":
+        return theta, slope, words.inadmissible_word(theta, draw(st.integers(2, 6)))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if kind == "random":
+        base = draw(st.integers(min_value=c - 1, max_value=c + 1))
+        blocks = draw(st.lists(st.sampled_from([base, base + 1]), min_size=n, max_size=n))
+        return theta, slope, words.BlockWord(base, blocks)
+    skip = draw(st.integers(min_value=0, max_value=300))
+    blocks = oracle.leaf_block_stream(theta, Fraction(draw(st.integers(1, 996)), 997),
+                                      skip + n)[skip:]
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        blocks[j] = 2 * c + 1 - blocks[j]
+    return theta, slope, words.BlockWord(c, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cylinder_cases())
+def test_block_verdicts_match_cylinder_intervals(case):
+    # the oracle's convergent-level verdict against the O(k) cylinder
+    # interval on theta's exact value, at quadratic slopes and their opaque
+    # copies; rational slopes stay out, as ties there meet the half-open
+    # convention
+    theta, slope, word = case
+    assert oracle.is_admissible(word, slope).is_admissible == ref.cylinder_admissible(
+        word, theta.value())
+
+
+def test_short_block_verdicts_match_cylinder_intervals():
+    # every "ba" word of 1 to 6 blocks over {c, c + 1}, both verdicts met
+    wilder = ContinuedFraction.from_text("cf:[2;1,3]p")
+    for theta, slope in ((SQRT2, SQRT2), (GOLDEN, ContinuedFraction(source=GOLDEN.coefficient)),
+                         (wilder, wilder)):
+        c = theta.floor_part()
+        verdicts = set()
+        for n in range(1, 7):
+            for blocks in product((c, c + 1), repeat=n):
+                word = words.BlockWord(c, blocks)
+                verdict = oracle.is_admissible(word, slope).is_admissible
+                assert verdict == ref.cylinder_admissible(word, theta.value()), (theta, blocks)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def test_block_period_is_a_rotation_of_the_simple_word():
