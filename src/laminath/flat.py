@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ._record import record
 from .cf import ContinuedFraction, partial_quotients
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
-                     SingularHit)
+                     InvalidSlope, SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
                        format_exact, pair_floor, pair_sign, parse_exact, surd)
 
@@ -240,38 +240,34 @@ def _window_plan(plan, E, F, S, G, d, C, J: int) -> list[tuple[int, int, int]]:
     per window of q blocks (j0, i, miss), its start in the period and its
     block i - 1 off by miss (block i by -miss if i < q).  Two exact floors
     per window, floor(q x) and the one at i.  When the slope is p/q (sign
-    0) a window moves q x by the integer q p, so every window is the first,
-    read with one floor."""
+    0) a window moves q x by the integer q p, so every window is the first:
+    the plan is that one window, read with one floor."""
     _, p, q, sign, inv, _, _ = plan
     target = q - 1 if sign > 0 else 0
     windows = []
     A, B = S, G
-    for _ in range(-(-J // q)):
+    for _ in range(-(-J // q) if sign else 1):
         n0, r = divmod(pair_floor(q * A, q * B, d, C), q)
         i = (target - r) * inv % q or q
         miss = sign and pair_floor(A + i * E, B + i * F, d, C) - n0 - (r + i * p) // q
         if miss not in (0, sign):
             raise CertificateViolation(f"window floor off by {miss} at j={i}")
         windows.append((r * inv % q, i, miss))
-        if not sign:
-            return windows * -(-J // q)
         A, B = A + q * E, B + q * F
     return windows
 
 
-def _window_read(plan, windows):
-    """The whole windows of ``windows`` (``_window_plan``'s, of the slope
-    half ``plan``) read off the plan in its images: 0/1 offsets or letters.
-    Block j of the doubled period starts at j w0 + (w1 - w0) floor(j f/q),
-    with w0 and w1 the images' lengths and f = p - c q the offsets' sum
-    over a period.  At a slope p/q (sign 0) every window is the first, read
-    once and repeated."""
+def _window_read(plan, windows, J: int):
+    """The whole windows over J blocks of ``windows`` (``_window_plan``'s,
+    of the slope half ``plan``) read off the plan in its images: 0/1
+    offsets or letters.  Block j of the doubled period starts at j w0 +
+    (w1 - w0) floor(j f/q), with w0 and w1 the images' lengths and f = p -
+    c q the offsets' sum over a period.  At a slope p/q (sign 0) the one
+    window of the plan is read once and repeated over the J blocks."""
     quotients, p, q, sign, _, (x0, x1), period = plan
     w0, w1, f = len(x0), len(x1), p - quotients[0] * q
     width = q * w0 + (w1 - w0) * f
-    pieces, repeat = [], 1
-    if not sign:
-        windows, repeat = windows[:1], len(windows)
+    pieces = []
     for j0, i, miss in windows:
         start = j0 * w0 + (w1 - w0) * (j0 * f // q)
         if not miss:
@@ -283,7 +279,7 @@ def _window_read(plan, windows):
         cut = j * w0 + (w1 - w0) * (j * f // q)
         swap = (x1 + x0 if miss > 0 else x0 + x1) if i < q else (x1 if miss > 0 else x0)
         pieces += (period[start:cut], swap, period[cut + w0 + w1:start + width])
-    return period[:0].join(pieces) * repeat
+    return period[:0].join(pieces) * (1 if sign else -(-J // q))
 
 
 def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
@@ -291,7 +287,7 @@ def _window_blocks(E, F, S, G, d, C, J: int, plan=None):
     bytearray of 0/1 offsets, the first J of the read-out of the slope half
     ``plan`` (``_slope_plan``, built here when not given)."""
     plan = plan or _slope_plan(E, F, d, C, J)
-    offsets = bytearray(_window_read(plan, _window_plan(plan, E, F, S, G, d, C, J)))
+    offsets = bytearray(_window_read(plan, _window_plan(plan, E, F, S, G, d, C, J), J))
     del offsets[J:]
     return offsets, plan[0][0]
 
@@ -331,16 +327,18 @@ def _line(theta: ContinuedFraction, s, J: int) -> tuple[int, int, int, int, int,
     0 < j theta - j p/q < J/(q q') < 1/(qb), and g = j p/q + s lies on the
     grid (1/(qb))Z, which holds the integers: j theta + s and the stand-in's
     g + 1/(2qb) lie in the open cell (g, g + 1/(qb)), so both have integer
-    part floor(g), as s and s + 1/(2qb) do at j = 0."""
+    part floor(g), as s and s + 1/(2qb) do at j = 0.  It is built over C =
+    2qb, so all heights over b share (E, F, d, C), each with S = C s + 1."""
     theta_val = theta.value()
     if theta_val is not None:
         return _integer_form(theta_val, s)
-    b = Fraction(s).denominator
+    s = Fraction(s)
     k = 0
-    while theta.convergent(k + 1).q <= J * b:
+    while theta.convergent(k + 1).q <= J * s.denominator:
         k += 2
     cv = theta.convergent(k)
-    return _integer_form(Fraction(cv.p, cv.q), s + Fraction(1, 2 * cv.q * b))
+    C = 2 * cv.q * s.denominator
+    return 2 * cv.p * s.denominator, 0, 2 * cv.q * s.numerator + 1, 0, 2, C
 
 
 def sturmian_blocks(theta: ContinuedFraction, s, num_blocks: int):
@@ -378,43 +376,38 @@ def _leaf_offsets(theta: ContinuedFraction, s, n: int, plans: dict) -> tuple:
     c0; the ascending seams of their read-out; and the block period of its
     plan, one object per plan.
 
-    The slope half of the window plan and its period come from ``plans``,
-    keyed by the line's slope reduced by its gcd and J, built there on first
-    use: heights over different denominators scale the same slope's
-    integers differently.  Window w is bytes wq .. wq + q - 1 of the
-    read-out; its seams are the byte before it (but for the first window)
-    and its off blocks' bytes, wq + i - 1 and wq + i (the first alone when
-    i = q).  So a run that holds no seam lies in one window, off its
-    swapped blocks: it is a factor of the periodic word of the period.
-
-    A rational height a/b over an exact slope reads (E, F, d, C), J and the
-    plan off ``plans`` under (b, n) after the first: only S = a C/b is its
-    own (G = 0).  Other heights derive their line each time."""
-    b = s.denominator if isinstance(s, Fraction) and theta.value() is not None else None
-    line = plans.get((b, n))
+    ``plans`` keeps, each built on first use, the line of the height's
+    denominator, field and n, whose heights share (E, F, d, C) and J and
+    own only their (S, G) over C, moved by the line's shift (an opaque
+    slope's stand-in starts 1/C above the height, ``_line``); and the slope
+    half of the plan with its period, under the slope reduced by its gcd
+    and J.  Window w is bytes wq .. wq + q - 1 of the read-out; its seams
+    are the byte before it (but for the first window) and its off blocks'
+    bytes, wq + i - 1 and wq + i (the first alone when i = q).  So a run
+    that holds no seam lies in one window, off its swapped blocks: it is a
+    factor of the periodic word of the period.  At a slope p/q the one
+    window repeats, so there are no seams."""
+    key = denominator(s), isinstance(s, QuadNum) and surd((s,)), n  # no surd call per Fraction
+    line = plans.get(key)
     if line is None:
         E, F, S, G, d, C, J = _letter_line(theta, s, n)
         g = math.gcd(E, F, C)
-        key = (E // g, F // g, d, C // g, J)
-        if key not in plans:
+        slope = E // g, F // g, d, C // g, J
+        if slope not in plans:
             plan = _slope_plan(E, F, d, C, J)
-            plans[key] = plan, plan[6][:plan[2]]
-        line = E, F, d, C, J, plans[key]
-        if b is not None:
-            plans[b, n] = line
-    else:
-        E, F, d, C, J, _ = line
-        S, G = s.numerator * (C // b), 0
-    plan, period = line[5]
+            plans[slope] = plan, plan[6][:plan[2]]
+        line = plans[key] = E, F, d, C, J, S - encode(s, C)[0], plans[slope]
+    E, F, d, C, J, shift, (plan, period) = line
+    S, G = encode(s, C)
     q = len(period)
-    windows = _window_plan(plan, E, F, S, G, d, C, J)
+    windows = _window_plan(plan, E, F, S + shift, G, d, C, J)
     seams = []
     for w, (_, i, miss) in enumerate(windows):
         if w:
             seams.append(w * q - 1)
         if miss:
             seams += (w * q + i - 1, w * q + i) if i < q else (w * q + q - 1,)
-    return _window_read(plan, windows)[:J], seams, period
+    return _window_read(plan, windows, J)[:J], seams, period
 
 
 def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
@@ -423,7 +416,7 @@ def sturmian_letters(theta: ContinuedFraction, s, num_letters: int):
     lattice point (m, n) the line meets within them, or None."""
     E, F, S, G, d, C, J = _letter_line(theta, s, num_letters)
     plan = _slope_plan(E, F, d, C, J, letters=True)
-    letters = _window_read(plan, _window_plan(plan, E, F, S, G, d, C, J))
+    letters = _window_read(plan, _window_plan(plan, E, F, S, G, d, C, J), J)
     hit = _first_hit(E, F, S, G, C, J)
     # the line reaches the hit after m - 1 a's and n - floor(s) - 1 b's
     if hit is not None and hit[0] + hit[1] - exact_floor(s) - 2 >= num_letters:
@@ -550,9 +543,11 @@ def linear_growth_probe(theta: ContinuedFraction, direction, t_max, samples: int
 
     ``direction`` is an exact slope or the string "vertical"; parameter length
     is dx for sloped directions and the height for vertical ones.  The table
-    satisfies I(t) = t * I(1) exactly.
+    satisfies I(t) = t * I(1) exactly.  Theta needs an exact value.
     """
     theta_val = theta.value()
+    if theta_val is None:
+        raise InvalidSlope("a linear growth probe needs an exact slope value")
     base = FlatPoint(Fraction(1, 7), Fraction(1, 9))
     rows = []
     t_max = Fraction(t_max)
@@ -577,11 +572,13 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
     ``t_cap`` (default 10^9).  Returns (path, rows); rows carry (t, I(t), f(t))
     at the joints.  Raises InvalidGrowthFunction when f(0) != 0, when f fails
     to increase across a bracket, or when f jumps so that |I - f| > 1 at a
-    joint.
+    joint, and InvalidSlope when theta has no exact value.
     """
     if abs(f(0.0)) > 1e-12:
         raise InvalidGrowthFunction("f(0) must be 0")
     theta_val = theta.value()
+    if theta_val is None:
+        raise InvalidSlope("a growth path needs an exact slope value")
     if t_cap is None:
         t_cap = Fraction(10) ** 9
     vertices, markers, rows = [FlatPoint(Fraction(0), Fraction(1, 7))], ["start"], []

@@ -15,11 +15,11 @@ blocks (Lothaire ch. 2): the 0/1 offsets from c0 of its inner blocks, with a
 1 at either end where its leading or trailing run of b's fills a long block
 (``_needle``).  Verdicts search that needle in the convergent's block period
 (``flat._block_periods``: the confirming level is one more step of the same
-standard-word recursion).  A "ba" BlockWord builds no letters: its needle,
-its span len(blocks) + 3 (the 'a's of its marker-led letters, plus 2) and
-its witness search's budget and bounds (its letter count) come off the
-stored blocks, and a certificate builds its letters from the query on first
-read.
+standard-word recursion).  Each query is parsed once (``_query``), and a
+verdict hands its needle on to its witness search.  A "ba" BlockWord builds
+no letters: its needle, its span len(blocks) + 3 (the 'a's of its
+marker-led letters, plus 2) and its letter count come off the stored
+blocks, and a certificate builds its letters from the query on first read.
 
 An independent sampling oracle searches long leaf-word prefixes from many
 start heights, on the same needle.  The prefixes come from the window kernel
@@ -101,29 +101,26 @@ def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
         f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")
 
 
-def _letter_count(word, form) -> int:
-    """The letter count of ``word``, of ``_search_form`` ``form``: a "ba"
-    BlockWord's off its blocks."""
-    return word.letter_count if _stored_blocks(word) is not None else len(form[1])
+def _query(word) -> tuple:
+    """(form, aligned, letter count, block span) of ``word``, parsed once.
 
-
-def _search_form(word) -> tuple[str, str, bool]:
-    """(search string, display letters, aligned).
-
-    A BlockWord asks for a block-aligned occurrence: the search string is
-    its letters led by its marker letter ('a' for b^n a blocks), found
-    anywhere, and the letters alone also count at the head of a leaf word,
-    which starts a block.  A letter string is searched as it is.
+    A BlockWord asks for a block-aligned occurrence.  Its form, the search
+    string, is its letters led by its marker letter ('a' for b^n a blocks),
+    found anywhere; the letters alone also count at the head of a leaf word,
+    which starts a block.  A "ba" word's form is its stored blocks instead,
+    which ``_needle`` reads as they are.  A letter string is searched as it
+    is.  The span is the search string's 'a's, plus 2.
     """
-    if isinstance(word, BlockWord):
-        letters = word.letters()
-        return letters[-1] + letters, letters, True
-    if set(word) - {"a", "b"}:
+    aligned = isinstance(word, BlockWord)
+    if aligned and word.orientation == "ba":
+        return word.blocks, True, word.letter_count, len(word.blocks) + 3
+    search = "b" + word.letters() if aligned else word
+    if set(search) - {"a", "b"}:
         raise ValueError("words are over the letters a, b")
-    return word, word, False
+    return search, aligned, len(search) - aligned, search.count("a") + 2
 
 
-def _needle(u: str, c: int, blocks=None) -> tuple[Optional[bytes], bool, int]:
+def _needle(u, c: int) -> tuple[Optional[bytes], bool, int]:
     """(needle, head, x) of the letter string u = b^x a (b^n_1 a) ...
     (b^n_k a) b^y, a cylinder set of the blocks b^c a and b^(c+1) a of leaf
     words.  The needle is n_1 .. n_k as 0/1 offsets from c, led by a 1
@@ -131,14 +128,14 @@ def _needle(u: str, c: int, blocks=None) -> tuple[Optional[bytes], bool, int]:
     as no leaf word holds u, where x or y exceeds c + 1 or some n_i lies off
     {c, c + 1}.  A u with no 'a' is its tail b^y alone, with x = -1.  The
     stored blocks of a "ba" BlockWord, u = a (b^n_1 a) ... (b^n_k a), are
-    given as ``blocks`` and translated once."""
-    if blocks is not None:
+    given as they are, bytes or a tuple, and translated once."""
+    if not isinstance(u, str):
         x = y = 0
-        if type(blocks) is bytes and c < 255:
-            inner = (None if blocks.translate(None, bytes((c, c + 1)))
-                     else blocks.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01")))
+        if type(u) is bytes and c < 255:
+            inner = (None if u.translate(None, bytes((c, c + 1)))
+                     else u.translate(bytes.maketrans(bytes((c, c + 1)), b"\x00\x01")))
         else:
-            inner = bytes(b - c for b in blocks) if set(blocks) <= {c, c + 1} else None
+            inner = bytes(b - c for b in u) if set(u) <= {c, c + 1} else None
     else:
         x, last = u.find("a"), u.rfind("a")
         y = len(u) - 1 - last
@@ -152,51 +149,39 @@ def _needle(u: str, c: int, blocks=None) -> tuple[Optional[bytes], bool, int]:
     return b"\x01" * head + inner + b"\x01" * (y == c + 1), head, x
 
 
-def _stored_blocks(word):
-    """The blocks of a "ba" BlockWord, which ``_needle`` reads as they are."""
-    return word.blocks if isinstance(word, BlockWord) and word.orientation == "ba" else None
-
-
 def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> AdmissibilityCertificate:
     """Decide whether ``word`` occurs in some theta-leaf word.
 
     ``word`` may be a letter string (plain containment) or a BlockWord
-    (block-aligned containment).  Membership of the search string's block
-    needle (``_needle``) in the periodic block word of the first convergent
-    whose cycle is longer than the word's block span, or else of a finite
+    (block-aligned containment).  Membership of the query's block needle
+    (``_needle``) in the periodic block word of the first convergent whose
+    cycle is longer than the word's block span, or else of a finite
     expansion's last, settles the verdict; inadmissible verdicts are
     confirmed at the following level, where there is one.
-    Theta must exceed 1.  Admissible verdicts carry a start height and
-    offset locating the factor in the leaf word from that height,
-    re-checkable against the exact cutting sequence.  A "ba" BlockWord is
-    decided on its stored blocks, with no letter built.
+    Theta must exceed 1, the empty word's too.  Admissible verdicts carry a
+    start height and offset locating the factor in the leaf word from that
+    height, re-checkable against the exact cutting sequence.  A "ba"
+    BlockWord is decided on its stored blocks, with no letter built.
     """
-    blocks = _stored_blocks(word)
-    form = (None, None, True) if blocks is not None else _search_form(word)
-    search, letters, aligned = form
-    if letters == "":
-        return AdmissibilityCertificate("admissible", word, (), 0, aligned,
-                                        Fraction(1, 7), 0)
-    span = len(blocks) + 3 if blocks is not None else search.count("a") + 2
-    l0 = _window_level(theta, span, k_max)
+    query = form, aligned, size, span = _query(word)
     c = theta.floor_part()
     if c == 0 or c == theta.length == 1:  # theta < 1, or theta = [1] = 1
-        cv = theta.convergent(l0)
+        cv = theta.convergent(_window_level(theta, span, k_max))
         raise InvalidSlope(f"slope must be > 1, got {Fraction(cv.p, cv.q)}")
-    needle = _needle(search, c, blocks)[0]
+    if not size:
+        return AdmissibilityCertificate("admissible", word, (), 0, aligned, Fraction(1, 7), 0)
+    l0 = _window_level(theta, span, k_max)
+    parse = _needle(form, c)
     periods = flat._block_periods(map(theta.coefficient, count()), l0)
     levels = [l0]
-    if not _occurs(needle, periods):
+    if not _occurs(parse[0], periods):
         if l0 + 1 <= k_max and l0 + 1 != theta.length:
-            if _occurs(needle, periods):
-                raise CertificateViolation(
-                    "level disagreement; window threshold violated")
+            if _occurs(parse[0], periods):
+                raise CertificateViolation("level disagreement; window threshold violated")
             levels.append(l0 + 1)
-        return AdmissibilityCertificate("inadmissible", word, tuple(levels),
-                                        span, aligned)
-    s, offset = _find_witness(word, form, theta)
-    return AdmissibilityCertificate("admissible", word, tuple(levels), span,
-                                    aligned, s, offset)
+        return AdmissibilityCertificate("inadmissible", word, tuple(levels), span, aligned)
+    s, offset = _find_witness(query, parse, theta)
+    return AdmissibilityCertificate("admissible", word, tuple(levels), span, aligned, s, offset)
 
 
 def _cyclic(period, m: int):
@@ -229,19 +214,19 @@ def _seam_find(offs, needle: bytes, start: int, seams) -> int:
     return offs.find(needle, lo, hi) if lo < hi else -1
 
 
-def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFraction,
+def _first_occurrence(query, parse, theta: ContinuedFraction,
                       starts) -> Optional[tuple[Fraction, int]]:
-    """(height, offset) of ``word``, in its ``_search_form`` ``form``, in the
-    first leaf word, read to n letters for each (height, n) of ``starts`` in
-    turn, that holds it, or None.  Each slope is planned once per call
+    """(height, offset) of the word of ``query`` (``_query``'s), whose
+    needle is ``parse`` (``_needle``'s of its form), in the first leaf word,
+    read to n letters for each (height, n) of ``starts`` in turn, that holds
+    it, or None.  Each slope is planned once per call
     (``flat._leaf_offsets``).
 
-    The search string's needle (``_needle``) is found in the leaf word's
-    block offsets.  Where the periodic word of a plan's period does not
-    hold the needle (tested once per plan), every occurrence holds a seam of
-    the read-out, and only the spans around the seams are searched
-    (``_seam_find``); elsewhere, as in the witness search for an admissible
-    word, the whole read-out is.
+    The needle is found in the leaf word's block offsets.  Where the
+    periodic word of a plan's period does not hold the needle (tested once
+    per plan), every occurrence holds a seam of the read-out, and only the
+    spans around the seams are searched (``_seam_find``); elsewhere, as in
+    the witness search for an admissible word, the whole read-out is.
 
     A hit whose block after the head starts at letter L puts the search
     string at L - x - 1, and the letters of an aligned word one letter on.
@@ -249,17 +234,13 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     word (x = 0): its marker is the start of the stream, at letter -1.  An
     "ab" word's letters also count at letter 0 where the needle of "a" +
     letters starts the offsets.  The first hit ends first, so it is the
-    first letter occurrence; it counts if the word ends by letter n.  A "ba"
-    word's form may hold no strings: only its blocks and letter count are
-    read."""
-    search, letters, aligned = form
+    first letter occurrence; it counts if the word ends by letter n."""
+    form, aligned, size, _ = query
+    needle, head, x = parse
     c = theta.floor_part()
-    blocks = _stored_blocks(word)
-    needle, head, x = _needle(search, c, blocks)
-    top = _needle("a" + letters, c)[0] if aligned and blocks is None else None
+    top = _needle("a" + form[1:], c)[0] if aligned and isinstance(form, str) else None
     if needle is None and top is None:
         return None
-    size = _letter_count(word, form)
     first = not head and x >= aligned  # the least block a hit may start at
     plans, absent = {}, {}
     for s, n in starts:
@@ -282,12 +263,13 @@ def _first_occurrence(word, form: tuple[str, str, bool], theta: ContinuedFractio
     return None
 
 
-def _find_witness(word, form: tuple[str, str, bool], theta: ContinuedFraction):
-    """Start height and offset of ``word`` (in its ``_search_form`` ``form``)
-    in an actual leaf word; the offset always points at the factor itself.
-    Each denominator's heights read twice the letters of the one before."""
-    budget = max(4 * (_letter_count(word, form) + form[2]) + 2000, 10000)
-    found = _first_occurrence(word, form, theta,
+def _find_witness(query, parse, theta: ContinuedFraction):
+    """Start height and offset of the word of ``query``, whose needle is
+    ``parse``, in an actual leaf word; the offset always points at the
+    factor itself.  Each denominator's heights read twice the letters of
+    the one before."""
+    budget = max(4 * (query[2] + query[1]) + 2000, 10000)
+    found = _first_occurrence(query, parse, theta,
                               ((Fraction(j, denom), budget << i)
                                for i, denom in enumerate((7, 11, 101, 257)) for j in (1, 2, 3)))
     if found is None:
@@ -328,17 +310,17 @@ class SamplingReport:
         return self.found_at is None
 
 
-def sampling_form(word, num_letters: int, heights: int) -> tuple[str, str, bool]:
-    """``_search_form(word)`` for a sampling search that can find the word:
+def sampling_form(word, num_letters: int, heights: int) -> tuple:
+    """``_query(word)`` for a sampling search that can find the word:
     ValueError if there are no heights or fewer letters per height than the
     word has."""
-    form = _search_form(word)
+    query = _query(word)
     if heights < 1:
         raise ValueError("sampling needs at least 1 height")
-    if num_letters < len(form[1]):
-        raise ValueError(f"sampling needs at least {len(form[1])} letters per height "
+    if num_letters < query[2]:
+        raise ValueError(f"sampling needs at least {query[2]} letters per height "
                          f"(the word's length), got {num_letters}")
-    return form
+    return query
 
 
 def sampling_cross_check(word, theta: ContinuedFraction,
@@ -354,7 +336,7 @@ def sampling_cross_check(word, theta: ContinuedFraction,
     height than the word has), or a seeded one asking for more distinct
     heights than it draws from, raises ValueError.
     """
-    form = sampling_form(word, num_letters, heights)
+    query = sampling_form(word, num_letters, heights)
     if seed is None:
         hs = [Fraction(j, heights + 1) for j in range(1, heights + 1)]
     else:
@@ -370,5 +352,7 @@ def sampling_cross_check(word, theta: ContinuedFraction,
             if c not in seen:
                 seen.add(c)
                 hs.append(Fraction(c, denom))
-    found = _first_occurrence(word, form, theta, ((s, num_letters) for s in hs))
-    return SamplingReport(form[1], tuple(hs), num_letters, found)
+    found = _first_occurrence(query, _needle(query[0], theta.floor_part()), theta,
+                              ((s, num_letters) for s in hs))
+    letters = word.letters() if isinstance(word, BlockWord) else word
+    return SamplingReport(letters, tuple(hs), num_letters, found)

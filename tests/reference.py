@@ -9,7 +9,8 @@ points decoded; on the torus
 ``rotate``, ``rational_block_rotations``, ``is_finite`` and
 ``prescribed_growth_path``, the two-pass growth path; the letter-space
 verdict ``is_admissible_letters`` on period letters from exact floors, the
-slow reference of the oracle's block needles, ``cylinder_admissible``, the
+slow reference of the oracle's block needles, on the search string that
+``search_form`` builds from a word's letters, ``cylinder_admissible``, the
 O(k) cylinder-interval verdict on "ba" block words, and the letter-space searches
 ``first_occurrence_letters`` and ``find_witness_letters``, the slow
 references of the sampling oracle and the witness search, and
@@ -328,13 +329,26 @@ def _period_letters(cv) -> str:
             .replace(b"\x00", b"b" * c + b"a").decode())
 
 
+def search_form(word) -> tuple[str, str, bool]:
+    """(search string, letters, aligned) of ``word``, from its letters: a
+    BlockWord's letters led by their last letter, its marker, and searched
+    block-aligned; a letter string as it is."""
+    letters = word.letters() if isinstance(word, BlockWord) else word
+    if set(letters) - {"a", "b"}:
+        raise ValueError("words are over the letters a, b")
+    aligned = isinstance(word, BlockWord)
+    return (letters[-1] + letters if aligned else letters), letters, aligned
+
+
 def is_admissible_letters(word, theta: ContinuedFraction,
                           k_max: int = 24) -> oracle.AdmissibilityCertificate:
     """``oracle.is_admissible`` with every word decided in letter space: the
-    marker-anchored letters searched in a letter haystack of the periodic
-    convergent word at levels l0 and l0 + 1."""
-    search, letters, aligned = oracle._search_form(word)
-    if letters == "":
+    marker-anchored letters (``search_form``) searched in a letter haystack
+    of the periodic convergent word at levels l0 and l0 + 1.  The empty word
+    is admissible at every theta > 1; elsewhere the period letters refuse
+    it, as every other word."""
+    search, letters, aligned = search_form(word)
+    if letters == "" and theta.compare(1) > 0:
         return oracle.AdmissibilityCertificate("admissible", word, (), 0, aligned,
                                                Fraction(1, 7), 0)
     span = search.count("a") + 2
@@ -367,8 +381,9 @@ def cylinder_admissible(word: BlockWord, theta_value: Exact) -> bool:
     empty.  With theta = (E + F sqrt d)/C the ends are the integer pairs
     (C N_j - j E, -j F) over C, kept as a running maximum and minimum by
     ``pair_sign``: O(k) exact sign tests, with no convergent and no
-    haystack.  Where two ends tie, as at a rational slope, the half-open
-    convention may differ from the oracle's."""
+    haystack.  Ends that tie, as at a rational slope, need no convention of
+    their own: the half-open interval is empty exactly when its ends meet or
+    cross."""
     E, F, _, _, d, C = flat._integer_form(theta_value, 0)
     lo, hi, N = (0, 0), (C, 0), 0
     for j, n in enumerate(word.blocks, 1):

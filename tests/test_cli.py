@@ -612,6 +612,17 @@ def test_finite_slopes_decide_at_their_last_level():
     assert counts == [5, 5]
 
 
+@pytest.mark.parametrize("theta", ["1/2", "1"])
+def test_admissible_empty_word_slope_at_most_one_exits_2(theta):
+    # the empty word is refused at the slopes where every other word is,
+    # with the same detail as the one-letter word "b"; above 1 it is decided
+    code, out, err = run_cli(["admissible", "--theta", theta, "--word", ""])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid-slope"
+    assert run_cli(["admissible", "--theta", theta, "--word", "b"])[2] == err
+    assert run_cli(["admissible", "--theta", "3/2", "--word", ""])[0] == 0
+
+
 @pytest.mark.parametrize("slope", ["1/2", "0", "1"])
 def test_factors_slope_at_most_one_exits_2(slope):
     code, out, err = run_cli(["factors", "--slope", slope, "--m", "3"])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from laminath import flat, oracle, words
 from laminath.cf import ContinuedFraction, Convergent, partial_quotients
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
-                             PrecisionExhausted, SingularHit)
+                             InvalidSlope, PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor, frac_part
 
 import reference as ref
@@ -228,7 +228,7 @@ def _letter_read(E, F, S, G, d, C, J, cap):
     plan = _plan(E, F, d, C, J, cap, letters=True)
     q = plan[2]
     want = "".join("b" * n + "a" for n in _blocks_python(E, F, S, G, d, C, -(-J // q) * q))
-    return flat._window_read(plan, flat._window_plan(plan, E, F, S, G, d, C, J)), want
+    return flat._window_read(plan, flat._window_plan(plan, E, F, S, G, d, C, J), J), want
 
 
 @settings(max_examples=200, deadline=None)
@@ -708,6 +708,22 @@ def test_prescribed_growth_zero():
 def test_prescribed_growth_invalid():
     with pytest.raises(InvalidGrowthFunction):
         flat.prescribed_growth_path(SQRT2, lambda t: 1.0, 3)
+
+
+def test_linear_growth_probe_needs_an_exact_slope():
+    # an opaque slope has no value to measure against: it is refused as
+    # inadmissible_segment refuses it, where a TypeError once escaped
+    opaque = ContinuedFraction(source=SQRT2.coefficient)
+    for direction in (Fraction(1, 3), "vertical"):
+        with pytest.raises(InvalidSlope, match="needs an exact slope value$"):
+            flat.linear_growth_probe(opaque, direction, 8, 4)
+
+
+def test_prescribed_growth_path_needs_an_exact_slope():
+    opaque = ContinuedFraction(source=SQRT2.coefficient)
+    for f in (math.sqrt, lambda t: 0.0):
+        with pytest.raises(InvalidSlope, match="needs an exact slope value$"):
+            flat.prescribed_growth_path(opaque, f, 3)
 
 
 def _growth_target(kind: str, x: float):

@@ -75,6 +75,21 @@ def test_empty_word_admissible():
     assert oracle.is_admissible("", SQRT2).verdict == "admissible"
 
 
+@pytest.mark.parametrize("text", ["1/2", "1", "2/3", "cf:[0;2,1]p"])
+def test_empty_word_refuses_slopes_up_to_one(text):
+    # the slope is checked before the empty word is: it is refused where
+    # every other word is, with the same error as the one-letter word "b"
+    # (the same span), and the letter reference refuses it too
+    theta = ContinuedFraction.from_text(text)
+    with pytest.raises(InvalidSlope, match="slope must be > 1"):
+        oracle.is_admissible("", theta)
+    assert (_outcome(oracle.is_admissible, "", theta) == _outcome(oracle.is_admissible, "b", theta)
+            == _outcome(ref.is_admissible_letters, "", theta))
+    # above 1 the empty word needs no level, even at depth 0
+    assert [oracle.is_admissible("", t, 0) for t in (SQRT2, ContinuedFraction([1, 2]))] == [
+        oracle.AdmissibilityCertificate("admissible", "", (), 0, False, Fraction(1, 7), 0)] * 2
+
+
 def test_word_alphabet_checked():
     with pytest.raises(ValueError):
         oracle.is_admissible("abA", SQRT2)
@@ -289,7 +304,7 @@ def test_aligned_words_count_at_the_stream_head():
     # form bbbab occurs in no leaf word
     assert oracle.is_admissible("bbbab", GOLDEN).verdict == "inadmissible"
     for word in (words.BlockWord(1, (2, 1, 2)), words.BlockWord(0, (0, 0, 1), "ab")):
-        form = oracle._search_form(word)
+        form = ref.search_form(word)
         rep = oracle.sampling_cross_check(word, GOLDEN, word.letter_count, 1)
         assert rep.heights == (Fraction(1, 2),)
         assert rep.found_at == (Fraction(1, 2), 0) == ref.first_occurrence_letters(
@@ -370,12 +385,14 @@ def test_block_searches_match_the_letter_reference(case):
     # the sampling oracle and the witness search on block offsets, against
     # one whole letter stream per height: the same first occurrence, or none
     theta, word, n, heights, seed = case
-    form = oracle._search_form(word)
+    form = ref.search_form(word)
     rep = oracle.sampling_cross_check(word, theta, n, heights, seed)
     assert rep.word == form[1]
     assert rep.found_at == ref.first_occurrence_letters(*form, theta,
                                                         ((s, n) for s in rep.heights))
-    assert (_outcome(oracle._find_witness, word, form, theta)
+    query = oracle._query(word)
+    assert (_outcome(oracle._find_witness, query, oracle._needle(query[0], theta.floor_part()),
+                     theta)
             == _outcome(ref.find_witness_letters, *form, theta))
 
 
@@ -450,17 +467,17 @@ def test_seam_search_matches_a_plain_find(case, data):
     runs = [len(run) for run in (letters + "b").split("b")[:-1]]
     for word in (letters, words.BlockWord(c, [c + o for o in needle]),
                  words.BlockWord(0, runs, "ab")):
-        form = oracle._search_form(word)
-        assert (oracle._first_occurrence(word, form, theta, [(s, n)])
-                == ref.first_occurrence_letters(*form, theta, [(s, n)]))
+        query = oracle._query(word)
+        assert (oracle._first_occurrence(query, oracle._needle(query[0], c), theta, [(s, n)])
+                == ref.first_occurrence_letters(*ref.search_form(word), theta, [(s, n)]))
 
 
 @pytest.mark.parametrize("text", ["cf:[1;2]p", "cf:[2;1,3]p", "7/5", "opaque"])
 def test_leaf_offsets_derive_one_line_per_denominator(text, monkeypatch):
-    # over an exact slope, a search derives (E, F, d, C) and J once for each
-    # denominator and length of its rational heights, and reads every height
-    # as a fresh search does; heights in the slope's field, and every height
-    # of an opaque slope, derive their own line
+    # a search derives (E, F, d, C) and J once for each denominator, field
+    # and length of its heights, over an opaque slope too (its stand-in line
+    # is built over C = 2qb), and reads every height as a fresh search does;
+    # the field heights here each have a denominator of their own
     theta = (ContinuedFraction(source=SQRT2.coefficient) if text == "opaque"
              else ContinuedFraction.from_text(text))
     val = theta.value()
@@ -476,12 +493,38 @@ def test_leaf_offsets_derive_one_line_per_denominator(text, monkeypatch):
                         or letter_line(*args))
     plans = {}
     assert [flat._leaf_offsets(theta, s, n, plans) for s, n in starts] == want
-    if val is None:
-        assert len(lines) == len(starts)
-    else:
-        # the first height of each (denominator, n), and each field height
-        firsts = (starts[0], starts[3], starts[6], starts[8])
-        assert lines == [(s, n) for s, n in starts if isinstance(s, QuadNum) or (s, n) in firsts]
+    # the first height of each (denominator, n), and each field height
+    firsts = (starts[0], starts[3], starts[6], starts[8])
+    assert lines == [(s, n) for s, n in starts if isinstance(s, QuadNum) or (s, n) in firsts]
+
+
+def test_leaf_offsets_keep_fields_apart():
+    # at 7/5 the heights (1 + k sqrt2)/5, (1 + k sqrt3)/5 and 1/5 share a
+    # denominator but not a field: read in one plans dict, each equals a
+    # fresh call, so no line is shared across fields.  A leaf word at 7/5
+    # depends on floor(5 s) alone, which tells the fields apart at k = 2
+    theta = ContinuedFraction.from_text("7/5")
+    starts = [((1 + k * QuadNum(0, 1, d)) / 5, 5000) for k in (1, 2) for d in (2, 3)]
+    starts.append((Fraction(1, 5), 5000))
+    want = [flat._leaf_offsets(theta, s, n, {}) for s, n in starts]
+    assert want[2] != want[3]
+    plans = {}
+    assert [flat._leaf_offsets(theta, s, n, plans) for s, n in starts] == want
+
+
+def test_rational_read_outs_list_no_seams():
+    # at 5/3 every window is the first: from 1/7 with 1M letters the
+    # read-out lists no seams and equals the blocks of sturmian_blocks, and a
+    # seeded sampling over it finds what the letter reference finds
+    theta = ContinuedFraction.from_text("5/3")
+    offs, seams, period = flat._leaf_offsets(theta, Fraction(1, 7), 10 ** 6, {})
+    assert seams == [] and len(period) == 3
+    assert list(flat._block_values(offs, 1)) == flat.sturmian_blocks(
+        theta, Fraction(1, 7), len(offs))[0]
+    for word in (words.BlockWord(1, (1, 1)), words.BlockWord(1, (2, 2, 1, 2)), "abbabb"):
+        rep = oracle.sampling_cross_check(word, theta, 10 ** 6, 8, seed=5)
+        assert rep.found_at == ref.first_occurrence_letters(
+            *ref.search_form(word), theta, ((s, 10 ** 6) for s in rep.heights))
 
 
 # -- block-space verdicts ----------------------------------------------------------
@@ -615,7 +658,7 @@ def test_oracle_reads_no_letters(monkeypatch):
     found = []
     for word, seed in searches:
         heights = oracle.sampling_cross_check("a", theta, 20_000, 8, seed).heights
-        found.append(ref.first_occurrence_letters(*oracle._search_form(word), theta,
+        found.append(ref.first_occurrence_letters(*ref.search_form(word), theta,
                                                   ((s, 20_000) for s in heights)))
     assert all(found)
 
@@ -657,18 +700,22 @@ def test_block_verdicts_build_no_letters(monkeypatch):
 
 @st.composite
 def _cylinder_cases(draw):
-    """(theta, slope, word): a quadratic theta with integer part 1..3 or 7,
-    the slope it is decided at (theta or its opaque copy), and a "ba" block
-    word of one of three kinds: random blocks over bases c - 1 .. c + 1, a
-    factor of a leaf block stream (perhaps with one block flipped), or an
-    ``inadmissible_word``."""
+    """(theta, slope, word): a quadratic or finite theta with integer part
+    1..3 or 7, the slope it is decided at (theta, or a quadratic theta's
+    opaque copy), and a "ba" block word of one of three kinds: random blocks
+    over bases c - 1 .. c + 1, a factor of a leaf block stream (perhaps with
+    one block flipped), or, at a quadratic theta, an ``inadmissible_word``."""
     c = draw(st.sampled_from([1, 1, 2, 3, 7]))
     pre = draw(st.lists(st.integers(min_value=1, max_value=4), max_size=2))
     per = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
-    theta = ContinuedFraction.periodic([c, *pre], per)
-    slope = theta if draw(st.booleans()) else ContinuedFraction(source=theta.coefficient)
+    kind = draw(st.sampled_from(["quadratic", "opaque", "finite"]))
+    if kind == "finite":  # ends after one to five more coefficients, a last 1 too
+        theta = slope = ContinuedFraction([c, *pre, *per])
+    else:
+        theta = ContinuedFraction.periodic([c, *pre], per)
+        slope = theta if kind == "quadratic" else ContinuedFraction(source=theta.coefficient)
     kind = draw(st.sampled_from(["random", "factor", "factor", "inadmissible"]))
-    if kind == "inadmissible":
+    if kind == "inadmissible" and theta.length is None:
         return theta, slope, words.inadmissible_word(theta, draw(st.integers(2, 6)))
     n = draw(st.integers(min_value=1, max_value=60))
     if kind == "random":
@@ -688,19 +735,23 @@ def _cylinder_cases(draw):
 @given(_cylinder_cases())
 def test_block_verdicts_match_cylinder_intervals(case):
     # the oracle's convergent-level verdict against the O(k) cylinder
-    # interval on theta's exact value, at quadratic slopes and their opaque
-    # copies; rational slopes stay out, as ties there meet the half-open
-    # convention
+    # interval on theta's exact value, at quadratic slopes, their opaque
+    # copies and finite slopes, where interval ends tie
     theta, slope, word = case
     assert oracle.is_admissible(word, slope).is_admissible == ref.cylinder_admissible(
         word, theta.value())
 
 
 def test_short_block_verdicts_match_cylinder_intervals():
-    # every "ba" word of 1 to 6 blocks over {c, c + 1}, both verdicts met
+    # every "ba" word of 1 to 6 blocks over {c, c + 1}, both verdicts met, at
+    # quadratic, opaque and finite slopes, integers and a last coefficient 1
+    # among them
     wilder = ContinuedFraction.from_text("cf:[2;1,3]p")
+    finite = [ContinuedFraction.from_text(text) for text in (
+        "3/2", "5/3", "7/5", "8/5", "13/8", "2", "3", "5/2", "7/3", "12/5", "17/7", "cf:[7;2]",
+        "cf:[2;1,1,3]")] + [ContinuedFraction([2, 3, 1])]
     for theta, slope in ((SQRT2, SQRT2), (GOLDEN, ContinuedFraction(source=GOLDEN.coefficient)),
-                         (wilder, wilder)):
+                         (wilder, wilder), *((theta, theta) for theta in finite)):
         c = theta.floor_part()
         verdicts = set()
         for n in range(1, 7):

@@ -513,7 +513,7 @@ def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
 
     from laminath import flat, oracle, words
     from laminath.cf import ContinuedFraction
-    from reference import first_occurrence_letters, refuse_letters
+    from reference import first_occurrence_letters, refuse_letters, search_form
 
     theta = ContinuedFraction.from_text("cf:[2;1,3]p")
     cases = [(word, seed) for word in (words.inadmissible_word(theta, 4),
@@ -522,7 +522,7 @@ def test_sampling_reads_block_bytes_and_plans_each_slope_once(monkeypatch):
     want = []
     for word, seed in cases:
         heights = oracle.sampling_cross_check("a", theta, 20_000, 8, seed).heights
-        want.append(first_occurrence_letters(*oracle._search_form(word), theta,
+        want.append(first_occurrence_letters(*search_form(word), theta,
                                              ((s, 20_000) for s in heights)))
     assert want[0] is want[1] is None and want[2] and want[3]
 
