@@ -8,8 +8,11 @@ stream.  Arbitrary streams (a callable index -> coefficient) are allowed,
 in which case comparisons fall back to refining the convergent enclosure
 p_{2k}/q_{2k} < theta < p_{2k+1}/q_{2k+1}.
 
-``partial_quotients`` of (E + F sqrt(d))/C is the one partial-quotient
-stream: ``from_rational`` and the window kernel in ``flat`` read it.
+``ContinuedFraction`` alone decides the slope facts other modules read:
+checked convergents, window levels, theta > 1, and the exact value behind
+one gate (``exact_value``) with its integer pair.  ``partial_quotients`` of
+(E + F sqrt(d))/C is the one partial-quotient stream: ``from_rational`` and
+the window kernel in ``flat`` read it.
 
 Text form: "cf:[1;2,2]" for a finite fraction, "cf:[1;2]p" or
 "cf:[1;2,3]periodic(2)" when a tail of the coefficient list repeats forever.
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from ._record import record
-from .errors import CertificateViolation, InvalidSlope, PrecisionExhausted
+from .errors import CertificateViolation, DepthInsufficient, InvalidSlope, PrecisionExhausted
 from .exactnum import Exact, QuadNum, denominator, encode, pair_sign, surd
 
 
@@ -81,8 +84,7 @@ class ContinuedFraction:
         self._value_cache: Optional[Exact] = None
         # convergent table: p_k = self._p[k + 2], q_k = self._q[k + 2], led
         # by (p_{-2}, p_{-1}) = (0, 1) and (q_{-2}, q_{-1}) = (1, 0)
-        self._p = [0, 1]
-        self._q = [1, 0]
+        self._p, self._q = [0, 1], [1, 0]
         self._checked: list[Convergent] = []  # convergents() records, levels 0.. in turn
 
     # -- constructors --------------------------------------------------------
@@ -170,13 +172,23 @@ class ContinuedFraction:
     def value(self) -> Optional[Exact]:
         """Exact value: Fraction when finite, QuadNum when eventually periodic,
         None for opaque sources."""
-        if self._value_cache is not None:
-            return self._value_cache
-        if self._per is None:
+        if self._value_cache is None and self._per is not None:
+            self._value_cache = (self._periodic_value() if self._per
+                                 else self.convergent(len(self._pre) - 1).value)
+        return self._value_cache
+
+    def exact_value(self, use: str) -> Exact:
+        """The exact value, or InvalidSlope naming ``use`` for an opaque source."""
+        if (theta := self.value()) is None:
+            raise InvalidSlope(f"{use} needs an exact slope value")
+        return theta
+
+    def integer_pair(self) -> Optional[tuple[int, int, int, int]]:
+        """(u, v, d, D), theta = (u + v sqrt d)/D, D = denominator(theta), or None."""
+        if (theta := self.value()) is None:
             return None
-        val = self._periodic_value() if self._per else self.convergent(len(self._pre) - 1).value
-        self._value_cache = val
-        return val
+        D = denominator(theta)
+        return (*encode(theta, D), surd((theta,)) or 2, D)
 
     def _periodic_value(self) -> QuadNum:
         # purely periodic tail y = [per; per, ...] satisfies
@@ -211,18 +223,15 @@ class ContinuedFraction:
 
     def convergents(self, k_max: int) -> list[Convergent]:
         """Convergents p_0/q_0 ... p_{k_max}/q_{k_max} by the standard
-        recurrence, each checked against the approximation inequality
-        |q_k theta - p_k| < 1/q_{k+1} (exactly, on theta's integer pair, when
-        theta has a value; by the determinant identity otherwise).  Each
-        level is checked once per slope: a checked record is kept, and a
-        call checks only the levels no earlier call has."""
-        self._grow(k_max)
+        recurrence, each checked by the determinant identity and, where theta
+        has a value, by two exact sign tests on its integer pair of 0 <
+        (-1)^k q_{k+1} (q_k theta - p_k) <= 1: theta lies on k's side of
+        p_k/q_k, within 1/q_{k+1}, at 1/q_{k+1} only if it is p_{k+1}/q_{k+1}
+        (Khinchin, Continued Fractions, 1964, ch. I).  Each level is checked
+        once per slope, by the first call that reaches it."""
+        self.convergent(k_max)  # grows the table; a negative index raises
         out = self._checked
-        theta = self.value() if k_max >= len(out) else None
-        if theta is not None:
-            # theta = (u + v sqrt d)/D
-            D = denominator(theta)
-            (u, v), d = encode(theta, D), surd((theta,)) or 2
+        pair = self.integer_pair() if k_max >= len(out) else None
         for k in range(len(out), k_max + 1):
             cv = self.convergent(k)
             try:
@@ -231,26 +240,36 @@ class ContinuedFraction:
                 out.append(cv)
                 continue  # the source ends: theta == p_k/q_k or unknown
             det = cv.p * nxt.q - nxt.p * cv.q
-            if abs(det) != 1:
+            if det != (-1) ** (k + 1):
                 raise CertificateViolation("convergent determinant broken")
-            if theta is not None:
-                # q_{k+1} (q_k theta - p_k) = (a + b sqrt d)/D lies in
-                # (-1, 1) when both D + (a + b sqrt d) and D - (a + b sqrt d)
-                # are positive; one is 0 only for a rational theta at
-                # distance exactly 1/q_{k+1}, allowed when theta is the
-                # next convergent (the last one of a finite fraction)
-                a, b = nxt.q * (cv.q * u - cv.p * D), nxt.q * cv.q * v
-                inside = min(pair_sign(D + a, b, d), pair_sign(D - a, -b, d))
-                if inside < 0 or inside == 0 and theta != nxt.value:
-                    raise CertificateViolation(
-                        f"approximation inequality failed at k={cv.k}")
+            if pair is not None:
+                # -det q_{k+1} (q_k theta - p_k) = (a + b sqrt d)/D, 1 at p_{k+1}/q_{k+1} alone
+                u, v, d, D = pair
+                a, b = -det * nxt.q * (cv.q * u - cv.p * D), -det * nxt.q * cv.q * v
+                if pair_sign(a, b, d) <= 0 or pair_sign(D - a, -b, d) < 0:
+                    raise CertificateViolation(f"approximation inequality failed at k={k}")
             out.append(cv)
         return out[:k_max + 1]
+
+    def window_level(self, span: int, k_max: int) -> int:
+        """The least level l <= k_max with q_l >= span, or a finite expansion's
+        last (theta itself), if either comes; else DepthInsufficient."""
+        for l in range(k_max + 1):
+            self._grow(l)
+            if self._q[l + 2] >= span or l + 1 == self.length:
+                return l
+        raise DepthInsufficient(
+            f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")
 
     # -- predicates --------------------------------------------------------------
 
     def floor_part(self) -> int:
-        return self.convergent(0).p
+        self._grow(0)
+        return self._p[2]
+
+    def exceeds_one(self) -> bool:
+        """Whether theta > 1: theta >= c0, equal only for the expansion [c0]."""
+        return (c := self.floor_part()) > 1 or c == 1 and self.length != 1
 
     def compare(self, r) -> int:
         """-1, 0, or +1 as theta <, ==, > the rational r.  Decided exactly for

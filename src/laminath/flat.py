@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ._record import record
 from .cf import ContinuedFraction, partial_quotients
 from .errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
-                     InvalidSlope, SingularHit)
+                     SingularHit)
 from .exactnum import (Exact, QuadNum, decode, denominator, encode, exact_floor,
-                       format_exact, pair_floor, pair_sign, parse_exact, surd)
+                       format_exact, pair_floor, parse_exact, surd)
 
 
 @record(frozen=True)
@@ -323,20 +323,19 @@ def _line(theta: ContinuedFraction, s, J: int) -> tuple[int, int, int, int, int,
     same first J blocks and no lattice point; s = a/b is then rational.
 
     The stand-in has slope p/q, the least even convergent of theta whose next
-    denominator q' exceeds J b, and starts at s + 1/(2qb).  For 1 <= j <= J,
+    denominator q' exceeds J b (at level l - l % 2, l the window level of J b
+    + 1), and starts at s + 1/(2qb).  For 1 <= j <= J,
     0 < j theta - j p/q < J/(q q') < 1/(qb), and g = j p/q + s lies on the
     grid (1/(qb))Z, which holds the integers: j theta + s and the stand-in's
     g + 1/(2qb) lie in the open cell (g, g + 1/(qb)), so both have integer
     part floor(g), as s and s + 1/(2qb) do at j = 0.  It is built over C =
     2qb, so all heights over b share (E, F, d, C), each with S = C s + 1."""
-    theta_val = theta.value()
-    if theta_val is not None:
+    if (theta_val := theta.value()) is not None:
         return _integer_form(theta_val, s)
     s = Fraction(s)
-    k = 0
-    while theta.convergent(k + 1).q <= J * s.denominator:
-        k += 2
-    cv = theta.convergent(k)
+    span = max(J, 0) * s.denominator + 1  # found by level span, as q_span >= span
+    l = theta.window_level(span, span)
+    cv = theta.convergent(l - l % 2)
     C = 2 * cv.q * s.denominator
     return 2 * cv.p * s.denominator, 0, 2 * cv.q * s.numerator + 1, 0, 2, C
 
@@ -438,8 +437,7 @@ def cutting_sequence(s, theta: ContinuedFraction, num_letters: int) -> str:
     the point.  Slopes with an exact value use field arithmetic; an opaque
     coefficient source reads an exact convergent line with the same letters.
     """
-    theta_val = theta.value()
-    if theta_val is not None and not theta_val > 0:
+    if theta.value() == 0:  # a value is never negative
         raise ValueError("theta must be positive")
     letters, hit = sturmian_letters(theta, s, num_letters)
     if hit is not None:
@@ -507,24 +505,15 @@ def homotopy_clearance(s, theta: ContinuedFraction, k: int) -> ClearanceCertific
     phi)/q, m = l p + c mod q, one for each m in 0..q-1.  theta l + s lies
     above (p/q) l + s for even k and below for odd k, by less than 1/q, so
     only the extreme height, m = q - 1 (upward) or 0 (downward), can cross an
-    integer, at l0 = (m - c) p^-1 mod q.  The hypothesis is checked exactly:
-    for an exact slope q theta - p has the parity's sign (or is 0 at a finite
-    expansion's last level) and (q - 1)|q theta - p| < 1, one comparison on
-    theta's integer pair; an opaque source is irrational and q_(k+1) >= q."""
-    cv = theta.convergent(k)
+    integer, at l0 = (m - c) p^-1 mod q.  The side and the bound are those
+    of theta's checked convergent (``ContinuedFraction.convergents``, which
+    raises CertificateViolation where they fail)."""
+    cv = theta.convergents(k)[-1]
     p, q = cv.p, cv.q
     eps = (1 - s) if k % 2 == 0 else s
     if not Fraction(1, q) < eps:
         raise ClearanceViolated(f"need 1/q_k < {'1-s' if k % 2 == 0 else 's'} at k={k}")
     E, _, S, G, d, C = _integer_form(Fraction(p, q), s)
-    if (theta_val := theta.value()) is not None:
-        a, b, _, _, e, D = _integer_form(theta_val, 0)
-        u, v = q * a - p * D, q * b  # q theta - p = (u + v sqrt(e))/D
-        sign = pair_sign(u, v, e)
-        if sign == (1 if k % 2 else -1):
-            raise CertificateViolation(f"p_k/q_k lies on the wrong side of theta at k={k}")
-        if pair_sign(D - (q - 1) * sign * u, -(q - 1) * sign * v, e) <= 0:
-            raise CertificateViolation(f"(q_k - 1)|q_k theta - p_k| is not below 1 at k={k}")
     l0 = (-(k % 2 == 0) - pair_floor(q * S, q * G, d, C)) * pow(p, -1, q) % q  # m = -1 or 0
     return ClearanceCertificate(k, l0, C, E, S, G, d)
 
@@ -545,9 +534,7 @@ def linear_growth_probe(theta: ContinuedFraction, direction, t_max, samples: int
     is dx for sloped directions and the height for vertical ones.  The table
     satisfies I(t) = t * I(1) exactly.  Theta needs an exact value.
     """
-    theta_val = theta.value()
-    if theta_val is None:
-        raise InvalidSlope("a linear growth probe needs an exact slope value")
+    theta_val = theta.exact_value("a linear growth probe")
     base = FlatPoint(Fraction(1, 7), Fraction(1, 9))
     rows = []
     t_max = Fraction(t_max)
@@ -576,9 +563,7 @@ def prescribed_growth_path(theta: ContinuedFraction, f: Callable[[float], float]
     """
     if abs(f(0.0)) > 1e-12:
         raise InvalidGrowthFunction("f(0) must be 0")
-    theta_val = theta.value()
-    if theta_val is None:
-        raise InvalidSlope("a growth path needs an exact slope value")
+    theta_val = theta.exact_value("a growth path")
     if t_cap is None:
         t_cap = Fraction(10) ** 9
     vertices, markers, rows = [FlatPoint(Fraction(0), Fraction(1, 7))], ["start"], []

@@ -46,7 +46,8 @@ from typing import Optional
 from . import flat
 from ._record import record
 from .cf import ContinuedFraction
-from .errors import CertificateViolation, DepthInsufficient, InvalidSlope
+from .errors import CertificateViolation, InvalidSlope
+from .exactnum import format_exact
 from .words import BlockWord, simple_word
 
 
@@ -91,14 +92,15 @@ class AdmissibilityCertificate:
         return self.verdict == "admissible"
 
 
-def _window_level(theta: ContinuedFraction, span: int, k_max: int) -> int:
-    for l in range(k_max + 1):
-        theta._grow(l)  # q_l off the cached convergent table
-        # a finite expansion's last level is theta, each of whose leaf words is its periodic word
-        if theta._q[l + 2] >= span or l + 1 == theta.length:
-            return l
-    raise DepthInsufficient(
-        f"window of {span} blocks needs q_l >= {span}, unavailable at depth {k_max}")
+def _level_above_one(theta: ContinuedFraction, span: int, k_max: int) -> int:
+    """``theta.window_level(span, k_max)`` where theta exceeds 1, else
+    InvalidSlope naming theta's value; a depth too small is reported first."""
+    l = theta.window_level(span, k_max)
+    if not theta.exceeds_one():
+        v = theta.value()
+        raise InvalidSlope("slope must be > 1, got "
+                           + (format_exact(v) if v is not None else "an opaque slope below 1"))
+    return l
 
 
 def _query(word) -> tuple:
@@ -164,14 +166,10 @@ def is_admissible(word, theta: ContinuedFraction, k_max: int = 24) -> Admissibil
     BlockWord is decided on its stored blocks, with no letter built.
     """
     query = form, aligned, size, span = _query(word)
-    c = theta.floor_part()
-    if c == 0 or c == theta.length == 1:  # theta < 1, or theta = [1] = 1
-        cv = theta.convergent(_window_level(theta, span, k_max))
-        raise InvalidSlope(f"slope must be > 1, got {Fraction(cv.p, cv.q)}")
-    if not size:
+    if not size and theta.exceeds_one():
         return AdmissibilityCertificate("admissible", word, (), 0, aligned, Fraction(1, 7), 0)
-    l0 = _window_level(theta, span, k_max)
-    parse = _needle(form, c)
+    l0 = _level_above_one(theta, span, k_max)
+    parse = _needle(form, theta.floor_part())
     periods = flat._block_periods(map(theta.coefficient, count()), l0)
     levels = [l0]
     if not _occurs(parse[0], periods):
@@ -278,11 +276,13 @@ def _find_witness(query, parse, theta: ContinuedFraction):
 
 
 def factor_count(theta: ContinuedFraction, m: int, k_max: int = 24) -> int:
-    """Number of distinct admissible length-m letter factors."""
+    """Number of distinct admissible length-m letter factors: min(m + 1, p_l
+    + q_l), p_l + q_l letters the least period of the periodic word of p_l/q_l
+    at the window level of m + 2 blocks, which holds them (Lothaire ch. 2)."""
     if m == 0:
         return 1
-    cv = theta.convergent(_window_level(theta, m + 2, k_max))
-    return len(rational_factors(Fraction(cv.p, cv.q), m).factors)
+    cv = theta.convergent(_level_above_one(theta, m + 2, k_max))
+    return min(m + 1, cv.p + cv.q)
 
 
 # -- exact leaf-word streams -----------------------------------------------------

@@ -157,17 +157,17 @@ def _segment_shape(theta: ContinuedFraction, k: int) -> tuple[Convergent, int, t
     """(cv, B, heights, letters) of the level-k segment path, in integers: its
     B blocks, ``_segment_heights`` and letter count.
 
-    With p/q = p_k/q_k the path is the line of slope p/q from height
-    S/(2q), S = 1 (2q - 1 for odd k), over 0 < x < q - 1; there it hops by
-    -1/q (+1/q for odd k), crossing no grid line, and follows the moved line
-    until it closes up after B blocks, B p = +1 (-1) mod q.  Block j is
-    floor(y(j + 1)) - floor(y(j)), so the word's checks read floors of the
-    heights, after ``_check_segment_heights``: blocks 0 and q - 1 are the
-    edge block (n, or n + 1 for odd k), the first q sum to p -+ 1, and the B
-    blocks' B + sum letters are at most 2(p + q)."""
+    With p/q = p_k/q_k, the checked convergent, the path is the line of
+    slope p/q from height S/(2q), S = 1 (2q - 1 for odd k), over 0 < x < q -
+    1; there it hops by -1/q (+1/q for odd k), crossing no grid line, and
+    follows the moved line until it closes up after B blocks, B p = +1 (-1)
+    mod q.  Block j is floor(y(j + 1)) - floor(y(j)), so the word's checks
+    read floors of the heights, after ``_check_segment_heights``: blocks 0
+    and q - 1 are the edge block (n, or n + 1 for odd k), the first q sum to
+    p -+ 1, and the B blocks' B + sum letters are at most 2(p + q)."""
     if k < 2:
         raise IndexError("k must be >= 2")
-    cv = theta.convergent(k)
+    cv = theta.convergents(k)[-1]
     p, q, n = _slope_data(Fraction(cv.p, cv.q))
     sign = -1 if k % 2 else 1
     B = q + sign * pow(p, -1, q) % q
@@ -275,19 +275,16 @@ def inadmissible_segment(theta: ContinuedFraction, k: int) -> SegmentCertificate
     ``_check_segment_heights`` clears the lattice and the close-up in O(1),
     so the path is built unvalidated (``FlatPath.validate`` stays the
     reference), and ``_segment_shape`` decides the word's checks.  With
-    theta = (E + F sqrt d)/C, r - theta is the pair (pC - qE, -qF) over qC,
+    theta = (E + F sqrt d)/C (``ContinuedFraction.integer_pair``), r - theta
+    is the pair (pC - qE, -qF) over qC, of sign (-1)^(k+1) (r is checked),
     so the measure B|r - theta| + 1/q and the bound 3|q theta - p| + 2/q are
     pairs over qC, compared by one ``pair_sign`` and decoded once each."""
-    theta_val = theta.value()
-    if theta_val is None:
-        raise InvalidSlope("a measured segment needs an exact slope value")
+    theta.exact_value("a measured segment")
     cv, B, heights, letters = _segment_shape(theta, k)
     p, q = cv.p, cv.q
 
-    E, F, _, _, d, C = flat._integer_form(theta_val, 0)
-    u, v = p * C - q * E, -q * F  # r - theta, then its absolute value
-    if pair_sign(u, v, d) < 0:
-        u, v = -u, -v
+    E, F, d, C = theta.integer_pair()
+    u, v = (p * C - q * E, -q * F) if k % 2 else (q * E - p * C, q * F)  # |r - theta|
     if pair_sign((3 * q - B) * u + C, (3 * q - B) * v, d) < 0:
         raise CertificateViolation("certificate bound violated")
     measure = decode((B * u + C, B * v), q * C, d)
@@ -438,11 +435,9 @@ def cusp_exotic_word(theta: ContinuedFraction, loop_counts: Iterable[int]) -> li
     # reported as such even when theta's expansion is too short for it
     if any(count < 1 for count in loop_counts):
         raise ValueError("loop counts must be positive")
-    if theta.compare(1) <= 0:
+    if not theta.exceeds_one():
         raise InvalidSlope("theta must exceed 1")
-    theta_val = theta.value()
-    if theta_val is None:
-        raise InvalidSlope("a cusp ledger needs an exact slope value")
+    theta_val = theta.exact_value("a cusp ledger")
     stages = []
     partial: Exact = Fraction(0)
     for j, count in enumerate(loop_counts, start=1):

@@ -345,14 +345,18 @@ def is_admissible_letters(word, theta: ContinuedFraction,
     """``oracle.is_admissible`` with every word decided in letter space: the
     marker-anchored letters (``search_form``) searched in a letter haystack
     of the periodic convergent word at levels l0 and l0 + 1.  The empty word
-    is admissible at every theta > 1; elsewhere the period letters refuse
-    it, as every other word."""
+    is admissible at every theta > 1; a theta up to 1 is refused once l0 is
+    found, for every word, and named by its exact value."""
     search, letters, aligned = search_form(word)
     if letters == "" and theta.compare(1) > 0:
         return oracle.AdmissibilityCertificate("admissible", word, (), 0, aligned,
                                                Fraction(1, 7), 0)
     span = search.count("a") + 2
-    l0 = oracle._window_level(theta, span, k_max)
+    l0 = theta.window_level(span, k_max)
+    if theta.compare(1) <= 0:
+        value = theta.value()
+        raise InvalidSlope("slope must be > 1, got " + (
+            "an opaque slope below 1" if value is None else exactnum.format_exact(value)))
 
     def occurs(l):
         period = _period_letters(theta.convergent(l))

@@ -166,12 +166,12 @@ def test_finite_convergents_verify(coeffs):
 
 def _first_miss(theta, val, k_max):
     """The q_error reference: the first k <= k_max whose convergent misses
-    |q_k val - p_k| < 1/q_{k+1} (equality allowed when val = p_{k+1}/q_{k+1}),
-    or None."""
+    0 < (-1)^k (q_k val - p_k) < 1/q_{k+1} (equality allowed when val =
+    p_{k+1}/q_{k+1}), or None."""
     for k in range(k_max + 1):
         cv, nxt = theta.convergent(k), theta.convergent(k + 1)
-        err, bound = abs(q_error(val, cv)), Fraction(1, nxt.q)
-        if not (err < bound or err == bound and val == nxt.value):
+        err, bound = (-1) ** k * q_error(val, cv), Fraction(1, nxt.q)
+        if not (0 < err < bound or err == bound and val == nxt.value):
             return k
     return None
 
@@ -202,6 +202,16 @@ def test_verified_convergents_match_q_error(c0, pre, per, data):
     else:
         with pytest.raises(CertificateViolation, match=f"at k={miss}$"):
             theta.convergents(k_max)
+
+
+def test_convergent_check_decides_the_side():
+    # 3/4 lies within 1/q_1 = 1/2 of p_0/q_0 = 1, but below it: the level-0
+    # check refuses the planted value by its side alone
+    theta = ContinuedFraction.sqrt2()
+    theta._value_cache = Fraction(3, 4)
+    assert abs(q_error(Fraction(3, 4), theta.convergent(0))) < Fraction(1, theta.convergent(1).q)
+    with pytest.raises(CertificateViolation, match="at k=0$"):
+        theta.convergents(0)
 
 
 @pytest.mark.parametrize("order", [(2, 5), (5, 2)])

@@ -631,6 +631,15 @@ def test_factors_slope_at_most_one_exits_2(slope):
                    % slope)
 
 
+@pytest.mark.parametrize("argv", [["admissible", "--word", "ab"], ["factors", "--m", "3"]])
+def test_slope_below_one_is_named_by_its_value(argv):
+    # the refusal names theta = sqrt2 - 1, not the convergent 2/5 it reached
+    code, out, err = run_cli([*argv, "--theta", "cf:[0;2]p"])
+    assert (code, out) == (2, "")
+    assert err == ('{"detail": "slope must be > 1, got -1+1*sqrt2", '
+                   '"error": "invalid-slope"}\n')
+
+
 def test_segment_level_below_two_exits_2():
     # a negative level once read the convergent table's (1, 0) seed row and
     # divided by zero

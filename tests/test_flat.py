@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from laminath import flat, oracle, words
-from laminath.cf import ContinuedFraction, Convergent, partial_quotients
+from laminath.cf import ContinuedFraction, partial_quotients
 from laminath.errors import (CertificateViolation, ClearanceViolated, InvalidGrowthFunction,
                              InvalidSlope, PrecisionExhausted, SingularHit)
 from laminath.exactnum import QuadNum, exact_floor, frac_part
@@ -628,27 +628,24 @@ def test_homotopy_clearance_odd():
                                   (Fraction(2, 3), 7), (Fraction(-1, 58), 4), (Fraction(23, 58), 4),
                                   (Fraction(25, 24), 3), (Fraction(59, 140), 5)])
 def test_clearance_catches_one_flipped_block(s, k):
-    # the clearance reads only theta's convergent, so the faults are planted
-    # there.  (p_k +- 1)/q_k is the convergent line with one block flipped:
-    # floor(j (p_k +- 1)/q_k + s) - floor(j p_k/q_k + s) steps once on j < q_k.
-    # It lies on the wrong side of theta or too far from it; a convergent of
-    # the other parity lies on the wrong side.  The last four cases put l0 at
-    # 0 or q_k - 1
+    # the clearance reads theta's checked convergent, so the faults are
+    # planted in a fresh slope's table at level k, past which it has grown.
+    # (p_k +- 1)/q_k is the convergent line with one block flipped:
+    # floor(j (p_k +- 1)/q_k + s) - floor(j p_k/q_k + s) steps once on j < q_k;
+    # p_(k-1)/q_(k-1) and p_(k+1)/q_(k+1) lie on the wrong side of theta.
+    # Each breaks the determinant identity with a neighbouring level.  The
+    # last four cases put l0 at 0 or q_k - 1
     cert = flat.homotopy_clearance(s, SQRT2, k)
-    cv, val = SQRT2.convergent(k), SQRT2.value()
-
-    def planted(p, q):
-        return SimpleNamespace(convergent=lambda j: Convergent(j, p, q), value=lambda: val)
-
-    assert flat.homotopy_clearance(s, planted(cv.p, cv.q), k) == cert
-    side, far = "wrong side of theta", r"is not below 1"
-    faults = [(cv.p + 1, cv.q, side if k % 2 == 0 else far),
-              (cv.p - 1, cv.q, far if k % 2 == 0 else side)]
-    faults += [(other.p, other.q, side) for other in (SQRT2.convergent(k - 1),
-                                                       SQRT2.convergent(k + 1))]
-    for p, q, message in faults:
-        with pytest.raises(CertificateViolation, match=message):
-            flat.homotopy_clearance(s, planted(p, q), k)
+    cv = SQRT2.convergent(k)
+    assert flat.homotopy_clearance(s, ContinuedFraction.sqrt2(), k) == cert
+    faults = [(cv.p + 1, cv.q), (cv.p - 1, cv.q)]
+    faults += [(other.p, other.q) for other in (SQRT2.convergent(k - 1), SQRT2.convergent(k + 1))]
+    for p, q in faults:
+        theta = ContinuedFraction.sqrt2()
+        theta._grow(k + 1)
+        theta._p[k + 2], theta._q[k + 2] = p, q
+        with pytest.raises(CertificateViolation, match="^convergent determinant broken$"):
+            flat.homotopy_clearance(s, theta, k)
 
 
 # -- growth probes ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -180,6 +181,33 @@ def test_haystack_keeps_the_slope_guard(r):
     # the window kernel takes any slope; the factor haystack demands r > 1
     with pytest.raises(InvalidSlope, match="slope must be > 1"):
         oracle.rational_factors(r, 3)
+
+
+@pytest.mark.parametrize("text, name", [("cf:[0;2]p", "-1+1*sqrt2"), ("5/13", "5/13"),
+                                        ("cf:[0;1,3]p", "1/6+1/6*sqrt13")])
+def test_slopes_below_one_are_named_by_their_value(text, name):
+    # the refusal names theta, not the convergent of the level it reached;
+    # an opaque source has no value to name
+    theta = ContinuedFraction.from_text(text)
+    for decide in (lambda: oracle.is_admissible("ab", theta),
+                   lambda: oracle.factor_count(theta, 3)):
+        with pytest.raises(InvalidSlope, match=rf"^slope must be > 1, got {re.escape(name)}$"):
+            decide()
+    if theta.length is None:
+        with pytest.raises(InvalidSlope, match="^slope must be > 1, got an opaque slope below 1$"):
+            oracle.is_admissible("ab", ContinuedFraction(source=theta.coefficient))
+
+
+@pytest.mark.parametrize("theta", [ContinuedFraction.from_text(t) for t in (
+    "3/2", "7/5", "13/8", "2", "12/5", "cf:[2;1,1,3]", "cf:[1;2]p", "cf:[7;3,1,5]p",
+    "cf:[1;1,4]periodic(2)", "cf:[254;1,2]p")] + [ContinuedFraction(source=SQRT2.coefficient)])
+def test_factor_count_is_the_closed_form(theta):
+    # min(m + 1, p_l + q_l) at the window level is the count of the
+    # convergent's factor set, the one enumeration of them
+    for m in range(1, 41):
+        cv = theta.convergent(theta.window_level(m + 2, 24))
+        count = len(oracle.rational_factors(Fraction(cv.p, cv.q), m).factors)
+        assert oracle.factor_count(theta, m) == count, m
 
 
 @pytest.mark.parametrize("word", ["a", "bab", words.BlockWord(1, (1, 2))])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import laminath
+from laminath.cf import ContinuedFraction
 from laminath.errors import EXHAUSTION_ERRORS, CertificateViolation
 from laminath.exactnum import QuadNum
 
@@ -85,6 +86,19 @@ def test_only_exactnum_calls_private_quadnum_methods():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                  and node.attr in private]
         assert not lines, f"{path.name}: private QuadNum method at lines {lines}"
+
+
+def test_only_cf_reads_the_convergent_table():
+    # other modules read slope facts through ContinuedFraction's methods
+    private = {"_p", "_q", "_grow", "_checked"}
+    assert private <= set(vars(ContinuedFraction.sqrt2())) | set(vars(ContinuedFraction))
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cf.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr in private]
+        assert not lines, f"{path.name}: private convergent table at lines {lines}"
 
 
 def test_one_backward_flow_pass_per_transversal(monkeypatch):
